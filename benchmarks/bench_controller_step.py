@@ -14,10 +14,10 @@ the per-launch noisy measurement path) rather than one-time sweeps:
   application stepped on many independent noisy platforms, one scalar
   run per seed vs a single batched call with one lane per seed.
 
-Clean (noise-free) evaluation is deliberately *not* a timed scenario: on
-a deterministic platform the scalar launch path is already served from
-the same memoized grid surface the batched engine reads, so there is no
-controller-bound gap to measure (see docs/performance.md).
+Both the scalar loop and the engine serve every launch, clean or noisy,
+from the same memoized grid surface (plus one keyed multiplier when
+noisy), so the measured gap is the lockstep controller stepping alone
+(see docs/performance.md).
 
 Every comparison is a **bitwise gate**, not a tolerance: each batched
 lane's launch records and metrics must equal its scalar twin exactly, or
@@ -33,7 +33,7 @@ JSON (``BENCH_controller.json``)::
 
     python benchmarks/bench_controller_step.py            # full set
     python benchmarks/bench_controller_step.py --apps SPMV miniFE \\
-        --variant-seeds 4 --session-seeds 8 --min-speedup 3 \\
+        --variant-seeds 4 --session-seeds 8 --min-speedup 1.4 \\
         --out /tmp/b.json                                 # CI smoke form
 
 CI runs the reduced form as a smoke test; the committed
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="timing repeats, best-of, fresh policies per "
                              "repeat (default: 3)")
-    parser.add_argument("--min-speedup", type=float, default=5.0,
+    parser.add_argument("--min-speedup", type=float, default=1.8,
                         help="fail if the geomean controller speedup falls "
                              "below this floor")
     parser.add_argument("--out", default="BENCH_controller.json",

@@ -22,7 +22,7 @@ from repro.runtime.montecarlo import (
     geomean_band,
 )
 from repro.runtime.parallel import fan_out
-from repro.runtime.simulator import ApplicationRunner, RunResult
+from repro.runtime.simulator import RunResult
 from repro.workloads.application import Application
 from repro.workloads.registry import STRESS_BENCHMARKS
 
@@ -178,54 +178,56 @@ class EvaluationHarness:
     def __init__(self, platform: HardwarePlatform,
                  baseline_policy: PowerPolicy):
         self._platform = platform
-        self._runner = ApplicationRunner(platform)
         self._baseline = baseline_policy
 
+    def _compare(self, application: Application, baseline: PowerPolicy,
+                 policies: Sequence[PowerPolicy]):
+        """One application's baseline + candidates as lockstep lanes of
+        the batched session engine (:mod:`repro.runtime.session`).
+
+        Returns:
+            ``(per_app, comparisons)``: the runs keyed by policy name and
+            one :class:`ApplicationComparison` per candidate.
+        """
+        from repro.runtime.session import BatchSessionRunner, SessionSpec
+        outcomes = BatchSessionRunner(self._platform).run_sessions([
+            SessionSpec(application=application, policy=policy)
+            for policy in (baseline, *policies)
+        ])
+        base_run = outcomes[0]
+        per_app: Dict[str, RunResult] = {self._baseline.name: base_run}
+        comparisons: List[ApplicationComparison] = []
+        for policy, run in zip(policies, outcomes[1:]):
+            per_app[policy.name] = run
+            comparisons.append(ApplicationComparison(
+                application=application.name,
+                policy=policy.name,
+                baseline=base_run.metrics,
+                candidate=run.metrics,
+            ))
+        return per_app, comparisons
+
     def evaluate(self, applications: Sequence[Application],
-                 policies: Sequence[PowerPolicy],
-                 batched: bool = True) -> EvaluationSummary:
+                 policies: Sequence[PowerPolicy]) -> EvaluationSummary:
         """Run baseline + candidates over all applications.
+
+        Each application's baseline and candidates advance in lockstep
+        via the batched session engine, bitwise-identical to one
+        :meth:`~repro.runtime.simulator.ApplicationRunner.run` per policy.
 
         Args:
             applications: workloads to evaluate.
             policies: candidate policies (the baseline is implicit).
-            batched: advance each application's baseline + candidates in
-                lockstep via the batched session engine
-                (:mod:`repro.runtime.session`). Bitwise-identical to the
-                scalar loop; lanes the engine cannot prove equivalent
-                fall back automatically. ``False`` forces the scalar
-                path (the differential-testing oracle).
         """
         if not applications:
             raise AnalysisError("no applications to evaluate")
         comparisons: List[ApplicationComparison] = []
         runs: Dict[str, Dict[str, RunResult]] = {}
-        session_runner = None
-        if batched:
-            from repro.runtime.session import BatchSessionRunner, SessionSpec
-            session_runner = BatchSessionRunner(self._platform)
         for application in applications:
-            if session_runner is not None:
-                lane_policies = [self._baseline, *policies]
-                outcomes = session_runner.run_sessions([
-                    SessionSpec(application=application, policy=policy)
-                    for policy in lane_policies
-                ])
-                base_run, policy_runs = outcomes[0], outcomes[1:]
-            else:
-                base_run = self._runner.run(application, self._baseline)
-                policy_runs = [self._runner.run(application, policy)
-                               for policy in policies]
-            per_app: Dict[str, RunResult] = {self._baseline.name: base_run}
-            for policy, run in zip(policies, policy_runs):
-                per_app[policy.name] = run
-                comparisons.append(ApplicationComparison(
-                    application=application.name,
-                    policy=policy.name,
-                    baseline=base_run.metrics,
-                    candidate=run.metrics,
-                ))
+            per_app, comps = self._compare(application, self._baseline,
+                                           policies)
             runs[application.name] = per_app
+            comparisons.extend(comps)
         return EvaluationSummary(comparisons=tuple(comparisons), runs=runs)
 
     def evaluate_parallel(
@@ -234,7 +236,6 @@ class EvaluationHarness:
         baseline_factory: PolicyFactory,
         policy_factories: Sequence[PolicyFactory],
         jobs: int = 1,
-        batched: bool = True,
     ) -> EvaluationSummary:
         """Run the matrix with applications fanned out over threads.
 
@@ -251,42 +252,15 @@ class EvaluationHarness:
             baseline_factory: constructor of fresh baseline policies.
             policy_factories: constructors of fresh candidate policies.
             jobs: maximum concurrent application evaluations.
-            batched: advance each application's policies in lockstep via
-                the batched session engine (bitwise-identical; ``False``
-                forces the scalar loop).
         """
         if not applications:
             raise AnalysisError("no applications to evaluate")
 
         def evaluate_app(application: Application):
-            baseline = baseline_factory()
-            policies = [factory() for factory in policy_factories]
-            if batched:
-                from repro.runtime.session import (
-                    BatchSessionRunner, SessionSpec,
-                )
-                engine = BatchSessionRunner(self._platform)
-                outcomes = engine.run_sessions([
-                    SessionSpec(application=application, policy=policy)
-                    for policy in (baseline, *policies)
-                ])
-                base_run, policy_runs = outcomes[0], outcomes[1:]
-            else:
-                runner = ApplicationRunner(self._platform)
-                base_run = runner.run(application, baseline)
-                policy_runs = [runner.run(application, policy)
-                               for policy in policies]
-            per_app: Dict[str, RunResult] = {self._baseline.name: base_run}
-            comps: List[ApplicationComparison] = []
-            for policy, run in zip(policies, policy_runs):
-                per_app[policy.name] = run
-                comps.append(ApplicationComparison(
-                    application=application.name,
-                    policy=policy.name,
-                    baseline=base_run.metrics,
-                    candidate=run.metrics,
-                ))
-            return per_app, comps
+            return self._compare(
+                application, baseline_factory(),
+                [factory() for factory in policy_factories],
+            )
 
         outcomes = fan_out(evaluate_app, applications, jobs=jobs)
         comparisons: List[ApplicationComparison] = []
@@ -304,7 +278,6 @@ class EvaluationHarness:
         seeds: "int | Sequence[int]" = 16,
         noise_std_fraction: float = 0.05,
         jobs: int = 1,
-        batched: bool = True,
     ) -> MonteCarloSummary:
         """Run the matrix under repeated-trial measurement noise.
 
@@ -314,8 +287,11 @@ class EvaluationHarness:
         — the launch-keyed noise model guarantees each trial matches the
         scalar noisy run at the same platform seed. Baseline and
         candidate share seeds, so the reported improvement bands are
-        paired. Applications fan out over ``jobs`` threads with fresh
-        policy instances, serial-exact like :meth:`evaluate_parallel`.
+        paired. All policies' deterministic reference runs of one
+        application advance in lockstep via the batched session engine
+        before the vectorized noise reduction. Applications fan out over
+        ``jobs`` threads with fresh policy instances, serial-exact like
+        :meth:`evaluate_parallel`.
 
         Args:
             applications: workloads to evaluate.
@@ -324,29 +300,19 @@ class EvaluationHarness:
             seeds: trial platform seeds — an int N means ``range(N)``.
             noise_std_fraction: per-trial execution-time noise fraction.
             jobs: maximum concurrent application evaluations.
-            batched: compute all policies' deterministic reference runs
-                per application in lockstep via the batched session
-                engine before handing them to the vectorized noise
-                reduction (bitwise-identical; ``False`` forces scalar
-                reference runs).
         """
         if not applications:
             raise AnalysisError("no applications to evaluate")
         engine = MonteCarloEngine(self._platform, noise_std_fraction, seeds)
+        from repro.runtime.session import BatchSessionRunner, SessionSpec
 
         def evaluate_app(application: Application):
             baseline = baseline_factory()
             policies = [factory() for factory in policy_factories]
-            references = [None] * (1 + len(policies))
-            if batched:
-                from repro.runtime.session import (
-                    BatchSessionRunner, SessionSpec,
-                )
-                session_runner = BatchSessionRunner(self._platform)
-                references = session_runner.run_sessions([
-                    SessionSpec(application=application, policy=policy)
-                    for policy in (baseline, *policies)
-                ])
+            references = BatchSessionRunner(self._platform).run_sessions([
+                SessionSpec(application=application, policy=policy)
+                for policy in (baseline, *policies)
+            ])
             base_run = engine.rollout(application, baseline,
                                       reference=references[0])
             comps: List[MonteCarloComparison] = []

@@ -4,10 +4,13 @@ Everything above the substrate — sensitivity measurement, the Harmonia
 controller, the oracle, the benchmarks — interacts with the simulated test
 bed exclusively through :class:`HardwarePlatform`:
 
-    result = platform.run_kernel(spec, config)
+    result = platform.launch(spec, config)
 
 which is the software-visible contract a real rig offers (launch a kernel
-at a configuration; read back time, counters, and DAQ power). An optional
+at a configuration; read back time, counters, and DAQ power). Launches
+index the kernel's cached full-grid surface; :meth:`HardwarePlatform.
+run_kernel` evaluates one launch from scratch and is the scalar reference
+the surface is tested against. An optional
 run-to-run noise term models the measurement variance the paper averages
 away by running each application multiple times (Section 6). Noise is
 **launch-keyed** (:mod:`repro.platform.noise`): a launch's multiplier is a
@@ -308,38 +311,35 @@ class HardwarePlatform:
         return batch.with_time_multipliers(multipliers[indices])
 
     def launch(self, spec: KernelSpec, config: HardwareConfig,
-               iteration: int = 0,
-               cache: Optional[SweepCache] = None) -> KernelRunResult:
+               iteration: int = 0) -> KernelRunResult:
         """Launch ``spec`` at ``config``, served from the cached grid
-        surface when the platform is deterministic.
+        surface.
 
-        Same observable contract as :meth:`run_kernel` — the batch and
-        scalar paths are element-exact — but repeated launches of the
-        same kernel (the kernel-boundary execution loop re-launches every
-        spec each iteration) index one shared
-        :meth:`grid_sweep` surface instead of re-running the model, and
-        that surface comes from the two-tier sweep cache, so whole
-        application runs are store-served across processes. Noisy
-        platforms take the scalar path: a single launch needs one keyed
-        draw, not a whole-grid perturbation.
+        Same observable contract as :meth:`run_kernel` — field by field,
+        and in the noise-clip count — but repeated launches of the same
+        kernel (the kernel-boundary execution loop re-launches every spec
+        each iteration) index one memoized :meth:`launch_surface` instead
+        of re-running the model, and that surface comes from the two-tier
+        sweep cache, so whole application runs are store-served across
+        processes. On a noisy platform the clean element takes its
+        launch-keyed draw through :meth:`noisy_result_from`, exactly as
+        in the batched session engine.
 
         Args:
             spec: the kernel to launch.
             config: the hardware configuration to launch at.
             iteration: the application iteration of this launch (noise
                 key; ignored on a noise-free platform).
-            cache: the sweep cache to serve from; defaults to the
-                process-wide shared cache.
 
         Raises:
             ConfigurationError: if ``config`` is off the platform grid.
         """
+        index = self.grid_index(config)
+        result = self.launch_surface(spec).result_at(index)
         if self._noise > 0:
-            return self.run_kernel(spec, config, iteration=iteration)
-        self._space.validate(config)
-        if cache is not None:
-            return self.grid_sweep(spec, cache=cache).result_at_config(config)
-        return self.launch_surface(spec).result_at_config(config)
+            return self.noisy_result_from(result, spec, iteration,
+                                          index=index)
+        return result
 
     def launch_surface(self, spec: KernelSpec) -> BatchRunResult:
         """The memoized deterministic launch surface of ``spec``.

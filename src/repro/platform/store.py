@@ -18,15 +18,13 @@ invalidation is by value: stale records are simply never addressed again.
 Records are single files holding the surface arrays plus one JSON
 metadata header carrying the schema version, the digest (self-check),
 and the config-invariant scalars encoded with ``float.hex`` for bitwise
-round-trips. New records are written as a **raw npy container** (a
-magic prefix, the JSON header, then length-prefixed named ``.npy``
-members back to back) — the zip machinery of ``np.savez`` costs more
-than the payload for the small records a cold ``reproduce`` writes by
-the hundreds. Records written by older builds are ordinary ``.npz``
-zip archives; readers sniff the leading magic bytes and serve both
-formats, so a restored CI cache or an existing local store stays fully
-servable. Both spellings share the ``.npz`` filename, keeping content
-addresses and cache keys stable. Properties:
+round-trips. Records are a **raw npy container** (a magic prefix, the
+JSON header, then length-prefixed named ``.npy`` members back to back)
+— the zip machinery of ``np.savez`` costs more than the payload for the
+small records a cold ``reproduce`` writes by the hundreds. A file
+without the magic (such as an ``.npz`` zip archive written by an older
+build under the same ``.npz`` filename) reads as an invalid record and
+is recomputed and rewritten. Properties:
 
 * **atomic** — writes go to a unique tempfile in the store directory and
   are published with :func:`os.replace`, so concurrent ``--jobs`` workers
@@ -52,9 +50,8 @@ import itertools
 import json
 import os
 import threading
-import zipfile
 from pathlib import Path
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -84,15 +81,9 @@ EVENTSIM_KIND = "eventsim"
 #: Environment variable overriding the default store directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Minimum member payload worth memory-mapping; smaller members are read
-#: eagerly (a map costs a syscall and a page of address space, and tiny
-#: members fit in the buffer the zip read already filled).
-MMAP_MIN_BYTES = 16 * 1024
-
-#: Leading magic of raw-container records. Zip records written by older
-#: builds start with ``PK\x03\x04`` instead; readers sniff and serve
-#: both. The trailing newline keeps accidental text-mode corruption
-#: detectable, like the npy magic it wraps.
+#: Leading magic of raw-container records; a file that does not start
+#: with it is an invalid record. The trailing newline keeps accidental
+#: text-mode corruption detectable, like the npy magic it wraps.
 _RAW_MAGIC = b"\x93RPROSTORE\x01\n"
 
 #: Per-process sequence for unique tempfile names on the write path
@@ -339,18 +330,7 @@ def batch_from_record(
     )
 
 
-# --- zero-copy (memory-mapped) record reads --------------------------------------
-#
-# ``np.load(..., mmap_mode=...)`` silently ignores the mmap request for
-# ``.npz`` archives and reads every member eagerly. But ``np.savez``
-# writes members uncompressed (``ZIP_STORED``), so each member's ``.npy``
-# payload sits contiguously in the archive file and can be mapped
-# directly: find the payload through the member's zip *local* header
-# (whose name/extra lengths are authoritative — the central directory's
-# may differ), parse the npy header there, and hand the remaining bytes
-# to :class:`numpy.memmap`. Pages then enter the process lazily from the
-# OS page cache, shared across processes, instead of being copied into
-# private heap buffers on every load.
+# --- the raw record container ----------------------------------------------------
 
 
 def _write_raw_record(buf, meta: Dict[str, Any],
@@ -373,12 +353,6 @@ def _write_raw_record(buf, meta: Dict[str, Any],
                                   allow_pickle=False)
 
 
-def _read_raw_meta(fh) -> Dict[str, Any]:
-    """The JSON header of a raw record; ``fh`` sits just past the magic."""
-    meta_len = int.from_bytes(_read_exact(fh, 8), "little")
-    return json.loads(_read_exact(fh, meta_len))
-
-
 def _read_exact(fh, count: int) -> bytes:
     data = fh.read(count)
     if len(data) != count:
@@ -386,196 +360,28 @@ def _read_exact(fh, count: int) -> bytes:
     return data
 
 
-def _iter_raw_members(fh):
-    """Yield ``(name, fh)`` pairs with ``fh`` positioned at each member's
-    ``.npy`` serialization; the consumer must advance past the payload."""
-    while True:
-        head = fh.read(8)
-        if not head:
-            return
-        if len(head) != 8:
-            raise ValueError("truncated raw record")
-        name_len = int.from_bytes(head, "little")
-        yield _read_exact(fh, name_len).decode("utf-8"), fh
-
-
-def _read_raw_record(fh) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Eagerly read one raw record; ``fh`` sits just past the magic."""
-    meta = _read_raw_meta(fh)
-    arrays: Dict[str, np.ndarray] = {}
-    for name, member in _iter_raw_members(fh):
-        arrays[name] = np.lib.format.read_array(member, allow_pickle=False)
-    return arrays, meta
-
-
-def _read_raw_record_mmap(
-    path, fh
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], int]:
-    """Read a raw record, memory-mapping members worth mapping.
-
-    Same contract as :func:`_read_record_mmap`'s zip path: large members
-    become read-only :class:`numpy.memmap` views, small ones are read
-    eagerly, and ``mapped`` counts the views served.
-    """
-    meta = _read_raw_meta(fh)
-    arrays: Dict[str, np.ndarray] = {}
-    mapped = 0
-    for name, member in _iter_raw_members(fh):
-        header_at = member.tell()
-        version = np.lib.format.read_magic(member)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(
-                member)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(
-                member)
-        else:
-            raise ValueError(f"unsupported npy format version {version}")
-        nbytes = int(dtype.itemsize) * int(np.prod(shape, dtype=np.int64))
-        if nbytes >= MMAP_MIN_BYTES and not dtype.hasobject:
-            arrays[name] = np.memmap(
-                path, dtype=dtype, mode="r", offset=member.tell(),
-                shape=shape, order="F" if fortran else "C")
-            mapped += 1
-            member.seek(nbytes, os.SEEK_CUR)
-        else:
-            member.seek(header_at)
-            arrays[name] = np.lib.format.read_array(member,
-                                                    allow_pickle=False)
-    return arrays, meta, mapped
-
-
-def _member_data_offset(raw, info: zipfile.ZipInfo) -> int:
-    """File offset of a stored zip member's payload, via its local header."""
-    raw.seek(info.header_offset)
-    header = raw.read(30)
-    if len(header) != 30 or header[:4] != b"PK\x03\x04":
-        raise ValueError("malformed zip local header")
-    name_len = int.from_bytes(header[26:28], "little")
-    extra_len = int.from_bytes(header[28:30], "little")
-    return info.header_offset + 30 + name_len + extra_len
-
-
-def _npy_memmap(path, raw, data_offset: int) -> np.ndarray:
-    """Map one embedded ``.npy`` payload read-only, without copying."""
-    raw.seek(data_offset)
-    version = np.lib.format.read_magic(raw)
-    if version == (1, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-    elif version == (2, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-    else:
-        raise ValueError(f"unsupported npy format version {version}")
-    if dtype.hasobject:
-        raise ValueError("object arrays cannot be memory-mapped")
-    return np.memmap(path, dtype=dtype, mode="r", offset=raw.tell(),
-                     shape=shape, order="F" if fortran else "C")
-
-
 def _read_record(path) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-    """Eagerly read one record in either container format.
+    """Read one raw-container record.
 
-    Sniffs the leading magic: raw-container records are parsed directly,
-    anything else is handed to :func:`numpy.load` as a legacy ``.npz``
-    zip archive. Raises on any torn, truncated or foreign layout — the
-    caller accounts that as a miss.
+    Raises on a missing magic (an ``np.savez`` archive, say) and on any
+    torn, truncated or foreign layout — the caller accounts that as an
+    invalid miss.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(_RAW_MAGIC)) == _RAW_MAGIC:
-            return _read_raw_record(fh)
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["__meta__"][()]))
-        arrays = {name: data[name] for name in data.files
-                  if name != "__meta__"}
-    return arrays, meta
-
-
-def _read_record_mmap(
-    path,
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], int]:
-    """Read one record, memory-mapping large uncompressed members.
-
-    Returns ``(arrays, meta, mapped)`` where ``mapped`` counts the
-    members served as :class:`numpy.memmap` views; small, compressed or
-    unmappable members are read eagerly like :func:`numpy.load` would.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(len(_RAW_MAGIC)) == _RAW_MAGIC:
-            return _read_raw_record_mmap(path, fh)
-    arrays: Dict[str, np.ndarray] = {}
-    meta: Dict[str, Any] = {}
-    mapped = 0
-    with zipfile.ZipFile(path) as archive, open(path, "rb") as raw:
-        for info in archive.infolist():
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-4]
-            if (name != "__meta__"
-                    and info.compress_type == zipfile.ZIP_STORED
-                    and info.file_size >= MMAP_MIN_BYTES):
-                try:
-                    arrays[name] = _npy_memmap(
-                        path, raw, _member_data_offset(raw, info)
-                    )
-                    mapped += 1
-                    continue
-                except Exception:
-                    pass  # this member reads eagerly below
-            value = np.lib.format.read_array(
-                io.BytesIO(archive.read(info)), allow_pickle=False
-            )
-            if name == "__meta__":
-                meta = json.loads(str(value[()]))
-            else:
-                arrays[name] = value
-    return arrays, meta, mapped
-
-
-def _materialize_batch(batch: BatchRunResult) -> None:
-    """Copy a batch's array surfaces out of mapped file pages into RAM."""
-    for name in ("time", "compute_time", "memory_time", "overlap_residue",
-                 "achieved_bandwidth", "gpu_power", "memory_power",
-                 "card_power", "energy"):
-        value = getattr(batch, name)
-        if isinstance(value, np.ndarray):
-            setattr(batch, name, np.array(value))
-    counters = batch.counters
-    batch.counters = dataclasses.replace(
-        counters,
-        valu_busy=np.array(counters.valu_busy),
-        mem_unit_busy=np.array(counters.mem_unit_busy),
-        mem_unit_stalled=np.array(counters.mem_unit_stalled),
-        write_unit_stalled=np.array(counters.write_unit_stalled),
-        ic_activity=np.array(counters.ic_activity),
-    )
-
-
-def _attach_mmap_release(batch: BatchRunResult,
-                         mapped: List[np.ndarray]) -> None:
-    """Give a map-backed batch a ``release_mmap`` copy-on-demote hook.
-
-    The sweep cache invokes the hook when it demotes (evicts) the entry:
-    the batch's surfaces are copied into process memory first — callers
-    holding the batch keep working on identical values — and the
-    underlying maps are then closed so the file handles and address
-    space are returned. A close is skipped (left to garbage collection)
-    when external views of the map are still alive.
-    """
-    buffers = [mm._mmap for mm in mapped
-               if getattr(mm, "_mmap", None) is not None]
-
-    def release_mmap() -> None:
-        _materialize_batch(batch)
-        mapped.clear()
-        while buffers:
-            buffer = buffers.pop()
-            try:
-                buffer.close()
-            except BufferError:
-                pass
-        batch.release_mmap = lambda: None
-
-    batch.release_mmap = release_mmap
+        if fh.read(len(_RAW_MAGIC)) != _RAW_MAGIC:
+            raise ValueError("not a raw-container record")
+        meta_len = int.from_bytes(_read_exact(fh, 8), "little")
+        meta = json.loads(_read_exact(fh, meta_len))
+        arrays: Dict[str, np.ndarray] = {}
+        while True:
+            head = fh.read(8)
+            if not head:
+                return arrays, meta
+            if len(head) != 8:
+                raise ValueError("truncated raw record")
+            name = _read_exact(fh, int.from_bytes(head, "little"))
+            arrays[name.decode("utf-8")] = np.lib.format.read_array(
+                fh, allow_pickle=False)
 
 
 # --- the store -------------------------------------------------------------------
@@ -589,8 +395,6 @@ class StoreStats(NamedTuple):
     invalid_records: int
     bytes_read: int
     bytes_written: int
-    #: records served zero-copy with memory-mapped array members
-    mmap_hits: int = 0
 
 
 class SweepStore:
@@ -621,7 +425,6 @@ class SweepStore:
         self._invalid = 0
         self._bytes_read = 0
         self._bytes_written = 0
-        self._mmap_hits = 0
 
     @property
     def root(self) -> Path:
@@ -656,7 +459,6 @@ class SweepStore:
                 invalid_records=self._invalid,
                 bytes_read=self._bytes_read,
                 bytes_written=self._bytes_written,
-                mmap_hits=self._mmap_hits,
             )
 
     def path_for(self, kind: str, key: Any) -> Path:
@@ -708,19 +510,27 @@ class SweepStore:
         ).inc(written, direction="write")
         return True
 
-    def load_record(
-        self, kind: str, key: Any
-    ) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]:
+    def load_record(self, kind: str, key: Any,
+                    decode: Optional[Callable[[Dict[str, np.ndarray],
+                                               Dict[str, Any]], Any]] = None):
         """Load one record, or None on a miss.
 
         Missing files, torn/corrupted/truncated records, foreign schema
         versions and digest mismatches all count as misses — the caller
         recomputes and rewrites.
+
+        Args:
+            kind: the record kind.
+            key: the record's content-address key.
+            decode: ``(arrays, meta) -> value`` conversion run inside the
+                accounted load, whose value the load then returns; a
+                raising ``decode`` makes the load an invalid miss, so a
+                record that reads but does not decode is never counted
+                as a hit. Without it the load returns ``(arrays, meta)``.
         """
         digest = content_digest((kind, key))
         path = self._root / f"{kind}-{digest}.npz"
-        arrays: Optional[Dict[str, np.ndarray]] = None
-        meta: Dict[str, Any] = {}
+        value = None
         invalid = False
         size = 0
         telemetry = self._tel()
@@ -731,16 +541,14 @@ class SweepStore:
                 if (meta.get("schema") != STORE_SCHEMA_VERSION
                         or meta.get("kind") != kind
                         or meta.get("digest") != digest):
-                    arrays = None
                     raise ValueError("foreign or mismatched record")
+                value = ((arrays, meta) if decode is None
+                         else decode(arrays, meta))
         except FileNotFoundError:
             pass
         except Exception:
             invalid = True
-        return self._account_load(kind, arrays, meta, invalid, size)
-
-    def _account_load(self, kind, arrays, meta, invalid, size):
-        hit = arrays is not None
+        hit = value is not None
         with self._lock:
             if hit:
                 self._hits += 1
@@ -749,7 +557,7 @@ class SweepStore:
                 self._misses += 1
                 if invalid:
                     self._invalid += 1
-        metrics = self._tel().metrics
+        metrics = telemetry.metrics
         if hit:
             metrics.counter(
                 "sweep_store_hits_total", "sweep store records served",
@@ -757,51 +565,14 @@ class SweepStore:
             metrics.counter(
                 "sweep_store_bytes", "bytes moved through the sweep store",
             ).inc(size, direction="read")
-            return arrays, meta
+            return value
         metrics.counter(
             "sweep_store_misses_total", "sweep store lookups not served",
         ).inc(kind=kind)
         return None
 
-    def load_record_mmap(
-        self, kind: str, key: Any
-    ) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, Any]]]:
-        """Load one record with large array members memory-mapped.
-
-        Same contract as :meth:`load_record`, but members big enough to
-        be worth it are served as read-only :class:`numpy.memmap` views
-        of the record file — zero-copy: the bytes stay in the OS page
-        cache and are never duplicated into private buffers. Any
-        structural obstacle (compressed members, foreign layout, a
-        filesystem that refuses to map) falls back to the eager reader,
-        so callers never observe a behavioural difference.
-        """
-        digest = content_digest((kind, key))
-        path = self._root / f"{kind}-{digest}.npz"
-        telemetry = self._tel()
-        try:
-            with telemetry.span("sweep_store.load", kind=kind):
-                size = os.stat(path).st_size
-                arrays, meta, mapped = _read_record_mmap(path)
-                if (meta.get("schema") != STORE_SCHEMA_VERSION
-                        or meta.get("kind") != kind
-                        or meta.get("digest") != digest):
-                    raise ValueError("foreign or mismatched record")
-        except FileNotFoundError:
-            return self._account_load(kind, None, {}, False, 0)
-        except Exception:
-            # Eager fallback: anything the zero-copy reader cannot
-            # serve (including genuinely invalid records, which the
-            # eager path accounts as such).
-            return self.load_record(kind, key)
-        if mapped:
-            with self._lock:
-                self._mmap_hits += 1
-            telemetry.metrics.counter(
-                "sweep_store_mmap_hits_total",
-                "sweep store records served zero-copy via mmap",
-            ).inc(kind=kind)
-        return self._account_load(kind, arrays, meta, False, size)
+    # Kept as a name only: perfbench/layers.py wraps it by attribute.
+    load_record_mmap = load_record
 
     def get_or_compute_arrays(
         self, kind: str, key: Any,
@@ -823,33 +594,7 @@ class SweepStore:
         arrays, meta = batch_to_record(batch)
         return self.save_record(GRID_KIND, key, arrays, meta=meta)
 
-    def load_batch(self, key: Any,
-                   mmap: bool = False) -> Optional[BatchRunResult]:
-        """Load one grid surface, or None on any kind of miss.
-
-        Args:
-            key: the grid's content-address key.
-            mmap: serve the surface arrays as zero-copy memory maps of
-                the record file (with eager fallback). The returned
-                batch then carries a ``release_mmap`` copy-on-demote
-                hook the sweep cache invokes on eviction.
-        """
-        loaded = (self.load_record_mmap(GRID_KIND, key) if mmap
-                  else self.load_record(GRID_KIND, key))
-        if loaded is None:
-            return None
-        try:
-            batch = batch_from_record(*loaded)
-            mapped = [array for array in loaded[0].values()
-                      if isinstance(array, np.memmap)]
-            if mapped:
-                _attach_mmap_release(batch, mapped)
-            return batch
-        except Exception:
-            # Structurally valid npz, semantically broken record: demote
-            # the accounted hit to an invalid-record miss.
-            with self._lock:
-                self._hits -= 1
-                self._misses += 1
-                self._invalid += 1
-            return None
+    def load_batch(self, key: Any) -> Optional[BatchRunResult]:
+        """Load one grid surface, or None on any kind of miss — a record
+        that reads but does not decode into a grid is an invalid miss."""
+        return self.load_record(GRID_KIND, key, decode=batch_from_record)

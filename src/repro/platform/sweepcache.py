@@ -96,16 +96,10 @@ class SweepCache:
             repro evaluates.
     """
 
-    def __init__(self, maxsize: int = 256, store=None,
-                 mmap_loads: bool = True):
+    def __init__(self, maxsize: int = 256, store=None):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        #: serve store reads as zero-copy memory maps of the record
-        #: files (eager fallback inside the store when a record cannot
-        #: be mapped); evicting such an entry copies it on demote via
-        #: its ``release_mmap`` hook so live references stay valid
-        self.mmap_loads = mmap_loads
         self._entries: "OrderedDict[Hashable, BatchRunResult]" = OrderedDict()
         self._lock = threading.Lock()
         self._store = store
@@ -126,10 +120,7 @@ class SweepCache:
 
         Exposed because the store also persists non-sweep record kinds
         for other producers — e.g. the event-driven validation surfaces
-        (:data:`~repro.platform.store.EVENTSIM_KIND`), which the batched
-        and scalar event simulators write interchangeably (their results
-        are bitwise-identical, so records hit regardless of the engine
-        that produced them).
+        (:data:`~repro.platform.store.EVENTSIM_KIND`).
         """
         return self._store
 
@@ -188,7 +179,7 @@ class SweepCache:
             with ambient_telemetry().span("sweep_cache.fill"):
                 store = self._store
                 if store is not None:
-                    entry = store.load_batch(key, mmap=self.mmap_loads)
+                    entry = store.load_batch(key)
                     with self._lock:
                         if entry is not None:
                             self._store_hits += 1
@@ -212,17 +203,7 @@ class SweepCache:
             self._entries[key] = result
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
-                _, evicted = self._entries.popitem(last=False)
-                self._demote(evicted)
-
-    @staticmethod
-    def _demote(entry: BatchRunResult) -> None:
-        """Copy-on-demote: a map-backed entry leaving the cache copies
-        its surfaces into RAM and closes its maps (live references to
-        the entry keep working on identical values)."""
-        release = getattr(entry, "release_mmap", None)
-        if release is not None:
-            release()
+                self._entries.popitem(last=False)
 
     def get(self, key: Hashable) -> Optional[BatchRunResult]:
         """The cached grid for ``key``, or None (counts as hit/miss).
@@ -240,7 +221,7 @@ class SweepCache:
         store = self._store
         if store is None:
             return None
-        entry = store.load_batch(key, mmap=self.mmap_loads)
+        entry = store.load_batch(key)
         with self._lock:
             if entry is not None:
                 self._store_hits += 1
@@ -251,15 +232,9 @@ class SweepCache:
         return entry
 
     def clear(self) -> None:
-        """Drop every in-memory grid (statistics and the store are kept).
-
-        Map-backed entries are demoted (copied to RAM, maps closed) so
-        references held outside the cache stay valid."""
+        """Drop every in-memory grid (statistics and the store are kept)."""
         with self._lock:
-            entries = list(self._entries.values())
             self._entries.clear()
-        for entry in entries:
-            self._demote(entry)
 
     def __len__(self) -> int:
         with self._lock:

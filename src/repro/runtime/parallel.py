@@ -229,164 +229,3 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T], jobs: int = 1,
         if borrowed:
             budget.release(borrowed)
 
-
-def fork_available() -> bool:
-    """Whether :func:`fan_out_processes` can actually fork workers.
-
-    ``False`` means a process fan-out will degrade to the serial loop
-    (identical results, no speedup). Callers choosing between a
-    vectorized single-process path and the fork fallback — e.g. the
-    event-driven validation stage, whose batched lockstep engine
-    replaced the fork fan-out as the default — can consult this to
-    report *why* a fallback ran serially.
-    """
-    import multiprocessing
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _remote_invoke(payload):
-    """Top-level process-pool worker running one item under telemetry.
-
-    Forked workers share nothing with the parent, so a **shadow**
-    telemetry handle is built here: a fresh metrics registry plus a span
-    tracker that inherits the parent's epoch (``perf_counter`` is
-    system-wide monotonic, so timestamps stay on one timeline) and
-    parents its roots on the submitting span. The shadow's records and
-    metrics snapshot travel back with the result; the parent merges
-    them, which is how counters stay exact and the span tree stays
-    whole under ``--jobs N``.
-    """
-    fn, item, label, parent_id, epoch = payload
-    from repro.telemetry.handle import Telemetry
-    from repro.telemetry.spans import SpanTracker
-    shadow = Telemetry(spans=SpanTracker(epoch=epoch, root_parent=parent_id))
-    with shadow.span("fan_out_processes", item=label):
-        result = fn(item)
-    return result, shadow.spans.records(), shadow.metrics.as_dict()
-
-
-def fan_out_processes(fn: Callable[[T], R], items: Sequence[T],
-                      jobs: int = 1,
-                      labels: Optional[Sequence[str]] = None) -> List[R]:
-    """Process-based :func:`fan_out` for GIL-*holding* pure-Python stages.
-
-    The thread pool is the right tool for NumPy-heavy stages, but a pure
-    Python hot loop (the event-driven wavefront simulator) holds the GIL
-    and serializes under threads no matter how many cores exist. This
-    variant forks worker processes instead, so such stages scale with
-    cores too. Since the batched lockstep engine
-    (:mod:`repro.perf.eventsim_batch`) became the default for the
-    event-driven validation stage, this path serves as its fallback —
-    same results, fork-scaled instead of vectorized. Contract
-    differences from :func:`fan_out`:
-
-    * ``fn`` must be a **pure, top-level** function and ``fn``/``items``/
-      results must be picklable — workers share nothing with the parent,
-      so side effects (store writes, cache fills) are lost; keep them in
-      the caller. Telemetry is the exception: when the call happens
-      under an open span, each worker runs under a shadow handle whose
-      span records and metrics snapshot are merged back into the
-      parent's (see :func:`_remote_invoke`), so traced runs keep exact
-      counters and one whole span tree across the process boundary.
-    * Platforms without the ``fork`` start method (or ``jobs`` resolving
-      to 1) degrade to the plain serial loop — results are identical
-      either way, the pool is purely an accelerator.
-
-    Budget composition matches :func:`fan_out`: inside a
-    :func:`budget_scope`, worker processes are paid for by borrowing
-    permits (the calling thread's permit covers the first worker), so
-    process- and thread-level parallelism stay jointly bounded.
-    """
-    jobs = resolve_jobs(jobs)
-    items = list(items)
-    if labels is not None:
-        labels = list(labels)
-        if len(labels) != len(items):
-            raise AnalysisError(
-                f"fan_out got {len(items)} items but {len(labels)} labels"
-            )
-    total = len(items)
-
-    def attach_note(error: Exception, index: int) -> None:
-        label = (labels[index] if labels is not None
-                 else _item_label(items[index]))
-        if hasattr(error, "add_note"):  # Python >= 3.11
-            error.add_note(
-                f"fan_out: item {index + 1}/{total} ({label}) failed"
-            )
-
-    span_context = capture_span_context()
-
-    def item_label(index: int) -> str:
-        return (labels[index] if labels is not None
-                else _item_label(items[index]))
-
-    def serial() -> List[R]:
-        results = []
-        for index, item in enumerate(items):
-            try:
-                if span_context is not None:
-                    # Mirror the span the pooled path's worker opens, so
-                    # the tree shape is identical whether work forked or
-                    # degraded to the serial loop.
-                    with span_context.telemetry.span(
-                            "fan_out_processes", item=item_label(index)):
-                        results.append(fn(item))
-                else:
-                    results.append(fn(item))
-            except Exception as error:
-                attach_note(error, index)
-                raise
-        return results
-
-    if jobs == 1 or total <= 1:
-        return serial()
-    import multiprocessing
-    if "fork" in multiprocessing.get_all_start_methods():
-        context = multiprocessing.get_context("fork")
-    else:
-        return serial()
-
-    workers = min(jobs, total)
-    budget = active_budget()
-    borrowed = 0
-    if budget is not None:
-        borrowed = budget.borrow(workers - 1)
-        workers = 1 + borrowed
-    if workers == 1:
-        if borrowed:
-            budget.release(borrowed)
-        return serial()
-    from concurrent.futures import ProcessPoolExecutor
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            if span_context is None:
-                futures = [pool.submit(fn, item) for item in items]
-            else:
-                futures = [
-                    pool.submit(_remote_invoke, (
-                        fn, item, item_label(index),
-                        span_context.span_id,
-                        span_context.tracker.epoch,
-                    ))
-                    for index, item in enumerate(items)
-                ]
-            results = []
-            for index, future in enumerate(futures):
-                try:
-                    outcome = future.result()
-                except Exception as error:
-                    attach_note(error, index)
-                    raise
-                if span_context is None:
-                    results.append(outcome)
-                else:
-                    result, span_records, metrics_snapshot = outcome
-                    span_context.tracker.extend(span_records)
-                    span_context.telemetry.metrics.merge(metrics_snapshot)
-                    results.append(result)
-            return results
-    finally:
-        if borrowed:
-            budget.release(borrowed)

@@ -142,19 +142,13 @@ class ResultManifest:
 
     def load(self, key: Tuple) -> Optional[str]:
         """The stored report text for ``key``, or None on any miss."""
-        loaded = self._store.load_record(RESULT_KIND, key)
-        hit = False
-        text = None
-        if loaded is not None:
-            arrays, _meta = loaded
-            try:
-                text = str(arrays["report"][()])
-                hit = True
-            except Exception:
-                text = None
+        text = self._store.load_record(
+            RESULT_KIND, key,
+            decode=lambda arrays, _meta: str(arrays["report"][()]),
+        )
         self._telemetry.metrics.counter(
             "pipeline_manifest_total", "result manifest lookups",
-        ).inc(status="hit" if hit else "miss")
+        ).inc(status="miss" if text is None else "hit")
         return text
 
     def save(self, key: Tuple, name: str, text: str) -> bool:

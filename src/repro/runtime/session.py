@@ -27,9 +27,7 @@ The speed comes from three structural facts:
 
 **Scalar fallback triggers.** A lane silently takes the scalar
 :class:`~repro.runtime.simulator.ApplicationRunner` path when batched
-stepping could not be proven equivalent: a platform that is not exactly
-:class:`~repro.platform.hd7970.HardwarePlatform` (a subclass may override
-launches, e.g. a thermal governor), a telemetry-enabled runner (the
+stepping could not be proven equivalent: a telemetry-enabled runner (the
 instrumented loop's event stream is per-run, not lockstep),
 ``reset_policy=False`` (lanes would have to resume scalar-held numeric
 state), or duplicate policy *instances* across lanes of one application
@@ -225,15 +223,11 @@ class BatchSessionRunner:
         for policy in policies:
             key = id(policy)
             instance_counts[key] = instance_counts.get(key, 0) + 1
-        return [
-            # A policy instance shared between lanes carries shared
-            # mutable history; only sequential scalar runs (which the
-            # fallback loop performs in lane order) preserve its
-            # semantics, so every occurrence goes scalar.
-            type(platform) is HardwarePlatform
-            and instance_counts[id(policy)] == 1
-            for platform, policy in zip(platforms, policies)
-        ]
+        # A policy instance shared between lanes carries shared mutable
+        # history; only sequential scalar runs (which the fallback loop
+        # performs in lane order) preserve its semantics, so every
+        # occurrence goes scalar.
+        return [instance_counts[id(policy)] == 1 for policy in policies]
 
     def _surface_numerics(self, surface) -> SurfaceNumerics:
         cached = self._numerics.get(id(surface))

@@ -152,10 +152,13 @@ class ApplicationRunner:
         policies: Optional[Sequence[PowerPolicy]] = None,
         jobs: int = 1,
         policy_factories: Optional[Sequence[Callable[[], PowerPolicy]]] = None,
-        batched: bool = True,
     ) -> Dict[str, Dict[str, RunResult]]:
         """Run every application under every policy, fanned out per app.
 
+        Each application's policies advance in lockstep via the batched
+        session engine (:mod:`repro.runtime.session`), bitwise-identical
+        to one :meth:`run` per policy; lanes the engine cannot prove
+        equivalent fall back to :meth:`run` automatically.
         Applications are independent work items, so the matrix goes
         through :func:`~repro.runtime.parallel.fan_out` — the same
         serial-exact pattern as :meth:`~repro.analysis.evaluation.
@@ -173,12 +176,6 @@ class ApplicationRunner:
             jobs: maximum concurrent application runs.
             policy_factories: zero-argument constructors of fresh policy
                 instances, one policy set per application.
-            batched: advance each application's policies in lockstep via
-                the batched session engine (:mod:`repro.runtime.session`)
-                instead of one scalar run per policy. Bitwise-identical
-                results; lanes the engine cannot prove equivalent fall
-                back to the scalar loop automatically. Set ``False`` to
-                force the scalar path (the differential-testing oracle).
 
         Returns:
             ``results[application_name][policy_name] -> RunResult``.
@@ -200,24 +197,17 @@ class ApplicationRunner:
                 )
             policy_factories = [(lambda p=p: p) for p in policies]
 
+        from repro.runtime.session import BatchSessionRunner, SessionSpec
+
         def run_app(application: Application) -> Dict[str, RunResult]:
-            per_app: Dict[str, RunResult] = {}
             app_policies = [factory() for factory in policy_factories]
-            if batched:
-                from repro.runtime.session import (
-                    BatchSessionRunner, SessionSpec,
-                )
-                engine = BatchSessionRunner(self._platform, self._telemetry)
-                outcomes = engine.run_sessions([
-                    SessionSpec(application=application, policy=policy)
-                    for policy in app_policies
-                ])
-                for policy, outcome in zip(app_policies, outcomes):
-                    per_app[policy.name] = outcome
-            else:
-                for policy in app_policies:
-                    per_app[policy.name] = self.run(application, policy)
-            return per_app
+            engine = BatchSessionRunner(self._platform, self._telemetry)
+            outcomes = engine.run_sessions([
+                SessionSpec(application=application, policy=policy)
+                for policy in app_policies
+            ])
+            return {policy.name: outcome
+                    for policy, outcome in zip(app_policies, outcomes)}
 
         outcomes = fan_out(run_app, applications, jobs=jobs)
         return {

@@ -235,18 +235,13 @@ def format_cache_effectiveness(memory_hits: int, memory_misses: int,
 
 
 def eventsim_engine_from_metrics(metrics: Dict) -> Optional[str]:
-    """One line on how the event-driven validation surfaces were made
-    (batched lockstep lanes vs scalar fork-fallback runs); None when the
-    export holds neither eventsim series — e.g. the surfaces were all
+    """One line on the lanes the batched lockstep event engine ran; None
+    when the export holds no eventsim series — e.g. the surfaces were all
     served from the sweep store and no engine ran at all."""
-    lanes = _counter_total(metrics, "eventsim_batch_lanes_total")
-    fallbacks = _counter_total(metrics, "eventsim_batch_fallback_total")
-    if lanes == fallbacks == 0.0 and (
-            "eventsim_batch_lanes_total" not in metrics
-            and "eventsim_batch_fallback_total" not in metrics):
+    if "eventsim_batch_lanes_total" not in metrics:
         return None
-    return (f"eventsim: {int(lanes)} lanes via the batched lockstep "
-            f"engine, {int(fallbacks)} scalar fork-fallback runs")
+    lanes = _counter_total(metrics, "eventsim_batch_lanes_total")
+    return f"eventsim: {int(lanes)} lanes via the batched lockstep engine"
 
 
 def cache_effectiveness_from_metrics(metrics: Dict) -> Optional[str]:

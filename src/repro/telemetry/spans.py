@@ -5,7 +5,7 @@ load, a batch-sweep compute, a Monte Carlo rollout — carrying a unique
 id, its parent's id, the recording process/thread, and free-form labels.
 Spans from every worker land in one :class:`SpanTracker`, so the whole
 ``reproduce`` run renders as a single tree even when work fanned out
-over threads *and* processes.
+over threads.
 
 Context propagation is ambient: entering a span (via
 :meth:`~repro.telemetry.handle.Telemetry.span`) installs a
@@ -15,10 +15,7 @@ handed a telemetry object, via :func:`ambient_telemetry` — attach as
 children. Thread pools do **not** inherit context automatically, so
 :func:`~repro.runtime.parallel.fan_out` captures the submitting
 thread's context with :func:`capture_span_context` and re-installs it
-in each worker with :func:`use_span_context`. Process pools cannot
-share a tracker at all; ``fan_out_processes`` instead builds a shadow
-tracker in each child (same epoch, parented on the submitting span) and
-merges the returned records, so timestamps and the tree line up.
+in each worker with :func:`use_span_context`.
 
 Exports are Chrome trace-event JSON (``ph: "X"`` complete events,
 microsecond timestamps — load the file in Perfetto or
@@ -29,6 +26,7 @@ heaviest span chain as a critical path.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import threading
@@ -59,36 +57,12 @@ SPAN_SCHEMA_MANIFEST: Dict[int, Tuple[str, ...]] = {
     ),
 }
 
-#: Bits reserved for the per-process span counter; ids are
-#: ``(pid << _COUNTER_BITS) + counter`` so ids allocated in forked
-#: workers never collide with the parent's.
-_COUNTER_BITS = 24
-
-#: Process-global id counter. Global, not per-tracker: one pool worker
-#: serves many items, each under a fresh shadow tracker — per-tracker
-#: counters would restart and hand the same ``(pid, n)`` id to spans of
-#: different items, corrupting the merged tree. A fork copies the
-#: current value, which is fine: the child's pid term already separates
-#: its ids from every other process's.
-_ID_LOCK = threading.Lock()
-_NEXT_ID = 0
-
-
-def _allocate_span_id() -> int:
-    global _NEXT_ID
-    with _ID_LOCK:
-        _NEXT_ID += 1
-        return (os.getpid() << _COUNTER_BITS) + _NEXT_ID
-
-
 @dataclass(frozen=True)
 class SpanRecord:
     """One completed span.
 
     Timestamps are seconds relative to the owning tracker's epoch (a
-    ``time.perf_counter`` origin), not wall-clock time: ``perf_counter``
-    is system-wide monotonic on Linux, so records from forked workers
-    that share the parent's epoch align on one timeline.
+    ``time.perf_counter`` origin), not wall-clock time.
     """
 
     name: str
@@ -120,37 +94,27 @@ def _freeze_labels(labels: Mapping[str, Any]) -> Tuple[Tuple[str, str], ...]:
 
 
 class SpanTracker:
-    """Collects completed spans and allocates process-unique span ids.
+    """Collects completed spans and allocates their ids.
 
-    Args:
-        epoch: ``time.perf_counter`` origin for timestamps; defaults to
-            "now". Shadow trackers in forked workers are built with the
-            parent's epoch so their records merge onto one timeline.
-        root_parent: parent id assigned to spans opened with no ambient
-            parent — a shadow tracker sets this to the submitting span's
-            id, which is how a child process's subtree re-attaches.
+    Timestamps count from the tracker's ``epoch``, the
+    ``time.perf_counter`` reading at construction.
     """
 
-    def __init__(self, epoch: Optional[float] = None,
-                 root_parent: Optional[int] = None):
-        self.epoch = time.perf_counter() if epoch is None else float(epoch)
-        self.root_parent = root_parent
+    def __init__(self):
+        self.epoch = time.perf_counter()
+        self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
 
     def allocate_id(self) -> int:
-        """A new span id, unique across trackers and forked processes."""
-        return _allocate_span_id()
+        """A new span id, unique within this tracker."""
+        with self._lock:
+            return next(self._ids)
 
     def add(self, record: SpanRecord) -> None:
         """Record one completed span."""
         with self._lock:
             self._records.append(record)
-
-    def extend(self, records: Sequence[SpanRecord]) -> None:
-        """Merge completed spans from another tracker (worker results)."""
-        with self._lock:
-            self._records.extend(records)
 
     def records(self) -> List[SpanRecord]:
         """All completed spans, in completion order."""
@@ -249,13 +213,9 @@ class SpanHandle:
     def __enter__(self) -> "SpanHandle":
         tracker = self._tracker
         context = _CURRENT_SPAN.get()
-        if context is not None and context.tracker is tracker:
-            self._parent_id = context.span_id
-        else:
-            # No ambient parent in *this* tracker: a root span, or —
-            # in a forked worker whose inherited context still points at
-            # the parent process's tracker — a child of root_parent.
-            self._parent_id = tracker.root_parent
+        # A span with no ambient parent in *this* tracker is a root.
+        self._parent_id = (context.span_id if context is not None
+                           and context.tracker is tracker else None)
         self._span_id = tracker.allocate_id()
         self._token = _CURRENT_SPAN.set(
             SpanContext(self._telemetry, tracker, self._span_id)
@@ -288,15 +248,11 @@ class _NullSpanTracker:
     __slots__ = ()
 
     epoch = 0.0
-    root_parent = None
 
     def allocate_id(self) -> int:
         return 0
 
     def add(self, record: SpanRecord) -> None:
-        pass
-
-    def extend(self, records: Sequence[SpanRecord]) -> None:
         pass
 
     def records(self) -> List[SpanRecord]:

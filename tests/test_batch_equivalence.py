@@ -11,6 +11,8 @@ noisy scalar agree bitwise too.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,11 @@ from repro.workloads.registry import all_kernels
 #: Acceptance tolerance on time/energy/power. The implementation is
 #: bitwise exact; 1e-9 is the documented contract ceiling.
 REL_TOL = 1e-9
+
+#: Noise fraction of the launch-contract test: heavy enough that draws
+#: hit the multiplier floor on every kernel, so clip accounting is
+#: exercised and not just the multiplier.
+CLIPPING_NOISE = 0.6
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -115,6 +122,31 @@ def test_noisy_batch_matches_scalar_bitwise():
             scalar = noisy.run_kernel(spec, config, iteration=iteration)
             assert scalar.time == float(batch.time[i])
             assert scalar.energy == float(batch.energy[i])
+
+
+@pytest.mark.parametrize("kernel", all_kernels(), ids=lambda k: k.base.name)
+def test_noisy_launch_matches_run_kernel(kernel):
+    """Noisy ``launch`` (memoized clean surface + keyed draw) equals
+    ``run_kernel`` field by field and in the noise-clip count, over the
+    27-point validation sample, iterations 0-2 and two seeds."""
+    from repro.experiments.ext_model_validation import _sample_configs
+    spec = kernel.base
+    clips = 0
+    for seed in (3, 11):
+        launched = make_hd7970_platform(noise_std_fraction=CLIPPING_NOISE,
+                                        seed=seed)
+        scalar = make_hd7970_platform(noise_std_fraction=CLIPPING_NOISE,
+                                      seed=seed)
+        for iteration in range(3):
+            for config in _sample_configs(scalar.config_space):
+                got = launched.launch(spec, config, iteration=iteration)
+                want = scalar.run_kernel(spec, config, iteration=iteration)
+                for field in dataclasses.fields(want):
+                    assert (getattr(got, field.name)
+                            == getattr(want, field.name)), field.name
+                assert launched.noise_clip_count == scalar.noise_clip_count
+        clips += scalar.noise_clip_count
+    assert clips > 0
 
 
 def test_noisy_sweep_runs_through_batch():

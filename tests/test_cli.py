@@ -194,6 +194,18 @@ class TestObservabilityCli:
         exposition = capsys.readouterr().out
         assert "# TYPE" in exposition
         assert "sweep_cache_hits_total" in exposition
+        # The cold run simulated all 25 x 27 event-driven lanes.
+        assert main(["telemetry-report", "--metrics", str(metrics)]) == 0
+        assert ("eventsim: 675 lanes via the batched lockstep engine"
+                in capsys.readouterr().out)
+
+    def test_eventsim_line_needs_the_lane_series(self):
+        from repro.telemetry.report import eventsim_engine_from_metrics
+        assert eventsim_engine_from_metrics({}) is None
+        lanes = {"eventsim_batch_lanes_total": {
+            "samples": [{"labels": {}, "value": 27.0}]}}
+        assert (eventsim_engine_from_metrics(lanes)
+                == "eventsim: 27 lanes via the batched lockstep engine")
 
     def test_telemetry_report_spans_missing_file(self, tmp_path, capsys):
         assert main(["telemetry-report",

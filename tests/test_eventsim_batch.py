@@ -236,15 +236,3 @@ class TestBatchApi:
                               calibration.clock_domain_model(),
                               max_lanes_per_block=0)
 
-
-class TestExperimentFallback:
-    def test_env_knob_disables_batch(self, monkeypatch):
-        from repro.experiments import ext_model_validation as mod
-        monkeypatch.setenv(mod.EVENTSIM_BATCH_ENV, "off")
-        assert not mod._batch_enabled()
-        monkeypatch.setenv(mod.EVENTSIM_BATCH_ENV, "0")
-        assert not mod._batch_enabled()
-        monkeypatch.setenv(mod.EVENTSIM_BATCH_ENV, "1")
-        assert mod._batch_enabled()
-        monkeypatch.delenv(mod.EVENTSIM_BATCH_ENV)
-        assert mod._batch_enabled()

@@ -135,8 +135,8 @@ class TestEventSimEquivalence:
     def test_warm_surface_matches_cold(self, tmp_path, platform):
         """Store-served event-driven times are bitwise the simulator's."""
         from repro.experiments.ext_model_validation import (
-            EVENTSIM_KIND, _load_event_times, _sample_configs,
-            _simulate_times)
+            EVENTSIM_KIND, _batch_simulate, _load_event_times,
+            _sample_configs)
         from repro.memory.controller import MemoryControllerModel
         from repro.perf.eventsim import EventDrivenModel
 
@@ -146,7 +146,7 @@ class TestEventSimEquivalence:
 
         store = SweepStore(tmp_path / "s")
         assert _load_event_times(store, calibration, spec, configs) is None
-        cold = _simulate_times((calibration, spec, tuple(configs)))
+        [cold] = _batch_simulate(calibration, [spec], configs)
         store.save_record(
             EVENTSIM_KIND, (calibration, spec, tuple(configs)),
             {"time": np.array(cold, dtype=np.float64)},

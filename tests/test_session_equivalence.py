@@ -180,6 +180,23 @@ class TestLaneComposition:
         _assert_runs_equal(scalar1, outcomes[1])
         _assert_runs_equal(scalar2, outcomes[2])
 
+    def test_platform_subclass_batches_exactly(self, context):
+        """A platform subclass steps through the batched engine like
+        its base class and stays exact."""
+        [app] = _apps(context, ("Sort",))
+
+        class _GovernedPlatform(HardwarePlatform):
+            pass
+
+        governed = make_hd7970_platform()
+        governed.__class__ = _GovernedPlatform
+        scalar = ApplicationRunner(governed).run(
+            app, context.harmonia_policy())
+        [batched] = BatchSessionRunner(governed).run_sessions(
+            [SessionSpec(application=app, policy=context.harmonia_policy())]
+        )
+        _assert_runs_equal(scalar, batched)
+
 
 class TestScalarFallbacks:
     """Lanes the engine cannot prove equivalent must still be exact —
@@ -223,21 +240,6 @@ class TestScalarFallbacks:
         )
         _assert_runs_equal(scalar, batched)
 
-    def test_platform_subclass_goes_scalar(self, context):
-        [app] = _apps(context, ("Sort",))
-
-        class _GovernedPlatform(HardwarePlatform):
-            pass
-
-        governed = make_hd7970_platform()
-        governed.__class__ = _GovernedPlatform
-        scalar = ApplicationRunner(governed).run(
-            app, context.harmonia_policy())
-        [batched] = BatchSessionRunner(governed).run_sessions(
-            [SessionSpec(application=app, policy=context.harmonia_policy())]
-        )
-        _assert_runs_equal(scalar, batched)
-
     def test_telemetry_enabled_policy_goes_generic(self, context):
         """A policy with live telemetry is not fast-path eligible; it
         still batches at the platform layer and stays exact."""
@@ -253,56 +255,72 @@ class TestScalarFallbacks:
 
 
 class TestHarnessParity:
+    """The harness entry points against scalar references built with
+    ``ApplicationRunner.run`` directly."""
+
     def test_run_matrix_batched_matches_scalar(self, context):
         apps = _apps(context, ("Sort", "Graph500"))
         runner = ApplicationRunner(context.platform)
-        scalar = runner.run_matrix(
-            apps,
-            policies=[context.harmonia_policy(), context.cg_only_policy()],
-            batched=False,
-        )
         batched = runner.run_matrix(
             apps,
             policies=[context.harmonia_policy(), context.cg_only_policy()],
-            batched=True,
         )
-        assert scalar.keys() == batched.keys()
-        for app_name, per_app in scalar.items():
-            assert per_app.keys() == batched[app_name].keys()
-            for policy_name, run in per_app.items():
-                _assert_runs_equal(run, batched[app_name][policy_name])
+        assert list(batched) == [app.name for app in apps]
+        for app in apps:
+            policies = [context.harmonia_policy(), context.cg_only_policy()]
+            assert list(batched[app.name]) == [p.name for p in policies]
+            for policy in policies:
+                _assert_runs_equal(runner.run(app, policy),
+                                   batched[app.name][policy.name])
 
     def test_evaluate_batched_matches_scalar(self, context):
-        from repro.analysis.evaluation import EvaluationHarness
+        from repro.analysis.evaluation import (
+            ApplicationComparison, EvaluationHarness,
+        )
         apps = _apps(context, ("Sort", "miniFE"))
-        scalar = EvaluationHarness(
-            context.platform, context.baseline_policy()
-        ).evaluate(apps, [context.harmonia_policy()], batched=False)
         batched = EvaluationHarness(
             context.platform, context.baseline_policy()
-        ).evaluate(apps, [context.harmonia_policy()], batched=True)
-        assert scalar.comparisons == batched.comparisons
+        ).evaluate(apps, [context.harmonia_policy()])
+        runner = ApplicationRunner(context.platform)
+        scalar = []
+        for app in apps:
+            base = runner.run(app, context.baseline_policy())
+            candidate = runner.run(app, context.harmonia_policy())
+            scalar.append(ApplicationComparison(
+                application=app.name, policy=candidate.policy,
+                baseline=base.metrics, candidate=candidate.metrics,
+            ))
+        assert batched.comparisons == tuple(scalar)
 
     def test_evaluate_montecarlo_batched_matches_scalar(self, context):
         import numpy as np
         from repro.analysis.evaluation import EvaluationHarness
+        from repro.runtime.montecarlo import MonteCarloEngine
         apps = _apps(context, ("Sort", "Graph500"))
         harness = EvaluationHarness(context.platform,
                                     context.baseline_policy())
-        scalar = harness.evaluate_montecarlo(
-            apps, context.baseline_policy, [context.harmonia_policy],
-            seeds=4, batched=False,
-        )
         batched = harness.evaluate_montecarlo(
             apps, context.baseline_policy, [context.harmonia_policy],
-            seeds=4, batched=True,
+            seeds=4,
         )
-        for a, b in zip(scalar.comparisons, batched.comparisons):
-            assert a.application == b.application and a.policy == b.policy
-            for side in ("baseline", "candidate"):
+        engine = MonteCarloEngine(context.platform, 0.05, 4)
+        runner = ApplicationRunner(context.platform)
+
+        def scalar_rollout(app, policy):
+            return engine.rollout(app, policy,
+                                  reference=runner.run(app, policy))
+
+        assert len(batched.comparisons) == len(apps)
+        for app, comparison in zip(apps, batched.comparisons):
+            assert comparison.application == app.name
+            scalar = {
+                "baseline": scalar_rollout(app, context.baseline_policy()),
+                "candidate": scalar_rollout(app, context.harmonia_policy()),
+            }
+            for side, run in scalar.items():
                 for field in ("time_samples", "energy_samples",
                               "avg_power_samples", "ed2_samples"):
                     np.testing.assert_array_equal(
-                        getattr(getattr(a, side), field),
-                        getattr(getattr(b, side), field),
+                        getattr(run, field),
+                        getattr(getattr(comparison, side), field),
                     )

@@ -256,6 +256,54 @@ class TestRobustness:
         assert stats.hits == 0
         assert stats.invalid_records == 1
 
+    def test_undecodable_grid_is_accounted_once_as_a_miss(self, tmp_path,
+                                                          platform):
+        """A well-formed raw record whose ``stack`` has the wrong row
+        count is a miss in every counter: stats, bytes and telemetry."""
+        telemetry = Telemetry()
+        store = SweepStore(tmp_path / "s", telemetry=telemetry)
+        spec = all_kernels()[0].base
+        key = _grid_key(platform, spec)
+        arrays, meta = batch_to_record(platform.grid_sweep(spec))
+        arrays["stack"] = arrays["stack"][:-1]
+        assert store.save_record(GRID_KIND, key, arrays, meta=meta)
+        assert store.load_batch(key) is None
+        stats = store.stats()
+        assert (stats.hits, stats.misses, stats.invalid_records) == (0, 1, 1)
+        assert stats.bytes_read == 0
+        metrics = telemetry.metrics
+        assert metrics.counter("sweep_store_hits_total", "").value(
+            kind=GRID_KIND) == 0.0
+        assert metrics.counter("sweep_store_misses_total", "").value(
+            kind=GRID_KIND) == 1.0
+        assert metrics.counter("sweep_store_bytes", "").value(
+            direction="read") == 0.0
+
+    def test_savez_record_is_invalid_miss_and_rewritten_raw(
+            self, tmp_path, fresh_platform):
+        """An ``np.savez`` archive at a grid address (the zip layout of
+        older builds) misses as invalid, is recomputed bitwise, and the
+        write-through replaces it with a raw container."""
+        spec = all_kernels()[1].base
+        store = SweepStore(tmp_path / "s")
+        key = _grid_key(fresh_platform, spec)
+        batch = fresh_platform.grid_sweep(spec)
+        path = store.path_for(GRID_KIND, key)
+        arrays, meta = batch_to_record(batch)
+        meta.update(schema=store_module.STORE_SCHEMA_VERSION,
+                    kind=GRID_KIND, digest=path.stem.split("-", 1)[1])
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
+
+        cache = SweepCache(store=store)
+        again = fresh_platform.grid_sweep(spec, cache=cache)
+        _assert_batches_bitwise_equal(batch, again)
+        stats = store.stats()
+        assert (stats.hits, stats.invalid_records) == (0, 1)
+        assert path.read_bytes().startswith(store_module._RAW_MAGIC)
+        _assert_batches_bitwise_equal(batch, store.load_batch(key))
+
 
 # --- generic array records -------------------------------------------------------
 
@@ -476,111 +524,8 @@ class TestTwoTierCache:
         assert misses.value(tier="store") == 1.0
         assert hits.value(tier="store") == 0.0
 
-
-# --- zero-copy (memory-mapped) loads ----------------------------------------------
-
-
-class TestMmapLoads:
-    def test_mmap_round_trip_is_bitwise(self, store, fresh_platform):
-        spec = all_kernels()[0].base
-        batch = fresh_platform.grid_sweep(spec)
-        key = _grid_key(fresh_platform, spec)
-        store.save_batch(key, batch)
-        loaded = store.load_batch(key, mmap=True)
-        assert isinstance(loaded.time, np.memmap)
-        assert isinstance(loaded.gpu_power, np.memmap)
-        _assert_batches_bitwise_equal(batch, loaded)
-        assert store.stats().mmap_hits == 1
-        assert store.stats().hits == 1
-
-    def test_release_hook_materializes_and_is_idempotent(
-            self, store, fresh_platform):
-        spec = all_kernels()[1].base
-        key = _grid_key(fresh_platform, spec)
-        batch = fresh_platform.grid_sweep(spec)
-        store.save_batch(key, batch)
-        loaded = store.load_batch(key, mmap=True)
-        before = np.array(loaded.time)
-        loaded.release_mmap()
-        assert not isinstance(loaded.time, np.memmap)
-        np.testing.assert_array_equal(loaded.time, before)
-        _assert_batches_bitwise_equal(batch, loaded)
-        loaded.release_mmap()  # second demote is a no-op
-
-    def test_eager_loads_carry_no_release_hook(self, store, fresh_platform):
-        spec = all_kernels()[0].base
-        key = _grid_key(fresh_platform, spec)
-        store.save_batch(key, fresh_platform.grid_sweep(spec))
-        loaded = store.load_batch(key)  # mmap not requested
-        assert not isinstance(loaded.time, np.memmap)
-        assert not hasattr(loaded, "release_mmap")
-        assert store.stats().mmap_hits == 0
-
-    def test_legacy_compressed_zip_record_falls_back_to_eager(
-            self, store, fresh_platform):
-        # Rewrite the record in place as a compressed legacy .npz (the
-        # format older builds published, compressed so nothing can map):
-        # the load still serves the identical record, just eagerly, and
-        # counts no mmap hit.
-        spec = all_kernels()[0].base
-        key = _grid_key(fresh_platform, spec)
-        batch = fresh_platform.grid_sweep(spec)
-        store.save_batch(key, batch)
-        path = store.path_for(GRID_KIND, key)
-        arrays, meta = store_module._read_record(path)
-        np.savez_compressed(path, __meta__=np.array(json.dumps(meta)),
-                            **arrays)
-        loaded = store.load_batch(key, mmap=True)
-        assert loaded is not None
-        assert not isinstance(loaded.time, np.memmap)
-        _assert_batches_bitwise_equal(batch, loaded)
-        stats = store.stats()
-        assert stats.mmap_hits == 0
-        assert stats.hits == 1
-
-    def test_legacy_zip_record_round_trips(self, store, fresh_platform):
-        # A record rewritten as an uncompressed legacy .npz (what older
-        # builds published) must still serve bitwise, eagerly and via
-        # mmap, from the same filename.
-        spec = all_kernels()[1].base
-        key = _grid_key(fresh_platform, spec)
-        batch = fresh_platform.grid_sweep(spec)
-        store.save_batch(key, batch)
-        path = store.path_for(GRID_KIND, key)
-        arrays, meta = store_module._read_record(path)
-        np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
-        eager = store.load_batch(key)
-        _assert_batches_bitwise_equal(batch, eager)
-        mapped = store.load_batch(key, mmap=True)
-        _assert_batches_bitwise_equal(batch, mapped)
-        assert store.stats().mmap_hits == 1
-
-    def test_absent_and_corrupt_records_stay_misses(
-            self, store, fresh_platform):
-        spec = all_kernels()[0].base
-        key = _grid_key(fresh_platform, spec)
-        assert store.load_batch(key, mmap=True) is None
-        store.save_batch(key, fresh_platform.grid_sweep(spec))
-        store.path_for(GRID_KIND, key).write_bytes(b"garbage")
-        assert store.load_batch(key, mmap=True) is None
-        stats = store.stats()
-        assert stats.misses == 2
-        assert stats.invalid_records == 1
-        assert stats.mmap_hits == 0
-
-    def test_mmap_hit_emits_counter(self, tmp_path, fresh_platform):
-        telemetry = Telemetry()
-        store = SweepStore(tmp_path / "s", telemetry=telemetry)
-        spec = all_kernels()[0].base
-        key = _grid_key(fresh_platform, spec)
-        store.save_batch(key, fresh_platform.grid_sweep(spec))
-        store.load_batch(key, mmap=True)
-        counter = telemetry.metrics.counter(
-            "sweep_store_mmap_hits_total", "")
-        assert counter.value(kind=GRID_KIND) == 1.0
-
-    def test_cache_eviction_demotes_mapped_entry(
-            self, tmp_path, fresh_platform):
+    def test_eviction_leaves_held_batch_intact(self, tmp_path,
+                                               fresh_platform):
         specs = [k.base for k in all_kernels()[:2]]
         store = SweepStore(tmp_path / "s")
         for spec in specs:
@@ -588,30 +533,10 @@ class TestMmapLoads:
                              fresh_platform.grid_sweep(spec))
         cache = SweepCache(maxsize=1, store=store)
         first = cache.get(_grid_key(fresh_platform, specs[0]))
-        assert isinstance(first.time, np.memmap)
-        held = np.array(first.time)
+        held = first.time.copy()
         cache.get(_grid_key(fresh_platform, specs[1]))  # evicts first
-        assert not isinstance(first.time, np.memmap)
+        assert len(cache) == 1
         np.testing.assert_array_equal(first.time, held)
+        _assert_batches_bitwise_equal(fresh_platform.grid_sweep(specs[0]),
+                                      first)
 
-    def test_cache_clear_demotes_mapped_entries(
-            self, tmp_path, fresh_platform):
-        spec = all_kernels()[0].base
-        store = SweepStore(tmp_path / "s")
-        store.save_batch(_grid_key(fresh_platform, spec),
-                         fresh_platform.grid_sweep(spec))
-        cache = SweepCache(store=store)
-        entry = cache.get(_grid_key(fresh_platform, spec))
-        assert isinstance(entry.time, np.memmap)
-        cache.clear()
-        assert not isinstance(entry.time, np.memmap)
-
-    def test_mmap_loads_off_reads_eagerly(self, tmp_path, fresh_platform):
-        spec = all_kernels()[0].base
-        store = SweepStore(tmp_path / "s")
-        store.save_batch(_grid_key(fresh_platform, spec),
-                         fresh_platform.grid_sweep(spec))
-        cache = SweepCache(store=store, mmap_loads=False)
-        entry = cache.get(_grid_key(fresh_platform, spec))
-        assert not isinstance(entry.time, np.memmap)
-        assert store.stats().mmap_hits == 0
