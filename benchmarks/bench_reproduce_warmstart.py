@@ -7,9 +7,11 @@ sharing one store directory:
 * **cold** — empty store: every surface is computed and written through,
 * **warm** — populated store: surfaces are loaded instead of recomputed.
 
-Each child times ``cli.main`` only (interpreter and import cost is the
-same either way and excluded) and reports its sweep cache/store
-statistics. The parent additionally verifies
+Each child times ``cli.main`` only and reports its sweep cache/store
+statistics. Interpreter start-up and ``import repro.cli`` are excluded;
+the modules ``cli.main`` loads on first use are included — numpy and
+the model stack on the cold leg, only the registry, store and pipeline
+on a manifest-served warm leg. The parent additionally verifies
 
 * every report file is **byte-identical** between the cold and warm runs
   (the store must not change a single digit of any table), and

@@ -7,15 +7,20 @@ its time in must not slow down because components now carry a telemetry
 handle. This benchmark times that loop three ways over the paper's full
 application set under a Harmonia policy:
 
-* **bare**: the seed runner body inlined, with no telemetry anywhere;
+* **bare**: the runner's loop body inlined, with no telemetry anywhere
+  — launches go through ``platform.launch(spec, config, iteration=...)``
+  and the run ends in ``finish_run`` exactly as in
+  ``ApplicationRunner.run``, so the two differ only by the telemetry
+  check;
 * **runner**: ``ApplicationRunner.run`` with its default null handle;
 * **active**: ``ApplicationRunner.run`` with a live handle — event sink,
   metrics registry, profiler and span tracker all recording, each
   application run wrapped in a span.
 
 and asserts the null runner stays within 2% of bare
-(min-of-rounds timing, re-measured a few times to ride out scheduler
-noise) and the fully active runner within a generous 10x.
+(min-of-rounds timing with the loops alternating round by round, so host
+speed drift hits them alike, re-measured a few times to ride out
+scheduler noise) and the fully active runner within a generous 10x.
 
 Run standalone to write the trend-ledger input
 (``BENCH_telemetry.json``, metric names matching
@@ -35,7 +40,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.policy import LaunchContext
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.simulator import ApplicationRunner, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
 from repro.telemetry import InMemorySink, Telemetry
 from repro.telemetry.spans import SpanTracker
@@ -54,7 +59,7 @@ ATTEMPTS = 4
 
 
 def _bare_run(platform, application, policy):
-    """The seed's uninstrumented runner loop, inlined."""
+    """``ApplicationRunner.run``'s uninstrumented loop, inlined."""
     policy.reset()
     trace = RunTrace()
     for iteration, kernel, spec in application.launches():
@@ -62,22 +67,25 @@ def _bare_run(platform, application, policy):
             kernel_name=kernel.name, iteration=iteration, spec=spec
         )
         config = policy.config_for(context)
-        result = platform.run_kernel(spec, config)
+        result = platform.launch(spec, config, iteration=iteration)
         policy.observe(context, result)
         trace.append(LaunchRecord(
             iteration=iteration, kernel_name=kernel.name, result=result
         ))
-    return trace
+    return finish_run(application, policy, trace)
 
 
-def _time_sweep(run_one, applications, policy) -> float:
-    """Best-of-ROUNDS wall time of one full application sweep."""
-    best = float("inf")
+def _time_sweeps(runs, applications, policy) -> list:
+    """Best-of-ROUNDS wall time of one full application sweep, per
+    function in ``runs``. The functions alternate within every round, so
+    a change in host speed during the measurement affects them alike."""
+    best = [float("inf")] * len(runs)
     for _ in range(ROUNDS):
-        start = time.perf_counter()
-        for application in applications:
-            run_one(application, policy)
-        best = min(best, time.perf_counter() - start)
+        for index, run_one in enumerate(runs):
+            start = time.perf_counter()
+            for application in applications:
+                run_one(application, policy)
+            best[index] = min(best[index], time.perf_counter() - start)
     return best
 
 
@@ -100,8 +108,8 @@ def test_null_telemetry_overhead(ctx, emit):
 
     ratio = float("inf")
     for attempt in range(ATTEMPTS):
-        bare_s = _time_sweep(bare, applications, policy)
-        runner_s = _time_sweep(instrumented, applications, policy)
+        bare_s, runner_s = _time_sweeps((bare, instrumented), applications,
+                                        policy)
         ratio = min(ratio, runner_s / bare_s)
         if ratio <= OVERHEAD_BOUND:
             break
@@ -139,8 +147,7 @@ def test_active_telemetry_overhead(ctx, emit):
 
     ratio = float("inf")
     for attempt in range(ATTEMPTS):
-        bare_s = _time_sweep(bare, applications, policy)
-        active_s = _time_sweep(active, applications, policy)
+        bare_s, active_s = _time_sweeps((bare, active), applications, policy)
         ratio = min(ratio, active_s / bare_s)
         if ratio <= ACTIVE_BOUND / 2:
             break
@@ -195,10 +202,10 @@ def main(argv=None) -> int:
     null_ratio = active_ratio = float("inf")
     bare_s = null_s = active_s = float("inf")
     for attempt in range(ATTEMPTS):
-        bare_s = min(bare_s, _time_sweep(bare, applications, policy))
-        null_s = min(null_s,
-                     _time_sweep(null_instrumented, applications, policy))
-        active_s = min(active_s, _time_sweep(active, applications, policy))
+        times = _time_sweeps((bare, null_instrumented, active),
+                             applications, policy)
+        bare_s, null_s, active_s = map(min, (bare_s, null_s, active_s),
+                                       times)
         null_ratio = null_s / bare_s
         active_ratio = active_s / bare_s
         if null_ratio <= OVERHEAD_BOUND and active_ratio <= ACTIVE_BOUND / 2:

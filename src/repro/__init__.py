@@ -34,81 +34,68 @@ Layer map (bottom-up):
 * ``repro.runtime`` / ``repro.analysis`` -- execution, metrics, sweeps,
 * ``repro.telemetry`` -- decision events, metrics registry, profiling,
 * ``repro.experiments`` -- one module per paper table/figure.
+
+The names below resolve on first access (PEP 562), so importing the
+package, or a lean entry point such as :mod:`repro.cli`, does not load
+the model stack or numpy until something asks for it.
 """
 
-from repro.analysis.evaluation import EvaluationHarness
-from repro.core.baseline import BaselinePolicy
-from repro.core.harmonia import ControllerStats, HarmoniaPolicy
-from repro.core.oracle import OraclePolicy
-from repro.core.variants import ComputeDvfsOnlyPolicy, make_cg_only_policy
-from repro.gpu.architecture import HD7970, GpuArchitecture
-from repro.gpu.config import ConfigSpace, HardwareConfig
-from repro.perf.kernelspec import KernelSpec
-from repro.platform.calibration import PlatformCalibration, default_calibration
-from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
-from repro.runtime.metrics import RunMetrics, ed, ed2, geomean
-from repro.runtime.simulator import ApplicationRunner, RunResult
-from repro.sensitivity.predictor import (
-    PAPER_BANDWIDTH_PREDICTOR,
-    PAPER_COMPUTE_PREDICTOR,
-    SensitivityPredictor,
-    train_predictors,
-)
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    JsonlSink,
-    MetricsRegistry,
-    Profiler,
-    Telemetry,
-    replay_trace,
-)
-from repro.workloads.application import Application
-from repro.workloads.registry import (
-    all_applications,
-    application_names,
-    get_application,
-    get_kernel,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EvaluationHarness",
-    "BaselinePolicy",
-    "ControllerStats",
-    "HarmoniaPolicy",
-    "OraclePolicy",
-    "ComputeDvfsOnlyPolicy",
-    "make_cg_only_policy",
-    "HD7970",
-    "GpuArchitecture",
-    "ConfigSpace",
-    "HardwareConfig",
-    "KernelSpec",
-    "PlatformCalibration",
-    "default_calibration",
-    "HardwarePlatform",
-    "make_hd7970_platform",
-    "RunMetrics",
-    "ed",
-    "ed2",
-    "geomean",
-    "ApplicationRunner",
-    "RunResult",
-    "PAPER_BANDWIDTH_PREDICTOR",
-    "PAPER_COMPUTE_PREDICTOR",
-    "SensitivityPredictor",
-    "train_predictors",
-    "Telemetry",
-    "NULL_TELEMETRY",
-    "JsonlSink",
-    "MetricsRegistry",
-    "Profiler",
-    "replay_trace",
-    "Application",
-    "all_applications",
-    "application_names",
-    "get_application",
-    "get_kernel",
-    "__version__",
-]
+#: Public name -> defining module, imported when the name is first read.
+_EXPORTS = {
+    "EvaluationHarness": "repro.analysis.evaluation",
+    "BaselinePolicy": "repro.core.baseline",
+    "ControllerStats": "repro.core.harmonia",
+    "HarmoniaPolicy": "repro.core.harmonia",
+    "OraclePolicy": "repro.core.oracle",
+    "ComputeDvfsOnlyPolicy": "repro.core.variants",
+    "make_cg_only_policy": "repro.core.variants",
+    "HD7970": "repro.gpu.architecture",
+    "GpuArchitecture": "repro.gpu.architecture",
+    "ConfigSpace": "repro.gpu.config",
+    "HardwareConfig": "repro.gpu.config",
+    "KernelSpec": "repro.perf.kernelspec",
+    "PlatformCalibration": "repro.platform.calibration",
+    "default_calibration": "repro.platform.calibration",
+    "HardwarePlatform": "repro.platform.hd7970",
+    "make_hd7970_platform": "repro.platform.hd7970",
+    "RunMetrics": "repro.runtime.metrics",
+    "ed": "repro.runtime.metrics",
+    "ed2": "repro.runtime.metrics",
+    "geomean": "repro.runtime.metrics",
+    "ApplicationRunner": "repro.runtime.simulator",
+    "RunResult": "repro.runtime.simulator",
+    "PAPER_BANDWIDTH_PREDICTOR": "repro.sensitivity.predictor",
+    "PAPER_COMPUTE_PREDICTOR": "repro.sensitivity.predictor",
+    "SensitivityPredictor": "repro.sensitivity.predictor",
+    "train_predictors": "repro.sensitivity.predictor",
+    "Telemetry": "repro.telemetry.handle",
+    "NULL_TELEMETRY": "repro.telemetry.handle",
+    "JsonlSink": "repro.telemetry.export",
+    "MetricsRegistry": "repro.telemetry.metrics",
+    "Profiler": "repro.telemetry.profile",
+    "replay_trace": "repro.telemetry.export",
+    "Application": "repro.workloads.application",
+    "all_applications": "repro.workloads.registry",
+    "application_names": "repro.workloads.registry",
+    "get_application": "repro.workloads.registry",
+    "get_kernel": "repro.workloads.registry",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

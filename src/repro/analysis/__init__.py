@@ -8,42 +8,3 @@
 * :mod:`repro.analysis.report` — ASCII table / CSV emitters used by the
   benchmarks.
 """
-
-from repro.analysis.sweep import ConfigSweep, SweepPoint
-from repro.analysis.balance import find_balance_point, knee_of_curve
-from repro.analysis.evaluation import (
-    ApplicationComparison,
-    EvaluationHarness,
-    EvaluationSummary,
-)
-from repro.analysis.pareto import ParetoFrontier, distance_to_frontier, pareto_frontier
-from repro.analysis.report import format_table, to_csv
-from repro.analysis.roofline import (
-    Regime,
-    RooflinePoint,
-    balanced_configurations,
-    classify_kernel,
-    ridge_point,
-    roofline,
-)
-
-__all__ = [
-    "ConfigSweep",
-    "SweepPoint",
-    "find_balance_point",
-    "knee_of_curve",
-    "ApplicationComparison",
-    "EvaluationHarness",
-    "EvaluationSummary",
-    "ParetoFrontier",
-    "distance_to_frontier",
-    "pareto_frontier",
-    "format_table",
-    "to_csv",
-    "Regime",
-    "RooflinePoint",
-    "balanced_configurations",
-    "classify_kernel",
-    "ridge_point",
-    "roofline",
-]

@@ -10,19 +10,21 @@
 
 Every subcommand builds the deterministic simulated test bed, so output is
 reproducible run to run.
+
+Module-level imports are limited to what most subcommands share and
+none of them loads numpy or the model stack: each subcommand imports
+the rest itself, so ``reproduce`` against a warm result manifest only
+loads the registry, the store and the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import format_table
-from repro.analysis.sweep import ConfigSweep
 from repro.experiments.context import ExperimentContext
-from repro.units import hz_to_mhz
-from repro.workloads.registry import all_kernels, application_names, get_kernel
 
 #: figure/table name -> (run, format_report) import paths, resolved lazily.
 _FIGURES: Dict[str, str] = {
@@ -102,7 +104,8 @@ def _build_policy(context: ExperimentContext, name: str, telemetry=None):
 
 def cmd_list(args: argparse.Namespace) -> int:
     """List the registered applications and kernels."""
-    from repro.workloads.registry import get_application
+    from repro.workloads.registry import (
+        all_kernels, application_names, get_application)
 
     rows = []
     for name in application_names():
@@ -121,6 +124,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one application under one policy."""
     from repro.runtime.simulator import ApplicationRunner
+    from repro.units import hz_to_mhz
+    from repro.workloads.registry import application_names
 
     context = ExperimentContext()
     if args.app not in application_names():
@@ -294,6 +299,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     """Repeated-trial Monte Carlo bands for one policy vs the baseline."""
     from repro.analysis.evaluation import EvaluationHarness
     from repro.runtime.parallel import resolve_jobs
+    from repro.workloads.registry import application_names
 
     _attach_store(args)
     args.jobs = resolve_jobs(args.jobs)
@@ -395,7 +401,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Design-space summary for one or more kernels."""
+    from repro.analysis.sweep import ConfigSweep
     from repro.runtime.parallel import fan_out
+    from repro.workloads.registry import get_kernel
 
     _attach_store(args)
     context = ExperimentContext()

@@ -9,27 +9,3 @@
 * :mod:`repro.core.oracle` — the exhaustive ED² oracle,
 * :mod:`repro.core.variants` — CG-only and compute-DVFS-only policies.
 """
-
-from repro.core.policy import KernelHistory, LaunchContext, PowerPolicy
-from repro.core.baseline import BaselinePolicy
-from repro.core.capping import PowerCapPolicy
-from repro.core.coarse import CoarseGrainTuner
-from repro.core.fine import FineGrainTuner, FineGrainState
-from repro.core.harmonia import HarmoniaPolicy
-from repro.core.oracle import OraclePolicy
-from repro.core.variants import ComputeDvfsOnlyPolicy, make_cg_only_policy
-
-__all__ = [
-    "KernelHistory",
-    "LaunchContext",
-    "PowerPolicy",
-    "BaselinePolicy",
-    "PowerCapPolicy",
-    "CoarseGrainTuner",
-    "FineGrainTuner",
-    "FineGrainState",
-    "HarmoniaPolicy",
-    "OraclePolicy",
-    "ComputeDvfsOnlyPolicy",
-    "make_cg_only_policy",
-]

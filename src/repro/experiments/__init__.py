@@ -11,7 +11,3 @@ roughly what factor, where crossovers fall).
 (platform, trained predictors, policy-evaluation matrix) so that the
 twenty-odd experiments do not repeat the expensive steps.
 """
-
-from repro.experiments.context import ExperimentContext, default_context
-
-__all__ = ["ExperimentContext", "default_context"]

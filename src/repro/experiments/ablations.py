@@ -13,21 +13,14 @@ measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
-from repro.analysis.evaluation import EvaluationHarness
 from repro.analysis.report import format_table
-from repro.core.baseline import BaselinePolicy
-from repro.core.harmonia import HarmoniaPolicy
 from repro.experiments.context import ExperimentContext, default_context
-from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
-from repro.sensitivity.binning import SensitivityBins
-from repro.sensitivity.predictor import (
-    PAPER_BANDWIDTH_PREDICTOR,
-    PAPER_COMPUTE_PREDICTOR,
-    train_predictors,
-)
-from repro.workloads.registry import all_applications
+
+if TYPE_CHECKING:
+    from repro.core.harmonia import HarmoniaPolicy
+    from repro.platform.hd7970 import HardwarePlatform
 
 
 @dataclass(frozen=True)
@@ -62,6 +55,9 @@ class AblationResult:
 def _headline(context: ExperimentContext,
               make_policy: Callable[[], HarmoniaPolicy],
               platform: HardwarePlatform = None) -> Tuple[float, float, float]:
+    from repro.analysis.evaluation import EvaluationHarness
+    from repro.core.baseline import BaselinePolicy
+
     platform = platform or context.platform
     harness = EvaluationHarness(platform, BaselinePolicy(platform.config_space))
     summary = harness.evaluate(context.applications, [make_policy()])
@@ -74,6 +70,8 @@ def _headline(context: ExperimentContext,
 
 
 def _policy(context: ExperimentContext, **kwargs) -> HarmoniaPolicy:
+    from repro.core.harmonia import HarmoniaPolicy
+
     training = context.training
     return HarmoniaPolicy(
         context.platform.config_space, training.compute, training.bandwidth,
@@ -86,6 +84,8 @@ def _policy(context: ExperimentContext, **kwargs) -> HarmoniaPolicy:
 
 def ablate_bin_edges(context: ExperimentContext = None) -> AblationResult:
     """Sensitivity-bin edges (paper: <30% / 30-70% / >70%)."""
+    from repro.sensitivity.binning import SensitivityBins
+
     context = context or default_context()
     rows = []
     for low, high in ((0.20, 0.60), (0.30, 0.70), (0.40, 0.80), (0.30, 0.90)):
@@ -160,6 +160,10 @@ def ablate_predictor_source(context: ExperimentContext = None) -> AblationResult
     platform-specific the regression is (and why Section 4's *methodology*
     — retrain per platform — is the portable artifact).
     """
+    from repro.core.harmonia import HarmoniaPolicy
+    from repro.sensitivity.predictor import (
+        PAPER_BANDWIDTH_PREDICTOR, PAPER_COMPUTE_PREDICTOR)
+
     context = context or default_context()
     training = context.training
     space = context.platform.config_space
@@ -185,6 +189,13 @@ def ablate_measurement_noise(context: ExperimentContext = None) -> AblationResul
     online controller still sees noisy per-launch feedback. This study
     runs the whole evaluation on noisy platforms.
     """
+    from repro.analysis.evaluation import EvaluationHarness
+    from repro.core.baseline import BaselinePolicy
+    from repro.core.harmonia import HarmoniaPolicy
+    from repro.platform.hd7970 import make_hd7970_platform
+    from repro.sensitivity.predictor import train_predictors
+    from repro.workloads.registry import all_applications
+
     context = context or default_context()
     rows = []
     for noise in (0.0, 0.005, 0.02, 0.05):

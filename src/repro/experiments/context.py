@@ -3,23 +3,36 @@
 Building the test bed is cheap, but training the Section 4 predictors and
 running the four-policy evaluation matrix over all fourteen applications
 is not free; every experiment that needs them shares one cached instance.
+
+Everything is built on first use, and the model stack is imported there
+too: a ``reproduce`` run whose reports all come from the result manifest
+reads only :attr:`ExperimentContext.calibration` and
+:attr:`ExperimentContext.applications`, and never loads the platform,
+the policies or numpy.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.analysis.evaluation import EvaluationHarness, EvaluationSummary
-from repro.core.baseline import BaselinePolicy
-from repro.core.harmonia import HarmoniaPolicy
-from repro.core.oracle import OraclePolicy
-from repro.core.variants import ComputeDvfsOnlyPolicy, make_cg_only_policy
-from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
-from repro.sensitivity.predictor import TrainingReport, train_predictors
-from repro.workloads.application import Application
-from repro.workloads.registry import all_applications
+if TYPE_CHECKING:
+    from repro.analysis.evaluation import EvaluationSummary
+    from repro.core.baseline import BaselinePolicy
+    from repro.core.harmonia import HarmoniaPolicy
+    from repro.core.oracle import OraclePolicy
+    from repro.core.variants import ComputeDvfsOnlyPolicy
+    from repro.platform.calibration import PlatformCalibration
+    from repro.platform.hd7970 import HardwarePlatform
+    from repro.sensitivity.predictor import TrainingReport
+    from repro.workloads.application import Application
+
+#: The Figures 10-13 candidate policies, in presentation order. The
+#: shared evaluation matrix runs them plus ``dvfs-only`` (Section 7.2).
+#: Defined here, beside the matrix, because the ``evaluation`` pipeline
+#: node folds them into its manifest key.
+EVALUATION_POLICIES: Tuple[str, ...] = ("cg-only", "harmonia", "oracle")
 
 
 class ExperimentContext:
@@ -29,7 +42,8 @@ class ExperimentContext:
                  jobs: int = 1):
         """
         Args:
-            platform: the test bed; defaults to a deterministic HD7970.
+            platform: the test bed; defaults to a deterministic HD7970,
+                built the first time :attr:`platform` is read.
             jobs: thread fan-out for the expensive stages (training-set
                 construction and the evaluation matrix). Results are
                 independent of the job count; 1 keeps everything serial
@@ -38,15 +52,19 @@ class ExperimentContext:
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
         from repro.runtime.parallel import resolve_jobs
-        self._platform = platform or make_hd7970_platform()
+        self._platform = platform
         self._jobs = resolve_jobs(jobs)
         self._applications: Optional[List[Application]] = None
         self._training: Optional[TrainingReport] = None
         self._summary: Optional[EvaluationSummary] = None
         # Pipeline nodes share one context across worker threads; the
         # lazy builds below must each happen exactly once. Reentrant:
-        # the evaluation build reads the training property.
+        # the evaluation build reads the training property. The platform
+        # has its own lock so that a node which only needs the test bed
+        # waits for the platform build, never for training or the
+        # evaluation matrix.
         self._build_lock = threading.RLock()
+        self._platform_lock = threading.Lock()
 
     @property
     def jobs(self) -> int:
@@ -55,14 +73,30 @@ class ExperimentContext:
 
     @property
     def platform(self) -> HardwarePlatform:
-        """The simulated HD7970 test bed."""
-        return self._platform
+        """The simulated HD7970 test bed (built on first read)."""
+        platform = self._platform
+        if platform is None:
+            with self._platform_lock:
+                if self._platform is None:
+                    from repro.platform.hd7970 import make_hd7970_platform
+                    self._platform = make_hd7970_platform()
+                platform = self._platform
+        return platform
+
+    @property
+    def calibration(self) -> PlatformCalibration:
+        """The test bed's calibration; reading it builds no platform."""
+        if self._platform is not None:
+            return self._platform.calibration
+        from repro.platform.calibration import default_calibration
+        return default_calibration()
 
     @property
     def applications(self) -> List[Application]:
         """The paper's 14 applications (built once)."""
         with self._build_lock:
             if self._applications is None:
+                from repro.workloads.registry import all_applications
                 self._applications = all_applications()
             return self._applications
 
@@ -78,8 +112,9 @@ class ExperimentContext:
         """The Section 4 predictor-training pipeline output (cached)."""
         with self._build_lock:
             if self._training is None:
+                from repro.sensitivity.predictor import train_predictors
                 self._training = train_predictors(
-                    self._platform, self.applications, jobs=self._jobs
+                    self.platform, self.applications, jobs=self._jobs
                 )
             return self._training
 
@@ -87,35 +122,40 @@ class ExperimentContext:
 
     def baseline_policy(self) -> BaselinePolicy:
         """A fresh PowerTune baseline policy."""
-        return BaselinePolicy(self._platform.config_space)
+        from repro.core.baseline import BaselinePolicy
+        return BaselinePolicy(self.platform.config_space)
 
     def harmonia_policy(self, telemetry=None) -> HarmoniaPolicy:
         """A fresh Harmonia (FG+CG) policy with trained predictors."""
+        from repro.core.harmonia import HarmoniaPolicy
         training = self.training
         return HarmoniaPolicy(
-            self._platform.config_space, training.compute, training.bandwidth,
+            self.platform.config_space, training.compute, training.bandwidth,
             telemetry=telemetry,
         )
 
     def cg_only_policy(self, telemetry=None) -> HarmoniaPolicy:
         """A fresh CG-only policy."""
+        from repro.core.variants import make_cg_only_policy
         training = self.training
         return make_cg_only_policy(
-            self._platform.config_space, training.compute, training.bandwidth,
+            self.platform.config_space, training.compute, training.bandwidth,
             telemetry=telemetry,
         )
 
     def dvfs_only_policy(self, telemetry=None) -> ComputeDvfsOnlyPolicy:
         """A fresh compute-DVFS-only policy (Section 7.2)."""
+        from repro.core.variants import ComputeDvfsOnlyPolicy
         training = self.training
         return ComputeDvfsOnlyPolicy(
-            self._platform.config_space, training.compute, training.bandwidth,
+            self.platform.config_space, training.compute, training.bandwidth,
             telemetry=telemetry,
         )
 
     def oracle_policy(self) -> OraclePolicy:
         """A fresh exhaustive ED² oracle."""
-        return OraclePolicy(self._platform)
+        from repro.core.oracle import OraclePolicy
+        return OraclePolicy(self.platform)
 
     # --- the Figures 10-13 matrix -----------------------------------------------------------
 
@@ -127,7 +167,8 @@ class ExperimentContext:
 
     def _evaluation_locked(self) -> EvaluationSummary:
         if self._summary is None:
-            harness = EvaluationHarness(self._platform, self.baseline_policy())
+            from repro.analysis.evaluation import EvaluationHarness
+            harness = EvaluationHarness(self.platform, self.baseline_policy())
             if self._jobs > 1:
                 # Train before fanning out: the policy factories run inside
                 # worker threads and must all see the one shared report.

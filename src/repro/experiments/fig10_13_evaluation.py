@@ -19,18 +19,17 @@ oracle over all fourteen applications. Paper anchors:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
-from repro.analysis.evaluation import (
-    EvaluationHarness,
-    EvaluationSummary,
-    MonteCarloSummary,
-)
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import (
+    EVALUATION_POLICIES, ExperimentContext, default_context)
+
+if TYPE_CHECKING:
+    from repro.analysis.evaluation import EvaluationSummary, MonteCarloSummary
 
 #: Candidate policies in presentation order.
-POLICIES: Tuple[str, ...] = ("cg-only", "harmonia", "oracle")
+POLICIES: Tuple[str, ...] = EVALUATION_POLICIES
 
 #: Paper headline anchors, used by the report footers and the tests.
 PAPER_ANCHORS: Mapping[str, float] = {
@@ -165,6 +164,8 @@ def run_ci(context: ExperimentContext = None, seeds: int = 16,
     ``noise_std_fraction`` run-to-run time noise, seed-paired against the
     baseline, vectorized by the launch-keyed noise model.
     """
+    from repro.analysis.evaluation import EvaluationHarness
+
     context = context or default_context()
     harness = EvaluationHarness(context.platform, context.baseline_policy())
     if jobs > 1:

@@ -25,21 +25,22 @@ importing the registry costs the specs alone — a run that serves every
 report from the result manifest never loads the experiment code at
 all. The old dynamic-import problem was *stringly structure* (deps and
 ordering hidden in a module list), not the deferred imports; the specs
-keep the structure static while the code loads lazily. Only
-``fig10_13_evaluation`` and ``ablations`` are imported eagerly: their
-policy matrix and study list are registry data.
+keep the structure static while the code loads lazily. No experiment
+module is imported with the registry: the evaluation node's policy
+list is :data:`~repro.experiments.context.EVALUATION_POLICIES`, and the
+six ablation nodes register on first use (:func:`_register_ablations`),
+from the study list in :mod:`~repro.experiments.ablations`.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import AnalysisError
-from repro.experiments import ablations
-from repro.experiments import fig10_13_evaluation as f1013
-from repro.experiments.context import ExperimentContext
+from repro.experiments.context import EVALUATION_POLICIES, ExperimentContext
 from repro.platform.store import content_digest
 
 #: Node groups: ``core`` report nodes always run under ``reproduce``,
@@ -118,6 +119,7 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
 
 def get_spec(name: str) -> ExperimentSpec:
     """Look up one registered spec by node name."""
+    _register_ablations()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -126,6 +128,7 @@ def get_spec(name: str) -> ExperimentSpec:
 
 def all_specs() -> Tuple[ExperimentSpec, ...]:
     """Every registered spec, in registration order."""
+    _register_ablations()
     return tuple(_REGISTRY.values())
 
 
@@ -138,6 +141,7 @@ def reproduce_specs(include_ablations: bool = False) -> Tuple[ExperimentSpec, ..
     """
     groups = {"core", "internal"}
     if include_ablations:
+        _register_ablations()
         groups.add("ablations")
     return tuple(s for s in _REGISTRY.values() if s.group in groups)
 
@@ -146,20 +150,21 @@ def reproduce_fingerprint(context: ExperimentContext) -> str:
     """Digest of everything outside the specs that shapes report bytes.
 
     Covers the platform calibration, every kernel spec and the sweep
-    grid axes (all via
-    :meth:`~repro.platform.hd7970.HardwarePlatform.sweep_cache_key`, the
+    grid axes (all via :func:`~repro.platform.sweepcache.sweep_key`, the
     same by-value key the persistent store addresses surfaces with) plus
     the application roster. Any calibration constant, kernel
     characteristic, grid axis or roster change lands a different
     fingerprint, so every manifest entry keyed under the old one is
     simply never addressed again — invalidation by value, exactly like
-    the sweep store itself.
+    the sweep store itself. It reads the context's calibration, not its
+    platform, so computing it builds no model.
     """
+    from repro.platform.sweepcache import sweep_key
     from repro.workloads.registry import all_kernels
 
-    platform = context.platform
+    calibration = context.calibration
     surfaces = tuple(
-        platform.sweep_cache_key(kernel.base) for kernel in all_kernels()
+        sweep_key(calibration, kernel.base) for kernel in all_kernels()
     )
     roster = tuple(
         (app.name, app.suite, app.iterations, app.kernel_names())
@@ -177,13 +182,11 @@ _MODULE_CACHE: Dict[str, Any] = {}
 def _mod(name: str):
     """The experiment module behind a spec, imported on first use.
 
-    Specs bind their defining modules by name instead of importing all
-    of them at registry-import time: only two modules contribute static
-    registry data (``fig10_13_evaluation``'s policy matrix and
-    ``ablations``' study list) and stay eager imports. Everything else
-    loads when its runner or formatter first fires — so a run that
-    serves every report from the result manifest never imports the
-    experiment code at all.
+    Specs bind their defining modules by name instead of importing them
+    at registry-import time: each loads when its runner or formatter
+    first fires (or, for ``ablations``, when its nodes register) — so a
+    run that serves every report from the result manifest never imports
+    the experiment code at all.
     """
     module = _MODULE_CACHE.get(name)
     if module is None:
@@ -222,9 +225,9 @@ register(ExperimentSpec(
 register(ExperimentSpec(
     name="evaluation",
     module="fig10_13_evaluation",
-    runner=lambda context, _deps: f1013.run(context),
+    runner=lambda context, _deps: _mod("fig10_13_evaluation").run(context),
     deps=("training",),
-    inputs=("figs10-13-policy-matrix",) + f1013.POLICIES,
+    inputs=("figs10-13-policy-matrix",) + EVALUATION_POLICIES,
     group="internal",
 ))
 
@@ -247,19 +250,17 @@ register(ExperimentSpec(
         "fig04_fig05_power_ranges").format_report(result, "10%"),
     inputs=("memory-power-range", "10%"),
 ))
-for _fig, _formatter in (
-    ("fig10_ed2", f1013.format_fig10),
-    ("fig11_energy", f1013.format_fig11),
-    ("fig12_power", f1013.format_fig12),
-    ("fig13_performance", f1013.format_fig13),
-):
+for _fig in ("fig10_ed2", "fig11_energy", "fig12_power",
+             "fig13_performance"):
+    _figure = _fig.split("_", 1)[0]
     register(ExperimentSpec(
         name=_fig,
         module="fig10_13_evaluation",
         runner=lambda context, deps: deps["evaluation"],
-        formatter=_formatter,
+        formatter=lambda result, _f=f"format_{_figure}": getattr(
+            _mod("fig10_13_evaluation"), _f)(result),
         deps=("evaluation",),
-        inputs=(_fig.split("_", 1)[0],),
+        inputs=(_figure,),
     ))
 register(_simple("fig01_power_breakdown", "fig01_power_breakdown",
                  inputs=("XSBench.CalculateXS", "baseline-config")))
@@ -289,13 +290,22 @@ register(_simple("ext_portability", "ext_portability",
 register(_simple("oracle_gap", "oracle_gap", deps=("evaluation",)))
 register(_simple("characterization", "characterization"))
 
-for _study_name, _study in ablations.ALL_STUDIES:
-    register(ExperimentSpec(
-        name=f"ablation_{_study_name}",
-        module="ablations",
-        runner=lambda context, _deps, _s=_study: _s(context),
-        formatter=ablations.format_report,
-        deps=("training",),
-        inputs=(_study_name,),
-        group="ablations",
-    ))
+
+@lru_cache(maxsize=None)
+def _register_ablations() -> None:
+    """Register one ``--ablations`` report node per study, once.
+
+    Called by the lookups that can return ablation nodes rather than at
+    import, so that only runs asking for them import the study list.
+    """
+    ablations = _mod("ablations")
+    for study_name, study in ablations.ALL_STUDIES:
+        register(ExperimentSpec(
+            name=f"ablation_{study_name}",
+            module="ablations",
+            runner=lambda context, _deps, _s=study: _s(context),
+            formatter=ablations.format_report,
+            deps=("training",),
+            inputs=(study_name,),
+            group="ablations",
+        ))

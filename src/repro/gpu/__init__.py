@@ -13,25 +13,3 @@ This subpackage models the *static* hardware facts Harmonia relies on:
 * :mod:`repro.gpu.clocks` — the L2-to-memory-controller clock-domain
   crossing model of Section 3.5.
 """
-
-from repro.gpu.architecture import HD7970, GpuArchitecture
-from repro.gpu.config import ComputeConfig, ConfigSpace, HardwareConfig, MemoryConfig
-from repro.gpu.dvfs import DvfsState, GpuDvfsTable, HD7970_DVFS_TABLE
-from repro.gpu.occupancy import OccupancyLimits, OccupancyResult, compute_occupancy
-from repro.gpu.clocks import ClockDomainModel
-
-__all__ = [
-    "HD7970",
-    "GpuArchitecture",
-    "ComputeConfig",
-    "ConfigSpace",
-    "HardwareConfig",
-    "MemoryConfig",
-    "DvfsState",
-    "GpuDvfsTable",
-    "HD7970_DVFS_TABLE",
-    "OccupancyLimits",
-    "OccupancyResult",
-    "compute_occupancy",
-    "ClockDomainModel",
-]

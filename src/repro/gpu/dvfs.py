@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.errors import ConfigurationError
 from repro.units import GHZ, MHZ
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,8 @@ class GpuDvfsTable:
         The arithmetic mirrors the scalar path operation for operation so
         batched power evaluation agrees with per-launch evaluation.
         """
+        import numpy as np
+
         frequencies = np.asarray(frequencies, dtype=np.float64)
         if np.any(frequencies <= 0):
             raise ConfigurationError("frequency must be positive")

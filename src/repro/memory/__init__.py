@@ -7,28 +7,3 @@
   activate/precharge, read-write, termination, PHY/PLL) and its dependence
   on bus frequency.
 """
-
-from repro.memory.banks import (
-    AccessPattern,
-    BankTiming,
-    REFERENCE_PATTERNS,
-    pattern_for_efficiency,
-    scheduling_efficiency,
-)
-from repro.memory.gddr5 import Gddr5Timing, HD7970_GDDR5_TIMING
-from repro.memory.controller import BandwidthBreakdown, MemoryControllerModel
-from repro.memory.power import MemoryPowerBreakdown, MemoryPowerModel
-
-__all__ = [
-    "AccessPattern",
-    "BankTiming",
-    "REFERENCE_PATTERNS",
-    "pattern_for_efficiency",
-    "scheduling_efficiency",
-    "Gddr5Timing",
-    "HD7970_GDDR5_TIMING",
-    "BandwidthBreakdown",
-    "MemoryControllerModel",
-    "MemoryPowerBreakdown",
-    "MemoryPowerModel",
-]

@@ -8,21 +8,3 @@
   counters (Table 2 of the paper),
 * :mod:`repro.perf.result` — the per-launch result container.
 """
-
-from repro.perf.eventsim import EventDrivenModel, EventSimResult
-from repro.perf.kernelspec import KernelSpec
-from repro.perf.counters import PerfCounters
-from repro.perf.model import ModelOutput, PerformanceModel
-from repro.perf.result import KernelRunResult, PowerSample, TimeBreakdown
-
-__all__ = [
-    "EventDrivenModel",
-    "EventSimResult",
-    "KernelSpec",
-    "PerfCounters",
-    "ModelOutput",
-    "PerformanceModel",
-    "KernelRunResult",
-    "PowerSample",
-    "TimeBreakdown",
-]

@@ -6,23 +6,3 @@ against. :mod:`repro.platform.hd7970` exposes the facade the rest of the
 library (controllers, sweeps, benchmarks) talks to:
 ``HardwarePlatform.run_kernel(spec, config) -> KernelRunResult``.
 """
-
-from repro.platform.calibration import (
-    PlatformCalibration,
-    default_calibration,
-    pitcairn_calibration,
-)
-from repro.platform.hd7970 import (
-    HardwarePlatform,
-    make_hd7970_platform,
-    make_pitcairn_platform,
-)
-
-__all__ = [
-    "PlatformCalibration",
-    "default_calibration",
-    "pitcairn_calibration",
-    "HardwarePlatform",
-    "make_hd7970_platform",
-    "make_pitcairn_platform",
-]

@@ -20,20 +20,25 @@ evidence it is calibrated against:
 * **Clock-domain crossing** — sized to feed 264 GB/s at a 925 MHz compute
   clock, so reducing the compute clock below DPM2 throttles effective
   bandwidth for L2-miss-heavy kernels (Figure 9).
+
+The model builders import their models when called: a calibration is
+hashed into every store key, and reading one must not load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import CalibrationError
 from repro.gpu.architecture import GpuArchitecture, HD7970, PITCAIRN
-from repro.gpu.clocks import ClockDomainModel
-from repro.gpu.dvfs import HD7970_DVFS_TABLE
 from repro.memory.gddr5 import Gddr5Timing, HD7970_GDDR5_TIMING
-from repro.memory.power import MemoryPowerModel
-from repro.power.gpu_power import GpuPowerModel
 from repro.units import MHZ
+
+if TYPE_CHECKING:
+    from repro.gpu.clocks import ClockDomainModel
+    from repro.memory.power import MemoryPowerModel
+    from repro.power.gpu_power import GpuPowerModel
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,8 @@ class PlatformCalibration:
 
     def gpu_power_model(self) -> GpuPowerModel:
         """Build the GPU chip power model from these constants."""
+        from repro.power.gpu_power import GpuPowerModel
+
         return GpuPowerModel(
             dvfs=self.arch.dvfs_table,
             cu_capacitance=self.cu_capacitance,
@@ -93,6 +100,8 @@ class PlatformCalibration:
 
     def memory_power_model(self) -> MemoryPowerModel:
         """Build the GDDR5 + PHY power model from these constants."""
+        from repro.memory.power import MemoryPowerModel
+
         return MemoryPowerModel(
             f_mem_max=max(self.arch.memory_bus_frequencies),
             background_idle=self.mem_background_idle,
@@ -109,6 +118,8 @@ class PlatformCalibration:
 
     def clock_domain_model(self) -> ClockDomainModel:
         """Build the L2 -> MC crossing model from these constants."""
+        from repro.gpu.clocks import ClockDomainModel
+
         return ClockDomainModel.calibrated_for(
             self.arch, saturating_f_cu=self.crossing_saturating_f_cu
         )

@@ -36,8 +36,9 @@ from repro.perf.model import PerformanceModel
 from repro.perf.result import KernelRunResult
 from repro.platform.calibration import (PlatformCalibration, default_calibration, pitcairn_calibration)
 from repro.platform.noise import NOISE_FLOOR, LaunchKeyedNoise
-from repro.platform.sweepcache import SweepCache, shared_cache
+from repro.platform.sweepcache import SweepCache, shared_cache, sweep_key
 from repro.power.board import BoardPowerModel
+from repro.telemetry.handle import coalesce
 
 
 class HardwarePlatform:
@@ -81,9 +82,6 @@ class HardwarePlatform:
             LaunchKeyedNoise(noise_std_fraction, seed, len(self._space))
             if noise_std_fraction > 0 else None
         )
-        # Imported here, not at module top: the telemetry package's
-        # __init__ imports the runtime, which imports this module.
-        from repro.telemetry.handle import coalesce
         self._telemetry = coalesce(telemetry)
         self._noise_clips = 0
         self._grid_index: Optional[dict] = None
@@ -442,16 +440,9 @@ class HardwarePlatform:
 
     def sweep_cache_key(self, spec: KernelSpec) -> Hashable:
         """The shared-cache key of this platform's full-grid sweep of
-        ``spec``: calibration, kernel and grid axes, all by value."""
-        return (
-            self._cal,
-            spec,
-            (
-                self._space.cu_counts,
-                self._space.compute_frequencies,
-                self._space.memory_frequencies,
-            ),
-        )
+        ``spec``: calibration, kernel and grid axes, all by value (see
+        :func:`~repro.platform.sweepcache.sweep_key`)."""
+        return sweep_key(self._cal, spec)
 
     def grid_sweep(
         self, spec: KernelSpec, cache: Optional[SweepCache] = None,

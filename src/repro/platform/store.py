@@ -24,7 +24,10 @@ JSON header, then length-prefixed named ``.npy`` members back to back)
 small records a cold ``reproduce`` writes by the hundreds. A file
 without the magic (such as an ``.npz`` zip archive written by an older
 build under the same ``.npz`` filename) reads as an invalid record and
-is recomputed and rewritten. Properties:
+is recomputed and rewritten. Only the grid codec and the ``.npy``
+members import numpy: a record without array members (a result-manifest
+entry keeps its text in the header) reads and writes without it.
+Properties:
 
 * **atomic** — writes go to a unique tempfile in the store directory and
   are published with :func:`os.replace`, so concurrent ``--jobs`` workers
@@ -51,13 +54,15 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple)
 
 from repro.gpu.config import HardwareConfig
-from repro.gpu.occupancy import OccupancyLimits, OccupancyResult
-from repro.perf.batch import BatchCounters, BatchModelOutput, BatchRunResult
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.perf.batch import BatchRunResult
 
 #: Bump whenever the record layout changes; older records then read as
 #: misses and are transparently recomputed and rewritten.
@@ -195,6 +200,8 @@ def batch_to_record(
     :class:`BatchRunResult` constructor on load with the same float
     operations, so the round trip is bitwise identical.
     """
+    import numpy as np
+
     counters = batch.counters
     columns = {
         "time": batch.time,
@@ -275,6 +282,11 @@ def batch_from_record(
         Exception: any malformation (missing arrays, length mismatches,
             bad scalar encodings) — the store turns it into a miss.
     """
+    import numpy as np
+
+    from repro.gpu.occupancy import OccupancyLimits, OccupancyResult
+    from repro.perf.batch import BatchCounters, BatchModelOutput, BatchRunResult
+
     stack = arrays["stack"]
     if (stack.ndim != 2 or stack.shape[0] != len(_GRID_ARRAYS)
             or stack.dtype != np.float64):
@@ -346,6 +358,8 @@ def _write_raw_record(buf, meta: Dict[str, Any],
     buf.write(len(meta_bytes).to_bytes(8, "little"))
     buf.write(meta_bytes)
     for name, array in arrays.items():
+        import numpy as np  # only array members need it
+
         name_bytes = name.encode("utf-8")
         buf.write(len(name_bytes).to_bytes(8, "little"))
         buf.write(name_bytes)
@@ -380,6 +394,8 @@ def _read_record(path) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
             if len(head) != 8:
                 raise ValueError("truncated raw record")
             name = _read_exact(fh, int.from_bytes(head, "little"))
+            import numpy as np  # only array members need it
+
             arrays[name.decode("utf-8")] = np.lib.format.read_array(
                 fh, allow_pickle=False)
 

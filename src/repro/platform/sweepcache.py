@@ -46,9 +46,32 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Optional
 
-from repro.perf.batch import BatchRunResult
+from repro.gpu.config import ConfigSpace
+
+if TYPE_CHECKING:
+    from repro.perf.batch import BatchRunResult
+    from repro.perf.kernelspec import KernelSpec
+    from repro.platform.calibration import PlatformCalibration
+
+
+def sweep_key(calibration: "PlatformCalibration",
+              spec: "KernelSpec") -> Hashable:
+    """The by-value key of ``spec``'s full-grid sweep under ``calibration``:
+    ``(calibration, spec, (cu_counts, compute_freqs, mem_freqs))``, with
+    the grid axes derived from ``calibration.arch``.
+
+    The one spelling of the key, shared by both cache tiers and the
+    ``reproduce`` fingerprint.
+    """
+    space = ConfigSpace(calibration.arch)
+    return (
+        calibration,
+        spec,
+        (space.cu_counts, space.compute_frequencies,
+         space.memory_frequencies),
+    )
 
 
 class TierStats(NamedTuple):

@@ -7,18 +7,3 @@
 * :mod:`repro.power.daq` — a simulated National Instruments DAQ sampling a
   power trace at 1 kHz, as the paper's measurement rig does.
 """
-
-from repro.power.gpu_power import GpuPowerModel
-from repro.power.board import BoardPowerModel
-from repro.power.daq import DaqCard, DaqTrace
-from repro.power.thermal import ThermalGovernor, ThermalModel, ThermalState
-
-__all__ = [
-    "GpuPowerModel",
-    "BoardPowerModel",
-    "DaqCard",
-    "DaqTrace",
-    "ThermalGovernor",
-    "ThermalModel",
-    "ThermalState",
-]

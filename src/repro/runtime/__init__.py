@@ -6,31 +6,3 @@
   drives a policy exactly as Harmonia's system-software implementation is
   driven (Section 5.1).
 """
-
-from repro.runtime.metrics import (
-    RunMetrics,
-    ed,
-    ed2,
-    geomean,
-    improvement,
-    metrics_from_launches,
-)
-from repro.runtime.trace import LaunchRecord, ResidencyTable, RunTrace
-from repro.runtime.simulator import ApplicationRunner, RunResult
-from repro.runtime.measurement import MeasuredRun, MeasuredRunner
-
-__all__ = [
-    "RunMetrics",
-    "ed",
-    "ed2",
-    "geomean",
-    "improvement",
-    "metrics_from_launches",
-    "LaunchRecord",
-    "ResidencyTable",
-    "RunTrace",
-    "ApplicationRunner",
-    "RunResult",
-    "MeasuredRun",
-    "MeasuredRunner",
-]

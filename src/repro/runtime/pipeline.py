@@ -35,18 +35,18 @@ from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple)
 
-import numpy as np
-
 from repro.analysis.report import format_table
 from repro.errors import AnalysisError
 from repro.platform.store import RESULT_KIND, SweepStore, content_digest
 from repro.runtime.parallel import WorkerBudget, budget_scope
 from repro.telemetry.spans import capture_span_context, use_span_context
 
-#: Bump whenever node payloads/formatting change globally; every manifest
-#: entry then reads as a miss and is transparently recomputed. Per-node
-#: changes should bump the spec's ``version`` instead.
-RESULT_SCHEMA_VERSION = 1
+#: Bump whenever node payloads/formatting or the manifest record layout
+#: change globally; every manifest entry then reads as a miss and is
+#: transparently recomputed. Per-node changes should bump the spec's
+#: ``version`` instead. Version 2 moved the report text from an array
+#: member into the record's JSON header.
+RESULT_SCHEMA_VERSION = 2
 
 #: Node outcome states reported by :class:`NodeTiming`.
 STATUS_RAN = "ran"
@@ -123,11 +123,14 @@ def node_keys(specs: Sequence[Any], fingerprint: str) -> Dict[str, Tuple]:
 class ResultManifest:
     """Formatted-report records in the content-addressed sweep store.
 
-    Each entry is one tiny ``result-<sha256>.npz`` record holding a
-    node's exact report text, addressed by the chained node key from
-    :func:`node_keys`. The manifest inherits every store property:
-    atomic publication, self-validation (corrupt records demote to
-    misses), cross-process sharing, and invalidation by value.
+    Each entry is one tiny ``result-<sha256>.npz`` record with no array
+    members: the node's exact report text is the ``report`` field of the
+    record's JSON header (``RESULT_SCHEMA_VERSION`` 2), so serving a
+    report needs neither numpy nor the ``.npy`` reader. Entries are
+    addressed by the chained node key from :func:`node_keys`. The
+    manifest inherits every store property: atomic publication,
+    self-validation (corrupt records demote to misses), cross-process
+    sharing, and invalidation by value.
     """
 
     def __init__(self, store: SweepStore, telemetry=None):
@@ -142,10 +145,10 @@ class ResultManifest:
 
     def load(self, key: Tuple) -> Optional[str]:
         """The stored report text for ``key``, or None on any miss."""
+        # A record without a header ``report`` (the version-1 layout kept
+        # the text in an array member) raises KeyError: an invalid miss.
         text = self._store.load_record(
-            RESULT_KIND, key,
-            decode=lambda arrays, _meta: str(arrays["report"][()]),
-        )
+            RESULT_KIND, key, decode=lambda _arrays, meta: meta["report"])
         self._telemetry.metrics.counter(
             "pipeline_manifest_total", "result manifest lookups",
         ).inc(status="miss" if text is None else "hit")
@@ -154,7 +157,7 @@ class ResultManifest:
     def save(self, key: Tuple, name: str, text: str) -> bool:
         """Persist one node's report text; False when the write failed."""
         return self._store.save_record(
-            RESULT_KIND, key, {"report": np.array(text)}, meta={"node": name},
+            RESULT_KIND, key, {}, meta={"node": name, "report": text},
         )
 
 

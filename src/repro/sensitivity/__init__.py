@@ -11,38 +11,3 @@
 * :mod:`repro.sensitivity.binning` — HIGH/MED/LOW binning at the paper's
   30% / 70% boundaries (Section 5.2).
 """
-
-from repro.sensitivity.binning import Bin, SensitivityBins, PAPER_BINS
-from repro.sensitivity.measurement import (
-    SensitivityMeasurement,
-    measure_sensitivities,
-    sensitivity_between,
-)
-from repro.sensitivity.dataset import SensitivityDataset, build_dataset
-from repro.sensitivity.regression import LinearModel, fit_linear_model, pearson
-from repro.sensitivity.predictor import (
-    PAPER_BANDWIDTH_PREDICTOR,
-    PAPER_COMPUTE_PREDICTOR,
-    SensitivityPredictor,
-    train_predictors,
-    TrainingReport,
-)
-
-__all__ = [
-    "Bin",
-    "SensitivityBins",
-    "PAPER_BINS",
-    "SensitivityMeasurement",
-    "measure_sensitivities",
-    "sensitivity_between",
-    "SensitivityDataset",
-    "build_dataset",
-    "LinearModel",
-    "fit_linear_model",
-    "pearson",
-    "PAPER_BANDWIDTH_PREDICTOR",
-    "PAPER_COMPUTE_PREDICTOR",
-    "SensitivityPredictor",
-    "train_predictors",
-    "TrainingReport",
-]

@@ -21,83 +21,64 @@ disabled, control decisions and experiment outputs are bit-identical to
 an uninstrumented build.
 """
 
-from repro.telemetry.events import (
-    SCHEMA_VERSION,
-    CGJump,
-    ConfigApplied,
-    EVENT_TYPES,
-    FGConverged,
-    FGRevert,
-    FGStep,
-    KernelLaunch,
-    PhaseChange,
-    TelemetryEvent,
-    event_from_record,
-)
-from repro.telemetry.export import (
-    InMemorySink,
-    JsonlSink,
-    ReplayTrace,
-    export_trace,
-    load_events,
-    replay_trace,
-)
-from repro.telemetry.handle import NULL_TELEMETRY, NullTelemetry, Telemetry, coalesce
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.profile import Profiler, SectionStat
-from repro.telemetry.spans import (
-    SPAN_SCHEMA_VERSION,
-    SpanRecord,
-    SpanTracker,
-    aggregate_spans,
-    ambient_telemetry,
-    capture_span_context,
-    format_span_report,
-    load_chrome_trace,
-    span_tree,
-    tree_signature,
-    use_span_context,
-    write_chrome_trace,
-)
+import importlib
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "EVENT_TYPES",
-    "TelemetryEvent",
-    "KernelLaunch",
-    "PhaseChange",
-    "CGJump",
-    "FGStep",
-    "FGRevert",
-    "FGConverged",
-    "ConfigApplied",
-    "event_from_record",
-    "JsonlSink",
-    "InMemorySink",
-    "ReplayTrace",
-    "replay_trace",
-    "load_events",
-    "export_trace",
-    "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "coalesce",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Profiler",
-    "SectionStat",
-    "SPAN_SCHEMA_VERSION",
-    "SpanRecord",
-    "SpanTracker",
-    "aggregate_spans",
-    "ambient_telemetry",
-    "capture_span_context",
-    "format_span_report",
-    "load_chrome_trace",
-    "span_tree",
-    "tree_signature",
-    "use_span_context",
-    "write_chrome_trace",
-]
+#: Public name -> defining submodule, imported when the name is first
+#: read: the store and the pipeline import :mod:`repro.telemetry.handle`
+#: and :mod:`repro.telemetry.spans` alone, without the event export path.
+_EXPORTS = {
+    "SCHEMA_VERSION": "events",
+    "EVENT_TYPES": "events",
+    "TelemetryEvent": "events",
+    "KernelLaunch": "events",
+    "PhaseChange": "events",
+    "CGJump": "events",
+    "FGStep": "events",
+    "FGRevert": "events",
+    "FGConverged": "events",
+    "ConfigApplied": "events",
+    "event_from_record": "events",
+    "JsonlSink": "export",
+    "InMemorySink": "export",
+    "ReplayTrace": "export",
+    "replay_trace": "export",
+    "load_events": "export",
+    "export_trace": "export",
+    "Telemetry": "handle",
+    "NullTelemetry": "handle",
+    "NULL_TELEMETRY": "handle",
+    "coalesce": "handle",
+    "MetricsRegistry": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "Profiler": "profile",
+    "SectionStat": "profile",
+    "SPAN_SCHEMA_VERSION": "spans",
+    "SpanRecord": "spans",
+    "SpanTracker": "spans",
+    "aggregate_spans": "spans",
+    "ambient_telemetry": "spans",
+    "capture_span_context": "spans",
+    "format_span_report": "spans",
+    "load_chrome_trace": "spans",
+    "span_tree": "spans",
+    "tree_signature": "spans",
+    "use_span_context": "spans",
+    "write_chrome_trace": "spans",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -11,16 +11,18 @@ run outputs are bit-identical to an uninstrumented build.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional
 
-from repro.telemetry.events import TelemetryEvent
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import NULL_SECTION, Profiler
 from repro.telemetry.spans import (
     NULL_SPAN_TRACKER,
     SpanHandle,
     SpanTracker,
 )
+
+if TYPE_CHECKING:
+    from repro.telemetry.events import TelemetryEvent
+    from repro.telemetry.metrics import MetricsRegistry
 
 
 class Telemetry:
@@ -40,7 +42,12 @@ class Telemetry:
                  metrics: Optional[MetricsRegistry] = None,
                  profiler: Optional[Profiler] = None,
                  spans: Optional[SpanTracker] = None):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        if metrics is None:
+            # Imported here: a process that only holds the null handle
+            # (every untraced run) never loads the metrics registry.
+            from repro.telemetry.metrics import MetricsRegistry
+            metrics = MetricsRegistry()
+        self.metrics = metrics
         self.profiler = profiler if profiler is not None else Profiler()
         self.spans = spans if spans is not None else SpanTracker()
         self._sinks: List[Any] = [sink] if sink is not None else []

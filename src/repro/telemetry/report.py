@@ -3,27 +3,22 @@
 Turns a loaded event stream into the views the paper's evaluation builds
 by hand: the Figure 18 CG/FG action mix per kernel, the phase-change
 timeline, the Figure 15/16 residency tables (via the replayed trace) and
-the top kernels by run time.
+the top kernels by run time. The event and replay modules load inside
+:func:`summarize`, so the one-line cache and engine summaries that
+``reproduce`` prints cost no event-schema import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
-from repro.telemetry.events import (
-    CGJump,
-    ConfigApplied,
-    FGConverged,
-    FGRevert,
-    FGStep,
-    KernelLaunch,
-    PhaseChange,
-    TelemetryEvent,
-)
-from repro.telemetry.export import ReplayTrace
 from repro.units import hz_to_mhz
+
+if TYPE_CHECKING:
+    from repro.telemetry.events import TelemetryEvent
+    from repro.telemetry.export import ReplayTrace
 
 
 @dataclass
@@ -77,6 +72,11 @@ class TraceSummary:
 
 def summarize(events: Sequence[TelemetryEvent]) -> TraceSummary:
     """Fold an event stream into a :class:`TraceSummary`."""
+    from repro.telemetry.events import (
+        CGJump, ConfigApplied, FGConverged, FGRevert, FGStep, KernelLaunch,
+        PhaseChange)
+    from repro.telemetry.export import ReplayTrace
+
     mix: Dict[str, KernelActionMix] = {}
     timeline: List[Tuple[int, str, int]] = []
 

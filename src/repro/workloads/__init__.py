@@ -12,35 +12,3 @@ Each kernel is a calibrated :class:`~repro.perf.kernelspec.KernelSpec`
 (instruction mix, registers, divergence, locality) wrapped with a phase
 schedule describing how it changes across application iterations.
 """
-
-from repro.workloads.kernel import (
-    ConstantSchedule,
-    CyclicSchedule,
-    PhaseSchedule,
-    TableSchedule,
-    WorkloadKernel,
-)
-from repro.workloads.application import Application
-from repro.workloads import serialization
-from repro.workloads.registry import (
-    all_applications,
-    all_kernels,
-    application_names,
-    get_application,
-    get_kernel,
-)
-
-__all__ = [
-    "ConstantSchedule",
-    "CyclicSchedule",
-    "PhaseSchedule",
-    "TableSchedule",
-    "WorkloadKernel",
-    "Application",
-    "serialization",
-    "all_applications",
-    "all_kernels",
-    "application_names",
-    "get_application",
-    "get_kernel",
-]

@@ -1,8 +1,21 @@
 """Tests for the command-line interface."""
 
+import difflib
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tools.regen_goldens import GOLDEN_DIR, child_env, cold_reproduce  # noqa: E402
 
 
 class TestParser:
@@ -74,6 +87,140 @@ class TestReproduce:
         # The headline figure must be among them, with its geomeans.
         fig10 = (tmp_path / "fig10_ed2.txt").read_text()
         assert "geomean" in fig10
+
+
+#: Runs ``repro.cli.main`` on its arguments, then prints the loaded
+#: module names as the last line of stdout.
+_WARM_CHILD = """
+import json, sys
+from repro.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+@pytest.fixture(scope="module")
+def filled_store(tmp_path_factory):
+    """One cold ``reproduce`` in a fresh interpreter, made the way
+    ``tools/regen_goldens.py`` makes it: (store, reports)."""
+    root = tmp_path_factory.mktemp("reproduce-cold")
+    reports = cold_reproduce(root)
+    return root / "store", reports
+
+
+@pytest.fixture(scope="module")
+def warm_run(filled_store, tmp_path_factory):
+    """A second ``reproduce`` against the filled store, in a child that
+    reports its loaded modules: (reports, profile, modules)."""
+    store, _ = filled_store
+    root = tmp_path_factory.mktemp("reproduce-warm")
+    reports, profile = root / "reports", root / "profile.json"
+    child = subprocess.run(
+        [sys.executable, "-c", _WARM_CHILD, "reproduce", "--jobs", "1",
+         "--cache-dir", str(store), "--output", str(reports),
+         "--profile-json", str(profile)],
+        env=child_env(), check=True, stdout=subprocess.PIPE, text=True)
+    modules = json.loads(child.stdout.splitlines()[-1])
+    return reports, json.loads(profile.read_text()), modules
+
+
+def _forbidden_on_warm_path(name: str) -> bool:
+    """Whether a manifest-served run must not have loaded ``name``."""
+    if name in ("repro.perf.model", "repro.perf.batch",
+                "repro.platform.hd7970", "repro.analysis.evaluation",
+                "repro.runtime.session", "repro.runtime.simulator",
+                "repro.runtime.montecarlo"):
+        return True
+    if name.startswith("repro.experiments."):
+        return name not in ("repro.experiments.context",
+                            "repro.experiments.registry")
+    return any(name == package or name.startswith(package + ".")
+               for package in ("numpy", "repro.core", "repro.sensitivity"))
+
+
+class TestWarmReproduceImports:
+    """A run whose reports all come from the result manifest loads only
+    the CLI, the registry, the fingerprinted dataclasses, the store and
+    the pipeline: no numpy and no model, policy or experiment code."""
+
+    def test_every_report_is_served_and_nothing_runs(self, warm_run):
+        _, profile, _ = warm_run
+        status = {node["node"]: node["status"] for node in profile["nodes"]}
+        served = sorted(name for name, s in status.items() if s == "manifest")
+        assert served == sorted(path.stem for path in GOLDEN_DIR.glob("*.txt"))
+        assert sorted(set(status.values())) == ["manifest", "pruned"]
+
+    def test_loads_no_numpy_and_no_model_stack(self, warm_run):
+        _, _, modules = warm_run
+        loaded = [name for name in modules if _forbidden_on_warm_path(name)]
+        assert loaded == []
+        assert "repro.experiments.registry" in modules  # the guard ran
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        script = ("import json, sys, repro.cli; "
+                  "print(json.dumps(sorted(sys.modules)))")
+        child = subprocess.run([sys.executable, "-c", script],
+                               env=child_env(), check=True,
+                               stdout=subprocess.PIPE, text=True)
+        modules = json.loads(child.stdout)
+        assert "repro.cli" in modules
+        assert [name for name in modules
+                if name == "numpy" or name.startswith("numpy.")] == []
+
+
+def _golden_mismatches(reports: Path, label: str) -> str:
+    """Unified diffs of every report in ``reports`` that differs from its
+    golden, plus missing/extra file names; empty when all match."""
+    golden = {path.name: path.read_bytes()
+              for path in sorted(GOLDEN_DIR.glob("*.txt"))}
+    produced = {path.name: path.read_bytes()
+                for path in sorted(reports.glob("*.txt"))}
+    problems = []
+    if sorted(produced) != sorted(golden):
+        problems.append(
+            f"{label} report set differs: missing "
+            f"{sorted(set(golden) - set(produced))}, extra "
+            f"{sorted(set(produced) - set(golden))}\n")
+    for name in sorted(set(golden) & set(produced)):
+        if produced[name] != golden[name]:
+            problems.extend(difflib.unified_diff(
+                golden[name].decode("utf-8").splitlines(keepends=True),
+                produced[name].decode("utf-8").splitlines(keepends=True),
+                fromfile=f"golden/{name}", tofile=f"{label}/{name}"))
+    return "".join(problems)
+
+
+class TestGoldenReports:
+    """``reproduce`` output equals ``tests/golden/reproduce`` byte for
+    byte (regenerate with ``python tools/regen_goldens.py``)."""
+
+    def test_cold_reports_match_goldens(self, filled_store):
+        _, reports = filled_store
+        mismatches = _golden_mismatches(reports, "cold")
+        if mismatches:
+            pytest.fail("cold reproduce differs from the goldens:\n"
+                        + mismatches, pytrace=False)
+
+    def test_manifest_served_reports_match_goldens(self, warm_run):
+        reports, _, _ = warm_run
+        mismatches = _golden_mismatches(reports, "warm")
+        if mismatches:
+            pytest.fail("manifest-served reproduce differs from the "
+                        "goldens:\n" + mismatches, pytrace=False)
+
+    def test_goldens_match_the_benchmark_digests(self):
+        digests = json.loads(
+            (REPO_ROOT / "perfbench" / "digests.json").read_text())
+        golden = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                  for path in sorted(GOLDEN_DIR.glob("*.txt"))}
+        assert len(golden) == 26
+        expected = digests["reproduce"]
+        stale = sorted(name for name in set(golden) | set(expected)
+                       if golden.get(name) != expected.get(name))
+        assert stale == [], (
+            f"tests/golden/reproduce and perfbench/digests.json disagree "
+            f"on {stale}")
 
 
 class TestSweepStoreFlags:

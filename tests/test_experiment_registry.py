@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments import registry
-from repro.experiments.context import default_context
+from repro.experiments.context import ExperimentContext, default_context
 from repro.experiments.registry import ExperimentSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -98,6 +98,15 @@ class TestFingerprint:
         b = registry.reproduce_fingerprint(default_context())
         assert a == b
         assert len(a) == 64  # sha256 hex
+
+    def test_follows_the_context_platform_calibration(self):
+        from repro.platform.hd7970 import (
+            make_hd7970_platform, make_pitcairn_platform)
+        unbuilt = registry.reproduce_fingerprint(ExperimentContext())
+        given = ExperimentContext(platform=make_hd7970_platform())
+        assert registry.reproduce_fingerprint(given) == unbuilt
+        other = ExperimentContext(platform=make_pitcairn_platform())
+        assert registry.reproduce_fingerprint(other) != unbuilt
 
 
 class TestRegistryLint:

@@ -1,5 +1,7 @@
 """Tests for :mod:`repro.experiments.context`."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.experiments.context import ExperimentContext, default_context
@@ -39,3 +41,21 @@ class TestContext:
     def test_evaluation_covers_all_policies(self, evaluation):
         policies = {c.policy for c in evaluation.comparisons}
         assert policies == {"cg-only", "harmonia", "oracle", "dvfs-only"}
+
+
+class TestLazyPlatform:
+    def test_platform_built_once_on_first_read(self):
+        ctx = ExperimentContext()
+        with ThreadPoolExecutor(4) as pool:
+            platforms = list(pool.map(lambda _: ctx.platform, range(8)))
+        assert all(platform is platforms[0] for platform in platforms)
+        assert ctx.calibration is platforms[0].calibration
+
+    def test_platform_read_does_not_wait_for_training(self):
+        """Training and the evaluation matrix hold the build lock for their
+        whole run; a pipeline node that needs only the test bed must get
+        it meanwhile."""
+        ctx = ExperimentContext()
+        with ThreadPoolExecutor(1) as pool, ctx._build_lock:
+            platform = pool.submit(lambda: ctx.platform).result(timeout=20)
+        assert platform is ctx.platform

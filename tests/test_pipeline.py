@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments.registry import ExperimentSpec
-from repro.platform.store import SweepStore, content_digest
+from repro.platform.store import RESULT_KIND, SweepStore, content_digest
 from repro.runtime.pipeline import (
     STATUS_MANIFEST,
     STATUS_PRUNED,
@@ -122,6 +122,49 @@ class TestResultManifest:
         manifest.save((2,), "b", "B")
         assert manifest.load((1,)) == "A"
         assert manifest.load((2,)) == "B"
+
+    @pytest.mark.parametrize("text", [
+        "ED² gain — Harmonia vs baseline",
+        "trailing spaces   ",
+        "trailing newlines\n\n\n",
+        "trailing NUL\x00",
+        "",
+    ], ids=["non-ascii", "spaces", "newlines", "nul", "empty"])
+    def test_round_trips_awkward_text(self, tmp_path, text):
+        store = SweepStore(tmp_path / "s")
+        manifest = ResultManifest(store)
+        key = (2, "fp", "node", 1, (), ())
+        assert manifest.save(key, "node", text)
+        assert manifest.load(key) == text
+        # The text lives in the JSON header; the record has no members.
+        arrays, meta = store.load_record(RESULT_KIND, key)
+        assert arrays == {}
+        assert meta["report"] == text
+
+    def test_old_layout_is_an_invalid_miss_and_gets_rewritten(self,
+                                                              tmp_path):
+        np = pytest.importorskip("numpy")
+        store = SweepStore(tmp_path / "s")
+        manifest = ResultManifest(store)
+        specs = [spec("only")]
+        key = node_keys(specs, "fp")["only"]
+        # The version-1 layout: the text as an array member, no header.
+        assert store.save_record(RESULT_KIND, key,
+                                 {"report": np.array("only=ONLY")},
+                                 meta={"node": "only"})
+        assert manifest.load(key) is None
+        assert store.stats().invalid_records == 1
+
+        def run():
+            return ExperimentPipeline(specs, context=None, manifest=manifest,
+                                      fingerprint="fp").run()
+
+        assert run().ran() == ("only",)  # the miss re-runs the node...
+        _, meta = store.load_record(RESULT_KIND, key)
+        assert meta["report"] == "only=ONLY"  # ...and rewrites the record
+        rerun = run()
+        assert rerun.served() == ("only",)
+        assert rerun.reports["only"] == "only=ONLY"
 
 
 def toy_dag(counter):

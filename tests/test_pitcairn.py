@@ -4,7 +4,8 @@ import pytest
 
 from repro.gpu.architecture import PITCAIRN
 from repro.gpu.config import ConfigSpace
-from repro.platform import make_pitcairn_platform, pitcairn_calibration
+from repro.platform.calibration import pitcairn_calibration
+from repro.platform.hd7970 import make_pitcairn_platform
 from repro.units import GHZ, MHZ
 from repro.workloads.registry import all_kernels, get_kernel
 
@@ -65,7 +66,7 @@ class TestPlatform:
                                                         rel=0.2)
 
     def test_calibration_scales_memory_power(self):
-        from repro.platform import default_calibration
+        from repro.platform.calibration import default_calibration
         pit = pitcairn_calibration()
         base = default_calibration()
         assert pit.mem_background_slope < base.mem_background_slope

@@ -1,9 +1,10 @@
 """Dev diagnostic: per-kernel controller behaviour under Harmonia."""
-from repro.platform import make_hd7970_platform
-from repro.workloads import all_applications
-from repro.sensitivity import train_predictors
-from repro.core import BaselinePolicy, HarmoniaPolicy
-from repro.runtime import ApplicationRunner
+from repro.core.baseline import BaselinePolicy
+from repro.core.harmonia import HarmoniaPolicy
+from repro.platform.hd7970 import make_hd7970_platform
+from repro.runtime.simulator import ApplicationRunner
+from repro.sensitivity.predictor import train_predictors
+from repro.workloads.registry import all_applications
 from repro.units import MHZ
 
 p = make_hd7970_platform()

@@ -1,12 +1,13 @@
 """Dev tool: full evaluation headline vs the paper's numbers."""
 import math
-from repro.platform import make_hd7970_platform
-from repro.workloads import all_applications
-from repro.workloads.registry import STRESS_BENCHMARKS
-from repro.sensitivity import train_predictors
-from repro.core import (BaselinePolicy, HarmoniaPolicy, OraclePolicy,
-                        make_cg_only_policy, ComputeDvfsOnlyPolicy)
-from repro.analysis import EvaluationHarness
+from repro.analysis.evaluation import EvaluationHarness
+from repro.core.baseline import BaselinePolicy
+from repro.core.harmonia import HarmoniaPolicy
+from repro.core.oracle import OraclePolicy
+from repro.core.variants import ComputeDvfsOnlyPolicy, make_cg_only_policy
+from repro.platform.hd7970 import make_hd7970_platform
+from repro.sensitivity.predictor import train_predictors
+from repro.workloads.registry import all_applications
 
 p = make_hd7970_platform()
 apps = all_applications()
