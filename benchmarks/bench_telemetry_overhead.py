@@ -14,13 +14,18 @@ application set under a Harmonia policy:
   check;
 * **runner**: ``ApplicationRunner.run`` with its default null handle;
 * **active**: ``ApplicationRunner.run`` with a live handle — event sink,
-  metrics registry, profiler and span tracker all recording, each
-  application run wrapped in a span.
+  metrics registry and span tracker all recording, each application run
+  wrapped in a span.
 
 and asserts the null runner stays within 2% of bare
 (min-of-rounds timing with the loops alternating round by round, so host
 speed drift hits them alike, re-measured a few times to ride out
 scheduler noise) and the fully active runner within a generous 10x.
+
+It times the launch-at-a-time loop that ``ApplicationRunner`` keeps as
+the test oracle, not the batched session engine that production runs
+step through; moving it onto the engine is left to the single benchmark
+harness planned in ROADMAP.md.
 
 Run standalone to write the trend-ledger input
 (``BENCH_telemetry.json``, metric names matching
@@ -50,7 +55,7 @@ OVERHEAD_BOUND = 1.02
 
 #: Maximum tolerated slowdown with every telemetry piece recording.
 #: Deliberately generous — the active path *does* work (events, metric
-#: series, profiler sections, spans); the bound catches accidental
+#: series, spans); the bound catches accidental
 #: super-linear blowups, not the expected constant cost.
 ACTIVE_BOUND = 10.0
 
@@ -153,7 +158,7 @@ def test_active_telemetry_overhead(ctx, emit):
             break
 
     emit("telemetry_overhead_active", "\n".join([
-        "Active-telemetry overhead (events + metrics + profiler + spans)",
+        "Active-telemetry overhead (events + metrics + spans)",
         f"bare loop:      {bare_s * 1e3:8.2f} ms",
         f"active runner:  {active_s * 1e3:8.2f} ms",
         f"best ratio:     {ratio:8.4f}  (bound {ACTIVE_BOUND:.2f})",

@@ -10,8 +10,8 @@ Run:  python examples/custom_workload.py
 """
 
 from repro import (
-    ApplicationRunner,
     BaselinePolicy,
+    BatchSessionRunner,
     HarmoniaPolicy,
     KernelSpec,
     all_applications,
@@ -100,7 +100,7 @@ def main() -> None:
     #    applications — the custom workload is unseen, exactly how a
     #    deployed Harmonia would encounter it.
     training = train_predictors(platform, all_applications())
-    runner = ApplicationRunner(platform)
+    runner = BatchSessionRunner(platform)
     baseline = runner.run(app, BaselinePolicy(platform.config_space))
     harmonia = runner.run(app, HarmoniaPolicy(
         platform.config_space, training.compute, training.bandwidth

@@ -11,7 +11,7 @@ Run:  python examples/graph500_adaptation.py
 """
 
 from repro import (
-    ApplicationRunner,
+    BatchSessionRunner,
     HarmoniaPolicy,
     all_applications,
     get_application,
@@ -37,7 +37,7 @@ def main() -> None:
         context = LaunchContext(kernel_name=kernel.name,
                                 iteration=iteration, spec=spec)
         config = policy.config_for(context)
-        result = platform.run_kernel(spec, config)
+        result = platform.launch(spec, config, iteration=iteration)
         policy.observe(context, result)
         if kernel.name != KERNEL:
             continue
@@ -50,7 +50,7 @@ def main() -> None:
               f"{config.describe():>26s} {nxt.describe():>26s}")
 
     # Residency summary (Figures 15-16).
-    run = ApplicationRunner(platform).run(app, policy)
+    run = BatchSessionRunner(platform).run(app, policy)
     print("\nmemory-bus residency over the whole run (Figure 15/16):")
     for f_mem, fraction in sorted(run.trace.f_mem_residency().fractions.items()):
         bar = "#" * round(fraction * 40)

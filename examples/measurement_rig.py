@@ -16,8 +16,8 @@ Run:  python examples/measurement_rig.py
 import statistics
 
 from repro import (
-    ApplicationRunner,
     BaselinePolicy,
+    BatchSessionRunner,
     get_application,
     make_hd7970_platform,
 )
@@ -28,7 +28,7 @@ from repro.power.daq import DaqCard
 def main() -> None:
     platform = make_hd7970_platform()
     app = get_application("Streamcluster")
-    runner = ApplicationRunner(platform)
+    runner = BatchSessionRunner(platform)
     run = runner.run(app, BaselinePolicy(platform.config_space))
 
     # 1-2. Sample the run's power trace at 1 kHz like the paper's rig.
@@ -48,7 +48,7 @@ def main() -> None:
     times = []
     for seed in range(8):
         noisy = HardwarePlatform(noise_std_fraction=0.02, seed=seed)
-        noisy_run = ApplicationRunner(noisy).run(
+        noisy_run = BatchSessionRunner(noisy).run(
             app, BaselinePolicy(noisy.config_space)
         )
         times.append(noisy_run.metrics.time)

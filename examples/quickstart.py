@@ -9,8 +9,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    ApplicationRunner,
     BaselinePolicy,
+    BatchSessionRunner,
     HarmoniaPolicy,
     all_applications,
     get_application,
@@ -34,7 +34,7 @@ def main() -> None:
 
     # Run CoMD under both policies.
     app = get_application("CoMD")
-    runner = ApplicationRunner(platform)
+    runner = BatchSessionRunner(platform)
     baseline = runner.run(app, BaselinePolicy(space))
     harmonia = runner.run(
         app, HarmoniaPolicy(space, training.compute, training.bandwidth)

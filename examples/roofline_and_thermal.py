@@ -18,7 +18,7 @@ from repro.analysis.roofline import classify_kernel, ridge_point
 from repro.core.baseline import BaselinePolicy
 from repro.core.harmonia import HarmoniaPolicy
 from repro.power.thermal import ThermalGovernor, ThermalModel
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner
 from repro.workloads.registry import all_kernels, get_application
 
 
@@ -41,7 +41,7 @@ def thermal_section(platform, training) -> None:
     print(f"\nconstrained enclosure: "
           f"{enclosure.sustainable_power():.0f} W sustainable, "
           f"cap {enclosure.t_max:.0f} C\n")
-    runner = ApplicationRunner(platform)
+    runner = BatchSessionRunner(platform)
     for app_name in ("MaxFlops", "Stencil", "LUD"):
         app = get_application(app_name)
         results = {}
@@ -53,10 +53,11 @@ def thermal_section(platform, training) -> None:
         ):
             governor = ThermalGovernor(inner, platform.config_space,
                                        enclosure)
+            # Heat-soak the card first; the governor's reset keeps it.
             governor.thermal_state.apply(
                 0.9 * enclosure.sustainable_power(), 10.0
             )
-            run = runner.run(app, governor, reset_policy=False)
+            run = runner.run(app, governor)
             results[label] = (run.metrics.time,
                               governor.thermal_state.peak_temperature)
         base_t, base_peak = results["baseline"]

@@ -9,7 +9,7 @@ Quick start::
 
     from repro import (
         make_hd7970_platform, all_applications, train_predictors,
-        HarmoniaPolicy, BaselinePolicy, ApplicationRunner,
+        HarmoniaPolicy, BaselinePolicy, BatchSessionRunner,
     )
 
     platform = make_hd7970_platform()
@@ -17,7 +17,7 @@ Quick start::
     training = train_predictors(platform, apps)
     harmonia = HarmoniaPolicy(platform.config_space,
                               training.compute, training.bandwidth)
-    runner = ApplicationRunner(platform)
+    runner = BatchSessionRunner(platform)
     result = runner.run(apps[0], harmonia)
     print(result.metrics.ed2, result.metrics.avg_power)
 
@@ -32,7 +32,7 @@ Layer map (bottom-up):
 * ``repro.sensitivity`` -- Section 4's measurement/training/prediction,
 * ``repro.core`` -- Harmonia, the PowerTune baseline, the oracle, variants,
 * ``repro.runtime`` / ``repro.analysis`` -- execution, metrics, sweeps,
-* ``repro.telemetry`` -- decision events, metrics registry, profiling,
+* ``repro.telemetry`` -- decision events, metrics registry, spans,
 * ``repro.experiments`` -- one module per paper table/figure.
 
 The names below resolve on first access (PEP 562), so importing the
@@ -66,6 +66,7 @@ _EXPORTS = {
     "ed": "repro.runtime.metrics",
     "ed2": "repro.runtime.metrics",
     "geomean": "repro.runtime.metrics",
+    "BatchSessionRunner": "repro.runtime.session",
     "ApplicationRunner": "repro.runtime.simulator",
     "RunResult": "repro.runtime.simulator",
     "PAPER_BANDWIDTH_PREDICTOR": "repro.sensitivity.predictor",
@@ -76,7 +77,6 @@ _EXPORTS = {
     "NULL_TELEMETRY": "repro.telemetry.handle",
     "JsonlSink": "repro.telemetry.export",
     "MetricsRegistry": "repro.telemetry.metrics",
-    "Profiler": "repro.telemetry.profile",
     "replay_trace": "repro.telemetry.export",
     "Application": "repro.workloads.application",
     "all_applications": "repro.workloads.registry",

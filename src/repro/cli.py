@@ -123,7 +123,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one application under one policy."""
-    from repro.runtime.simulator import ApplicationRunner
+    from repro.runtime.session import BatchSessionRunner
     from repro.units import hz_to_mhz
     from repro.workloads.registry import application_names
 
@@ -148,10 +148,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     baseline = context.baseline_policy()
     # The baseline comparator runs un-instrumented so the trace holds
     # only the policy under study.
-    runner = ApplicationRunner(context.platform)
-    base_run = runner.run(app, baseline)
-    policy_runner = ApplicationRunner(context.platform, telemetry=telemetry)
-    run = policy_runner.run(app, policy)
+    base_run = BatchSessionRunner(context.platform).run(app, baseline)
+    run = BatchSessionRunner(context.platform, telemetry).run(app, policy)
 
     rows = []
     for label, r in (("baseline", base_run), (args.policy, run)):
@@ -186,8 +184,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             telemetry.metrics.write_json(args.metrics_out)
             print(f"metrics written to {args.metrics_out}")
         if args.profile:
-            print("\nwall-time profile of the policy run:")
-            print(telemetry.profiler.report())
+            from repro.telemetry.spans import format_span_report
+            print("\nspan profile of the policy run:")
+            print(format_span_report(telemetry.spans.records()))
     return 0
 
 
@@ -626,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the run's metrics registry to PATH "
                             "as JSON")
     run_p.add_argument("--profile", action="store_true",
-                       help="print the policy run's wall-time profile")
+                       help="print the policy run's span profile")
     run_p.set_defaults(func=cmd_run)
 
     report_p = sub.add_parser(

@@ -121,17 +121,15 @@ def fast_path_eligible(policy) -> bool:
 
     Requires a :class:`HarmoniaPolicy` (or a subclass that overrides
     neither ``observe`` nor ``config_for`` — the Section 7.2 variants
-    qualify) with telemetry disabled: an instrumented policy emits
-    profiler sections inside the scalar numeric stage that the
-    vectorized one intentionally skips. Anything else steps through its
-    own ``observe`` per lane (still batched at the platform layer, just
-    not at the numeric stage).
+    qualify), traced or not: the numeric stage emits nothing, and every
+    decision event comes from the shared transition stage. Anything else
+    steps through its own ``observe`` per lane (still batched at the
+    platform layer, just not at the numeric stage).
     """
     return (
         isinstance(policy, HarmoniaPolicy)
         and type(policy).observe is HarmoniaPolicy.observe
         and type(policy).config_for is HarmoniaPolicy.config_for
-        and not policy.telemetry.enabled
     )
 
 

@@ -63,8 +63,8 @@ class CoarseGrainTuner:
         bins: binning thresholds and per-bin range targets.
         tunables: which tunables the CG block may move (the compute-DVFS-
             only variant restricts this to ``{"f_cu"}``).
-        telemetry: telemetry handle for profiling the prediction hot path
-            and counting CG targets (disabled null handle by default).
+        telemetry: telemetry handle counting CG targets (disabled null
+            handle by default).
     """
 
     def __init__(
@@ -112,15 +112,14 @@ class CoarseGrainTuner:
 
     def snapshot_from_features(self, features) -> SensitivitySnapshot:
         """Predict sensitivities from a (possibly smoothed) feature map."""
-        with self._telemetry.time("cg.predict"):
-            compute = self._compute.predict_features(features)
-            bandwidth = self._bandwidth.predict_features(features)
-            return SensitivitySnapshot(
-                compute=compute,
-                bandwidth=bandwidth,
-                compute_bin=self._bins.classify(compute),
-                bandwidth_bin=self._bins.classify(bandwidth),
-            )
+        compute = self._compute.predict_features(features)
+        bandwidth = self._bandwidth.predict_features(features)
+        return SensitivitySnapshot(
+            compute=compute,
+            bandwidth=bandwidth,
+            compute_bin=self._bins.classify(compute),
+            bandwidth_bin=self._bins.classify(bandwidth),
+        )
 
     def target_config(self, snapshot: SensitivitySnapshot,
                       current: HardwareConfig) -> HardwareConfig:

@@ -151,8 +151,8 @@ class FineGrainTuner:
         max_dithering: reverts tolerated before converging to the best
             state seen (the paper's ``dithering > max`` check).
         tolerance: relative feedback change treated as "stayed the same".
-        telemetry: telemetry handle for profiling the propose hot path
-            (disabled null handle by default).
+        telemetry: telemetry handle counting propose decisions (disabled
+            null handle by default).
     """
 
     def __init__(
@@ -229,23 +229,10 @@ class FineGrainTuner:
             The configuration for the next launch.
         """
         tel = self._telemetry
-        if not tel.enabled:
-            # Per-launch hot path: skip the null-telemetry counter and
-            # timing-section machinery entirely.
-            return self._propose(state, current, feedback, bins)
-        tel.metrics.counter(
-            "fg_proposals_total", "fine-grain propose() decisions",
-        ).inc()
-        with tel.time("fg.propose"):
-            return self._propose(state, current, feedback, bins)
-
-    def _propose(
-        self,
-        state: FineGrainState,
-        current: HardwareConfig,
-        feedback: float,
-        bins: Mapping[str, Bin],
-    ) -> HardwareConfig:
+        if tel.enabled:
+            tel.metrics.counter(
+                "fg_proposals_total", "fine-grain propose() decisions",
+            ).inc()
         self._space.validate(current)
         self._update_best(state, current, feedback)
 

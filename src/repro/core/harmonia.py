@@ -107,9 +107,9 @@ class HarmoniaPolicy(HistoryMixin):
             scratch (Section 5.1's per-kernel history, generalized to
             phases).
         policy_name: report name override.
-        telemetry: telemetry handle receiving decision events, metrics
-            and profiling samples (disabled null handle by default; with
-            it disabled the policy's decisions are bit-identical).
+        telemetry: telemetry handle receiving decision events and
+            metrics (disabled null handle by default; with it disabled
+            the policy's decisions are bit-identical).
     """
 
     def __init__(
@@ -147,8 +147,7 @@ class HarmoniaPolicy(HistoryMixin):
             tolerance=tolerance,
             telemetry=self._telemetry,
         )
-        self._monitor = MonitoringBlock(alpha=monitor_alpha,
-                                        telemetry=self._telemetry)
+        self._monitor = MonitoringBlock(alpha=monitor_alpha)
         self._phases = PhaseDetector(threshold=phase_threshold)
         self._phase_memory = (
             PhaseMemory(threshold=phase_threshold)

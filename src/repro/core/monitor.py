@@ -22,7 +22,6 @@ from typing import Dict, Mapping, Optional
 
 from repro.errors import PolicyError
 from repro.perf.counters import PerfCounters
-from repro.telemetry.handle import coalesce
 
 
 class MonitoringBlock:
@@ -31,15 +30,12 @@ class MonitoringBlock:
     Args:
         alpha: EWMA weight of the newest sample, in (0, 1]. 1.0 disables
             smoothing (raw per-launch features).
-        telemetry: telemetry handle for profiling the update hot path
-            (disabled null handle by default).
     """
 
-    def __init__(self, alpha: float = 0.4, telemetry=None):
+    def __init__(self, alpha: float = 0.4):
         if not 0 < alpha <= 1:
             raise PolicyError("alpha must be in (0, 1]")
         self._alpha = alpha
-        self._telemetry = coalesce(telemetry)
         self._state: Dict[str, Dict[str, float]] = {}
 
     @property
@@ -54,17 +50,16 @@ class MonitoringBlock:
         Returns:
             The smoothed feature mapping to feed the predictors.
         """
-        with self._telemetry.time("monitor.update"):
-            features = counters.as_feature_dict()
-            state = self._state.get(kernel_name)
-            if state is None:
-                state = dict(features)
-            else:
-                for name, value in features.items():
-                    state[name] = ((1 - self._alpha) * state[name]
-                                   + self._alpha * value)
-            self._state[kernel_name] = state
-            return dict(state)
+        features = counters.as_feature_dict()
+        state = self._state.get(kernel_name)
+        if state is None:
+            state = dict(features)
+        else:
+            for name, value in features.items():
+                state[name] = ((1 - self._alpha) * state[name]
+                               + self._alpha * value)
+        self._state[kernel_name] = state
+        return dict(state)
 
     def current(self, kernel_name: str) -> Optional[Mapping[str, float]]:
         """The kernel's current smoothed features, if any."""

@@ -28,7 +28,7 @@ from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
 from repro.core.harmonia import HarmoniaPolicy
 from repro.experiments.context import ExperimentContext, default_context
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner, SessionSpec
 from repro.workloads.application import Application
 from repro.workloads.registry import get_application
 
@@ -86,8 +86,6 @@ def run(context: ExperimentContext = None) -> PhaseMemoryResult:
     platform = context.platform
     training = context.training
     app = _long_graph500()
-    runner = ApplicationRunner(platform)
-    baseline = runner.run(app, BaselinePolicy(platform.config_space))
 
     def harmonia(enable_memory: bool) -> HarmoniaPolicy:
         return HarmoniaPolicy(
@@ -97,8 +95,13 @@ def run(context: ExperimentContext = None) -> PhaseMemoryResult:
 
     without_policy = harmonia(False)
     with_policy = harmonia(True)
-    without = runner.run(app, without_policy, reset_policy=False)
-    with_recall = runner.run(app, with_policy, reset_policy=False)
+    baseline, without, with_recall = BatchSessionRunner(
+        platform
+    ).run_sessions([
+        SessionSpec(application=app, policy=policy)
+        for policy in (BaselinePolicy(platform.config_space),
+                       without_policy, with_policy)
+    ])
 
     return PhaseMemoryResult(
         ed2_without=1 - without.metrics.ed2 / baseline.metrics.ed2,

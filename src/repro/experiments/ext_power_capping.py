@@ -23,7 +23,7 @@ from typing import Tuple
 from repro.analysis.report import format_table
 from repro.core.capping import PowerCapPolicy
 from repro.experiments.context import ExperimentContext, default_context
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner, SessionSpec
 
 #: A representative mixed subset (compute-bound, memory-bound, balanced).
 CAPPING_APPS: Tuple[str, ...] = (
@@ -63,15 +63,18 @@ def run(context: ExperimentContext = None) -> PowerCappingResult:
     """Run the matched-budget comparison."""
     context = context or default_context()
     platform = context.platform
-    runner = ApplicationRunner(platform)
+    runner = BatchSessionRunner(platform)
     rows = []
     for app_name in CAPPING_APPS:
         app = context.application(app_name)
-        baseline = runner.run(app, context.baseline_policy())
-        harmonia = runner.run(app, context.harmonia_policy())
+        baseline, harmonia = runner.run_sessions([
+            SessionSpec(application=app, policy=policy)
+            for policy in (context.baseline_policy(),
+                           context.harmonia_policy())
+        ])
         budget = harmonia.metrics.avg_power
         capper = PowerCapPolicy(platform.config_space, budget_watts=budget)
-        capped = runner.run(app, capper, reset_policy=False)
+        capped = runner.run(app, capper)
         rows.append(CappingRow(
             application=app_name,
             budget=budget,

@@ -28,7 +28,7 @@ from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
 from repro.experiments.context import ExperimentContext, default_context
 from repro.power.thermal import ThermalGovernor, ThermalModel
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner
 
 #: Applications whose baseline draw exceeds the constrained envelope.
 THERMAL_APPS: Tuple[str, ...] = ("MaxFlops", "Stencil", "LUD", "Sort")
@@ -85,13 +85,13 @@ def _run_hot(context: ExperimentContext, app_name: str, inner_policy):
     governor = ThermalGovernor(
         inner_policy, context.platform.config_space, CONSTRAINED_ENCLOSURE
     )
-    runner = ApplicationRunner(context.platform)
     # Pre-charge to a warm but under-cap operating point (90% of the
-    # sustainable power), as if the card had been busy beforehand.
+    # sustainable power), as if the card had been busy beforehand; the
+    # governor's reset keeps that heat.
     governor.thermal_state.apply(
         0.9 * CONSTRAINED_ENCLOSURE.sustainable_power(), 10.0
     )
-    result = runner.run(app, governor, reset_policy=False)
+    result = BatchSessionRunner(context.platform).run(app, governor)
     return result, governor.thermal_state
 
 

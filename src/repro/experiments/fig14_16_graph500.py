@@ -20,7 +20,7 @@ from typing import Mapping, Tuple
 from repro.analysis.report import format_table
 from repro.core.fine import utilization_rate
 from repro.experiments.context import ExperimentContext, default_context
-from repro.runtime.simulator import ApplicationRunner, RunResult
+from repro.runtime.session import BatchSessionRunner
 from repro.runtime.trace import ResidencyTable
 from repro.units import GHZ, hz_to_mhz
 
@@ -65,8 +65,9 @@ def run(context: ExperimentContext = None) -> Graph500Result:
     """Run Graph500 under Harmonia and extract the three figures."""
     context = context or default_context()
     app = context.application("Graph500")
-    runner = ApplicationRunner(context.platform)
-    run_result = runner.run(app, context.harmonia_policy())
+    run_result = BatchSessionRunner(context.platform).run(
+        app, context.harmonia_policy()
+    )
 
     phases = []
     for record in run_result.trace.records_for_kernel(KERNEL):

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 from repro.analysis.report import format_table
 from repro.core.policy import LaunchContext
 from repro.experiments.context import ExperimentContext, default_context
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner
 
 #: Subset shown in the paper's figure.
 FIGURE18_APPS: Tuple[str, ...] = (
@@ -69,9 +69,8 @@ def _settle_iterations(
 ) -> Dict[str, ConvergenceRow]:
     """Iterations until each kernel's configuration stops changing."""
     app = context.application(app_name)
-    runner = ApplicationRunner(context.platform)
     policy = context.harmonia_policy()
-    result = runner.run(app, policy)
+    result = BatchSessionRunner(context.platform).run(app, policy)
     settle: Dict[str, ConvergenceRow] = {}
     for kernel in app.kernels:
         records = result.trace.records_for_kernel(kernel.name)

@@ -32,7 +32,7 @@ from repro.experiments.context import ExperimentContext, default_context
 from repro.gpu.config import HardwareConfig
 from repro.perf.kernelspec import KernelSpec
 from repro.platform.hd7970 import HardwarePlatform
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner
 
 
 class PerfConstrainedOracle(HistoryMixin):
@@ -123,14 +123,14 @@ def run(context: ExperimentContext = None) -> OracleGapResult:
     context = context or default_context()
     summary = context.evaluation
     platform = context.platform
-    runner = ApplicationRunner(platform)
+    runner = BatchSessionRunner(platform)
     perf_oracle = PerfConstrainedOracle(platform)
 
     rows = []
     ratios_po = []
     for app in context.applications:
         base = summary.runs[app.name]["baseline"].metrics
-        po_run = runner.run(app, perf_oracle, reset_policy=False)
+        po_run = runner.run(app, perf_oracle)
         po = 1.0 - po_run.metrics.ed2 / base.ed2
         rows.append(GapRow(
             application=app.name,

@@ -145,7 +145,6 @@ class ThermalGovernor:
             raise PolicyError("margin must be non-negative")
         self._inner = inner
         self._space = space
-        self._model = model
         self._margin = margin
         self._state = ThermalState(model)
 
@@ -160,9 +159,13 @@ class ThermalGovernor:
         return self._state
 
     def reset(self) -> None:
-        """Reset the inner policy and restart from ambient."""
+        """Reset the inner policy's history.
+
+        The junction heat is card state, not policy history, so it
+        survives: a governor pre-charged to a heat-soaked operating point
+        starts its run from there.
+        """
         self._inner.reset()
-        self._state = ThermalState(self._model)
 
     def config_for(self, context) -> HardwareConfig:
         """The inner policy's choice, throttled if headroom is short."""

@@ -2,13 +2,13 @@
 
 The paper's energies are not analytic: they are integrals of a 1 kHz
 power-sample stream captured by an NI DAQ card while the application runs.
-:class:`MeasuredRunner` reproduces that pipeline — it executes a run via
-the normal :class:`~repro.runtime.simulator.ApplicationRunner` and then
-derives the reported metrics *from the sampled trace*, complete with the
-rig's artifacts: quantization of short kernels, sensor noise, and the
-averaging across repeated runs the paper uses to suppress run-to-run
-variance ("We run each application multiple times and recorded the
-average").
+:class:`MeasuredRunner` reproduces that pipeline — it executes a run on
+the session engine (:class:`~repro.runtime.session.BatchSessionRunner`)
+and then derives the reported metrics *from the sampled trace*, complete
+with the rig's artifacts: quantization of short kernels, sensor noise,
+and the averaging across repeated runs the paper uses to suppress
+run-to-run variance ("We run each application multiple times and
+recorded the average").
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from repro.core.policy import PowerPolicy
 from repro.errors import AnalysisError
 from repro.power.daq import DaqCard, DaqTrace
 from repro.runtime.metrics import RunMetrics
-from repro.runtime.simulator import ApplicationRunner, RunResult
+from repro.runtime.session import BatchSessionRunner
+from repro.runtime.simulator import RunResult
 from repro.workloads.application import Application
 
 
@@ -74,13 +75,13 @@ class MeasuredRunner:
     """Executes runs and measures them through the simulated DAQ.
 
     Args:
-        runner: the underlying application runner.
+        runner: the session engine executing each run.
         sampling_frequency: DAQ rate (the paper's rig: 1 kHz).
         noise_std: DAQ sensor noise (W).
         seed: RNG seed for the noise.
     """
 
-    def __init__(self, runner: ApplicationRunner,
+    def __init__(self, runner: BatchSessionRunner,
                  sampling_frequency: float = 1000.0,
                  noise_std: float = 0.0, seed: int = 0):
         self._runner = runner

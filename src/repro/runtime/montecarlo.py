@@ -41,7 +41,7 @@ from repro.core.policy import PowerPolicy
 from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform
 from repro.platform.noise import LaunchKeyedNoise
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner
 from repro.workloads.application import Application
 
 #: z-score of the two-sided 95% confidence interval.
@@ -247,7 +247,7 @@ class MonteCarloEngine:
                 (application, policy) pair on the engine's platform —
                 the batched session engine supplies these so all
                 policies' reference runs advance in lockstep. ``None``
-                runs the scalar reference here.
+                runs a one-lane engine session here.
         """
         from repro.telemetry.spans import ambient_telemetry
         with ambient_telemetry().span(
@@ -259,7 +259,7 @@ class MonteCarloEngine:
                  policy: PowerPolicy,
                  reference=None) -> MonteCarloRun:
         if reference is None:
-            reference = ApplicationRunner(self._platform).run(
+            reference = BatchSessionRunner(self._platform).run(
                 application, policy
             )
         records = reference.trace.records

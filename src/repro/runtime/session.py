@@ -25,15 +25,15 @@ The speed comes from three structural facts:
   to the scalar loop, which stays in the tree as the differential-testing
   oracle.
 
-**Scalar fallback triggers.** A lane silently takes the scalar
-:class:`~repro.runtime.simulator.ApplicationRunner` path when batched
-stepping could not be proven equivalent: a telemetry-enabled runner (the
-instrumented loop's event stream is per-run, not lockstep),
-``reset_policy=False`` (lanes would have to resume scalar-held numeric
-state), or duplicate policy *instances* across lanes of one application
-(their shared mutable history needs sequential stepping). Policies other
-than the Harmonia family still batch at the platform layer but step their
-own ``observe`` per lane.
+**No fallbacks.** Every run steps here, traced or not. Given a telemetry
+handle, the engine emits each lane's ``KernelLaunch`` event and launch
+metrics after the tick's observe stage, in session order, so a one-lane
+traced run writes exactly the oracle's event stream; decision events come
+from the shared transition stage. A policy instance drives at most one
+lane of an application — shared mutable history has no lockstep meaning —
+and a second lane raises :class:`~repro.errors.AnalysisError`. Policies
+other than the Harmonia family still batch at the platform layer but step
+their own ``observe`` per lane.
 """
 
 from __future__ import annotations
@@ -53,10 +53,13 @@ from repro.core.batched import (
     surface_numerics,
 )
 from repro.core.policy import LaunchContext, PowerPolicy
+from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform
-from repro.runtime.simulator import ApplicationRunner, RunResult, finish_run
+from repro.runtime.simulator import RunResult, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
+from repro.telemetry.events import KernelLaunch
 from repro.telemetry.handle import coalesce
+from repro.telemetry.spans import ambient_telemetry
 from repro.workloads.application import Application
 
 
@@ -119,8 +122,10 @@ class BatchSessionRunner:
 
     Args:
         platform: default test bed for lanes that don't carry their own.
-        telemetry: telemetry handle; when enabled, every lane falls back
-            to the scalar instrumented runner (see the module docstring).
+        telemetry: telemetry handle receiving every lane's
+            ``KernelLaunch`` events, the launch metrics and the
+            controller spans; without one, the spans go to the ambient
+            handle (see :func:`~repro.telemetry.spans.ambient_telemetry`).
     """
 
     def __init__(self, platform: HardwarePlatform, telemetry=None):
@@ -135,21 +140,25 @@ class BatchSessionRunner:
         """The default test bed."""
         return self._platform
 
-    def run(self, application: Application, policy: PowerPolicy,
-            reset_policy: bool = True) -> RunResult:
+    def run(self, application: Application,
+            policy: PowerPolicy) -> RunResult:
         """Run a single session (one-lane convenience wrapper)."""
         return self.run_sessions(
-            [SessionSpec(application=application, policy=policy)],
-            reset_policy=reset_policy,
+            [SessionSpec(application=application, policy=policy)]
         )[0]
 
-    def run_sessions(self, sessions: Sequence[SessionSpec],
-                     reset_policy: bool = True) -> List[RunResult]:
+    def run_sessions(self,
+                     sessions: Sequence[SessionSpec]) -> List[RunResult]:
         """Run every session, batching lanes of the same application.
 
-        Results are returned in session order and are bitwise-identical
-        to ``ApplicationRunner.run`` of each lane in isolation — the
+        Every session starts from ``policy.reset()``. Results are
+        returned in session order and are bitwise-identical to
+        ``ApplicationRunner.run`` of each lane in isolation — the
         differential contract the equivalence suite enforces.
+
+        Raises:
+            AnalysisError: if one policy instance drives two lanes of
+                the same application.
         """
         sessions = list(sessions)
         results: List[Optional[RunResult]] = [None] * len(sessions)
@@ -158,17 +167,30 @@ class BatchSessionRunner:
         # per-application ordering of platform/cache side effects.
         order: List[Application] = []
         grouped: Dict[int, List[int]] = {}
+        lanes = set()
         for position, spec in enumerate(sessions):
             key = id(spec.application)
+            lane = (key, id(spec.policy))
+            if lane in lanes:
+                raise AnalysisError(
+                    f"{spec.application.name}: one policy instance drives "
+                    "two lanes; give every lane its own instance"
+                )
+            lanes.add(lane)
             if key not in grouped:
                 grouped[key] = []
                 order.append(spec.application)
             grouped[key].append(position)
+        tel = self._telemetry
+        spans = tel if tel.enabled else ambient_telemetry()
         for application in order:
             positions = grouped[id(application)]
-            outcomes = self._run_application(
-                application, [sessions[p] for p in positions], reset_policy
-            )
+            with spans.span("controller.session",
+                            application=application.name,
+                            lanes=len(positions)):
+                outcomes = self._run_application(
+                    application, [sessions[p] for p in positions], spans
+                )
             for position, outcome in zip(positions, outcomes):
                 results[position] = outcome
         return results
@@ -177,31 +199,16 @@ class BatchSessionRunner:
 
     def _run_application(self, application: Application,
                          specs: Sequence[SessionSpec],
-                         reset_policy: bool) -> List[RunResult]:
-        platforms = [spec.platform or self._platform for spec in specs]
-        policies = [spec.policy for spec in specs]
-
-        batchable = self._batchable_mask(platforms, policies, reset_policy)
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        for slot, ok in enumerate(batchable):
-            if not ok:
-                runner = ApplicationRunner(platforms[slot], self._telemetry)
-                results[slot] = runner.run(
-                    application, policies[slot], reset_policy=reset_policy
-                )
-        lanes_slots = [slot for slot, ok in enumerate(batchable) if ok]
-        if not lanes_slots:
-            return results
-
+                         spans) -> List[RunResult]:
         lanes = []
-        for slot in lanes_slots:
-            if reset_policy:
-                policies[slot].reset()
-            lanes.append(_Lane(policies[slot], platforms[slot]))
+        for spec in specs:
+            spec.policy.reset()
+            lanes.append(_Lane(spec.policy, spec.platform or self._platform))
 
         steps = list(application.launches())
         fast_groups, generic_lanes = self._partition(lanes, steps)
-        self._step_lockstep(steps, lanes, fast_groups, generic_lanes)
+        with spans.span("controller.step"):
+            self._step_lockstep(steps, lanes, fast_groups, generic_lanes)
 
         for group in fast_groups:
             for lane_slot, lane in enumerate(group.lanes):
@@ -211,23 +218,8 @@ class BatchSessionRunner:
                         kernel_name, features,
                         group.plan.last_identity[kernel_name],
                     )
-        for slot, lane in zip(lanes_slots, lanes):
-            results[slot] = finish_run(application, lane.policy, lane.trace)
-        return results
-
-    def _batchable_mask(self, platforms, policies,
-                        reset_policy: bool) -> List[bool]:
-        if self._telemetry.enabled or not reset_policy:
-            return [False] * len(platforms)
-        instance_counts: Dict[int, int] = {}
-        for policy in policies:
-            key = id(policy)
-            instance_counts[key] = instance_counts.get(key, 0) + 1
-        # A policy instance shared between lanes carries shared mutable
-        # history; only sequential scalar runs (which the fallback loop
-        # performs in lane order) preserve its semantics, so every
-        # occurrence goes scalar.
-        return [instance_counts[id(policy)] == 1 for policy in policies]
+        return [finish_run(application, lane.policy, lane.trace)
+                for lane in lanes]
 
     def _surface_numerics(self, surface) -> SurfaceNumerics:
         cached = self._numerics.get(id(surface))
@@ -289,6 +281,14 @@ class BatchSessionRunner:
                                         (lane.platform, []))
             entry[1].append(lane)
         cluster_list = list(clusters.values())
+        tel = self._telemetry
+        if tel.enabled:
+            launches_total = tel.metrics.counter(
+                "kernel_launches_total", "kernel launches executed",
+            )
+            launch_time = tel.metrics.histogram(
+                "launch_time_seconds", "kernel launch execution time",
+            )
 
         for step_index, (iteration, kernel, spec) in enumerate(steps):
             kernel_name = kernel.name
@@ -366,3 +366,19 @@ class BatchSessionRunner:
                     )
             for lane in generic_lanes:
                 lane.policy.observe(context, lane.result)
+            if tel.enabled:
+                # The oracle's per-launch emission, lane by lane in
+                # session order, after every lane's decision events.
+                for lane in lanes:
+                    result = lane.result
+                    launches_total.inc(kernel=kernel_name,
+                                       policy=lane.policy.name)
+                    launch_time.observe(result.time, kernel=kernel_name)
+                    tel.emit(KernelLaunch(
+                        kernel=kernel_name,
+                        iteration=iteration,
+                        time_s=result.time,
+                        config=result.config,
+                        power_w=result.power.card,
+                        energy_j=result.energy,
+                    ))

@@ -1,6 +1,6 @@
 """Structured telemetry for the Harmonia runtime.
 
-Five pieces, composable through one injectable handle:
+Four pieces, composable through one injectable handle:
 
 * :mod:`repro.telemetry.events` — typed controller-decision events
   (``KernelLaunch``, ``PhaseChange``, ``CGJump``, ``FGStep``, ...) with a
@@ -9,11 +9,10 @@ Five pieces, composable through one injectable handle:
   registry (``cg_actions_total{kernel=...}``, ``launch_time_seconds``),
 * :mod:`repro.telemetry.export` — append-only JSONL sink, loader, and a
   replay view compatible with :class:`~repro.runtime.trace.RunTrace`,
-* :mod:`repro.telemetry.profile` — wall-time profiling hooks for the
-  simulator and policy hot paths,
 * :mod:`repro.telemetry.spans` — hierarchical spans with ambient context
   propagation across thread/process fan-out, Chrome trace-event export
-  (Perfetto-loadable) and a self-vs-total critical-path report.
+  (Perfetto-loadable) and a self-vs-total critical-path report — the one
+  timing system (``repro run --profile`` prints that report).
 
 Instrumented components accept a :class:`Telemetry` handle and default to
 :data:`NULL_TELEMETRY`, whose operations are no-ops — with telemetry
@@ -52,8 +51,6 @@ _EXPORTS = {
     "Counter": "metrics",
     "Gauge": "metrics",
     "Histogram": "metrics",
-    "Profiler": "profile",
-    "SectionStat": "profile",
     "SPAN_SCHEMA_VERSION": "spans",
     "SpanRecord": "spans",
     "SpanTracker": "spans",

@@ -1,9 +1,9 @@
 """The injectable telemetry handle and its null-object default.
 
-Instrumented components (the controller blocks, the runner, the CLI)
-accept an optional handle and fall back to :data:`NULL_TELEMETRY`. The
-null object reports ``enabled = False`` — hot paths guard event
-construction behind that flag — and serves no-op metrics and profiler
+Instrumented components (the controller blocks, the session engine, the
+CLI) accept an optional handle and fall back to :data:`NULL_TELEMETRY`.
+The null object reports ``enabled = False`` — hot paths guard event
+construction behind that flag — and serves no-op metrics and span
 stand-ins, so a component can also call straight through without
 branching. Either way, with telemetry disabled the control decisions and
 run outputs are bit-identical to an uninstrumented build.
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional
 
-from repro.telemetry.profile import NULL_SECTION, Profiler
 from repro.telemetry.spans import (
+    NULL_SPAN,
     NULL_SPAN_TRACKER,
     SpanHandle,
     SpanTracker,
@@ -26,21 +26,18 @@ if TYPE_CHECKING:
 
 
 class Telemetry:
-    """A live telemetry handle: event sinks + metrics + profiler + spans.
+    """A live telemetry handle: event sinks + metrics + spans.
 
     Args:
         sink: optional initial event sink (anything with ``write(event)``).
         metrics: metrics registry to use (fresh one by default).
-        profiler: profiler to use (fresh one by default).
-        spans: span tracker to use (fresh one by default); forked workers
-            pass a shadow tracker sharing the parent's epoch.
+        spans: span tracker to use (fresh one by default).
     """
 
     enabled = True
 
     def __init__(self, sink: Optional[Any] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 profiler: Optional[Profiler] = None,
                  spans: Optional[SpanTracker] = None):
         if metrics is None:
             # Imported here: a process that only holds the null handle
@@ -48,7 +45,6 @@ class Telemetry:
             from repro.telemetry.metrics import MetricsRegistry
             metrics = MetricsRegistry()
         self.metrics = metrics
-        self.profiler = profiler if profiler is not None else Profiler()
         self.spans = spans if spans is not None else SpanTracker()
         self._sinks: List[Any] = [sink] if sink is not None else []
 
@@ -71,13 +67,8 @@ class Telemetry:
         for event in events:
             self.emit(event)
 
-    def time(self, name: str):
-        """Context manager timing a profiler section."""
-        return self.profiler.section(name)
-
     def span(self, name: str, **labels: Any) -> SpanHandle:
-        """Context manager opening a hierarchical span (plus profiler
-        section of the same name, so profile and span totals agree).
+        """Context manager opening a hierarchical span.
 
         The open span becomes the ambient parent for spans entered
         below it on the same thread (see
@@ -134,24 +125,6 @@ class _NullRegistry:
         return _NULL_METRIC
 
 
-class _NullProfiler:
-    """Profiler stand-in reusing the shared no-op section."""
-
-    __slots__ = ()
-
-    def section(self, name: str):
-        return NULL_SECTION
-
-    def record(self, name: str, elapsed_s: float) -> None:
-        pass
-
-    def stats(self) -> dict:
-        return {}
-
-    def report(self) -> str:
-        return "profiler: disabled"
-
-
 class NullTelemetry:
     """Disabled telemetry: every operation is a no-op.
 
@@ -163,7 +136,6 @@ class NullTelemetry:
     enabled = False
 
     metrics = _NullRegistry()
-    profiler = _NullProfiler()
     spans = NULL_SPAN_TRACKER
 
     def emit(self, event: Any) -> None:
@@ -172,11 +144,8 @@ class NullTelemetry:
     def emit_all(self, events: Iterable[Any]) -> None:
         pass
 
-    def time(self, name: str):
-        return NULL_SECTION
-
     def span(self, name: str, **labels: Any):
-        return NULL_SECTION
+        return NULL_SPAN
 
     def add_sink(self, sink: Any) -> None:
         # Silent no-op: the null handle is shared process-wide and must

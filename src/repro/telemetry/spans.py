@@ -185,13 +185,12 @@ def ambient_telemetry() -> Any:
 class SpanHandle:
     """Context manager for one open span (created by ``Telemetry.span``).
 
-    Entering starts the clock, installs the ambient context, and opens a
-    same-named profiler section (so ``--profile`` totals and span totals
-    agree); exiting records the :class:`SpanRecord`.
+    Entering starts the clock and installs the ambient context; exiting
+    records the :class:`SpanRecord`.
     """
 
     __slots__ = ("_telemetry", "_tracker", "_name", "_labels", "_span_id",
-                 "_parent_id", "_start", "_token", "_section")
+                 "_parent_id", "_start", "_token")
 
     def __init__(self, telemetry: Any, tracker: SpanTracker, name: str,
                  labels: Mapping[str, Any]):
@@ -203,7 +202,6 @@ class SpanHandle:
         self._parent_id: Optional[int] = None
         self._start = 0.0
         self._token = None
-        self._section = None
 
     @property
     def span_id(self) -> int:
@@ -220,14 +218,11 @@ class SpanHandle:
         self._token = _CURRENT_SPAN.set(
             SpanContext(self._telemetry, tracker, self._span_id)
         )
-        self._section = self._telemetry.profiler.section(self._name)
-        self._section.__enter__()
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         end = time.perf_counter()
-        self._section.__exit__(exc_type, exc, tb)
         _CURRENT_SPAN.reset(self._token)
         epoch = self._tracker.epoch
         self._tracker.add(SpanRecord(
@@ -240,6 +235,23 @@ class SpanHandle:
             tid=threading.get_ident(),
             labels=self._labels,
         ))
+
+
+class _NullSpan:
+    """Shared no-op span for the disabled path."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass
+
+
+#: The span :class:`~repro.telemetry.handle.NullTelemetry` hands out
+#: (allocation-free disabled path).
+NULL_SPAN = _NullSpan()
 
 
 class _NullSpanTracker:

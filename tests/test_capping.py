@@ -94,6 +94,5 @@ class TestEndToEnd:
     def test_enforces_budget_on_full_application(self, platform, space):
         app = get_application("CoMD")
         policy = PowerCapPolicy(space, budget_watts=110.0)
-        run = ApplicationRunner(platform).run(app, policy,
-                                              reset_policy=False)
+        run = ApplicationRunner(platform).run(app, policy)
         assert run.metrics.avg_power < 110.0 * 1.15

@@ -15,7 +15,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
-from tools.regen_goldens import GOLDEN_DIR, child_env, cold_reproduce  # noqa: E402
+from tools.regen_goldens import (  # noqa: E402
+    BENCH_REPORT_DIR, GOLDEN_DIR, child_env, cold_reproduce)
 
 
 class TestParser:
@@ -209,6 +210,18 @@ class TestGoldenReports:
             pytest.fail("manifest-served reproduce differs from the "
                         "goldens:\n" + mismatches, pytrace=False)
 
+    def test_benchmark_report_copies_match_goldens(self):
+        """``benchmarks/reports`` holds a second copy of most reports;
+        each one with a golden twin must equal it."""
+        twins = sorted(path for path in BENCH_REPORT_DIR.glob("*.txt")
+                       if (GOLDEN_DIR / path.name).exists())
+        assert len(twins) == 26
+        stale = [path.name for path in twins
+                 if path.read_bytes() != (GOLDEN_DIR / path.name).read_bytes()]
+        assert stale == [], (
+            f"benchmarks/reports differs from tests/golden/reproduce on "
+            f"{stale}; rerun python tools/regen_goldens.py")
+
     def test_goldens_match_the_benchmark_digests(self):
         digests = json.loads(
             (REPO_ROOT / "perfbench" / "digests.json").read_text())
@@ -291,6 +304,29 @@ class TestSweepStoreFlags:
         assert main(["telemetry-report", str(trace),
                      "--metrics", str(tmp_path / "absent.json")]) == 2
         assert "unreadable metrics file" in capsys.readouterr().err
+
+    def test_run_profile_prints_the_span_table(self, capsys):
+        assert main(["run", "XSBench", "--policy", "harmonia",
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        profile = out[out.index("span profile of the policy run:"):]
+        rows = [line.split()[0] for line in profile.splitlines()
+                if line.endswith("%")]
+        assert "controller.session" in rows
+        assert "controller.step" in rows
+
+    def test_run_trace_holds_one_launch_event_per_launch(self, tmp_path,
+                                                         capsys):
+        from repro.telemetry.export import load_events
+        from repro.telemetry.events import KernelLaunch
+        from repro.workloads.registry import get_application
+
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", "XSBench", "--policy", "baseline",
+                     "--trace", str(trace)]) == 0
+        events = load_events(trace)
+        assert all(isinstance(event, KernelLaunch) for event in events)
+        assert len(events) == get_application("XSBench").total_launches()
 
 
 def _ledger_module():

@@ -65,8 +65,7 @@ class TestPhaseTracking:
     def test_stable_kernel_has_one_phase(self, context):
         app = get_application("Stencil")
         policy = make_policy(context)
-        ApplicationRunner(context.platform).run(app, policy,
-                                                reset_policy=False)
+        ApplicationRunner(context.platform).run(app, policy)
         state = policy.control_state("Stencil.Stencil2D")
         assert state.phase_changes == 1
         assert state.cg_actions == 1
@@ -75,8 +74,7 @@ class TestPhaseTracking:
     def test_phased_kernel_re_triggers_cg(self, context):
         app = get_application("Graph500")
         policy = make_policy(context)
-        ApplicationRunner(context.platform).run(app, policy,
-                                                reset_policy=False)
+        ApplicationRunner(context.platform).run(app, policy)
         state = policy.control_state("Graph500.BottomStepUp")
         # The BFS levels form three behavioural groups (the instruction
         # *mix* shifts even though the totals change every iteration).
@@ -86,8 +84,7 @@ class TestPhaseTracking:
     def test_cg_only_never_runs_fg(self, context):
         app = get_application("Stencil")
         policy = make_policy(context, enable_fg=False)
-        ApplicationRunner(context.platform).run(app, policy,
-                                                reset_policy=False)
+        ApplicationRunner(context.platform).run(app, policy)
         state = policy.control_state("Stencil.Stencil2D")
         assert state.fg_actions == 0
 
@@ -96,8 +93,7 @@ class TestReset:
     def test_reset_forgets_everything(self, context):
         app = get_application("Sort")
         policy = make_policy(context)
-        ApplicationRunner(context.platform).run(app, policy,
-                                                reset_policy=False)
+        ApplicationRunner(context.platform).run(app, policy)
         policy.reset()
         state = policy.control_state("Sort.BottomScan")
         assert state.cg_actions == 0
@@ -116,8 +112,7 @@ class TestTunableRestriction:
             training.bandwidth,
         )
         app = get_application("CoMD")
-        run = ApplicationRunner(context.platform).run(app, policy,
-                                                      reset_policy=False)
+        run = ApplicationRunner(context.platform).run(app, policy)
         for record in run.trace.records:
             assert record.config.n_cu == 32
             assert record.config.f_mem == pytest.approx(1375 * MHZ)

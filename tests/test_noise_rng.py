@@ -16,7 +16,6 @@ from repro.errors import AnalysisError
 from repro.platform.hd7970 import make_hd7970_platform
 from repro.platform.noise import NOISE_FLOOR, LaunchKeyedNoise, spec_entropy
 from repro.platform.sweepcache import SweepCache
-from repro.runtime.simulator import ApplicationRunner
 from repro.workloads.registry import all_kernels, get_application
 
 SPEC = all_kernels()[0].base
@@ -104,26 +103,22 @@ class TestExecutionOrderInvariance:
     def test_jobs_fanout_does_not_matter(self):
         applications = [get_application("MaxFlops"), get_application("BPT")]
 
-        def run_matrix(jobs):
-            platform = make_hd7970_platform(noise_std_fraction=0.05, seed=9)
-            runner = ApplicationRunner(platform)
+        def run_all(jobs):
             from repro.core.baseline import BaselinePolicy
-            return runner.run_matrix(
-                applications,
-                policy_factories=[
-                    lambda: BaselinePolicy(platform.config_space)
-                ],
-                jobs=jobs,
+            from repro.runtime.parallel import fan_out
+            from repro.runtime.session import BatchSessionRunner
+            platform = make_hd7970_platform(noise_std_fraction=0.05, seed=9)
+            return fan_out(
+                lambda app: BatchSessionRunner(platform).run(
+                    app, BaselinePolicy(platform.config_space)),
+                applications, jobs=jobs,
             )
 
-        serial = run_matrix(1)
-        fanned = run_matrix(4)
-        for app in serial:
-            for policy in serial[app]:
-                a = serial[app][policy].metrics
-                b = fanned[app][policy].metrics
-                assert a.time == b.time
-                assert a.energy == b.energy
+        serial = run_all(1)
+        fanned = run_all(4)
+        for a, b in zip(serial, fanned):
+            assert a.metrics.time == b.metrics.time
+            assert a.metrics.energy == b.metrics.energy
 
     def test_cache_state_does_not_matter(self):
         # Miss path: a fresh cache computes the clean surface.

@@ -83,8 +83,7 @@ class TestPolicyIntegration:
             context.platform.config_space, training.compute,
             training.bandwidth,
         )
-        ApplicationRunner(context.platform).run(app, policy,
-                                                reset_policy=False)
+        ApplicationRunner(context.platform).run(app, policy)
         control = policy.control_state("Graph500.BottomStepUp")
         assert control.phase_recalls >= 1
 

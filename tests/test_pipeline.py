@@ -348,7 +348,12 @@ class TestPipelineSpans:
                 == tree_signature(parallel.spans.records()))
 
     def test_node_spans_double_as_profiler_sections(self):
+        """The span aggregation is the profile: one row per node span."""
+        from repro.telemetry.spans import aggregate_spans
+
         telemetry = self.run_traced(jobs=1)
-        stats = telemetry.profiler.stats()
+        records = telemetry.spans.records()
+        stats = aggregate_spans(records)
         assert stats["pipeline.base"].count == 1
         assert stats["pipeline.leaf"].count == 1
+        assert len({r.span_id for r in records}) == len(records)

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.batched import fast_path_eligible
 from repro.core.harmonia import HarmoniaPolicy
+from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
 from repro.runtime.session import BatchSessionRunner, SessionSpec
 from repro.runtime.simulator import ApplicationRunner
 from repro.sensitivity.binning import SensitivityBins
+from repro.telemetry.export import InMemorySink, JsonlSink
 from repro.telemetry.handle import Telemetry
 
 
@@ -45,6 +48,16 @@ POLICY_BUILDERS = (
     ("dvfs-only", lambda ctx: ctx.dvfs_only_policy()),
     ("oracle", lambda ctx: ctx.oracle_policy()),
     ("variant", _variant_policy),
+)
+
+#: The policies ``repro run`` offers, built on a telemetry handle where
+#: the policy takes one.
+TRACED_BUILDERS = (
+    ("baseline", lambda ctx, tel: ctx.baseline_policy()),
+    ("cg-only", lambda ctx, tel: ctx.cg_only_policy(telemetry=tel)),
+    ("harmonia", lambda ctx, tel: ctx.harmonia_policy(telemetry=tel)),
+    ("dvfs-only", lambda ctx, tel: ctx.dvfs_only_policy(telemetry=tel)),
+    ("oracle", lambda ctx, tel: ctx.oracle_policy()),
 )
 
 #: Phase-rich, iteration-heavy and stress workloads — the schedules that
@@ -199,37 +212,33 @@ class TestLaneComposition:
 
 
 class TestScalarFallbacks:
-    """Lanes the engine cannot prove equivalent must still be exact —
-    they take the scalar path and the caller can't tell the difference."""
+    """Lane shapes that take no scalar fallback: a traced runner and a
+    traced policy stay on the engine; a shared policy instance is
+    refused."""
 
-    def test_duplicate_policy_instance_goes_scalar(self, context):
+    def test_duplicate_policy_instance_rejected(self, context):
         [app] = _apps(context, ("Sort",))
         shared = context.harmonia_policy()
-        outcomes = BatchSessionRunner(context.platform).run_sessions([
-            SessionSpec(application=app, policy=shared),
-            SessionSpec(application=app, policy=shared),
-        ])
-        scalar = ApplicationRunner(context.platform).run(
-            app, context.harmonia_policy())
-        _assert_runs_equal(scalar, outcomes[0])
-        _assert_runs_equal(scalar, outcomes[1])
-
-    def test_reset_policy_false_goes_scalar(self, context):
-        [app] = _apps(context, ("Sort",))
-        scalar_policy = context.harmonia_policy()
-        batched_policy = context.harmonia_policy()
-        runner = ApplicationRunner(context.platform)
-        runner.run(app, scalar_policy)
-        scalar = runner.run(app, scalar_policy, reset_policy=False)
         engine = BatchSessionRunner(context.platform)
-        engine.run(app, batched_policy)
-        [batched] = engine.run_sessions(
-            [SessionSpec(application=app, policy=batched_policy)],
-            reset_policy=False,
-        )
-        _assert_runs_equal(scalar, batched)
+        with pytest.raises(AnalysisError, match="two lanes"):
+            engine.run_sessions([
+                SessionSpec(application=app, policy=shared),
+                SessionSpec(application=app, policy=shared),
+            ])
+        # One instance across different applications runs them in turn,
+        # each from a reset, like back-to-back oracle runs.
+        other = _apps(context, ("MaxFlops",))[0]
+        first, second = engine.run_sessions([
+            SessionSpec(application=app, policy=shared),
+            SessionSpec(application=other, policy=shared),
+        ])
+        _assert_runs_equal(ApplicationRunner(context.platform).run(
+            app, context.harmonia_policy()), first)
+        _assert_runs_equal(ApplicationRunner(context.platform).run(
+            other, context.harmonia_policy()), second)
 
     def test_telemetry_enabled_runner_goes_scalar(self, context):
+        """A traced runner steps the lanes itself and stays exact."""
         [app] = _apps(context, ("Sort",))
         scalar = ApplicationRunner(context.platform).run(
             app, context.harmonia_policy())
@@ -241,37 +250,85 @@ class TestScalarFallbacks:
         _assert_runs_equal(scalar, batched)
 
     def test_telemetry_enabled_policy_goes_generic(self, context):
-        """A policy with live telemetry is not fast-path eligible; it
-        still batches at the platform layer and stays exact."""
+        """A policy with live telemetry rides the vectorized numeric
+        stage like an untraced one and stays exact."""
         [app] = _apps(context, ("Graph500",))
         telemetry = Telemetry()
+        policy = context.harmonia_policy(telemetry=telemetry)
+        assert fast_path_eligible(policy)
         scalar = ApplicationRunner(context.platform).run(
             app, context.harmonia_policy(telemetry=Telemetry()))
         [batched] = BatchSessionRunner(context.platform).run_sessions(
-            [SessionSpec(application=app,
-                         policy=context.harmonia_policy(telemetry=telemetry))]
+            [SessionSpec(application=app, policy=policy)]
         )
         _assert_runs_equal(scalar, batched)
+
+
+def _traced_run(runner_type, context, app, build, path):
+    """One run whose runner and policy share a handle with a JSONL sink,
+    the way ``repro run --trace`` wires them: (trace bytes, metrics
+    snapshot, result)."""
+    sink = JsonlSink(path)
+    telemetry = Telemetry(sink=sink)
+    result = runner_type(context.platform, telemetry).run(
+        app, build(context, telemetry))
+    sink.close()
+    return path.read_bytes(), telemetry.metrics.as_dict(), result
+
+
+def _records(sink: InMemorySink):
+    return [event.to_record() for event in sink.events]
+
+
+class TestTracedEquivalence:
+    """A traced engine run writes the oracle's events and metrics."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _, b in TRACED_BUILDERS],
+        ids=[name for name, _ in TRACED_BUILDERS])
+    def test_one_lane_trace_and_metrics_match_oracle(self, context, build,
+                                                     tmp_path):
+        for app in _apps(context):
+            oracle = _traced_run(ApplicationRunner, context, app, build,
+                                 tmp_path / f"{app.name}.oracle.jsonl")
+            engine = _traced_run(BatchSessionRunner, context, app, build,
+                                 tmp_path / f"{app.name}.engine.jsonl")
+            assert oracle[0]  # every run emits its launches
+            assert engine[0] == oracle[0]
+            assert engine[1] == oracle[1]
+            _assert_runs_equal(oracle[2], engine[2])
+
+    def test_multi_lane_streams_match_oracle_lanes(self, context):
+        """Per-policy handles carry each lane's decision stream; the
+        runner's handle carries every lane's launches, tick by tick."""
+        platform = context.platform
+        for app in _apps(context, ("Graph500", "Sort")):
+            runner_sink = InMemorySink()
+            lane_sinks = [InMemorySink() for _ in TRACED_BUILDERS]
+            BatchSessionRunner(
+                platform, Telemetry(sink=runner_sink)
+            ).run_sessions([
+                SessionSpec(application=app,
+                            policy=build(context, Telemetry(sink=sink)))
+                for (_, build), sink in zip(TRACED_BUILDERS, lane_sinks)
+            ])
+            oracle_launches = []
+            for (_, build), lane_sink in zip(TRACED_BUILDERS, lane_sinks):
+                launches, decisions = InMemorySink(), InMemorySink()
+                ApplicationRunner(platform, Telemetry(sink=launches)).run(
+                    app, build(context, Telemetry(sink=decisions)))
+                assert _records(lane_sink) == _records(decisions)
+                oracle_launches.append(_records(launches))
+            interleaved = [record for tick in zip(*oracle_launches)
+                           for record in tick]
+            assert len(interleaved) == \
+                app.total_launches() * len(TRACED_BUILDERS)
+            assert _records(runner_sink) == interleaved
 
 
 class TestHarnessParity:
     """The harness entry points against scalar references built with
     ``ApplicationRunner.run`` directly."""
-
-    def test_run_matrix_batched_matches_scalar(self, context):
-        apps = _apps(context, ("Sort", "Graph500"))
-        runner = ApplicationRunner(context.platform)
-        batched = runner.run_matrix(
-            apps,
-            policies=[context.harmonia_policy(), context.cg_only_policy()],
-        )
-        assert list(batched) == [app.name for app in apps]
-        for app in apps:
-            policies = [context.harmonia_policy(), context.cg_only_policy()]
-            assert list(batched[app.name]) == [p.name for p in policies]
-            for policy in policies:
-                _assert_runs_equal(runner.run(app, policy),
-                                   batched[app.name][policy.name])
 
     def test_evaluate_batched_matches_scalar(self, context):
         from repro.analysis.evaluation import (

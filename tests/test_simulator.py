@@ -38,48 +38,10 @@ class TestRunner:
         policy = BaselinePolicy(space)
         runner = ApplicationRunner(platform)
         runner.run(app, policy)
-        # After reset_policy=True runs, the policy history starts fresh:
+        # run() resets the policy first, so its history is the run's own:
         assert policy.history_for(
             "XSBench.CalculateXS"
         ).last_result is not None  # history from the run itself
-
-    def test_run_matrix_shape(self, platform, space):
-        apps = [get_application("XSBench"), get_application("SRAD")]
-        policies = [BaselinePolicy(space)]
-        results = ApplicationRunner(platform).run_matrix(apps, policies)
-        assert set(results) == {"XSBench", "SRAD"}
-        assert set(results["XSBench"]) == {"baseline"}
-
-    def test_run_matrix_fans_out_serial_exact(self, platform, space):
-        apps = [get_application("XSBench"), get_application("SRAD")]
-        runner = ApplicationRunner(platform)
-        serial = runner.run_matrix(apps, [BaselinePolicy(space)])
-        fanned = runner.run_matrix(
-            apps, policy_factories=[lambda: BaselinePolicy(space)], jobs=4
-        )
-        assert set(serial) == set(fanned)
-        for app in serial:
-            for policy in serial[app]:
-                assert serial[app][policy].metrics.time == \
-                    fanned[app][policy].metrics.time
-                assert serial[app][policy].metrics.energy == \
-                    fanned[app][policy].metrics.energy
-
-    def test_run_matrix_rejects_shared_instances_across_jobs(
-            self, platform, space):
-        from repro.errors import AnalysisError
-
-        apps = [get_application("XSBench")]
-        runner = ApplicationRunner(platform)
-        with pytest.raises(AnalysisError):
-            runner.run_matrix(apps, [BaselinePolicy(space)], jobs=2)
-        with pytest.raises(AnalysisError):
-            runner.run_matrix(apps)
-        with pytest.raises(AnalysisError):
-            runner.run_matrix(
-                apps, [BaselinePolicy(space)],
-                policy_factories=[lambda: BaselinePolicy(space)],
-            )
 
     def test_iterations_execute_in_order(self, platform, space):
         app = get_application("LUD")

@@ -13,7 +13,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.profile import Profiler
 
 
 class TestCounter:
@@ -137,42 +136,6 @@ class TestRegistry:
         assert "h_seconds count=1" in text
 
 
-class TestProfiler:
-    def test_sections_accumulate(self):
-        profiler = Profiler()
-        with profiler.section("work"):
-            pass
-        with profiler.section("work"):
-            pass
-        stats = profiler.stats()
-        assert stats["work"].count == 2
-        assert stats["work"].total_s >= 0.0
-
-    def test_decorator_times_calls(self):
-        profiler = Profiler()
-
-        @profiler.profiled("f")
-        def f(x):
-            return x + 1
-
-        assert f(1) == 2
-        assert profiler.stats()["f"].count == 1
-
-    def test_report_lists_sections(self):
-        profiler = Profiler()
-        profiler.record("alpha", 0.25)
-        profiler.record("beta", 0.75)
-        report = profiler.report()
-        assert "alpha" in report and "beta" in report
-        assert "75.0%" in report
-
-    def test_reset(self):
-        profiler = Profiler()
-        profiler.record("x", 1.0)
-        profiler.reset()
-        assert profiler.stats() == {}
-
-
 class TestRegistryMerge:
     def _snapshot(self):
         registry = MetricsRegistry()
@@ -278,51 +241,3 @@ class TestPrometheusRendering:
         registry.counter("c_total").inc(path='a"b\\c\nd')
         text = registry.render_prometheus()
         assert 'c_total{path="a\\"b\\\\c\\nd"} 1' in text
-
-
-class TestProfilerSelfTime:
-    def test_nested_sections_split_self_time(self):
-        import time
-
-        profiler = Profiler()
-        with profiler.section("outer"):
-            with profiler.section("inner"):
-                time.sleep(0.02)
-        stats = profiler.stats()
-        assert stats["outer"].total_s >= stats["inner"].total_s
-        assert stats["outer"].self_s == pytest.approx(
-            stats["outer"].total_s - stats["inner"].total_s)
-        assert stats["inner"].self_s == pytest.approx(
-            stats["inner"].total_s)
-
-    def test_sibling_threads_have_independent_stacks(self):
-        import threading
-        import time
-
-        profiler = Profiler()
-
-        def worker():
-            with profiler.section("thread_work"):
-                time.sleep(0.01)
-
-        with profiler.section("outer"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        stats = profiler.stats()
-        # The worker's section ran on another thread: it must not be
-        # subtracted from outer's self time.
-        assert stats["outer"].self_s == pytest.approx(
-            stats["outer"].total_s)
-        assert stats["thread_work"].count == 1
-
-    def test_two_arg_record_still_works(self):
-        profiler = Profiler()
-        profiler.record("legacy", 0.5)
-        assert profiler.stats()["legacy"].self_s == 0.5
-
-    def test_report_has_self_column(self):
-        profiler = Profiler()
-        profiler.record("a", 1.0, 0.75)
-        report = profiler.report()
-        assert "self s" in report

@@ -182,7 +182,7 @@ class TestDisabledPathIdentity:
     def test_null_telemetry_serves_noop_instruments(self):
         NULL_TELEMETRY.metrics.counter("anything_total").inc(kernel="K")
         NULL_TELEMETRY.emit(object())
-        with NULL_TELEMETRY.time("section"):
+        with NULL_TELEMETRY.span("section", kernel="K"):
             pass
         assert NULL_TELEMETRY.enabled is False
 

@@ -136,10 +136,23 @@ class TestThermalGovernor:
     def test_name_tagged(self, space):
         assert self._governor(space).name == "baseline+thermal"
 
-    def test_reset_returns_to_ambient(self, space):
-        governor = self._governor(space, initial=100.0)
+    def test_reset_keeps_junction_heat(self, space, platform):
+        """Heat is card state, not policy history: reset clears only the
+        inner policy, so a pre-charged governor starts its run hot."""
+        inner = BaselinePolicy(space)
+        governor = ThermalGovernor(inner, space, MODEL)
+        governor.thermal_state.apply(
+            (100.0 - MODEL.ambient) / MODEL.resistance,
+            1000 * MODEL.time_constant,
+        )
+        ctx = self._context()
+        governor.observe(ctx, platform.run_kernel(ctx.spec,
+                                                  space.max_config()))
+        assert inner.history_for(ctx.kernel_name).last_result is not None
+        temperature = governor.thermal_state.temperature
         governor.reset()
-        assert governor.thermal_state.temperature == pytest.approx(35.0)
+        assert governor.thermal_state.temperature == temperature > 95.0
+        assert inner.history_for(ctx.kernel_name).last_result is None
 
     def test_negative_margin_rejected(self, space):
         with pytest.raises(PolicyError):

@@ -2,7 +2,7 @@
 from repro.core.baseline import BaselinePolicy
 from repro.core.harmonia import HarmoniaPolicy
 from repro.platform.hd7970 import make_hd7970_platform
-from repro.runtime.simulator import ApplicationRunner
+from repro.runtime.session import BatchSessionRunner
 from repro.sensitivity.predictor import train_predictors
 from repro.workloads.registry import all_applications
 from repro.units import MHZ
@@ -11,7 +11,7 @@ p = make_hd7970_platform()
 apps = all_applications()
 report = train_predictors(p, apps)
 space = p.config_space
-runner = ApplicationRunner(p)
+runner = BatchSessionRunner(p)
 
 for app in apps:
     hm = HarmoniaPolicy(space, report.compute, report.bandwidth)

@@ -4,7 +4,8 @@
 Runs one cold ``python -m repro reproduce --jobs 1`` into a throwaway
 store, rewrites ``tests/golden/reproduce/`` with the 26 reports it
 wrote, and prints a unified diff of every report that changed, plus
-the sha256 of each changed report. Exit status is 0 whether or not
+the sha256 of each changed report. It also rewrites the second copy of
+each report under ``benchmarks/reports/``, so the two cannot drift. Exit status is 0 whether or not
 anything changed; a nonzero status means the reproduce run failed.
 
 ``tests/test_cli.py`` compares reproduce output with these files byte
@@ -28,6 +29,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "reproduce"
+BENCH_REPORT_DIR = REPO_ROOT / "benchmarks" / "reports"
 
 
 def child_env() -> dict:
@@ -80,6 +82,7 @@ def main() -> int:
         (GOLDEN_DIR / name).unlink()
     for name, data in fresh.items():
         (GOLDEN_DIR / name).write_bytes(data)
+        (BENCH_REPORT_DIR / name).write_bytes(data)
 
     if not changed:
         print(f"regen_goldens: all {len(fresh)} goldens unchanged")
