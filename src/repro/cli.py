@@ -85,6 +85,32 @@ def _attach_store(args: argparse.Namespace, telemetry=None):
     return store
 
 
+def _span_telemetry(args: argparse.Namespace):
+    """A live telemetry handle when ``--trace`` or ``--metrics-out`` was
+    given, else ``None`` (the run keeps the null handle)."""
+    if not (args.trace or args.metrics_out):
+        return None
+    from repro.telemetry import Telemetry
+    return Telemetry()
+
+
+def _write_span_outputs(args: argparse.Namespace, telemetry) -> None:
+    """Write the ``--trace`` Chrome span trace and the ``--metrics-out``
+    metrics registry (sweep-cache counters included) of a finished run."""
+    if args.trace:
+        from repro.telemetry import write_chrome_trace
+        written = write_chrome_trace(args.trace, telemetry.spans.records())
+        print(f"\nspan trace: {written} spans written to {args.trace}\n"
+              f"(open in Perfetto / chrome://tracing, or summarize "
+              f"with: python -m repro telemetry-report "
+              f"--spans {args.trace})")
+    if args.metrics_out:
+        from repro.platform.sweepcache import shared_cache
+        shared_cache().publish(telemetry)
+        telemetry.metrics.write_json(args.metrics_out)
+        print(f"metrics written to {args.metrics_out}")
+
+
 def _build_policy(context: ExperimentContext, name: str, telemetry=None):
     if name in ("baseline", "oracle"):
         # These comparators take no decisions worth tracing; runner-level
@@ -298,9 +324,11 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     """Repeated-trial Monte Carlo bands for one policy vs the baseline."""
     from repro.analysis.evaluation import EvaluationHarness
     from repro.runtime.parallel import resolve_jobs
+    from repro.telemetry.handle import coalesce
     from repro.workloads.registry import application_names
 
-    _attach_store(args)
+    telemetry = _span_telemetry(args)
+    _attach_store(args, telemetry=telemetry)
     args.jobs = resolve_jobs(args.jobs)
     context = ExperimentContext(jobs=args.jobs)
     if args.apps:
@@ -320,18 +348,24 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         "dvfs-only": context.dvfs_only_policy,
         "oracle": context.oracle_policy,
     }
-    if args.jobs > 1 and args.policy not in ("baseline", "oracle"):
-        # Train before fanning out so every worker sees one shared report.
-        _ = context.training
-    harness = EvaluationHarness(context.platform, context.baseline_policy())
-    summary = harness.evaluate_montecarlo(
-        apps,
-        baseline_factory=context.baseline_policy,
-        policy_factories=[factories[args.policy]],
-        seeds=args.seeds,
-        noise_std_fraction=args.noise,
-        jobs=args.jobs,
-    )
+    # One root span over the whole run: training, the reference
+    # sessions and every rollout (with its noise gather) nest under it.
+    with coalesce(telemetry).span("montecarlo", policy=args.policy,
+                                  seeds=args.seeds, jobs=args.jobs):
+        if args.jobs > 1 and args.policy not in ("baseline", "oracle"):
+            # Train before fanning out so every worker sees one shared
+            # report.
+            _ = context.training
+        harness = EvaluationHarness(context.platform,
+                                    context.baseline_policy())
+        summary = harness.evaluate_montecarlo(
+            apps,
+            baseline_factory=context.baseline_policy,
+            policy_factories=[factories[args.policy]],
+            seeds=args.seeds,
+            noise_std_fraction=args.noise,
+            jobs=args.jobs,
+        )
 
     rows = []
     for comparison in summary.comparisons:
@@ -362,6 +396,8 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
               f"{summary.noise_std_fraction:.0%} time noise "
               f"(mean ± 95% CI, seed-paired)",
     ))
+    if telemetry is not None:
+        _write_span_outputs(args, telemetry)
     return 0
 
 
@@ -456,14 +492,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.runtime.parallel import resolve_jobs
     from repro.runtime.pipeline import (
         ExperimentPipeline, ResultManifest, STATUS_MANIFEST, format_profile)
+    from repro.telemetry.handle import coalesce
 
     out_dir = pathlib.Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    telemetry = None
-    if args.trace or args.metrics_out:
-        from repro.telemetry import Telemetry
-        telemetry = Telemetry()
+    telemetry = _span_telemetry(args)
     store = _attach_store(args, telemetry=telemetry)
     jobs = resolve_jobs(args.jobs)
     context = ExperimentContext(jobs=jobs)
@@ -488,13 +522,10 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         tag = "  (manifest)" if status == STATUS_MANIFEST else ""
         print(f"[{count:2d}] {name}{tag}")
 
-    if telemetry is not None:
-        # One root span over the whole run: every pipeline node (and the
-        # store/batch/Monte-Carlo spans below them, across thread and
-        # process workers) nests under it in the exported trace.
-        with telemetry.span("reproduce", jobs=jobs):
-            result = pipeline.run(emit)
-    else:
+    # One root span over the whole run: every pipeline node (and the
+    # store/batch/Monte-Carlo spans below them, across thread and process
+    # workers) nests under it in the exported trace.
+    with coalesce(telemetry).span("reproduce", jobs=jobs):
         result = pipeline.run(emit)
 
     print(f"\n{count} reports written to {out_dir} "
@@ -529,18 +560,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         bytes_written=store_stats.bytes_written if store_stats else 0,
     ))
     if telemetry is not None:
-        if args.trace:
-            from repro.telemetry import write_chrome_trace
-            written = write_chrome_trace(args.trace,
-                                         telemetry.spans.records())
-            print(f"\nspan trace: {written} spans written to {args.trace}\n"
-                  f"(open in Perfetto / chrome://tracing, or summarize "
-                  f"with: python -m repro telemetry-report "
-                  f"--spans {args.trace})")
-        if args.metrics_out:
-            shared_cache().publish(telemetry)
-            telemetry.metrics.write_json(args.metrics_out)
-            print(f"metrics written to {args.metrics_out}")
+        _write_span_outputs(args, telemetry)
     return 0
 
 
@@ -611,6 +631,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable the persistent sweep store (the "
                               "in-process cache stays active)")
 
+    # Shared by the subcommands whose --trace is a Chrome span trace.
+    span_p = argparse.ArgumentParser(add_help=False)
+    span_p.add_argument("--trace", metavar="PATH", default=None,
+                        help="write a Chrome trace-event JSON of the run's "
+                             "span tree to PATH (open in Perfetto)")
+    span_p.add_argument("--metrics-out", metavar="PATH", default=None,
+                        help="write the aggregated metrics registry "
+                             "(merged across all workers) to PATH as JSON")
+
     sub.add_parser("list", help="list applications and kernels") \
         .set_defaults(func=cmd_list)
 
@@ -638,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="path to a --trace JSONL event file")
     report_p.add_argument("--spans", metavar="PATH", default=None,
                           help="self-vs-total and critical-path report of "
-                               "a Chrome span trace (reproduce --trace)")
+                               "a Chrome span trace (reproduce or "
+                               "montecarlo --trace)")
     report_p.add_argument("--metrics", metavar="PATH", default=None,
                           help="summarize sweep-cache effectiveness from a "
                                "--metrics-out JSON export")
@@ -667,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc_p = sub.add_parser(
         "montecarlo",
         help="repeated-trial noise bands for one policy vs the baseline",
-        parents=[cache_p],
+        parents=[cache_p, span_p],
     )
     mc_p.add_argument("apps", nargs="*", metavar="app",
                       help="application name(s); default: all fourteen")
@@ -698,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     repro_p = sub.add_parser(
         "reproduce", help="regenerate every table/figure report",
-        parents=[cache_p],
+        parents=[cache_p, span_p],
     )
     repro_p.add_argument("--output", default="reports",
                          help="output directory (default: ./reports)")
@@ -714,12 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     repro_p.add_argument("--profile-json", metavar="PATH", default=None,
                          help="write the per-node wall/CPU timings and the "
                               "critical path to PATH as JSON")
-    repro_p.add_argument("--trace", metavar="PATH", default=None,
-                         help="write a Chrome trace-event JSON of the run's "
-                              "span tree to PATH (open in Perfetto)")
-    repro_p.add_argument("--metrics-out", metavar="PATH", default=None,
-                         help="write the aggregated metrics registry "
-                              "(merged across all workers) to PATH as JSON")
     repro_p.set_defaults(func=cmd_reproduce)
 
     bench_p = sub.add_parser(

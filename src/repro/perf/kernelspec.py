@@ -114,7 +114,9 @@ class KernelSpec:
     def __getstate__(self):
         # String hashes are salted per process: never ship the cached
         # hash across a pickle boundary (process fan-outs), or the copy
-        # would misbehave as a dict key in the receiving process.
+        # would misbehave as a dict key in the receiving process. The
+        # cached noise key of ``spec_entropy`` is process-independent
+        # and travels.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
         return state

@@ -237,7 +237,10 @@ class MonteCarloEngine:
         Under a traced run the whole rollout is one span (labelled by
         application and policy), attached to whatever span was open on
         the calling thread — typically a pipeline node or a fan-out
-        worker.
+        worker. Its one ``montecarlo.noise`` child covers the draw
+        gather of every ``(seed, spec, iteration)`` stream the rollout
+        reads, so noise derivation shows up once per rollout rather than
+        once per stream.
 
         Args:
             application: the workload to roll out.
@@ -250,14 +253,15 @@ class MonteCarloEngine:
                 runs a one-lane engine session here.
         """
         from repro.telemetry.spans import ambient_telemetry
-        with ambient_telemetry().span(
+        telemetry = ambient_telemetry()
+        with telemetry.span(
                 "montecarlo.rollout",
                 application=application.name, policy=policy.name):
-            return self._rollout(application, policy, reference)
+            return self._rollout(application, policy, reference, telemetry)
 
     def _rollout(self, application: Application,
                  policy: PowerPolicy,
-                 reference=None) -> MonteCarloRun:
+                 reference, telemetry) -> MonteCarloRun:
         if reference is None:
             reference = BatchSessionRunner(self._platform).run(
                 application, policy
@@ -286,12 +290,12 @@ class MonteCarloEngine:
             grid_indices.append(space.index_of(record.result.config))
 
         multipliers = np.empty((len(self._seeds), len(records)))
-        for (spec, iteration), (positions, grid_indices) in groups.items():
-            cols = np.asarray(positions, dtype=np.intp)
-            rows = np.asarray(grid_indices, dtype=np.intp)
-            for s, model in enumerate(self._models):
-                draws, _clipped = model.multipliers_for(spec, iteration)
-                multipliers[s, cols] = draws[rows]
+        with telemetry.span("montecarlo.noise",
+                            streams=len(groups) * len(self._models)):
+            for (spec, iteration), (positions, grid_indices) in groups.items():
+                draws = np.stack([model.multipliers_for(spec, iteration)[0]
+                                  for model in self._models])
+                multipliers[:, positions] = draws[:, grid_indices]
 
         times = det_time * multipliers            # (seed, launch)
         energies = card_power * times

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import difflib
 import hashlib
 import json
 import subprocess
@@ -16,7 +15,8 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from tools.regen_goldens import (  # noqa: E402
-    BENCH_REPORT_DIR, GOLDEN_DIR, child_env, cold_reproduce)
+    BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_GOLDEN, child_env,
+    cold_reproduce, diff_text, montecarlo_stdout)
 
 
 class TestParser:
@@ -184,11 +184,8 @@ def _golden_mismatches(reports: Path, label: str) -> str:
             f"{sorted(set(golden) - set(produced))}, extra "
             f"{sorted(set(produced) - set(golden))}\n")
     for name in sorted(set(golden) & set(produced)):
-        if produced[name] != golden[name]:
-            problems.extend(difflib.unified_diff(
-                golden[name].decode("utf-8").splitlines(keepends=True),
-                produced[name].decode("utf-8").splitlines(keepends=True),
-                fromfile=f"golden/{name}", tofile=f"{label}/{name}"))
+        problems.append(diff_text(golden[name], produced[name],
+                                  f"golden/{name}", f"{label}/{name}"))
     return "".join(problems)
 
 
@@ -234,6 +231,52 @@ class TestGoldenReports:
         assert stale == [], (
             f"tests/golden/reproduce and perfbench/digests.json disagree "
             f"on {stale}")
+
+
+class TestMontecarloGolden:
+    """``montecarlo --seeds 32 --jobs 1`` (perfbench's seed-0 command)
+    prints ``tests/golden/montecarlo/harmonia_seeds32.txt`` byte for
+    byte (regenerate with ``python tools/regen_goldens.py``)."""
+
+    def test_stdout_matches_golden(self, filled_store):
+        store, _ = filled_store
+        diff = diff_text(MONTECARLO_GOLDEN.read_bytes(),
+                         montecarlo_stdout(store), "golden", "montecarlo")
+        if diff:
+            pytest.fail("montecarlo stdout differs from the golden:\n"
+                        + diff, pytrace=False)
+
+    def test_golden_matches_the_benchmark_digest(self):
+        digests = json.loads(
+            (REPO_ROOT / "perfbench" / "digests.json").read_text())
+        digest = hashlib.sha256(MONTECARLO_GOLDEN.read_bytes()).hexdigest()
+        assert digest == digests["montecarlo_seed0_stdout"]
+
+
+class TestMontecarloTrace:
+    def test_trace_and_metrics_out(self, tmp_path, capsys):
+        from repro.telemetry.spans import load_chrome_trace
+
+        command = ["montecarlo", "MaxFlops", "--seeds", "2"]
+        assert main(command) == 0
+        untraced = capsys.readouterr().out
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.json"
+        assert main([*command, "--trace", str(trace),
+                     "--metrics-out", str(metrics)]) == 0
+        traced = capsys.readouterr().out
+        assert "Monte Carlo trials" in untraced
+        assert traced.startswith(untraced)
+
+        records = load_chrome_trace(trace)
+        assert [r.name for r in records if r.parent_id is None] == [
+            "montecarlo"]
+        rollouts = [r for r in records if r.name == "montecarlo.rollout"]
+        assert len(rollouts) == 2
+        for rollout in rollouts:
+            children = [r.name for r in records
+                        if r.parent_id == rollout.span_id]
+            assert children == ["montecarlo.noise"]
+        assert "sweep_cache_hits_total" in json.loads(metrics.read_text())
 
 
 class TestSweepStoreFlags:

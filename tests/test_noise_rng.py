@@ -9,17 +9,24 @@ clamp floor and its clip accounting.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AnalysisError
 from repro.platform.hd7970 import make_hd7970_platform
-from repro.platform.noise import NOISE_FLOOR, LaunchKeyedNoise, spec_entropy
+from repro.platform.noise import (
+    NOISE_FLOOR, LaunchKeyedNoise, _stream_key, _uint32_words, spec_entropy)
 from repro.platform.sweepcache import SweepCache
 from repro.workloads.registry import all_kernels, get_application
 
 SPEC = all_kernels()[0].base
 OTHER = all_kernels()[1].base
+BASES = tuple(kernel.base for kernel in all_kernels())
 
 
 class TestLaunchKeyedNoise:
@@ -164,3 +171,137 @@ class TestClipAccounting:
         platform.run_kernel(SPEC, platform.baseline_config())
         platform.run_kernel_batch(SPEC)
         assert platform.noise_clip_count == 0
+
+
+def reference_entropy(spec) -> int:
+    """The spec key computed anew: BLAKE2b of the rendered fields, with
+    no per-spec cache."""
+    payload = "|".join(
+        f"{field.name}={getattr(spec, field.name)!r}"
+        for field in dataclasses.fields(spec)
+    )
+    digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=16).digest()
+    return int.from_bytes(digest, "little")
+
+
+def reference_multipliers(seed, spec, iteration, std, grid_size):
+    """``(multipliers, clipped)`` derived the plain way: numpy coerces the
+    int list ``[seed, iteration, entropy]`` itself."""
+    sequence = np.random.SeedSequence(
+        [seed, iteration, reference_entropy(spec)])
+    draws = np.random.Generator(np.random.Philox(sequence)).normal(
+        0.0, std, size=grid_size)
+    raw = 1.0 + draws
+    return np.maximum(NOISE_FLOOR, raw), raw < NOISE_FLOOR
+
+
+#: key words drawn around the uint32 word boundaries
+WORD_BOUNDARIES = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96)
+key_ints = st.one_of(
+    st.integers(0, 2**16),
+    st.builds(lambda edge, k: edge + k,
+              st.sampled_from(WORD_BOUNDARIES), st.integers(0, 2**8)),
+    st.integers(0, 2**130),
+)
+
+
+@st.composite
+def kernel_specs(draw):
+    """A registry kernel with some of its characteristics redrawn."""
+    base = draw(st.sampled_from(BASES))
+    changes = draw(st.fixed_dictionaries({}, optional={
+        "total_workitems": st.integers(1, 2**24),
+        "workgroup_size": st.sampled_from((64, 128, 256)),
+        "valu_insts_per_item": st.floats(1.0, 1e4),
+        "vfetch_insts_per_item": st.floats(0.0, 64.0),
+        "branch_divergence": st.floats(0.0, 0.99),
+        "l2_hit_rate": st.floats(0.0, 1.0),
+        "outstanding_per_wave": st.floats(0.1, 16.0),
+        "access_efficiency": st.floats(0.05, 1.0),
+        "launch_overhead": st.floats(0.0, 1e-3),
+    }))
+    return dataclasses.replace(base, **changes)
+
+
+class TestDifferentialDerivation:
+    """Every stream equals the plain ``SeedSequence([seed, iteration,
+    entropy])`` derivation byte for byte: the cached spec key and the
+    pre-coerced uint32 words change the cost, never a draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=key_ints, iteration=key_ints, spec=kernel_specs(),
+           std=st.floats(0.001, 3.0),
+           grid_size=st.sampled_from((1, 7, 448)))
+    def test_multipliers_match_the_plain_derivation(
+            self, seed, iteration, spec, std, grid_size):
+        model = LaunchKeyedNoise(std, seed, grid_size)
+        multipliers, clipped = model.multipliers_for(spec, iteration)
+        expected, expected_clipped = reference_multipliers(
+            seed, spec, iteration, std, grid_size)
+        assert multipliers.tobytes() == expected.tobytes()
+        assert clipped.tobytes() == expected_clipped.tobytes()
+
+    def test_heavy_noise_clips_identically(self):
+        model = LaunchKeyedNoise(3.0, 2**32, 448)
+        multipliers, clipped = model.multipliers_for(SPEC, 2**64 + 1)
+        expected, expected_clipped = reference_multipliers(
+            2**32, SPEC, 2**64 + 1, 3.0, 448)
+        assert clipped.any()
+        assert multipliers.tobytes() == expected.tobytes()
+        assert clipped.tobytes() == expected_clipped.tobytes()
+
+    @pytest.mark.parametrize(
+        "entropy", [0, 1, 2**32 - 1, 2**32, 2**96 - 1, 2**127 + 5])
+    @pytest.mark.parametrize(
+        "seed,iteration", [(0, 0), (2**32 - 1, 2**32), (2**64 + 3, 7)])
+    def test_word_rule_matches_numpy_int_coercion(self, seed, iteration,
+                                                  entropy):
+        key = _stream_key(_uint32_words(seed), iteration, entropy)
+        assert key.dtype == np.uint32
+        pool = np.random.SeedSequence(key).pool
+        expected = np.random.SeedSequence([seed, iteration, entropy]).pool
+        assert pool.tobytes() == expected.tobytes()
+
+
+class TestSeedValidation:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            LaunchKeyedNoise(0.05, seed=-1, grid_size=10)
+
+    def test_float_seed_rejected(self):
+        with pytest.raises(TypeError):
+            LaunchKeyedNoise(0.05, seed=3.0, grid_size=10)
+
+    @pytest.mark.parametrize("seed,equivalent",
+                             [(True, 1), (np.int64(3), 3)])
+    def test_integer_like_seeds_key_their_value(self, seed, equivalent):
+        draws, _ = LaunchKeyedNoise(0.05, seed, 10).multipliers_for(SPEC, 2)
+        same, _ = LaunchKeyedNoise(0.05, equivalent, 10).multipliers_for(
+            SPEC, 2)
+        assert draws.tobytes() == same.tobytes()
+
+
+class TestSpecEntropyCache:
+    def test_cached_value_equals_a_fresh_computation(self):
+        spec = dataclasses.replace(SPEC)
+        first = spec_entropy(spec)
+        assert spec.__dict__["_cached_entropy"] == first
+        copy = dataclasses.replace(spec)
+        assert "_cached_entropy" not in copy.__dict__
+        assert spec_entropy(spec) == spec_entropy(copy) == \
+            reference_entropy(copy)
+
+    def test_cached_value_survives_pickle(self):
+        spec = dataclasses.replace(OTHER)
+        key = spec_entropy(spec)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone.__dict__["_cached_entropy"] == key
+        assert spec_entropy(clone) == reference_entropy(clone) == key
+
+    def test_changed_field_changes_the_key(self):
+        spec = dataclasses.replace(SPEC)
+        key = spec_entropy(spec)
+        changed = dataclasses.replace(
+            spec, launch_overhead=spec.launch_overhead * 2 + 1e-6)
+        assert spec_entropy(changed) != key
+        assert spec_entropy(changed) == reference_entropy(changed)

@@ -1,18 +1,22 @@
 #!/usr/bin/env python
-"""Regenerate the golden ``reproduce`` reports and show what changed.
+"""Regenerate the golden reports and show what changed.
 
 Runs one cold ``python -m repro reproduce --jobs 1`` into a throwaway
 store, rewrites ``tests/golden/reproduce/`` with the 26 reports it
 wrote, and prints a unified diff of every report that changed, plus
 the sha256 of each changed report. It also rewrites the second copy of
-each report under ``benchmarks/reports/``, so the two cannot drift. Exit status is 0 whether or not
-anything changed; a nonzero status means the reproduce run failed.
+each report under ``benchmarks/reports/``, so the two cannot drift.
+Against the store that run filled it then runs
+``python -m repro montecarlo --seeds 32 --jobs 1`` and rewrites
+``tests/golden/montecarlo/harmonia_seeds32.txt`` with its stdout the
+same way. Exit status is 0 whether or not anything changed; a nonzero
+status means a run failed.
 
-``tests/test_cli.py`` compares reproduce output with these files byte
-for byte, and checks that their sha256 values equal the ``reproduce``
-digests in ``perfbench/digests.json``. A deliberate report change
-therefore needs both: rerun this tool, and update those digests in the
-same change.
+``tests/test_cli.py`` compares reproduce and montecarlo output with
+these files byte for byte, and checks that their sha256 values equal
+the ``reproduce`` and ``montecarlo_seed0_stdout`` digests in
+``perfbench/digests.json``. A deliberate output change therefore needs
+both: rerun this tool, and update those digests in the same change.
 
 Run from the repository root:  python tools/regen_goldens.py
 """
@@ -30,6 +34,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "reproduce"
 BENCH_REPORT_DIR = REPO_ROOT / "benchmarks" / "reports"
+MONTECARLO_GOLDEN = (REPO_ROOT / "tests" / "golden" / "montecarlo"
+                     / "harmonia_seeds32.txt")
+#: the montecarlo run of the golden; perfbench's seed-0 command
+MONTECARLO_ARGS = ("montecarlo", "--seeds", "32", "--jobs", "1")
 
 
 def child_env() -> dict:
@@ -54,13 +62,31 @@ def cold_reproduce(workdir: Path) -> Path:
     return out
 
 
+def montecarlo_stdout(store: Path) -> bytes:
+    """The stdout of :data:`MONTECARLO_ARGS` run in a fresh interpreter
+    against ``store``."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *MONTECARLO_ARGS,
+         "--cache-dir", str(store)],
+        env=child_env(), check=True, stdout=subprocess.PIPE).stdout
+
+
+def diff_text(before: bytes, after: bytes, fromfile: str,
+              tofile: str) -> str:
+    """The unified diff of two UTF-8 texts (empty when they are equal)."""
+    return "".join(difflib.unified_diff(
+        before.decode("utf-8").splitlines(keepends=True),
+        after.decode("utf-8").splitlines(keepends=True),
+        fromfile=fromfile, tofile=tofile))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         try:
             out = cold_reproduce(Path(workdir))
+            montecarlo = montecarlo_stdout(Path(workdir) / "store")
         except subprocess.CalledProcessError as error:
-            print(f"regen_goldens: reproduce failed ({error})",
-                  file=sys.stderr)
+            print(f"regen_goldens: a run failed ({error})", file=sys.stderr)
             return 1
         fresh = {path.name: path.read_bytes()
                  for path in sorted(out.glob("*.txt"))}
@@ -74,25 +100,37 @@ def main() -> int:
         if before == after:
             continue
         changed.append(name)
-        sys.stdout.writelines(difflib.unified_diff(
-            before.decode("utf-8").splitlines(keepends=True),
-            after.decode("utf-8").splitlines(keepends=True),
-            fromfile=f"golden/{name}", tofile=f"reproduce/{name}"))
+        sys.stdout.write(diff_text(before, after, f"golden/{name}",
+                                   f"reproduce/{name}"))
     for name in set(old) - set(fresh):
         (GOLDEN_DIR / name).unlink()
     for name, data in fresh.items():
         (GOLDEN_DIR / name).write_bytes(data)
         (BENCH_REPORT_DIR / name).write_bytes(data)
 
-    if not changed:
-        print(f"regen_goldens: all {len(fresh)} goldens unchanged")
+    old_montecarlo = (MONTECARLO_GOLDEN.read_bytes()
+                      if MONTECARLO_GOLDEN.exists() else b"")
+    if old_montecarlo != montecarlo:
+        sys.stdout.write(diff_text(
+            old_montecarlo, montecarlo,
+            f"golden/montecarlo/{MONTECARLO_GOLDEN.name}",
+            " ".join(MONTECARLO_ARGS)))
+    MONTECARLO_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    MONTECARLO_GOLDEN.write_bytes(montecarlo)
+
+    if not changed and old_montecarlo == montecarlo:
+        print(f"regen_goldens: all {len(fresh) + 1} goldens unchanged")
         return 0
-    print(f"\nregen_goldens: {len(changed)} of {len(fresh)} reports changed;"
-          f" update their perfbench/digests.json entries:")
+    print("\nregen_goldens: update these perfbench/digests.json entries:")
+    if changed:
+        print(f"reproduce ({len(changed)} of {len(fresh)} reports changed):")
     for name in changed:
         digest = (hashlib.sha256(fresh[name]).hexdigest()
                   if name in fresh else "(removed)")
         print(f"  {name}: {digest}")
+    if old_montecarlo != montecarlo:
+        print(f"montecarlo_seed0_stdout: "
+              f"{hashlib.sha256(montecarlo).hexdigest()}")
     return 0
 
 
