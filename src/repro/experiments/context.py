@@ -109,14 +109,18 @@ class ExperimentContext:
 
     @property
     def training(self) -> TrainingReport:
-        """The Section 4 predictor-training pipeline output (cached)."""
-        with self._build_lock:
-            if self._training is None:
-                from repro.sensitivity.predictor import train_predictors
-                self._training = train_predictors(
-                    self.platform, self.applications, jobs=self._jobs
-                )
-            return self._training
+        """The Section 4 predictor-training pipeline output (cached);
+        read without the lock once built, like :attr:`platform`."""
+        training = self._training
+        if training is None:
+            with self._build_lock:
+                if self._training is None:
+                    from repro.sensitivity.predictor import train_predictors
+                    self._training = train_predictors(
+                        self.platform, self.applications, jobs=self._jobs
+                    )
+                training = self._training
+        return training
 
     # --- policies -----------------------------------------------------------
 
@@ -163,38 +167,27 @@ class ExperimentContext:
     def evaluation(self) -> EvaluationSummary:
         """Baseline vs CG vs Harmonia vs oracle vs DVFS-only, cached."""
         with self._build_lock:
-            return self._evaluation_locked()
-
-    def _evaluation_locked(self) -> EvaluationSummary:
-        if self._summary is None:
-            from repro.analysis.evaluation import EvaluationHarness
-            harness = EvaluationHarness(self.platform, self.baseline_policy())
-            if self._jobs > 1:
-                # Train before fanning out: the policy factories run inside
-                # worker threads and must all see the one shared report.
-                _ = self.training
-                self._summary = harness.evaluate_parallel(
-                    self.applications,
-                    baseline_factory=self.baseline_policy,
-                    policy_factories=[
-                        self.cg_only_policy,
-                        self.harmonia_policy,
-                        self.oracle_policy,
-                        self.dvfs_only_policy,
-                    ],
-                    jobs=self._jobs,
-                )
-            else:
-                self._summary = harness.evaluate(
-                    self.applications,
-                    [
-                        self.cg_only_policy(),
-                        self.harmonia_policy(),
-                        self.oracle_policy(),
-                        self.dvfs_only_policy(),
-                    ],
-                )
-        return self._summary
+            if self._summary is None:
+                from repro.analysis.evaluation import EvaluationHarness
+                harness = EvaluationHarness(self.platform,
+                                            self.baseline_policy())
+                factories = [self.cg_only_policy, self.harmonia_policy,
+                             self.oracle_policy, self.dvfs_only_policy]
+                if self._jobs > 1:
+                    # Train before fanning out: the factories run on worker
+                    # threads, which read the built report without the lock
+                    # this thread holds.
+                    _ = self.training
+                    self._summary = harness.evaluate_parallel(
+                        self.applications, self.baseline_policy, factories,
+                        jobs=self._jobs,
+                    )
+                else:
+                    self._summary = harness.evaluate(
+                        self.applications,
+                        [factory() for factory in factories],
+                    )
+            return self._summary
 
 
 @lru_cache(maxsize=1)

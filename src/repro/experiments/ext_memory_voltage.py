@@ -7,10 +7,11 @@ are able to scale memory bus voltage according to bus frequency"
 power savings from memory configuration changes if voltage scaling is
 applied while lowering bus speeds" (Section 7.2).
 
-This experiment runs the full Harmonia evaluation on two otherwise
+This experiment compares the full Harmonia evaluation on two otherwise
 identical platforms — bus voltage fixed (the paper's hardware) vs. bus
 voltage tracking frequency — and quantifies how much of the left-on-the-
-table saving the what-if recovers.
+table saving the what-if recovers. The fixed-voltage half is the shared
+Figures 10-13 evaluation; only the scaled half runs here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.core.harmonia import HarmoniaPolicy
 from repro.experiments.context import ExperimentContext, default_context
 from repro.platform.hd7970 import make_hd7970_platform
 from repro.sensitivity.predictor import train_predictors
-from repro.workloads.registry import all_applications
 
 
 @dataclass(frozen=True)
@@ -60,30 +60,24 @@ class VoltageScalingResult:
         return self.geomean_power_scaled - self.geomean_power_fixed
 
 
-def _evaluate(memory_voltage_scaling: bool):
-    platform = make_hd7970_platform(
-        memory_voltage_scaling=memory_voltage_scaling
-    )
-    applications = all_applications()
-    training = train_predictors(platform, applications)
-    harness = EvaluationHarness(
-        platform, BaselinePolicy(platform.config_space)
-    )
+def run(context: ExperimentContext = None) -> VoltageScalingResult:
+    """Compare the Harmonia evaluation with and without bus voltage
+    scaling.
+
+    The fixed-voltage half is the shared ``context.evaluation``; the
+    scaled half trains and runs on its own platform, because the
+    comparison is between two calibrations.
+    """
+    context = context or default_context()
+    fixed = context.evaluation
+    platform = make_hd7970_platform(memory_voltage_scaling=True)
+    training = train_predictors(platform, context.applications)
     harmonia = HarmoniaPolicy(
         platform.config_space, training.compute, training.bandwidth
     )
-    return harness.evaluate(applications, [harmonia])
-
-
-def run(context: ExperimentContext = None) -> VoltageScalingResult:
-    """Run the Harmonia evaluation with and without bus voltage scaling.
-
-    The ``context`` argument is accepted for interface uniformity; the
-    experiment builds its own platforms because the comparison is between
-    two calibrations.
-    """
-    fixed = _evaluate(memory_voltage_scaling=False)
-    scaled = _evaluate(memory_voltage_scaling=True)
+    scaled = EvaluationHarness(
+        platform, BaselinePolicy(platform.config_space)
+    ).evaluate(context.applications, [harmonia])
 
     rows = []
     for comparison in fixed.for_policy("harmonia"):

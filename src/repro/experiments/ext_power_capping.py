@@ -23,7 +23,7 @@ from typing import Tuple
 from repro.analysis.report import format_table
 from repro.core.capping import PowerCapPolicy
 from repro.experiments.context import ExperimentContext, default_context
-from repro.runtime.session import BatchSessionRunner, SessionSpec
+from repro.runtime.session import BatchSessionRunner
 
 #: A representative mixed subset (compute-bound, memory-bound, balanced).
 CAPPING_APPS: Tuple[str, ...] = (
@@ -60,21 +60,19 @@ class PowerCappingResult:
 
 
 def run(context: ExperimentContext = None) -> PowerCappingResult:
-    """Run the matched-budget comparison."""
+    """Run the matched-budget comparison; baseline and Harmonia are the
+    shared evaluation's runs, so only the capper runs here."""
     context = context or default_context()
     platform = context.platform
+    runs = context.evaluation.runs
     runner = BatchSessionRunner(platform)
     rows = []
     for app_name in CAPPING_APPS:
-        app = context.application(app_name)
-        baseline, harmonia = runner.run_sessions([
-            SessionSpec(application=app, policy=policy)
-            for policy in (context.baseline_policy(),
-                           context.harmonia_policy())
-        ])
+        baseline = runs[app_name]["baseline"]
+        harmonia = runs[app_name]["harmonia"]
         budget = harmonia.metrics.avg_power
         capper = PowerCapPolicy(platform.config_space, budget_watts=budget)
-        capped = runner.run(app, capper)
+        capped = runner.run(context.application(app_name), capper)
         rows.append(CappingRow(
             application=app_name,
             budget=budget,

@@ -15,14 +15,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Tuple
 
 from repro.analysis.report import format_table
-from repro.core.fine import utilization_rate
 from repro.experiments.context import ExperimentContext, default_context
-from repro.runtime.session import BatchSessionRunner
 from repro.runtime.trace import ResidencyTable
-from repro.units import GHZ, hz_to_mhz
+from repro.units import hz_to_mhz
 
 KERNEL = "Graph500.BottomStepUp"
 
@@ -62,12 +60,10 @@ class Graph500Result:
 
 
 def run(context: ExperimentContext = None) -> Graph500Result:
-    """Run Graph500 under Harmonia and extract the three figures."""
+    """Extract the three figures from the shared evaluation's Harmonia
+    run of Graph500."""
     context = context or default_context()
-    app = context.application("Graph500")
-    run_result = BatchSessionRunner(context.platform).run(
-        app, context.harmonia_policy()
-    )
+    run_result = context.evaluation.runs["Graph500"]["harmonia"]
 
     phases = []
     for record in run_result.trace.records_for_kernel(KERNEL):

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.analysis.report import format_table
-from repro.core.policy import LaunchContext
 from repro.experiments.context import ExperimentContext, default_context
-from repro.runtime.session import BatchSessionRunner
 
 #: Subset shown in the paper's figure.
 FIGURE18_APPS: Tuple[str, ...] = (
@@ -67,10 +65,11 @@ class CgFgResult:
 def _settle_iterations(
     context: ExperimentContext, app_name: str
 ) -> Dict[str, ConvergenceRow]:
-    """Iterations until each kernel's configuration stops changing."""
+    """Iterations until each kernel's configuration stops changing, read
+    from the evaluation's Harmonia run."""
     app = context.application(app_name)
-    policy = context.harmonia_policy()
-    result = BatchSessionRunner(context.platform).run(app, policy)
+    result = context.evaluation.runs[app_name]["harmonia"]
+    controller_stats = dict(result.controller_stats)
     settle: Dict[str, ConvergenceRow] = {}
     for kernel in app.kernels:
         records = result.trace.records_for_kernel(kernel.name)
@@ -78,7 +77,7 @@ def _settle_iterations(
         for index in range(1, len(records)):
             if records[index].config != records[index - 1].config:
                 last_change = index
-        stats = policy.stats(kernel.name)
+        stats = controller_stats[kernel.name]
         settle[kernel.name] = ConvergenceRow(
             kernel=kernel.name,
             iterations_to_settle=last_change,

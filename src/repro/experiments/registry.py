@@ -272,19 +272,23 @@ register(_simple("fig08_divergence", "fig08_divergence"))
 register(_simple("fig09_clock_domains", "fig09_clock_domains"))
 register(_simple("table2_table3_models", "table2_table3_models",
                  deps=("training",)))
-register(_simple("fig14_16_graph500", "fig14_16_graph500"))
+register(_simple("fig14_16_graph500", "fig14_16_graph500",
+                 deps=("evaluation",)))
 register(_simple("fig17_power_sharing", "fig17_power_sharing",
                  deps=("evaluation",)))
 register(_simple("fig18_cg_vs_fg", "fig18_cg_vs_fg", deps=("evaluation",)))
 register(_simple("sec72_variants", "sec72_variants", deps=("evaluation",)))
-register(_simple("ext_memory_voltage", "ext_memory_voltage"))
-register(_simple("ext_thermal_capping", "ext_thermal_capping"))
+register(_simple("ext_memory_voltage", "ext_memory_voltage",
+                 deps=("evaluation",)))
+register(_simple("ext_thermal_capping", "ext_thermal_capping",
+                 deps=("training",)))
 # version 2: event-driven surfaces come from the batched lockstep engine
 # (bitwise-identical to v1's scalar fan-out, but the producer changed).
 register(_simple("ext_model_validation", "ext_model_validation", version=2))
 register(_simple("ext_phase_memory", "ext_phase_memory",
                  deps=("training",)))
-register(_simple("ext_power_capping", "ext_power_capping"))
+register(_simple("ext_power_capping", "ext_power_capping",
+                 deps=("evaluation",)))
 register(_simple("ext_portability", "ext_portability",
                  deps=("evaluation",)))
 register(_simple("oracle_gap", "oracle_gap", deps=("evaluation",)))

@@ -12,6 +12,7 @@ next iteration", Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Tuple
 
 from repro.core.policy import LaunchContext, PowerPolicy
 from repro.platform.hd7970 import HardwarePlatform
@@ -21,15 +22,23 @@ from repro.telemetry.events import KernelLaunch
 from repro.telemetry.handle import coalesce
 from repro.workloads.application import Application
 
+if TYPE_CHECKING:
+    from repro.core.harmonia import ControllerStats
+
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one application run under one policy."""
+    """Outcome of one application run under one policy.
+
+    ``controller_stats`` pairs each kernel with the policy's counters at
+    the end of the run; it is empty for policies without counters.
+    """
 
     application: str
     policy: str
     trace: RunTrace
     metrics: RunMetrics
+    controller_stats: Tuple[Tuple[str, ControllerStats], ...]
 
 
 def finish_run(application: Application, policy: PowerPolicy,
@@ -38,13 +47,16 @@ def finish_run(application: Application, policy: PowerPolicy,
 
     Shared by the scalar runner and the batched session engine
     (:mod:`repro.runtime.session`) so both produce identical results.
+    Called before the policy runs again, so the counters are this run's.
     """
     launches = [record.result for record in trace.records]
+    stats = getattr(policy, "stats", None)
     return RunResult(
         application=application.name,
         policy=policy.name,
         trace=trace,
         metrics=metrics_from_launches(launches),
+        controller_stats=tuple(stats().items()) if stats else (),
     )
 
 

@@ -279,6 +279,24 @@ class TestMontecarloTrace:
         assert "sweep_cache_hits_total" in json.loads(metrics.read_text())
 
 
+class TestEvaluateJobs:
+    def test_threaded_evaluate_finishes_and_matches_serial(self, tmp_path):
+        """With ``--jobs 2`` the policy factories read the trained
+        predictors on worker threads while the evaluation build holds
+        the context's lock; the run must finish and print what
+        ``--jobs 1`` prints."""
+        def evaluate(jobs):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "evaluate",
+                 "--jobs", str(jobs), "--cache-dir", str(tmp_path / "store")],
+                env=child_env(), check=True, stdout=subprocess.PIPE,
+                timeout=60).stdout
+
+        threaded = evaluate(2)
+        assert b"Figure 10" in threaded
+        assert threaded == evaluate(1)
+
+
 class TestSweepStoreFlags:
     """--cache-dir / --no-cache and the telemetry-report --metrics line."""
 

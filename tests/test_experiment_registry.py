@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,10 @@ from repro.experiments.context import ExperimentContext, default_context
 from repro.experiments.registry import ExperimentSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tools import check_experiment_registry as lint  # noqa: E402
 
 #: The 26 report files one plain ``reproduce`` run has always emitted,
 #: in historical emission order.
@@ -139,3 +144,23 @@ class TestRegistryLint:
         )
         assert proc.returncode == 1
         assert "fig99_orphan" in proc.stderr
+
+    def test_every_shared_stage_read_is_a_declared_dep(self):
+        specs = registry.all_specs()
+        sources = lint.module_sources({spec.module for spec in specs})
+        assert "fig14_16_graph500" in sources
+        assert lint.undeclared_stages(specs, sources) == []
+
+    def test_undeclared_stage_read_is_flagged(self):
+        sources = {"toy": "def run(context):\n"
+                          "    return context.harmonia_policy()\n"}
+        toy = ExperimentSpec(name="toy", module="toy",
+                             runner=lambda c, d: None, formatter=str)
+        [error] = lint.undeclared_stages([toy], sources)
+        assert "'toy'" in error and "context.harmonia_policy" in error
+        assert "'training'" in error
+        # Depending on the evaluation reaches training transitively.
+        chained = [dataclasses.replace(toy, deps=("evaluation",)),
+                   registry.get_spec("evaluation"),
+                   registry.get_spec("training")]
+        assert lint.undeclared_stages(chained, sources) == []

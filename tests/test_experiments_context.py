@@ -59,3 +59,11 @@ class TestLazyPlatform:
         with ThreadPoolExecutor(1) as pool, ctx._build_lock:
             platform = pool.submit(lambda: ctx.platform).result(timeout=20)
         assert platform is ctx.platform
+
+    def test_built_training_read_does_not_wait_for_the_lock(self, context):
+        """With ``jobs > 1`` the evaluation build holds the build lock
+        while worker threads build policies from the trained report."""
+        training = context.training
+        with ThreadPoolExecutor(1) as pool, context._build_lock:
+            read = pool.submit(lambda: context.training).result(timeout=20)
+        assert read is training

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.telemetry.spans import load_chrome_trace
 
 
 def run_reproduce(tmp_path, leg, extra):
@@ -29,6 +30,23 @@ def report_bytes(directory):
     return {path.name: path.read_bytes() for path in files}
 
 
+def controller_sessions_by_node(trace):
+    """Pipeline node span name -> lane counts of the controller sessions
+    a Chrome span trace records under that node."""
+    records = load_chrome_trace(trace)
+    by_id = {record.span_id: record for record in records}
+    sessions = {}
+    for record in records:
+        if record.name != "controller.session":
+            continue
+        node = by_id[record.parent_id]
+        while not node.name.startswith("pipeline."):
+            node = by_id[node.parent_id]
+        sessions.setdefault(node.name, []).append(
+            int(record.label_dict()["lanes"]))
+    return sessions
+
+
 class TestReproduceByteIdentity:
     @pytest.fixture(autouse=True)
     def _detach_after(self):
@@ -37,7 +55,9 @@ class TestReproduceByteIdentity:
         shared_cache().detach_store()
 
     def test_serial_parallel_and_warm_are_identical(self, tmp_path, capsys):
-        serial = run_reproduce(tmp_path, "serial", ["--jobs", "1"])
+        trace = tmp_path / "serial-trace.json"
+        serial = run_reproduce(tmp_path, "serial",
+                               ["--jobs", "1", "--trace", str(trace)])
         parallel = run_reproduce(
             tmp_path, "parallel", ["--jobs", "4", "--no-incremental"])
         profile = tmp_path / "profile.json"
@@ -60,6 +80,16 @@ class TestReproduceByteIdentity:
         assert len(by_status.get("manifest", [])) == 26
         assert "ran" not in by_status
         assert set(by_status.get("pruned", [])) == {"training", "evaluation"}
+
+        # Each controller session runs once per cold run: the nodes that
+        # read the evaluation's runs start none of their own.
+        sessions = controller_sessions_by_node(trace)
+        lanes = [n for node in sessions.values() for n in node]
+        assert (len(lanes), sum(lanes)) == (71, 157)
+        assert "pipeline.fig14_16_graph500" not in sessions
+        assert "pipeline.fig18_cg_vs_fg" not in sessions
+        assert sessions["pipeline.ext_power_capping"] == [1] * 6
+        assert sessions["pipeline.ext_memory_voltage"] == [2] * 14
 
     def test_no_incremental_recomputes_despite_manifest(self, tmp_path,
                                                         capsys):

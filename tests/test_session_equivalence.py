@@ -74,6 +74,7 @@ def _assert_runs_equal(scalar, batched):
     assert scalar.application == batched.application
     assert scalar.policy == batched.policy
     assert scalar.metrics == batched.metrics
+    assert scalar.controller_stats == batched.controller_stats
     assert len(scalar.trace.records) == len(batched.trace.records)
     for expected, actual in zip(scalar.trace.records, batched.trace.records):
         assert expected.iteration == actual.iteration
@@ -348,6 +349,31 @@ class TestHarnessParity:
                 baseline=base.metrics, candidate=candidate.metrics,
             ))
         assert batched.comparisons == tuple(scalar)
+
+    def test_evaluate_records_each_applications_controller_stats(
+            self, context):
+        """One Harmonia instance serves every application of a serial
+        evaluation, so its counters end up holding the last application
+        only; each run records its own at the end of that run."""
+        from repro.analysis.evaluation import EvaluationHarness
+        apps = _apps(context, ("Sort", "Stencil", "miniFE"))
+        shared = context.harmonia_policy()
+        summary = EvaluationHarness(
+            context.platform, context.baseline_policy()
+        ).evaluate(apps, [shared])
+        for app in apps:
+            recorded = summary.runs[app.name]["harmonia"].controller_stats
+            fresh = context.harmonia_policy()
+            oracle = ApplicationRunner(context.platform).run(app, fresh)
+            assert recorded == oracle.controller_stats
+            assert recorded == tuple(fresh.stats().items())
+            assert {kernel for kernel, _ in recorded} == {
+                kernel.name for kernel in app.kernels}
+            assert any(stats.cg_actions or stats.fg_actions
+                       for _, stats in recorded)
+        last = summary.runs["miniFE"]["harmonia"].controller_stats
+        assert tuple(shared.stats().items()) == last
+        assert summary.runs["Sort"]["baseline"].controller_stats == ()
 
     def test_evaluate_montecarlo_batched_matches_scalar(self, context):
         import numpy as np
