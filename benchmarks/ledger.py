@@ -249,14 +249,6 @@ DEFAULT_GATES: Dict[str, List[GateRule]] = {
         GateRule("geomean_noisy_batch_speedup", higher_is_better=True,
                  max_regression=0.25),
     ],
-    "controller": [
-        # The batched session engine's contract: at least 1.8x over the
-        # scalar controller loop on the full run, bitwise-identical.
-        # Both loops serve launches from the same surface, so this is
-        # the lockstep controller stepping alone.
-        GateRule("geomean_controller_speedup", higher_is_better=True,
-                 max_regression=0.25, min_value=1.8),
-    ],
     "eventsim": [
         # The batched lockstep engine's contract: at least 10x over the
         # scalar event loop on fleet-class lane counts, bitwise-identical.

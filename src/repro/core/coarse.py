@@ -96,16 +96,6 @@ class CoarseGrainTuner:
         """The binning in use."""
         return self._bins
 
-    @property
-    def compute_predictor(self):
-        """The compute-sensitivity predictor in use."""
-        return self._compute
-
-    @property
-    def bandwidth_predictor(self):
-        """The bandwidth-sensitivity predictor in use."""
-        return self._bandwidth
-
     def snapshot(self, counters: PerfCounters) -> SensitivitySnapshot:
         """Predict sensitivities from a counter sample and bin them."""
         return self.snapshot_from_features(counters.as_feature_dict())

@@ -190,25 +190,6 @@ class HarmoniaPolicy(HistoryMixin):
         """The telemetry handle in use (the null handle when disabled)."""
         return self._telemetry
 
-    @property
-    def phase_threshold(self) -> float:
-        """Relative identity change declaring a workload phase change."""
-        return self._phases.threshold
-
-    def restore_numeric_state(self, kernel_name: str, features,
-                              identity: Tuple) -> None:
-        """Install externally computed monitor/phase state for one kernel.
-
-        The batched session engine advances the numeric stage (feature
-        EWMA, phase identities) as lane arrays outside the policy
-        object; on lane hand-back it restores the equivalent scalar
-        state here, so post-run inspection (``monitor.current``,
-        ``current_identity``) and any subsequent scalar stepping see
-        exactly what a scalar run would have left behind.
-        """
-        self._monitor.restore(kernel_name, features)
-        self._phases.restore(kernel_name, identity)
-
     def reset(self) -> None:
         """Forget all per-kernel state (between applications)."""
         self.clear_history()
@@ -260,10 +241,8 @@ class HarmoniaPolicy(HistoryMixin):
         Split into a numeric stage (phase detection, feature averaging,
         sensitivity prediction, utilization-rate feedback) followed by
         :meth:`_apply_observation`, the branchy transition stage. The
-        batched engine (:mod:`repro.runtime.session`) computes the same
-        numeric stage as vectorized lane arrays and funnels each lane
-        through the same transition stage, which is what keeps the two
-        paths bitwise-identical.
+        session engine (:mod:`repro.runtime.session`) and the scalar
+        oracle both step every lane through this one method.
         """
         history = self.history_for(context.kernel_name)
         control = self.control_state(context.kernel_name)
@@ -311,9 +290,8 @@ class HarmoniaPolicy(HistoryMixin):
         rules given the launch's numeric observations: the phase-change
         flag, the binned sensitivity snapshot, the phase identity, and
         the utilization-rate feedback. Mutates the per-kernel history
-        and control state in place. Both the scalar :meth:`observe` and
-        the batched session engine call into this one method, so every
-        branch decision is shared verbatim between the two paths.
+        and control state in place. Kept apart from :meth:`observe`'s
+        numeric stage so the decision rules read as one unit.
         """
         if phase_changed:
             # New workload phase: restart the FG state.

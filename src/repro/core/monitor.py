@@ -17,7 +17,6 @@ the nominal values" across hardware configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.errors import PolicyError
@@ -74,17 +73,6 @@ class MonitoringBlock:
         """Forget one kernel (called at a workload phase boundary so the
         average restarts from the new phase's behaviour)."""
         self._state.pop(kernel_name, None)
-
-    def restore(self, kernel_name: str,
-                features: Mapping[str, float]) -> None:
-        """Install an externally maintained running average for a kernel.
-
-        The batched session engine advances the EWMA as lane arrays and
-        hands the final values back through here, so post-run
-        inspection (:meth:`current`) and any further scalar updates see
-        exactly what a scalar run would have left behind.
-        """
-        self._state[kernel_name] = dict(features)
 
 
 class PhaseDetector:
@@ -145,19 +133,9 @@ class PhaseDetector:
         self._identity[kernel_name] = identity
         if previous is None:
             return True
-        return self.identity_differs(previous, identity, self._threshold)
-
-    @staticmethod
-    def identity_differs(previous: tuple, identity: tuple,
-                         threshold: float) -> bool:
-        """The phase-change test on two identity vectors.
-
-        Exposed so the batched engine can replay the detector over a
-        precomputed identity schedule with the exact same comparison.
-        """
         for old, new in zip(previous, identity):
             scale = max(abs(old), abs(new), 1e-12)
-            if abs(new - old) / scale > threshold:
+            if abs(new - old) / scale > self._threshold:
                 return True
         return False
 
@@ -168,11 +146,6 @@ class PhaseDetector:
     def current_identity(self, kernel_name: str) -> Optional[tuple]:
         """The most recent identity vector of one kernel, if any."""
         return self._identity.get(kernel_name)
-
-    def restore(self, kernel_name: str, identity: tuple) -> None:
-        """Install an externally tracked identity for a kernel (the
-        batched session engine's scalar-state hand-back)."""
-        self._identity[kernel_name] = tuple(identity)
 
 
 class PhaseMemory:

@@ -289,10 +289,11 @@ def _simulate_block(params: Sequence[_LaneParams]
     greater, logical_and = np.greater, np.logical_and
     bitwise_and = np.bitwise_and
 
-    boundaries = np.unique(ev)  # ascending iteration counts
+    # Ascending distinct iteration counts, sorted in plain Python:
+    # np.unique imports numpy.ma on first use (~15 ms, ~1 MiB).
     it = 0
     La = n
-    for bound in boundaries.tolist():
+    for bound in sorted(set(events)):
         steps = bound - it
         it = bound
         Ra = int(pmax[La - 1])

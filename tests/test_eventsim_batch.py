@@ -11,6 +11,12 @@ launches, occupancy-limited residency, and the wider index dtype engaged
 by a raised wave cap.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.errors import AnalysisError
@@ -190,6 +196,36 @@ class TestBatchApi:
             for j, config in enumerate(configs):
                 assert_bitwise_equal(rows[i][j], scalar.run(spec, config),
                                      f"[{i}][{j}]")
+
+    def test_run_batch_does_not_load_numpy_ma(self):
+        # Nothing else in a cold `reproduce` imports numpy.ma, so the
+        # engine must not either: its first load costs ~15 ms and ~1 MiB.
+        script = textwrap.dedent("""
+            import sys
+            from repro.gpu.config import ConfigSpace
+            from repro.memory.controller import MemoryControllerModel
+            from repro.perf.eventsim_batch import BatchedEventModel
+            from repro.platform.calibration import default_calibration
+            from repro.workloads.registry import get_kernel
+
+            calibration = default_calibration()
+            controller = MemoryControllerModel(
+                arch=calibration.arch, timing=calibration.gddr5_timing)
+            batched = BatchedEventModel(calibration.arch, controller,
+                                        calibration.clock_domain_model())
+            space = ConfigSpace(calibration.arch)
+            rows = batched.run_batch(
+                [get_kernel("MaxFlops.MaxFlops").base,
+                 get_kernel("DeviceMemory.DeviceMemory").base],
+                [space.min_config(), space.max_config()])
+            assert [len(row) for row in rows] == [2, 2]
+            print("numpy.ma" in sys.modules)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.run([sys.executable, "-c", script], env=env,
+                               check=True, stdout=subprocess.PIPE, text=True)
+        assert child.stdout.strip() == "False"
 
     def test_empty_batch(self):
         calibration = default_calibration()

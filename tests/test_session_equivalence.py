@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.batched import fast_path_eligible
 from repro.core.harmonia import HarmoniaPolicy
 from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
@@ -25,8 +24,8 @@ from repro.telemetry.handle import Telemetry
 
 def _variant_policy(context) -> HarmoniaPolicy:
     """A retuned Harmonia variant: different bins, EWMA, phase threshold
-    and FG pacing — exercises the group-signature path (it must never
-    share a vector observer with the stock policy)."""
+    and FG pacing — a lane beside the stock policy must keep its own
+    parameters and state."""
     training = context.training
     return HarmoniaPolicy(
         context.platform.config_space,
@@ -83,8 +82,8 @@ def _assert_runs_equal(scalar, batched):
 
 
 def _assert_policy_state_equal(app, scalar_policy, batched_policy):
-    """Post-run policy internals must match: the batched engine's numeric
-    hand-back leaves exactly the scalar state behind."""
+    """Post-run policy internals must match: the engine leaves exactly
+    the state a scalar run leaves behind."""
     if not isinstance(scalar_policy, HarmoniaPolicy):
         return
     assert scalar_policy.stats() == batched_policy.stats()
@@ -160,20 +159,43 @@ class TestLaneComposition:
             _assert_runs_equal(fwd, bwd)
 
     def test_per_lane_noisy_platforms(self, context):
-        """Monte Carlo shape: one noisy platform per lane, one app."""
+        """Monte Carlo shape: one noisy platform per seed, one app, the
+        stock policy and a variant on every platform."""
         [app] = _apps(context, ("miniFE",))
         platforms = [make_hd7970_platform(noise_std_fraction=0.05, seed=s)
                      for s in range(5)]
+        builders = (lambda ctx: ctx.harmonia_policy(), _variant_policy)
+        lanes = [(platform, build) for platform in platforms
+                 for build in builders]
         outcomes = BatchSessionRunner(context.platform).run_sessions([
-            SessionSpec(application=app, policy=context.harmonia_policy(),
+            SessionSpec(application=app, policy=build(context),
                         platform=platform)
-            for platform in platforms
+            for platform, build in lanes
         ])
-        for platform, outcome in zip(platforms, outcomes):
-            scalar = ApplicationRunner(platform).run(
-                app, context.harmonia_policy()
-            )
+        assert len(outcomes) == 10
+        for (platform, build), outcome in zip(lanes, outcomes):
+            scalar = ApplicationRunner(platform).run(app, build(context))
             _assert_runs_equal(scalar, outcome)
+
+    def test_every_lane_steps_its_own_observe(self, context):
+        """The engine observes every launch through the policy's own
+        ``observe``, once per lane per launch, for the Harmonia family
+        too."""
+        [app] = _apps(context, ("Sort",))
+        policies = [context.cg_only_policy(), context.harmonia_policy(),
+                    context.dvfs_only_policy()]
+        calls = [0] * len(policies)
+        for slot, policy in enumerate(policies):
+            def counted(launch, result, _slot=slot,
+                        _observe=policy.observe):
+                calls[_slot] += 1
+                _observe(launch, result)
+            policy.observe = counted
+        BatchSessionRunner(context.platform).run_sessions([
+            SessionSpec(application=app, policy=policy)
+            for policy in policies
+        ])
+        assert calls == [app.total_launches()] * len(policies)
 
     def test_multiple_applications_in_one_call(self, context):
         apps = _apps(context, ("Sort", "MaxFlops"))
@@ -251,12 +273,11 @@ class TestScalarFallbacks:
         _assert_runs_equal(scalar, batched)
 
     def test_telemetry_enabled_policy_goes_generic(self, context):
-        """A policy with live telemetry rides the vectorized numeric
-        stage like an untraced one and stays exact."""
+        """A policy with live telemetry steps through the engine like an
+        untraced one and stays exact."""
         [app] = _apps(context, ("Graph500",))
         telemetry = Telemetry()
         policy = context.harmonia_policy(telemetry=telemetry)
-        assert fast_path_eligible(policy)
         scalar = ApplicationRunner(context.platform).run(
             app, context.harmonia_policy(telemetry=Telemetry()))
         [batched] = BatchSessionRunner(context.platform).run_sessions(
