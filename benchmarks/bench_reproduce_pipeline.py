@@ -1,33 +1,27 @@
 #!/usr/bin/env python
-"""Pipeline-scheduler benchmark: cold-serial vs cold-parallel vs warm.
+"""Pipeline-scheduler benchmark: cold vs warm ``reproduce``.
 
-Runs the full ``reproduce`` pipeline three times in *separate
-interpreters*:
+Runs the full ``reproduce`` pipeline in *separate interpreters*:
 
-* **cold-serial** — fresh store, ``--jobs 1``: the historical baseline,
-* **cold-parallel** — fresh store, ``--jobs 0`` (one worker per core):
-  experiment-level fan-out composed with intra-experiment fan-outs on
-  the shared worker budget,
-* **warm-incremental** — the cold-parallel leg's store: every report
-  node must be served from the result manifest without executing.
+* **cold** — fresh store: every node runs,
+* **warm-incremental** — the cold leg's store: every report node must
+  be served from the result manifest without executing.
 
 Each child times ``cli.main`` only and writes the ``--profile-json``
 per-node breakdown, which lands in the output JSON together with the
 critical path. The parent verifies
 
-* every report file is **byte-identical** across all three legs,
+* every report file is **byte-identical** across the two legs,
 * the warm leg **served all 26 report nodes from the manifest** and ran
   none,
-* the speedup floors: ``--min-parallel-speedup`` (default 2x, enforced
-  only on machines with >= 4 cores — on fewer cores there is nothing to
-  fan out over and the floor is waived) and ``--min-warm-speedup``
-  (default 10x; the warm leg does no experiment work at all).
+* the ``--min-warm-speedup`` floor (default 10x; the warm leg does no
+  experiment work at all).
 
 Results land in machine-readable JSON (``BENCH_pipeline.json``)::
 
     PYTHONPATH=src python benchmarks/bench_reproduce_pipeline.py
     PYTHONPATH=src python benchmarks/bench_reproduce_pipeline.py \\
-        --min-parallel-speedup 1.5 --out /tmp/b.json
+        --min-warm-speedup 5 --out /tmp/b.json
 """
 
 from __future__ import annotations
@@ -43,15 +37,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: Executed in a fresh interpreter per leg:
-#: argv = (store, reports, profile, jobs, extra-flag...)
+#: Executed in a fresh interpreter per leg: argv = (store, reports, profile)
 _CHILD = """\
 import json, sys, time
 from repro import cli
 
 argv = ["reproduce", "--output", sys.argv[2], "--cache-dir", sys.argv[1],
-        "--profile-json", sys.argv[3], "--jobs", sys.argv[4]]
-argv += sys.argv[5:]
+        "--profile-json", sys.argv[3]]
 t0 = time.perf_counter()
 rc = cli.main(argv)
 elapsed = time.perf_counter() - t0
@@ -64,13 +56,12 @@ with open(sys.argv[3], "w") as fh:
 """
 
 
-def _run_leg(store_dir: Path, reports_dir: Path, profile_path: Path,
-             jobs: str, extra=()) -> dict:
+def _run_leg(store_dir: Path, reports_dir: Path, profile_path: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     subprocess.run(
         [sys.executable, "-c", _CHILD, str(store_dir), str(reports_dir),
-         str(profile_path), jobs, *extra],
+         str(profile_path)],
         cwd=REPO_ROOT, env=env, check=True,
         stdout=subprocess.DEVNULL,
     )
@@ -101,13 +92,9 @@ def _node_breakdown(profile: dict) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-parallel-speedup", type=float, default=2.0,
-                        help="fail if cold --jobs 0 is not at least this "
-                             "much faster than cold --jobs 1 (default: 2x; "
-                             "waived on machines with < 4 cores)")
     parser.add_argument("--min-warm-speedup", type=float, default=10.0,
                         help="fail if the manifest-served rerun is not at "
-                             "least this much faster than cold-serial "
+                             "least this much faster than the cold run "
                              "(default: 10x)")
     parser.add_argument("--warm-repeats", type=int, default=3,
                         help="warm-leg repeats, best-of")
@@ -115,29 +102,22 @@ def main(argv=None) -> int:
                         help="output JSON path (default: "
                              "BENCH_pipeline.json)")
     args = parser.parse_args(argv)
-    cores = os.cpu_count() or 1
 
     with tempfile.TemporaryDirectory(prefix="pipeline-") as scratch:
         scratch = Path(scratch)
 
-        print("cold-serial reproduce (--jobs 1, fresh store) ...")
-        serial = _run_leg(scratch / "store-serial", scratch / "r-serial",
-                          scratch / "p-serial.json", "1")
-        print(f"  {serial['elapsed_s']:.2f}s, critical path "
-              f"{serial['critical_path_s']:.2f}s over "
-              f"{' -> '.join(serial['critical_path'])}")
-
-        print(f"cold-parallel reproduce (--jobs 0 = {cores} worker(s), "
-              f"fresh store) ...")
-        parallel = _run_leg(scratch / "store-par", scratch / "r-par",
-                            scratch / "p-par.json", "0")
-        print(f"  {parallel['elapsed_s']:.2f}s")
+        print("cold reproduce (fresh store) ...")
+        cold = _run_leg(scratch / "store", scratch / "r-cold",
+                        scratch / "p-cold.json")
+        print(f"  {cold['elapsed_s']:.2f}s, critical path "
+              f"{cold['critical_path_s']:.2f}s over "
+              f"{' -> '.join(cold['critical_path'])}")
 
         print(f"warm-incremental reproduce (populated store, best of "
               f"{args.warm_repeats}) ...")
         warm = min(
-            (_run_leg(scratch / "store-par", scratch / "r-warm",
-                      scratch / "p-warm.json", "0")
+            (_run_leg(scratch / "store", scratch / "r-warm",
+                      scratch / "p-warm.json")
              for _ in range(max(1, args.warm_repeats))),
             key=lambda leg: leg["elapsed_s"],
         )
@@ -148,53 +128,34 @@ def main(argv=None) -> int:
         print(f"  {warm['elapsed_s']:.3f}s, {len(served)} report node(s) "
               f"manifest-served, {len(executed)} executed")
 
-        differing = sorted(
-            set(_compare_reports(scratch / "r-serial", scratch / "r-par"))
-            | set(_compare_reports(scratch / "r-serial", scratch / "r-warm"))
-        )
+        differing = _compare_reports(scratch / "r-cold", scratch / "r-warm")
 
-    parallel_speedup = serial["elapsed_s"] / parallel["elapsed_s"]
-    warm_speedup = serial["elapsed_s"] / warm["elapsed_s"]
-    parallel_floor_active = cores >= 4
+    warm_speedup = cold["elapsed_s"] / warm["elapsed_s"]
     summary = {
-        "cores": cores,
-        "cold_serial_s": serial["elapsed_s"],
-        "cold_parallel_s": parallel["elapsed_s"],
+        "cores": os.cpu_count() or 1,
+        "cold_serial_s": cold["elapsed_s"],
         "warm_incremental_s": warm["elapsed_s"],
-        "parallel_speedup": parallel_speedup,
         "warm_speedup": warm_speedup,
-        "min_parallel_speedup_floor": args.min_parallel_speedup,
-        "parallel_floor_enforced": parallel_floor_active,
-        # Explicit, machine-readable reason when the floor is waived, so
-        # a sub-1.0x speedup next to "enforced: false" reads as "small
-        # machine", not as a silently ignored regression.
-        "parallel_floor_skipped_reason": (
-            None if parallel_floor_active
-            else f"only {cores} core(s) < 4: nothing to fan out over"),
         "min_warm_speedup_floor": args.min_warm_speedup,
-        "critical_path": serial["critical_path"],
-        "critical_path_s": serial["critical_path_s"],
+        "critical_path": cold["critical_path"],
+        "critical_path_s": cold["critical_path_s"],
         "warm_served_nodes": served,
         "warm_executed_nodes": executed,
         "reports_identical": not differing,
         "differing_reports": differing,
-        "node_breakdown": {
-            "cold_serial": _node_breakdown(serial),
-            "cold_parallel": _node_breakdown(parallel),
-        },
+        "node_breakdown": {"cold_serial": _node_breakdown(cold)},
     }
     with open(args.out, "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    print(f"\nparallel speedup {parallel_speedup:.2f}x, warm speedup "
-          f"{warm_speedup:.1f}x (serial {serial['elapsed_s']:.2f}s -> "
-          f"parallel {parallel['elapsed_s']:.2f}s -> warm "
-          f"{warm['elapsed_s']:.3f}s) -> {args.out}")
+    print(f"\nwarm speedup {warm_speedup:.1f}x (cold "
+          f"{cold['elapsed_s']:.2f}s -> warm {warm['elapsed_s']:.3f}s) "
+          f"-> {args.out}")
 
     failed = False
     if differing:
-        print(f"FAIL: {len(differing)} report(s) differ between modes: "
-              f"{', '.join(differing)}", file=sys.stderr)
+        print(f"FAIL: {len(differing)} report(s) differ between cold and "
+              f"warm: {', '.join(differing)}", file=sys.stderr)
         failed = True
     if executed:
         print(f"FAIL: warm rerun executed {len(executed)} node(s) instead "
@@ -204,15 +165,6 @@ def main(argv=None) -> int:
         print("FAIL: warm rerun served no nodes from the manifest",
               file=sys.stderr)
         failed = True
-    if parallel_speedup < args.min_parallel_speedup:
-        if parallel_floor_active:
-            print(f"FAIL: parallel speedup {parallel_speedup:.2f}x below "
-                  f"the {args.min_parallel_speedup}x floor",
-                  file=sys.stderr)
-            failed = True
-        else:
-            print(f"note: parallel floor waived - only {cores} core(s), "
-                  "nothing to fan out over")
     if warm_speedup < args.min_warm_speedup:
         print(f"FAIL: warm speedup {warm_speedup:.1f}x below the "
               f"{args.min_warm_speedup}x floor", file=sys.stderr)

@@ -9,9 +9,9 @@ geometric means ("Geomean 2 ... excludes those two stress benchmarks").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, map_items
 from repro.core.policy import PowerPolicy
 from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.metrics import RunMetrics, geomean, improvement
@@ -21,14 +21,9 @@ from repro.runtime.montecarlo import (
     MonteCarloEngine,
     geomean_band,
 )
-from repro.runtime.parallel import fan_out
 from repro.runtime.simulator import RunResult
 from repro.workloads.application import Application
 from repro.workloads.registry import STRESS_BENCHMARKS
-
-#: A zero-argument constructor of a fresh policy instance, used to give
-#: each parallel worker its own stateful policy.
-PolicyFactory = Callable[[], PowerPolicy]
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ class EvaluationHarness:
         self._platform = platform
         self._baseline = baseline_policy
 
-    def _compare(self, application: Application, baseline: PowerPolicy,
+    def _compare(self, application: Application,
                  policies: Sequence[PowerPolicy]):
         """One application's baseline + candidates as lockstep lanes of
         the batched session engine (:mod:`repro.runtime.session`).
@@ -192,7 +187,7 @@ class EvaluationHarness:
         from repro.runtime.session import BatchSessionRunner, SessionSpec
         outcomes = BatchSessionRunner(self._platform).run_sessions([
             SessionSpec(application=application, policy=policy)
-            for policy in (baseline, *policies)
+            for policy in (self._baseline, *policies)
         ])
         base_run = outcomes[0]
         per_app: Dict[str, RunResult] = {self._baseline.name: base_run}
@@ -214,6 +209,8 @@ class EvaluationHarness:
         Each application's baseline and candidates advance in lockstep
         via the batched session engine, bitwise-identical to one
         :meth:`~repro.runtime.simulator.ApplicationRunner.run` per policy.
+        Every session starts from ``policy.reset()``, so one instance
+        per policy serves every application.
 
         Args:
             applications: workloads to evaluate.
@@ -221,48 +218,9 @@ class EvaluationHarness:
         """
         if not applications:
             raise AnalysisError("no applications to evaluate")
-        comparisons: List[ApplicationComparison] = []
-        runs: Dict[str, Dict[str, RunResult]] = {}
-        for application in applications:
-            per_app, comps = self._compare(application, self._baseline,
-                                           policies)
-            runs[application.name] = per_app
-            comparisons.extend(comps)
-        return EvaluationSummary(comparisons=tuple(comparisons), runs=runs)
-
-    def evaluate_parallel(
-        self,
-        applications: Sequence[Application],
-        baseline_factory: PolicyFactory,
-        policy_factories: Sequence[PolicyFactory],
-        jobs: int = 1,
-    ) -> EvaluationSummary:
-        """Run the matrix with applications fanned out over threads.
-
-        Policies carry per-run history (:class:`~repro.core.policy.
-        HistoryMixin`), so sharing one instance across concurrent
-        applications would race. Instead each application gets fresh
-        instances from the factories — equivalent to the serial harness,
-        which resets every policy between applications — and results are
-        assembled in application order, so the summary is identical to
-        :meth:`evaluate` on a deterministic platform.
-
-        Args:
-            applications: workloads to evaluate.
-            baseline_factory: constructor of fresh baseline policies.
-            policy_factories: constructors of fresh candidate policies.
-            jobs: maximum concurrent application evaluations.
-        """
-        if not applications:
-            raise AnalysisError("no applications to evaluate")
-
-        def evaluate_app(application: Application):
-            return self._compare(
-                application, baseline_factory(),
-                [factory() for factory in policy_factories],
-            )
-
-        outcomes = fan_out(evaluate_app, applications, jobs=jobs)
+        outcomes = map_items(
+            lambda application: self._compare(application, policies),
+            applications)
         comparisons: List[ApplicationComparison] = []
         runs: Dict[str, Dict[str, RunResult]] = {}
         for application, (per_app, comps) in zip(applications, outcomes):
@@ -273,11 +231,9 @@ class EvaluationHarness:
     def evaluate_montecarlo(
         self,
         applications: Sequence[Application],
-        baseline_factory: PolicyFactory,
-        policy_factories: Sequence[PolicyFactory],
+        policies: Sequence[PowerPolicy],
         seeds: "int | Sequence[int]" = 16,
         noise_std_fraction: float = 0.05,
-        jobs: int = 1,
     ) -> MonteCarloSummary:
         """Run the matrix under repeated-trial measurement noise.
 
@@ -289,17 +245,14 @@ class EvaluationHarness:
         candidate share seeds, so the reported improvement bands are
         paired. All policies' deterministic reference runs of one
         application advance in lockstep via the batched session engine
-        before the vectorized noise reduction. Applications fan out over
-        ``jobs`` threads with fresh policy instances, serial-exact like
-        :meth:`evaluate_parallel`.
+        before the vectorized noise reduction; as in :meth:`evaluate`,
+        one instance per policy serves every application.
 
         Args:
             applications: workloads to evaluate.
-            baseline_factory: constructor of fresh baseline policies.
-            policy_factories: constructors of fresh candidate policies.
+            policies: candidate policies (the baseline is implicit).
             seeds: trial platform seeds — an int N means ``range(N)``.
             noise_std_fraction: per-trial execution-time noise fraction.
-            jobs: maximum concurrent application evaluations.
         """
         if not applications:
             raise AnalysisError("no applications to evaluate")
@@ -307,13 +260,11 @@ class EvaluationHarness:
         from repro.runtime.session import BatchSessionRunner, SessionSpec
 
         def evaluate_app(application: Application):
-            baseline = baseline_factory()
-            policies = [factory() for factory in policy_factories]
             references = BatchSessionRunner(self._platform).run_sessions([
                 SessionSpec(application=application, policy=policy)
-                for policy in (baseline, *policies)
+                for policy in (self._baseline, *policies)
             ])
-            base_run = engine.rollout(application, baseline,
+            base_run = engine.rollout(application, self._baseline,
                                       reference=references[0])
             comps: List[MonteCarloComparison] = []
             for policy, reference in zip(policies, references[1:]):
@@ -327,9 +278,8 @@ class EvaluationHarness:
                 ))
             return comps
 
-        outcomes = fan_out(evaluate_app, applications, jobs=jobs)
         comparisons: List[MonteCarloComparison] = []
-        for comps in outcomes:
+        for comps in map_items(evaluate_app, applications):
             comparisons.extend(comps)
         return MonteCarloSummary(
             comparisons=tuple(comparisons),

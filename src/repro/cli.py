@@ -53,6 +53,11 @@ _FIGURES: Dict[str, str] = {
 
 _POLICIES = ("baseline", "harmonia", "cg-only", "dvfs-only", "oracle")
 
+#: Help text of the ``--jobs`` flag that ``reproduce`` and ``montecarlo``
+#: still accept so that existing command lines keep working.
+_JOBS_IGNORED = ("ignored: every command runs on one thread; still "
+                 "accepted so that existing command lines keep working")
+
 
 def _attach_store(args: argparse.Namespace, telemetry=None):
     """Attach the persistent sweep store behind the shared cache.
@@ -303,17 +308,14 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Print the Figures 10-13 headline evaluation."""
     from repro.experiments import fig10_13_evaluation
-    from repro.runtime.parallel import resolve_jobs
 
     _attach_store(args)
-    jobs = resolve_jobs(args.jobs)
-    context = ExperimentContext(jobs=jobs)
+    context = ExperimentContext()
     result = fig10_13_evaluation.run(context)
     print(fig10_13_evaluation.format_report(result))
     if args.seeds:
         summary = fig10_13_evaluation.run_ci(
             context, seeds=args.seeds, noise_std_fraction=args.noise,
-            jobs=jobs,
         )
         print()
         print(fig10_13_evaluation.format_ci(summary))
@@ -323,14 +325,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     """Repeated-trial Monte Carlo bands for one policy vs the baseline."""
     from repro.analysis.evaluation import EvaluationHarness
-    from repro.runtime.parallel import resolve_jobs
     from repro.telemetry.handle import coalesce
     from repro.workloads.registry import application_names
 
     telemetry = _span_telemetry(args)
     _attach_store(args, telemetry=telemetry)
-    args.jobs = resolve_jobs(args.jobs)
-    context = ExperimentContext(jobs=args.jobs)
+    context = ExperimentContext()
     if args.apps:
         unknown = [a for a in args.apps if a not in application_names()]
         if unknown:
@@ -341,30 +341,18 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     else:
         apps = context.applications
 
-    factories = {
-        "baseline": context.baseline_policy,
-        "harmonia": context.harmonia_policy,
-        "cg-only": context.cg_only_policy,
-        "dvfs-only": context.dvfs_only_policy,
-        "oracle": context.oracle_policy,
-    }
     # One root span over the whole run: training, the reference
     # sessions and every rollout (with its noise gather) nest under it.
     with coalesce(telemetry).span("montecarlo", policy=args.policy,
-                                  seeds=args.seeds, jobs=args.jobs):
-        if args.jobs > 1 and args.policy not in ("baseline", "oracle"):
-            # Train before fanning out so every worker sees one shared
-            # report.
-            _ = context.training
+                                  seeds=args.seeds):
         harness = EvaluationHarness(context.platform,
                                     context.baseline_policy())
+        # ``seeds`` stays a keyword argument: the repository benchmark
+        # shifts trial seeds by rewriting it.
         summary = harness.evaluate_montecarlo(
-            apps,
-            baseline_factory=context.baseline_policy,
-            policy_factories=[factories[args.policy]],
+            apps, [_build_policy(context, args.policy)],
             seeds=args.seeds,
             noise_std_fraction=args.noise,
-            jobs=args.jobs,
         )
 
     rows = []
@@ -437,7 +425,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Design-space summary for one or more kernels."""
     from repro.analysis.sweep import ConfigSweep
-    from repro.runtime.parallel import fan_out
+    from repro.errors import map_items
     from repro.workloads.registry import get_kernel
 
     _attach_store(args)
@@ -451,8 +439,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
 
-    sweeps = fan_out(lambda spec: ConfigSweep(context.platform, spec),
-                     specs, jobs=args.jobs)
+    sweeps = map_items(lambda spec: ConfigSweep(context.platform, spec),
+                       specs)
     for spec, sweep in zip(specs, sweeps):
         best_perf = sweep.optimum_performance()
         rows = []
@@ -477,10 +465,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     """Regenerate every paper table/figure and write reports to a dir.
 
-    The experiments run as a DAG through the pipeline scheduler: ready
-    nodes fan out over the ``--jobs`` worker budget and unchanged nodes
-    are served from the content-addressed result manifest in the sweep
-    store (``--no-incremental`` forces recomputation). Report bytes are
+    The experiments run as a DAG through the pipeline scheduler, one
+    node after another in dependency order; unchanged nodes are served
+    from the content-addressed result manifest in the sweep store
+    (``--no-incremental`` forces recomputation). Report bytes are
     identical in every mode.
     """
     import json
@@ -489,7 +477,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     from repro.experiments.registry import (
         reproduce_fingerprint, reproduce_specs)
-    from repro.runtime.parallel import resolve_jobs
     from repro.runtime.pipeline import (
         ExperimentPipeline, ResultManifest, STATUS_MANIFEST, format_profile)
     from repro.telemetry.handle import coalesce
@@ -499,15 +486,14 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     telemetry = _span_telemetry(args)
     store = _attach_store(args, telemetry=telemetry)
-    jobs = resolve_jobs(args.jobs)
-    context = ExperimentContext(jobs=jobs)
+    context = ExperimentContext()
 
     manifest = None
     if store is not None and not args.no_incremental:
         manifest = ResultManifest(store, telemetry=telemetry)
     pipeline = ExperimentPipeline(
         reproduce_specs(include_ablations=args.ablations), context,
-        jobs=jobs, manifest=manifest,
+        manifest=manifest,
         fingerprint=reproduce_fingerprint(context),
         telemetry=telemetry,
     )
@@ -523,9 +509,9 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         print(f"[{count:2d}] {name}{tag}")
 
     # One root span over the whole run: every pipeline node (and the
-    # store/batch/Monte-Carlo spans below them, across thread and process
-    # workers) nests under it in the exported trace.
-    with coalesce(telemetry).span("reproduce", jobs=jobs):
+    # store/batch/Monte-Carlo spans below them) nests under it in the
+    # exported trace.
+    with coalesce(telemetry).span("reproduce"):
         result = pipeline.run(emit)
 
     print(f"\n{count} reports written to {out_dir} "
@@ -543,10 +529,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     print()
     print(format_profile(result))
     if args.profile_json:
-        profile = result.to_dict()
-        profile["jobs"] = jobs
         with open(args.profile_json, "w") as handle:
-            json.dump(profile, handle, indent=2)
+            json.dump(result.to_dict(), handle, indent=2)
             handle.write("\n")
         print(f"pipeline profile written to {args.profile_json}")
     from repro.platform.sweepcache import shared_cache
@@ -682,10 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser("evaluate", help="the Figures 10-13 headline",
                             parents=[cache_p])
-    eval_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="evaluate applications on up to N threads; "
-                             "0 = one per core (results are identical "
-                             "for any N)")
     eval_p.add_argument("--seeds", type=int, default=0, metavar="N",
                         help="also print 95%% confidence bands from N "
                              "Monte Carlo measurement-noise trials")
@@ -708,8 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-trial execution-time noise fraction "
                            "(default: 0.05)")
     mc_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="evaluate applications on up to N threads; "
-                           "0 = one per core")
+                      help=_JOBS_IGNORED)
     mc_p.set_defaults(func=cmd_montecarlo)
 
     fig_p = sub.add_parser("figure", help="regenerate one table/figure",
@@ -721,9 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                              parents=[cache_p])
     sweep_p.add_argument("kernels", nargs="+", metavar="kernel",
                          help="qualified name(s), e.g. Sort.BottomScan")
-    sweep_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="sweep kernels on up to N threads; "
-                              "0 = one per core")
     sweep_p.set_defaults(func=cmd_sweep)
 
     repro_p = sub.add_parser(
@@ -735,9 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     repro_p.add_argument("--ablations", action="store_true",
                          help="also run the six ablation studies")
     repro_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="total worker budget: experiment nodes and "
-                              "their internal fan-outs share it; 0 = one "
-                              "per core (reports are identical for any N)")
+                         help=_JOBS_IGNORED)
     repro_p.add_argument("--no-incremental", action="store_true",
                          help="ignore the result manifest and recompute "
                               "every experiment node")

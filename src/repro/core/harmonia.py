@@ -267,7 +267,8 @@ class HarmoniaPolicy(HistoryMixin):
             self._monitor.reset_kernel(context.kernel_name)
         features = self._monitor.update(context.kernel_name, result.counters)
         snapshot = self._cg.snapshot_from_features(features)
-        identity = self._phases.identity_of(result.counters)
+        # phase_changed has just stored this launch's identity vector.
+        identity = self._phases.current_identity(context.kernel_name)
         self._apply_observation(
             context, result, history, control,
             phase_changed=phase_changed,

@@ -7,6 +7,11 @@ still being able to discriminate on the specific failure mode.
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, List, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -57,3 +62,23 @@ class TelemetryError(ReproError):
     types, loading a JSONL trace written under a different schema
     version, or a record naming an unknown event type.
     """
+
+
+def map_items(fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
+    """``[fn(item) for item in items]`` that names the item which failed.
+
+    An exception from ``fn`` propagates with the note ``item i/n
+    (<label>) failed``, the label being the item's ``name`` or its
+    truncated ``repr``, so a 14-application loop that dies says which.
+    """
+    items = list(items)
+    results = []
+    for index, item in enumerate(items, 1):
+        try:
+            results.append(fn(item))
+        except Exception as error:
+            if hasattr(error, "add_note"):  # Python >= 3.11
+                label = getattr(item, "name", None) or repr(item)[:60]
+                error.add_note(f"item {index}/{len(items)} ({label}) failed")
+            raise
+    return results

@@ -38,48 +38,38 @@ EVALUATION_POLICIES: Tuple[str, ...] = ("cg-only", "harmonia", "oracle")
 class ExperimentContext:
     """Lazily-built shared stack for all paper experiments."""
 
-    def __init__(self, platform: Optional[HardwarePlatform] = None,
-                 jobs: int = 1):
+    def __init__(self, platform: Optional[HardwarePlatform] = None):
         """
         Args:
             platform: the test bed; defaults to a deterministic HD7970,
                 built the first time :attr:`platform` is read.
-            jobs: thread fan-out for the expensive stages (training-set
-                construction and the evaluation matrix). Results are
-                independent of the job count; 1 keeps everything serial
-                and 0 means "auto" (one worker per core).
         """
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0 (0 = auto), got {jobs}")
-        from repro.runtime.parallel import resolve_jobs
         self._platform = platform
-        self._jobs = resolve_jobs(jobs)
         self._applications: Optional[List[Application]] = None
         self._training: Optional[TrainingReport] = None
         self._summary: Optional[EvaluationSummary] = None
-        # Pipeline nodes share one context across worker threads; the
-        # lazy builds below must each happen exactly once. Reentrant:
-        # the evaluation build reads the training property. The platform
-        # has its own lock so that a node which only needs the test bed
-        # waits for the platform build, never for training or the
-        # evaluation matrix.
+        # One context may be read from several threads (tests, library
+        # callers); the lazy builds below must each happen exactly once.
+        # Reentrant: the evaluation build reads the training property.
+        # The platform has its own lock so that a reader which only
+        # needs the test bed waits for the platform build, never for
+        # training or the evaluation matrix.
         self._build_lock = threading.RLock()
         self._platform_lock = threading.Lock()
 
     @property
-    def jobs(self) -> int:
-        """Thread fan-out used by the expensive stages."""
-        return self._jobs
-
-    @property
     def platform(self) -> HardwarePlatform:
-        """The simulated HD7970 test bed (built on first read)."""
+        """The simulated HD7970 test bed (built on first read, under a
+        ``context.platform`` span that includes the model-stack import)."""
         platform = self._platform
         if platform is None:
             with self._platform_lock:
                 if self._platform is None:
-                    from repro.platform.hd7970 import make_hd7970_platform
-                    self._platform = make_hd7970_platform()
+                    from repro.telemetry.spans import ambient_telemetry
+                    with ambient_telemetry().span("context.platform"):
+                        from repro.platform.hd7970 import (
+                            make_hd7970_platform)
+                        self._platform = make_hd7970_platform()
                 platform = self._platform
         return platform
 
@@ -109,16 +99,22 @@ class ExperimentContext:
 
     @property
     def training(self) -> TrainingReport:
-        """The Section 4 predictor-training pipeline output (cached);
-        read without the lock once built, like :attr:`platform`."""
+        """The Section 4 predictor-training pipeline output (cached,
+        built under a ``context.training`` span); read without the lock
+        once built, like :attr:`platform`."""
         training = self._training
         if training is None:
             with self._build_lock:
                 if self._training is None:
-                    from repro.sensitivity.predictor import train_predictors
-                    self._training = train_predictors(
-                        self.platform, self.applications, jobs=self._jobs
-                    )
+                    from repro.telemetry.spans import ambient_telemetry
+                    with ambient_telemetry().span("context.training"):
+                        # The platform first, so that its span holds the
+                        # model-stack import the predictor module needs.
+                        platform = self.platform
+                        from repro.sensitivity.predictor import (
+                            train_predictors)
+                        self._training = train_predictors(
+                            platform, self.applications)
                 training = self._training
         return training
 
@@ -171,22 +167,10 @@ class ExperimentContext:
                 from repro.analysis.evaluation import EvaluationHarness
                 harness = EvaluationHarness(self.platform,
                                             self.baseline_policy())
-                factories = [self.cg_only_policy, self.harmonia_policy,
-                             self.oracle_policy, self.dvfs_only_policy]
-                if self._jobs > 1:
-                    # Train before fanning out: the factories run on worker
-                    # threads, which read the built report without the lock
-                    # this thread holds.
-                    _ = self.training
-                    self._summary = harness.evaluate_parallel(
-                        self.applications, self.baseline_policy, factories,
-                        jobs=self._jobs,
-                    )
-                else:
-                    self._summary = harness.evaluate(
-                        self.applications,
-                        [factory() for factory in factories],
-                    )
+                self._summary = harness.evaluate(self.applications, [
+                    self.cg_only_policy(), self.harmonia_policy(),
+                    self.oracle_policy(), self.dvfs_only_policy(),
+                ])
             return self._summary
 
 

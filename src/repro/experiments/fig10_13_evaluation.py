@@ -155,8 +155,7 @@ _CI_TABLES: Tuple[Tuple[str, str], ...] = (
 
 
 def run_ci(context: ExperimentContext = None, seeds: int = 16,
-           noise_std_fraction: float = 0.05,
-           jobs: int = 1) -> MonteCarloSummary:
+           noise_std_fraction: float = 0.05) -> MonteCarloSummary:
     """The evaluation matrix under repeated-trial measurement noise.
 
     The paper's numbers average repeated hardware measurements; this is
@@ -168,21 +167,12 @@ def run_ci(context: ExperimentContext = None, seeds: int = 16,
 
     context = context or default_context()
     harness = EvaluationHarness(context.platform, context.baseline_policy())
-    if jobs > 1:
-        # Train before fanning out, as context.evaluation does: the
-        # factories must all see the one shared training report.
-        _ = context.training
     return harness.evaluate_montecarlo(
         context.applications,
-        baseline_factory=context.baseline_policy,
-        policy_factories=[
-            context.cg_only_policy,
-            context.harmonia_policy,
-            context.oracle_policy,
-        ],
+        [context.cg_only_policy(), context.harmonia_policy(),
+         context.oracle_policy()],
         seeds=seeds,
         noise_std_fraction=noise_std_fraction,
-        jobs=jobs,
     )
 
 

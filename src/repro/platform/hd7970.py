@@ -162,7 +162,7 @@ class HardwarePlatform:
         if not telemetry.enabled:
             # Platforms are often built without telemetry; under a
             # traced run the ambient span's handle still collects the
-            # clip counter, so aggregation stays exact under --jobs N.
+            # clip counter.
             from repro.telemetry.spans import ambient_telemetry
             telemetry = ambient_telemetry()
         if telemetry.enabled:

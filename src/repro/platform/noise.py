@@ -3,9 +3,10 @@
 The platform used to draw run-to-run noise from one sequential
 ``np.random.default_rng`` stream, so a launch's multiplier depended on how
 many launches happened before it — scalar and batched evaluation could
-never agree, noisy surfaces could not be cached, and ``--jobs`` fan-out
-reordered the draws. :class:`LaunchKeyedNoise` replaces that stream with a
-counter-based derivation: the multiplier of a launch is a pure function of
+never agree, noisy surfaces could not be cached, and any change of
+evaluation order reordered the draws. :class:`LaunchKeyedNoise` replaces
+that stream with a counter-based derivation: the multiplier of a launch
+is a pure function of
 
     (platform seed, kernel spec, iteration, grid index of the config)
 

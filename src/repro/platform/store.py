@@ -30,10 +30,10 @@ entry keeps its text in the header) reads and writes without it.
 Properties:
 
 * **atomic** — writes go to a unique tempfile in the store directory and
-  are published with :func:`os.replace`, so concurrent ``--jobs`` workers
-  and parallel CI shards never observe a torn record; racing writers of
-  the same key each publish a complete record and the last one wins
-  (contents are deterministic, so the duplicates are identical);
+  are published with :func:`os.replace`, so concurrent processes sharing
+  one store (CI shards, two CLI runs) never observe a torn record; racing
+  writers of the same key each publish a complete record and the last
+  one wins (contents are deterministic, so the duplicates are identical);
 * **self-validating** — corrupted, truncated or foreign-schema records
   are treated as misses: the caller recomputes and rewrites, the store
   never raises out of a read;

@@ -37,9 +37,8 @@ computes) the noise-free surface and applies the launch-keyed noise
 frozen into an entry and every consumer's draws stay keyed by
 ``(seed, spec, iteration, config)``.
 
-The cache is bounded (LRU) and thread-safe, because the parallel fan-out
-in :mod:`repro.runtime.parallel` evaluates several applications' kernels
-concurrently against the shared instance from :func:`shared_cache`.
+The cache is bounded (LRU) and thread-safe: the process-wide instance
+from :func:`shared_cache` may be read from any thread.
 """
 
 from __future__ import annotations
@@ -172,9 +171,8 @@ class SweepCache:
         the first becomes the leader and computes; the rest wait and are
         then served from memory as ordinary hits. Besides not wasting a
         duplicate grid evaluation, this keeps the hit/miss counters
-        exactly scheduling-independent — a ``--jobs N`` run reports the
-        same counts as the serial run, which the cross-worker metric
-        aggregation tests rely on.
+        exactly scheduling-independent: racing threads report the same
+        counts as one thread doing the same lookups.
         """
         while True:
             with self._lock:

@@ -236,11 +236,11 @@ class MonteCarloEngine:
 
         Under a traced run the whole rollout is one span (labelled by
         application and policy), attached to whatever span was open on
-        the calling thread — typically a pipeline node or a fan-out
-        worker. Its one ``montecarlo.noise`` child covers the draw
-        gather of every ``(seed, spec, iteration)`` stream the rollout
-        reads, so noise derivation shows up once per rollout rather than
-        once per stream.
+        the calling thread — typically a pipeline node or the
+        ``montecarlo`` command's root span. Its one ``montecarlo.noise``
+        child covers the draw gather of every ``(seed, spec, iteration)``
+        stream the rollout reads, so noise derivation shows up once per
+        rollout rather than once per stream.
 
         Args:
             application: the workload to roll out.

@@ -7,10 +7,9 @@ ablation hang off one predictor-training run). The scheduler here
 
 * **topologically sorts** the registered
   :class:`~repro.experiments.registry.ExperimentSpec` nodes and runs
-  every ready node concurrently on a shared
-  :class:`~repro.runtime.parallel.WorkerBudget` — experiment-level
-  fan-out composes with each node's internal ``--jobs`` fan-out through
-  the one global budget, so total live workers never exceed ``jobs``;
+  the needed ones one after another on the calling thread, in that
+  order — the hot layers (controller stepping, the event simulator)
+  hold the GIL, so worker threads could not overlap them;
 * serves unchanged nodes from a **result manifest** layered on the
   persistent content-addressed sweep store: a node's report text is
   keyed by the SHA-256 of (result schema version, environment
@@ -22,15 +21,14 @@ ablation hang off one predictor-training run). The scheduler here
 * records **per-node wall/CPU timings** and telemetry spans and derives
   the pipeline's **critical path** for the final summary.
 
-Report bytes are identical in every mode — serial, ``--jobs N``,
-manifest-served — because nodes are pure functions of the context and
-the manifest stores the exact formatted text.
+Report bytes are identical whether a node ran or was manifest-served,
+because nodes are pure functions of the context and the manifest stores
+the exact formatted text.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple)
@@ -38,8 +36,6 @@ from typing import (
 from repro.analysis.report import format_table
 from repro.errors import AnalysisError
 from repro.platform.store import RESULT_KIND, SweepStore, content_digest
-from repro.runtime.parallel import WorkerBudget, budget_scope
-from repro.telemetry.spans import capture_span_context, use_span_context
 
 #: Bump whenever node payloads/formatting or the manifest record layout
 #: change globally; every manifest entry then reads as a miss and is
@@ -55,8 +51,17 @@ STATUS_PRUNED = "pruned"
 
 
 def topological_order(specs: Sequence[Any]) -> List[str]:
-    """Dependency-respecting node order (stable: registration order
-    among simultaneously ready nodes).
+    """Dependency-respecting node order, first in first out.
+
+    Kahn's algorithm with a queue: the dependency-free nodes come first,
+    in registration order, and every other node joins the queue when its
+    last dependency is placed (nodes freed by one placement join in
+    registration order). For the experiment registry this runs every
+    node that needs no shared stage before the nodes that wait for
+    training or the evaluation matrix, which keeps a cold run's peak
+    memory down: the largest transient (the event-simulator batch of
+    ``ext_model_validation``) is over before the evaluation's runs and
+    a second calibration's surfaces become resident.
 
     Raises:
         AnalysisError: on duplicate names, unknown dependencies, or a
@@ -88,9 +93,7 @@ def topological_order(specs: Sequence[Any]) -> List[str]:
         for dependent in dependents[name]:
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
-                # Keep registration order among ready nodes.
                 ready.append(dependent)
-        ready.sort(key=lambda n: list(by_name).index(n))
     if len(order) != len(specs):
         cycle = sorted(name for name, degree in indegree.items() if degree > 0)
         raise AnalysisError(
@@ -168,7 +171,7 @@ class NodeTiming:
     name: str
     status: str  # STATUS_RAN | STATUS_MANIFEST | STATUS_PRUNED
     wall_s: float
-    cpu_s: float  # main-thread CPU; inner fan-out threads not included
+    cpu_s: float  # CPU time of the calling thread (time.thread_time)
     digest: str
 
 
@@ -213,7 +216,7 @@ class PipelineResult:
 
 
 class ExperimentPipeline:
-    """Schedules one set of experiment nodes over a worker budget.
+    """Runs one set of experiment nodes in dependency order.
 
     Args:
         specs: the nodes to schedule (e.g. from
@@ -221,8 +224,6 @@ class ExperimentPipeline:
             eagerly — duplicate names, unknown deps and cycles raise here.
         context: the shared :class:`ExperimentContext` handed to every
             runner.
-        jobs: total worker budget across both parallelism levels
-            (0 = one per core).
         manifest: optional :class:`ResultManifest`; when given, report
             nodes whose keys are already stored are served without
             running, and fresh results are written back.
@@ -233,7 +234,7 @@ class ExperimentPipeline:
             ``pipeline_manifest_total`` counter.
     """
 
-    def __init__(self, specs: Sequence[Any], context, *, jobs: int = 1,
+    def __init__(self, specs: Sequence[Any], context, *,
                  manifest: Optional[ResultManifest] = None,
                  fingerprint: str = "", telemetry=None):
         from repro.telemetry.handle import coalesce
@@ -241,16 +242,10 @@ class ExperimentPipeline:
         self._order = topological_order(self._specs)
         self._by_name = {spec.name: spec for spec in self._specs}
         self._context = context
-        self._budget = WorkerBudget(jobs)
         self._manifest = manifest
         self._keys = node_keys(self._specs, fingerprint)
         self._telemetry = coalesce(telemetry)
         self._results: Dict[str, Any] = {}
-
-    @property
-    def jobs(self) -> int:
-        """The resolved total worker budget."""
-        return self._budget.jobs
 
     def digest(self, name: str) -> str:
         """The manifest digest addressing one node's result."""
@@ -264,14 +259,12 @@ class ExperimentPipeline:
 
         Args:
             emit: optional ``emit(name, text, status)`` callback invoked
-                from the scheduling thread once per report node — in
-                registration order for manifest-served nodes, then in
-                completion order for executed ones.
+                once per report node — manifest-served nodes first, then
+                executed ones, each in topological order.
 
         Raises:
             The first failing node's exception, with a note naming the
-            node; remaining running nodes are drained first and no new
-            nodes start after a failure.
+            node; no node starts after a failure.
         """
         started = time.perf_counter()
         reports: Dict[str, str] = {}
@@ -280,9 +273,10 @@ class ExperimentPipeline:
         status: Dict[str, str] = {}
 
         served = self._probe_manifest(status, wall, cpu, reports)
-        for name in (s.name for s in self._specs if s.name in served):
-            if emit is not None:
-                emit(name, reports[name], STATUS_MANIFEST)
+        if emit is not None:
+            for name in self._order:
+                if name in served:
+                    emit(name, reports[name], STATUS_MANIFEST)
 
         needed = self._needed_nodes(served)
         for name in self._order:
@@ -339,93 +333,46 @@ class ExperimentPipeline:
             stack.extend(self._by_name[name].deps)
         return needed
 
-    def _run_node(self, spec, span_context=None
-                  ) -> Tuple[Any, Optional[str], float, float]:
-        self._budget.acquire()
-        try:
-            t0 = time.perf_counter()
-            c0 = time.thread_time()
-            # Pool threads don't inherit contextvars: re-install the
-            # scheduler's span context so node spans nest under the
-            # run's root span, then open the node span — store loads
-            # and batch sweeps below attach as its children.
-            with use_span_context(span_context), \
-                    self._telemetry.span(f"pipeline.{spec.name}",
-                                         node=spec.name):
-                deps = {dep: self._results[dep] for dep in spec.deps}
-                payload = spec.runner(self._context, deps)
-                text = (spec.formatter(payload)
-                        if spec.formatter is not None else None)
-            return (payload, text,
-                    time.perf_counter() - t0, time.thread_time() - c0)
-        finally:
-            self._budget.release()
+    def _run_node(self, spec) -> Tuple[Any, Optional[str], float, float]:
+        t0 = time.perf_counter()
+        c0 = time.thread_time()
+        # Store loads and batch sweeps below attach to the node span.
+        with self._telemetry.span(f"pipeline.{spec.name}", node=spec.name):
+            deps = {dep: self._results[dep] for dep in spec.deps}
+            payload = spec.runner(self._context, deps)
+            text = (spec.formatter(payload)
+                    if spec.formatter is not None else None)
+        return (payload, text,
+                time.perf_counter() - t0, time.thread_time() - c0)
 
     def _execute(self, needed, served, status, wall, cpu, reports,
                  emit) -> None:
-        """Run the needed subgraph on the worker budget."""
-        if not needed:
-            return
-        indegree = {
-            name: len(set(self._by_name[name].deps)) for name in needed
-        }
-        dependents: Dict[str, List[str]] = {name: [] for name in needed}
-        for name in needed:
-            for dep in set(self._by_name[name].deps):
-                dependents[dep].append(name)
-
-        ready = [name for name in self._order
-                 if name in needed and indegree[name] == 0]
-        futures: Dict[Future, str] = {}
-        failure: Optional[Tuple[str, BaseException]] = None
-        span_context = capture_span_context()
-
-        with budget_scope(self._budget), \
-                ThreadPoolExecutor(max_workers=self._budget.jobs) as pool:
-            while ready or futures:
-                while ready and failure is None:
-                    name = ready.pop(0)
-                    future = pool.submit(self._run_node, self._by_name[name],
-                                         span_context)
-                    futures[future] = name
-                if not futures:
-                    break
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    name = futures.pop(future)
-                    error = future.exception()
-                    if error is not None:
-                        if failure is None:
-                            failure = (name, error)
-                        continue
-                    payload, text, node_wall, node_cpu = future.result()
-                    self._results[name] = payload
-                    # A manifest-served report node can still execute when
-                    # an invalidated dependent needs its in-memory payload
-                    # (the manifest stores report text, not payloads); its
-                    # status stays "manifest" — the report was served —
-                    # but the re-run's true cost replaces the probe time.
-                    if name not in served:
-                        status[name] = STATUS_RAN
-                    wall[name] = node_wall
-                    cpu[name] = node_cpu
-                    spec = self._by_name[name]
-                    if spec.is_report and name not in served:
-                        reports[name] = text
-                        if self._manifest is not None:
-                            self._manifest.save(self._keys[name], name, text)
-                        if emit is not None:
-                            emit(name, text, STATUS_RAN)
-                    for dependent in dependents[name]:
-                        indegree[dependent] -= 1
-                        if indegree[dependent] == 0:
-                            ready.append(dependent)
-
-        if failure is not None:
-            name, error = failure
-            if hasattr(error, "add_note"):  # Python >= 3.11
-                error.add_note(f"pipeline node {name!r} failed")
-            raise error
+        """Run the needed subgraph in topological order."""
+        for name in self._order:
+            if name not in needed:
+                continue
+            spec = self._by_name[name]
+            try:
+                payload, text, wall[name], cpu[name] = self._run_node(spec)
+            except Exception as error:
+                if hasattr(error, "add_note"):  # Python >= 3.11
+                    error.add_note(f"pipeline node {name!r} failed")
+                raise
+            self._results[name] = payload
+            # A manifest-served report node can still execute when an
+            # invalidated dependent needs its in-memory payload (the
+            # manifest stores report text, not payloads); its status
+            # stays "manifest" — the report was served — but the re-run's
+            # true cost replaces the probe time.
+            if name in served:
+                continue
+            status[name] = STATUS_RAN
+            if spec.is_report:
+                reports[name] = text
+                if self._manifest is not None:
+                    self._manifest.save(self._keys[name], name, text)
+                if emit is not None:
+                    emit(name, text, STATUS_RAN)
 
 
 def _critical_path(specs: Sequence[Any],

@@ -22,11 +22,10 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, map_items
 from repro.perf.counters import PerfCounters
 from repro.perf.kernelspec import KernelSpec
 from repro.platform.hd7970 import HardwarePlatform
-from repro.runtime.parallel import fan_out
 from repro.sensitivity.measurement import SensitivityMeasurement, measure_sensitivities
 from repro.workloads.application import Application
 from repro.workloads.kernel import WorkloadKernel
@@ -129,7 +128,6 @@ def build_dataset(
     platform: HardwarePlatform,
     applications: Sequence[Application],
     config_stride: int = 16,
-    jobs: int = 1,
 ) -> SensitivityDataset:
     """Build the Section 4.2 training set from a workload list.
 
@@ -139,10 +137,6 @@ def build_dataset(
         config_stride: sample every Nth configuration when averaging
             counters (the average is extremely stable across configs, so a
             stride keeps training cheap without changing the result).
-        jobs: fan the per-kernel measurement pipelines out over up to this
-            many threads (each distinct spec is independent; results are
-            assembled in spec order, so the dataset is identical for any
-            job count).
 
     Returns:
         A :class:`SensitivityDataset` with one row per distinct kernel
@@ -157,7 +151,7 @@ def build_dataset(
         return features, measured
 
     specs = _distinct_specs(applications)
-    outcomes = fan_out(measure_one, specs, jobs=jobs)
+    outcomes = map_items(measure_one, specs)
 
     rows: List[Mapping[str, float]] = []
     compute_targets: List[float] = []

@@ -151,7 +151,6 @@ def train_predictors(
     platform: HardwarePlatform,
     applications: Sequence[Application],
     config_stride: int = 16,
-    jobs: int = 1,
 ) -> TrainingReport:
     """Run the full Section 4 pipeline against the given workloads.
 
@@ -159,15 +158,13 @@ def train_predictors(
         platform: the test bed to measure on.
         applications: the training applications.
         config_stride: configuration subsampling for counter averaging.
-        jobs: thread fan-out for the per-kernel measurement pipelines
-            (see :func:`~repro.sensitivity.dataset.build_dataset`).
 
     Returns:
         A :class:`TrainingReport` with the dataset and both fitted
         predictors (the Table 3 feature subsets, refit to this substrate).
     """
     dataset = build_dataset(platform, applications,
-                            config_stride=config_stride, jobs=jobs)
+                            config_stride=config_stride)
     bw_model = fit_linear_model(
         dataset.rows, dataset.bandwidth_targets, BANDWIDTH_FEATURES
     )

@@ -10,9 +10,9 @@ Four pieces, composable through one injectable handle:
 * :mod:`repro.telemetry.export` — append-only JSONL sink, loader, and a
   replay view compatible with :class:`~repro.runtime.trace.RunTrace`,
 * :mod:`repro.telemetry.spans` — hierarchical spans with ambient context
-  propagation across thread/process fan-out, Chrome trace-event export
-  (Perfetto-loadable) and a self-vs-total critical-path report — the one
-  timing system (``repro run --profile`` prints that report).
+  propagation, Chrome trace-event export (Perfetto-loadable) and a
+  self-vs-total critical-path report — the one timing system
+  (``repro run --profile`` prints that report).
 
 Instrumented components accept a :class:`Telemetry` handle and default to
 :data:`NULL_TELEMETRY`, whose operations are no-ops — with telemetry
@@ -56,12 +56,10 @@ _EXPORTS = {
     "SpanTracker": "spans",
     "aggregate_spans": "spans",
     "ambient_telemetry": "spans",
-    "capture_span_context": "spans",
     "format_span_report": "spans",
     "load_chrome_trace": "spans",
     "span_tree": "spans",
     "tree_signature": "spans",
-    "use_span_context": "spans",
     "write_chrome_trace": "spans",
 }
 

@@ -72,8 +72,7 @@ class Telemetry:
 
         The open span becomes the ambient parent for spans entered
         below it on the same thread (see
-        :func:`~repro.telemetry.spans.capture_span_context` for how
-        fan-out carries it across workers).
+        :func:`~repro.telemetry.spans.ambient_telemetry`).
         """
         return SpanHandle(self, self.spans, name, labels)
 

@@ -13,13 +13,10 @@ unit of export — ``as_dict`` for JSON emission (the CLI's
 
 Registries are **mergeable**: ``as_dict`` doubles as a snapshot wire
 format that :meth:`MetricsRegistry.merge` folds back in — counters and
-histogram buckets add, gauges last-write-win. That is how per-worker
-registries built in forked processes (which share nothing with the
-parent) are carried back over the process boundary and aggregated, so
-``sweep_store_*`` and cache-effectiveness counters are correct under
-``--jobs N`` exactly as under a serial run. All mutation is behind
-per-instrument locks, so thread fan-out can record into one shared
-registry directly.
+histogram buckets add, gauges last-write-win — so a registry recorded
+elsewhere (another process, a saved ``--metrics-out`` export) can be
+aggregated into this one. All mutation is behind per-instrument locks,
+so several threads may record into one shared registry directly.
 """
 
 from __future__ import annotations

@@ -1,21 +1,18 @@
-"""Hierarchical wall-time spans with cross-worker context propagation.
+"""Hierarchical wall-time spans with ambient context propagation.
 
 A span is one timed region of the run — a pipeline node, a sweep-store
 load, a batch-sweep compute, a Monte Carlo rollout — carrying a unique
 id, its parent's id, the recording process/thread, and free-form labels.
-Spans from every worker land in one :class:`SpanTracker`, so the whole
-``reproduce`` run renders as a single tree even when work fanned out
-over threads.
+Spans land in one :class:`SpanTracker`, so the whole ``reproduce`` run
+renders as a single tree.
 
 Context propagation is ambient: entering a span (via
 :meth:`~repro.telemetry.handle.Telemetry.span`) installs a
 :class:`SpanContext` in a :data:`contextvars.ContextVar`; child spans
-opened anywhere below it — including inside components that were never
-handed a telemetry object, via :func:`ambient_telemetry` — attach as
-children. Thread pools do **not** inherit context automatically, so
-:func:`~repro.runtime.parallel.fan_out` captures the submitting
-thread's context with :func:`capture_span_context` and re-installs it
-in each worker with :func:`use_span_context`.
+opened anywhere below it on the same thread — including inside
+components that were never handed a telemetry object, via
+:func:`ambient_telemetry` — attach as children. A span opened on
+another thread sees no ambient parent and becomes a root.
 
 Exports are Chrome trace-event JSON (``ph: "X"`` complete events,
 microsecond timestamps — load the file in Perfetto or
@@ -25,7 +22,6 @@ heaviest span chain as a critical path.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import os
@@ -33,7 +29,7 @@ import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TelemetryError
 
@@ -138,34 +134,6 @@ class SpanContext:
 _CURRENT_SPAN: ContextVar[Optional[SpanContext]] = ContextVar(
     "repro_current_span", default=None
 )
-
-
-def capture_span_context() -> Optional[SpanContext]:
-    """The calling thread's span context (None outside any span).
-
-    Thread pools do not inherit :mod:`contextvars` state from the
-    submitting thread — capture here, re-install in the worker with
-    :func:`use_span_context`.
-    """
-    return _CURRENT_SPAN.get()
-
-
-@contextlib.contextmanager
-def use_span_context(context: Optional[SpanContext]) -> Iterator[None]:
-    """Install a captured span context for the duration of the block.
-
-    ``None`` is accepted and leaves the ambient context untouched, so
-    callers can pass :func:`capture_span_context`'s result through
-    unconditionally.
-    """
-    if context is None:
-        yield
-        return
-    token = _CURRENT_SPAN.set(context)
-    try:
-        yield
-    finally:
-        _CURRENT_SPAN.reset(token)
 
 
 def ambient_telemetry() -> Any:
@@ -435,13 +403,13 @@ def tree_signature(records: Sequence[SpanRecord],
 
     Only names, labels and parent/child structure enter the signature —
     ids, timestamps, pids and tids do not — so two runs of the same
-    workload produce equal signatures regardless of worker scheduling,
-    ``--jobs`` value, or thread/process placement.
+    workload produce equal signatures regardless of timing or
+    thread/process placement.
 
     When the workload contains single-flight shared work (see
     :func:`span_tree`), pass its span name in ``detach`` to sign the
     forest with those subtrees re-rooted; with attribution factored out
-    the signature is again jobs-invariant.
+    the signature no longer depends on which caller filled the cache.
     """
     return tuple(sorted(_node_signature(root)
                         for root in span_tree(records, detach=detach)))

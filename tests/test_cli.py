@@ -15,8 +15,8 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from tools.regen_goldens import (  # noqa: E402
-    BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_GOLDEN, child_env,
-    cold_reproduce, diff_text, montecarlo_stdout)
+    BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_ARGS, MONTECARLO_GOLDEN,
+    child_env, cold_reproduce, diff_text)
 
 
 class TestParser:
@@ -31,6 +31,21 @@ class TestParser:
     def test_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "CoMD", "--policy", "magic"])
+
+    def test_jobs_is_gone_from_evaluate_and_sweep(self, capsys):
+        for argv in (["evaluate", "--jobs", "2"],
+                     ["sweep", "SRAD.Prepare", "--jobs", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_still_parses_where_existing_commands_pass_it(self):
+        """``reproduce`` and ``montecarlo`` accept and ignore ``--jobs``."""
+        parser = build_parser()
+        assert parser.parse_args(["reproduce", "--jobs", "1"]).jobs == 1
+        assert parser.parse_args(["reproduce", "--jobs", "0"]).jobs == 0
+        assert parser.parse_args(
+            ["montecarlo", "--seeds", "32", "--jobs", "1"]).jobs == 1
 
 
 class TestCommands:
@@ -79,12 +94,21 @@ class TestCommands:
 
 class TestReproduce:
     def test_reproduce_writes_reports(self, tmp_path, capsys):
+        from repro.experiments.registry import reproduce_specs
+        from repro.runtime.pipeline import topological_order
+
         assert main(["reproduce", "--output", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "reports written" in out
         assert "sweep cache:" in out  # the cache-effectiveness summary
         written = list(tmp_path.glob("*.txt"))
         assert len(written) >= 20
+        # One line per report, in topological order, run after run.
+        specs = {spec.name: spec for spec in reproduce_specs()}
+        printed = [line.split("]", 1)[1].split()[0]
+                   for line in out.splitlines() if line.startswith("[")]
+        assert printed == [name for name in topological_order(specs.values())
+                           if specs[name].is_report]
         # The headline figure must be among them, with its geomeans.
         fig10 = (tmp_path / "fig10_ed2.txt").read_text()
         assert "geomean" in fig10
@@ -131,13 +155,14 @@ def _forbidden_on_warm_path(name: str) -> bool:
     if name in ("repro.perf.model", "repro.perf.batch",
                 "repro.platform.hd7970", "repro.analysis.evaluation",
                 "repro.runtime.session", "repro.runtime.simulator",
-                "repro.runtime.montecarlo"):
+                "repro.runtime.montecarlo", "repro.runtime.parallel"):
         return True
     if name.startswith("repro.experiments."):
         return name not in ("repro.experiments.context",
                             "repro.experiments.registry")
     return any(name == package or name.startswith(package + ".")
-               for package in ("numpy", "repro.core", "repro.sensitivity"))
+               for package in ("numpy", "repro.core", "repro.sensitivity",
+                               "concurrent.futures"))
 
 
 class TestWarmReproduceImports:
@@ -240,8 +265,12 @@ class TestMontecarloGolden:
 
     def test_stdout_matches_golden(self, filled_store):
         store, _ = filled_store
-        diff = diff_text(MONTECARLO_GOLDEN.read_bytes(),
-                         montecarlo_stdout(store), "golden", "montecarlo")
+        stdout = subprocess.run(
+            [sys.executable, "-m", "repro", *MONTECARLO_ARGS, "--jobs", "1",
+             "--cache-dir", str(store)],
+            env=child_env(), check=True, stdout=subprocess.PIPE).stdout
+        diff = diff_text(MONTECARLO_GOLDEN.read_bytes(), stdout,
+                         "golden", "montecarlo")
         if diff:
             pytest.fail("montecarlo stdout differs from the golden:\n"
                         + diff, pytrace=False)
@@ -277,24 +306,6 @@ class TestMontecarloTrace:
                         if r.parent_id == rollout.span_id]
             assert children == ["montecarlo.noise"]
         assert "sweep_cache_hits_total" in json.loads(metrics.read_text())
-
-
-class TestEvaluateJobs:
-    def test_threaded_evaluate_finishes_and_matches_serial(self, tmp_path):
-        """With ``--jobs 2`` the policy factories read the trained
-        predictors on worker threads while the evaluation build holds
-        the context's lock; the run must finish and print what
-        ``--jobs 1`` prints."""
-        def evaluate(jobs):
-            return subprocess.run(
-                [sys.executable, "-m", "repro", "evaluate",
-                 "--jobs", str(jobs), "--cache-dir", str(tmp_path / "store")],
-                env=child_env(), check=True, stdout=subprocess.PIPE,
-                timeout=60).stdout
-
-        threaded = evaluate(2)
-        assert b"Figure 10" in threaded
-        assert threaded == evaluate(1)
 
 
 class TestSweepStoreFlags:

@@ -74,3 +74,31 @@ class TestSummary:
     def test_runs_recorded(self, evaluation):
         assert "baseline" in evaluation.runs["BPT"]
         assert "harmonia" in evaluation.runs["BPT"]
+
+
+class TestHarness:
+    def test_reused_policies_match_fresh_instances_per_application(
+            self, context):
+        """One baseline and one instance per candidate serve every
+        application: each session starts from ``policy.reset()``, so the
+        runs equal those of fresh instances built per application."""
+        from repro.analysis.evaluation import EvaluationHarness
+
+        apps = [context.application(name)
+                for name in ("MaxFlops", "CoMD", "Sort")]
+
+        def evaluate(applications):
+            harness = EvaluationHarness(context.platform,
+                                        context.baseline_policy())
+            return harness.evaluate(
+                applications,
+                [context.harmonia_policy(), context.oracle_policy()])
+
+        reused = evaluate(apps)
+        fresh = [comparison for app in apps
+                 for comparison in evaluate([app]).comparisons]
+        assert len(reused.comparisons) == len(fresh) == 2 * len(apps)
+        for a, b in zip(reused.comparisons, fresh):
+            assert (a.application, a.policy) == (b.application, b.policy)
+            assert a.baseline == b.baseline
+            assert a.candidate == b.candidate

@@ -61,9 +61,30 @@ class TestLazyPlatform:
         assert platform is ctx.platform
 
     def test_built_training_read_does_not_wait_for_the_lock(self, context):
-        """With ``jobs > 1`` the evaluation build holds the build lock
-        while worker threads build policies from the trained report."""
+        """Once trained, the report is read without the build lock, which
+        the evaluation build holds for its whole run."""
         training = context.training
         with ThreadPoolExecutor(1) as pool, context._build_lock:
             read = pool.submit(lambda: context.training).result(timeout=20)
         assert read is training
+
+
+class TestBuildSpans:
+    def test_platform_and_training_builds_are_spans(self):
+        """A traced build shows the platform build (model-stack import
+        included) nested in the training span."""
+        from repro.telemetry import Telemetry
+        from repro.telemetry.spans import SpanTracker
+
+        telemetry = Telemetry(spans=SpanTracker())
+        ctx = ExperimentContext()
+        with telemetry.span("root"):
+            training = ctx.training
+            assert ctx.training is training  # built once: one span each
+        by_name = {r.name: r for r in telemetry.spans.records()}
+        assert by_name["context.training"].parent_id == by_name[
+            "root"].span_id
+        assert by_name["context.platform"].parent_id == by_name[
+            "context.training"].span_id
+        assert [r.name for r in telemetry.spans.records()].count(
+            "context.training") == 1

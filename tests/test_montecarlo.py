@@ -2,8 +2,8 @@
 
 Pins the contract documented in :mod:`repro.runtime.montecarlo`: each
 trial of a non-adaptive policy reproduces a full scalar harness run on a
-noisy platform with the trial's seed, bands summarize the trials, and the
-fan-out path is serial-exact.
+noisy platform with the trial's seed, bands summarize the trials, and one
+policy instance serves every application exactly like fresh ones.
 """
 
 from __future__ import annotations
@@ -153,42 +153,40 @@ class TestComparison:
 
 
 class TestHarness:
-    def test_evaluate_montecarlo_jobs_invariant(self, apps):
-        def summarize(jobs):
-            platform = make_hd7970_platform()
-            harness = EvaluationHarness(
-                platform, BaselinePolicy(platform.config_space))
+    def test_reused_policy_matches_fresh_instances(self, apps, context):
+        """One policy instance serves every application: each session
+        starts from ``policy.reset()``, so the bands equal those of a
+        fresh instance per application, sample for sample."""
+        platform = context.platform
+
+        def summarize(applications, policy):
+            harness = EvaluationHarness(platform, context.baseline_policy())
             return harness.evaluate_montecarlo(
-                apps,
-                baseline_factory=lambda: BaselinePolicy(
-                    platform.config_space),
-                policy_factories=[lambda: OraclePolicy(platform)],
-                seeds=SEEDS,
-                noise_std_fraction=NOISE,
-                jobs=jobs,
+                applications, [policy],
+                seeds=SEEDS, noise_std_fraction=NOISE,
             )
 
-        serial = summarize(1)
-        fanned = summarize(3)
-        assert serial.seeds == fanned.seeds == SEEDS
-        for a, b in zip(serial.comparisons, fanned.comparisons):
-            assert a.application == b.application
-            np.testing.assert_array_equal(a.candidate.time_samples,
-                                          b.candidate.time_samples)
-            np.testing.assert_array_equal(a.baseline.energy_samples,
-                                          b.baseline.energy_samples)
-        geo_a = serial.geomean("oracle", "ed2_improvement")
-        geo_b = fanned.geomean("oracle", "ed2_improvement")
-        assert geo_a == geo_b
+        reused = summarize(apps, context.harmonia_policy())
+        fresh = [summarize([app], context.harmonia_policy())
+                 for app in apps]
+        assert reused.seeds == SEEDS
+        assert len(reused.comparisons) == len(apps)
+        for a, (b,) in zip(reused.comparisons,
+                           (summary.comparisons for summary in fresh)):
+            assert (a.application, a.policy) == (b.application, b.policy)
+            for side in ("baseline", "candidate"):
+                for field in ("time_samples", "energy_samples",
+                              "avg_power_samples", "ed2_samples"):
+                    np.testing.assert_array_equal(
+                        getattr(getattr(a, side), field),
+                        getattr(getattr(b, side), field))
 
     def test_summary_lookup(self, apps):
         platform = make_hd7970_platform()
         harness = EvaluationHarness(
             platform, BaselinePolicy(platform.config_space))
         summary = harness.evaluate_montecarlo(
-            apps,
-            baseline_factory=lambda: BaselinePolicy(platform.config_space),
-            policy_factories=[lambda: OraclePolicy(platform)],
+            apps, [OraclePolicy(platform)],
             seeds=2,
             noise_std_fraction=NOISE,
         )

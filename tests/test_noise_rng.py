@@ -3,7 +3,7 @@
 The tentpole contract: a launch's noise multiplier is a pure function of
 ``(platform seed, kernel spec, iteration, config)``. These tests pin the
 consequences — draws are bitwise reproducible regardless of launch order,
-interleaving, thread fan-out, or sweep-cache state — plus the documented
+interleaving, application order, or sweep-cache state — plus the documented
 clamp floor and its clip accounting.
 """
 
@@ -107,25 +107,23 @@ class TestExecutionOrderInvariance:
         assert t_scalar == t_after
         np.testing.assert_array_equal(b_after.time, b_first.time)
 
-    def test_jobs_fanout_does_not_matter(self):
-        applications = [get_application("MaxFlops"), get_application("BPT")]
+    def test_application_order_does_not_matter(self):
+        from repro.core.baseline import BaselinePolicy
+        from repro.runtime.session import BatchSessionRunner
 
-        def run_all(jobs):
-            from repro.core.baseline import BaselinePolicy
-            from repro.runtime.parallel import fan_out
-            from repro.runtime.session import BatchSessionRunner
-            platform = make_hd7970_platform(noise_std_fraction=0.05, seed=9)
-            return fan_out(
-                lambda app: BatchSessionRunner(platform).run(
-                    app, BaselinePolicy(platform.config_space)),
-                applications, jobs=jobs,
-            )
+        platform = make_hd7970_platform(noise_std_fraction=0.05, seed=9)
+        runner = BatchSessionRunner(platform)
 
-        serial = run_all(1)
-        fanned = run_all(4)
-        for a, b in zip(serial, fanned):
-            assert a.metrics.time == b.metrics.time
-            assert a.metrics.energy == b.metrics.energy
+        def run_all(names):
+            return {name: runner.run(get_application(name),
+                                     BaselinePolicy(platform.config_space))
+                    for name in names}
+
+        forward = run_all(["MaxFlops", "BPT"])
+        backward = run_all(["BPT", "MaxFlops"])
+        for name, run in forward.items():
+            assert run.metrics.time == backward[name].metrics.time
+            assert run.metrics.energy == backward[name].metrics.energy
 
     def test_cache_state_does_not_matter(self):
         # Miss path: a fresh cache computes the clean surface.

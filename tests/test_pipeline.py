@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -51,6 +50,16 @@ class TestTopologicalOrder:
         assert order.index("a") < order.index("c")
         # Among simultaneously ready nodes, registration order holds.
         assert order.index("b") < order.index("c")
+
+    def test_ready_nodes_queue_first_in_first_out(self):
+        """A node waiting on a shared stage queues behind every node that
+        was ready before it, whatever the registration order."""
+        specs = [
+            spec("shared", internal=True),
+            spec("waits", deps=("shared",)),
+            spec("free"),
+        ]
+        assert topological_order(specs) == ["shared", "free", "waits"]
 
     def test_duplicate_name_raises(self):
         with pytest.raises(AnalysisError, match="duplicate"):
@@ -199,26 +208,27 @@ EXPECTED_REPORTS = {
 
 
 class TestPipelineRun:
-    def run_pipeline(self, specs, jobs=1, manifest=None):
+    def run_pipeline(self, specs, manifest=None):
         emitted = []
         pipeline = ExperimentPipeline(
-            specs, context=None, jobs=jobs, manifest=manifest,
-            fingerprint="fp",
+            specs, context=None, manifest=manifest, fingerprint="fp",
         )
         result = pipeline.run(
             emit=lambda name, text, status: emitted.append((name, status)))
         return result, emitted
 
-    def test_serial_and_parallel_reports_identical(self):
+    def test_reports_emit_in_topological_order(self):
         counter = {"lock": threading.Lock()}
-        serial, _ = self.run_pipeline(toy_dag(counter), jobs=1)
-        parallel, _ = self.run_pipeline(toy_dag(counter), jobs=4)
-        assert dict(serial.reports) == EXPECTED_REPORTS
-        assert dict(parallel.reports) == dict(serial.reports)
+        specs = toy_dag(counter)
+        result, emitted = self.run_pipeline(specs)
+        assert dict(result.reports) == EXPECTED_REPORTS
+        reports = [name for name in topological_order(specs)
+                   if name in EXPECTED_REPORTS]
+        assert emitted == [(name, STATUS_RAN) for name in reports]
 
     def test_shared_dependency_runs_once(self):
         counter = {"lock": threading.Lock()}
-        result, _ = self.run_pipeline(toy_dag(counter), jobs=4)
+        result, _ = self.run_pipeline(toy_dag(counter))
         assert counter["base"] == 1
         assert set(result.ran()) == {"base", "mid1", "mid2", "leaf", "free"}
 
@@ -226,11 +236,11 @@ class TestPipelineRun:
         manifest = ResultManifest(SweepStore(tmp_path / "s"))
         counter = {"lock": threading.Lock()}
         cold, cold_emits = self.run_pipeline(
-            toy_dag(counter), jobs=2, manifest=manifest)
+            toy_dag(counter), manifest=manifest)
         assert all(status == STATUS_RAN for _, status in cold_emits)
 
         warm, warm_emits = self.run_pipeline(
-            toy_dag(counter), jobs=2, manifest=manifest)
+            toy_dag(counter), manifest=manifest)
         assert dict(warm.reports) == dict(cold.reports)
         assert set(warm.served()) == set(EXPECTED_REPORTS)
         assert warm.ran() == ()
@@ -240,8 +250,13 @@ class TestPipelineRun:
         # report text to store).
         statuses = {t.name: t.status for t in warm.timings}
         assert statuses["base"] == STATUS_PRUNED
-        # Manifest-served nodes emit in registration order.
-        assert [name for name, _ in warm_emits] == list(EXPECTED_REPORTS)
+        # Manifest-served nodes emit in topological order, as a cold run
+        # emits its executed ones.
+        assert warm_emits == [(name, STATUS_MANIFEST)
+                              for name, _ in cold_emits]
+        assert [name for name, _ in warm_emits] == [
+            name for name in topological_order(toy_dag(counter))
+            if name in EXPECTED_REPORTS]
         assert all(s == STATUS_MANIFEST for _, s in warm_emits)
 
     def test_partial_invalidation_reruns_exact_subgraph(self, tmp_path):
@@ -268,39 +283,43 @@ class TestPipelineRun:
         assert counter["base"] == 2  # no manifest, no serving
 
     def test_failure_names_the_node_and_stops_scheduling(self):
-        def boom(context, deps):
-            raise RuntimeError("kaput")
+        started = []
+
+        def runner(name, error=None):
+            def run(context, deps):
+                started.append(name)
+                if error is not None:
+                    raise error
+                return name
+            return run
 
         specs = [
-            spec("ok"),
-            spec("bad", runner=boom),
-            spec("downstream", deps=("bad",)),
+            spec("ok", runner=runner("ok")),
+            spec("bad", runner=runner("bad", RuntimeError("kaput"))),
+            spec("downstream", deps=("bad",), runner=runner("downstream")),
+            spec("independent", runner=runner("independent")),
         ]
         with pytest.raises(RuntimeError, match="kaput") as excinfo:
-            self.run_pipeline(specs, jobs=2)
+            self.run_pipeline(specs)
         assert any("pipeline node 'bad'" in note
                    for note in getattr(excinfo.value, "__notes__", []))
+        assert started == ["ok", "bad"]  # nothing starts after a failure
 
-    def test_budget_bounds_node_concurrency(self):
-        live = {"now": 0, "peak": 0}
-        lock = threading.Lock()
+    def test_every_node_runs_on_the_calling_thread(self):
+        threads = []
 
         def tracked(context, deps):
-            with lock:
-                live["now"] += 1
-                live["peak"] = max(live["peak"], live["now"])
-            time.sleep(0.02)
-            with lock:
-                live["now"] -= 1
+            threads.append(threading.get_ident())
             return "x"
 
         specs = [spec(f"n{i}", runner=tracked) for i in range(6)]
-        self.run_pipeline(specs, jobs=2)
-        assert live["peak"] <= 2
+        specs.append(spec("tail", deps=("n0", "n5"), runner=tracked))
+        self.run_pipeline(specs)
+        assert threads == [threading.get_ident()] * 7
 
     def test_profile_and_critical_path(self):
         counter = {"lock": threading.Lock()}
-        result, _ = self.run_pipeline(toy_dag(counter), jobs=1)
+        result, _ = self.run_pipeline(toy_dag(counter))
         # The heaviest chain must be a real dependency chain ending in a
         # node someone depends on transitively from its head.
         assert result.critical_path
@@ -312,14 +331,14 @@ class TestPipelineRun:
 
 
 class TestPipelineSpans:
-    def run_traced(self, jobs):
+    def run_traced(self):
         from repro.telemetry import Telemetry
         from repro.telemetry.spans import SpanTracker
 
         telemetry = Telemetry(spans=SpanTracker())
         counter = {"lock": threading.Lock()}
         pipeline = ExperimentPipeline(
-            toy_dag(counter), context=None, jobs=jobs,
+            toy_dag(counter), context=None,
             fingerprint="fp", telemetry=telemetry,
         )
         with telemetry.span("root"):
@@ -327,7 +346,7 @@ class TestPipelineSpans:
         return telemetry
 
     def test_every_node_spans_under_the_caller(self):
-        telemetry = self.run_traced(jobs=1)
+        telemetry = self.run_traced()
         records = telemetry.spans.records()
         root = next(r for r in records if r.name == "root")
         nodes = [r for r in records if r.name.startswith("pipeline.")]
@@ -339,19 +358,11 @@ class TestPipelineSpans:
         assert all(r.label_dict() == {"node": r.name.split(".", 1)[1]}
                    for r in nodes)
 
-    def test_span_tree_invariant_under_jobs(self):
-        from repro.telemetry.spans import tree_signature
-
-        serial = self.run_traced(jobs=1)
-        parallel = self.run_traced(jobs=4)
-        assert (tree_signature(serial.spans.records())
-                == tree_signature(parallel.spans.records()))
-
     def test_node_spans_double_as_profiler_sections(self):
         """The span aggregation is the profile: one row per node span."""
         from repro.telemetry.spans import aggregate_spans
 
-        telemetry = self.run_traced(jobs=1)
+        telemetry = self.run_traced()
         records = telemetry.spans.records()
         stats = aggregate_spans(records)
         assert stats["pipeline.base"].count == 1

@@ -1,9 +1,8 @@
 """Reports are byte-identical in every reproduce execution mode.
 
-The tentpole invariant of the pipeline scheduler: serial, parallel
-(``--jobs N``) and warm-incremental (manifest-served) runs must emit
-exactly the same report bytes — parallelism and caching are pure
-accelerators, never observable in the output.
+The invariant of the pipeline scheduler: cold and warm-incremental
+(manifest-served) runs must emit exactly the same report bytes —
+caching is a pure accelerator, never observable in the output.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.telemetry.spans import load_chrome_trace
+from repro.telemetry.spans import aggregate_spans, load_chrome_trace
 
 
 def run_reproduce(tmp_path, leg, extra):
@@ -54,20 +53,15 @@ class TestReproduceByteIdentity:
         yield
         shared_cache().detach_store()
 
-    def test_serial_parallel_and_warm_are_identical(self, tmp_path, capsys):
-        trace = tmp_path / "serial-trace.json"
-        serial = run_reproduce(tmp_path, "serial",
-                               ["--jobs", "1", "--trace", str(trace)])
-        parallel = run_reproduce(
-            tmp_path, "parallel", ["--jobs", "4", "--no-incremental"])
+    def test_cold_and_warm_are_identical(self, tmp_path, capsys):
+        trace = tmp_path / "cold-trace.json"
+        cold = run_reproduce(tmp_path, "cold", ["--trace", str(trace)])
         profile = tmp_path / "profile.json"
         warm = run_reproduce(
-            tmp_path, "warm",
-            ["--jobs", "0", "--profile-json", str(profile)])
+            tmp_path, "warm", ["--profile-json", str(profile)])
         capsys.readouterr()
 
-        baseline = report_bytes(serial)
-        assert report_bytes(parallel) == baseline
+        baseline = report_bytes(cold)
         assert report_bytes(warm) == baseline
         assert len(baseline) == 26
 
@@ -91,14 +85,23 @@ class TestReproduceByteIdentity:
         assert sessions["pipeline.ext_power_capping"] == [1] * 6
         assert sessions["pipeline.ext_memory_voltage"] == [2] * 14
 
+        # The training node's time is its platform-build and training
+        # spans, not unexplained self time.
+        records = load_chrome_trace(trace)
+        spans = aggregate_spans(records)
+        training = spans["pipeline.training"]
+        assert training.self_s < 0.1 * training.total_s
+        assert spans["context.platform"].count == 1
+        assert spans["context.training"].count == 1
+        assert len({(r.pid, r.tid) for r in records}) == 1  # one thread
+
     def test_no_incremental_recomputes_despite_manifest(self, tmp_path,
                                                         capsys):
-        run_reproduce(tmp_path, "first", ["--jobs", "1"])
+        run_reproduce(tmp_path, "first", [])
         profile = tmp_path / "p2.json"
         run_reproduce(
             tmp_path, "second",
-            ["--jobs", "1", "--no-incremental",
-             "--profile-json", str(profile)])
+            ["--no-incremental", "--profile-json", str(profile)])
         capsys.readouterr()
         nodes = json.loads(profile.read_text())["nodes"]
         assert all(node["status"] == "ran" for node in nodes)

@@ -404,8 +404,7 @@ class TestHarnessParity:
         harness = EvaluationHarness(context.platform,
                                     context.baseline_policy())
         batched = harness.evaluate_montecarlo(
-            apps, context.baseline_policy, [context.harmonia_policy],
-            seeds=4,
+            apps, [context.harmonia_policy()], seeds=4,
         )
         engine = MonteCarloEngine(context.platform, 0.05, 4)
         runner = ApplicationRunner(context.platform)

@@ -9,7 +9,6 @@ import threading
 import pytest
 
 from repro.errors import TelemetryError
-from repro.runtime.parallel import fan_out
 from repro.telemetry import Telemetry
 from repro.telemetry.handle import NULL_TELEMETRY
 from repro.telemetry.spans import (
@@ -19,14 +18,12 @@ from repro.telemetry.spans import (
     SpanTracker,
     aggregate_spans,
     ambient_telemetry,
-    capture_span_context,
     critical_path,
     format_span_report,
     load_chrome_trace,
     span_fields,
     span_tree,
     tree_signature,
-    use_span_context,
     write_chrome_trace,
 )
 
@@ -96,58 +93,6 @@ class TestContextPropagation:
         with telemetry.span("outer"):
             assert ambient_telemetry() is telemetry
         assert not ambient_telemetry().enabled
-
-    def test_capture_and_use_across_thread(self):
-        telemetry = traced_telemetry()
-        with telemetry.span("outer"):
-            context = capture_span_context()
-
-            def worker():
-                with use_span_context(context):
-                    with context.telemetry.span("child"):
-                        pass
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        child, outer = (sorted(telemetry.spans.records(),
-                               key=lambda r: r.name))
-        assert child.parent_id == outer.span_id
-        assert child.tid != outer.tid
-
-    def test_capture_without_open_span_is_none(self):
-        assert capture_span_context() is None
-        with use_span_context(None):  # no-op passthrough
-            pass
-
-    def test_fan_out_children_parent_under_caller_span(self):
-        telemetry = traced_telemetry()
-
-        def work(item):
-            with ambient_telemetry().span("leaf", item=item):
-                return item * 2
-
-        with telemetry.span("outer"):
-            assert fan_out(work, [1, 2, 3, 4], jobs=4) == [2, 4, 6, 8]
-        records = telemetry.spans.records()
-        outer = next(r for r in records if r.name == "outer")
-        leaves = [r for r in records if r.name == "leaf"]
-        assert len(leaves) == 4
-        assert all(leaf.parent_id == outer.span_id for leaf in leaves)
-
-    def test_fan_out_serial_and_pooled_same_signature(self):
-        def run(jobs):
-            telemetry = traced_telemetry()
-
-            def work(item):
-                with ambient_telemetry().span("leaf", item=item):
-                    return item
-
-            with telemetry.span("outer", mode="x"):
-                fan_out(work, [1, 2, 3], jobs=jobs)
-            return tree_signature(telemetry.spans.records())
-
-        assert run(1) == run(3)
 
 
 class TestChromeTrace:

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Regenerate the golden reports and show what changed.
 
-Runs one cold ``python -m repro reproduce --jobs 1`` into a throwaway
-store, rewrites ``tests/golden/reproduce/`` with the 26 reports it
-wrote, and prints a unified diff of every report that changed, plus
+Runs one cold ``python -m repro reproduce`` into a throwaway store,
+rewrites ``tests/golden/reproduce/`` with the 26 reports it wrote, and
+prints a unified diff of every report that changed, plus
 the sha256 of each changed report. It also rewrites the second copy of
 each report under ``benchmarks/reports/``, so the two cannot drift.
 Against the store that run filled it then runs
-``python -m repro montecarlo --seeds 32 --jobs 1`` and rewrites
+``python -m repro montecarlo --seeds 32`` and rewrites
 ``tests/golden/montecarlo/harmonia_seeds32.txt`` with its stdout the
 same way. Exit status is 0 whether or not anything changed; a nonzero
 status means a run failed.
@@ -36,8 +36,9 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "reproduce"
 BENCH_REPORT_DIR = REPO_ROOT / "benchmarks" / "reports"
 MONTECARLO_GOLDEN = (REPO_ROOT / "tests" / "golden" / "montecarlo"
                      / "harmonia_seeds32.txt")
-#: the montecarlo run of the golden; perfbench's seed-0 command
-MONTECARLO_ARGS = ("montecarlo", "--seeds", "32", "--jobs", "1")
+#: the montecarlo run of the golden; perfbench's seed-0 command, which
+#: also passes the ignored ``--jobs 1``
+MONTECARLO_ARGS = ("montecarlo", "--seeds", "32")
 
 
 def child_env() -> dict:
@@ -50,13 +51,13 @@ def child_env() -> dict:
 
 
 def cold_reproduce(workdir: Path) -> Path:
-    """Run one cold ``reproduce --jobs 1`` in a fresh interpreter, with
-    its store at ``workdir/store``; return the reports directory
+    """Run one cold ``reproduce`` in a fresh interpreter, with its
+    store at ``workdir/store``; return the reports directory
     (``workdir/reports``). The golden tests build their cold run here
     too, so the goldens and the tests make it the same way."""
     out = workdir / "reports"
     subprocess.run(
-        [sys.executable, "-m", "repro", "reproduce", "--jobs", "1",
+        [sys.executable, "-m", "repro", "reproduce",
          "--cache-dir", str(workdir / "store"), "--output", str(out)],
         env=child_env(), check=True, stdout=subprocess.DEVNULL)
     return out
