@@ -8,8 +8,7 @@ Runs the full ``reproduce`` pipeline in *separate interpreters*:
   be served from the result manifest without executing.
 
 Each child times ``cli.main`` only and writes the ``--profile-json``
-per-node breakdown, which lands in the output JSON together with the
-critical path. The parent verifies
+per-node breakdown, which lands in the output JSON. The parent verifies
 
 * every report file is **byte-identical** across the two legs,
 * the warm leg **served all 26 report nodes from the manifest** and ran
@@ -83,8 +82,7 @@ def _compare_reports(base_dir: Path, other_dir: Path) -> list:
 def _node_breakdown(profile: dict) -> list:
     """Per-node rows sorted by wall time, heaviest first."""
     return sorted(
-        ({"node": n["node"], "status": n["status"],
-          "wall_s": n["wall_s"], "critical": n["critical"]}
+        ({"node": n["node"], "status": n["status"], "wall_s": n["wall_s"]}
          for n in profile["nodes"]),
         key=lambda row: row["wall_s"], reverse=True,
     )
@@ -109,9 +107,7 @@ def main(argv=None) -> int:
         print("cold reproduce (fresh store) ...")
         cold = _run_leg(scratch / "store", scratch / "r-cold",
                         scratch / "p-cold.json")
-        print(f"  {cold['elapsed_s']:.2f}s, critical path "
-              f"{cold['critical_path_s']:.2f}s over "
-              f"{' -> '.join(cold['critical_path'])}")
+        print(f"  {cold['elapsed_s']:.2f}s")
 
         print(f"warm-incremental reproduce (populated store, best of "
               f"{args.warm_repeats}) ...")
@@ -137,8 +133,6 @@ def main(argv=None) -> int:
         "warm_incremental_s": warm["elapsed_s"],
         "warm_speedup": warm_speedup,
         "min_warm_speedup_floor": args.min_warm_speedup,
-        "critical_path": cold["critical_path"],
-        "critical_path_s": cold["critical_path_s"],
         "warm_served_nodes": served,
         "warm_executed_nodes": executed,
         "reports_identical": not differing,

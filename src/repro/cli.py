@@ -11,45 +11,24 @@
 Every subcommand builds the deterministic simulated test bed, so output is
 reproducible run to run.
 
+``reproduce``, ``figure`` and ``evaluate`` run one pipeline
+(:func:`_run_reports`) and share its result manifest, so each of them
+serves a report that any of them has stored.
+
 Module-level imports are limited to what most subcommands share and
 none of them loads numpy or the model stack: each subcommand imports
-the rest itself, so ``reproduce`` against a warm result manifest only
-loads the registry, the store and the pipeline.
+the rest itself, so a report command against a warm result manifest
+only loads the registry, the store and the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
-
-#: figure/table name -> (run, format_report) import paths, resolved lazily.
-_FIGURES: Dict[str, str] = {
-    "fig01": "fig01_power_breakdown",
-    "table1": "table1_dvfs",
-    "fig03": "fig03_balance",
-    "fig06": "fig06_metric_tradeoffs",
-    "fig07": "fig07_occupancy",
-    "fig08": "fig08_divergence",
-    "fig09": "fig09_clock_domains",
-    "table3": "table2_table3_models",
-    "fig14": "fig14_16_graph500",
-    "fig15": "fig14_16_graph500",
-    "fig16": "fig14_16_graph500",
-    "fig17": "fig17_power_sharing",
-    "fig18": "fig18_cg_vs_fg",
-    "sec72": "sec72_variants",
-    "ext-voltage": "ext_memory_voltage",
-    "ext-portability": "ext_portability",
-    "ext-capping": "ext_power_capping",
-    "ext-validation": "ext_model_validation",
-    "ext-recall": "ext_phase_memory",
-    "oracle-gap": "oracle_gap",
-    "ext-thermal": "ext_thermal_capping",
-}
 
 _POLICIES = ("baseline", "harmonia", "cg-only", "dvfs-only", "oracle")
 
@@ -88,6 +67,44 @@ def _attach_store(args: argparse.Namespace, telemetry=None):
         return None
     cache.attach_store(store)
     return store
+
+
+def _run_reports(args: argparse.Namespace,
+                 reports: Optional[Collection[str]] = None, telemetry=None,
+                 emit=None):
+    """Run the ``reproduce`` pipeline; returns (result, context, store).
+
+    ``figure`` and ``evaluate`` ask for some of the report nodes
+    (``reports``; ``reproduce`` asks for all of them). The internal
+    nodes always come along, and the scheduler prunes those that no
+    requested report needs. So all three commands compute the same node
+    keys and share the result manifest: a report that one of them
+    stored, the others serve. The manifest is off under ``--no-cache``
+    and ``--no-incremental``.
+    """
+    from repro.experiments.registry import (
+        reproduce_fingerprint, reproduce_specs)
+    from repro.runtime.pipeline import ExperimentPipeline, ResultManifest
+    from repro.telemetry.handle import coalesce
+
+    store = _attach_store(args, telemetry=telemetry)
+    context = ExperimentContext()
+    manifest = None
+    if store is not None and not getattr(args, "no_incremental", False):
+        manifest = ResultManifest(store, telemetry=telemetry)
+    specs = [spec for spec in reproduce_specs(
+                 include_ablations=getattr(args, "ablations", False))
+             if reports is None or not spec.is_report
+             or spec.name in reports]
+    pipeline = ExperimentPipeline(
+        specs, context, manifest=manifest,
+        fingerprint=reproduce_fingerprint(context), telemetry=telemetry)
+    # One root span over the whole run: every pipeline node (and the
+    # store/batch/Monte-Carlo spans below them) nests under it in the
+    # exported trace.
+    with coalesce(telemetry).span(args.command):
+        result = pipeline.run(emit)
+    return result, context, store
 
 
 def _span_telemetry(args: argparse.Namespace):
@@ -305,15 +322,17 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The report nodes ``evaluate`` prints, one blank line apart.
+_EVALUATE_REPORTS = ("fig10_ed2", "fig11_energy", "fig12_power",
+                     "fig13_performance")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Print the Figures 10-13 headline evaluation."""
-    from repro.experiments import fig10_13_evaluation
-
-    _attach_store(args)
-    context = ExperimentContext()
-    result = fig10_13_evaluation.run(context)
-    print(fig10_13_evaluation.format_report(result))
+    result, context, _ = _run_reports(args, _EVALUATE_REPORTS)
+    print("\n\n".join(result.reports[name] for name in _EVALUATE_REPORTS))
     if args.seeds:
+        from repro.experiments import fig10_13_evaluation
         summary = fig10_13_evaluation.run_ci(
             context, seeds=args.seeds, noise_std_fraction=args.noise,
         )
@@ -390,35 +409,18 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    """Regenerate one paper table/figure."""
-    import importlib
+    """Print one paper table/figure, named by report node or alias."""
+    from repro.experiments.registry import reproduce_specs
 
-    _attach_store(args)
-    key = args.name.lower()
-    if key in ("fig10", "fig11", "fig12", "fig13"):
-        from repro.experiments import fig10_13_evaluation as module
-        context = ExperimentContext()
-        result = fig10_13_evaluation_result = module.run(context)
-        formatter = getattr(module, f"format_{key}")
-        print(formatter(result))
-        return 0
-    if key == "fig04" or key == "fig05":
-        from repro.experiments import fig04_fig05_power_ranges as module
-        context = ExperimentContext()
-        if key == "fig04":
-            print(module.format_report(module.run_fig04(context), "70%"))
-        else:
-            print(module.format_report(module.run_fig05(context), "10%"))
-        return 0
-    if key not in _FIGURES:
-        known = ", ".join(sorted(set(_FIGURES) | {"fig04", "fig05", "fig10",
-                                                  "fig11", "fig12", "fig13"}))
-        print(f"unknown figure {args.name!r}; known: {known}",
-              file=sys.stderr)
+    nodes = {name: spec.name for spec in reproduce_specs() if spec.is_report
+             for name in (spec.name,) + spec.aliases}
+    node = nodes.get(args.name.lower())
+    if node is None:
+        print(f"unknown figure {args.name!r}; known: "
+              f"{', '.join(sorted(nodes))}", file=sys.stderr)
         return 2
-    module = importlib.import_module(f"repro.experiments.{_FIGURES[key]}")
-    context = ExperimentContext()
-    print(module.format_report(module.run(context)))
+    result, _, _ = _run_reports(args, (node,))
+    print(result.reports[node])
     return 0
 
 
@@ -473,32 +475,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     """
     import json
     import pathlib
-    import time
 
-    from repro.experiments.registry import (
-        reproduce_fingerprint, reproduce_specs)
-    from repro.runtime.pipeline import (
-        ExperimentPipeline, ResultManifest, STATUS_MANIFEST, format_profile)
-    from repro.telemetry.handle import coalesce
+    from repro.runtime.pipeline import STATUS_MANIFEST, format_profile
 
     out_dir = pathlib.Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     telemetry = _span_telemetry(args)
-    store = _attach_store(args, telemetry=telemetry)
-    context = ExperimentContext()
-
-    manifest = None
-    if store is not None and not args.no_incremental:
-        manifest = ResultManifest(store, telemetry=telemetry)
-    pipeline = ExperimentPipeline(
-        reproduce_specs(include_ablations=args.ablations), context,
-        manifest=manifest,
-        fingerprint=reproduce_fingerprint(context),
-        telemetry=telemetry,
-    )
-
-    started = time.time()
     count = 0
 
     def emit(name: str, text: str, status: str) -> None:
@@ -508,16 +490,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         tag = "  (manifest)" if status == STATUS_MANIFEST else ""
         print(f"[{count:2d}] {name}{tag}")
 
-    # One root span over the whole run: every pipeline node (and the
-    # store/batch/Monte-Carlo spans below them) nests under it in the
-    # exported trace.
-    with coalesce(telemetry).span("reproduce"):
-        result = pipeline.run(emit)
+    result, _, store = _run_reports(args, telemetry=telemetry, emit=emit)
 
     print(f"\n{count} reports written to {out_dir} "
-          f"in {time.time() - started:.1f}s")
+          f"in {result.wall_s:.1f}s")
     served = result.served()
-    if manifest is not None:
+    if store is not None and not args.no_incremental:
         if len(served) == len(result.reports):
             print(f"result manifest: all {len(served)} reports served from "
                   f"cache, every node skipped")
@@ -693,7 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure", help="regenerate one table/figure",
                            parents=[cache_p])
-    fig_p.add_argument("name", help="e.g. fig10, table1, ext-thermal")
+    fig_p.add_argument("name", help="report node name or alias, e.g. "
+                                    "fig10, table1, ext-thermal, "
+                                    "characterization")
     fig_p.set_defaults(func=cmd_figure)
 
     sweep_p = sub.add_parser("sweep", help="design-space summary of kernels",
@@ -716,8 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ignore the result manifest and recompute "
                               "every experiment node")
     repro_p.add_argument("--profile-json", metavar="PATH", default=None,
-                         help="write the per-node wall/CPU timings and the "
-                              "critical path to PATH as JSON")
+                         help="write each node's status and wall time to "
+                              "PATH as JSON")
     repro_p.set_defaults(func=cmd_reproduce)
 
     bench_p = sub.add_parser(

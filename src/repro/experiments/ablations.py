@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 
 if TYPE_CHECKING:
     from repro.core.harmonia import HarmoniaPolicy
@@ -82,11 +82,10 @@ def _policy(context: ExperimentContext, **kwargs) -> HarmoniaPolicy:
 # --- individual studies -----------------------------------------------------------
 
 
-def ablate_bin_edges(context: ExperimentContext = None) -> AblationResult:
+def ablate_bin_edges(context: ExperimentContext) -> AblationResult:
     """Sensitivity-bin edges (paper: <30% / 30-70% / >70%)."""
     from repro.sensitivity.binning import SensitivityBins
 
-    context = context or default_context()
     rows = []
     for low, high in ((0.20, 0.60), (0.30, 0.70), (0.40, 0.80), (0.30, 0.90)):
         bins = SensitivityBins(low_edge=low, high_edge=high)
@@ -101,9 +100,8 @@ def ablate_bin_edges(context: ExperimentContext = None) -> AblationResult:
     return AblationResult(study="sensitivity bin edges", rows=tuple(rows))
 
 
-def ablate_fg_tolerance(context: ExperimentContext = None) -> AblationResult:
+def ablate_fg_tolerance(context: ExperimentContext) -> AblationResult:
     """The FG performance-feedback tolerance (default 1%)."""
-    context = context or default_context()
     rows = []
     for tolerance in (0.002, 0.01, 0.03, 0.10):
         ed2, perf, power = _headline(
@@ -117,9 +115,8 @@ def ablate_fg_tolerance(context: ExperimentContext = None) -> AblationResult:
     return AblationResult(study="FG feedback tolerance", rows=tuple(rows))
 
 
-def ablate_max_dithering(context: ExperimentContext = None) -> AblationResult:
+def ablate_max_dithering(context: ExperimentContext) -> AblationResult:
     """The FG dithering bound before convergence (Algorithm 1)."""
-    context = context or default_context()
     rows = []
     for bound in (2, 4, 8, 16):
         ed2, perf, power = _headline(
@@ -133,9 +130,8 @@ def ablate_max_dithering(context: ExperimentContext = None) -> AblationResult:
     return AblationResult(study="FG dithering bound", rows=tuple(rows))
 
 
-def ablate_fg_disabled(context: ExperimentContext = None) -> AblationResult:
+def ablate_fg_disabled(context: ExperimentContext) -> AblationResult:
     """CG-only vs FG+CG vs FG-heavy (no CG jumps beyond the first)."""
-    context = context or default_context()
     variants = (
         ("CG only", dict(enable_fg=False)),
         ("FG+CG (Harmonia)", dict()),
@@ -152,7 +148,7 @@ def ablate_fg_disabled(context: ExperimentContext = None) -> AblationResult:
     return AblationResult(study="CG/FG composition", rows=tuple(rows))
 
 
-def ablate_predictor_source(context: ExperimentContext = None) -> AblationResult:
+def ablate_predictor_source(context: ExperimentContext) -> AblationResult:
     """Refit Table 3 models vs the paper's published coefficients.
 
     The paper's weights encode the HD7970 silicon's counter scales; run
@@ -164,7 +160,6 @@ def ablate_predictor_source(context: ExperimentContext = None) -> AblationResult
     from repro.sensitivity.predictor import (
         PAPER_BANDWIDTH_PREDICTOR, PAPER_COMPUTE_PREDICTOR)
 
-    context = context or default_context()
     training = context.training
     space = context.platform.config_space
     variants = (
@@ -182,7 +177,7 @@ def ablate_predictor_source(context: ExperimentContext = None) -> AblationResult
     return AblationResult(study="predictor provenance", rows=tuple(rows))
 
 
-def ablate_measurement_noise(context: ExperimentContext = None) -> AblationResult:
+def ablate_measurement_noise(context: ExperimentContext) -> AblationResult:
     """Controller robustness to run-to-run measurement noise.
 
     The paper averages repeated runs to remove variance (Section 6); the
@@ -196,7 +191,6 @@ def ablate_measurement_noise(context: ExperimentContext = None) -> AblationResul
     from repro.sensitivity.predictor import train_predictors
     from repro.workloads.registry import all_applications
 
-    context = context or default_context()
     rows = []
     for noise in (0.0, 0.005, 0.02, 0.05):
         platform = make_hd7970_platform(noise_std_fraction=noise, seed=17)

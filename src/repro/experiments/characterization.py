@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.sensitivity.measurement import measure_sensitivities
 from repro.units import hz_to_mhz
 from repro.workloads.registry import all_kernels
@@ -98,9 +98,8 @@ def _curve(platform, spec, tunable: str) -> ScalingCurve:
     return ScalingCurve(tunable=tunable, points=points)
 
 
-def run(context: ExperimentContext = None) -> CharacterizationResult:
+def run(context: ExperimentContext) -> CharacterizationResult:
     """Characterize every kernel along every tunable."""
-    context = context or default_context()
     platform = context.platform
     rows = []
     for kernel in all_kernels():

@@ -14,7 +14,6 @@ the policies or numpy.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -172,9 +171,3 @@ class ExperimentContext:
                     self.oracle_policy(), self.dvfs_only_policy(),
                 ])
             return self._summary
-
-
-@lru_cache(maxsize=1)
-def default_context() -> ExperimentContext:
-    """The process-wide shared context (deterministic platform)."""
-    return ExperimentContext()

@@ -23,7 +23,7 @@ from repro.analysis.evaluation import EvaluationHarness
 from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
 from repro.core.harmonia import HarmoniaPolicy
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.platform.hd7970 import make_hd7970_platform
 from repro.sensitivity.predictor import train_predictors
 
@@ -60,7 +60,7 @@ class VoltageScalingResult:
         return self.geomean_power_scaled - self.geomean_power_fixed
 
 
-def run(context: ExperimentContext = None) -> VoltageScalingResult:
+def run(context: ExperimentContext) -> VoltageScalingResult:
     """Compare the Harmonia evaluation with and without bus voltage
     scaling.
 
@@ -68,7 +68,6 @@ def run(context: ExperimentContext = None) -> VoltageScalingResult:
     scaled half trains and runs on its own platform, because the
     comparison is between two calibrations.
     """
-    context = context or default_context()
     fixed = context.evaluation
     platform = make_hd7970_platform(memory_voltage_scaling=True)
     training = train_predictors(platform, context.applications)

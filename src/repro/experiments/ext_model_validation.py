@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.memory.controller import MemoryControllerModel
 from repro.perf.eventsim_batch import BatchedEventModel
 from repro.platform.store import EVENTSIM_KIND
@@ -138,9 +138,8 @@ def _load_event_times(store, calibration, spec,
     )
 
 
-def run(context: ExperimentContext = None) -> ModelValidationResult:
+def run(context: ExperimentContext) -> ModelValidationResult:
     """Run both models over all kernels and a 27-point config sample."""
-    context = context or default_context()
     platform = context.platform
     calibration = platform.calibration
     configs = _sample_configs(platform.config_space)

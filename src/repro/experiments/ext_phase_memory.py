@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
 from repro.core.harmonia import HarmoniaPolicy
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.runtime.session import BatchSessionRunner, SessionSpec
 from repro.workloads.application import Application
 from repro.workloads.registry import get_application
@@ -80,9 +80,8 @@ def _long_graph500() -> Application:
     )
 
 
-def run(context: ExperimentContext = None) -> PhaseMemoryResult:
+def run(context: ExperimentContext) -> PhaseMemoryResult:
     """Compare phase recall on vs off over three BFS traversals."""
-    context = context or default_context()
     platform = context.platform
     training = context.training
     app = _long_graph500()

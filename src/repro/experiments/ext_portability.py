@@ -22,7 +22,7 @@ from repro.analysis.evaluation import EvaluationHarness
 from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
 from repro.core.harmonia import HarmoniaPolicy
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.platform.hd7970 import make_pitcairn_platform
 from repro.sensitivity.predictor import train_predictors
 from repro.workloads.registry import all_applications
@@ -43,9 +43,8 @@ class PortabilityResult:
     pitcairn_configs: int
 
 
-def run(context: ExperimentContext = None) -> PortabilityResult:
+def run(context: ExperimentContext) -> PortabilityResult:
     """Rerun the full pipeline on the Pitcairn platform."""
-    context = context or default_context()
     hd = context.evaluation
 
     platform = make_pitcairn_platform()

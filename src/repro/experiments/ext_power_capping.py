@@ -22,7 +22,7 @@ from typing import Tuple
 
 from repro.analysis.report import format_table
 from repro.core.capping import PowerCapPolicy
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.runtime.session import BatchSessionRunner
 
 #: A representative mixed subset (compute-bound, memory-bound, balanced).
@@ -59,10 +59,9 @@ class PowerCappingResult:
         return sum(r.harmonia_advantage for r in self.rows) / len(self.rows)
 
 
-def run(context: ExperimentContext = None) -> PowerCappingResult:
+def run(context: ExperimentContext) -> PowerCappingResult:
     """Run the matched-budget comparison; baseline and Harmonia are the
     shared evaluation's runs, so only the capper runs here."""
-    context = context or default_context()
     platform = context.platform
     runs = context.evaluation.runs
     runner = BatchSessionRunner(platform)

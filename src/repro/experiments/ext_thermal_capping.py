@@ -26,7 +26,7 @@ from typing import Tuple
 
 from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.power.thermal import ThermalGovernor, ThermalModel
 from repro.runtime.session import BatchSessionRunner
 
@@ -95,9 +95,8 @@ def _run_hot(context: ExperimentContext, app_name: str, inner_policy):
     return result, governor.thermal_state
 
 
-def run(context: ExperimentContext = None) -> ThermalCappingResult:
+def run(context: ExperimentContext) -> ThermalCappingResult:
     """Run baseline vs Harmonia under the constrained enclosure."""
-    context = context or default_context()
     rows = []
     for app_name in THERMAL_APPS:
         base_run, base_state = _run_hot(

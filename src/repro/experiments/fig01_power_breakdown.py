@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.workloads.registry import get_kernel
 
 
@@ -42,9 +42,8 @@ class PowerBreakdownResult:
         return self.gpu_power / self.card_power
 
 
-def run(context: ExperimentContext = None) -> PowerBreakdownResult:
+def run(context: ExperimentContext) -> PowerBreakdownResult:
     """Reproduce the Figure 1 breakdown (XSBench at the baseline config)."""
-    context = context or default_context()
     platform = context.platform
     kernel = get_kernel("XSBench.CalculateXS").base
     # Power samples are noise-free, so the cached sweep surface serves

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Tuple
 from repro.analysis.balance import knee_of_curve
 from repro.analysis.report import format_table
 from repro.analysis.sweep import ConfigSweep
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.units import hz_to_mhz
 from repro.workloads.registry import get_kernel
 
@@ -66,9 +66,8 @@ class BalanceResult:
 
 
 def run_workload(workload: str, kernel_name: str,
-                 context: ExperimentContext = None) -> BalanceResult:
+                 context: ExperimentContext) -> BalanceResult:
     """Sweep one Figure 3 workload over the full configuration space."""
-    context = context or default_context()
     platform = context.platform
     spec = get_kernel(kernel_name).base
     sweep = ConfigSweep(platform, spec)
@@ -94,9 +93,8 @@ def run_workload(workload: str, kernel_name: str,
                          curves=tuple(curves))
 
 
-def run(context: ExperimentContext = None) -> Dict[str, BalanceResult]:
+def run(context: ExperimentContext) -> Dict[str, BalanceResult]:
     """All three Figure 3 panels."""
-    context = context or default_context()
     return {
         workload: run_workload(workload, kernel, context)
         for workload, kernel in FIGURE3_KERNELS

@@ -15,7 +15,7 @@ from typing import Tuple
 
 from repro.analysis.report import format_table
 from repro.analysis.sweep import ConfigSweep
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.units import hz_to_mhz
 from repro.workloads.registry import get_kernel
 
@@ -41,9 +41,8 @@ class PowerRangeResult:
         return (max(powers) - min(powers)) / max(powers)
 
 
-def run_fig04(context: ExperimentContext = None) -> PowerRangeResult:
+def run_fig04(context: ExperimentContext) -> PowerRangeResult:
     """DeviceMemory power across compute configs at max memory (Fig 4)."""
-    context = context or default_context()
     platform = context.platform
     spec = get_kernel("DeviceMemory.DeviceMemory").base
     sweep = ConfigSweep(platform, spec)
@@ -57,9 +56,8 @@ def run_fig04(context: ExperimentContext = None) -> PowerRangeResult:
     return PowerRangeResult(figure="Figure 4", workload=spec.name, points=points)
 
 
-def run_fig05(context: ExperimentContext = None) -> PowerRangeResult:
+def run_fig05(context: ExperimentContext) -> PowerRangeResult:
     """MaxFlops power across memory configs at max compute (Fig 5)."""
-    context = context or default_context()
     platform = context.platform
     spec = get_kernel("MaxFlops.MaxFlops").base
     sweep = ConfigSweep(platform, spec)

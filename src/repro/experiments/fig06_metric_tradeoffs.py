@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Tuple
 
 from repro.analysis.report import format_table
 from repro.analysis.sweep import ConfigSweep, SweepPoint
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.workloads.registry import get_kernel
 
 #: The two Figure 6 workloads.
@@ -68,9 +68,8 @@ class MetricTradeoffResult:
 
 
 def run_workload(workload: str, kernel_name: str,
-                 context: ExperimentContext = None) -> MetricTradeoffResult:
+                 context: ExperimentContext) -> MetricTradeoffResult:
     """Exhaustive metric-optimal search for one workload."""
-    context = context or default_context()
     sweep = ConfigSweep(context.platform, get_kernel(kernel_name).base)
     best_perf = sweep.optimum_performance()
 
@@ -92,9 +91,8 @@ def run_workload(workload: str, kernel_name: str,
     return MetricTradeoffResult(workload=workload, rows=rows)
 
 
-def run(context: ExperimentContext = None) -> Dict[str, MetricTradeoffResult]:
+def run(context: ExperimentContext) -> Dict[str, MetricTradeoffResult]:
     """Figure 6 for both workloads."""
-    context = context or default_context()
     return {
         workload: run_workload(workload, kernel, context)
         for workload, kernel in FIGURE6_KERNELS

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.gpu.occupancy import compute_occupancy
 from repro.sensitivity.measurement import measure_sensitivities
 from repro.workloads.registry import get_kernel
@@ -54,9 +54,8 @@ class OccupancyResultPair:
         return max(self.rows, key=lambda r: r.occupancy)
 
 
-def run(context: ExperimentContext = None) -> OccupancyResultPair:
+def run(context: ExperimentContext) -> OccupancyResultPair:
     """Occupancy + measured bandwidth sensitivity for both kernels."""
-    context = context or default_context()
     platform = context.platform
     arch = platform.calibration.arch
     rows = []

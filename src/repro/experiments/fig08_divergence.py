@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.sensitivity.measurement import measure_sensitivities
 from repro.workloads.registry import get_kernel
 
@@ -53,9 +53,8 @@ class DivergenceResultPair:
         return min(self.rows, key=lambda r: r.branch_divergence)
 
 
-def run(context: ExperimentContext = None) -> DivergenceResultPair:
+def run(context: ExperimentContext) -> DivergenceResultPair:
     """Divergence and measured compute-frequency sensitivity."""
-    context = context or default_context()
     platform = context.platform
     rows = []
     for kernel_name, paper_divergence in FIGURE8_KERNELS:

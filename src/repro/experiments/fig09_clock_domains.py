@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.sensitivity.measurement import measure_sensitivities, sensitivity_between
 from repro.units import hz_to_mhz
 from repro.workloads.registry import get_kernel
@@ -39,9 +39,8 @@ class ClockDomainResult:
                    if limit == "crossing")
 
 
-def run(context: ExperimentContext = None) -> ClockDomainResult:
+def run(context: ExperimentContext) -> ClockDomainResult:
     """Reproduce Figure 9 on DeviceMemory."""
-    context = context or default_context()
     platform = context.platform
     spec = get_kernel("DeviceMemory.DeviceMemory").base
     space = platform.config_space

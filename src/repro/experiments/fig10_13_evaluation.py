@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import (
-    EVALUATION_POLICIES, ExperimentContext, default_context)
+from repro.experiments.context import EVALUATION_POLICIES, ExperimentContext
 
 if TYPE_CHECKING:
     from repro.analysis.evaluation import EvaluationSummary, MonteCarloSummary
@@ -62,9 +61,8 @@ class EvaluationResult:
         }
 
 
-def run(context: ExperimentContext = None) -> EvaluationResult:
+def run(context: ExperimentContext) -> EvaluationResult:
     """Run (or fetch the cached) evaluation matrix."""
-    context = context or default_context()
     apps = tuple(app.name for app in context.applications)
     return EvaluationResult(summary=context.evaluation, applications=apps)
 
@@ -133,16 +131,6 @@ def format_fig13(result: EvaluationResult) -> str:
     )
 
 
-def format_report(result: EvaluationResult) -> str:
-    """All four figures."""
-    return "\n\n".join([
-        format_fig10(result),
-        format_fig11(result),
-        format_fig12(result),
-        format_fig13(result),
-    ])
-
-
 # --- Monte Carlo confidence bands --------------------------------------------------------
 
 #: (attribute, table title) pairs the CI report prints, one per figure.
@@ -154,7 +142,7 @@ _CI_TABLES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def run_ci(context: ExperimentContext = None, seeds: int = 16,
+def run_ci(context: ExperimentContext, seeds: int = 16,
            noise_std_fraction: float = 0.05) -> MonteCarloSummary:
     """The evaluation matrix under repeated-trial measurement noise.
 
@@ -165,7 +153,6 @@ def run_ci(context: ExperimentContext = None, seeds: int = 16,
     """
     from repro.analysis.evaluation import EvaluationHarness
 
-    context = context or default_context()
     harness = EvaluationHarness(context.platform, context.baseline_policy())
     return harness.evaluate_montecarlo(
         context.applications,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.runtime.trace import ResidencyTable
 from repro.units import hz_to_mhz
 
@@ -59,10 +59,9 @@ class Graph500Result:
         return len(self.mem_residency.fractions)
 
 
-def run(context: ExperimentContext = None) -> Graph500Result:
+def run(context: ExperimentContext) -> Graph500Result:
     """Extract the three figures from the shared evaluation's Harmonia
     run of Graph500."""
-    context = context or default_context()
     run_result = context.evaluation.runs["Graph500"]["harmonia"]
 
     phases = []

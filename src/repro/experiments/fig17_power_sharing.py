@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 
 #: The application subset shown in the figure.
 FIGURE17_APPS: Tuple[str, ...] = (
@@ -59,9 +59,8 @@ class PowerSharingResult:
         return gpu / total, mem / total
 
 
-def run(context: ExperimentContext = None) -> PowerSharingResult:
+def run(context: ExperimentContext) -> PowerSharingResult:
     """Extract the GPU/memory split from the evaluation matrix."""
-    context = context or default_context()
     summary = context.evaluation
     rows = []
     for app in FIGURE17_APPS:

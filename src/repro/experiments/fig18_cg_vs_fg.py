@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 
 #: Subset shown in the paper's figure.
 FIGURE18_APPS: Tuple[str, ...] = (
@@ -87,9 +87,8 @@ def _settle_iterations(
     return settle
 
 
-def run(context: ExperimentContext = None) -> CgFgResult:
+def run(context: ExperimentContext) -> CgFgResult:
     """Decompose ED² gains into CG and FG shares; measure convergence."""
-    context = context or default_context()
     summary = context.evaluation
     contributions = tuple(
         ContributionRow(

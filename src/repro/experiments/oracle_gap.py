@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.core.policy import HistoryMixin, LaunchContext
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.gpu.config import HardwareConfig
 from repro.perf.kernelspec import KernelSpec
 from repro.platform.hd7970 import HardwarePlatform
@@ -118,9 +118,8 @@ class OracleGapResult:
         return self.geomean_perf_oracle - self.geomean_harmonia
 
 
-def run(context: ExperimentContext = None) -> OracleGapResult:
+def run(context: ExperimentContext) -> OracleGapResult:
     """Run the three-way comparison over all applications."""
-    context = context or default_context()
     summary = context.evaluation
     platform = context.platform
     runner = BatchSessionRunner(platform)

@@ -19,6 +19,12 @@ The registry is data, not behavior: scheduling lives in
 :mod:`repro.runtime.pipeline`, and ``tools/check_experiment_registry.py``
 lints that every experiment module is registered here exactly once.
 
+Each report node also declares its CLI **aliases**, the short names the
+paper uses (``fig10``, ``fig15``, ``table3``, ``ext-thermal``, ...).
+``python -m repro figure`` accepts a node name or an alias and runs the
+same pipeline as ``reproduce`` over that one node; :func:`register`
+rejects an alias that repeats another alias or a node name.
+
 Registering a spec does **not** import its experiment module. Runners
 and formatters resolve their module on first call (:func:`_mod`), so
 importing the registry costs the specs alone — a run that serves every
@@ -71,6 +77,8 @@ class ExperimentSpec:
         version: per-node schema version; bump to invalidate persisted
             manifest entries after changing the node's code.
         group: ``core`` | ``ablations`` | ``internal``.
+        aliases: the node's other names on the command line
+            (``figure fig10``); unique across every name and alias.
     """
 
     name: str
@@ -81,6 +89,7 @@ class ExperimentSpec:
     inputs: Tuple[Any, ...] = ()
     version: int = 1
     group: str = "core"
+    aliases: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.group not in GROUPS:
@@ -103,15 +112,26 @@ _REGISTRY: Dict[str, ExperimentSpec] = {}
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
-    """Add one spec; report/node names must be unique.
+    """Add one spec; node names and aliases must all be distinct.
 
     Raises:
-        AnalysisError: on a duplicate node name.
+        AnalysisError: on a duplicate node name, or on an alias that
+            repeats another alias or a node name.
     """
     if spec.name in _REGISTRY:
         raise AnalysisError(
             f"experiment {spec.name!r} registered twice "
             f"({_REGISTRY[spec.name].module} and {spec.module})"
+        )
+    names = (spec.name,) + spec.aliases
+    taken = {name for other in _REGISTRY.values()
+             for name in (other.name,) + other.aliases}
+    clashes = sorted({name for name in names
+                      if name in taken or names.count(name) > 1})
+    if clashes:
+        raise AnalysisError(
+            f"experiment {spec.name!r}: name or alias "
+            f"{', '.join(map(repr, clashes))} is already taken"
         )
     _REGISTRY[spec.name] = spec
     return spec
@@ -195,8 +215,9 @@ def _mod(name: str):
     return module
 
 
-def _simple(name: str, module: str, deps: Tuple[str, ...] = (),
-            inputs: Tuple[Any, ...] = (), version: int = 1) -> ExperimentSpec:
+def _simple(name: str, module: str, aliases: Tuple[str, ...] = (),
+            deps: Tuple[str, ...] = (), inputs: Tuple[Any, ...] = (),
+            version: int = 1) -> ExperimentSpec:
     """A spec around a module's plain ``run`` / ``format_report`` pair."""
     return ExperimentSpec(
         name=name,
@@ -206,6 +227,7 @@ def _simple(name: str, module: str, deps: Tuple[str, ...] = (),
         deps=deps,
         inputs=inputs,
         version=version,
+        aliases=aliases,
     )
 
 
@@ -240,6 +262,7 @@ register(ExperimentSpec(
     formatter=lambda result: _mod(
         "fig04_fig05_power_ranges").format_report(result, "70%"),
     inputs=("compute-power-range", "70%"),
+    aliases=("fig04",),
 ))
 register(ExperimentSpec(
     name="fig05_memory_power",
@@ -249,6 +272,7 @@ register(ExperimentSpec(
     formatter=lambda result: _mod(
         "fig04_fig05_power_ranges").format_report(result, "10%"),
     inputs=("memory-power-range", "10%"),
+    aliases=("fig05",),
 ))
 for _fig in ("fig10_ed2", "fig11_energy", "fig12_power",
              "fig13_performance"):
@@ -261,37 +285,43 @@ for _fig in ("fig10_ed2", "fig11_energy", "fig12_power",
             _mod("fig10_13_evaluation"), _f)(result),
         deps=("evaluation",),
         inputs=(_figure,),
+        aliases=(_figure,),
     ))
-register(_simple("fig01_power_breakdown", "fig01_power_breakdown",
+register(_simple("fig01_power_breakdown", "fig01_power_breakdown", ("fig01",),
                  inputs=("XSBench.CalculateXS", "baseline-config")))
-register(_simple("table1_dvfs", "table1_dvfs"))
-register(_simple("fig03_balance_points", "fig03_balance"))
-register(_simple("fig06_metric_tradeoffs", "fig06_metric_tradeoffs"))
-register(_simple("fig07_occupancy", "fig07_occupancy"))
-register(_simple("fig08_divergence", "fig08_divergence"))
-register(_simple("fig09_clock_domains", "fig09_clock_domains"))
-register(_simple("table2_table3_models", "table2_table3_models",
+register(_simple("table1_dvfs", "table1_dvfs", ("table1",)))
+register(_simple("fig03_balance_points", "fig03_balance", ("fig03",)))
+register(_simple("fig06_metric_tradeoffs", "fig06_metric_tradeoffs",
+                 ("fig06",)))
+register(_simple("fig07_occupancy", "fig07_occupancy", ("fig07",)))
+register(_simple("fig08_divergence", "fig08_divergence", ("fig08",)))
+register(_simple("fig09_clock_domains", "fig09_clock_domains", ("fig09",)))
+register(_simple("table2_table3_models", "table2_table3_models", ("table3",),
                  deps=("training",)))
 register(_simple("fig14_16_graph500", "fig14_16_graph500",
+                 ("fig14", "fig15", "fig16"), deps=("evaluation",)))
+register(_simple("fig17_power_sharing", "fig17_power_sharing", ("fig17",),
                  deps=("evaluation",)))
-register(_simple("fig17_power_sharing", "fig17_power_sharing",
+register(_simple("fig18_cg_vs_fg", "fig18_cg_vs_fg", ("fig18",),
                  deps=("evaluation",)))
-register(_simple("fig18_cg_vs_fg", "fig18_cg_vs_fg", deps=("evaluation",)))
-register(_simple("sec72_variants", "sec72_variants", deps=("evaluation",)))
+register(_simple("sec72_variants", "sec72_variants", ("sec72",),
+                 deps=("evaluation",)))
 register(_simple("ext_memory_voltage", "ext_memory_voltage",
-                 deps=("evaluation",)))
+                 ("ext-voltage",), deps=("evaluation",)))
 register(_simple("ext_thermal_capping", "ext_thermal_capping",
-                 deps=("training",)))
+                 ("ext-thermal",), deps=("training",)))
 # version 2: event-driven surfaces come from the batched lockstep engine
 # (bitwise-identical to v1's scalar fan-out, but the producer changed).
-register(_simple("ext_model_validation", "ext_model_validation", version=2))
-register(_simple("ext_phase_memory", "ext_phase_memory",
+register(_simple("ext_model_validation", "ext_model_validation",
+                 ("ext-validation",), version=2))
+register(_simple("ext_phase_memory", "ext_phase_memory", ("ext-recall",),
                  deps=("training",)))
-register(_simple("ext_power_capping", "ext_power_capping",
+register(_simple("ext_power_capping", "ext_power_capping", ("ext-capping",),
                  deps=("evaluation",)))
-register(_simple("ext_portability", "ext_portability",
+register(_simple("ext_portability", "ext_portability", ("ext-portability",),
                  deps=("evaluation",)))
-register(_simple("oracle_gap", "oracle_gap", deps=("evaluation",)))
+register(_simple("oracle_gap", "oracle_gap", ("oracle-gap",),
+                 deps=("evaluation",)))
 register(_simple("characterization", "characterization"))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,8 @@ class VariantsResult:
         return self.dvfs_only_ed2 / self.harmonia_ed2
 
 
-def run(context: ExperimentContext = None) -> VariantsResult:
+def run(context: ExperimentContext) -> VariantsResult:
     """Compute the Section 7.2 comparison quantities."""
-    context = context or default_context()
     summary = context.evaluation
     bw_err, comp_err = context.training.prediction_errors()
     return VariantsResult(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.units import MHZ, hz_to_mhz
 
 #: (state, frequency MHz, voltage V) as printed in the paper.
@@ -34,9 +34,8 @@ class DvfsTableResult:
         return max(abs(row[2] - row[4]) for row in self.rows)
 
 
-def run(context: ExperimentContext = None) -> DvfsTableResult:
+def run(context: ExperimentContext) -> DvfsTableResult:
     """Compare the library's DVFS table against the paper's Table 1."""
-    context = context or default_context()
     table = context.platform.calibration.arch.dvfs_table
     rows = []
     for name, freq_mhz, volts in PAPER_TABLE1:

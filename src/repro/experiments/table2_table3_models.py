@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.perf.counters import PerfCounters
 from repro.sensitivity.predictor import (
     PAPER_BANDWIDTH_PREDICTOR,
@@ -55,9 +55,8 @@ class ModelComparisonResult:
         return self.training.prediction_errors()
 
 
-def run(context: ExperimentContext = None) -> ModelComparisonResult:
+def run(context: ExperimentContext) -> ModelComparisonResult:
     """Rerun the Section 4 pipeline on this substrate."""
-    context = context or default_context()
     return ModelComparisonResult(training=context.training)
 
 

@@ -18,8 +18,9 @@ ablation hang off one predictor-training run). The scheduler here
   its dependencies), so a warm rerun with unchanged inputs skips every
   node and any input change invalidates exactly the affected subgraph,
   by value, with no invalidation protocol;
-* records **per-node wall/CPU timings** and telemetry spans and derives
-  the pipeline's **critical path** for the final summary.
+* records **per-node wall times** and telemetry spans for the final
+  summary; nodes run one after another, so a run's wall time is the sum
+  of its nodes' walls.
 
 Report bytes are identical whether a node ran or was manifest-served,
 because nodes are pure functions of the context and the manifest stores
@@ -171,7 +172,6 @@ class NodeTiming:
     name: str
     status: str  # STATUS_RAN | STATUS_MANIFEST | STATUS_PRUNED
     wall_s: float
-    cpu_s: float  # CPU time of the calling thread (time.thread_time)
     digest: str
 
 
@@ -181,8 +181,6 @@ class PipelineResult:
 
     reports: Mapping[str, str]  # report node name -> exact report text
     timings: Tuple[NodeTiming, ...]  # registration order
-    critical_path: Tuple[str, ...]
-    critical_path_s: float
     wall_s: float
 
     def served(self) -> Tuple[str, ...]:
@@ -199,15 +197,11 @@ class PipelineResult:
         return {
             "schema": RESULT_SCHEMA_VERSION,
             "wall_s": self.wall_s,
-            "critical_path": list(self.critical_path),
-            "critical_path_s": self.critical_path_s,
             "nodes": [
                 {
                     "node": t.name,
                     "status": t.status,
                     "wall_s": t.wall_s,
-                    "cpu_s": t.cpu_s,
-                    "critical": t.name in self.critical_path,
                     "digest": t.digest,
                 }
                 for t in self.timings
@@ -255,7 +249,7 @@ class ExperimentPipeline:
 
     def run(self, emit: Optional[Callable[[str, str, str], None]] = None
             ) -> PipelineResult:
-        """Execute the DAG; returns reports, timings and the critical path.
+        """Execute the DAG; returns the reports and per-node timings.
 
         Args:
             emit: optional ``emit(name, text, status)`` callback invoked
@@ -269,10 +263,9 @@ class ExperimentPipeline:
         started = time.perf_counter()
         reports: Dict[str, str] = {}
         wall: Dict[str, float] = {name: 0.0 for name in self._order}
-        cpu: Dict[str, float] = dict(wall)
         status: Dict[str, str] = {}
 
-        served = self._probe_manifest(status, wall, cpu, reports)
+        served = self._probe_manifest(status, wall, reports)
         if emit is not None:
             for name in self._order:
                 if name in served:
@@ -283,24 +276,21 @@ class ExperimentPipeline:
             if name not in needed and name not in served:
                 status[name] = STATUS_PRUNED
 
-        self._execute(needed, served, status, wall, cpu, reports, emit)
+        self._execute(needed, served, status, wall, reports, emit)
 
         timings = tuple(
             NodeTiming(name=spec.name, status=status[spec.name],
-                       wall_s=wall[spec.name], cpu_s=cpu[spec.name],
+                       wall_s=wall[spec.name],
                        digest=self.digest(spec.name))
             for spec in self._specs
         )
-        path, path_s = _critical_path(self._specs, wall)
         return PipelineResult(
             reports=reports,
             timings=timings,
-            critical_path=path,
-            critical_path_s=path_s,
             wall_s=time.perf_counter() - started,
         )
 
-    def _probe_manifest(self, status, wall, cpu, reports) -> set:
+    def _probe_manifest(self, status, wall, reports) -> set:
         """Serve every already-stored report node; returns their names."""
         served = set()
         if self._manifest is None:
@@ -309,14 +299,12 @@ class ExperimentPipeline:
             if not spec.is_report:
                 continue
             t0 = time.perf_counter()
-            c0 = time.thread_time()
             text = self._manifest.load(self._keys[spec.name])
             if text is None:
                 continue
             served.add(spec.name)
             status[spec.name] = STATUS_MANIFEST
             wall[spec.name] = time.perf_counter() - t0
-            cpu[spec.name] = time.thread_time() - c0
             reports[spec.name] = text
         return served
 
@@ -333,27 +321,24 @@ class ExperimentPipeline:
             stack.extend(self._by_name[name].deps)
         return needed
 
-    def _run_node(self, spec) -> Tuple[Any, Optional[str], float, float]:
+    def _run_node(self, spec) -> Tuple[Any, Optional[str], float]:
         t0 = time.perf_counter()
-        c0 = time.thread_time()
         # Store loads and batch sweeps below attach to the node span.
         with self._telemetry.span(f"pipeline.{spec.name}", node=spec.name):
             deps = {dep: self._results[dep] for dep in spec.deps}
             payload = spec.runner(self._context, deps)
             text = (spec.formatter(payload)
                     if spec.formatter is not None else None)
-        return (payload, text,
-                time.perf_counter() - t0, time.thread_time() - c0)
+        return payload, text, time.perf_counter() - t0
 
-    def _execute(self, needed, served, status, wall, cpu, reports,
-                 emit) -> None:
+    def _execute(self, needed, served, status, wall, reports, emit) -> None:
         """Run the needed subgraph in topological order."""
         for name in self._order:
             if name not in needed:
                 continue
             spec = self._by_name[name]
             try:
-                payload, text, wall[name], cpu[name] = self._run_node(spec)
+                payload, text, wall[name] = self._run_node(spec)
             except Exception as error:
                 if hasattr(error, "add_note"):  # Python >= 3.11
                     error.add_note(f"pipeline node {name!r} failed")
@@ -375,51 +360,12 @@ class ExperimentPipeline:
                     emit(name, text, STATUS_RAN)
 
 
-def _critical_path(specs: Sequence[Any],
-                   wall: Mapping[str, float]) -> Tuple[Tuple[str, ...], float]:
-    """The heaviest dependency chain under the recorded wall times."""
-    by_name = {spec.name: spec for spec in specs}
-    cost: Dict[str, float] = {}
-    heaviest_dep: Dict[str, Optional[str]] = {}
-    for name in topological_order(specs):
-        deps = by_name[name].deps
-        best, best_cost = None, 0.0
-        for dep in deps:
-            if cost[dep] > best_cost:
-                best, best_cost = dep, cost[dep]
-        cost[name] = wall.get(name, 0.0) + best_cost
-        heaviest_dep[name] = best
-    if not cost:
-        return (), 0.0
-    tail = max(cost, key=lambda n: cost[n])
-    path: List[str] = []
-    cursor: Optional[str] = tail
-    while cursor is not None:
-        path.append(cursor)
-        cursor = heaviest_dep[cursor]
-    return tuple(reversed(path)), cost[tail]
-
-
 def format_profile(result: PipelineResult) -> str:
-    """The critical-path profile table for the ``reproduce`` summary."""
-    on_path = set(result.critical_path)
+    """The per-node profile table for the ``reproduce`` summary."""
     ordered = sorted(result.timings, key=lambda t: t.wall_s, reverse=True)
-    rows = [
-        (
-            timing.name,
-            timing.status,
-            f"{timing.wall_s * 1e3:8.1f}",
-            f"{timing.cpu_s * 1e3:8.1f}",
-            "*" if timing.name in on_path else "",
-        )
-        for timing in ordered
-    ]
-    table = format_table(
-        headers=("node", "status", "wall ms", "cpu ms", "critical"),
-        rows=rows,
-        title=(f"pipeline profile: {result.wall_s:.2f}s wall, "
-               f"critical path {result.critical_path_s:.2f}s "
-               f"over {len(result.critical_path)} node(s)"),
+    return format_table(
+        headers=("node", "status", "wall ms"),
+        rows=[(t.name, t.status, f"{t.wall_s * 1e3:8.1f}") for t in ordered],
+        title=(f"pipeline profile: {result.wall_s:.2f}s wall over "
+               f"{len(ordered)} node(s)"),
     )
-    chain = " -> ".join(result.critical_path) if result.critical_path else "-"
-    return f"{table}\ncritical path: {chain}"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.registry import reproduce_specs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
@@ -17,6 +18,16 @@ if str(REPO_ROOT) not in sys.path:
 from tools.regen_goldens import (  # noqa: E402
     BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_ARGS, MONTECARLO_GOLDEN,
     child_env, cold_reproduce, diff_text)
+
+#: (name, node): every core report node under its node name and under
+#: each of its aliases, as ``figure`` accepts them.
+REPORT_NAMES = [(name, spec.name) for spec in reproduce_specs()
+                if spec.is_report for name in (spec.name,) + spec.aliases]
+
+
+def _golden(node: str) -> str:
+    """The committed golden report of one node, as ``figure`` prints it."""
+    return (GOLDEN_DIR / f"{node}.txt").read_text(encoding="utf-8")
 
 
 class TestParser:
@@ -77,15 +88,15 @@ class TestCommands:
 
     def test_figure_table1(self, capsys):
         assert main(["figure", "table1"]) == 0
-        assert "DPM2" in capsys.readouterr().out
+        assert capsys.readouterr().out == _golden("table1_dvfs")
 
     def test_figure_fig07(self, capsys):
         assert main(["figure", "fig07"]) == 0
-        assert "occupancy" in capsys.readouterr().out
+        assert capsys.readouterr().out == _golden("fig07_occupancy")
 
     def test_figure_fig05(self, capsys):
         assert main(["figure", "fig05"]) == 0
-        assert "Figure 5" in capsys.readouterr().out
+        assert capsys.readouterr().out == _golden("fig05_memory_power")
 
     def test_figure_unknown(self, capsys):
         assert main(["figure", "fig99"]) == 2
@@ -94,10 +105,12 @@ class TestCommands:
 
 class TestReproduce:
     def test_reproduce_writes_reports(self, tmp_path, capsys):
-        from repro.experiments.registry import reproduce_specs
         from repro.runtime.pipeline import topological_order
 
-        assert main(["reproduce", "--output", str(tmp_path)]) == 0
+        # Its own store: a report another command stored in the shared
+        # one would be served, and print first.
+        assert main(["reproduce", "--output", str(tmp_path),
+                     "--cache-dir", str(tmp_path / "store")]) == 0
         out = capsys.readouterr().out
         assert "reports written" in out
         assert "sweep cache:" in out  # the cache-effectiveness summary
@@ -193,6 +206,46 @@ class TestWarmReproduceImports:
         assert "repro.cli" in modules
         assert [name for name in modules
                 if name == "numpy" or name.startswith("numpy.")] == []
+
+
+class TestFigureAndEvaluate:
+    """``figure`` and ``evaluate`` run the ``reproduce`` pipeline, so a
+    store that ``reproduce`` filled serves their reports."""
+
+    @pytest.fixture(autouse=True)
+    def _detach_after(self):
+        from repro.platform.sweepcache import shared_cache
+        yield
+        shared_cache().detach_store()
+
+    @pytest.mark.parametrize("name, node", REPORT_NAMES,
+                             ids=[name for name, _ in REPORT_NAMES])
+    def test_figure_prints_the_golden(self, filled_store, capsys, name,
+                                      node):
+        store, _ = filled_store
+        assert main(["figure", name, "--cache-dir", str(store)]) == 0
+        assert capsys.readouterr().out == _golden(node)
+
+    @pytest.mark.parametrize("argv, nodes", [
+        (("figure", "fig14"), ("fig14_16_graph500",)),
+        (("evaluate",), ("fig10_ed2", "fig11_energy", "fig12_power",
+                         "fig13_performance")),
+    ], ids=["figure", "evaluate"])
+    def test_warm_run_loads_no_model_stack(self, filled_store, argv, nodes):
+        """Against a store that ``reproduce`` filled, the reports come
+        from the manifest: no node runs, so no numpy and no model code
+        loads. ``evaluate`` prints its reports one blank line apart."""
+        store, _ = filled_store
+        child = subprocess.run(
+            [sys.executable, "-c", _WARM_CHILD, *argv,
+             "--cache-dir", str(store)],
+            env=child_env(), check=True, stdout=subprocess.PIPE, text=True)
+        *out, last = child.stdout.splitlines(keepends=True)
+        assert "".join(out) == "\n".join(_golden(node) for node in nodes)
+        modules = json.loads(last)
+        assert [name for name in modules
+                if _forbidden_on_warm_path(name)] == []
+        assert "repro.experiments.registry" in modules  # the guard ran
 
 
 def _golden_mismatches(reports: Path, label: str) -> str:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments import registry
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import ExperimentSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -82,6 +82,53 @@ class TestRegistryContents:
         with pytest.raises(AnalysisError, match="registered twice"):
             registry.register(existing)
 
+    def test_aliases_are_the_cli_figure_names(self):
+        aliases = {alias: spec.name for spec in registry.reproduce_specs()
+                   for alias in spec.aliases}
+        assert aliases == {
+            "fig01": "fig01_power_breakdown",
+            "table1": "table1_dvfs",
+            "fig03": "fig03_balance_points",
+            "fig04": "fig04_compute_power",
+            "fig05": "fig05_memory_power",
+            "fig06": "fig06_metric_tradeoffs",
+            "fig07": "fig07_occupancy",
+            "fig08": "fig08_divergence",
+            "fig09": "fig09_clock_domains",
+            "fig10": "fig10_ed2",
+            "fig11": "fig11_energy",
+            "fig12": "fig12_power",
+            "fig13": "fig13_performance",
+            "table3": "table2_table3_models",
+            "fig14": "fig14_16_graph500",
+            "fig15": "fig14_16_graph500",
+            "fig16": "fig14_16_graph500",
+            "fig17": "fig17_power_sharing",
+            "fig18": "fig18_cg_vs_fg",
+            "sec72": "sec72_variants",
+            "ext-voltage": "ext_memory_voltage",
+            "ext-portability": "ext_portability",
+            "ext-capping": "ext_power_capping",
+            "ext-validation": "ext_model_validation",
+            "ext-recall": "ext_phase_memory",
+            "oracle-gap": "oracle_gap",
+            "ext-thermal": "ext_thermal_capping",
+        }
+
+    @pytest.mark.parametrize("name, aliases", [
+        ("toy", ("fig15",)),          # another node's alias
+        ("toy", ("oracle_gap",)),     # a node name
+        ("fig15", ()),                # a node named like an alias
+        ("toy", ("toy-a", "toy-a")),  # repeated within the spec
+        ("toy", ("toy",)),            # the node's own name
+    ])
+    def test_alias_clash_raises(self, name, aliases):
+        spec = ExperimentSpec(name=name, module="toy", aliases=aliases,
+                              runner=lambda c, d: None, formatter=str)
+        with pytest.raises(AnalysisError, match="already taken"):
+            registry.register(spec)
+        assert name not in {s.name for s in registry.all_specs()}
+
     def test_get_spec_unknown_name(self):
         with pytest.raises(AnalysisError, match="no experiment"):
             registry.get_spec("fig99_imaginary")
@@ -99,8 +146,8 @@ class TestRegistryContents:
 
 class TestFingerprint:
     def test_deterministic_across_contexts(self):
-        a = registry.reproduce_fingerprint(default_context())
-        b = registry.reproduce_fingerprint(default_context())
+        a = registry.reproduce_fingerprint(ExperimentContext())
+        b = registry.reproduce_fingerprint(ExperimentContext())
         assert a == b
         assert len(a) == 64  # sha256 hex
 

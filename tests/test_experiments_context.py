@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.experiments.context import ExperimentContext, default_context
+from repro.experiments.context import ExperimentContext
 
 
 class TestContext:
@@ -34,9 +34,6 @@ class TestContext:
         assert context.dvfs_only_policy().name == "dvfs-only"
         assert context.oracle_policy().name == "oracle"
         assert context.baseline_policy().name == "baseline"
-
-    def test_default_context_is_singleton(self):
-        assert default_context() is default_context()
 
     def test_evaluation_covers_all_policies(self, evaluation):
         policies = {c.policy for c in evaluation.comparisons}

@@ -317,17 +317,15 @@ class TestPipelineRun:
         self.run_pipeline(specs)
         assert threads == [threading.get_ident()] * 7
 
-    def test_profile_and_critical_path(self):
+    def test_profile_lists_every_node(self):
         counter = {"lock": threading.Lock()}
-        result, _ = self.run_pipeline(toy_dag(counter))
-        # The heaviest chain must be a real dependency chain ending in a
-        # node someone depends on transitively from its head.
-        assert result.critical_path
-        assert result.critical_path_s <= result.wall_s * 1.5 + 1e-6
-        text = format_profile(result)
-        assert "critical path:" in text
-        for name in EXPECTED_REPORTS:
-            assert name in text
+        specs = toy_dag(counter)
+        result, _ = self.run_pipeline(specs)
+        rows = format_profile(result).splitlines()[3:]
+        assert sorted(row.split()[0] for row in rows) == sorted(
+            spec.name for spec in specs)
+        assert [node["node"] for node in result.to_dict()["nodes"]] == [
+            spec.name for spec in specs]
 
 
 class TestPipelineSpans:
