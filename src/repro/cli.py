@@ -15,10 +15,12 @@ reproducible run to run.
 (:func:`_run_reports`) and share its result manifest, so each of them
 serves a report that any of them has stored.
 
-Module-level imports are limited to what most subcommands share and
-none of them loads numpy or the model stack: each subcommand imports
-the rest itself, so a report command against a warm result manifest
-only loads the registry, the store and the pipeline.
+This module holds only those three report commands, the parser and the
+helpers the other commands share. The other commands live in
+:mod:`repro.commands`, which :func:`main` imports only to run one of
+them. No module-level import loads numpy or the model stack: each
+command imports the rest itself, so a report command against a warm
+result manifest only loads the registry, the store and the pipeline.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import argparse
 import sys
 from typing import Collection, Optional, Sequence
 
-from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
 
 _POLICIES = ("baseline", "harmonia", "cg-only", "dvfs-only", "oracle")
@@ -38,7 +39,7 @@ _JOBS_IGNORED = ("ignored: every command runs on one thread; still "
                  "accepted so that existing command lines keep working")
 
 
-def _attach_store(args: argparse.Namespace, telemetry=None):
+def attach_store(args: argparse.Namespace, telemetry=None):
     """Attach the persistent sweep store behind the shared cache.
 
     Every sweeping subcommand calls this first: unless ``--no-cache`` was
@@ -87,7 +88,7 @@ def _run_reports(args: argparse.Namespace,
     from repro.runtime.pipeline import ExperimentPipeline, ResultManifest
     from repro.telemetry.handle import coalesce
 
-    store = _attach_store(args, telemetry=telemetry)
+    store = attach_store(args, telemetry=telemetry)
     context = ExperimentContext()
     manifest = None
     if store is not None and not getattr(args, "no_incremental", False):
@@ -107,7 +108,7 @@ def _run_reports(args: argparse.Namespace,
     return result, context, store
 
 
-def _span_telemetry(args: argparse.Namespace):
+def span_telemetry(args: argparse.Namespace):
     """A live telemetry handle when ``--trace`` or ``--metrics-out`` was
     given, else ``None`` (the run keeps the null handle)."""
     if not (args.trace or args.metrics_out):
@@ -116,11 +117,11 @@ def _span_telemetry(args: argparse.Namespace):
     return Telemetry()
 
 
-def _write_span_outputs(args: argparse.Namespace, telemetry) -> None:
+def write_span_outputs(args: argparse.Namespace, telemetry) -> None:
     """Write the ``--trace`` Chrome span trace and the ``--metrics-out``
     metrics registry (sweep-cache counters included) of a finished run."""
     if args.trace:
-        from repro.telemetry import write_chrome_trace
+        from repro.telemetry.spantrace import write_chrome_trace
         written = write_chrome_trace(args.trace, telemetry.spans.records())
         print(f"\nspan trace: {written} spans written to {args.trace}\n"
               f"(open in Perfetto / chrome://tracing, or summarize "
@@ -131,195 +132,6 @@ def _write_span_outputs(args: argparse.Namespace, telemetry) -> None:
         shared_cache().publish(telemetry)
         telemetry.metrics.write_json(args.metrics_out)
         print(f"metrics written to {args.metrics_out}")
-
-
-def _build_policy(context: ExperimentContext, name: str, telemetry=None):
-    if name in ("baseline", "oracle"):
-        # These comparators take no decisions worth tracing; runner-level
-        # KernelLaunch events still cover them.
-        factories = {
-            "baseline": context.baseline_policy,
-            "oracle": context.oracle_policy,
-        }
-        return factories[name]()
-    factories = {
-        "harmonia": context.harmonia_policy,
-        "cg-only": context.cg_only_policy,
-        "dvfs-only": context.dvfs_only_policy,
-    }
-    return factories[name](telemetry=telemetry)
-
-
-def cmd_list(args: argparse.Namespace) -> int:
-    """List the registered applications and kernels."""
-    from repro.workloads.registry import (
-        all_kernels, application_names, get_application)
-
-    rows = []
-    for name in application_names():
-        app = get_application(name)
-        rows.append((name, app.suite, str(app.iterations),
-                     ", ".join(k.name.split(".", 1)[1] for k in app.kernels)))
-    print(format_table(
-        headers=("application", "suite", "iterations", "kernels"),
-        rows=rows,
-        title=f"{len(application_names())} applications / "
-              f"{len(all_kernels())} kernels (paper Section 6)",
-    ))
-    return 0
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    """Run one application under one policy."""
-    from repro.runtime.session import BatchSessionRunner
-    from repro.units import hz_to_mhz
-    from repro.workloads.registry import application_names
-
-    context = ExperimentContext()
-    if args.app not in application_names():
-        print(f"unknown application {args.app!r}; try: python -m repro list",
-              file=sys.stderr)
-        return 2
-    app = context.application(args.app)
-
-    telemetry = None
-    sink = None
-    if args.trace or args.metrics_out or args.profile:
-        from repro.telemetry import JsonlSink, Telemetry
-        telemetry = Telemetry()
-        if args.trace:
-            sink = JsonlSink(args.trace)
-            telemetry.add_sink(sink)
-    _attach_store(args, telemetry=telemetry)
-
-    policy = _build_policy(context, args.policy, telemetry=telemetry)
-    baseline = context.baseline_policy()
-    # The baseline comparator runs un-instrumented so the trace holds
-    # only the policy under study.
-    base_run = BatchSessionRunner(context.platform).run(app, baseline)
-    run = BatchSessionRunner(context.platform, telemetry).run(app, policy)
-
-    rows = []
-    for label, r in (("baseline", base_run), (args.policy, run)):
-        m = r.metrics
-        rows.append((label, f"{m.time * 1e3:.2f}", f"{m.energy:.3f}",
-                     f"{m.avg_power:.1f}", f"{m.ed2 * 1e6:.3f}"))
-    print(format_table(
-        headers=("policy", "time ms", "energy J", "power W", "ED2 uJ s^2"),
-        rows=rows,
-        title=f"{app.name}: {app.iterations} iterations x "
-              f"{len(app.kernels)} kernels",
-    ))
-
-    improvement = 1 - run.metrics.ed2 / base_run.metrics.ed2
-    perf = base_run.metrics.time / run.metrics.time - 1
-    print(f"\nED2 {improvement:+.1%}, performance {perf:+.1%}, power "
-          f"{1 - run.metrics.avg_power / base_run.metrics.avg_power:+.1%}")
-
-    print("\nmemory-bus residency:")
-    for f_mem, frac in sorted(run.trace.f_mem_residency().fractions.items()):
-        print(f"  {hz_to_mhz(f_mem):6.0f} MHz  {frac:6.1%}")
-
-    if telemetry is not None:
-        if sink is not None:
-            sink.close()
-            print(f"\ntelemetry trace: {sink.count} events written to "
-                  f"{sink.path}\n(summarize with: python -m repro "
-                  f"telemetry-report {sink.path})")
-        if args.metrics_out:
-            from repro.platform.sweepcache import shared_cache
-            shared_cache().publish(telemetry)
-            telemetry.metrics.write_json(args.metrics_out)
-            print(f"metrics written to {args.metrics_out}")
-        if args.profile:
-            from repro.telemetry.spans import format_span_report
-            print("\nspan profile of the policy run:")
-            print(format_span_report(telemetry.spans.records()))
-    return 0
-
-
-def cmd_telemetry_report(args: argparse.Namespace) -> int:
-    """Summarize a JSONL event trace, a span trace, or a metrics export."""
-    from repro.errors import TelemetryError
-    from repro.telemetry.report import (
-        cache_effectiveness_from_metrics, eventsim_engine_from_metrics,
-        format_report, summarize)
-
-    if not (args.trace or args.spans or args.metrics):
-        print("telemetry-report needs a trace file, --spans, or --metrics",
-              file=sys.stderr)
-        return 2
-
-    first = True
-    if args.trace:
-        from repro.telemetry.export import load_events
-        try:
-            events = load_events(args.trace)
-        except FileNotFoundError:
-            print(f"no such trace file: {args.trace}", file=sys.stderr)
-            return 2
-        except TelemetryError as error:
-            print(f"unreadable trace {args.trace}: {error}", file=sys.stderr)
-            return 2
-        if not events:
-            print(f"trace {args.trace} holds no events", file=sys.stderr)
-            return 2
-        print(format_report(summarize(events)))
-        first = False
-
-    if args.spans:
-        from repro.telemetry.spans import format_span_report, load_chrome_trace
-        try:
-            records = load_chrome_trace(args.spans)
-        except FileNotFoundError:
-            print(f"no such span trace: {args.spans}", file=sys.stderr)
-            return 2
-        except TelemetryError as error:
-            print(f"unreadable span trace {args.spans}: {error}",
-                  file=sys.stderr)
-            return 2
-        if not first:
-            print()
-        print(format_span_report(records))
-        first = False
-
-    if args.metrics:
-        import json
-        from repro.telemetry.metrics import MetricsRegistry
-        try:
-            with open(args.metrics) as handle:
-                metrics = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"unreadable metrics file {args.metrics}: {error}",
-                  file=sys.stderr)
-            return 2
-        if args.prometheus or args.metrics_out:
-            try:
-                exposition = MetricsRegistry.from_dict(metrics)\
-                    .render_prometheus()
-            except TelemetryError as error:
-                print(f"bad metrics snapshot {args.metrics}: {error}",
-                      file=sys.stderr)
-                return 2
-            if args.metrics_out:
-                with open(args.metrics_out, "w") as handle:
-                    handle.write(exposition)
-                print(f"prometheus exposition written to {args.metrics_out}")
-            if args.prometheus:
-                if not first:
-                    print()
-                print(exposition, end="")
-                first = False
-        else:
-            line = cache_effectiveness_from_metrics(metrics)
-            if not first:
-                print()
-            print(line if line is not None
-                  else "sweep cache: no series in the metrics export")
-            eventsim_line = eventsim_engine_from_metrics(metrics)
-            if eventsim_line is not None:
-                print(eventsim_line)
-    return 0
 
 
 #: The report nodes ``evaluate`` prints, one blank line apart.
@@ -341,73 +153,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> int:
-    """Repeated-trial Monte Carlo bands for one policy vs the baseline."""
-    from repro.analysis.evaluation import EvaluationHarness
-    from repro.telemetry.handle import coalesce
-    from repro.workloads.registry import application_names
-
-    telemetry = _span_telemetry(args)
-    _attach_store(args, telemetry=telemetry)
-    context = ExperimentContext()
-    if args.apps:
-        unknown = [a for a in args.apps if a not in application_names()]
-        if unknown:
-            print(f"unknown application(s) {', '.join(map(repr, unknown))}; "
-                  f"try: python -m repro list", file=sys.stderr)
-            return 2
-        apps = [context.application(name) for name in args.apps]
-    else:
-        apps = context.applications
-
-    # One root span over the whole run: training, the reference
-    # sessions and every rollout (with its noise gather) nest under it.
-    with coalesce(telemetry).span("montecarlo", policy=args.policy,
-                                  seeds=args.seeds):
-        harness = EvaluationHarness(context.platform,
-                                    context.baseline_policy())
-        # ``seeds`` stays a keyword argument: the repository benchmark
-        # shifts trial seeds by rewriting it.
-        summary = harness.evaluate_montecarlo(
-            apps, [_build_policy(context, args.policy)],
-            seeds=args.seeds,
-            noise_std_fraction=args.noise,
-        )
-
-    rows = []
-    for comparison in summary.comparisons:
-        ed2 = comparison.ed2_improvement
-        energy = comparison.energy_improvement
-        perf = comparison.performance_delta
-        rows.append((
-            comparison.application,
-            f"{ed2.mean:+.1%} ±{ed2.half_width:.1%}",
-            f"{energy.mean:+.1%} ±{energy.half_width:.1%}",
-            f"{perf.mean:+.1%} ±{perf.half_width:.1%}",
-        ))
-    if len(summary.comparisons) > 1:
-        geo_ed2 = summary.geomean(args.policy, "ed2_improvement")
-        geo_energy = summary.geomean(args.policy, "energy_improvement")
-        geo_perf = summary.geomean(args.policy, "performance_delta")
-        rows.append((
-            "geomean",
-            f"{geo_ed2.mean:+.1%} ±{geo_ed2.half_width:.1%}",
-            f"{geo_energy.mean:+.1%} ±{geo_energy.half_width:.1%}",
-            f"{geo_perf.mean:+.1%} ±{geo_perf.half_width:.1%}",
-        ))
-    print(format_table(
-        headers=("application", "ED2 vs baseline", "energy vs baseline",
-                 "performance"),
-        rows=rows,
-        title=f"{args.policy}: {len(summary.seeds)} Monte Carlo trials at "
-              f"{summary.noise_std_fraction:.0%} time noise "
-              f"(mean ± 95% CI, seed-paired)",
-    ))
-    if telemetry is not None:
-        _write_span_outputs(args, telemetry)
-    return 0
-
-
 def cmd_figure(args: argparse.Namespace) -> int:
     """Print one paper table/figure, named by report node or alias."""
     from repro.experiments.registry import reproduce_specs
@@ -421,46 +166,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
         return 2
     result, _, _ = _run_reports(args, (node,))
     print(result.reports[node])
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Design-space summary for one or more kernels."""
-    from repro.analysis.sweep import ConfigSweep
-    from repro.errors import map_items
-    from repro.workloads.registry import get_kernel
-
-    _attach_store(args)
-    context = ExperimentContext()
-    specs = []
-    for name in args.kernels:
-        try:
-            specs.append(get_kernel(name).base)
-        except Exception:
-            print(f"unknown kernel {name!r}; try: python -m repro list",
-                  file=sys.stderr)
-            return 2
-
-    sweeps = map_items(lambda spec: ConfigSweep(context.platform, spec),
-                       specs)
-    for spec, sweep in zip(specs, sweeps):
-        best_perf = sweep.optimum_performance()
-        rows = []
-        for target, point in (("min energy", sweep.optimum_energy()),
-                              ("min ED2", sweep.optimum_ed2()),
-                              ("max perf", best_perf)):
-            rows.append((
-                target, point.config.describe(),
-                f"{point.performance / best_perf.performance:.2f}",
-                f"{point.energy / best_perf.energy:.2f}",
-                f"{point.card_power:.0f}",
-            ))
-        print(format_table(
-            headers=("target", "configuration", "perf", "energy", "power W"),
-            rows=rows,
-            title=f"{spec.name}: metric-optimal configurations over "
-                  f"{len(sweep)} grid points",
-        ))
     return 0
 
 
@@ -480,7 +185,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     out_dir = pathlib.Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    telemetry = _span_telemetry(args)
+    telemetry = span_telemetry(args)
     count = 0
 
     def emit(name: str, text: str, status: str) -> None:
@@ -511,8 +216,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             json.dump(result.to_dict(), handle, indent=2)
             handle.write("\n")
         print(f"pipeline profile written to {args.profile_json}")
-    from repro.platform.sweepcache import shared_cache
-    from repro.telemetry.report import format_cache_effectiveness
+    from repro.platform.sweepcache import (
+        format_cache_effectiveness, shared_cache)
     stats = shared_cache().stats()
     store_stats = store.stats() if store is not None else None
     print(format_cache_effectiveness(
@@ -522,58 +227,17 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         bytes_written=store_stats.bytes_written if store_stats else 0,
     ))
     if telemetry is not None:
-        _write_span_outputs(args, telemetry)
+        write_span_outputs(args, telemetry)
     return 0
 
 
-def _load_ledger_module():
-    """Import :mod:`benchmarks.ledger`, tolerating a src-only sys.path.
-
-    The ledger lives beside the benchmarks (it is their data model, not
-    runtime code); when ``repro`` was imported from ``src`` alone, the
-    repository root is appended so the module resolves in a dev checkout.
-    """
-    try:
-        from benchmarks import ledger
-        return ledger
-    except ImportError:
-        import pathlib
-        repo_root = pathlib.Path(__file__).resolve().parents[2]
-        if not (repo_root / "benchmarks" / "ledger.py").exists():
-            raise
-        sys.path.insert(0, str(repo_root))
-        from benchmarks import ledger
-        return ledger
-
-
-def cmd_bench_report(args: argparse.Namespace) -> int:
-    """Report benchmark trends and regression-gate status from the ledger."""
-    try:
-        ledger = _load_ledger_module()
-    except ImportError as error:
-        print(f"bench ledger unavailable: {error}", file=sys.stderr)
-        return 2
-
-    path = args.ledger if args.ledger else ledger.default_ledger_path()
-    entries = ledger.read_entries(path)
-    if not entries:
-        print(f"ledger {path} holds no entries; ingest BENCH_*.json runs "
-              f"with: python tools/bench_gate.py ingest BENCH_foo.json",
-              file=sys.stderr)
-        return 2
-    if args.bench:
-        entries = [entry for entry in entries if entry.bench in args.bench]
-        if not entries:
-            print(f"ledger {path} holds no entries for {args.bench}",
-                  file=sys.stderr)
-            return 2
-    print(ledger.format_trend_report(entries, window=args.window))
-    if args.check:
-        results = ledger.evaluate_all_gates(entries, window=args.window)
-        if any(result.status == ledger.STATUS_REGRESSION
-               for result in results):
-            return 1
-    return 0
+def _deferred(name: str):
+    """The command ``name`` of :mod:`repro.commands`, imported when it
+    runs, so that parsing a report command never loads that module."""
+    def run(args: argparse.Namespace) -> int:
+        from repro import commands
+        return getattr(commands, name)(args)
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a Chrome trace-event JSON of the run's "
                              "span tree to PATH (open in Perfetto)")
     span_p.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write the aggregated metrics registry "
-                             "(merged across all workers) to PATH as JSON")
+                        help="write the run's metrics registry (sweep-cache "
+                             "counters included) to PATH as JSON")
 
     sub.add_parser("list", help="list applications and kernels") \
-        .set_defaults(func=cmd_list)
+        .set_defaults(func=_deferred("cmd_list"))
 
     run_p = sub.add_parser("run", help="run one application under a policy",
                            parents=[cache_p])
@@ -617,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "as JSON")
     run_p.add_argument("--profile", action="store_true",
                        help="print the policy run's span profile")
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=_deferred("cmd_run"))
 
     report_p = sub.add_parser(
         "telemetry-report",
@@ -640,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--metrics-out", metavar="PATH", default=None,
                           help="write the Prometheus exposition of "
                                "--metrics to PATH")
-    report_p.set_defaults(func=cmd_telemetry_report)
+    report_p.set_defaults(func=_deferred("cmd_telemetry_report"))
 
     eval_p = sub.add_parser("evaluate", help="the Figures 10-13 headline",
                             parents=[cache_p])
@@ -667,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: 0.05)")
     mc_p.add_argument("--jobs", type=int, default=1, metavar="N",
                       help=_JOBS_IGNORED)
-    mc_p.set_defaults(func=cmd_montecarlo)
+    mc_p.set_defaults(func=_deferred("cmd_montecarlo"))
 
     fig_p = sub.add_parser("figure", help="regenerate one table/figure",
                            parents=[cache_p])
@@ -680,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                              parents=[cache_p])
     sweep_p.add_argument("kernels", nargs="+", metavar="kernel",
                          help="qualified name(s), e.g. Sort.BottomScan")
-    sweep_p.set_defaults(func=cmd_sweep)
+    sweep_p.set_defaults(func=_deferred("cmd_sweep"))
 
     repro_p = sub.add_parser(
         "reproduce", help="regenerate every table/figure report",
@@ -715,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "entries (default: 5)")
     bench_p.add_argument("--check", action="store_true",
                          help="exit 1 when any gate reports a regression")
-    bench_p.set_defaults(func=cmd_bench_report)
+    bench_p.set_defaults(func=_deferred("cmd_bench_report"))
 
     return parser
 

@@ -41,7 +41,6 @@ from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.perf.result import KernelRunResult
 from repro.sensitivity.binning import Bin, SensitivityBins
 from repro.sensitivity.predictor import SensitivityPredictor
-from repro.telemetry import events as tm
 from repro.telemetry.handle import coalesce
 
 
@@ -302,7 +301,8 @@ class HarmoniaPolicy(HistoryMixin):
         control.phase_age += 1
         tel = self._telemetry
         if phase_changed and tel.enabled:
-            tel.emit(tm.PhaseChange(
+            from repro.telemetry.events import PhaseChange
+            tel.emit(PhaseChange(
                 kernel=context.kernel_name,
                 iteration=context.iteration,
                 time_s=result.time,
@@ -334,7 +334,8 @@ class HarmoniaPolicy(HistoryMixin):
                 next_config = self._cg_jump(control, snapshot, result.config)
                 source = "cg"
                 if tel.enabled:
-                    tel.emit(tm.CGJump(
+                    from repro.telemetry.events import CGJump
+                    tel.emit(CGJump(
                         kernel=context.kernel_name,
                         iteration=context.iteration,
                         time_s=result.time,
@@ -391,7 +392,8 @@ class HarmoniaPolicy(HistoryMixin):
         history.current_config = next_config
         control.last_snapshot = snapshot
         if tel.enabled and source is not None and next_config != result.config:
-            tel.emit(tm.ConfigApplied(
+            from repro.telemetry.events import ConfigApplied
+            tel.emit(ConfigApplied(
                 kernel=context.kernel_name,
                 iteration=context.iteration,
                 time_s=result.time,
@@ -431,6 +433,8 @@ class HarmoniaPolicy(HistoryMixin):
         under validation), a fresh ``converged`` flag is convergence,
         and any other configuration change is a forward step.
         """
+        from repro.telemetry.events import FGConverged, FGRevert, FGStep
+
         tel = self._telemetry
         kernel = context.kernel_name
         tel.metrics.counter(
@@ -438,7 +442,7 @@ class HarmoniaPolicy(HistoryMixin):
         ).inc(kernel=kernel)
         reverted = control.fg.dithering > pre_dithering
         if reverted:
-            tel.emit(tm.FGRevert(
+            tel.emit(FGRevert(
                 kernel=kernel,
                 iteration=context.iteration,
                 time_s=result.time,
@@ -450,7 +454,7 @@ class HarmoniaPolicy(HistoryMixin):
                 "fg_dither_events_total", "fine-grain reverts (dithering)",
             ).inc(kernel=kernel)
         if control.fg.converged and not pre_converged:
-            tel.emit(tm.FGConverged(
+            tel.emit(FGConverged(
                 kernel=kernel,
                 iteration=context.iteration,
                 time_s=result.time,
@@ -461,7 +465,7 @@ class HarmoniaPolicy(HistoryMixin):
             ).inc(kernel=kernel)
         elif not reverted and next_config != result.config:
             tunable, direction = _moved_tunable(result.config, next_config)
-            tel.emit(tm.FGStep(
+            tel.emit(FGStep(
                 kernel=kernel,
                 iteration=context.iteration,
                 time_s=result.time,

@@ -127,6 +127,19 @@ def resolve_store_dir(override: Optional[str] = None) -> Path:
 # --- canonical key serialization -------------------------------------------------
 
 
+#: ``id(value) -> (value, text)`` for each frozen dataclass encoded so
+#: far. Identity keys it because equal values can encode differently
+#: (``1 == 1.0``); holding the value keeps its id from being reused. Key
+#: dataclasses hold only immutable fields, so the text never goes stale.
+#: The ``reproduce`` fingerprint repeats one calibration object in all
+#: 25 kernel keys, and a cold run's record keys a handful more.
+_ENCODED: Dict[int, Tuple[Any, str]] = {}
+
+#: Entries kept before :data:`_ENCODED` starts over; a cold
+#: ``reproduce`` encodes a few hundred dataclass objects.
+_ENCODED_MAX = 4096
+
+
 def canonical_encode(value: Any) -> str:
     """A stable, exact text rendering of a (nested) sweep-store key.
 
@@ -137,16 +150,28 @@ def canonical_encode(value: Any) -> str:
     recurse. ``hash()`` is deliberately avoided: it is salted per process
     for strings and would not address the same record twice.
 
+    The text of a frozen dataclass is kept for the life of the process
+    (:data:`_ENCODED`), so a calibration that appears in many keys is
+    walked once.
+
     Raises:
         TypeError: for values that have no canonical form (the key would
             silently collide otherwise).
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        entry = _ENCODED.get(id(value))
+        if entry is not None:
+            return entry[1]
         fields = ", ".join(
             f"{f.name}={canonical_encode(getattr(value, f.name))}"
             for f in dataclasses.fields(value)
         )
-        return f"{type(value).__name__}({fields})"
+        text = f"{type(value).__name__}({fields})"
+        if type(value).__dataclass_params__.frozen:
+            if len(_ENCODED) >= _ENCODED_MAX:
+                _ENCODED.clear()
+            _ENCODED[id(value)] = (value, text)
+        return text
     if isinstance(value, bool):  # before int: bool is an int subclass
         return "true" if value else "false"
     if isinstance(value, float):

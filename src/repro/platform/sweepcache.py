@@ -107,6 +107,23 @@ class CacheStats(NamedTuple):
         return self.served / self.lookups if self.lookups else 0.0
 
 
+def format_cache_effectiveness(memory_hits: int, memory_misses: int,
+                               store_hits: int, store_misses: int,
+                               bytes_read: float = 0.0,
+                               bytes_written: float = 0.0) -> str:
+    """One line summarizing how well the two-tier sweep cache worked."""
+    lookups = memory_hits + memory_misses
+    served = memory_hits + store_hits
+    rate = served / lookups if lookups else 0.0
+    line = (f"sweep cache: {lookups} lookups, memory {memory_hits} hits / "
+            f"{memory_misses} misses, store {store_hits} hits / "
+            f"{store_misses} misses — {rate:.0%} served without recompute")
+    if bytes_read or bytes_written:
+        line += (f"; store I/O {bytes_read / 1024:.0f} KiB read, "
+                 f"{bytes_written / 1024:.0f} KiB written")
+    return line
+
+
 class SweepCache:
     """Bounded, thread-safe LRU of :class:`BatchRunResult` grids, with an
     optional persistent second tier.

@@ -45,7 +45,6 @@ from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.simulator import RunResult, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
-from repro.telemetry.events import KernelLaunch
 from repro.telemetry.handle import coalesce
 from repro.telemetry.spans import ambient_telemetry
 from repro.workloads.application import Application
@@ -180,6 +179,7 @@ class BatchSessionRunner:
         cluster_list = list(clusters.values())
         tel = self._telemetry
         if tel.enabled:
+            from repro.telemetry.events import KernelLaunch
             launches_total = tel.metrics.counter(
                 "kernel_launches_total", "kernel launches executed",
             )

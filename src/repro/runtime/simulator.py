@@ -18,7 +18,6 @@ from repro.core.policy import LaunchContext, PowerPolicy
 from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.metrics import RunMetrics, metrics_from_launches
 from repro.runtime.trace import LaunchRecord, RunTrace
-from repro.telemetry.events import KernelLaunch
 from repro.telemetry.handle import coalesce
 from repro.workloads.application import Application
 
@@ -98,6 +97,7 @@ class ApplicationRunner:
         policy.reset()
         tel = self._telemetry
         if tel.enabled:
+            from repro.telemetry.events import KernelLaunch
             launches_total = tel.metrics.counter(
                 "kernel_launches_total", "kernel launches executed",
             )

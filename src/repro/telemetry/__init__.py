@@ -1,6 +1,6 @@
 """Structured telemetry for the Harmonia runtime.
 
-Four pieces, composable through one injectable handle:
+Five pieces, composable through one injectable handle:
 
 * :mod:`repro.telemetry.events` — typed controller-decision events
   (``KernelLaunch``, ``PhaseChange``, ``CGJump``, ``FGStep``, ...) with a
@@ -10,9 +10,10 @@ Four pieces, composable through one injectable handle:
 * :mod:`repro.telemetry.export` — append-only JSONL sink, loader, and a
   replay view compatible with :class:`~repro.runtime.trace.RunTrace`,
 * :mod:`repro.telemetry.spans` — hierarchical spans with ambient context
-  propagation, Chrome trace-event export (Perfetto-loadable) and a
-  self-vs-total critical-path report — the one timing system
-  (``repro run --profile`` prints that report).
+  propagation — the one timing system,
+* :mod:`repro.telemetry.spantrace` — Chrome trace-event export and import
+  (Perfetto-loadable) and the self-vs-total critical-path report of
+  recorded spans (``repro run --profile`` prints that report).
 
 Instrumented components accept a :class:`Telemetry` handle and default to
 :data:`NULL_TELEMETRY`, whose operations are no-ops — with telemetry
@@ -24,7 +25,8 @@ import importlib
 
 #: Public name -> defining submodule, imported when the name is first
 #: read: the store and the pipeline import :mod:`repro.telemetry.handle`
-#: and :mod:`repro.telemetry.spans` alone, without the event export path.
+#: and :mod:`repro.telemetry.spans` alone, without the event export path
+#: or the span-trace analysis.
 _EXPORTS = {
     "SCHEMA_VERSION": "events",
     "EVENT_TYPES": "events",
@@ -54,13 +56,13 @@ _EXPORTS = {
     "SPAN_SCHEMA_VERSION": "spans",
     "SpanRecord": "spans",
     "SpanTracker": "spans",
-    "aggregate_spans": "spans",
+    "aggregate_spans": "spantrace",
     "ambient_telemetry": "spans",
-    "format_span_report": "spans",
-    "load_chrome_trace": "spans",
-    "span_tree": "spans",
-    "tree_signature": "spans",
-    "write_chrome_trace": "spans",
+    "format_span_report": "spantrace",
+    "load_chrome_trace": "spantrace",
+    "span_tree": "spantrace",
+    "tree_signature": "spantrace",
+    "write_chrome_trace": "spantrace",
 }
 
 __all__ = list(_EXPORTS)

@@ -3,9 +3,12 @@
 Turns a loaded event stream into the views the paper's evaluation builds
 by hand: the Figure 18 CG/FG action mix per kernel, the phase-change
 timeline, the Figure 15/16 residency tables (via the replayed trace) and
-the top kernels by run time. The event and replay modules load inside
-:func:`summarize`, so the one-line cache and engine summaries that
-``reproduce`` prints cost no event-schema import.
+the top kernels by run time. It also renders the one-line cache and
+engine summaries of a ``--metrics-out`` export. The event and replay
+modules load inside :func:`summarize`, so a metrics-only report costs no
+event-schema import. ``reproduce`` loads none of this module: it prints
+its cache line with
+:func:`~repro.platform.sweepcache.format_cache_effectiveness`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
+from repro.platform.sweepcache import format_cache_effectiveness
 from repro.units import hz_to_mhz
 
 if TYPE_CHECKING:
@@ -215,23 +219,6 @@ def _counter_total(metrics: Dict, name: str, **labels: str) -> float:
         if all(sample_labels.get(k) == v for k, v in labels.items()):
             total += sample.get("value", 0.0)
     return total
-
-
-def format_cache_effectiveness(memory_hits: int, memory_misses: int,
-                               store_hits: int, store_misses: int,
-                               bytes_read: float = 0.0,
-                               bytes_written: float = 0.0) -> str:
-    """One line summarizing how well the two-tier sweep cache worked."""
-    lookups = memory_hits + memory_misses
-    served = memory_hits + store_hits
-    rate = served / lookups if lookups else 0.0
-    line = (f"sweep cache: {lookups} lookups, memory {memory_hits} hits / "
-            f"{memory_misses} misses, store {store_hits} hits / "
-            f"{store_misses} misses — {rate:.0%} served without recompute")
-    if bytes_read or bytes_written:
-        line += (f"; store I/O {bytes_read / 1024:.0f} KiB read, "
-                 f"{bytes_written / 1024:.0f} KiB written")
-    return line
 
 
 def eventsim_engine_from_metrics(metrics: Dict) -> Optional[str]:

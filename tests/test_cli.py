@@ -16,8 +16,8 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from tools.regen_goldens import (  # noqa: E402
-    BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_ARGS, MONTECARLO_GOLDEN,
-    child_env, cold_reproduce, diff_text)
+    ABLATION_GOLDEN_DIR, BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_ARGS,
+    MONTECARLO_GOLDEN, ablation_reproduce, child_env, diff_text)
 
 #: (name, node): every core report node under its node name and under
 #: each of its aliases, as ``figure`` accepts them.
@@ -129,7 +129,7 @@ class TestReproduce:
 
 #: Runs ``repro.cli.main`` on its arguments, then prints the loaded
 #: module names as the last line of stdout.
-_WARM_CHILD = """
+_MODULES_CHILD = """
 import json, sys
 from repro.cli import main
 code = main(sys.argv[1:])
@@ -138,28 +138,47 @@ sys.exit(code)
 """
 
 
+def _run_child(*argv: str):
+    """``repro.cli.main(argv)`` in a fresh interpreter: (its stdout,
+    the modules it loaded)."""
+    child = subprocess.run(
+        [sys.executable, "-c", _MODULES_CHILD, *argv],
+        env=child_env(), check=True, stdout=subprocess.PIPE, text=True)
+    *out, last = child.stdout.splitlines(keepends=True)
+    return "".join(out), json.loads(last)
+
+
 @pytest.fixture(scope="module")
 def filled_store(tmp_path_factory):
-    """One cold ``reproduce`` in a fresh interpreter, made the way
-    ``tools/regen_goldens.py`` makes it: (store, reports)."""
+    """One cold, untraced ``reproduce`` in a fresh interpreter, with the
+    arguments ``tools/regen_goldens.py`` gives it: (store, reports,
+    modules)."""
     root = tmp_path_factory.mktemp("reproduce-cold")
-    reports = cold_reproduce(root)
-    return root / "store", reports
+    store, reports = root / "store", root / "reports"
+    _, modules = _run_child("reproduce", "--cache-dir", str(store),
+                            "--output", str(reports))
+    return store, reports, modules
+
+
+@pytest.fixture(scope="module")
+def ablation_reports(filled_store, tmp_path_factory):
+    """The ablation goldens' run against the filled store, made the way
+    ``tools/regen_goldens.py`` makes it: the reports directory."""
+    store, _, _ = filled_store
+    out = tmp_path_factory.mktemp("reproduce-ablations") / "reports"
+    return ablation_reproduce(store, out)
 
 
 @pytest.fixture(scope="module")
 def warm_run(filled_store, tmp_path_factory):
-    """A second ``reproduce`` against the filled store, in a child that
+    """A plain ``reproduce`` against the filled store, in a child that
     reports its loaded modules: (reports, profile, modules)."""
-    store, _ = filled_store
+    store, _, _ = filled_store
     root = tmp_path_factory.mktemp("reproduce-warm")
     reports, profile = root / "reports", root / "profile.json"
-    child = subprocess.run(
-        [sys.executable, "-c", _WARM_CHILD, "reproduce", "--jobs", "1",
-         "--cache-dir", str(store), "--output", str(reports),
-         "--profile-json", str(profile)],
-        env=child_env(), check=True, stdout=subprocess.PIPE, text=True)
-    modules = json.loads(child.stdout.splitlines()[-1])
+    _, modules = _run_child(
+        "reproduce", "--jobs", "1", "--cache-dir", str(store),
+        "--output", str(reports), "--profile-json", str(profile))
     return reports, json.loads(profile.read_text()), modules
 
 
@@ -168,7 +187,9 @@ def _forbidden_on_warm_path(name: str) -> bool:
     if name in ("repro.perf.model", "repro.perf.batch",
                 "repro.platform.hd7970", "repro.analysis.evaluation",
                 "repro.runtime.session", "repro.runtime.simulator",
-                "repro.runtime.montecarlo", "repro.runtime.parallel"):
+                "repro.runtime.montecarlo", "repro.runtime.parallel",
+                "repro.commands", "repro.telemetry.report",
+                "repro.telemetry.spantrace"):
         return True
     if name.startswith("repro.experiments."):
         return name not in ("repro.experiments.context",
@@ -181,7 +202,8 @@ def _forbidden_on_warm_path(name: str) -> bool:
 class TestWarmReproduceImports:
     """A run whose reports all come from the result manifest loads only
     the CLI, the registry, the fingerprinted dataclasses, the store and
-    the pipeline: no numpy and no model, policy or experiment code."""
+    the pipeline: no numpy and no model, policy or experiment code, and
+    neither the other commands nor the trace reports."""
 
     def test_every_report_is_served_and_nothing_runs(self, warm_run):
         _, profile, _ = warm_run
@@ -222,7 +244,7 @@ class TestFigureAndEvaluate:
                              ids=[name for name, _ in REPORT_NAMES])
     def test_figure_prints_the_golden(self, filled_store, capsys, name,
                                       node):
-        store, _ = filled_store
+        store, _, _ = filled_store
         assert main(["figure", name, "--cache-dir", str(store)]) == 0
         assert capsys.readouterr().out == _golden(node)
 
@@ -235,24 +257,24 @@ class TestFigureAndEvaluate:
         """Against a store that ``reproduce`` filled, the reports come
         from the manifest: no node runs, so no numpy and no model code
         loads. ``evaluate`` prints its reports one blank line apart."""
-        store, _ = filled_store
-        child = subprocess.run(
-            [sys.executable, "-c", _WARM_CHILD, *argv,
-             "--cache-dir", str(store)],
-            env=child_env(), check=True, stdout=subprocess.PIPE, text=True)
-        *out, last = child.stdout.splitlines(keepends=True)
-        assert "".join(out) == "\n".join(_golden(node) for node in nodes)
-        modules = json.loads(last)
+        store, _, _ = filled_store
+        out, modules = _run_child(*argv, "--cache-dir", str(store))
+        assert out == "\n".join(_golden(node) for node in nodes)
         assert [name for name in modules
                 if _forbidden_on_warm_path(name)] == []
         assert "repro.experiments.registry" in modules  # the guard ran
 
 
-def _golden_mismatches(reports: Path, label: str) -> str:
+def _golden_mismatches(reports: Path, label: str,
+                       ablations: bool = False) -> str:
     """Unified diffs of every report in ``reports`` that differs from its
-    golden, plus missing/extra file names; empty when all match."""
-    golden = {path.name: path.read_bytes()
-              for path in sorted(GOLDEN_DIR.glob("*.txt"))}
+    golden, plus missing/extra file names; empty when all match. The
+    expected set is the core reports, and the ablation reports too with
+    ``ablations``."""
+    directories = ((GOLDEN_DIR, ABLATION_GOLDEN_DIR) if ablations
+                   else (GOLDEN_DIR,))
+    golden = {path.name: path.read_bytes() for directory in directories
+              for path in sorted(directory.glob("*.txt"))}
     produced = {path.name: path.read_bytes()
                 for path in sorted(reports.glob("*.txt"))}
     problems = []
@@ -268,14 +290,24 @@ def _golden_mismatches(reports: Path, label: str) -> str:
 
 
 class TestGoldenReports:
-    """``reproduce`` output equals ``tests/golden/reproduce`` byte for
-    byte (regenerate with ``python tools/regen_goldens.py``)."""
+    """``reproduce`` output equals ``tests/golden/reproduce`` (and, with
+    ``--ablations``, ``tests/golden/ablations``) byte for byte
+    (regenerate with ``python tools/regen_goldens.py``)."""
 
     def test_cold_reports_match_goldens(self, filled_store):
-        _, reports = filled_store
+        _, reports, _ = filled_store
         mismatches = _golden_mismatches(reports, "cold")
         if mismatches:
             pytest.fail("cold reproduce differs from the goldens:\n"
+                        + mismatches, pytrace=False)
+
+    def test_ablation_reports_match_goldens(self, ablation_reports):
+        """``reproduce --ablations`` serves the 26 core reports and
+        computes the six ablation reports."""
+        mismatches = _golden_mismatches(ablation_reports, "ablations",
+                                        ablations=True)
+        if mismatches:
+            pytest.fail("reproduce --ablations differs from the goldens:\n"
                         + mismatches, pytrace=False)
 
     def test_manifest_served_reports_match_goldens(self, warm_run):
@@ -288,14 +320,18 @@ class TestGoldenReports:
     def test_benchmark_report_copies_match_goldens(self):
         """``benchmarks/reports`` holds a second copy of most reports;
         each one with a golden twin must equal it."""
-        twins = sorted(path for path in BENCH_REPORT_DIR.glob("*.txt")
-                       if (GOLDEN_DIR / path.name).exists())
-        assert len(twins) == 26
-        stale = [path.name for path in twins
-                 if path.read_bytes() != (GOLDEN_DIR / path.name).read_bytes()]
+        twins = {}
+        for directory in (GOLDEN_DIR, ABLATION_GOLDEN_DIR):
+            twins.update((path.name, path)
+                         for path in directory.glob("*.txt")
+                         if (BENCH_REPORT_DIR / path.name).exists())
+        assert len(twins) == 32
+        stale = sorted(name for name, golden in twins.items()
+                       if (BENCH_REPORT_DIR / name).read_bytes()
+                       != golden.read_bytes())
         assert stale == [], (
-            f"benchmarks/reports differs from tests/golden/reproduce on "
-            f"{stale}; rerun python tools/regen_goldens.py")
+            f"benchmarks/reports differs from tests/golden on {stale}; "
+            f"rerun python tools/regen_goldens.py")
 
     def test_goldens_match_the_benchmark_digests(self):
         digests = json.loads(
@@ -317,7 +353,7 @@ class TestMontecarloGolden:
     byte (regenerate with ``python tools/regen_goldens.py``)."""
 
     def test_stdout_matches_golden(self, filled_store):
-        store, _ = filled_store
+        store, _, _ = filled_store
         stdout = subprocess.run(
             [sys.executable, "-m", "repro", *MONTECARLO_ARGS, "--jobs", "1",
              "--cache-dir", str(store)],
@@ -335,9 +371,34 @@ class TestMontecarloGolden:
         assert digest == digests["montecarlo_seed0_stdout"]
 
 
+#: Telemetry code that only a traced run, or a report of one, needs.
+_TRACE_ONLY = ("repro.telemetry.events", "repro.telemetry.export",
+               "repro.telemetry.metrics", "repro.telemetry.report",
+               "repro.telemetry.spantrace")
+
+
+class TestUntracedRunsLoadNoTraceCode:
+    """Without ``--trace`` or ``--metrics-out`` a run holds the null
+    handle, and the runtime builds events only under an enabled one: no
+    event, export, metrics, trace-report or span-trace code loads."""
+
+    def test_cold_reproduce(self, filled_store):
+        _, _, modules = filled_store
+        assert "repro.runtime.session" in modules  # controllers ran
+        assert "repro.core.harmonia" in modules
+        assert [name for name in _TRACE_ONLY if name in modules] == []
+
+    def test_montecarlo(self, filled_store):
+        store, _, _ = filled_store
+        _, modules = _run_child("montecarlo", "--seeds", "2",
+                                "--cache-dir", str(store))
+        assert "repro.runtime.montecarlo" in modules
+        assert [name for name in _TRACE_ONLY if name in modules] == []
+
+
 class TestMontecarloTrace:
     def test_trace_and_metrics_out(self, tmp_path, capsys):
-        from repro.telemetry.spans import load_chrome_trace
+        from repro.telemetry.spantrace import load_chrome_trace
 
         command = ["montecarlo", "MaxFlops", "--seeds", "2"]
         assert main(command) == 0
@@ -484,7 +545,7 @@ class TestObservabilityCli:
         out = capsys.readouterr().out
         assert "span trace:" in out and "metrics written to" in out
 
-        from repro.telemetry.spans import load_chrome_trace, span_tree
+        from repro.telemetry.spantrace import load_chrome_trace, span_tree
         records = load_chrome_trace(trace)
         (root,) = span_tree(records)  # a single tree covers the whole run
         assert root.record.name == "reproduce"

@@ -358,7 +358,7 @@ class TestPipelineSpans:
 
     def test_node_spans_double_as_profiler_sections(self):
         """The span aggregation is the profile: one row per node span."""
-        from repro.telemetry.spans import aggregate_spans
+        from repro.telemetry.spantrace import aggregate_spans
 
         telemetry = self.run_traced()
         records = telemetry.spans.records()

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.telemetry.spans import aggregate_spans, load_chrome_trace
+from repro.telemetry.spantrace import aggregate_spans, load_chrome_trace
 
 
 def run_reproduce(tmp_path, leg, extra):

@@ -16,12 +16,14 @@ from repro.telemetry.spans import (
     SPAN_SCHEMA_VERSION,
     SpanRecord,
     SpanTracker,
-    aggregate_spans,
     ambient_telemetry,
+    span_fields,
+)
+from repro.telemetry.spantrace import (
+    aggregate_spans,
     critical_path,
     format_span_report,
     load_chrome_trace,
-    span_fields,
     span_tree,
     tree_signature,
     write_chrome_trace,

@@ -4,6 +4,7 @@ robustness against corruption, concurrency, and the two-tier cache."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.platform.store as store_module
+from repro.experiments.context import ExperimentContext
 from repro.platform.hd7970 import make_hd7970_platform, make_pitcairn_platform
 from repro.platform.store import (
     GRID_KIND,
@@ -102,6 +104,129 @@ class TestCanonicalEncoding:
         assert content_digest(
             (cal, spec, (cus, f_cus[:-1] + (f_cus[-1] * 1.000001,), f_mems))
         ) != base
+
+
+def _plain_encode(value) -> str:
+    """The canonical key text, rebuilt here without any memo: the
+    reference the store's encoder is compared with."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return "{}({})".format(type(value).__name__, ", ".join(
+            f"{f.name}={_plain_encode(getattr(value, f.name))}"
+            for f in dataclasses.fields(value)))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (tuple, list)):
+        return "(" + ", ".join(_plain_encode(item) for item in value) + ")"
+    assert value is None, type(value)
+    return "null"
+
+
+def _plain_digest(key) -> str:
+    return hashlib.sha256(_plain_encode(key).encode("utf-8")).hexdigest()
+
+
+def _cold_run_keys():
+    """``(kind, key)`` of every record family a cold ``reproduce``
+    addresses, plus the key the ``reproduce`` fingerprint digests."""
+    from repro.experiments import registry
+    from repro.experiments.ext_model_validation import _sample_configs
+    from repro.platform.store import EVENTSIM_KIND, RESULT_KIND
+    from repro.runtime.pipeline import node_keys
+
+    platforms = (make_hd7970_platform(),
+                 make_hd7970_platform(memory_voltage_scaling=True),
+                 make_pitcairn_platform())
+    specs = [kernel.base for kernel in all_kernels()]
+    keys = [(GRID_KIND, platform.sweep_cache_key(spec))
+            for platform in platforms for spec in specs]
+    plain = platforms[0]
+    configs = tuple(_sample_configs(plain.config_space))
+    keys += [(EVENTSIM_KIND, (plain.calibration, spec, configs))
+             for spec in specs]
+
+    digested = []
+
+    def spy(key):
+        digested.append(key)
+        return content_digest(key)
+
+    original = registry.content_digest
+    registry.content_digest = spy
+    try:
+        fingerprint = registry.reproduce_fingerprint(ExperimentContext())
+    finally:
+        registry.content_digest = original
+    (fingerprint_key,) = digested
+    nodes = node_keys(registry.reproduce_specs(include_ablations=True),
+                      fingerprint)
+    keys += [(RESULT_KIND, key) for key in nodes.values()]
+    return keys, fingerprint_key, fingerprint
+
+
+class TestEncodingMemo:
+    """``canonical_encode`` keeps the text of each frozen dataclass; every
+    digest must still equal the one a plain recursive encoder gives."""
+
+    @pytest.fixture()
+    def empty_memos(self, monkeypatch):
+        monkeypatch.setattr(store_module, "_ENCODED", {})
+        monkeypatch.setattr(store_module, "_DIGEST_MEMO", {})
+
+    def _check(self, keys, fingerprint_key, fingerprint):
+        assert content_digest(fingerprint_key) == fingerprint
+        assert fingerprint == _plain_digest(fingerprint_key)
+        for kind, key in keys:
+            assert content_digest((kind, key)) == _plain_digest((kind, key))
+            assert canonical_encode(key) == _plain_encode(key)
+
+    def test_cold_run_keys_match_the_plain_encoder(self, empty_memos,
+                                                   tmp_path):
+        keys, fingerprint_key, fingerprint = _cold_run_keys()
+        kinds = {kind for kind, _ in keys}
+        assert kinds == {GRID_KIND, "eventsim", "result"}
+        assert len({key[0] for kind, key in keys if kind == GRID_KIND}) == 3
+        self._check(keys, fingerprint_key, fingerprint)
+        # Served from the encoding memo alone.
+        store_module._DIGEST_MEMO.clear()
+        self._check(keys, fingerprint_key, fingerprint)
+        assert store_module._ENCODED
+        # Cleared and refilled.
+        store_module._ENCODED.clear()
+        store_module._DIGEST_MEMO.clear()
+        self._check(keys, fingerprint_key, fingerprint)
+        # Record names follow the plain digest too.
+        store = SweepStore(tmp_path / "store")
+        for kind, key in keys:
+            assert (store.path_for(kind, key).name
+                    == f"{kind}-{_plain_digest((kind, key))}.npz")
+
+    def test_equal_values_keep_their_own_text(self, empty_memos):
+        @dataclasses.dataclass(frozen=True)
+        class Point:
+            x: float
+
+        as_int, as_float = Point(1), Point(1.0)
+        assert as_int == as_float
+        assert canonical_encode(as_int) == "Point(x=1)"
+        assert canonical_encode(as_float) == "Point(x=0x1.0000000000000p+0)"
+        assert canonical_encode(as_int) == "Point(x=1)"
+
+    def test_mutable_dataclasses_are_not_kept(self, empty_memos):
+        @dataclasses.dataclass
+        class Box:
+            x: int
+
+        box = Box(1)
+        assert canonical_encode(box) == "Box(x=1)"
+        box.x = 2
+        assert canonical_encode(box) == "Box(x=2)"
+        assert store_module._ENCODED == {}
 
 
 class TestResolveStoreDir:

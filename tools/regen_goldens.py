@@ -1,22 +1,27 @@
 #!/usr/bin/env python
 """Regenerate the golden reports and show what changed.
 
-Runs one cold ``python -m repro reproduce`` into a throwaway store,
-rewrites ``tests/golden/reproduce/`` with the 26 reports it wrote, and
-prints a unified diff of every report that changed, plus
-the sha256 of each changed report. It also rewrites the second copy of
-each report under ``benchmarks/reports/``, so the two cannot drift.
-Against the store that run filled it then runs
+Runs one cold ``python -m repro reproduce`` into a throwaway store and
+rewrites ``tests/golden/reproduce/`` with the 26 reports it wrote.
+Against the store that run filled it runs ``reproduce --ablations``,
+which serves those 26 and computes the six ablation reports, and
+rewrites ``tests/golden/ablations/`` with them. It prints a unified diff
+of every report that changed, plus the sha256 of each changed core
+report. It also rewrites the second copy of each of the 32 reports
+under ``benchmarks/reports/``, so the two cannot drift. Against the same
+store it then runs
 ``python -m repro montecarlo --seeds 32`` and rewrites
 ``tests/golden/montecarlo/harmonia_seeds32.txt`` with its stdout the
 same way. Exit status is 0 whether or not anything changed; a nonzero
 status means a run failed.
 
 ``tests/test_cli.py`` compares reproduce and montecarlo output with
-these files byte for byte, and checks that their sha256 values equal
-the ``reproduce`` and ``montecarlo_seed0_stdout`` digests in
-``perfbench/digests.json``. A deliberate output change therefore needs
-both: rerun this tool, and update those digests in the same change.
+these files byte for byte, and checks that the sha256 values of the core
+reports and the montecarlo golden equal the ``reproduce`` and
+``montecarlo_seed0_stdout`` digests in ``perfbench/digests.json`` (the
+benchmark never runs the ablations). A deliberate output change
+therefore needs both: rerun this tool, and update those digests in the
+same change.
 
 Run from the repository root:  python tools/regen_goldens.py
 """
@@ -33,6 +38,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "reproduce"
+ABLATION_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "ablations"
 BENCH_REPORT_DIR = REPO_ROOT / "benchmarks" / "reports"
 MONTECARLO_GOLDEN = (REPO_ROOT / "tests" / "golden" / "montecarlo"
                      / "harmonia_seeds32.txt")
@@ -50,15 +56,31 @@ def child_env() -> dict:
     return env
 
 
+def golden_dir(report: str) -> Path:
+    """The golden directory of one report file name."""
+    return (ABLATION_GOLDEN_DIR if report.startswith("ablation_")
+            else GOLDEN_DIR)
+
+
 def cold_reproduce(workdir: Path) -> Path:
     """Run one cold ``reproduce`` in a fresh interpreter, with its
     store at ``workdir/store``; return the reports directory
-    (``workdir/reports``). The golden tests build their cold run here
-    too, so the goldens and the tests make it the same way."""
+    (``workdir/reports``)."""
     out = workdir / "reports"
     subprocess.run(
         [sys.executable, "-m", "repro", "reproduce",
          "--cache-dir", str(workdir / "store"), "--output", str(out)],
+        env=child_env(), check=True, stdout=subprocess.DEVNULL)
+    return out
+
+
+def ablation_reproduce(store: Path, out: Path) -> Path:
+    """Run ``reproduce --ablations`` in a fresh interpreter against
+    ``store``, writing every report to ``out``; return ``out``. The
+    golden tests make their ablation run here too."""
+    subprocess.run(
+        [sys.executable, "-m", "repro", "reproduce", "--ablations",
+         "--cache-dir", str(store), "--output", str(out)],
         env=child_env(), check=True, stdout=subprocess.DEVNULL)
     return out
 
@@ -83,17 +105,23 @@ def diff_text(before: bytes, after: bytes, fromfile: str,
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
+        store = Path(workdir) / "store"
         try:
             out = cold_reproduce(Path(workdir))
-            montecarlo = montecarlo_stdout(Path(workdir) / "store")
+            ablations = ablation_reproduce(store, Path(workdir) / "ablations")
+            montecarlo = montecarlo_stdout(store)
         except subprocess.CalledProcessError as error:
             print(f"regen_goldens: a run failed ({error})", file=sys.stderr)
             return 1
         fresh = {path.name: path.read_bytes()
                  for path in sorted(out.glob("*.txt"))}
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    old = {path.name: path.read_bytes()
-           for path in sorted(GOLDEN_DIR.glob("*.txt"))}
+        fresh.update((path.name, path.read_bytes())
+                     for path in sorted(ablations.glob("ablation_*.txt")))
+    old = {}
+    for directory in (GOLDEN_DIR, ABLATION_GOLDEN_DIR):
+        directory.mkdir(parents=True, exist_ok=True)
+        old.update((path.name, path.read_bytes())
+                   for path in sorted(directory.glob("*.txt")))
 
     changed = []
     for name in sorted(set(old) | set(fresh)):
@@ -104,9 +132,9 @@ def main() -> int:
         sys.stdout.write(diff_text(before, after, f"golden/{name}",
                                    f"reproduce/{name}"))
     for name in set(old) - set(fresh):
-        (GOLDEN_DIR / name).unlink()
+        (golden_dir(name) / name).unlink()
     for name, data in fresh.items():
-        (GOLDEN_DIR / name).write_bytes(data)
+        (golden_dir(name) / name).write_bytes(data)
         (BENCH_REPORT_DIR / name).write_bytes(data)
 
     old_montecarlo = (MONTECARLO_GOLDEN.read_bytes()
@@ -122,10 +150,14 @@ def main() -> int:
     if not changed and old_montecarlo == montecarlo:
         print(f"regen_goldens: all {len(fresh) + 1} goldens unchanged")
         return 0
+    # The benchmark digests the core reports only.
+    digested = [name for name in changed if golden_dir(name) == GOLDEN_DIR]
+    if not digested and old_montecarlo == montecarlo:
+        return 0
     print("\nregen_goldens: update these perfbench/digests.json entries:")
-    if changed:
-        print(f"reproduce ({len(changed)} of {len(fresh)} reports changed):")
-    for name in changed:
+    if digested:
+        print(f"reproduce ({len(digested)} core reports changed):")
+    for name in digested:
         digest = (hashlib.sha256(fresh[name]).hexdigest()
                   if name in fresh else "(removed)")
         print(f"  {name}: {digest}")
