@@ -26,8 +26,9 @@ result manifest only loads the registry, the store and the pipeline.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Collection, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from repro.experiments.context import ExperimentContext
 
@@ -240,6 +241,34 @@ def _deferred(name: str):
     return run
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an int no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _noise_fraction(text: str) -> float:
+    """An argparse type: a finite, positive noise fraction."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -308,10 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser("evaluate", help="the Figures 10-13 headline",
                             parents=[cache_p])
-    eval_p.add_argument("--seeds", type=int, default=0, metavar="N",
+    eval_p.add_argument("--seeds", type=_int_at_least(0), default=0,
+                        metavar="N",
                         help="also print 95%% confidence bands from N "
                              "Monte Carlo measurement-noise trials")
-    eval_p.add_argument("--noise", type=float, default=0.05, metavar="F",
+    eval_p.add_argument("--noise", type=_noise_fraction, default=0.05,
+                        metavar="F",
                         help="per-trial execution-time noise fraction "
                              "for --seeds (default: 0.05)")
     eval_p.set_defaults(func=cmd_evaluate)
@@ -324,9 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     mc_p.add_argument("apps", nargs="*", metavar="app",
                       help="application name(s); default: all fourteen")
     mc_p.add_argument("--policy", choices=_POLICIES, default="harmonia")
-    mc_p.add_argument("--seeds", type=int, default=16, metavar="N",
+    mc_p.add_argument("--seeds", type=_int_at_least(1), default=16,
+                      metavar="N",
                       help="number of Monte Carlo trial seeds (default: 16)")
-    mc_p.add_argument("--noise", type=float, default=0.05, metavar="F",
+    mc_p.add_argument("--noise", type=_noise_fraction, default=0.05,
+                      metavar="F",
                       help="per-trial execution-time noise fraction "
                            "(default: 0.05)")
     mc_p.add_argument("--jobs", type=int, default=1, metavar="N",

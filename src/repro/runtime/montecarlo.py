@@ -13,8 +13,9 @@ re-walking every launch through Python. The launch-keyed noise model
    policy consults them);
 2. for every trial seed ``s``, perturb each scheduled launch's time with
    the keyed multiplier of platform seed ``s`` — a vectorized draw per
-   ``(spec, iteration)`` group, one matrix of launch times over
-   ``(seed, launch)``;
+   ``(spec, iteration)`` group, every seed's streams keyed in one bulk
+   call (:func:`repro.platform.noise.fill_memos`), one matrix of launch
+   times over ``(seed, launch)``;
 3. reduce each seed's row to run metrics (time, energy, power, ED²) and
    report mean / standard deviation / 95% confidence bands.
 
@@ -39,8 +40,8 @@ import numpy as np
 
 from repro.core.policy import PowerPolicy
 from repro.errors import AnalysisError
+from repro.platform import noise
 from repro.platform.hd7970 import HardwarePlatform
-from repro.platform.noise import LaunchKeyedNoise
 from repro.runtime.session import BatchSessionRunner
 from repro.workloads.application import Application
 
@@ -205,7 +206,7 @@ class MonteCarloEngine:
         # each model lets baseline and candidate reuse the same
         # (spec, iteration) draw vectors.
         self._models = tuple(
-            LaunchKeyedNoise(noise_std_fraction, seed, grid_size)
+            noise.LaunchKeyedNoise(noise_std_fraction, seed, grid_size)
             for seed in seeds
         )
 
@@ -238,9 +239,9 @@ class MonteCarloEngine:
         application and policy), attached to whatever span was open on
         the calling thread — typically a pipeline node or the
         ``montecarlo`` command's root span. Its one ``montecarlo.noise``
-        child covers the draw gather of every ``(seed, spec, iteration)``
-        stream the rollout reads, so noise derivation shows up once per
-        rollout rather than once per stream.
+        child covers the derivation and draw gather of every ``(seed,
+        spec, iteration)`` stream the rollout reads, so noise shows up
+        once per rollout rather than once per stream.
 
         Args:
             application: the workload to roll out.
@@ -289,13 +290,23 @@ class MonteCarloEngine:
             positions.append(j)
             grid_indices.append(space.index_of(record.result.config))
 
+        # Derive each chunk's missing streams for every seed at once,
+        # then read them back through the memo. A chunk fits one memo,
+        # so the fill evicts nothing that the reads below still need.
         multipliers = np.empty((len(self._seeds), len(records)))
+        pairs = list(groups)
         with telemetry.span("montecarlo.noise",
                             streams=len(groups) * len(self._models)):
-            for (spec, iteration), (positions, grid_indices) in groups.items():
-                draws = np.stack([model.multipliers_for(spec, iteration)[0]
-                                  for model in self._models])
-                multipliers[:, positions] = draws[:, grid_indices]
+            for start in range(0, len(pairs), noise.MEMO_SIZE):
+                chunk = pairs[start:start + noise.MEMO_SIZE]
+                noise.fill_memos(self._models, chunk)
+                for spec, iteration in chunk:
+                    draws = [model.multipliers_for(spec, iteration)[0]
+                             for model in self._models]
+                    for position, grid_index in zip(
+                            *groups[spec, iteration]):
+                        multipliers[:, position] = [
+                            vector[grid_index] for vector in draws]
 
         times = det_time * multipliers            # (seed, launch)
         energies = card_power * times

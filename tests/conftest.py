@@ -74,3 +74,21 @@ def evaluation(context):
 def fresh_platform():
     """A private platform for tests that need isolation."""
     return make_hd7970_platform()
+
+
+@pytest.fixture
+def derived_streams(monkeypatch):
+    """``(seed words, iteration, spec key)`` of every noise stream derived
+    while the test runs: the bulk fill and a lone memo miss both build
+    each stream's entropy words exactly once."""
+    from repro.platform import noise
+
+    derived = []
+    stream_words = noise._stream_words
+
+    def counting_words(seed_words, iteration, entropy):
+        derived.append((seed_words, iteration, entropy))
+        return stream_words(seed_words, iteration, entropy)
+
+    monkeypatch.setattr(noise, "_stream_words", counting_words)
+    return derived

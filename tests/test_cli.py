@@ -59,6 +59,35 @@ class TestParser:
             ["montecarlo", "--seeds", "32", "--jobs", "1"]).jobs == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--seeds", "0"],
+        ["montecarlo", "--seeds", "-3"],
+        ["montecarlo", "--noise", "0"],
+        ["montecarlo", "--noise", "-0.1"],
+        ["evaluate", "--seeds", "-1"],
+        ["evaluate", "--noise", "0"],
+    ], ids=["mc-seeds-0", "mc-seeds-neg", "mc-noise-0", "mc-noise-neg",
+            "eval-seeds-neg", "eval-noise-0"])
+    def test_bad_monte_carlo_arguments_are_usage_errors(self, argv, capsys):
+        """Rejected at parse time: exit 2 with argparse's usage message,
+        not an ``AnalysisError`` traceback from the engine."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]}")
+        assert f"error: argument {argv[1]}: " in err.splitlines()[-1]
+
+    def test_smallest_monte_carlo_arguments_parse(self):
+        """One trial is a valid ``montecarlo``; ``evaluate --seeds 0``
+        still means no confidence-band tables."""
+        parser = build_parser()
+        assert parser.parse_args(["montecarlo", "--seeds", "1"]).seeds == 1
+        args = parser.parse_args(["evaluate", "--seeds", "0",
+                                  "--noise", "1e-6"])
+        assert (args.seeds, args.noise) == (0, 1e-6)
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

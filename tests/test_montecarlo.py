@@ -15,6 +15,7 @@ from repro.analysis.evaluation import EvaluationHarness
 from repro.core.baseline import BaselinePolicy
 from repro.core.oracle import OraclePolicy
 from repro.errors import AnalysisError
+from repro.platform import noise
 from repro.platform.hd7970 import make_hd7970_platform
 from repro.runtime.montecarlo import (
     MonteCarloEngine,
@@ -100,6 +101,32 @@ class TestRollout:
                     scalar.metrics.energy, rel=1e-12)
                 assert run.ed2_samples[idx] == pytest.approx(
                     scalar.metrics.ed2, rel=1e-12)
+
+    def test_memo_smaller_than_a_rollout_changes_no_draw(
+            self, engine, apps, monkeypatch, derived_streams):
+        """With ``MEMO_SIZE`` below a rollout's stream count the rollout
+        fills and reads its streams in chunks: trials stay bitwise those
+        of the default memo (and so match the scalar noisy runs), and
+        the fill evicts no stream before it is read, so none is derived
+        twice."""
+        space = engine.platform.config_space
+        reference = [engine.rollout(app, BaselinePolicy(space))
+                     for app in apps]
+        monkeypatch.setattr(noise, "MEMO_SIZE", 7)
+        for app, expected in zip(apps, reference):
+            small = MonteCarloEngine(make_hd7970_platform(), NOISE, SEEDS)
+            derived_streams.clear()
+            run = small.rollout(app, BaselinePolicy(space))
+            for field in ("time_samples", "energy_samples", "ed2_samples"):
+                assert getattr(run, field).tobytes() == \
+                    getattr(expected, field).tobytes()
+            streams = {(spec, iteration)
+                       for iteration, _, spec in app.launches()}
+            assert len(streams) > noise.MEMO_SIZE
+            assert len(derived_streams) == len(set(derived_streams)) == \
+                len(streams) * len(SEEDS)
+        self.test_trials_match_scalar_noisy_runs(
+            MonteCarloEngine(make_hd7970_platform(), NOISE, SEEDS), apps)
 
     def test_bands_summarize_samples(self, engine, apps):
         run = engine.rollout(apps[0], BaselinePolicy(

@@ -12,15 +12,20 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pickle
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AnalysisError
+from repro.platform import noise
 from repro.platform.hd7970 import make_hd7970_platform
 from repro.platform.noise import (
-    NOISE_FLOOR, LaunchKeyedNoise, _stream_key, _uint32_words, spec_entropy)
+    NOISE_FLOOR, LaunchKeyedNoise, _stream_words, _words, fill_memos,
+    seed_sequence_keys, spec_entropy)
 from repro.platform.sweepcache import SweepCache
 from repro.workloads.registry import all_kernels, get_application
 
@@ -203,6 +208,22 @@ key_ints = st.one_of(
 )
 
 
+#: spec keys whose low (first) words are zero
+leading_zero_entropies = st.builds(lambda high, shift: high << (32 * shift),
+                                   st.integers(1, 2**32 - 1),
+                                   st.integers(1, 3))
+#: the entropy words of one stream, as ``LaunchKeyedNoise`` builds them
+stream_rows = st.builds(
+    lambda seed, iteration, entropy: _stream_words(_words(seed), iteration,
+                                                   entropy),
+    key_ints, key_ints, st.one_of(key_ints, leading_zero_entropies))
+#: arbitrary entropy of 1-9 words, zero words included
+word_rows = st.lists(
+    st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=9,
+).map(lambda words: np.array(words, dtype="<u4").tobytes())
+
+
 @st.composite
 def kernel_specs(draw):
     """A registry kernel with some of its characteristics redrawn."""
@@ -223,8 +244,9 @@ def kernel_specs(draw):
 
 class TestDifferentialDerivation:
     """Every stream equals the plain ``SeedSequence([seed, iteration,
-    entropy])`` derivation byte for byte: the cached spec key and the
-    pre-coerced uint32 words change the cost, never a draw."""
+    entropy])`` derivation byte for byte: the cached spec key, the
+    pre-coerced uint32 words, the vectorized keys and the re-keyed
+    generator change the cost, never a draw."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=key_ints, iteration=key_ints, spec=kernel_specs(),
@@ -254,11 +276,157 @@ class TestDifferentialDerivation:
         "seed,iteration", [(0, 0), (2**32 - 1, 2**32), (2**64 + 3, 7)])
     def test_word_rule_matches_numpy_int_coercion(self, seed, iteration,
                                                   entropy):
-        key = _stream_key(_uint32_words(seed), iteration, entropy)
+        key = np.frombuffer(_stream_words(_words(seed), iteration, entropy),
+                            dtype="<u4")
         assert key.dtype == np.uint32
         pool = np.random.SeedSequence(key).pool
         expected = np.random.SeedSequence([seed, iteration, entropy]).pool
         assert pool.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.one_of(stream_rows, word_rows),
+                         min_size=1, max_size=12),
+           order=st.randoms(use_true_random=False))
+    def test_vectorized_keys_match_numpy_row_by_row(self, rows, order):
+        """One call over rows of mixed word counts returns, in input
+        order, each row's ``SeedSequence(row).generate_state(2,
+        np.uint64)``; permuting the rows permutes the keys."""
+        def keys_of(rows):
+            return seed_sequence_keys(
+                np.frombuffer(b"".join(rows), dtype="<u4"),
+                [len(row) // 4 for row in rows])
+
+        keys = keys_of(rows)
+        assert keys.shape == (len(rows), 2) and keys.dtype == np.uint64
+        for row, key in zip(rows, keys):
+            expected = np.random.SeedSequence(
+                np.frombuffer(row, dtype="<u4")).generate_state(2, np.uint64)
+            assert key.tobytes() == expected.tobytes()
+        permutation = list(range(len(rows)))
+        order.shuffle(permutation)
+        shuffled = keys_of([rows[i] for i in permutation])
+        assert shuffled.tobytes() == keys[permutation].tobytes()
+
+    def test_bulk_fill_matches_the_plain_derivation(self):
+        models = [LaunchKeyedNoise(0.7, seed, 448)
+                  for seed in (0, 2**32 - 1, 2**32, 2**64 + 5)]
+        pairs = [(SPEC, 0), (OTHER, 2**32), (SPEC, 2**64 + 1)]
+        fill_memos(models, pairs)
+        for model in models:
+            for spec, iteration in pairs:
+                multipliers, clipped = model._memo[spec, iteration]
+                expected, expected_clipped = reference_multipliers(
+                    model.seed, spec, iteration, 0.7, 448)
+                assert multipliers.tobytes() == expected.tobytes()
+                assert clipped.tobytes() == expected_clipped.tobytes()
+
+
+class TestBulkDerivation:
+    def test_rollout_pair_derives_each_stream_once(self, monkeypatch,
+                                                   derived_streams):
+        """Baseline then candidate over S seeds: the baseline rollout
+        derives each of the G x S streams exactly once, and every lookup
+        of the candidate rollout is a memo hit."""
+        from repro.core.baseline import BaselinePolicy
+        from repro.core.oracle import OraclePolicy
+        from repro.runtime.montecarlo import MonteCarloEngine
+
+        seeds = (0, 1, 2)
+        app = get_application("Sort")
+        engine = MonteCarloEngine(make_hd7970_platform(), 0.05, seeds)
+        groups = {(spec, iteration)
+                  for iteration, _, spec in app.launches()}
+        lookups = []
+        lookup = LaunchKeyedNoise.multipliers_for
+
+        def counting_lookup(self, spec, iteration):
+            lookups.append((self.seed, spec, iteration))
+            return lookup(self, spec, iteration)
+
+        monkeypatch.setattr(LaunchKeyedNoise, "multipliers_for",
+                            counting_lookup)
+        space = engine.platform.config_space
+        engine.rollout(app, BaselinePolicy(space))
+        streams = Counter((seed, spec, iteration) for seed in seeds
+                          for spec, iteration in groups)
+        assert Counter(derived_streams) == Counter(
+            (_words(seed), iteration, spec_entropy(spec))
+            for seed, spec, iteration in streams)
+        assert Counter(lookups) == streams
+
+        derived_streams.clear()
+        lookups.clear()
+        engine.rollout(app, OraclePolicy(engine.platform))
+        assert derived_streams == []
+        assert Counter(lookups) == streams
+
+    def test_fill_keeps_the_pairs_it_serves(self, monkeypatch,
+                                            derived_streams):
+        """A pair already memoized, but oldest, survives the eviction
+        that the fill of its chunk's missing pairs causes."""
+        monkeypatch.setattr(noise, "MEMO_SIZE", 4)
+        model = LaunchKeyedNoise(0.05, seed=3, grid_size=10)
+        fill_memos([model], [(SPEC, 0)])
+        fill_memos([model], [(SPEC, 1), (SPEC, 2), (SPEC, 3)])
+        chunk = [(SPEC, 0), (OTHER, 0), (OTHER, 1), (OTHER, 2)]
+        fill_memos([model], chunk)
+        assert list(model._memo) == chunk
+        derived_streams.clear()
+        for spec, iteration in chunk:
+            multipliers, _ = model.multipliers_for(spec, iteration)
+            expected, _ = reference_multipliers(3, spec, iteration, 0.05, 10)
+            assert multipliers.tobytes() == expected.tobytes()
+        assert derived_streams == []
+
+    def test_fill_rejects_more_pairs_than_one_memo_holds(self, monkeypatch):
+        monkeypatch.setattr(noise, "MEMO_SIZE", 2)
+        model = LaunchKeyedNoise(0.05, seed=3, grid_size=10)
+        with pytest.raises(ValueError):
+            fill_memos([model], [(SPEC, 0), (SPEC, 1), (SPEC, 2)])
+        with pytest.raises(ValueError):
+            fill_memos([model], [(SPEC, -1)])
+        assert not model._memo
+
+
+class TestConcurrentDerivation:
+    def test_threads_sharing_models_draw_the_plain_streams(self):
+        """Each model re-keys one shared generator, so a derivation must
+        hold the model's lock from re-keying to the last draw: threads
+        filling and missing on the same models still publish exactly the
+        plain streams."""
+        models = [LaunchKeyedNoise(0.3, seed, 64) for seed in range(3)]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(30):
+                    fill_memos(models, [(SPEC, offset + i), (OTHER, i)])
+                    for model in models:
+                        model.multipliers_for(BASES[2], offset + i)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(1000 * k,))
+                   for k in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for model in models:
+            assert 0 < len(model._memo) <= noise.MEMO_SIZE
+            for (spec, iteration), (multipliers, clipped) in \
+                    model._memo.items():
+                expected, expected_clipped = reference_multipliers(
+                    model.seed, spec, iteration, 0.3, 64)
+                assert multipliers.tobytes() == expected.tobytes()
+                assert clipped.tobytes() == expected_clipped.tobytes()
 
 
 class TestSeedValidation:
