@@ -10,16 +10,16 @@ the two shapes the batched engine serves:
 * **fleet-quarter / fleet-grid** — the registry over every 4th config
   and over the *full* 448-point hd7970 config space (2 800 / 11 200
   lanes): the fleet-characterization shape ``run_batch`` exists for
-  (ROADMAP item 3 — validating thousands of synthesized kernels).
+  (validating thousands of synthesized kernels).
 
 The headline metric, ``geomean_fleet_speedup``, is the geometric mean
 over the two fleet-class grids and is floored at 10x: with thousands of
-lanes the per-iteration numpy dispatch cost is fully amortized and the
-engine runs at its streaming throughput. The node grid is reported and
-floored separately (``--min-node-speedup``, default 5x) because at 675
-lanes dispatch overhead is a constant ~half of every lockstep iteration
-— its real budget is the cold-``reproduce`` wall-clock gate in
-``BENCH_pipeline.json``, not a ratio.
+lanes the per-call numpy cost is amortized over many lanes. The node
+grid is reported and floored separately (``--min-node-speedup``,
+default 5x) because at 675 lanes most of a lockstep iteration is fixed
+per-call cost (about 0.6 of the ~0.85 us a one-dimensional call takes
+there) — its real budget is the cold-``reproduce`` wall-clock, not a
+ratio.
 
 Every scenario is also a **bitwise gate**, not a tolerance: all four
 :class:`~repro.perf.eventsim.EventSimResult` fields of every batched

@@ -113,12 +113,13 @@ def _load_event_times(store, calibration, spec,
                       configs) -> Optional[np.ndarray]:
     """The persisted event-driven surface for one kernel, or None.
 
-    The simulator is deterministic and by far the most expensive stage of
-    the ``reproduce`` pipeline (one scalar Python event loop per config),
-    so its validation surface is persisted in the content-addressed sweep
-    store when one is attached to the shared cache: keyed by calibration,
-    spec and the exact config sample, a warm process loads the surface
-    bitwise instead of re-simulating 27 configurations per kernel.
+    The simulator is deterministic and the most expensive stage of a
+    cold ``reproduce`` (two million events through the batched lockstep
+    engine), so its validation surface is persisted in the
+    content-addressed sweep store when one is attached to the shared
+    cache: keyed by calibration, spec and the exact config sample, a warm
+    process loads the surface bitwise instead of re-simulating 27
+    configurations per kernel.
     Malformed foreign records that pass the schema check count as misses
     (the caller recomputes and overwrites). The surface stays a numpy
     array end-to-end — the deviation and correlation rows consume it

@@ -193,14 +193,6 @@ class EventDrivenModel:
         self._clock_domains = clock_domains
         self._max_waves = max_simulated_waves
 
-    # --- helpers -----------------------------------------------------------
-
-    def _segments_per_wave(self, spec: KernelSpec) -> int:
-        mem_ops = spec.mem_insts_per_item
-        # Group very memory-dense kernels into at most 64 segments so the
-        # event count stays bounded; compute-only kernels get one segment.
-        return max(1, min(64, int(round(mem_ops)) or 1))
-
     def run(self, spec: KernelSpec, config: HardwareConfig) -> EventSimResult:
         """Execute ``spec`` at ``config`` on the event simulator."""
         params = _derive_lane_params(

@@ -4,15 +4,17 @@
 time in pure Python — ~1.4us per event, and the cold ``reproduce``
 critical path runs two million of them. This module replays the *same*
 event loop for many independent (kernel-spec, config) **lanes** at once,
-one numpy ufunc per loop statement across all lanes, so the Python
+one numpy call per loop statement across all lanes, so the Python
 interpreter executes per *event wavefront* instead of per event.
 
-Equivalence contract (the PR 2 batch-sweep / PR 7 batched-controller
-contract): every lane performs **the exact same float64 operations in
-the exact same order** as a scalar ``EventDrivenModel.run`` of that
-(spec, config), so every ``EventSimResult`` field is bitwise-identical.
-The scalar loop stays in the tree as the differential oracle
-(``tests/test_eventsim_batch.py``).
+Equivalence contract: every ``EventSimResult`` field is bitwise-identical
+to a scalar ``EventDrivenModel.run`` of that (spec, config). The issue
+arithmetic, the SIMD and server updates and the busy sum are the scalar
+loop's float64 operations in the scalar loop's order. Four steps are
+exact by an argument instead, each given below: the verified packed pop,
+the per-slot window rings, compute-only lanes on the server, and finish
+times read at lane retirement. The scalar loop stays in the tree as the
+differential oracle (``tests/test_eventsim_batch.py``).
 
 Why lockstep is exact
 ---------------------
@@ -27,54 +29,86 @@ off the end of the active prefix at precomputed iterations: no masking,
 no "parked lane" state, every active lane does real work every
 iteration.
 
+Monotone times
+--------------
+
+Several steps below rest on three facts about one lane's scalar run.
+Every push is at or after the current pop time (a re-push at
+``issue_end``, an admission at the finished wave's ``done_at``), so pop
+times never decrease. Completions never decrease: each is the server's
+free time plus a fixed latency, and the server's free time only grows.
+A lane's last iteration finishes a wave, because the loop stops when
+the last wave completes.
+
 State layout (per block of lanes)
 ---------------------------------
 
-* **Ready queue** — the heap's contents as per-lane slot columns:
-  ``tb[slot, lane]`` holds each entry's ready time *as its int64 bit
-  pattern* (times are non-negative floats, so integer order equals
-  float order; empty slots hold +inf bits) and ``ri[slot, lane]`` the
-  entry's wave index, stored **inverted** (``K - index`` for a
-  dtype-max constant ``K``) in the narrowest dtype that fits.
-  ``heapq`` pops the lexicographic minimum ``(time, index)``; the pop
-  is a column min over ``tb``, an equality mask, and a column max over
-  ``mask * inverted_index`` — max of ``K - index`` is the min index,
-  and the multiply zeroes losing slots out of the race. A wave
-  sits in at most one slot, tracked through an inverse map
-  (``pos[wave] -> flat slot address``) so state write-back is three
-  1-d scatters. A lane only ever occupies
-  ``min(resident_limit, simulated)`` slots, so the slot axis also
-  shrinks with the active prefix.
+* **Ready queue** — one 16-byte record per (slot, lane), slot-major in
+  a ``(slots, lanes, 2)`` int64 array: the entry's ready time *as its
+  bit pattern* (times are non-negative floats, so integer order is
+  float order; empty slots hold +inf bits) and a **packed key**, the
+  same bits with the low ``lb`` bits replaced by three fields, from the
+  top: the wave index, the wave's segment count ``k`` and the slot's
+  flat address ``a``. One column-min reduce yields each lane's least
+  time and least key together.
+* **Verified pop** — ``heapq`` pops the least ``(time, index)``. The
+  least key orders by the time's high bits, then by wave index, so it
+  is that pop unless two entries share the high bits but not the time.
+  The key's address field names the winner's slot; one gather of the
+  winners' records, compared byte for byte with the two minima, checks
+  that every winner holds its lane's least time. If so the pop is exact:
+  all entries at the least time share its high bits, so the least key
+  among them has the least wave index. If any lane fails (float
+  near-ties within ``2**lb`` ulps: 93 of the 6,144 iterations of a cold
+  ``reproduce``), that iteration pops exactly instead: the least key
+  among the slots at the least time.
+* **Per-slot wave state** — a wave holds one slot from admission to
+  completion (an admitted wave takes its predecessor's slot), so all of
+  its state lives in its key or its slot: no per-wave arrays, no
+  wave-to-slot map. The key's ``k`` field starts at
+  ``2**kb - segments``, so a wave's last segment is the one popped with
+  an all-ones ``k``, and re-pushing adds one to ``k``.
 * **SIMD free heap** — ``simds_per_cu`` sorted registers per lane
   (ascending). Popping the min is register 0; pushing ``issue_end``
   re-sorts by a fixed compare-exchange chain. A sorted register file
   and a binary heap are the same multiset with the same minimum, which
-  is all the scalar loop observes. (An ``argmin``-scatter replacement
-  of one minimal register would also preserve the multiset, but
-  ``np.argmin`` costs several times the whole exchange chain.)
+  is all the scalar loop observes.
 * **In-flight windows** — the per-wave completion deque becomes a ring
-  of ``M`` (power of two >= ``max_inflight``) float slots per wave,
-  and the scalar loop's stall handling collapses to a single
-  ``maximum``. The scalar loop blocks a wave when all ``max_inflight``
-  window slots are occupied, waiting until its oldest in-flight request
+  of ``M`` (power of two >= ``max_inflight``) float slots per ready
+  slot, read at ``(k - max_inflight) mod M`` and written at
+  ``k mod M``, both masked straight out of the key. The scalar loop
+  blocks a wave whose window is full until its oldest in-flight request
   completes (then retires everything older than the new ready time).
-  Completions are appended in non-decreasing order per wave (they all
-  ride the lane's monotone bandwidth server), so the oldest *live*
-  entry is the one appended ``max_inflight`` appends ago, at ring
-  position ``(appends - max_inflight) mod M`` — and when that entry is
-  already retired, its value is at most the wave's previous effective
-  ready time, which never exceeds the current pop time (a wave's heap
-  re-entry time is its previous ``issue_end``, which is >= its previous
-  ready time). Either way,
-  ``ready_at = max(pop_time, ring[(appends - max_inflight) mod M])``
-  reproduces the scalar blocked/not-blocked result exactly, with no
-  retirement bookkeeping at all: retirement is implied, never stored.
-  Ring reuse is safe because at any append at most ``max_inflight``
-  entries are live, so the slot being overwritten (``M`` appends old)
-  is always dead; never-written slots read ``-inf`` and lose the max.
-  (Sizing rings at exactly ``max_inflight`` would make the read and
-  write address coincide, but the slot then needs an integer-division
-  mod, which costs more than the subtract it saves.)
+  A wave's completions are appended in non-decreasing order, so the
+  oldest *live* entry is the one appended ``max_inflight`` appends ago —
+  and when that entry is already retired, its value is at most the
+  wave's previous effective ready time, which never exceeds the current
+  pop time. Either way ``ready_at = max(pop_time, ring[read])``
+  reproduces the scalar blocked/not-blocked result with no retirement
+  bookkeeping. Ring reuse is safe: an append overwrites the entry ``M``
+  appends old, which is dead. A wave newly admitted to a slot reads, for
+  its first ``max_inflight`` segments, entries its predecessors left
+  there (or the initial ``-inf``); each is at most the predecessor's
+  last completion, which is the new wave's admission time and so at or
+  below every pop time of the new wave: it loses the max.
+* **Compute-only lanes** (no DRAM bytes) run the same statements with
+  zero service time and zero latency. Their pop times never decrease
+  and nothing ever blocks them, so their issue ends never decrease
+  either: ``max(issue_end, server)`` returns ``issue_end``, the
+  "completion" written to the ring is ``issue_end`` (at or below every
+  later pop time of that wave, so it never blocks), and
+  ``done_at = issue_end`` as in the scalar loop. One loop body serves
+  every block.
+* **Finish time at retirement** — the scalar loop keeps
+  ``finish_time = max(done_at)`` over waves. A lane's ``done_at`` values
+  never decrease (completions, or compute-only issue ends), and its last
+  iteration finishes a wave, so its finish time is that iteration's
+  completion: the value the completion buffer holds when the lane drops
+  out of the active prefix.
+
+Working set: the ready records and the window rings are
+``O(slots x lanes)``, not ``O(waves x lanes)``: 2.2 MiB of tracemalloc
+peak for the 675 lanes of a cold ``reproduce``.
 
 All per-lane setup constants come from
 :func:`repro.perf.eventsim._derive_lane_params` — the scalar setup
@@ -96,7 +130,7 @@ from repro.memory.controller import MemoryControllerModel
 from repro.perf.eventsim import EventSimResult, _derive_lane_params, _LaneParams
 from repro.perf.kernelspec import KernelSpec
 
-#: int64 bit pattern of float64 +inf (empty ready slot).
+#: int64 bit pattern of float64 +inf (an empty ready slot's time and key).
 _INF_BITS = np.float64(np.inf).view(np.int64).item()
 
 
@@ -127,9 +161,8 @@ class BatchedEventModel:
         max_simulated_waves: wave-population cap per lane (scalar
             contract: >= 8).
         max_lanes_per_block: lanes simulated per lockstep block; larger
-            batches are split to bound the working set (the ready-queue
-            arrays are ``O(residency x lanes)``, the wave arrays
-            ``O(lanes x waves)``).
+            batches are split to bound the working set (the ready
+            records and window rings are ``O(residency x lanes)``).
     """
 
     def __init__(self, arch: GpuArchitecture,
@@ -176,19 +209,16 @@ class BatchedEventModel:
         return [flat[i * n:(i + 1) * n] for i in range(len(specs))]
 
 
-def _index_dtype(max_waves: int):
-    """Narrowest unsigned dtype that can carry inverted wave indices.
+def _exact_pop(queue: np.ndarray, mins: np.ndarray) -> None:
+    """Replace ``mins[:, 1]`` by the exact heap pop's key.
 
-    Capped at uint32 so inverted indices subtract exactly from int64
-    flat offsets; a wider population would need petabytes of per-wave
-    state long before the index math broke.
+    ``mins[:, 0]`` already holds each lane's exact minimum time; the
+    popped entry is the least key among the slots at that time, i.e. the
+    least wave index, as ``heapq`` orders ``(time, index)`` tuples.
     """
-    for dt in (np.uint8, np.uint16, np.uint32):
-        if max_waves - 1 <= np.iinfo(dt).max:
-            return dt
-    raise AnalysisError(
-        f"wave population {max_waves} exceeds the batched engine's "
-        "uint32 index space")
+    tied = queue[:, :, 0] == mins[:, 0]
+    np.minimum.reduce(np.where(tied, queue[:, :, 1], _INF_BITS), 0, None,
+                      mins[:, 1])
 
 
 def _simulate_block(params: Sequence[_LaneParams]
@@ -212,50 +242,55 @@ def _simulate_block(params: Sequence[_LaneParams]
     # and lane retirement happens at precomputed iterations.
     events = [p.simulated * p.segments for p in params]
     order = sorted(range(n), key=lambda i: -events[i])
+    lanes = [params[i] for i in order]
     ev = np.array([events[i] for i in order], dtype=np.int64)
 
     # --- per-lane constants (sorted order) --------------------------------
-    comp = np.array([params[i].compute_per_segment for i in order])
-    stime = np.array([params[i].service_time for i in order])
-    lat = np.array([params[i].load_latency for i in order])
-    hasmem = np.array([params[i].bytes_per_segment > 0 for i in order])
-    segc = np.array([params[i].segments for i in order], dtype=np.int64)
-    minf = np.array([params[i].max_inflight for i in order], dtype=np.int64)
-    sim = np.array([params[i].simulated for i in order], dtype=np.int64)
-    slots_used = np.array(
-        [min(params[i].resident_limit, params[i].simulated) for i in order],
-        dtype=np.int64,
-    )
-    allmem = bool(hasmem.all())
+    comp = np.array([p.compute_per_segment for p in lanes])
+    stime = np.array([p.service_time for p in lanes])
+    # Compute-only lanes ride the server with zero service and latency.
+    lat = np.array([p.load_latency if p.bytes_per_segment > 0 else 0.0
+                    for p in lanes])
+    segc = np.array([p.segments for p in lanes], dtype=np.int64)
+    minf = np.array([p.max_inflight for p in lanes], dtype=np.int64)
+    sim = np.array([p.simulated for p in lanes], dtype=np.int64)
+    slots_used = np.array([min(p.resident_limit, p.simulated) for p in lanes],
+                          dtype=np.int64)
 
-    # --- ready queue ------------------------------------------------------
     R = int(slots_used.max())
     pmax = np.maximum.accumulate(slots_used)  # slot rows live per prefix
-    maxw = int(sim.max())
-    idx_dt = _index_dtype(maxw)
-    kinv = np.iinfo(idx_dt).max  # index i is stored inverted as kinv - i
-
-    srange = np.arange(R, dtype=np.int64)
-    live0 = srange[:, None] < slots_used[None, :]
-    tb = np.where(live0, np.int64(0), np.int64(_INF_BITS))  # time 0.0 bits
-    ri = np.where(live0, kinv - srange[:, None], 0).astype(idx_dt)
-    tbf = tb.reshape(-1)
-    rif = ri.reshape(-1)
-
-    # --- per-wave state (ragged, lane-major) --------------------------------
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(sim, out=off[1:])
-    laneoff = off[:n].copy()
-    total_w = int(off[n])
-    # Wave w of lane l lives at flat index laneoff[l] + w.
-    seg = np.zeros(total_w, dtype=np.int64)    # segments issued per wave
-    wid = np.arange(total_w, dtype=np.int64)
-    lane_of = np.repeat(np.arange(n, dtype=np.int64), sim)
-    # pos maps wave -> flat address of its ready-queue slot (slot*n+lane).
-    pos = (wid - np.repeat(laneoff, sim)) * n + lane_of
     M = 1 << (int(minf.max()) - 1).bit_length()  # window ring size (pow2)
-    mmask = np.int64(M - 1)
-    ws4 = np.full(total_w * M, -np.inf)          # completion ring slots
+
+    # --- packed key: time bits | wave index | segment count | address -------
+    ab = (R * n - 1).bit_length()                 # slot address a
+    kb = max((int(segc.max()) - 1).bit_length(), M.bit_length() - 1)
+    ws = ab + kb                                  # wave index shift
+    lb = ws + (int(sim.max()) - 1).bit_length()   # low bits replaced
+    if lb > 52:
+        raise AnalysisError(
+            f"{lb} packed key bits exceed the float64 mantissa; "
+            "lower max_simulated_waves or max_lanes_per_block")
+    # 0-d arrays: numpy converts a scalar operand on every call.
+    amask = np.array((1 << ab) - 1)
+    kamask = np.array((1 << ws) - 1)
+    wmask = np.array(((M - 1) << ab) | ((1 << ab) - 1))  # ring address
+    low_mask = np.array((1 << lb) - 1)
+    high_mask = np.array(~((1 << lb) - 1))
+    kinc = np.array(1 << ab)
+    last_k = np.array(((1 << kb) - 1) << ab)  # k of a wave's last segment
+    astep = np.array(1 << ws)                 # one wave index, in key bits
+    k0 = (1 << kb) - segc                     # k of a wave's first segment
+
+    # --- ready queue: (time bits, key) per slot -----------------------------
+    srange = np.arange(R, dtype=np.int64)[:, None]
+    live0 = srange < slots_used
+    queue = np.empty((R, n, 2), dtype=np.int64)
+    queue[:, :, 0] = np.where(live0, np.int64(0), np.int64(_INF_BITS))
+    queue[:, :, 1] = np.where(
+        live0, (srange << ws) | (k0 << ab) | (srange * n + np.arange(n)),
+        np.int64(_INF_BITS))
+    records = queue.reshape(-1).view("V16")  # one (time, key) per slot
+    ring = np.full(M << ab, -np.inf)         # completion window per slot
 
     # --- SIMD register file (sorted ascending) ------------------------------
     sv = [np.zeros(n) for _ in range(n_simds)]
@@ -263,31 +298,26 @@ def _simulate_block(params: Sequence[_LaneParams]
     # --- accumulators --------------------------------------------------------
     srv = np.zeros(n)          # shared bandwidth server free time
     busy = np.zeros(n)
-    fin = np.zeros(n)
-    nadm_inv = kinv - slots_used     # kinv - next admission index
-    nwinv = kinv - sim               # admissions remain while nadm_inv > nwinv
-    loinv = laneoff + kinv           # flat index = loinv - inverted index
+    compl = np.zeros(n)        # last completion: the finish time at retirement
+    minf_a = minf << ab
+    alow = (slots_used << ws) | (k0 << ab)  # next admission's key low bits
+    alim = sim << ws                        # admissions left while alow < alim
 
     # --- scratch (full width, sliced per phase) ------------------------------
-    eqb = np.empty((R, n), dtype=bool)
-    candb = np.empty((R, n), dtype=idx_dt)
-    tmin = np.empty(n, dtype=np.int64)
-    tminf_full = tmin.view(np.float64)
-    wsm = np.empty(n, dtype=idx_dt)
-    b64 = [np.empty(n, dtype=np.int64) for _ in range(6)]
-    bf = [np.empty(n) for _ in range(8)]
+    mins = np.empty((n, 2), dtype=np.int64)
+    push = np.empty((n, 2), dtype=np.int64)
+    got = np.empty(n, dtype="V16")
+    b64 = [np.empty(n, dtype=np.int64) for _ in range(4)]
+    bf = [np.empty(n) for _ in range(4)]
     bb = [np.empty(n, dtype=bool) for _ in range(2)]
-    nt = np.empty(n)
-    nt64_full = nt.view(np.int64)
-    ni = np.empty(n, dtype=idx_dt)
 
-    copyto = np.copyto
+    copyto, putmask = np.copyto, np.putmask
     min_reduce = np.minimum.reduce
-    max_reduce = np.maximum.reduce
-    equal, multiply, subtract = np.equal, np.multiply, np.subtract
-    add, maximum, minimum = np.add, np.maximum, np.minimum
-    greater, logical_and = np.greater, np.logical_and
-    bitwise_and = np.bitwise_and
+    add, subtract = np.add, np.subtract
+    maximum, minimum = np.maximum, np.minimum
+    bitwise_and, bitwise_or = np.bitwise_and, np.bitwise_or
+    greater_equal, less = np.greater_equal, np.less
+    logical_and = np.logical_and
 
     # Ascending distinct iteration counts, sorted in plain Python:
     # np.unique imports numpy.ma on first use (~15 ms, ~1 MiB).
@@ -297,62 +327,52 @@ def _simulate_block(params: Sequence[_LaneParams]
         steps = bound - it
         it = bound
         Ra = int(pmax[La - 1])
-        # Active views. tb/ri row stride stays n (full width): pos holds
-        # flat addresses into the full arrays.
-        tb_v = tb[:Ra, :La]
-        ri_v = ri[:Ra, :La]
-        eq_v = eqb[:Ra, :La]
-        cand_v = candb[:Ra, :La]
-        tmin_v = tmin[:La]
-        tminf = tminf_full[:La]
-        wsm_v = wsm[:La]
-        flat_v, addr_v, sg_v, iss_v, fM_v, x64_v = (b[:La] for b in b64)
-        valb_v, ra_v, start_v, ie_v, ss_v, compl_v, tA, tB = (
-            b[:La] for b in bf)
-        done_v, can_v = (b[:La] for b in bb)
-        nt_v = nt[:La]
-        nt64_v = nt64_full[:La]
-        ni_v = ni[:La]
-        loinv_v = loinv[:La]
+        queue_v = queue[:Ra, :La]
+        mins_v = mins[:La]
+        tmin = mins_v[:, 0].view(np.float64)
+        pmin = mins_v[:, 1]
+        push_v = push[:La]
+        key = push_v[:, 1]
+        push_rec = push_v.reshape(-1).view("V16")
+        got_v = got[:La]
+        a, x, low, pk = (b[:La] for b in b64)
+        v, tA, tB, nt = (b[:La] for b in bf)
+        nt64 = nt.view(np.int64)
+        tcol = push_v[:, 0]
+        done, can = (b[:La] for b in bb)
         comp_v = comp[:La]
         stime_v = stime[:La]
         lat_v = lat[:La]
-        hm_v = hasmem[:La]
-        segc_v = segc[:La]
-        minf_v = minf[:La]
+        minf_a_v = minf_a[:La]
         srv_v = srv[:La]
         busy_v = busy[:La]
-        fin_v = fin[:La]
-        nadm_inv_v = nadm_inv[:La]
-        nwinv_v = nwinv[:La]
+        compl_v = compl[:La]
+        alow_v = alow[:La]
+        alim_v = alim[:La]
         sv_v = [s[:La] for s in sv]
         sv0 = sv_v[0]
 
         for _ in range(steps):
-            # --- pop: lexicographic (ready_at, index) min per lane -----
-            min_reduce(tb_v, 0, None, tmin_v)
-            equal(tb_v, tmin_v, eq_v)
-            multiply(eq_v, ri_v, cand_v)
-            max_reduce(cand_v, 0, None, wsm_v)
-            subtract(loinv_v, wsm_v, flat_v)
-            pos.take(flat_v, None, addr_v, "clip")
+            # --- pop: least key, verified to hold the least time --------
+            min_reduce(queue_v, 0, None, mins_v)
+            copyto(pk, pmin)
+            bitwise_and(pk, amask, a)
+            records.take(a, None, got_v, "clip")
+            if got_v.tobytes() != mins_v.tobytes():
+                _exact_pop(queue_v, mins_v)
+                copyto(pk, pmin)
+                bitwise_and(pk, amask, a)
 
             # --- in-flight window: one max covers block and retire -------
-            seg.take(flat_v, None, iss_v, "clip")     # appends so far
-            subtract(iss_v, minf_v, x64_v)
-            bitwise_and(x64_v, mmask, x64_v)
-            multiply(flat_v, M, fM_v)
-            add(fM_v, x64_v, x64_v)
-            ws4.take(x64_v, None, valb_v, "clip")
-            maximum(tminf, valb_v, out=ra_v)          # effective ready_at
+            subtract(pk, minf_a_v, x)
+            bitwise_and(x, wmask, x)                    # ring[k - minf]
+            ring.take(x, None, v, "clip")
+            maximum(tmin, v, out=v)                     # effective ready_at
 
             # --- issue one segment on the earliest-free SIMD -------------
-            add(iss_v, 1, sg_v)
-            seg[flat_v] = sg_v
-            equal(sg_v, segc_v, done_v)
-            maximum(ra_v, sv0, out=start_v)
-            add(start_v, comp_v, ie_v)
-            carry = ie_v
+            maximum(v, sv0, out=v)
+            add(v, comp_v, nt)                          # issue_end
+            carry = nt
             tmps = (tA, tB)
             for k in range(1, n_simds - 1):
                 tmp = tmps[(k - 1) & 1]
@@ -365,45 +385,35 @@ def _simulate_block(params: Sequence[_LaneParams]
             add(busy_v, comp_v, busy_v)
 
             # --- memory request at the shared bandwidth server ------------
-            bitwise_and(iss_v, mmask, iss_v)          # append ring slot
-            add(fM_v, iss_v, fM_v)
-            if allmem:
-                maximum(ie_v, srv_v, out=ss_v)
-                add(ss_v, stime_v, srv_v)
-                add(srv_v, lat_v, compl_v)
-                ws4[fM_v] = compl_v
-                done_at = compl_v
-            else:
-                maximum(ie_v, srv_v, out=ss_v)
-                add(ss_v, stime_v, ss_v)
-                copyto(srv_v, ss_v, where=hm_v)
-                add(srv_v, lat_v, compl_v)
-                copyto(ss_v, -np.inf)
-                copyto(ss_v, compl_v, where=hm_v)
-                ws4[fM_v] = ss_v                      # -inf = no request
-                done_at = start_v                     # reuse as scratch
-                copyto(done_at, ie_v)
-                copyto(done_at, compl_v, where=hm_v)
+            maximum(nt, srv_v, out=v)
+            add(v, stime_v, srv_v)
+            add(srv_v, lat_v, compl_v)
+            bitwise_and(pk, wmask, x)                   # ring[k]
+            ring[x] = compl_v
 
             # --- completion, admission, ready-queue push -------------------
-            maximum(fin_v, done_at, out=ra_v)
-            copyto(fin_v, ra_v, where=done_v)
-            greater(nadm_inv_v, nwinv_v, can_v)
-            logical_and(can_v, done_v, can_v)
-            copyto(nt_v, ie_v)
-            copyto(nt_v, np.inf, where=done_v)
-            copyto(nt_v, done_at, where=can_v)
-            copyto(ni_v, wsm_v)
-            copyto(ni_v, nadm_inv_v, where=can_v, casting="unsafe")
-            subtract(nadm_inv_v, can_v, nadm_inv_v)
-            subtract(loinv_v, ni_v, x64_v)
-            pos[x64_v] = addr_v
-            tbf[addr_v] = nt64_v
-            rif[addr_v] = ni_v
+            # A finished wave hands its slot to the next admission (key
+            # k restarts) or leaves it empty (+inf); others push k + 1.
+            bitwise_and(pk, kamask, x)
+            greater_equal(x, last_k, done)
+            bitwise_and(pk, low_mask, low)
+            add(low, kinc, low)
+            less(alow_v, alim_v, can)
+            logical_and(can, done, can)
+            putmask(nt, done, np.inf)
+            copyto(nt, compl_v, where=can)
+            bitwise_or(alow_v, a, x)
+            copyto(low, x, where=can)
+            add(alow_v, astep, x)
+            copyto(alow_v, x, where=can)
+            bitwise_and(nt64, high_mask, key)
+            bitwise_or(key, low, key)
+            copyto(tcol, nt64)
+            records[a] = push_rec
 
         La = int(np.searchsorted(-ev, -bound, side="left"))
 
     out: List[Tuple[float, float]] = [(0.0, 0.0)] * n
     for sorted_pos, orig in enumerate(order):
-        out[orig] = (float(fin[sorted_pos]), float(busy[sorted_pos]))
+        out[orig] = (float(compl[sorted_pos]), float(busy[sorted_pos]))
     return out

@@ -128,11 +128,12 @@ def resolve_store_dir(override: Optional[str] = None) -> Path:
 
 
 #: ``id(value) -> (value, text)`` for each frozen dataclass encoded so
-#: far. Identity keys it because equal values can encode differently
-#: (``1 == 1.0``); holding the value keeps its id from being reused. Key
-#: dataclasses hold only immutable fields, so the text never goes stale.
-#: The ``reproduce`` fingerprint repeats one calibration object in all
-#: 25 kernel keys, and a cold run's record keys a handful more.
+#: far and each tuple passed to :func:`keep_encoding`. Identity keys it
+#: because equal values can encode differently (``1 == 1.0``); holding
+#: the value keeps its id from being reused. Key dataclasses hold only
+#: immutable fields, so the text never goes stale. The ``reproduce``
+#: fingerprint repeats one calibration object and one grid-axis tuple in
+#: all 25 kernel keys, and a cold run's record keys a handful more.
 _ENCODED: Dict[int, Tuple[Any, str]] = {}
 
 #: Entries kept before :data:`_ENCODED` starts over; a cold
@@ -150,9 +151,10 @@ def canonical_encode(value: Any) -> str:
     recurse. ``hash()`` is deliberately avoided: it is salted per process
     for strings and would not address the same record twice.
 
-    The text of a frozen dataclass is kept for the life of the process
-    (:data:`_ENCODED`), so a calibration that appears in many keys is
-    walked once.
+    The text of a frozen dataclass, and of a tuple passed to
+    :func:`keep_encoding`, is kept for the life of the process
+    (:data:`_ENCODED`), so a calibration or grid-axis tuple that appears
+    in many keys is walked once.
 
     Raises:
         TypeError: for values that have no canonical form (the key would
@@ -181,12 +183,29 @@ def canonical_encode(value: Any) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (tuple, list)):
+        entry = _ENCODED.get(id(value))
+        if entry is not None:
+            return entry[1]
         return "(" + ", ".join(canonical_encode(item) for item in value) + ")"
     if value is None:
         return "null"
     raise TypeError(
         f"cannot canonically encode {type(value).__name__!r} in a store key"
     )
+
+
+def keep_encoding(value: tuple) -> tuple:
+    """Encode ``value`` now and keep its text like a frozen dataclass's.
+
+    For a tuple of immutable items that many keys share by identity (an
+    architecture's grid axes): :func:`canonical_encode` then serves its
+    text instead of walking it again. Returns ``value``.
+    """
+    text = canonical_encode(value)
+    if len(_ENCODED) >= _ENCODED_MAX:
+        _ENCODED.clear()
+    _ENCODED[id(value)] = (value, text)
+    return value
 
 
 #: Digests of recently fingerprinted (hashable) keys. Encoding a key

@@ -45,14 +45,38 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, NamedTuple,
+                    Optional, Tuple)
 
 from repro.gpu.config import ConfigSpace
+from repro.platform.store import keep_encoding
 
 if TYPE_CHECKING:
+    from repro.gpu.architecture import GpuArchitecture
     from repro.perf.batch import BatchRunResult
     from repro.perf.kernelspec import KernelSpec
     from repro.platform.calibration import PlatformCalibration
+
+
+#: ``id(arch) -> (arch, axes)``: each architecture's grid-axis tuple,
+#: built once, so every sweep key of that architecture holds the same
+#: tuple and the store's encoding memo serves its text. Identity keys it
+#: for the same reason as the memo (equal values can encode differently);
+#: holding the architecture keeps its id from being reused.
+_GRID_AXES: Dict[int, Tuple["GpuArchitecture", tuple]] = {}
+
+
+def _grid_axes(arch: "GpuArchitecture") -> tuple:
+    """``(cu_counts, compute_freqs, mem_freqs)`` of ``arch``'s grid."""
+    entry = _GRID_AXES.get(id(arch))
+    if entry is None:
+        space = ConfigSpace(arch)
+        axes = keep_encoding((space.cu_counts, space.compute_frequencies,
+                              space.memory_frequencies))
+        if len(_GRID_AXES) >= 64:
+            _GRID_AXES.clear()
+        entry = _GRID_AXES[id(arch)] = (arch, axes)
+    return entry[1]
 
 
 def sweep_key(calibration: "PlatformCalibration",
@@ -64,13 +88,7 @@ def sweep_key(calibration: "PlatformCalibration",
     The one spelling of the key, shared by both cache tiers and the
     ``reproduce`` fingerprint.
     """
-    space = ConfigSpace(calibration.arch)
-    return (
-        calibration,
-        spec,
-        (space.cu_counts, space.compute_frequencies,
-         space.memory_frequencies),
-    )
+    return (calibration, spec, _grid_axes(calibration.arch))
 
 
 class TierStats(NamedTuple):

@@ -4,26 +4,30 @@ The batched engine's contract is *bitwise* equivalence — every
 :class:`~repro.perf.eventsim.EventSimResult` field must equal the scalar
 simulator's exactly (``==``, not approx), for every lane shape the scalar
 loop can encounter. The suite sweeps the full workload registry over both
-calibrations and the validation experiment's 3x3x3 config sample, then
-probes the structural edge lanes individually: compute-only kernels
-(``bytes_per_segment == 0``), wave-population cap hit vs not, single-wave
-launches, occupancy-limited residency, and the wider index dtype engaged
-by a raised wave cap.
+calibrations and the validation experiment's 3x3x3 config sample, probes
+the structural edge lanes individually (compute-only kernels with
+``bytes_per_segment == 0``, wave-population cap hit vs not, single-wave
+launches, occupancy-limited residency, a raised wave cap), and fuzzes
+generated kernels across the descriptor space in mixed, shuffled blocks.
+A tracemalloc guard keeps the production-shape working set bounded.
 """
 
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AnalysisError
 from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.memory.controller import MemoryControllerModel
 from repro.perf.eventsim import EventDrivenModel, _derive_lane_params
-from repro.perf.eventsim_batch import BatchedEventModel
+from repro.perf.eventsim_batch import (BatchedEventModel, _finalize,
+                                       _simulate_block)
 from repro.perf.kernelspec import KernelSpec
 from repro.platform.calibration import (default_calibration,
                                         pitcairn_calibration)
@@ -158,9 +162,9 @@ class TestEdgeLanes:
                           total_workitems=1 << 18)
         self._check(calibration, spec, config)
 
-    def test_wider_index_dtype(self, calibration):
-        # A raised wave cap pushes simulated waves past 255, engaging
-        # the uint16 ready-queue index path.
+    def test_raised_wave_cap(self, calibration):
+        # A raised wave cap pushes simulated waves past 255, widening
+        # the wave-index field of the packed ready key to nine bits.
         spec = _edge_spec(name="Edge.WideIndex", total_workitems=1 << 22)
         config = HardwareConfig(4, 925 * MHZ, 1375 * MHZ)
         result = self._check(calibration, spec, config,
@@ -272,3 +276,145 @@ class TestBatchApi:
                               calibration.clock_domain_model(),
                               max_lanes_per_block=0)
 
+
+
+# --- differential fuzzing --------------------------------------------------------
+
+
+_CALIBRATIONS = {"hd7970": default_calibration(),
+                 "pitcairn": pitcairn_calibration()}
+
+
+#: Launch sizes (workitems) on both sides of the wave cap: 2**14 and
+#: fewer stay under a cap of 8-64 waves per CU at most CU counts, 2**19
+#: and more exceed it at every count, so admissions run.
+_LAUNCH_SIZES = (64, 1 << 14, 1 << 19, 1 << 21, 1 << 22)
+
+
+@st.composite
+def _fuzz_specs(draw):
+    """A kernel from the descriptor space: instruction mix (compute-only
+    and zero-DRAM-byte kernels included), occupancy limiters, divergence,
+    L2 behaviour, a window of one to eight requests and launch sizes on
+    both sides of the wave cap."""
+    mem = draw(st.sampled_from(
+        ("memory", "memory", "compute-only", "zero-bytes")))
+    if mem == "compute-only":
+        fetch = write = 0.0
+    else:
+        fetch = draw(st.integers(1, 16)) * draw(st.sampled_from((1.0, 0.7)))
+        write = float(draw(st.integers(0, 4)))
+    bytes_per_access = st.sampled_from((4.0, 8.0, 16.0, 1.0))
+    return KernelSpec(
+        name="Fuzz.Kernel",
+        total_workitems=draw(st.sampled_from(_LAUNCH_SIZES))
+        + draw(st.integers(0, 63)),
+        workgroup_size=draw(st.sampled_from((256, 128, 64))),
+        valu_insts_per_item=float(draw(st.integers(1, 400))),
+        vfetch_insts_per_item=fetch,
+        vwrite_insts_per_item=write,
+        bytes_per_fetch=0.0 if mem == "zero-bytes" else draw(
+            bytes_per_access),
+        bytes_per_write=0.0 if mem == "zero-bytes" else draw(
+            bytes_per_access),
+        # 128 and 96 registers leave two waves per SIMD: eight resident
+        # slots refilled by admissions, where ties meet reordered slots.
+        vgprs_per_workitem=draw(st.sampled_from(
+            (128, 96, 128, 96, 64, 32, 256, 16))),
+        sgprs_per_wave=draw(st.integers(8, 102)),
+        lds_bytes_per_workgroup=draw(st.sampled_from(
+            (0, 0, 4096, 8192, 16384))),
+        branch_divergence=draw(st.floats(0.0, 0.9)),
+        l2_hit_rate=draw(st.floats(0.0, 0.95)),
+        l2_thrash_sensitivity=draw(st.floats(0.0, 1.0)),
+        outstanding_per_wave=draw(st.floats(0.5, 8.4)),
+        access_efficiency=draw(st.floats(0.3, 1.0)),
+    )
+
+
+@st.composite
+def _fuzz_lanes(draw):
+    """(calibration name, spec, config) lanes from both calibrations'
+    grids, in a drawn order."""
+    lanes = []
+    for _ in range(draw(st.integers(4, 10))):
+        name = draw(st.sampled_from(sorted(_CALIBRATIONS)))
+        space = ConfigSpace(_CALIBRATIONS[name].arch)
+        config = HardwareConfig(
+            draw(st.sampled_from(space.cu_counts)),
+            draw(st.sampled_from(space.compute_frequencies)),
+            draw(st.sampled_from(space.memory_frequencies)))
+        lanes.append((name, draw(_fuzz_specs()), config))
+    return draw(st.permutations(lanes))
+
+
+#: Wave caps: small enough for tier-1 time, large enough for admissions.
+_WAVE_CAPS = st.sampled_from((64, 64, 48, 32, 16, 8))
+
+
+class TestDifferentialFuzz:
+    """Generated kernels well beyond the 25 calibrated ones, in shuffled
+    blocks that mix wave caps, windows, segment counts, residency limits
+    and compute-only lanes beside memory lanes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lanes=_fuzz_lanes(), max_waves=_WAVE_CAPS)
+    def test_mixed_calibration_block(self, lanes, max_waves):
+        # Lanes of both calibrations share one lockstep block: the block
+        # engine sees only per-lane constants.
+        params = []
+        for name, spec, config in lanes:
+            calibration = _CALIBRATIONS[name]
+            params.append(_derive_lane_params(
+                calibration.arch,
+                MemoryControllerModel(arch=calibration.arch,
+                                      timing=calibration.gddr5_timing),
+                calibration.clock_domain_model(), max_waves, spec, config))
+        scalars = {name: _models(calibration,
+                                 max_simulated_waves=max_waves)[0]
+                   for name, calibration in _CALIBRATIONS.items()}
+        for lane_params, (finish, busy), (name, spec, config) in zip(
+                params, _simulate_block(params), lanes):
+            assert_bitwise_equal(_finalize(lane_params, finish, busy),
+                                 scalars[name].run(spec, config),
+                                 f"{name} {spec} @ {config.describe()}")
+
+    @settings(max_examples=20, deadline=None)
+    @given(lanes=_fuzz_lanes(), max_waves=_WAVE_CAPS)
+    def test_run_pairs_per_calibration(self, lanes, max_waves):
+        for name, calibration in _CALIBRATIONS.items():
+            scalar, batched = _models(calibration,
+                                      max_simulated_waves=max_waves)
+            pairs = [(spec, config) for lane, spec, config in lanes
+                     if lane == name]
+            for (spec, config), result in zip(pairs,
+                                              batched.run_pairs(pairs)):
+                assert_bitwise_equal(result, scalar.run(spec, config),
+                                     f"{name} {spec} @ {config.describe()}")
+
+
+class TestWorkingSet:
+    #: tracemalloc peak of this run_batch before the per-slot layout
+    #: (per-wave rings and slot maps), in MiB.
+    PREVIOUS_PEAK_MIB = 10.98
+
+    def test_production_shape_peak(self):
+        # The cold `reproduce` high-water mark sits inside this stage,
+        # so its working set bounds the run's peak RSS.
+        calibration = default_calibration()
+        _, batched = _models(calibration)
+        configs = _sample(ConfigSpace(calibration.arch))
+        specs = [kernel.base for kernel in all_kernels()]
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            rows = batched.run_batch(specs, configs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert [len(row) for row in rows] == [len(configs)] * len(specs)
+        assert (peak - before) / 2**20 <= self.PREVIOUS_PEAK_MIB

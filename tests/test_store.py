@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.platform.store as store_module
+import repro.platform.sweepcache as sweepcache_module
 from repro.experiments.context import ExperimentContext
 from repro.platform.hd7970 import make_hd7970_platform, make_pitcairn_platform
 from repro.platform.store import (
@@ -205,6 +206,32 @@ class TestEncodingMemo:
         for kind, key in keys:
             assert (store.path_for(kind, key).name
                     == f"{kind}-{_plain_digest((kind, key))}.npz")
+
+    def test_reused_grid_key_axes_are_walked_once(self, empty_memos,
+                                                  monkeypatch):
+        # Every grid key of one architecture holds the same axis tuple,
+        # and the memo serves its text: a second kernel's key encodes
+        # the tuple with one call instead of walking its 23 numbers.
+        monkeypatch.setattr(sweepcache_module, "_GRID_AXES", {})
+        platform = make_hd7970_platform()
+        first, second = (platform.sweep_cache_key(kernel.base)
+                         for kernel in all_kernels()[:2])
+        assert first[2] is second[2]
+        assert content_digest((GRID_KIND, first)) == _plain_digest(
+            (GRID_KIND, first))
+        encoded = []
+        original = store_module.canonical_encode
+
+        def counting(value):
+            encoded.append(value)
+            return original(value)
+
+        monkeypatch.setattr(store_module, "canonical_encode", counting)
+        assert content_digest((GRID_KIND, second)) == _plain_digest(
+            (GRID_KIND, second))
+        axes = second[2]
+        assert sum(value is axes for value in encoded) == 1
+        assert not any(value is part for value in encoded for part in axes)
 
     def test_equal_values_keep_their_own_text(self, empty_memos):
         @dataclasses.dataclass(frozen=True)
