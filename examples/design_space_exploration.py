@@ -60,7 +60,7 @@ def main() -> None:
         for f_mem in platform.config_space.memory_frequencies:
             knee = knee_of_curve(sweep.curve_for_memory_config(f_mem))
             print(f"  mem {hz_to_mhz(f_mem):6.0f} MHz -> "
-                  f"{knee.config.compute.describe():14s} "
+                  f"{knee.config.describe_compute():14s} "
                   f"(perf {knee.performance / reference.performance:5.1f}x)")
 
         print("metric-optimal configurations (Figure 6):")

@@ -15,7 +15,7 @@ to the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Mapping, Optional, Tuple
+from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.perf.counters import PerfCounters
@@ -98,12 +98,14 @@ class CoarseGrainTuner:
 
     def snapshot(self, counters: PerfCounters) -> SensitivitySnapshot:
         """Predict sensitivities from a counter sample and bin them."""
-        return self.snapshot_from_features(counters.as_feature_dict())
+        return self.snapshot_from_vector(counters.feature_vector())
 
-    def snapshot_from_features(self, features) -> SensitivitySnapshot:
-        """Predict sensitivities from a (possibly smoothed) feature map."""
-        compute = self._compute.predict_features(features)
-        bandwidth = self._bandwidth.predict_features(features)
+    def snapshot_from_vector(
+            self, features: Sequence[float]) -> SensitivitySnapshot:
+        """Predict sensitivities from a (possibly smoothed) feature
+        vector in :data:`~repro.perf.counters.FEATURE_NAMES` order."""
+        compute = self._compute.predict_vector(features)
+        bandwidth = self._bandwidth.predict_vector(features)
         return SensitivitySnapshot(
             compute=compute,
             bandwidth=bandwidth,

@@ -255,7 +255,7 @@ class HarmoniaPolicy(HistoryMixin):
             # in-flight step and hold our own decision.
             control.fg.abort_inflight()
             self._phases.phase_changed(context.kernel_name, result.counters)
-            self._monitor.update(context.kernel_name, result.counters)
+            self._monitor.update_vector(context.kernel_name, result.counters)
             return
 
         phase_changed = self._phases.phase_changed(
@@ -264,8 +264,9 @@ class HarmoniaPolicy(HistoryMixin):
         if phase_changed:
             # New workload phase: restart the feature average.
             self._monitor.reset_kernel(context.kernel_name)
-        features = self._monitor.update(context.kernel_name, result.counters)
-        snapshot = self._cg.snapshot_from_features(features)
+        features = self._monitor.update_vector(context.kernel_name,
+                                               result.counters)
+        snapshot = self._cg.snapshot_from_vector(features)
         # phase_changed has just stored this launch's identity vector.
         identity = self._phases.current_identity(context.kernel_name)
         self._apply_observation(

@@ -13,14 +13,18 @@ sensitivity bins, while a one-step configuration change perturbs the
 average only fractionally — the online analogue of Section 4.2's
 observation that per-kernel counters show "only small variations around
 the nominal values" across hardware configurations.
+
+Each kernel's average is a feature vector in
+:data:`~repro.perf.counters.FEATURE_NAMES` order; the mapping accessors
+key that vector by name.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import PolicyError
-from repro.perf.counters import PerfCounters
+from repro.perf.counters import FEATURE_NAMES, PerfCounters
 
 
 class MonitoringBlock:
@@ -35,35 +39,42 @@ class MonitoringBlock:
         if not 0 < alpha <= 1:
             raise PolicyError("alpha must be in (0, 1]")
         self._alpha = alpha
-        self._state: Dict[str, Dict[str, float]] = {}
+        self._keep = 1 - alpha
+        self._state: Dict[str, Tuple[float, ...]] = {}
 
     @property
     def alpha(self) -> float:
         """The EWMA weight in use."""
         return self._alpha
 
-    def update(self, kernel_name: str,
-               counters: PerfCounters) -> Mapping[str, float]:
+    def update_vector(self, kernel_name: str,
+                      counters: PerfCounters) -> Tuple[float, ...]:
         """Fold a new counter sample into the kernel's running average.
 
         Returns:
-            The smoothed feature mapping to feed the predictors.
+            The smoothed feature vector (:data:`FEATURE_NAMES` order) to
+            feed the predictors. Each element is
+            ``(1 - alpha) * old + alpha * new``, evaluated in that order.
         """
-        features = counters.as_feature_dict()
+        features = counters.feature_vector()
         state = self._state.get(kernel_name)
-        if state is None:
-            state = dict(features)
-        else:
-            for name, value in features.items():
-                state[name] = ((1 - self._alpha) * state[name]
-                               + self._alpha * value)
-        self._state[kernel_name] = state
-        return dict(state)
+        if state is not None:
+            keep, alpha = self._keep, self._alpha
+            features = tuple([keep * old + alpha * new
+                              for old, new in zip(state, features)])
+        self._state[kernel_name] = features
+        return features
+
+    def update(self, kernel_name: str,
+               counters: PerfCounters) -> Mapping[str, float]:
+        """:meth:`update_vector`, keyed by feature name."""
+        return dict(zip(FEATURE_NAMES,
+                        self.update_vector(kernel_name, counters)))
 
     def current(self, kernel_name: str) -> Optional[Mapping[str, float]]:
         """The kernel's current smoothed features, if any."""
         state = self._state.get(kernel_name)
-        return dict(state) if state is not None else None
+        return dict(zip(FEATURE_NAMES, state)) if state is not None else None
 
     def reset(self) -> None:
         """Forget all kernels."""
@@ -133,6 +144,9 @@ class PhaseDetector:
         self._identity[kernel_name] = identity
         if previous is None:
             return True
+        if previous == identity:
+            # The steady state: no component moved at all.
+            return False
         for old, new in zip(previous, identity):
             scale = max(abs(old), abs(new), 1e-12)
             if abs(new - old) / scale > self._threshold:

@@ -50,7 +50,7 @@ def run_fig04(context: ExperimentContext) -> PowerRangeResult:
     curve = sweep.power_vs_compute(f_mem_max)
     min_power = min(p.card_power for p in curve)
     points = tuple(
-        (p.config.compute.describe(), p.card_power, p.card_power / min_power)
+        (p.config.describe_compute(), p.card_power, p.card_power / min_power)
         for p in curve
     )
     return PowerRangeResult(figure="Figure 4", workload=spec.name, points=points)

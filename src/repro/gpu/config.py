@@ -16,37 +16,14 @@ is about matching that to the application's demanded ops/byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.gpu.architecture import GpuArchitecture
 from repro.units import hz_to_mhz
 
 
-@dataclass(frozen=True, order=True)
-class ComputeConfig:
-    """A compute configuration: active CU count and CU frequency (Hz)."""
-
-    n_cu: int
-    f_cu: float
-
-    def describe(self) -> str:
-        """Human-readable form, e.g. ``32CU@925MHz``."""
-        return f"{self.n_cu}CU@{hz_to_mhz(self.f_cu):.0f}MHz"
-
-
-@dataclass(frozen=True, order=True)
-class MemoryConfig:
-    """A memory configuration: memory bus frequency (Hz)."""
-
-    f_mem: float
-
-    def describe(self) -> str:
-        """Human-readable form, e.g. ``mem@1375MHz``."""
-        return f"mem@{hz_to_mhz(self.f_mem):.0f}MHz"
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HardwareConfig:
     """A full hardware configuration (compute + memory) on a platform grid."""
 
@@ -67,19 +44,14 @@ class HardwareConfig:
             object.__setattr__(self, "_cached_hash", cached)
         return cached
 
-    @property
-    def compute(self) -> ComputeConfig:
-        """The compute-configuration component."""
-        return ComputeConfig(self.n_cu, self.f_cu)
-
-    @property
-    def memory(self) -> MemoryConfig:
-        """The memory-configuration component."""
-        return MemoryConfig(self.f_mem)
+    def describe_compute(self) -> str:
+        """The compute configuration alone, e.g. ``32CU@925MHz``."""
+        return f"{self.n_cu}CU@{hz_to_mhz(self.f_cu):.0f}MHz"
 
     def describe(self) -> str:
         """Human-readable form, e.g. ``32CU@925MHz/mem@1375MHz``."""
-        return f"{self.compute.describe()}/{self.memory.describe()}"
+        return (f"{self.describe_compute()}"
+                f"/mem@{hz_to_mhz(self.f_mem):.0f}MHz")
 
     def replace(self, n_cu: Optional[int] = None, f_cu: Optional[float] = None,
                 f_mem: Optional[float] = None) -> "HardwareConfig":
@@ -105,13 +77,15 @@ class ConfigSpace:
         self._cu_counts: Tuple[int, ...] = arch.cu_counts()
         self._f_cu_grid: Tuple[float, ...] = tuple(arch.compute_frequencies)
         self._f_mem_grid: Tuple[float, ...] = tuple(arch.memory_bus_frequencies)
-        # Lazily built accept-set for validate()'s hot path.
-        self._valid: Optional[frozenset] = None
+        # Lazily built config -> grid position map: validate()'s accept
+        # set and index_of()'s answer in one probe.
+        self._positions: Optional[Dict[HardwareConfig, int]] = None
         # Lazily materialized grid for __iter__: callers enumerate the
         # space thousands of times per run (batch index maps, grid
         # sweeps, samplers), and yielding fresh HardwareConfig objects
         # made every pass re-hash every config. One shared tuple means
-        # one object — and one cached hash — per grid point.
+        # one object — and one cached hash — per grid point; grid steps
+        # and the corner configurations hand out these objects too.
         self._configs: Optional[Tuple[HardwareConfig, ...]] = None
 
     # --- basic accessors ----------------------------------------------------
@@ -141,6 +115,12 @@ class ConfigSpace:
 
     def __iter__(self) -> Iterator[HardwareConfig]:
         return iter(self._materialized())
+
+    @property
+    def configs(self) -> Tuple[HardwareConfig, ...]:
+        """Every grid point in iteration order, as one shared tuple (the
+        same object on every call, so per-grid memos can key on it)."""
+        return self._materialized()
 
     def _materialized(self) -> Tuple[HardwareConfig, ...]:
         configs = self._configs
@@ -173,14 +153,18 @@ class ConfigSpace:
         Raises:
             ConfigurationError: if ``config`` is off the grid.
         """
-        self.validate(config)
-        i_cu = self._cu_counts.index(config.n_cu)
-        i_f_cu = self._f_cu_grid.index(config.f_cu)
-        i_f_mem = self._f_mem_grid.index(config.f_mem)
-        return (
-            (i_cu * len(self._f_cu_grid) + i_f_cu) * len(self._f_mem_grid)
-            + i_f_mem
-        )
+        try:
+            return self._position_map()[config]
+        except KeyError:
+            self.validate(config)  # raises, naming the offending tunable
+            raise
+
+    def _position_map(self) -> Dict[HardwareConfig, int]:
+        positions = self._positions
+        if positions is None:
+            positions = {c: i for i, c in enumerate(self._materialized())}
+            self._positions = positions
+        return positions
 
     # --- named corner configurations ----------------------------------------
 
@@ -189,11 +173,11 @@ class ConfigSpace:
 
         4 CUs, 300 MHz compute, 475 MHz memory bus (90 GB/s).
         """
-        return HardwareConfig(self._cu_counts[0], self._f_cu_grid[0], self._f_mem_grid[0])
+        return self._materialized()[0]
 
     def max_config(self) -> HardwareConfig:
         """The maximum (baseline boost) configuration."""
-        return HardwareConfig(self._cu_counts[-1], self._f_cu_grid[-1], self._f_mem_grid[-1])
+        return self._materialized()[-1]
 
     def validate(self, config: HardwareConfig) -> HardwareConfig:
         """Return ``config`` if it lies on the grid, else raise.
@@ -201,12 +185,10 @@ class ConfigSpace:
         Raises:
             ConfigurationError: with a message naming the offending tunable.
         """
-        # Accept-set fast path: one cached-hash set probe instead of three
-        # linear tuple scans. The per-tunable checks below are kept as the
-        # reject path for their precise error messages.
-        if self._valid is None:
-            self._valid = frozenset(self._materialized())
-        if config in self._valid:
+        # Fast path: one cached-hash probe instead of three linear tuple
+        # scans. The per-tunable checks below are kept as the reject path
+        # for their precise error messages.
+        if config in self._position_map():
             return config
         if config.n_cu not in self._cu_counts:
             raise ConfigurationError(
@@ -224,26 +206,28 @@ class ConfigSpace:
 
     # --- grid stepping --------------------------------------------------------
 
-    @staticmethod
-    def _step_on(grid: Tuple, value, delta: int):
-        idx = grid.index(value) + delta
-        idx = max(0, min(len(grid) - 1, idx))
-        return grid[idx]
+    def _step(self, config: HardwareConfig, stride: int, size: int,
+              delta: int) -> HardwareConfig:
+        """The grid point ``delta`` steps along the axis with ``size``
+        values and position ``stride`` (clamped at its ends)."""
+        index = self.index_of(config)
+        position = index // stride % size
+        moved = max(0, min(size - 1, position + delta))
+        return self._materialized()[index + (moved - position) * stride]
 
     def step_cu(self, config: HardwareConfig, delta: int) -> HardwareConfig:
         """Move ``delta`` grid steps in active-CU count (clamped at ends)."""
-        self.validate(config)
-        return config.replace(n_cu=self._step_on(self._cu_counts, config.n_cu, delta))
+        return self._step(config, len(self._f_cu_grid) * len(self._f_mem_grid),
+                          len(self._cu_counts), delta)
 
     def step_f_cu(self, config: HardwareConfig, delta: int) -> HardwareConfig:
         """Move ``delta`` grid steps in compute frequency (clamped at ends)."""
-        self.validate(config)
-        return config.replace(f_cu=self._step_on(self._f_cu_grid, config.f_cu, delta))
+        return self._step(config, len(self._f_mem_grid),
+                          len(self._f_cu_grid), delta)
 
     def step_f_mem(self, config: HardwareConfig, delta: int) -> HardwareConfig:
         """Move ``delta`` grid steps in memory bus frequency (clamped)."""
-        self.validate(config)
-        return config.replace(f_mem=self._step_on(self._f_mem_grid, config.f_mem, delta))
+        return self._step(config, 1, len(self._f_mem_grid), delta)
 
     def snap(self, n_cu: int, f_cu: float, f_mem: float) -> HardwareConfig:
         """Snap arbitrary tunable values to the nearest grid point."""

@@ -8,6 +8,10 @@ sweeps, the characterization suite) walks the same ~450-point grid, so the
 batch path evaluates the whole grid at once: every per-configuration
 quantity becomes a NumPy array over the configuration axis.
 
+Everything fixed per grid — the tunables as float64 arrays and each
+configuration's position — is built once per configs tuple
+(:func:`config_grid`) and shared by every surface over that grid.
+
 Two containers mirror the scalar result types:
 
 * :class:`BatchModelOutput` ↔ :class:`~repro.perf.model.ModelOutput` —
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -35,6 +39,61 @@ from repro.gpu.config import HardwareConfig
 from repro.gpu.occupancy import OccupancyResult
 from repro.perf.counters import PerfCounters
 from repro.perf.result import KernelRunResult, PowerSample, TimeBreakdown
+
+#: Names of the limit that binds a launch's DRAM bandwidth, indexed by
+#: the code the batched model computes: no DRAM traffic, the L2->MC
+#: clock-domain crossing, controller efficiency, memory-level
+#: parallelism. A surface's ``bandwidth_limit`` holds these very string
+#: objects, so its 448 entries cost one tuple, not 448 strings.
+BANDWIDTH_LIMITS: Tuple[str, ...] = ("none", "crossing", "efficiency", "mlp")
+
+
+class ConfigGrid:
+    """The per-grid constants every surface over one configs tuple shares.
+
+    Attributes:
+        configs: the configurations, in surface order.
+        n_cu: active CU counts as read-only float64 (small integers are
+            exact in float64, so the batched arithmetic matches the
+            scalar int/float mix bit for bit).
+        f_cu: compute frequencies (Hz), read-only float64.
+        f_mem: memory bus frequencies (Hz), read-only float64.
+        index: configuration -> position in ``configs``.
+    """
+
+    __slots__ = ("configs", "n_cu", "f_cu", "f_mem", "index")
+
+    def __init__(self, configs: Tuple[HardwareConfig, ...]):
+        self.configs = configs
+        self.n_cu = _frozen([c.n_cu for c in configs])
+        self.f_cu = _frozen([c.f_cu for c in configs])
+        self.f_mem = _frozen([c.f_mem for c in configs])
+        self.index: Dict[HardwareConfig, int] = {
+            c: i for i, c in enumerate(configs)}
+
+
+def _frozen(values: List[float]) -> np.ndarray:
+    array = np.array(values, dtype=np.float64)
+    array.setflags(write=False)
+    return array
+
+
+#: ``id(configs) -> ConfigGrid``; each grid holds its tuple, so the id
+#: stays taken while the entry lives. Surfaces reuse a few tuples (the
+#: platform grid and the store's decoded grid), so the memo stays tiny.
+_GRIDS: Dict[int, ConfigGrid] = {}
+
+
+def config_grid(configs: Tuple[HardwareConfig, ...]) -> ConfigGrid:
+    """The :class:`ConfigGrid` of ``configs``, built once per tuple
+    object (a platform's surfaces all pass its ``config_space.configs``)."""
+    grid = _GRIDS.get(id(configs))
+    if grid is None or grid.configs is not configs:
+        grid = ConfigGrid(configs)
+        if len(_GRIDS) >= 64:
+            _GRIDS.clear()
+        _GRIDS[id(configs)] = grid
+    return grid
 
 
 @dataclass(frozen=True)
@@ -104,7 +163,8 @@ class BatchModelOutput:
     achieved_bandwidth: np.ndarray
     #: the kernel's occupancy (config-invariant)
     occupancy: OccupancyResult
-    #: per-configuration binding bandwidth limit name
+    #: per-configuration binding bandwidth limit (a
+    #: :data:`BANDWIDTH_LIMITS` name)
     bandwidth_limit: Tuple[str, ...]
     #: synthesised counters over the batch
     counters: BatchCounters
@@ -144,7 +204,7 @@ class BatchRunResult:
         self.card_power = gpu_power + memory_power + other_power
         #: per-configuration card energy (J)
         self.energy = self.card_power * self.time
-        self._index: Optional[Dict[HardwareConfig, int]] = None
+        self._grid = config_grid(configs)
         self._result_cache: Dict[int, "KernelRunResult"] = {}
 
     def __len__(self) -> int:
@@ -202,10 +262,8 @@ class BatchRunResult:
         Raises:
             AnalysisError: if the batch does not contain ``config``.
         """
-        if self._index is None:
-            self._index = {c: i for i, c in enumerate(self.configs)}
         try:
-            return self._index[config]
+            return self._grid.index[config]
         except KeyError:
             raise AnalysisError(
                 f"batch does not contain configuration {config.describe()}"

@@ -16,6 +16,21 @@ All percentage counters are in [0, 100].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
+
+#: The feature vocabulary of the sensitivity models (Table 2 plus
+#: Equation 3), in :meth:`PerfCounters.feature_vector` order.
+FEATURE_NAMES: Tuple[str, ...] = (
+    "VALUUtilization",
+    "VALUBusy",
+    "MemUnitBusy",
+    "MemUnitStalled",
+    "WriteUnitStalled",
+    "icActivity",
+    "NormVGPR",
+    "NormSGPR",
+    "CtoMIntensity",
+)
 
 
 @dataclass(frozen=True)
@@ -74,37 +89,39 @@ class PerfCounters:
         raw = (self.valu_busy * self.valu_utilization / 100.0) / self.mem_unit_busy
         return min(100.0, raw * 100.0)
 
-    def as_feature_dict(self) -> dict:
-        """Flat mapping used by the sensitivity-training pipeline.
+    def feature_vector(self) -> Tuple[float, ...]:
+        """The sensitivity models' features, in :data:`FEATURE_NAMES` order.
 
         Percentage counters stay on their 0-100 scale; icActivity and the
         register counters are fractions of their maxima — exactly the
         "normalize all counter values to a percentage of its maximum"
         treatment of Section 4.2 (expressed as fractions of 1 or 100).
+
+        Computed once per (frozen) instance: a surface serves one
+        counters object for every relaunch at a configuration.
         """
-        return {
-            "VALUUtilization": self.valu_utilization,
-            "VALUBusy": self.valu_busy,
-            "MemUnitBusy": self.mem_unit_busy,
-            "MemUnitStalled": self.mem_unit_stalled,
-            "WriteUnitStalled": self.write_unit_stalled,
-            "icActivity": self.ic_activity,
-            "NormVGPR": self.norm_vgpr,
-            "NormSGPR": self.norm_sgpr,
-            "CtoMIntensity": self.compute_to_memory_intensity(),
-        }
+        cached = self.__dict__.get("_features")
+        if cached is None:
+            cached = (
+                self.valu_utilization,
+                self.valu_busy,
+                self.mem_unit_busy,
+                self.mem_unit_stalled,
+                self.write_unit_stalled,
+                self.ic_activity,
+                self.norm_vgpr,
+                self.norm_sgpr,
+                self.compute_to_memory_intensity(),
+            )
+            object.__setattr__(self, "_features", cached)
+        return cached
+
+    def as_feature_dict(self) -> dict:
+        """:meth:`feature_vector` keyed by :data:`FEATURE_NAMES` (the
+        mapping the sensitivity-training pipeline reads)."""
+        return dict(zip(FEATURE_NAMES, self.feature_vector()))
 
     @staticmethod
     def feature_names() -> tuple:
         """Names of all features produced by :meth:`as_feature_dict`."""
-        return (
-            "VALUUtilization",
-            "VALUBusy",
-            "MemUnitBusy",
-            "MemUnitStalled",
-            "WriteUnitStalled",
-            "icActivity",
-            "NormVGPR",
-            "NormSGPR",
-            "CtoMIntensity",
-        )
+        return FEATURE_NAMES

@@ -39,7 +39,8 @@ from repro.gpu.clocks import ClockDomainModel
 from repro.gpu.config import HardwareConfig
 from repro.gpu.occupancy import OccupancyResult, compute_occupancy
 from repro.memory.controller import MemoryControllerModel
-from repro.perf.batch import BatchCounters, BatchModelOutput
+from repro.perf.batch import (BANDWIDTH_LIMITS, BatchCounters,
+                              BatchModelOutput, config_grid)
 from repro.perf.counters import PerfCounters
 from repro.perf.kernelspec import KernelSpec
 from repro.perf.result import TimeBreakdown
@@ -180,17 +181,14 @@ class PerformanceModel:
         configuration axis, mirroring the scalar arithmetic operation for
         operation so the results match :meth:`run` bit for bit. Occupancy,
         instruction counts and register pressure are configuration-invariant
-        and computed once.
+        and computed once; the tunable arrays are built once per configs
+        tuple (:func:`~repro.perf.batch.config_grid`).
         """
         configs = tuple(configs)
         if not configs:
             raise AnalysisError("run_batch requires at least one configuration")
-
-        # Small integers are exact in float64, so keeping everything in one
-        # dtype preserves bitwise agreement with the scalar int/float mix.
-        n_cu = np.array([c.n_cu for c in configs], dtype=np.float64)
-        f_cu = np.array([c.f_cu for c in configs], dtype=np.float64)
-        f_mem = np.array([c.f_mem for c in configs], dtype=np.float64)
+        grid = config_grid(configs)
+        n_cu, f_cu, f_mem = grid.n_cu, grid.f_cu, grid.f_mem
 
         occupancy = compute_occupancy(
             self._arch,
@@ -232,14 +230,13 @@ class PerformanceModel:
         crossing = self._clock_domains.crossing_bytes_per_cycle * f_cu
         achievable = np.minimum(limit_achievable, crossing)
         t_mem = np.where(has_traffic, traffic / achievable, 0.0)
+        # Codes into BANDWIDTH_LIMITS: 0 none, 1 crossing, 2 efficiency,
+        # 3 mlp.
         binding = np.where(
-            ~has_traffic,
-            "none",
-            np.where(
-                crossing < limit_achievable,
-                "crossing",
-                np.where(efficiency_limited <= mlp_limited, "efficiency", "mlp"),
-            ),
+            has_traffic,
+            np.where(crossing < limit_achievable, 1,
+                     np.where(efficiency_limited <= mlp_limited, 2, 3)),
+            0,
         )
 
         overlap_residue = spec.overlap_inefficiency * np.minimum(t_comp, t_mem)
@@ -260,7 +257,8 @@ class PerformanceModel:
             time=total,
             achieved_bandwidth=achieved_bw,
             occupancy=occupancy,
-            bandwidth_limit=tuple(str(b) for b in binding),
+            bandwidth_limit=tuple(map(BANDWIDTH_LIMITS.__getitem__,
+                                      binding.tolist())),
             counters=counters,
         )
 

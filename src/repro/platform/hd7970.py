@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.memory.controller import MemoryControllerModel
-from repro.perf.batch import BatchRunResult
+from repro.perf.batch import BatchRunResult, config_grid
 from repro.perf.kernelspec import KernelSpec
 from repro.perf.model import PerformanceModel
 from repro.perf.result import KernelRunResult
@@ -84,7 +84,6 @@ class HardwarePlatform:
         )
         self._telemetry = coalesce(telemetry)
         self._noise_clips = 0
-        self._grid_index: Optional[dict] = None
         # Per-spec surface memo for the launch fast path: keyed by the
         # (cheaply hashable) KernelSpec alone, since calibration and grid
         # are fixed per platform instance. Entries are deterministic, so
@@ -267,20 +266,18 @@ class HardwarePlatform:
     ) -> BatchRunResult:
         """The deterministic (noise-free) batch surface."""
         if configs is None:
-            configs = tuple(self._space)
+            configs = self._space.configs
         else:
             configs = tuple(configs)
             for config in configs:
                 self._space.validate(config)
 
         model = self._perf.run_batch(spec, configs)
-        n_cu = np.array([c.n_cu for c in configs], dtype=np.float64)
-        f_cu = np.array([c.f_cu for c in configs], dtype=np.float64)
-        f_mem = np.array([c.f_mem for c in configs], dtype=np.float64)
+        grid = config_grid(configs)
         gpu_watts, mem_watts = self._board.sample_batch(
-            n_cu=n_cu,
-            f_cu=f_cu,
-            f_mem=f_mem,
+            n_cu=grid.n_cu,
+            f_cu=grid.f_cu,
+            f_mem=grid.f_mem,
             counters=model.counters,
             achieved_bandwidth=model.achieved_bandwidth,
         )
@@ -299,11 +296,9 @@ class HardwarePlatform:
         multipliers, clipped = self._noise_model.multipliers_for(
             spec, iteration
         )
-        if self._grid_index is None:
-            self._grid_index = {c: i for i, c in enumerate(self._space)}
-        lookup = self._grid_index
+        positions = config_grid(self._space.configs).index
         indices = np.array(
-            [lookup[c] for c in batch.configs], dtype=np.intp
+            [positions[c] for c in batch.configs], dtype=np.intp
         )
         self._record_clips(spec, int(np.count_nonzero(clipped[indices])))
         return batch.with_time_multipliers(multipliers[indices])
@@ -368,21 +363,13 @@ class HardwarePlatform:
         return surface
 
     def grid_index(self, config: HardwareConfig) -> int:
-        """Position of ``config`` in grid iteration order (memoized).
-
-        Same value as ``config_space.index_of`` served from a dict, for
-        per-launch hot paths.
+        """Position of ``config`` in grid iteration order
+        (``config_space.index_of``, one dict probe).
 
         Raises:
             ConfigurationError: if ``config`` is off the platform grid.
         """
-        if self._grid_index is None:
-            self._grid_index = {c: i for i, c in enumerate(self._space)}
-        try:
-            return self._grid_index[config]
-        except KeyError:
-            self._space.validate(config)  # raises with a precise message
-            raise
+        return self._space.index_of(config)
 
     def noise_draws(self, spec: KernelSpec, iteration: int):
         """The full-grid ``(multipliers, clipped)`` draw vectors of one

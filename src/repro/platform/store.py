@@ -246,7 +246,10 @@ def batch_to_record(
     """
     import numpy as np
 
+    from repro.perf.batch import config_grid
+
     counters = batch.counters
+    grid = config_grid(batch.configs)
     columns = {
         "time": batch.time,
         "compute_time": batch.compute_time,
@@ -260,10 +263,8 @@ def batch_to_record(
         "mem_unit_stalled": counters.mem_unit_stalled,
         "write_unit_stalled": counters.write_unit_stalled,
         "ic_activity": counters.ic_activity,
-        "cfg_f_cu": np.array([c.f_cu for c in batch.configs],
-                             dtype=np.float64),
-        "cfg_f_mem": np.array([c.f_mem for c in batch.configs],
-                              dtype=np.float64),
+        "cfg_f_cu": grid.f_cu,
+        "cfg_f_mem": grid.f_mem,
     }
     # One stacked 2D array instead of 14 npz members: each member costs
     # a zip entry plus a header parse on load, and record loads are the
@@ -271,7 +272,7 @@ def batch_to_record(
     # round trip stays bitwise.
     arrays: Dict[str, np.ndarray] = {
         "stack": np.stack([columns[name] for name in _GRID_ARRAYS]),
-        "cfg_n_cu": np.array([c.n_cu for c in batch.configs], dtype=np.int64),
+        "cfg_n_cu": grid.n_cu.astype(np.int64),
         "bandwidth_limit": np.array(batch.bandwidth_limit, dtype=str),
     }
     occupancy = batch.occupancy
@@ -329,7 +330,8 @@ def batch_from_record(
     import numpy as np
 
     from repro.gpu.occupancy import OccupancyLimits, OccupancyResult
-    from repro.perf.batch import BatchCounters, BatchModelOutput, BatchRunResult
+    from repro.perf.batch import (BANDWIDTH_LIMITS, BatchCounters,
+                                  BatchModelOutput, BatchRunResult)
 
     stack = arrays["stack"]
     if (stack.ndim != 2 or stack.shape[0] != len(_GRID_ARRAYS)
@@ -370,7 +372,11 @@ def batch_from_record(
         time=columns["time"],
         achieved_bandwidth=columns["achieved_bandwidth"],
         occupancy=occupancy,
-        bandwidth_limit=tuple(str(s) for s in arrays["bandwidth_limit"]),
+        # The shared name objects, as a computed surface holds them; an
+        # unknown name is a malformed record.
+        bandwidth_limit=tuple(map(
+            dict(zip(BANDWIDTH_LIMITS, BANDWIDTH_LIMITS)).__getitem__,
+            arrays["bandwidth_limit"].tolist())),
         counters=counters,
     )
     configs = _configs_from_arrays(

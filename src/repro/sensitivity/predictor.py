@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
-from repro.perf.counters import PerfCounters
+from repro.perf.counters import FEATURE_NAMES, PerfCounters
 from repro.platform.hd7970 import HardwarePlatform
 from repro.sensitivity.dataset import SensitivityDataset, build_dataset
 from repro.sensitivity.regression import LinearModel, fit_linear_model, pearson
@@ -43,11 +43,21 @@ COMPUTE_FEATURES: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class SensitivityPredictor:
-    """A linear sensitivity model over performance-counter features."""
+    """A linear sensitivity model over performance-counter features.
+
+    Raises:
+        AnalysisError: on construction, if the model names a feature
+            outside :data:`~repro.perf.counters.FEATURE_NAMES`.
+    """
 
     model: LinearModel
     #: which sensitivity this predicts ("compute" or "bandwidth")
     kind: str
+
+    def __post_init__(self) -> None:
+        # The model's (feature position, coefficient) terms over the
+        # counter feature vector, resolved once.
+        object.__setattr__(self, "_terms", self.model.terms(FEATURE_NAMES))
 
     def predict(self, counters: PerfCounters) -> float:
         """Predicted sensitivity for a counter sample, clamped to [0, 1].
@@ -55,17 +65,24 @@ class SensitivityPredictor:
         The clamp mirrors the paper's use: sensitivities feed the
         HIGH/MED/LOW bins, which saturate outside [0, 1] anyway.
         """
-        return self.predict_features(counters.as_feature_dict())
+        return self.predict_vector(counters.feature_vector())
+
+    def predict_vector(self, features: Sequence[float]) -> float:
+        """Clamped prediction from a feature vector in
+        :data:`~repro.perf.counters.FEATURE_NAMES` order (the monitoring
+        block's smoothed features)."""
+        raw = self.model.evaluate(self._terms, features)
+        return max(0.0, min(1.0, raw))
 
     def predict_features(self, features: Mapping[str, float]) -> float:
-        """Clamped prediction from a raw feature mapping (used by the
-        monitoring block, which smooths features across iterations)."""
+        """Clamped prediction from a feature mapping (through
+        :meth:`LinearModel.predict`)."""
         raw = self.model.predict(features)
         return max(0.0, min(1.0, raw))
 
     def predict_raw(self, counters: PerfCounters) -> float:
         """Unclamped model output (useful for error analysis)."""
-        return self.model.predict(counters.as_feature_dict())
+        return self.model.evaluate(self._terms, counters.feature_vector())
 
 
 def _paper_model(intercept: float, coefficients: Mapping[str, float],

@@ -52,18 +52,43 @@ class LinearModel:
     coefficients: Mapping[str, float]
     correlation: float
 
+    def terms(self, vocabulary: Sequence[str]) -> Tuple[Tuple[int, float], ...]:
+        """``(position in vocabulary, coefficient)`` per model feature, in
+        :attr:`feature_names` order: the model over vectors laid out
+        like ``vocabulary``.
+
+        Raises:
+            AnalysisError: if a model feature is not in ``vocabulary``.
+        """
+        vocabulary = tuple(vocabulary)
+        terms = []
+        for name in self.feature_names:
+            if name not in vocabulary:
+                raise AnalysisError(
+                    f"model feature {name!r} is not one of {vocabulary}")
+            terms.append((vocabulary.index(name), self.coefficients[name]))
+        return tuple(terms)
+
+    def evaluate(self, terms: Sequence[Tuple[int, float]],
+                 vector: Sequence[float]) -> float:
+        """``intercept + coefficient * vector[position]`` summed term by
+        term, left to right, over :meth:`terms` of ``vector``'s layout."""
+        total = self.intercept
+        for position, coefficient in terms:
+            total += coefficient * vector[position]
+        return total
+
     def predict(self, features: Mapping[str, float]) -> float:
         """Evaluate the model on a feature mapping.
 
         Raises:
             AnalysisError: if a required feature is missing.
         """
-        total = self.intercept
         for name in self.feature_names:
             if name not in features:
                 raise AnalysisError(f"missing feature {name!r}")
-            total += self.coefficients[name] * features[name]
-        return total
+        return self.evaluate(self.terms(self.feature_names),
+                             [features[name] for name in self.feature_names])
 
     def coefficient_rows(self) -> Tuple[Tuple[str, float], ...]:
         """(name, value) rows including the intercept — the Table 3 shape."""

@@ -12,14 +12,20 @@ noisy scalar agree bitwise too.
 from __future__ import annotations
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.sweep import ConfigSweep
 from repro.errors import AnalysisError, ConfigurationError
+from repro.perf.batch import BANDWIDTH_LIMITS
 from repro.platform.hd7970 import make_hd7970_platform, make_pitcairn_platform
+from repro.platform.store import SweepStore
 from repro.workloads.registry import all_kernels
+from tests.kernel_strategies import fuzz_specs
 
 #: Acceptance tolerance on time/energy/power. The implementation is
 #: bitwise exact; 1e-9 is the documented contract ceiling.
@@ -178,3 +184,87 @@ def test_noisy_batch_is_iteration_keyed():
     other = noisy.run_kernel_batch(spec, iteration=1)
     np.testing.assert_array_equal(first.time, again.time)
     assert np.any(first.time != other.time)
+
+
+# --- generated kernels ------------------------------------------------------------
+
+
+#: One deterministic platform per calibration for the generated kernels.
+_FUZZ_PLATFORMS = {"hd7970": make_hd7970_platform(),
+                   "pitcairn": make_pitcairn_platform()}
+
+
+def _only_shared_limit_names(batch) -> bool:
+    """Every entry of the surface's limit tuple is one of the
+    :data:`BANDWIDTH_LIMITS` string objects itself."""
+    return all(any(limit is name for name in BANDWIDTH_LIMITS)
+               for limit in batch.bandwidth_limit)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestGeneratedKernels:
+    """The surface contract beyond the 25 calibrated kernels: generated
+    specs (``tests/kernel_strategies.py``) on both calibrations."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(spec=fuzz_specs())
+    def test_full_grid_matches_scalar(self, spec):
+        for name, platform in _FUZZ_PLATFORMS.items():
+            batch = platform.run_kernel_batch(spec)
+            assert _only_shared_limit_names(batch), name
+            for i, config in enumerate(platform.config_space):
+                scalar = platform.run_kernel(spec, config)
+                rebuilt = batch.result_at(i)
+                label = f"{name} {config.describe()}"
+                assert rebuilt.config == config, label
+                assert rebuilt.counters == scalar.counters, label
+                assert rebuilt.occupancy == scalar.occupancy, label
+                assert rebuilt.bandwidth_limit == scalar.bandwidth_limit, label
+                for got, want in (
+                        (rebuilt.time, scalar.time),
+                        (rebuilt.breakdown.compute, scalar.breakdown.compute),
+                        (rebuilt.breakdown.memory, scalar.breakdown.memory),
+                        (rebuilt.energy, scalar.energy),
+                        (rebuilt.power.gpu, scalar.power.gpu),
+                        (rebuilt.power.memory, scalar.power.memory),
+                        (rebuilt.power.card, scalar.power.card)):
+                    assert _rel_err(want, got) <= REL_TOL, label
+
+    @settings(max_examples=15, deadline=None)
+    @given(spec=fuzz_specs())
+    def test_store_round_trip_is_bitwise(self, spec):
+        with tempfile.TemporaryDirectory() as root:
+            store = SweepStore(Path(root))
+            for name, platform in _FUZZ_PLATFORMS.items():
+                batch = platform.run_kernel_batch(spec)
+                key = platform.sweep_cache_key(spec)
+                assert store.save_batch(key, batch), name
+                loaded = store.load_batch(key)
+                assert loaded is not None, name
+                for field in ("time", "compute_time", "memory_time",
+                              "overlap_residue", "achieved_bandwidth",
+                              "gpu_power", "memory_power", "card_power",
+                              "energy"):
+                    assert _same_bits(getattr(batch, field),
+                                      getattr(loaded, field)), field
+                for field in ("valu_busy", "mem_unit_busy",
+                              "mem_unit_stalled", "write_unit_stalled",
+                              "ic_activity", "valu_utilization", "norm_vgpr",
+                              "norm_sgpr", "valu_insts_millions",
+                              "vfetch_insts_millions",
+                              "vwrite_insts_millions"):
+                    assert _same_bits(getattr(batch.counters, field),
+                                      getattr(loaded.counters, field)), field
+                assert _same_bits(batch.launch_overhead,
+                                  loaded.launch_overhead)
+                assert _same_bits(batch.other_power, loaded.other_power)
+                assert loaded.kernel_name == batch.kernel_name
+                assert loaded.configs == batch.configs
+                assert loaded.occupancy == batch.occupancy
+                assert loaded.bandwidth_limit == batch.bandwidth_limit
+                assert _only_shared_limit_names(loaded), name

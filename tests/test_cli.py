@@ -17,7 +17,8 @@ if str(REPO_ROOT) not in sys.path:
 
 from tools.regen_goldens import (  # noqa: E402
     ABLATION_GOLDEN_DIR, BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_ARGS,
-    MONTECARLO_GOLDEN, ablation_reproduce, child_env, diff_text)
+    MONTECARLO_GOLDEN, RUN_APPS, RUN_POLICIES, ablation_reproduce,
+    child_env, command_goldens, command_stdout, diff_text)
 
 #: (name, node): every core report node under its node name and under
 #: each of its aliases, as ``figure`` accepts them.
@@ -398,6 +399,34 @@ class TestMontecarloGolden:
             (REPO_ROOT / "perfbench" / "digests.json").read_text())
         digest = hashlib.sha256(MONTECARLO_GOLDEN.read_bytes()).hexdigest()
         assert digest == digests["montecarlo_seed0_stdout"]
+
+
+#: (golden, argv) of ``sweep`` and every ``run`` golden; montecarlo's
+#: has its own test above (perfbench's argv, with ``--jobs 1``).
+COMMAND_GOLDENS = [(path, argv) for path, argv in command_goldens()
+                   if path != MONTECARLO_GOLDEN]
+
+
+class TestCommandGoldens:
+    """``sweep`` over all 25 kernels and ``run <app> --policy P`` print
+    their goldens in ``tests/golden/sweep`` and ``tests/golden/run``
+    byte for byte (regenerate with ``python tools/regen_goldens.py``)."""
+
+    def test_every_policy_on_both_apps(self):
+        runs = [argv for _, argv in COMMAND_GOLDENS if argv[0] == "run"]
+        assert sorted((argv[1], argv[3]) for argv in runs) == sorted(
+            (app, policy) for app in RUN_APPS for policy in RUN_POLICIES)
+        assert len(RUN_POLICIES) == 5 and len(RUN_APPS) == 2
+
+    @pytest.mark.parametrize("golden,argv", COMMAND_GOLDENS,
+                             ids=[path.stem for path, _ in COMMAND_GOLDENS])
+    def test_stdout_matches_golden(self, filled_store, golden, argv):
+        store, _, _ = filled_store
+        diff = diff_text(golden.read_bytes(), command_stdout(store, argv),
+                         "golden", " ".join(argv[:4]))
+        if diff:
+            pytest.fail(f"{' '.join(argv[:4])} differs from its golden:\n"
+                        + diff, pytrace=False)
 
 
 #: Telemetry code that only a traced run, or a report of one, needs.

@@ -170,10 +170,9 @@ class TestHardwareConfig:
         config = HardwareConfig(16, 700 * MHZ, 925 * MHZ)
         assert config.describe() == "16CU@700MHz/mem@925MHz"
 
-    def test_components(self):
+    def test_describe_compute(self):
         config = HardwareConfig(16, 700 * MHZ, 925 * MHZ)
-        assert config.compute.n_cu == 16
-        assert config.memory.f_mem == pytest.approx(925 * MHZ)
+        assert config.describe_compute() == "16CU@700MHz"
 
     def test_hashable(self):
         a = HardwareConfig(16, 700 * MHZ, 925 * MHZ)

@@ -33,6 +33,7 @@ from repro.platform.calibration import (default_calibration,
                                         pitcairn_calibration)
 from repro.units import MHZ
 from repro.workloads.registry import all_kernels, get_kernel
+from tests.kernel_strategies import CALIBRATIONS, fuzz_specs
 
 
 def _models(calibration, **kwargs):
@@ -281,70 +282,19 @@ class TestBatchApi:
 # --- differential fuzzing --------------------------------------------------------
 
 
-_CALIBRATIONS = {"hd7970": default_calibration(),
-                 "pitcairn": pitcairn_calibration()}
-
-
-#: Launch sizes (workitems) on both sides of the wave cap: 2**14 and
-#: fewer stay under a cap of 8-64 waves per CU at most CU counts, 2**19
-#: and more exceed it at every count, so admissions run.
-_LAUNCH_SIZES = (64, 1 << 14, 1 << 19, 1 << 21, 1 << 22)
-
-
-@st.composite
-def _fuzz_specs(draw):
-    """A kernel from the descriptor space: instruction mix (compute-only
-    and zero-DRAM-byte kernels included), occupancy limiters, divergence,
-    L2 behaviour, a window of one to eight requests and launch sizes on
-    both sides of the wave cap."""
-    mem = draw(st.sampled_from(
-        ("memory", "memory", "compute-only", "zero-bytes")))
-    if mem == "compute-only":
-        fetch = write = 0.0
-    else:
-        fetch = draw(st.integers(1, 16)) * draw(st.sampled_from((1.0, 0.7)))
-        write = float(draw(st.integers(0, 4)))
-    bytes_per_access = st.sampled_from((4.0, 8.0, 16.0, 1.0))
-    return KernelSpec(
-        name="Fuzz.Kernel",
-        total_workitems=draw(st.sampled_from(_LAUNCH_SIZES))
-        + draw(st.integers(0, 63)),
-        workgroup_size=draw(st.sampled_from((256, 128, 64))),
-        valu_insts_per_item=float(draw(st.integers(1, 400))),
-        vfetch_insts_per_item=fetch,
-        vwrite_insts_per_item=write,
-        bytes_per_fetch=0.0 if mem == "zero-bytes" else draw(
-            bytes_per_access),
-        bytes_per_write=0.0 if mem == "zero-bytes" else draw(
-            bytes_per_access),
-        # 128 and 96 registers leave two waves per SIMD: eight resident
-        # slots refilled by admissions, where ties meet reordered slots.
-        vgprs_per_workitem=draw(st.sampled_from(
-            (128, 96, 128, 96, 64, 32, 256, 16))),
-        sgprs_per_wave=draw(st.integers(8, 102)),
-        lds_bytes_per_workgroup=draw(st.sampled_from(
-            (0, 0, 4096, 8192, 16384))),
-        branch_divergence=draw(st.floats(0.0, 0.9)),
-        l2_hit_rate=draw(st.floats(0.0, 0.95)),
-        l2_thrash_sensitivity=draw(st.floats(0.0, 1.0)),
-        outstanding_per_wave=draw(st.floats(0.5, 8.4)),
-        access_efficiency=draw(st.floats(0.3, 1.0)),
-    )
-
-
 @st.composite
 def _fuzz_lanes(draw):
     """(calibration name, spec, config) lanes from both calibrations'
     grids, in a drawn order."""
     lanes = []
     for _ in range(draw(st.integers(4, 10))):
-        name = draw(st.sampled_from(sorted(_CALIBRATIONS)))
-        space = ConfigSpace(_CALIBRATIONS[name].arch)
+        name = draw(st.sampled_from(sorted(CALIBRATIONS)))
+        space = ConfigSpace(CALIBRATIONS[name].arch)
         config = HardwareConfig(
             draw(st.sampled_from(space.cu_counts)),
             draw(st.sampled_from(space.compute_frequencies)),
             draw(st.sampled_from(space.memory_frequencies)))
-        lanes.append((name, draw(_fuzz_specs()), config))
+        lanes.append((name, draw(fuzz_specs()), config))
     return draw(st.permutations(lanes))
 
 
@@ -364,7 +314,7 @@ class TestDifferentialFuzz:
         # engine sees only per-lane constants.
         params = []
         for name, spec, config in lanes:
-            calibration = _CALIBRATIONS[name]
+            calibration = CALIBRATIONS[name]
             params.append(_derive_lane_params(
                 calibration.arch,
                 MemoryControllerModel(arch=calibration.arch,
@@ -372,7 +322,7 @@ class TestDifferentialFuzz:
                 calibration.clock_domain_model(), max_waves, spec, config))
         scalars = {name: _models(calibration,
                                  max_simulated_waves=max_waves)[0]
-                   for name, calibration in _CALIBRATIONS.items()}
+                   for name, calibration in CALIBRATIONS.items()}
         for lane_params, (finish, busy), (name, spec, config) in zip(
                 params, _simulate_block(params), lanes):
             assert_bitwise_equal(_finalize(lane_params, finish, busy),
@@ -382,7 +332,7 @@ class TestDifferentialFuzz:
     @settings(max_examples=20, deadline=None)
     @given(lanes=_fuzz_lanes(), max_waves=_WAVE_CAPS)
     def test_run_pairs_per_calibration(self, lanes, max_waves):
-        for name, calibration in _CALIBRATIONS.items():
+        for name, calibration in CALIBRATIONS.items():
             scalar, batched = _models(calibration,
                                       max_simulated_waves=max_waves)
             pairs = [(spec, config) for lane, spec, config in lanes

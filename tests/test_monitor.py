@@ -1,10 +1,19 @@
 """Unit tests for :mod:`repro.core.monitor` (Section 5.1's monitoring)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import PolicyError
+from repro.core.coarse import CoarseGrainTuner
+from repro.errors import AnalysisError, PolicyError
 from repro.core.monitor import MonitoringBlock, PhaseDetector
-from repro.perf.counters import PerfCounters
+from repro.gpu.architecture import HD7970
+from repro.gpu.config import ConfigSpace
+from repro.perf.counters import FEATURE_NAMES, PerfCounters
+from repro.sensitivity.binning import PAPER_BINS
+from repro.sensitivity.predictor import (
+    BANDWIDTH_FEATURES, COMPUTE_FEATURES, PAPER_BANDWIDTH_PREDICTOR,
+    PAPER_COMPUTE_PREDICTOR, SensitivityPredictor)
+from repro.sensitivity.regression import LinearModel
 
 
 def counters(valu_busy=50.0, valu_insts=100.0, utilization=90.0, vgpr=0.25):
@@ -147,3 +156,135 @@ class TestPhaseDetector:
         assert identity[1] == pytest.approx(5.0 / 100.0)    # write/valu
         assert identity[2] == pytest.approx(88.0)
         assert identity[3] == pytest.approx(0.5)
+
+
+# --- the vector numeric stage against its mapping definition ---------------------
+
+
+def _percent():
+    return st.floats(0.0, 100.0)
+
+
+def _fraction():
+    return st.floats(0.0, 1.0)
+
+
+_COUNTERS = st.builds(
+    PerfCounters,
+    valu_utilization=_percent(),
+    valu_busy=_percent(),
+    mem_unit_busy=_percent(),
+    mem_unit_stalled=_percent(),
+    write_unit_stalled=_percent(),
+    ic_activity=_fraction(),
+    norm_vgpr=_fraction(),
+    norm_sgpr=_fraction(),
+    valu_insts_millions=st.floats(0.0, 1e4),
+    vfetch_insts_millions=st.floats(0.0, 1e4),
+    vwrite_insts_millions=st.floats(0.0, 1e4),
+)
+
+_COEFFICIENT = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def _models(draw, names):
+    """A linear model over a drawn, reordered subset of ``names``."""
+    subset = draw(st.lists(st.sampled_from(names), min_size=1,
+                           max_size=len(names), unique=True))
+    return LinearModel(
+        feature_names=tuple(subset),
+        intercept=draw(_COEFFICIENT),
+        coefficients={name: draw(_COEFFICIENT) for name in subset},
+        correlation=0.0,
+    )
+
+
+#: (kernel, reset the kernel's average first, counter sample) launches.
+_LAUNCHES = st.lists(
+    st.tuples(st.sampled_from(("a", "b", "c")), st.booleans(), _COUNTERS),
+    min_size=1, max_size=40)
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+def _definition(model: LinearModel, features) -> float:
+    """The model on a feature mapping, name by name, left to right."""
+    total = model.intercept
+    for name in model.feature_names:
+        total += model.coefficients[name] * features[name]
+    return total
+
+
+class TestVectorStageMatchesMappingDefinition:
+    """The monitor's vector EWMA and the predictors' precomputed terms
+    give, bit for bit, what the mapping definition gives: an EWMA over
+    ``as_feature_dict()``, then ``LinearModel.predict`` on that mapping
+    and the clamp."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(launches=_LAUNCHES, alpha=st.sampled_from((0.4, 1.0, 0.25, 0.7)),
+           compute=st.one_of(st.just(PAPER_COMPUTE_PREDICTOR.model),
+                             _models(COMPUTE_FEATURES),
+                             _models(FEATURE_NAMES)),
+           bandwidth=st.one_of(st.just(PAPER_BANDWIDTH_PREDICTOR.model),
+                               _models(BANDWIDTH_FEATURES),
+                               _models(FEATURE_NAMES)))
+    def test_snapshots_are_bitwise(self, launches, alpha, compute,
+                                   bandwidth):
+        monitor = MonitoringBlock(alpha=alpha)
+        tuner = CoarseGrainTuner(
+            ConfigSpace(HD7970),
+            SensitivityPredictor(model=compute, kind="compute"),
+            SensitivityPredictor(model=bandwidth, kind="bandwidth"))
+        reference = {}
+        for kernel, reset, sample in launches:
+            if reset:
+                monitor.reset_kernel(kernel)
+                reference.pop(kernel, None)
+            features = sample.as_feature_dict()
+            state = reference.get(kernel)
+            if state is None:
+                state = dict(features)
+            else:
+                for name, value in features.items():
+                    state[name] = (1 - alpha) * state[name] + alpha * value
+            reference[kernel] = state
+
+            vector = monitor.update_vector(kernel, sample)
+            assert [_bits(v) for v in vector] == [
+                _bits(state[name]) for name in FEATURE_NAMES]
+            assert monitor.current(kernel) == state
+            for model in (compute, bandwidth):
+                # Unclamped, so no saturation hides a changed sum.
+                raw = _bits(_definition(model, state))
+                assert _bits(model.predict(state)) == raw
+                assert _bits(model.evaluate(model.terms(FEATURE_NAMES),
+                                            vector)) == raw
+            snapshot = tuner.snapshot_from_vector(vector)
+            want_compute = max(0.0, min(1.0, compute.predict(state)))
+            want_bandwidth = max(0.0, min(1.0, bandwidth.predict(state)))
+            assert _bits(snapshot.compute) == _bits(want_compute)
+            assert _bits(snapshot.bandwidth) == _bits(want_bandwidth)
+            assert snapshot.compute_bin is PAPER_BINS.classify(want_compute)
+            assert (snapshot.bandwidth_bin
+                    is PAPER_BINS.classify(want_bandwidth))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_launches=_LAUNCHES)
+    def test_mapping_update_is_the_vector_by_name(self, kernel_launches):
+        by_vector, by_mapping = MonitoringBlock(), MonitoringBlock()
+        for kernel, _, sample in kernel_launches:
+            vector = by_vector.update_vector(kernel, sample)
+            assert by_mapping.update(kernel, sample) == dict(
+                zip(FEATURE_NAMES, vector))
+
+    def test_predictor_rejects_an_unknown_feature_when_built(self):
+        model = LinearModel(feature_names=("VALUBusy", "Occupancy"),
+                            intercept=0.0,
+                            coefficients={"VALUBusy": 1.0, "Occupancy": 1.0},
+                            correlation=0.0)
+        with pytest.raises(AnalysisError, match="Occupancy"):
+            SensitivityPredictor(model=model, kind="compute")

@@ -12,12 +12,15 @@ under ``benchmarks/reports/``, so the two cannot drift. Against the same
 store it then runs
 ``python -m repro montecarlo --seeds 32`` and rewrites
 ``tests/golden/montecarlo/harmonia_seeds32.txt`` with its stdout the
-same way. Exit status is 0 whether or not anything changed; a nonzero
-status means a run failed.
+same way, then does the same for ``sweep`` over all 25 kernels in one
+invocation (``tests/golden/sweep/all_kernels.txt``) and for ``run <app>
+--policy P`` under each of the five policies on Graph500 and CoMD
+(``tests/golden/run/<app>_<policy>.txt``). Exit status is 0 whether or
+not anything changed; a nonzero status means a run failed.
 
-``tests/test_cli.py`` compares reproduce and montecarlo output with
-these files byte for byte, and checks that the sha256 values of the core
-reports and the montecarlo golden equal the ``reproduce`` and
+``tests/test_cli.py`` compares the output of every one of these
+commands with its file byte for byte, and checks that the sha256 values
+of the core reports and the montecarlo golden equal the ``reproduce`` and
 ``montecarlo_seed0_stdout`` digests in ``perfbench/digests.json`` (the
 benchmark never runs the ablations). A deliberate output change
 therefore needs both: rerun this tool, and update those digests in the
@@ -45,6 +48,12 @@ MONTECARLO_GOLDEN = (REPO_ROOT / "tests" / "golden" / "montecarlo"
 #: the montecarlo run of the golden; perfbench's seed-0 command, which
 #: also passes the ignored ``--jobs 1``
 MONTECARLO_ARGS = ("montecarlo", "--seeds", "32")
+SWEEP_GOLDEN = REPO_ROOT / "tests" / "golden" / "sweep" / "all_kernels.txt"
+RUN_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "run"
+#: the applications whose ``run`` output has a golden under each policy
+RUN_APPS = ("Graph500", "CoMD")
+#: every ``run --policy`` choice
+RUN_POLICIES = ("baseline", "harmonia", "cg-only", "dvfs-only", "oracle")
 
 
 def child_env() -> dict:
@@ -85,13 +94,29 @@ def ablation_reproduce(store: Path, out: Path) -> Path:
     return out
 
 
-def montecarlo_stdout(store: Path) -> bytes:
-    """The stdout of :data:`MONTECARLO_ARGS` run in a fresh interpreter
-    against ``store``."""
+def command_stdout(store: Path, argv) -> bytes:
+    """The stdout of ``python -m repro <argv>`` run in a fresh
+    interpreter against ``store``."""
     return subprocess.run(
-        [sys.executable, "-m", "repro", *MONTECARLO_ARGS,
-         "--cache-dir", str(store)],
+        [sys.executable, "-m", "repro", *argv, "--cache-dir", str(store)],
         env=child_env(), check=True, stdout=subprocess.PIPE).stdout
+
+
+def command_goldens():
+    """``(golden file, repro arguments)`` of every command whose stdout
+    has a golden, montecarlo's first."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.workloads.registry import all_kernels
+
+    goldens = [(MONTECARLO_GOLDEN, MONTECARLO_ARGS),
+               (SWEEP_GOLDEN,
+                ("sweep", *(kernel.base.name for kernel in all_kernels())))]
+    goldens.extend((RUN_GOLDEN_DIR / f"{app}_{policy}.txt",
+                    ("run", app, "--policy", policy))
+                   for app in RUN_APPS for policy in RUN_POLICIES)
+    return goldens
 
 
 def diff_text(before: bytes, after: bytes, fromfile: str,
@@ -104,12 +129,13 @@ def diff_text(before: bytes, after: bytes, fromfile: str,
 
 
 def main() -> int:
+    goldens = command_goldens()
     with tempfile.TemporaryDirectory() as workdir:
         store = Path(workdir) / "store"
         try:
             out = cold_reproduce(Path(workdir))
             ablations = ablation_reproduce(store, Path(workdir) / "ablations")
-            montecarlo = montecarlo_stdout(store)
+            commands = [command_stdout(store, argv) for _, argv in goldens]
         except subprocess.CalledProcessError as error:
             print(f"regen_goldens: a run failed ({error})", file=sys.stderr)
             return 1
@@ -139,18 +165,23 @@ def main() -> int:
 
     old_montecarlo = (MONTECARLO_GOLDEN.read_bytes()
                       if MONTECARLO_GOLDEN.exists() else b"")
-    if old_montecarlo != montecarlo:
-        sys.stdout.write(diff_text(
-            old_montecarlo, montecarlo,
-            f"golden/montecarlo/{MONTECARLO_GOLDEN.name}",
-            " ".join(MONTECARLO_ARGS)))
-    MONTECARLO_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    MONTECARLO_GOLDEN.write_bytes(montecarlo)
+    montecarlo = commands[0]
+    changed_commands = []
+    for (path, argv), after in zip(goldens, commands):
+        before = path.read_bytes() if path.exists() else b""
+        if before != after:
+            changed_commands.append(path)
+            sys.stdout.write(diff_text(
+                before, after, str(path.relative_to(REPO_ROOT / "tests")),
+                " ".join(argv)))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(after)
 
-    if not changed and old_montecarlo == montecarlo:
-        print(f"regen_goldens: all {len(fresh) + 1} goldens unchanged")
+    if not changed and not changed_commands:
+        print(f"regen_goldens: all {len(fresh) + len(commands)} goldens "
+              f"unchanged")
         return 0
-    # The benchmark digests the core reports only.
+    # The benchmark digests the core reports and montecarlo's stdout only.
     digested = [name for name in changed if golden_dir(name) == GOLDEN_DIR]
     if not digested and old_montecarlo == montecarlo:
         return 0
