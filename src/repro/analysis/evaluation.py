@@ -237,15 +237,15 @@ class EvaluationHarness:
     ) -> MonteCarloSummary:
         """Run the matrix under repeated-trial measurement noise.
 
-        Each (application, policy) pair is rolled out once on the
-        deterministic platform and re-measured across every trial seed by
-        the vectorized :class:`~repro.runtime.montecarlo.MonteCarloEngine`
-        — the launch-keyed noise model guarantees each trial matches the
-        scalar noisy run at the same platform seed. Baseline and
-        candidate share seeds, so the reported improvement bands are
-        paired. All policies' deterministic reference runs of one
-        application advance in lockstep via the batched session engine
-        before the vectorized noise reduction; as in :meth:`evaluate`,
+        Each application's baseline and candidates are rolled out
+        together by the vectorized
+        :class:`~repro.runtime.montecarlo.MonteCarloEngine`: their
+        deterministic reference runs advance in lockstep via the batched
+        session engine, and every trial seed's noise stream is derived
+        and read once for all of them. The launch-keyed noise model
+        guarantees each trial matches the scalar noisy run at the same
+        platform seed. Baseline and candidate share seeds, so the
+        reported improvement bands are paired. As in :meth:`evaluate`,
         one instance per policy serves every application.
 
         Args:
@@ -257,26 +257,15 @@ class EvaluationHarness:
         if not applications:
             raise AnalysisError("no applications to evaluate")
         engine = MonteCarloEngine(self._platform, noise_std_fraction, seeds)
-        from repro.runtime.session import BatchSessionRunner, SessionSpec
 
         def evaluate_app(application: Application):
-            references = BatchSessionRunner(self._platform).run_sessions([
-                SessionSpec(application=application, policy=policy)
-                for policy in (self._baseline, *policies)
-            ])
-            base_run = engine.rollout(application, self._baseline,
-                                      reference=references[0])
-            comps: List[MonteCarloComparison] = []
-            for policy, reference in zip(policies, references[1:]):
-                cand_run = engine.rollout(application, policy,
-                                          reference=reference)
-                comps.append(MonteCarloComparison(
-                    application=application.name,
-                    policy=cand_run.policy,
-                    baseline=base_run,
-                    candidate=cand_run,
-                ))
-            return comps
+            base_run, *cand_runs = engine.rollout(
+                application, (self._baseline, *policies))
+            return [MonteCarloComparison(application=application.name,
+                                         policy=cand_run.policy,
+                                         baseline=base_run,
+                                         candidate=cand_run)
+                    for cand_run in cand_runs]
 
         comparisons: List[MonteCarloComparison] = []
         for comps in map_items(evaluate_app, applications):

@@ -22,6 +22,7 @@ scalar and vectorized paths.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 from typing import Hashable, Optional, Sequence
 
@@ -52,9 +53,10 @@ class HardwarePlatform:
             calibration: substrate constants; defaults to
                 :func:`~repro.platform.calibration.default_calibration`.
             noise_std_fraction: run-to-run execution-time noise as a
-                fraction of the launch time (0 disables noise). Draws are
-                launch-keyed: the same ``(seed, spec, iteration, config)``
-                always yields the same multiplier.
+                finite, non-negative fraction of the launch time (0
+                disables noise). Draws are launch-keyed: the same
+                ``(seed, spec, iteration, config)`` always yields the
+                same multiplier.
             seed: key seed for the launch-keyed noise.
             telemetry: telemetry handle receiving the
                 ``noise_floor_clips_total`` counter (disabled null handle
@@ -74,10 +76,9 @@ class HardwarePlatform:
             memory=self._cal.memory_power_model(),
             other_power=self._cal.other_power,
         )
-        if noise_std_fraction < 0:
-            raise ValueError("noise_std_fraction must be non-negative")
+        if not (noise_std_fraction >= 0 and math.isfinite(noise_std_fraction)):
+            raise ValueError("noise_std_fraction must be finite and >= 0")
         self._noise = noise_std_fraction
-        self._seed = seed
         self._noise_model: Optional[LaunchKeyedNoise] = (
             LaunchKeyedNoise(noise_std_fraction, seed, len(self._space))
             if noise_std_fraction > 0 else None
@@ -120,16 +121,6 @@ class HardwarePlatform:
     def noise_std_fraction(self) -> float:
         """Run-to-run execution-time noise fraction (0 = deterministic)."""
         return self._noise
-
-    @property
-    def noise_seed(self) -> int:
-        """The seed keying the launch-keyed noise model."""
-        return self._seed
-
-    @property
-    def noise_model(self) -> Optional[LaunchKeyedNoise]:
-        """The launch-keyed noise model (None on a noise-free platform)."""
-        return self._noise_model
 
     @property
     def noise_clip_count(self) -> int:

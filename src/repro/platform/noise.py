@@ -25,10 +25,10 @@ with the key that ``Philox(SeedSequence([seed, iteration,
 spec_entropy(spec)]))`` would compute, a zero counter and an empty
 buffer: the exact state of a newly seeded generator. One stream's key
 comes from numpy's own ``SeedSequence.generate_state``; the Monte Carlo
-engine keys the thousands of streams of a rollout at once with
-:func:`fill_memos`, whose :func:`seed_sequence_keys` reimplements that
-hash vectorized over streams. Either way every draw equals the plain
-derivation bit for bit (``tests/test_noise_rng.py``).
+engine keys a rollout's streams a chunk at a time with :func:`fill_memos`,
+whose :func:`seed_sequence_keys` reimplements that hash vectorized over
+streams. Either way every draw equals the plain derivation bit for bit
+(``tests/test_noise_rng.py``).
 
 Multipliers are clamped at :data:`NOISE_FLOOR`: a Gaussian draw can push
 ``1 + draw`` arbitrarily close to (or below) zero, and a non-positive
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import operator
 import threading
 from collections import OrderedDict
@@ -56,9 +57,10 @@ from repro.perf.kernelspec import KernelSpec
 NOISE_FLOOR = 0.05
 
 #: How many per-``(spec, iteration)`` multiplier vectors one model keeps
-#: (LRU). Every entry is recomputable from its key, so the bound only
-#: trades CPU for memory; a Monte Carlo run derives no stream twice.
-MEMO_SIZE = 256
+#: (LRU), and so the most pairs one :func:`fill_memos` chunk holds. Every
+#: entry is recomputable, so the bound trades CPU for memory; a Monte
+#: Carlo rollout reads each stream once, right after its chunk's fill.
+MEMO_SIZE = 32
 
 #: ``SeedSequence`` constants (numpy/random/bit_generator.pyx): the
 #: entropy pool size and the multiplicative hashes that mix entropy into
@@ -190,8 +192,8 @@ class LaunchKeyedNoise:
 
     Args:
         std_fraction: noise standard deviation as a fraction of the
-            launch time (must be positive — a noise-free platform simply
-            has no noise model).
+            launch time (must be positive and finite — a noise-free
+            platform simply has no noise model).
         seed: the platform seed, the outermost key component: a
             non-negative integer (``bool`` and numpy integers key the
             stream of their integer value, as in ``SeedSequence``).
@@ -201,13 +203,13 @@ class LaunchKeyedNoise:
 
     Raises:
         TypeError: if ``seed`` is not an integer.
-        ValueError: if ``seed`` is negative, or ``std_fraction`` or
-            ``grid_size`` is not positive.
+        ValueError: if ``seed`` is negative, ``std_fraction`` is not
+            positive and finite, or ``grid_size`` is not positive.
     """
 
     def __init__(self, std_fraction: float, seed: int, grid_size: int):
-        if std_fraction <= 0:
-            raise ValueError("std_fraction must be positive")
+        if not (std_fraction > 0 and math.isfinite(std_fraction)):
+            raise ValueError("std_fraction must be positive and finite")
         if grid_size <= 0:
             raise ValueError("grid_size must be positive")
         try:
@@ -237,19 +239,9 @@ class LaunchKeyedNoise:
         }
 
     @property
-    def std_fraction(self) -> float:
-        """The noise standard deviation (fraction of launch time)."""
-        return self._std
-
-    @property
     def seed(self) -> int:
         """The platform seed keying every stream."""
         return self._seed
-
-    @property
-    def grid_size(self) -> int:
-        """Draws generated per ``(seed, spec, iteration)`` stream."""
-        return self._grid_size
 
     def _draw(self, keys: np.ndarray) -> List[_Entry]:
         """The ``(multipliers, clipped)`` entries of the streams whose

@@ -6,16 +6,16 @@ independent scalar harness runs — one noisy platform per seed, each
 re-walking every launch through Python. The launch-keyed noise model
 (:mod:`repro.platform.noise`) makes a far cheaper formulation exact:
 
-1. run each (application, policy) pair **once** on the deterministic
-   platform to record its launch schedule — the ordered
-   ``(spec, config, iteration)`` sequence with noise-free times and
-   powers (served from the shared sweep cache's surfaces wherever the
-   policy consults them);
-2. for every trial seed ``s``, perturb each scheduled launch's time with
-   the keyed multiplier of platform seed ``s`` — a vectorized draw per
-   ``(spec, iteration)`` group, every seed's streams keyed in one bulk
-   call (:func:`repro.platform.noise.fill_memos`), one matrix of launch
-   times over ``(seed, launch)``;
+1. run each application's policies **once**, as lockstep lanes on the
+   deterministic platform, to record every policy's launch schedule —
+   the ordered ``(spec, config, iteration)`` sequence with noise-free
+   times and powers (served from the shared sweep cache's surfaces
+   wherever the policy consults them);
+2. for every trial seed ``s``, derive each ``(spec, iteration)`` stream
+   of platform seed ``s`` once, a chunk keyed in one bulk call
+   (:func:`repro.platform.noise.fill_memos`), and gather it at the grid
+   index of every policy's launch (the schedule is policy-independent):
+   one matrix of launch times per policy over ``(seed, launch)``;
 3. reduce each seed's row to run metrics (time, energy, power, ED²) and
    report mean / standard deviation / 95% confidence bands.
 
@@ -24,7 +24,8 @@ policy's converged behaviour on the noise-free platform — and differ only
 in measurement noise, which models the paper's methodology of measuring a
 trained controller repeatedly. For non-adaptive policies (the baseline,
 the oracle's cached optima) trial ``s`` is *bitwise per-launch identical*
-to a full scalar harness run on a noisy platform seeded with ``s``.
+to a full scalar harness run on a noisy platform seeded with ``s``, and a
+policy's run does not depend on which other policies share its rollout.
 Candidate and baseline trials are paired by seed, so improvement bands
 cancel the shared noise realization the way paired hardware measurements
 do.
@@ -33,8 +34,9 @@ do.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +44,8 @@ from repro.core.policy import PowerPolicy
 from repro.errors import AnalysisError
 from repro.platform import noise
 from repro.platform.hd7970 import HardwarePlatform
-from repro.runtime.session import BatchSessionRunner
+from repro.runtime.session import BatchSessionRunner, SessionSpec
+from repro.runtime.simulator import RunResult
 from repro.workloads.application import Application
 
 #: z-score of the two-sided 95% confidence interval.
@@ -176,7 +179,8 @@ class MonteCarloEngine:
 
     Raises:
         AnalysisError: if the platform is noisy, the noise fraction is
-            not positive, or no seeds are given.
+            not positive and finite, or the seeds are not distinct
+            non-negative integers (at least one).
     """
 
     def __init__(self, platform: HardwarePlatform,
@@ -188,23 +192,27 @@ class MonteCarloEngine:
                 f"(got noise_std_fraction={platform.noise_std_fraction}); "
                 "the engine applies its own per-seed noise"
             )
-        if noise_std_fraction <= 0:
-            raise AnalysisError("noise_std_fraction must be positive")
+        if not (noise_std_fraction > 0 and math.isfinite(noise_std_fraction)):
+            raise AnalysisError("noise_std_fraction must be finite and > 0")
         if isinstance(seeds, int):
             seeds = range(seeds)
-        seeds = tuple(int(s) for s in seeds)
+        try:
+            seeds = tuple(map(operator.index, seeds))
+        except TypeError:
+            raise AnalysisError(
+                f"trial seeds must be integers: {seeds!r}") from None
         if not seeds:
             raise AnalysisError("at least one trial seed is required")
-        if len(set(seeds)) != len(seeds):
-            raise AnalysisError("trial seeds must be distinct")
+        if min(seeds) < 0 or len(set(seeds)) != len(seeds):
+            raise AnalysisError(
+                f"trial seeds must be distinct and non-negative: {seeds}")
         self._platform = platform
         self._noise = noise_std_fraction
         self._seeds = seeds
         grid_size = len(platform.config_space)
-        # One keyed noise model per trial seed, shared across every
-        # application and policy this engine evaluates — the memo inside
-        # each model lets baseline and candidate reuse the same
-        # (spec, iteration) draw vectors.
+        # One keyed noise model per trial seed, shared by every rollout
+        # of this engine. A rollout reads each stream once, so a model's
+        # memo only carries one fill chunk from the fill to its reads.
         self._models = tuple(
             noise.LaunchKeyedNoise(noise_std_fraction, seed, grid_size)
             for seed in seeds
@@ -220,24 +228,21 @@ class MonteCarloEngine:
         """The trial seeds, in sample order."""
         return self._seeds
 
-    @property
-    def noise_std_fraction(self) -> float:
-        """The per-trial execution-time noise fraction."""
-        return self._noise
-
     def rollout(self, application: Application,
-                policy: PowerPolicy,
-                reference=None) -> MonteCarloRun:
-        """Evaluate one (application, policy) pair across all seeds.
+                policies: Sequence[PowerPolicy],
+                references: Optional[Sequence[RunResult]] = None,
+                ) -> Tuple[MonteCarloRun, ...]:
+        """Evaluate all of an application's policies across all seeds.
 
-        One deterministic reference run records the launch schedule; the
-        noise matrix over ``(seed, launch)`` is then generated from the
-        keyed models and reduced to per-seed run metrics — no per-seed
-        re-execution of the policy loop.
+        One deterministic reference run per policy records its launch
+        schedule; each ``(seed, spec, iteration)`` stream is then derived
+        and read once for all the policies, and every policy's noise
+        matrix over ``(seed, launch)`` is reduced to per-seed run
+        metrics — no per-seed re-execution of the policy loop.
 
         Under a traced run the whole rollout is one span (labelled by
-        application and policy), attached to whatever span was open on
-        the calling thread — typically a pipeline node or the
+        application and every policy), attached to whatever span was
+        open on the calling thread — typically a pipeline node or the
         ``montecarlo`` command's root span. Its one ``montecarlo.noise``
         child covers the derivation and draw gather of every ``(seed,
         spec, iteration)`` stream the rollout reads, so noise shows up
@@ -245,90 +250,109 @@ class MonteCarloEngine:
 
         Args:
             application: the workload to roll out.
-            policy: the policy whose decision trace anchors all trials.
-            reference: a precomputed deterministic
-                :class:`~repro.runtime.simulator.RunResult` of this
-                (application, policy) pair on the engine's platform —
-                the batched session engine supplies these so all
-                policies' reference runs advance in lockstep. ``None``
-                runs a one-lane engine session here.
+            policies: the policies whose decision traces anchor all
+                trials, one instance each.
+            references: precomputed deterministic runs
+                (:class:`~repro.runtime.simulator.RunResult`) of this
+                application on the engine's platform, one per policy in
+                order. ``None`` runs the policies here as lockstep lanes
+                of one batched session engine call.
+
+        Returns:
+            One :class:`MonteCarloRun` per policy, in order.
+
+        Raises:
+            AnalysisError: if the references do not match the policies or
+                the application's launch schedule.
         """
         from repro.telemetry.spans import ambient_telemetry
+        policies = tuple(policies)
         telemetry = ambient_telemetry()
         with telemetry.span(
-                "montecarlo.rollout",
-                application=application.name, policy=policy.name):
-            return self._rollout(application, policy, reference, telemetry)
+                "montecarlo.rollout", application=application.name,
+                policies=",".join(policy.name for policy in policies)):
+            return self._rollout(application, policies, references, telemetry)
 
     def _rollout(self, application: Application,
-                 policy: PowerPolicy,
-                 reference, telemetry) -> MonteCarloRun:
-        if reference is None:
-            reference = BatchSessionRunner(self._platform).run(
-                application, policy
-            )
-        records = reference.trace.records
-        launches = list(application.launches())
-        if len(launches) != len(records):
+                 policies: Tuple[PowerPolicy, ...],
+                 references, telemetry) -> Tuple[MonteCarloRun, ...]:
+        if references is None:
+            references = BatchSessionRunner(self._platform).run_sessions([
+                SessionSpec(application=application, policy=policy)
+                for policy in policies
+            ])
+        if len(references) != len(policies):
             raise AnalysisError(
-                f"trace of {application.name!r} has {len(records)} launches; "
-                f"schedule expects {len(launches)}"
-            )
-
-        det_time = np.array([r.result.time for r in records])
-        card_power = np.array([r.result.power.card for r in records])
-
-        # Group launches sharing a (spec, iteration) noise stream so each
-        # stream is derived once per seed and indexed per config.
+                f"{len(references)} reference runs for "
+                f"{len(policies)} policies")
+        launches = list(application.launches())
         space = self._platform.config_space
-        groups: Dict[Tuple, Tuple[List[int], List[int]]] = {}
-        for j, ((iteration, _kernel, spec), record) in enumerate(
-                zip(launches, records)):
-            positions, grid_indices = groups.setdefault(
-                (spec, iteration), ([], [])
-            )
-            positions.append(j)
-            grid_indices.append(space.index_of(record.result.config))
+        det_times, card_powers, grid_indices = [], [], []
+        for reference in references:
+            records = reference.trace.records
+            if len(records) != len(launches):
+                raise AnalysisError(
+                    f"trace of {application.name!r} has {len(records)} "
+                    f"launches; schedule expects {len(launches)}")
+            det_times.append(np.array([r.result.time for r in records]))
+            card_powers.append(
+                np.array([r.result.power.card for r in records]))
+            grid_indices.append(
+                [space.index_of(r.result.config) for r in records])
+
+        # Group launches sharing a (spec, iteration) noise stream; the
+        # schedule, and so each group, is the same in every policy.
+        groups: Dict[Tuple, List[int]] = {}
+        for position, (iteration, _kernel, spec) in enumerate(launches):
+            groups.setdefault((spec, iteration), []).append(position)
 
         # Derive each chunk's missing streams for every seed at once,
-        # then read them back through the memo. A chunk fits one memo,
-        # so the fill evicts nothing that the reads below still need.
-        multipliers = np.empty((len(self._seeds), len(records)))
+        # then read each back through the memo once and gather it at
+        # every policy's grid index. A chunk fits one memo, so the fill
+        # evicts nothing that the reads below still need.
+        multipliers = np.empty((len(policies), len(self._seeds),
+                                len(launches)))
         pairs = list(groups)
         with telemetry.span("montecarlo.noise",
-                            streams=len(groups) * len(self._models)):
+                            streams=len(pairs) * len(self._models)):
             for start in range(0, len(pairs), noise.MEMO_SIZE):
                 chunk = pairs[start:start + noise.MEMO_SIZE]
                 noise.fill_memos(self._models, chunk)
                 for spec, iteration in chunk:
                     draws = [model.multipliers_for(spec, iteration)[0]
                              for model in self._models]
-                    for position, grid_index in zip(
-                            *groups[spec, iteration]):
-                        multipliers[:, position] = [
-                            vector[grid_index] for vector in draws]
+                    for position in groups[spec, iteration]:
+                        for matrix, indices in zip(multipliers,
+                                                   grid_indices):
+                            grid_index = indices[position]
+                            matrix[:, position] = [
+                                vector[grid_index] for vector in draws]
 
-        times = det_time * multipliers            # (seed, launch)
-        energies = card_power * times
-        total_time = times.sum(axis=1)
-        total_energy = energies.sum(axis=1)
-        return MonteCarloRun(
-            application=application.name,
-            policy=policy.name,
-            noise_std_fraction=self._noise,
-            seeds=self._seeds,
-            time_samples=total_time,
-            energy_samples=total_energy,
-            avg_power_samples=total_energy / total_time,
-            ed2_samples=total_energy * total_time * total_time,
-        )
+        runs = []
+        for policy, det_time, card_power, matrix in zip(
+                policies, det_times, card_powers, multipliers):
+            times = det_time * matrix                 # (seed, launch)
+            energies = card_power * times
+            total_time = times.sum(axis=1)
+            total_energy = energies.sum(axis=1)
+            runs.append(MonteCarloRun(
+                application=application.name,
+                policy=policy.name,
+                noise_std_fraction=self._noise,
+                seeds=self._seeds,
+                time_samples=total_time,
+                energy_samples=total_energy,
+                avg_power_samples=total_energy / total_time,
+                ed2_samples=total_energy * total_time * total_time,
+            ))
+        return tuple(runs)
 
     def compare(self, application: Application,
                 baseline: PowerPolicy,
                 candidate: PowerPolicy) -> MonteCarloComparison:
-        """Paired-seed comparison of one candidate against the baseline."""
-        base_run = self.rollout(application, baseline)
-        cand_run = self.rollout(application, candidate)
+        """Paired-seed comparison of one candidate against the baseline,
+        both rolled out together."""
+        base_run, cand_run = self.rollout(application, (baseline, candidate))
         return MonteCarloComparison(
             application=application.name,
             policy=cand_run.policy,

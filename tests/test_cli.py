@@ -401,16 +401,18 @@ class TestMontecarloGolden:
         assert digest == digests["montecarlo_seed0_stdout"]
 
 
-#: (golden, argv) of ``sweep`` and every ``run`` golden; montecarlo's
-#: has its own test above (perfbench's argv, with ``--jobs 1``).
+#: (golden, argv) of ``evaluate --seeds 4``, ``sweep`` and every ``run``
+#: golden; montecarlo's has its own test above (perfbench's argv, with
+#: ``--jobs 1``).
 COMMAND_GOLDENS = [(path, argv) for path, argv in command_goldens()
                    if path != MONTECARLO_GOLDEN]
 
 
 class TestCommandGoldens:
-    """``sweep`` over all 25 kernels and ``run <app> --policy P`` print
-    their goldens in ``tests/golden/sweep`` and ``tests/golden/run``
-    byte for byte (regenerate with ``python tools/regen_goldens.py``)."""
+    """``evaluate --seeds 4``, ``sweep`` over all 25 kernels and ``run
+    <app> --policy P`` print their goldens in ``tests/golden/evaluate``,
+    ``tests/golden/sweep`` and ``tests/golden/run`` byte for byte
+    (regenerate with ``python tools/regen_goldens.py``)."""
 
     def test_every_policy_on_both_apps(self):
         runs = [argv for _, argv in COMMAND_GOLDENS if argv[0] == "run"]
@@ -471,12 +473,15 @@ class TestMontecarloTrace:
         records = load_chrome_trace(trace)
         assert [r.name for r in records if r.parent_id is None] == [
             "montecarlo"]
-        rollouts = [r for r in records if r.name == "montecarlo.rollout"]
-        assert len(rollouts) == 2
-        for rollout in rollouts:
-            children = [r.name for r in records
-                        if r.parent_id == rollout.span_id]
-            assert children == ["montecarlo.noise"]
+        # One rollout per application, over the baseline and the
+        # candidate together: their lockstep reference session, then
+        # one noise span.
+        (rollout,) = [r for r in records if r.name == "montecarlo.rollout"]
+        assert dict(rollout.labels) == {"application": "MaxFlops",
+                                        "policies": "baseline,harmonia"}
+        children = [r.name for r in records
+                    if r.parent_id == rollout.span_id]
+        assert children == ["controller.session", "montecarlo.noise"]
         assert "sweep_cache_hits_total" in json.loads(metrics.read_text())
 
 

@@ -2,14 +2,19 @@
 
 Pins the contract documented in :mod:`repro.runtime.montecarlo`: each
 trial of a non-adaptive policy reproduces a full scalar harness run on a
-noisy platform with the trial's seed, bands summarize the trials, and one
-policy instance serves every application exactly like fresh ones.
+noisy platform with the trial's seed, whichever policies share its
+rollout, bands summarize the trials, and one policy instance serves
+every application exactly like fresh ones.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.evaluation import EvaluationHarness
 from repro.core.baseline import BaselinePolicy
@@ -17,13 +22,14 @@ from repro.core.oracle import OraclePolicy
 from repro.errors import AnalysisError
 from repro.platform import noise
 from repro.platform.hd7970 import make_hd7970_platform
+from repro.platform.noise import LaunchKeyedNoise
 from repro.runtime.montecarlo import (
     MonteCarloEngine,
     band,
     geomean_band,
 )
 from repro.runtime.simulator import ApplicationRunner
-from repro.workloads.registry import get_application
+from repro.workloads.registry import application_names, get_application
 
 NOISE = 0.05
 SEEDS = (0, 1, 2, 3)
@@ -69,6 +75,28 @@ class TestEngineValidation:
         with pytest.raises(AnalysisError):
             MonteCarloEngine(make_hd7970_platform(), 0.0, 2)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_nonfinite_noise_rejected(self, fraction):
+        with pytest.raises(AnalysisError):
+            MonteCarloEngine(make_hd7970_platform(), fraction, 2)
+
+    def test_fractional_seeds_rejected(self):
+        """``[0.5, 1.5]`` is an error, not the trial seeds ``(0, 1)``."""
+        with pytest.raises(AnalysisError):
+            MonteCarloEngine(make_hd7970_platform(), NOISE, [0.5, 1.5])
+        with pytest.raises(AnalysisError):
+            MonteCarloEngine(make_hd7970_platform(), NOISE, 2.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(AnalysisError):
+            MonteCarloEngine(make_hd7970_platform(), NOISE, [0, -1])
+
+    def test_integer_like_seeds_key_their_value(self):
+        engine = MonteCarloEngine(make_hd7970_platform(), NOISE,
+                                  np.arange(2, 5))
+        assert engine.seeds == (2, 3, 4)
+        assert all(type(seed) is int for seed in engine.seeds)
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(AnalysisError):
             MonteCarloEngine(make_hd7970_platform(), NOISE, [])
@@ -82,12 +110,18 @@ class TestEngineValidation:
         assert engine.seeds == (0, 1, 2)
 
 
+def baseline_run(engine, app):
+    """The single-policy rollout of the baseline on ``app``."""
+    (run,) = engine.rollout(app, [BaselinePolicy(
+        engine.platform.config_space)])
+    return run
+
+
 class TestRollout:
     def test_trials_match_scalar_noisy_runs(self, engine, apps):
         """Trial s == a full scalar harness run at platform seed s."""
         for app in apps:
-            run = engine.rollout(app, BaselinePolicy(
-                engine.platform.config_space))
+            run = baseline_run(engine, app)
             for idx, seed in enumerate(engine.seeds):
                 noisy = make_hd7970_platform(noise_std_fraction=NOISE,
                                              seed=seed)
@@ -109,14 +143,12 @@ class TestRollout:
         of the default memo (and so match the scalar noisy runs), and
         the fill evicts no stream before it is read, so none is derived
         twice."""
-        space = engine.platform.config_space
-        reference = [engine.rollout(app, BaselinePolicy(space))
-                     for app in apps]
+        reference = [baseline_run(engine, app) for app in apps]
         monkeypatch.setattr(noise, "MEMO_SIZE", 7)
         for app, expected in zip(apps, reference):
             small = MonteCarloEngine(make_hd7970_platform(), NOISE, SEEDS)
             derived_streams.clear()
-            run = small.rollout(app, BaselinePolicy(space))
+            run = baseline_run(small, app)
             for field in ("time_samples", "energy_samples", "ed2_samples"):
                 assert getattr(run, field).tobytes() == \
                     getattr(expected, field).tobytes()
@@ -128,9 +160,45 @@ class TestRollout:
         self.test_trials_match_scalar_noisy_runs(
             MonteCarloEngine(make_hd7970_platform(), NOISE, SEEDS), apps)
 
+    def test_one_run_per_policy_in_order(self, engine, apps):
+        space = engine.platform.config_space
+        policies = [OraclePolicy(engine.platform), BaselinePolicy(space),
+                    OraclePolicy(engine.platform)]
+        runs = engine.rollout(apps[1], policies)
+        assert [run.policy for run in runs] == [
+            "oracle", "baseline", "oracle"]
+        assert all(run.application == apps[1].name for run in runs)
+        assert all(run.seeds == SEEDS for run in runs)
+        for field in ("time_samples", "energy_samples", "ed2_samples"):
+            assert getattr(runs[0], field).tobytes() == \
+                getattr(runs[2], field).tobytes()
+        assert runs[1].time_samples.tobytes() == \
+            baseline_run(engine, apps[1]).time_samples.tobytes()
+
+    def test_supplied_references_are_used(self, engine, apps):
+        """``references`` replaces the rollout's own lockstep sessions:
+        scalar reference runs give the same trials bitwise."""
+        space = engine.platform.config_space
+        runner = ApplicationRunner(engine.platform)
+        policies = [BaselinePolicy(space), OraclePolicy(engine.platform)]
+        references = [runner.run(apps[1], policy) for policy in policies]
+        supplied = engine.rollout(apps[1], policies, references)
+        own = engine.rollout(apps[1], policies)
+        for a, b in zip(supplied, own):
+            assert a.energy_samples.tobytes() == b.energy_samples.tobytes()
+
+    def test_mismatched_references_rejected(self, engine, apps):
+        space = engine.platform.config_space
+        policies = [BaselinePolicy(space), BaselinePolicy(space)]
+        reference = ApplicationRunner(engine.platform).run(
+            apps[0], policies[0])
+        with pytest.raises(AnalysisError):
+            engine.rollout(apps[0], policies, [reference])
+        with pytest.raises(AnalysisError):
+            engine.rollout(apps[1], policies[:1], [reference])
+
     def test_bands_summarize_samples(self, engine, apps):
-        run = engine.rollout(apps[0], BaselinePolicy(
-            engine.platform.config_space))
+        run = baseline_run(engine, apps[0])
         assert run.time.n == len(SEEDS)
         assert run.time.mean == pytest.approx(np.mean(run.time_samples))
         assert run.ed2.std > 0
@@ -138,12 +206,80 @@ class TestRollout:
             np.mean(1.0 / run.time_samples))
 
     def test_rollouts_are_reproducible(self, engine, apps):
-        a = engine.rollout(apps[0], BaselinePolicy(
-            engine.platform.config_space))
-        b = engine.rollout(apps[0], BaselinePolicy(
-            engine.platform.config_space))
+        a = baseline_run(engine, apps[0])
+        b = baseline_run(engine, apps[0])
         np.testing.assert_array_equal(a.time_samples, b.time_samples)
         np.testing.assert_array_equal(a.energy_samples, b.energy_samples)
+
+
+#: Seeds around the 32-bit word boundary of the stream key, below it and
+#: far above it.
+_TRIAL_SEEDS = st.one_of(st.integers(0, 2**16),
+                         st.integers(2**32 - 2, 2**32 + 2),
+                         st.integers(2**32, 2**70))
+
+
+class TestRolloutContractFuzz:
+    """Generated seeds, application subsets, orders of the non-adaptive
+    policies and memo sizes: each policy's run is bitwise its own
+    single-policy rollout, and each trial matches a scalar noisy run."""
+
+    #: (application, policy kind, seed) -> the scalar noisy run's totals
+    _scalar: dict = {}
+
+    @staticmethod
+    def _policies(kinds, platform):
+        return [BaselinePolicy(platform.config_space) if kind == "baseline"
+                else OraclePolicy(platform) for kind in kinds]
+
+    def _scalar_totals(self, app, kind, seed, platform):
+        key = (app.name, kind, seed)
+        if key not in self._scalar:
+            noisy = make_hd7970_platform(noise_std_fraction=NOISE, seed=seed)
+            # The oracle's cached optima come from the deterministic
+            # platform, as in the rollout's reference run.
+            (policy,) = self._policies([kind], platform)
+            metrics = ApplicationRunner(noisy).run(app, policy).metrics
+            self._scalar[key] = (metrics.time, metrics.energy, metrics.ed2)
+        return self._scalar[key]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.lists(_TRIAL_SEEDS, min_size=1, max_size=3,
+                          unique=True),
+           names=st.lists(st.sampled_from(application_names()),
+                          min_size=1, max_size=2, unique=True),
+           kinds=st.lists(st.sampled_from(("baseline", "oracle")),
+                          min_size=1, max_size=3),
+           memo_size=st.integers(1, 40))
+    def test_runs_match_single_rollouts_and_scalar_runs(
+            self, seeds, names, kinds, memo_size):
+        platform = make_hd7970_platform()
+        apps = [get_application(name) for name in names]
+        single = MonteCarloEngine(platform, NOISE, seeds)
+        with mock.patch.object(noise, "MEMO_SIZE", memo_size):
+            engine = MonteCarloEngine(platform, NOISE, seeds)
+            together = [engine.rollout(app, self._policies(kinds, platform))
+                        for app in apps]
+            assert all(len(model._memo) <= memo_size
+                       for model in engine._models)
+        for app, runs in zip(apps, together):
+            assert [run.policy for run in runs] == list(kinds)
+            for kind, run in zip(kinds, runs):
+                (alone,) = single.rollout(app,
+                                          self._policies([kind], platform))
+                for field in ("time_samples", "energy_samples",
+                              "avg_power_samples", "ed2_samples"):
+                    assert getattr(run, field).tobytes() == \
+                        getattr(alone, field).tobytes()
+                for idx, seed in enumerate(seeds):
+                    time, energy, ed2 = self._scalar_totals(
+                        app, kind, seed, platform)
+                    assert run.time_samples[idx] == pytest.approx(
+                        time, rel=1e-12)
+                    assert run.energy_samples[idx] == pytest.approx(
+                        energy, rel=1e-12)
+                    assert run.ed2_samples[idx] == pytest.approx(
+                        ed2, rel=1e-12)
 
 
 class TestComparison:
@@ -224,6 +360,50 @@ class TestHarness:
             summary.for_policy("nonexistent")
         with pytest.raises(AnalysisError):
             summary.comparison("MaxFlops", "nonexistent")
+
+
+class TestWorkingSet:
+    #: tracemalloc bound of the run below, in MiB: it peaked at 34.9 MiB
+    #: when each model's memo kept up to 256 streams for the whole run,
+    #: and at 4.7 MiB with a memo that carries one fill chunk.
+    PEAK_BOUND_MIB = 8.0
+
+    def test_production_shape_peak(self, context, monkeypatch):
+        """``evaluate_montecarlo`` over CoMD, Sort and LUD (280 stream
+        keys) at 32 seeds with Harmonia, sweep surfaces already cached:
+        the tracemalloc peak stays under the bound, and no model's memo
+        ever holds more than ``MEMO_SIZE`` streams."""
+        apps = [context.application(name) for name in ("CoMD", "Sort",
+                                                        "LUD")]
+        assert len({(spec, iteration) for app in apps
+                    for iteration, _, spec in app.launches()}) == 280
+        harness = EvaluationHarness(context.platform,
+                                    context.baseline_policy())
+        policies = [context.harmonia_policy()]
+        harness.evaluate_montecarlo(apps, policies, seeds=1)  # warm caches
+        sizes = []
+        store = LaunchKeyedNoise._store
+
+        def recording_store(self, *args, **kwargs):
+            entries = store(self, *args, **kwargs)
+            sizes.append(len(self._memo))
+            return entries
+
+        monkeypatch.setattr(LaunchKeyedNoise, "_store", recording_store)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            summary = harness.evaluate_montecarlo(apps, policies, seeds=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(summary.comparisons) == len(apps)
+        assert len(sizes) > 0 and max(sizes) <= noise.MEMO_SIZE
+        assert (peak - before) / 2**20 <= self.PEAK_BOUND_MIB
 
 
 class TestCli:

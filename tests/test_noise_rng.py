@@ -77,6 +77,13 @@ class TestLaunchKeyedNoise:
         with pytest.raises(ValueError):
             model.multipliers_for(SPEC, -1)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_nonfinite_fraction_rejected(self, fraction):
+        """A NaN fraction would pass a ``<= 0`` check and draw NaN
+        multipliers."""
+        with pytest.raises(ValueError):
+            LaunchKeyedNoise(fraction, seed=3, grid_size=10)
+
 
 class TestExecutionOrderInvariance:
     def test_launch_order_does_not_matter(self):
@@ -324,41 +331,41 @@ class TestDifferentialDerivation:
 class TestBulkDerivation:
     def test_rollout_pair_derives_each_stream_once(self, monkeypatch,
                                                    derived_streams):
-        """Baseline then candidate over S seeds: the baseline rollout
-        derives each of the G x S streams exactly once, and every lookup
-        of the candidate rollout is a memo hit."""
+        """Baseline and candidate rolled out together over S seeds, with
+        chunk boundaries inside the application: each of the G x S
+        streams is derived exactly once and looked up exactly once, and
+        no memo ever holds more than ``MEMO_SIZE`` streams."""
         from repro.core.baseline import BaselinePolicy
         from repro.core.oracle import OraclePolicy
         from repro.runtime.montecarlo import MonteCarloEngine
 
+        monkeypatch.setattr(noise, "MEMO_SIZE", 7)
         seeds = (0, 1, 2)
         app = get_application("Sort")
         engine = MonteCarloEngine(make_hd7970_platform(), 0.05, seeds)
         groups = {(spec, iteration)
                   for iteration, _, spec in app.launches()}
-        lookups = []
+        assert len(groups) > noise.MEMO_SIZE
+        lookups, memo_sizes = [], []
         lookup = LaunchKeyedNoise.multipliers_for
 
         def counting_lookup(self, spec, iteration):
             lookups.append((self.seed, spec, iteration))
+            memo_sizes.append(len(self._memo))
             return lookup(self, spec, iteration)
 
         monkeypatch.setattr(LaunchKeyedNoise, "multipliers_for",
                             counting_lookup)
         space = engine.platform.config_space
-        engine.rollout(app, BaselinePolicy(space))
+        engine.rollout(app, [BaselinePolicy(space),
+                             OraclePolicy(engine.platform)])
         streams = Counter((seed, spec, iteration) for seed in seeds
                           for spec, iteration in groups)
         assert Counter(derived_streams) == Counter(
             (_words(seed), iteration, spec_entropy(spec))
             for seed, spec, iteration in streams)
         assert Counter(lookups) == streams
-
-        derived_streams.clear()
-        lookups.clear()
-        engine.rollout(app, OraclePolicy(engine.platform))
-        assert derived_streams == []
-        assert Counter(lookups) == streams
+        assert max(memo_sizes) <= noise.MEMO_SIZE
 
     def test_fill_keeps_the_pairs_it_serves(self, monkeypatch,
                                             derived_streams):

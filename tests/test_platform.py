@@ -85,6 +85,14 @@ class TestNoise:
         with pytest.raises(ValueError):
             HardwarePlatform(noise_std_fraction=-0.1)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf")])
+    def test_nonfinite_noise_rejected(self, fraction):
+        """A NaN fraction passes every ``< 0`` and ``> 0`` check: it
+        would build a platform that is neither deterministic nor has a
+        noise model."""
+        with pytest.raises(ValueError):
+            make_hd7970_platform(noise_std_fraction=fraction)
+
 
 class TestCalibrationAnchors:
     """Power-magnitude anchors from the paper's figures."""

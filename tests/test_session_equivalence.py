@@ -409,17 +409,13 @@ class TestHarnessParity:
         engine = MonteCarloEngine(context.platform, 0.05, 4)
         runner = ApplicationRunner(context.platform)
 
-        def scalar_rollout(app, policy):
-            return engine.rollout(app, policy,
-                                  reference=runner.run(app, policy))
-
         assert len(batched.comparisons) == len(apps)
         for app, comparison in zip(apps, batched.comparisons):
             assert comparison.application == app.name
-            scalar = {
-                "baseline": scalar_rollout(app, context.baseline_policy()),
-                "candidate": scalar_rollout(app, context.harmonia_policy()),
-            }
+            policies = [context.baseline_policy(), context.harmonia_policy()]
+            runs = engine.rollout(app, policies, references=[
+                runner.run(app, policy) for policy in policies])
+            scalar = dict(zip(("baseline", "candidate"), runs))
             for side, run in scalar.items():
                 for field in ("time_samples", "energy_samples",
                               "avg_power_samples", "ed2_samples"):

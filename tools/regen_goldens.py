@@ -12,11 +12,14 @@ under ``benchmarks/reports/``, so the two cannot drift. Against the same
 store it then runs
 ``python -m repro montecarlo --seeds 32`` and rewrites
 ``tests/golden/montecarlo/harmonia_seeds32.txt`` with its stdout the
-same way, then does the same for ``sweep`` over all 25 kernels in one
-invocation (``tests/golden/sweep/all_kernels.txt``) and for ``run <app>
---policy P`` under each of the five policies on Graph500 and CoMD
-(``tests/golden/run/<app>_<policy>.txt``). Exit status is 0 whether or
-not anything changed; a nonzero status means a run failed.
+same way, then does the same for ``evaluate --seeds 4``
+(``tests/golden/evaluate/seeds4.txt``: baseline, cg-only, harmonia and
+oracle in one Monte Carlo rollout per application), for ``sweep`` over
+all 25 kernels in one invocation (``tests/golden/sweep/all_kernels.txt``)
+and for ``run <app> --policy P`` under each of the five policies on
+Graph500 and CoMD (``tests/golden/run/<app>_<policy>.txt``). Exit status
+is 0 whether or not anything changed; a nonzero status means a run
+failed.
 
 ``tests/test_cli.py`` compares the output of every one of these
 commands with its file byte for byte, and checks that the sha256 values
@@ -48,6 +51,7 @@ MONTECARLO_GOLDEN = (REPO_ROOT / "tests" / "golden" / "montecarlo"
 #: the montecarlo run of the golden; perfbench's seed-0 command, which
 #: also passes the ignored ``--jobs 1``
 MONTECARLO_ARGS = ("montecarlo", "--seeds", "32")
+EVALUATE_GOLDEN = REPO_ROOT / "tests" / "golden" / "evaluate" / "seeds4.txt"
 SWEEP_GOLDEN = REPO_ROOT / "tests" / "golden" / "sweep" / "all_kernels.txt"
 RUN_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "run"
 #: the applications whose ``run`` output has a golden under each policy
@@ -111,6 +115,7 @@ def command_goldens():
     from repro.workloads.registry import all_kernels
 
     goldens = [(MONTECARLO_GOLDEN, MONTECARLO_ARGS),
+               (EVALUATE_GOLDEN, ("evaluate", "--seeds", "4")),
                (SWEEP_GOLDEN,
                 ("sweep", *(kernel.base.name for kernel in all_kernels())))]
     goldens.extend((RUN_GOLDEN_DIR / f"{app}_{policy}.txt",
