@@ -55,11 +55,6 @@ class ApplicationComparison:
         """Relative performance change (Figure 13); negative = slowdown."""
         return self.baseline.time / self.candidate.time - 1.0
 
-    @property
-    def ed_improvement(self) -> float:
-        """Fractional ED improvement (the Section 3.4 companion metric)."""
-        return improvement(self.baseline.ed, self.candidate.ed)
-
 
 @dataclass(frozen=True)
 class EvaluationSummary:

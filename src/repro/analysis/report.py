@@ -1,4 +1,4 @@
-"""Plain-text table and CSV emitters for benchmark output.
+"""Plain-text table emitters for report and benchmark output.
 
 The benchmark harness prints the same rows/series the paper reports;
 these helpers keep that output consistent and machine-checkable.
@@ -48,23 +48,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
     lines.append(fmt_line(headers))
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(fmt_line(row) for row in str_rows)
-    return "\n".join(lines)
-
-
-def to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Render rows as simple CSV (no quoting — callers pass clean cells).
-
-    Raises:
-        AnalysisError: on width mismatch or cells containing commas.
-    """
-    lines = [",".join(headers)]
-    for row in rows:
-        if len(row) != len(headers):
-            raise AnalysisError("row width does not match header width")
-        cells = [str(cell) for cell in row]
-        if any("," in cell for cell in cells):
-            raise AnalysisError("CSV cells must not contain commas")
-        lines.append(",".join(cells))
     return "\n".join(lines)
 
 

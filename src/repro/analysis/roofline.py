@@ -16,20 +16,17 @@ This module makes that framing computable:
   two ceilings meet; the paper's "hardware ops/byte"),
 * :func:`classify_kernel` — which ceiling a kernel sits under, and how
   much of the other resource is provisioned in excess (the power Harmonia
-  can recover),
-* :func:`balanced_configurations` — grid configurations whose ridge point
-  best matches a kernel's demanded intensity.
+  can recover).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from repro.errors import AnalysisError
 from repro.gpu.architecture import GpuArchitecture
-from repro.gpu.config import ConfigSpace, HardwareConfig
+from repro.gpu.config import HardwareConfig
 from repro.perf.kernelspec import KernelSpec
 
 
@@ -129,24 +126,3 @@ def classify_kernel(arch: GpuArchitecture, spec: KernelSpec,
         regime=regime,
         surplus_fraction=surplus,
     )
-
-
-def balanced_configurations(space: ConfigSpace, spec: KernelSpec,
-                            top_n: int = 5) -> List[Tuple[HardwareConfig, float]]:
-    """Grid configurations whose ridge point best matches the kernel.
-
-    Returns the ``top_n`` configurations ranked by closeness of their
-    hardware ops/byte to the kernel's demanded ops/byte — the static
-    (roofline-only) approximation of the balance point Harmonia seeks
-    dynamically.
-    """
-    if top_n < 1:
-        raise AnalysisError("top_n must be >= 1")
-    intensity = spec.demanded_ops_per_byte()
-    scored = []
-    for config in space:
-        ridge = space.platform_ops_per_byte(config)
-        mismatch = abs(ridge - intensity) / intensity
-        scored.append((config, mismatch))
-    scored.sort(key=lambda item: item[1])
-    return scored[:top_n]

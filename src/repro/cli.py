@@ -327,12 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--metrics", metavar="PATH", default=None,
                           help="summarize sweep-cache effectiveness from a "
                                "--metrics-out JSON export")
-    report_p.add_argument("--prometheus", action="store_true",
-                          help="print --metrics as Prometheus text "
-                               "exposition instead")
-    report_p.add_argument("--metrics-out", metavar="PATH", default=None,
-                          help="write the Prometheus exposition of "
-                               "--metrics to PATH")
     report_p.set_defaults(func=_deferred("cmd_telemetry_report"))
 
     eval_p = sub.add_parser("evaluate", help="the Figures 10-13 headline",

@@ -127,8 +127,8 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
     """Summarize a JSONL event trace, a span trace, or a metrics export."""
     from repro.errors import TelemetryError
     from repro.telemetry.report import (
-        cache_effectiveness_from_metrics, eventsim_engine_from_metrics,
-        format_report, summarize)
+        cache_effectiveness_from_metrics, check_metrics_export,
+        eventsim_engine_from_metrics, format_report, summarize)
 
     if not (args.trace or args.spans or args.metrics):
         print("telemetry-report needs a trace file, --spans, or --metrics",
@@ -171,40 +171,22 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
 
     if args.metrics:
         import json
-        from repro.telemetry.metrics import MetricsRegistry
         try:
             with open(args.metrics) as handle:
                 metrics = json.load(handle)
-        except (OSError, ValueError) as error:
+            check_metrics_export(metrics)
+        except (OSError, ValueError, TelemetryError) as error:
             print(f"unreadable metrics file {args.metrics}: {error}",
                   file=sys.stderr)
             return 2
-        if args.prometheus or args.metrics_out:
-            try:
-                exposition = MetricsRegistry.from_dict(metrics)\
-                    .render_prometheus()
-            except TelemetryError as error:
-                print(f"bad metrics snapshot {args.metrics}: {error}",
-                      file=sys.stderr)
-                return 2
-            if args.metrics_out:
-                with open(args.metrics_out, "w") as handle:
-                    handle.write(exposition)
-                print(f"prometheus exposition written to {args.metrics_out}")
-            if args.prometheus:
-                if not first:
-                    print()
-                print(exposition, end="")
-                first = False
-        else:
-            line = cache_effectiveness_from_metrics(metrics)
-            if not first:
-                print()
-            print(line if line is not None
-                  else "sweep cache: no series in the metrics export")
-            eventsim_line = eventsim_engine_from_metrics(metrics)
-            if eventsim_line is not None:
-                print(eventsim_line)
+        line = cache_effectiveness_from_metrics(metrics)
+        if not first:
+            print()
+        print(line if line is not None
+              else "sweep cache: no series in the metrics export")
+        eventsim_line = eventsim_engine_from_metrics(metrics)
+        if eventsim_line is not None:
+            print(eventsim_line)
     return 0
 
 

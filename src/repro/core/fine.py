@@ -43,9 +43,8 @@ frequencies rather than the full range of compute frequencies"):
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Set, Tuple
 
 from repro.errors import PolicyError
 from repro.gpu.config import ConfigSpace, HardwareConfig
@@ -111,15 +110,6 @@ class FineGrainState:
         """Drop the in-flight move (external revert invalidated it)."""
         self.inflight = None
         self.pending = None
-
-    def external_revert(self) -> None:
-        """An FG move was reverted from outside (it destabilized the
-        sensitivity predictions): freeze the moved tunable so the tuner
-        does not immediately retry the same destabilizing step."""
-        if self.inflight is not None:
-            self.frozen.add(self.inflight.tunable)
-            self.dithering += 1
-        self.abort_inflight()
 
     def prime_cg_validation(self, before_config: HardwareConfig,
                             before_feedback: float) -> None:

@@ -175,11 +175,6 @@ class HarmoniaPolicy(HistoryMixin):
         return self._monitor
 
     @property
-    def coarse_tuner(self) -> CoarseGrainTuner:
-        """The CG block (exposed for analysis)."""
-        return self._cg
-
-    @property
     def phase_memory(self) -> Optional[PhaseMemory]:
         """The per-phase configuration memory (None when disabled)."""
         return self._phase_memory

@@ -113,11 +113,6 @@ class HardwarePlatform:
         return self._perf
 
     @property
-    def board_power_model(self) -> BoardPowerModel:
-        """The underlying board power model."""
-        return self._board
-
-    @property
     def noise_std_fraction(self) -> float:
         """Run-to-run execution-time noise fraction (0 = deterministic)."""
         return self._noise

@@ -497,11 +497,6 @@ class SweepStore:
         """The store directory."""
         return self._root
 
-    def set_telemetry(self, telemetry) -> None:
-        """Attach (or detach, with None) a telemetry handle."""
-        from repro.telemetry.handle import coalesce
-        self._telemetry = coalesce(telemetry)
-
     def _tel(self):
         """The handle to record into: own if live, else the ambient one.
 
@@ -639,19 +634,6 @@ class SweepStore:
 
     # Kept as a name only: perfbench/layers.py wraps it by attribute.
     load_record_mmap = load_record
-
-    def get_or_compute_arrays(
-        self, kind: str, key: Any,
-        compute: Callable[[], Dict[str, np.ndarray]],
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Serve a generic array record, computing and persisting on miss."""
-        loaded = self.load_record(kind, key)
-        if loaded is not None:
-            return loaded[0]
-        arrays = compute()
-        self.save_record(kind, key, arrays, meta=meta)
-        return arrays
 
     # --- grid surfaces -----------------------------------------------------------
 

@@ -227,10 +227,8 @@ class SweepCache:
             waiter.wait()
         try:
             # The whole miss path is one "fill" span: store probe,
-            # compute, write-through. Which caller leads a *shared* fill
-            # is scheduling-dependent, so traces are compared with fill
-            # subtrees detached (tree_signature(..., detach=...)) —
-            # everything inside the fill is deterministic.
+            # compute, write-through. It nests under the span of the
+            # caller that missed.
             from repro.telemetry.spans import ambient_telemetry
             with ambient_telemetry().span("sweep_cache.fill"):
                 store = self._store

@@ -8,8 +8,8 @@ of run time did each tunable spend at each value?
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from repro.errors import AnalysisError
 from repro.gpu.config import HardwareConfig
@@ -88,31 +88,6 @@ class RunTrace:
     def records_for_kernel(self, kernel_name: str) -> Tuple[LaunchRecord, ...]:
         """Launch records of one kernel, in execution order."""
         return tuple(r for r in self._records if r.kernel_name == kernel_name)
-
-    def to_dicts(self) -> List[dict]:
-        """Plain-dict launch rows (the JSONL exporter's per-launch schema).
-
-        Each row carries the launch's iteration, kernel, configuration,
-        execution time, card power and energy — the serializable subset
-        of a :class:`~repro.perf.result.KernelRunResult`.
-        """
-        rows = []
-        for record in self._records:
-            config = record.config
-            power = record.power.card
-            rows.append({
-                "iteration": record.iteration,
-                "kernel": record.kernel_name,
-                "config": {
-                    "n_cu": config.n_cu,
-                    "f_cu": config.f_cu,
-                    "f_mem": config.f_mem,
-                },
-                "time_s": record.time,
-                "power_w": power,
-                "energy_j": power * record.time,
-            })
-        return rows
 
     def _residency(self, tunable: str, key) -> ResidencyTable:
         total = self.total_time()

@@ -15,13 +15,13 @@ every kernel boundary. Two provenances are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.perf.counters import FEATURE_NAMES, PerfCounters
 from repro.platform.hd7970 import HardwarePlatform
 from repro.sensitivity.dataset import SensitivityDataset, build_dataset
-from repro.sensitivity.regression import LinearModel, fit_linear_model, pearson
+from repro.sensitivity.regression import LinearModel, fit_linear_model
 from repro.workloads.application import Application
 
 #: Feature subsets of the two Table 3 models.
@@ -79,10 +79,6 @@ class SensitivityPredictor:
         :meth:`LinearModel.predict`)."""
         raw = self.model.predict(features)
         return max(0.0, min(1.0, raw))
-
-    def predict_raw(self, counters: PerfCounters) -> float:
-        """Unclamped model output (useful for error analysis)."""
-        return self.model.evaluate(self._terms, counters.feature_vector())
 
 
 def _paper_model(intercept: float, coefficients: Mapping[str, float],

@@ -5,8 +5,8 @@ Five pieces, composable through one injectable handle:
 * :mod:`repro.telemetry.events` — typed controller-decision events
   (``KernelLaunch``, ``PhaseChange``, ``CGJump``, ``FGStep``, ...) with a
   versioned JSON wire schema,
-* :mod:`repro.telemetry.metrics` — a labelled counter/gauge/histogram
-  registry (``cg_actions_total{kernel=...}``, ``launch_time_seconds``),
+* :mod:`repro.telemetry.metrics` — a labelled counter/histogram registry
+  (``cg_actions_total{kernel=...}``, ``launch_time_seconds``),
 * :mod:`repro.telemetry.export` — append-only JSONL sink, loader, and a
   replay view compatible with :class:`~repro.runtime.trace.RunTrace`,
 * :mod:`repro.telemetry.spans` — hierarchical spans with ambient context
@@ -44,14 +44,12 @@ _EXPORTS = {
     "ReplayTrace": "export",
     "replay_trace": "export",
     "load_events": "export",
-    "export_trace": "export",
     "Telemetry": "handle",
     "NullTelemetry": "handle",
     "NULL_TELEMETRY": "handle",
     "coalesce": "handle",
     "MetricsRegistry": "metrics",
     "Counter": "metrics",
-    "Gauge": "metrics",
     "Histogram": "metrics",
     "SPAN_SCHEMA_VERSION": "spans",
     "SpanRecord": "spans",

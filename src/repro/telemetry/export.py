@@ -172,30 +172,3 @@ def replay_trace(source: Union[str, Iterable[TelemetryEvent]]) -> ReplayTrace:
     if isinstance(source, (str, os.PathLike)):
         source = load_events(source)
     return ReplayTrace.from_events(source)
-
-
-def export_trace(trace: RunTrace, sink) -> int:
-    """Write a completed run trace as ``KernelLaunch`` events.
-
-    Uses :meth:`~repro.runtime.trace.RunTrace.to_dicts` so the exporter
-    and the trace agree on the per-launch schema.
-
-    Returns:
-        The number of events written.
-    """
-    count = 0
-    for row in trace.to_dicts():
-        sink.write(KernelLaunch(
-            kernel=row["kernel"],
-            iteration=row["iteration"],
-            time_s=row["time_s"],
-            config=HardwareConfig(
-                n_cu=row["config"]["n_cu"],
-                f_cu=row["config"]["f_cu"],
-                f_mem=row["config"]["f_mem"],
-            ),
-            power_w=row["power_w"],
-            energy_j=row["energy_j"],
-        ))
-        count += 1
-    return count

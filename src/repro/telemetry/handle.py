@@ -11,7 +11,7 @@ run outputs are bit-identical to an uninstrumented build.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -48,11 +48,6 @@ class Telemetry:
         self.spans = spans if spans is not None else SpanTracker()
         self._sinks: List[Any] = [sink] if sink is not None else []
 
-    @property
-    def sinks(self) -> tuple:
-        """The attached event sinks."""
-        return tuple(self._sinks)
-
     def add_sink(self, sink: Any) -> None:
         """Attach another event sink."""
         self._sinks.append(sink)
@@ -61,11 +56,6 @@ class Telemetry:
         """Deliver one event to every sink."""
         for sink in self._sinks:
             sink.write(event)
-
-    def emit_all(self, events: Iterable[TelemetryEvent]) -> None:
-        """Deliver a batch of events in order."""
-        for event in events:
-            self.emit(event)
 
     def span(self, name: str, **labels: Any) -> SpanHandle:
         """Context manager opening a hierarchical span.
@@ -91,14 +81,11 @@ class Telemetry:
 
 
 class _NullMetric:
-    """No-op counter/gauge/histogram stand-in."""
+    """No-op counter/histogram stand-in."""
 
     __slots__ = ()
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def set(self, value: float, **labels: Any) -> None:
         pass
 
     def observe(self, value: float, **labels: Any) -> None:
@@ -114,9 +101,6 @@ class _NullRegistry:
     __slots__ = ()
 
     def counter(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, help: str = "") -> _NullMetric:
         return _NULL_METRIC
 
     def histogram(self, name: str, help: str = "",
@@ -138,9 +122,6 @@ class NullTelemetry:
     spans = NULL_SPAN_TRACKER
 
     def emit(self, event: Any) -> None:
-        pass
-
-    def emit_all(self, events: Iterable[Any]) -> None:
         pass
 
     def span(self, name: str, **labels: Any):

@@ -13,10 +13,11 @@ its cache line with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
+from repro.errors import TelemetryError
 from repro.platform.sweepcache import format_cache_effectiveness
 from repro.units import hz_to_mhz
 
@@ -51,13 +52,6 @@ class TraceSummary:
     #: (iteration, kernel, phase_index) per PhaseChange, in stream order
     phase_timeline: Tuple[Tuple[int, str, int], ...]
     trace: ReplayTrace
-
-    def mix_for(self, kernel: str) -> KernelActionMix:
-        """The action mix of one kernel (KeyError if absent)."""
-        for row in self.mix:
-            if row.kernel == kernel:
-                return row
-        raise KeyError(kernel)
 
     def totals(self) -> KernelActionMix:
         """Action tallies summed over all kernels."""
@@ -206,6 +200,29 @@ def format_report(summary: TraceSummary) -> str:
 
 
 # --- sweep-cache effectiveness ---------------------------------------------------
+
+
+def check_metrics_export(metrics: object) -> None:
+    """Check that ``metrics`` has the shape ``--metrics-out`` writes: an
+    object of instruments, each with a list of samples whose labels are
+    an object and whose value, if any, is a number.
+
+    Raises:
+        TelemetryError: naming the first part that does not fit.
+    """
+    if not isinstance(metrics, dict):
+        raise TelemetryError(f"expected a JSON object of metrics, got "
+                             f"{type(metrics).__name__}")
+    for name, instrument in metrics.items():
+        samples = (instrument.get("samples", [])
+                   if isinstance(instrument, dict) else None)
+        if not (isinstance(samples, list) and all(
+                isinstance(sample, dict)
+                and isinstance(sample.get("labels", {}), dict)
+                and isinstance(sample.get("value", 0.0), (int, float))
+                for sample in samples)):
+            raise TelemetryError(f"metric {name!r} is not an exported "
+                                 f"instrument with a list of samples")
 
 
 def _counter_total(metrics: Dict, name: str, **labels: str) -> float:

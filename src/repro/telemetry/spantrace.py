@@ -134,27 +134,20 @@ class SpanNode:
     children: List["SpanNode"]
 
 
-def span_tree(records: Sequence[SpanRecord],
-              detach: Sequence[str] = ()) -> List[SpanNode]:
+def span_tree(records: Sequence[SpanRecord]) -> List[SpanNode]:
     """Resolve parent ids into a forest (roots sorted by start time).
 
     A record whose parent id is unknown (None, or pointing at a span
-    that was never recorded — e.g. a crashed worker) becomes a root.
-
-    ``detach`` names spans to force into roots (their subtrees stay
-    intact). Use it to drop scheduling-dependent *attribution* from a
-    tree: a single-flight cache fill (``sweep_cache.fill``) is led by
-    whichever concurrent caller got there first, so its parent varies
-    between equally-correct runs while everything inside it does not.
+    that was never recorded — e.g. a parent still open when the trace
+    was written) becomes a root.
     """
-    detached = set(detach)
     nodes = {record.span_id: SpanNode(record, []) for record in records}
     roots: List[SpanNode] = []
     for record in records:
         node = nodes[record.span_id]
         parent = (nodes.get(record.parent_id)
                   if record.parent_id is not None else None)
-        if parent is None or parent is node or record.name in detached:
+        if parent is None or parent is node:
             roots.append(node)
         else:
             parent.children.append(node)
@@ -172,22 +165,15 @@ def _node_signature(node: SpanNode):
     )
 
 
-def tree_signature(records: Sequence[SpanRecord],
-                   detach: Sequence[str] = ()):
+def tree_signature(records: Sequence[SpanRecord]):
     """A canonical, order-independent signature of the span forest.
 
     Only names, labels and parent/child structure enter the signature —
     ids, timestamps, pids and tids do not — so two runs of the same
-    workload produce equal signatures regardless of timing or
-    thread/process placement.
-
-    When the workload contains single-flight shared work (see
-    :func:`span_tree`), pass its span name in ``detach`` to sign the
-    forest with those subtrees re-rooted; with attribution factored out
-    the signature no longer depends on which caller filled the cache.
+    workload produce equal signatures regardless of timing.
     """
     return tuple(sorted(_node_signature(root)
-                        for root in span_tree(records, detach=detach)))
+                        for root in span_tree(records)))
 
 
 @dataclass(frozen=True)
@@ -198,11 +184,6 @@ class SpanAggregate:
     count: int
     total_s: float
     self_s: float
-
-    @property
-    def mean_s(self) -> float:
-        """Mean wall time per span."""
-        return self.total_s / self.count if self.count else 0.0
 
 
 def aggregate_spans(records: Sequence[SpanRecord]) -> Dict[str, SpanAggregate]:

@@ -42,28 +42,3 @@ MS = 1.0e-3
 def hz_to_mhz(freq_hz: float) -> float:
     """Convert a frequency in hertz to megahertz."""
     return freq_hz / MHZ
-
-
-def mhz_to_hz(freq_mhz: float) -> float:
-    """Convert a frequency in megahertz to hertz."""
-    return freq_mhz * MHZ
-
-
-def bytes_per_s_to_gb_per_s(bandwidth: float) -> float:
-    """Convert a bandwidth in bytes/second to decimal gigabytes/second."""
-    return bandwidth / GB_PER_S
-
-
-def gb_per_s_to_bytes_per_s(bandwidth_gb: float) -> float:
-    """Convert a bandwidth in decimal gigabytes/second to bytes/second."""
-    return bandwidth_gb * GB_PER_S
-
-
-def seconds_to_ms(duration_s: float) -> float:
-    """Convert a duration in seconds to milliseconds."""
-    return duration_s / MS
-
-
-def joules_to_millijoules(energy_j: float) -> float:
-    """Convert an energy in joules to millijoules."""
-    return energy_j * 1.0e3

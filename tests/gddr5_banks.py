@@ -17,6 +17,9 @@ The model answers two questions: (i) what efficiency should a kernel
 descriptor use (so the suite constants are auditable rather than free),
 and (ii) how does efficiency respond to locality — the reason SPMV/BPT
 (pointer-chasing, ~50%) sit so far below Stencil (streaming, ~85%).
+
+No report reads this model: it is the calibration audit behind
+``tests/test_banks.py``, so it lives beside that test, not in the package.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Unit tests for :mod:`repro.memory.banks`."""
+"""Unit tests for the GDDR5 bank model in :mod:`tests.gddr5_banks`."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import CalibrationError
-from repro.memory.banks import (
+from repro.workloads.registry import all_kernels
+from tests.gddr5_banks import (
     AccessPattern,
     BankTiming,
     DEFAULT_GDDR5_BANK_TIMING,
@@ -12,7 +13,6 @@ from repro.memory.banks import (
     pattern_for_efficiency,
     scheduling_efficiency,
 )
-from repro.workloads.registry import all_kernels
 
 
 class TestSchedulingEfficiency:

@@ -615,17 +615,12 @@ class TestObservabilityCli:
         names = {r.name for r in records}
         assert any(name.startswith("pipeline.") for name in names)
 
-        # Spans double as the span report; metrics as Prometheus text.
+        # Spans double as the span report.
         capsys.readouterr()
         assert main(["telemetry-report", "--spans", str(trace)]) == 0
         report = capsys.readouterr().out
         assert "critical path" in report.lower()
         assert "reproduce" in report
-        assert main(["telemetry-report", "--metrics", str(metrics),
-                     "--prometheus"]) == 0
-        exposition = capsys.readouterr().out
-        assert "# TYPE" in exposition
-        assert "sweep_cache_hits_total" in exposition
         # The cold run simulated all 25 x 27 event-driven lanes.
         assert main(["telemetry-report", "--metrics", str(metrics)]) == 0
         assert ("eventsim: 675 lanes via the batched lockstep engine"
@@ -638,6 +633,31 @@ class TestObservabilityCli:
             "samples": [{"labels": {}, "value": 27.0}]}}
         assert (eventsim_engine_from_metrics(lanes)
                 == "eventsim: 27 lanes via the batched lockstep engine")
+
+    @pytest.mark.parametrize("export", [
+        {"sweep_cache_hits_total": 5},
+        {"sweep_cache_hits_total": {"samples": 3}},
+        [{"sweep_cache_hits_total": {"samples": []}}],
+    ], ids=["number-instrument", "number-samples", "top-level-list"])
+    def test_telemetry_report_rejects_malformed_metrics(self, tmp_path,
+                                                        capsys, export):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(json.dumps(export))
+        assert main(["telemetry-report", "--metrics", str(metrics)]) == 2
+        captured = capsys.readouterr()
+        assert "unreadable metrics file" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [["--prometheus"],
+                                       ["--metrics-out", "exposition.txt"]])
+    def test_telemetry_report_has_no_exposition_flags(self, tmp_path,
+                                                      capsys, flags):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text("{}")
+        with pytest.raises(SystemExit) as stop:
+            main(["telemetry-report", "--metrics", str(metrics), *flags])
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_telemetry_report_spans_missing_file(self, tmp_path, capsys):
         assert main(["telemetry-report",

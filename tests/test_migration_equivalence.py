@@ -1,8 +1,8 @@
 """The batch migration is exactly result-preserving.
 
 Every scalar ``run_kernel`` loop that moved onto cached sweep surfaces
-(the application runner, the Pareto frontier scoring, the oracle-gap
-search, the characterization curves, the event-driven validation) must
+(the application runner, the oracle-gap search, the characterization
+curves, the event-driven validation) must
 reproduce the old loop's values bitwise — deterministic *and* noisy
 platforms, because the launch-keyed cache-then-perturb draws make the
 indexed surface element identical to the scalar call it replaced.
@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.pareto import distance_to_frontier, pareto_frontier
-from repro.analysis.sweep import ConfigSweep
 from repro.experiments.oracle_gap import PerfConstrainedOracle
 from repro.experiments.characterization import _curve
 from repro.platform.hd7970 import make_hd7970_platform
@@ -71,20 +69,6 @@ class TestLaunchEqualsRunKernel:
         bad = fresh_platform.baseline_config().replace(n_cu=3)
         with pytest.raises(ConfigurationError):
             fresh_platform.launch(spec, bad)
-
-
-class TestParetoEquivalence:
-    def test_distance_matches_scalar_run(self, fresh_platform):
-        spec = all_kernels()[0].base
-        frontier = pareto_frontier(ConfigSweep(fresh_platform, spec))
-        config = fresh_platform.baseline_config()
-        via_surface = distance_to_frontier(frontier, config,
-                                           platform=fresh_platform)
-        via_scalar = distance_to_frontier(
-            frontier, config,
-            result=fresh_platform.run_kernel(spec, config),
-        )
-        assert via_surface == via_scalar
 
 
 class TestOracleGapEquivalence:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import format_table, percent, to_csv
+from repro.analysis.report import format_table, percent
 from repro.errors import AnalysisError
 
 
@@ -33,20 +33,6 @@ class TestFormatTable:
     def test_empty_headers_raise(self):
         with pytest.raises(AnalysisError):
             format_table((), [])
-
-
-class TestCsv:
-    def test_basic(self):
-        csv = to_csv(("a", "b"), [("1", "2"), ("3", "4")])
-        assert csv == "a,b\n1,2\n3,4"
-
-    def test_width_mismatch(self):
-        with pytest.raises(AnalysisError):
-            to_csv(("a",), [("1", "2")])
-
-    def test_comma_in_cell_rejected(self):
-        with pytest.raises(AnalysisError):
-            to_csv(("a",), [("1,2",)])
 
 
 class TestPercent:

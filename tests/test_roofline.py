@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.roofline import (
     Regime,
-    balanced_configurations,
     classify_kernel,
     ridge_point,
     roofline,
@@ -88,31 +87,3 @@ class TestClassification:
         with pytest.raises(AnalysisError):
             classify_kernel(HD7970, get_kernel("MaxFlops.MaxFlops").base,
                             TOP, balance_band=1.0)
-
-
-class TestBalancedConfigurations:
-    def test_returns_requested_count(self):
-        ranked = balanced_configurations(
-            SPACE, get_kernel("CoMD.AdvanceVelocity").base, top_n=5
-        )
-        assert len(ranked) == 5
-
-    def test_ranked_by_mismatch(self):
-        ranked = balanced_configurations(
-            SPACE, get_kernel("CoMD.AdvanceVelocity").base, top_n=10
-        )
-        mismatches = [m for _, m in ranked]
-        assert mismatches == sorted(mismatches)
-
-    def test_memory_hungry_kernel_prefers_low_compute_or_high_bw(self):
-        spec = get_kernel("DeviceMemory.DeviceMemory").base
-        best, _ = balanced_configurations(SPACE, spec, top_n=1)[0]
-        # Matching a low demanded intensity means low compute-to-bandwidth.
-        assert SPACE.platform_ops_per_byte(best) < \
-            SPACE.platform_ops_per_byte(SPACE.max_config())
-
-    def test_bad_top_n(self):
-        with pytest.raises(AnalysisError):
-            balanced_configurations(
-                SPACE, get_kernel("MaxFlops.MaxFlops").base, top_n=0
-            )

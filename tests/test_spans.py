@@ -175,20 +175,6 @@ class TestTreesAndSignatures:
                 record("x", 2, None, 0.0, 1.0)]
         assert tree_signature(nested) != tree_signature(flat)
 
-    def test_detach_factors_out_attribution(self):
-        def run(parent_of_fill):
-            return [
-                record("node_a", 1, None, 0.0, 2.0),
-                record("node_b", 2, None, 2.0, 4.0),
-                record("fill", 3, parent_of_fill, 0.5, 1.0),
-                record("compute", 4, 3, 0.6, 0.9),
-            ]
-
-        led_by_a, led_by_b = run(1), run(2)
-        assert tree_signature(led_by_a) != tree_signature(led_by_b)
-        assert (tree_signature(led_by_a, detach=("fill",))
-                == tree_signature(led_by_b, detach=("fill",)))
-
 
 class TestAggregationAndReport:
     def _records(self):

@@ -8,18 +8,23 @@ import hashlib
 import json
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import repro.platform.store as store_module
 import repro.platform.sweepcache as sweepcache_module
 from repro.experiments.context import ExperimentContext
 from repro.platform.hd7970 import make_hd7970_platform, make_pitcairn_platform
 from repro.platform.store import (
+    EVENTSIM_KIND,
     GRID_KIND,
+    RESULT_KIND,
     SweepStore,
     batch_from_record,
     batch_to_record,
@@ -460,18 +465,53 @@ class TestRobustness:
 # --- generic array records -------------------------------------------------------
 
 
+#: float64 and int64 arrays of up to three dimensions, zero-sized and
+#: 0-d shapes included, over every float bit pattern Hypothesis draws
+#: (NaNs, infinities and -0.0 too).
+_RECORD_ARRAYS = st.dictionaries(
+    st.text(min_size=1, max_size=8),
+    st.sampled_from([np.float64, np.int64]).flatmap(
+        lambda dtype: arrays(dtype, array_shapes(min_dims=0, max_dims=3,
+                                                 min_side=0, max_side=4))),
+    max_size=4,
+)
+
+#: JSON-stable metadata: what ``json.loads(json.dumps(m)) == m`` keeps,
+#: minus the three keys the store writes itself.
+_RECORD_META = st.dictionaries(
+    st.text(max_size=8).filter(
+        lambda name: name not in ("schema", "kind", "digest")),
+    st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+        lambda children: (st.lists(children, max_size=3)
+                          | st.dictionaries(st.text(max_size=4), children,
+                                            max_size=3)),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+
+
 class TestGenericRecords:
-    def test_get_or_compute_arrays(self, store):
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"time": np.arange(5, dtype=np.float64)}
-
-        first = store.get_or_compute_arrays("eventsim", ("k",), compute)
-        second = store.get_or_compute_arrays("eventsim", ("k",), compute)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(first["time"], second["time"])
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([EVENTSIM_KIND, RESULT_KIND]),
+           key=st.tuples(st.text(max_size=8), st.integers()),
+           record=_RECORD_ARRAYS, meta=_RECORD_META)
+    def test_record_round_trip_is_bitwise(self, kind, key, record, meta):
+        with tempfile.TemporaryDirectory() as root:
+            store = SweepStore(root)
+            assert store.save_record(kind, key, record, meta=meta)
+            loaded, loaded_meta = store.load_record(kind, key)
+        assert list(loaded) == list(record)
+        for name, array in record.items():
+            assert loaded[name].dtype == array.dtype
+            assert loaded[name].shape == array.shape
+            assert loaded[name].tobytes() == array.tobytes()
+        kept = {name: value for name, value in loaded_meta.items()
+                if name not in ("schema", "kind", "digest")}
+        assert (json.dumps(kept, sort_keys=True)
+                == json.dumps(meta, sort_keys=True))
 
     def test_kinds_are_separate_namespaces(self, store):
         key = ("same",)

@@ -27,7 +27,6 @@ from repro.telemetry.export import (
     InMemorySink,
     JsonlSink,
     ReplayTrace,
-    export_trace,
     load_events,
     replay_trace,
 )
@@ -190,25 +189,17 @@ class TestReplay:
         assert replay_trace(str(path)).total_time() == pytest.approx(1.5e-3)
 
     def test_replay_residency_matches_live_trace(self, context):
-        from repro.runtime.simulator import ApplicationRunner
+        from repro.runtime.session import BatchSessionRunner
+        from repro.telemetry.handle import Telemetry
 
-        app = context.application("Graph500")
-        runner = ApplicationRunner(context.platform)
-        result = runner.run(app, context.harmonia_policy())
         sink = InMemorySink()
-        export_trace(result.trace, sink)
+        telemetry = Telemetry(sink=sink)
+        result = BatchSessionRunner(context.platform, telemetry).run(
+            context.application("Graph500"),
+            context.harmonia_policy(telemetry=telemetry),
+        )
         replayed = replay_trace(sink.events)
         assert replayed.f_mem_residency() == result.trace.f_mem_residency()
         assert replayed.f_cu_residency() == result.trace.f_cu_residency()
         assert replayed.cu_residency() == result.trace.cu_residency()
         assert replayed.total_time() == pytest.approx(result.trace.total_time())
-
-    def test_export_trace_counts_launches(self, context):
-        from repro.runtime.simulator import ApplicationRunner
-
-        app = context.application("Graph500")
-        runner = ApplicationRunner(context.platform)
-        result = runner.run(app, context.baseline_policy())
-        sink = InMemorySink()
-        assert export_trace(result.trace, sink) == app.total_launches()
-        assert all(isinstance(e, KernelLaunch) for e in sink.events)
