@@ -48,7 +48,6 @@ from repro.core.policy import LaunchContext
 from repro.runtime.simulator import ApplicationRunner, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
 from repro.telemetry import InMemorySink, Telemetry
-from repro.telemetry.spans import SpanTracker
 
 #: Maximum tolerated slowdown of the null-telemetry runner path.
 OVERHEAD_BOUND = 1.02
@@ -142,7 +141,7 @@ def test_active_telemetry_overhead(ctx, emit):
     def active(application, policy):
         # Fresh handle per run: unbounded event/span accumulation over
         # ROUNDS sweeps would measure list growth, not telemetry cost.
-        telemetry = Telemetry(sink=InMemorySink(), spans=SpanTracker())
+        telemetry = Telemetry(sink=InMemorySink())
         runner = ApplicationRunner(platform, telemetry=telemetry)
         with telemetry.span("bench.run", application=application.name):
             runner.run(application, policy)
@@ -195,7 +194,7 @@ def main(argv=None) -> int:
         null_runner.run(application, policy)
 
     def active(application, policy):
-        telemetry = Telemetry(sink=InMemorySink(), spans=SpanTracker())
+        telemetry = Telemetry(sink=InMemorySink())
         runner = ApplicationRunner(platform, telemetry=telemetry)
         with telemetry.span("bench.run", application=application.name):
             runner.run(application, policy)

@@ -49,8 +49,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(fmt_line(row) for row in str_rows)
     return "\n".join(lines)
-
-
-def percent(value: float, digits: int = 1) -> str:
-    """Format a fraction as a signed percentage string."""
-    return f"{value * 100:+.{digits}f}%"

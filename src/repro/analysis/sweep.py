@@ -74,7 +74,6 @@ class ConfigSweep:
 
     def __init__(self, platform: HardwarePlatform, spec: KernelSpec):
         self._platform = platform
-        self._spec = spec
         self._points: List[SweepPoint] = []
         space = platform.config_space
         results = platform.grid_sweep(spec).to_results()
@@ -84,11 +83,6 @@ class ConfigSweep:
                 result=result,
                 platform_ops_per_byte=space.platform_ops_per_byte(config),
             ))
-
-    @property
-    def spec(self) -> KernelSpec:
-        """The swept kernel."""
-        return self._spec
 
     @property
     def points(self) -> Tuple[SweepPoint, ...]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, Collection, Optional, Sequence
 
@@ -40,7 +41,7 @@ _JOBS_IGNORED = ("ignored: every command runs on one thread; still "
                  "accepted so that existing command lines keep working")
 
 
-def attach_store(args: argparse.Namespace, telemetry=None):
+def attach_store(args: argparse.Namespace):
     """Attach the persistent sweep store behind the shared cache.
 
     Every sweeping subcommand calls this first: unless ``--no-cache`` was
@@ -61,7 +62,7 @@ def attach_store(args: argparse.Namespace, telemetry=None):
 
     root = resolve_store_dir(getattr(args, "cache_dir", None))
     try:
-        store = SweepStore(root, telemetry=telemetry)
+        store = SweepStore(root)
     except OSError as error:
         print(f"warning: sweep store disabled ({root}: {error})",
               file=sys.stderr)
@@ -72,8 +73,7 @@ def attach_store(args: argparse.Namespace, telemetry=None):
 
 
 def _run_reports(args: argparse.Namespace,
-                 reports: Optional[Collection[str]] = None, telemetry=None,
-                 emit=None):
+                 reports: Optional[Collection[str]] = None, emit=None):
     """Run the ``reproduce`` pipeline; returns (result, context, store).
 
     ``figure`` and ``evaluate`` ask for some of the report nodes
@@ -87,33 +87,29 @@ def _run_reports(args: argparse.Namespace,
     from repro.experiments.registry import (
         reproduce_fingerprint, reproduce_specs)
     from repro.runtime.pipeline import ExperimentPipeline, ResultManifest
-    from repro.telemetry.handle import coalesce
 
-    store = attach_store(args, telemetry=telemetry)
+    store = attach_store(args)
     context = ExperimentContext()
     manifest = None
     if store is not None and not getattr(args, "no_incremental", False):
-        manifest = ResultManifest(store, telemetry=telemetry)
+        manifest = ResultManifest(store)
     specs = [spec for spec in reproduce_specs(
                  include_ablations=getattr(args, "ablations", False))
              if reports is None or not spec.is_report
              or spec.name in reports]
     pipeline = ExperimentPipeline(
         specs, context, manifest=manifest,
-        fingerprint=reproduce_fingerprint(context), telemetry=telemetry)
-    # One root span over the whole run: every pipeline node (and the
-    # store/batch/Monte-Carlo spans below them) nests under it in the
-    # exported trace.
-    with coalesce(telemetry).span(args.command):
-        result = pipeline.run(emit)
-    return result, context, store
+        fingerprint=reproduce_fingerprint(context))
+    return pipeline.run(emit), context, store
 
 
 def span_telemetry(args: argparse.Namespace):
     """A live telemetry handle when ``--trace`` or ``--metrics-out`` was
-    given, else ``None`` (the run keeps the null handle)."""
+    given, else the null handle. The command opens its root span on it,
+    and everything below records there through the ambient span."""
     if not (args.trace or args.metrics_out):
-        return None
+        from repro.telemetry.handle import NULL_TELEMETRY
+        return NULL_TELEMETRY
     from repro.telemetry import Telemetry
     return Telemetry()
 
@@ -196,7 +192,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         tag = "  (manifest)" if status == STATUS_MANIFEST else ""
         print(f"[{count:2d}] {name}{tag}")
 
-    result, _, store = _run_reports(args, telemetry=telemetry, emit=emit)
+    # One root span over the whole run: every pipeline node (and the
+    # store/batch/Monte-Carlo spans below them) nests under it in the
+    # exported trace.
+    with telemetry.span(args.command):
+        result, _, store = _run_reports(args, emit=emit)
 
     print(f"\n{count} reports written to {out_dir} "
           f"in {result.wall_s:.1f}s")
@@ -227,7 +227,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         bytes_read=store_stats.bytes_read if store_stats else 0,
         bytes_written=store_stats.bytes_written if store_stats else 0,
     ))
-    if telemetry is not None:
+    if telemetry.enabled:
         write_span_outputs(args, telemetry)
     return 0
 
@@ -254,6 +254,17 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
                 f"must be at least {minimum}, got {value}")
         return value
     return parse
+
+
+def _output_path(text: str) -> str:
+    """An argparse type: a file path to write, whose directory exists."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"directory {directory} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    return text
 
 
 def _noise_fraction(text: str) -> float:
@@ -288,10 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Shared by the subcommands whose --trace is a Chrome span trace.
     span_p = argparse.ArgumentParser(add_help=False)
-    span_p.add_argument("--trace", metavar="PATH", default=None,
+    span_p.add_argument("--trace", metavar="PATH", type=_output_path,
+                        default=None,
                         help="write a Chrome trace-event JSON of the run's "
                              "span tree to PATH (open in Perfetto)")
-    span_p.add_argument("--metrics-out", metavar="PATH", default=None,
+    span_p.add_argument("--metrics-out", metavar="PATH", type=_output_path,
+                        default=None,
                         help="write the run's metrics registry (sweep-cache "
                              "counters included) to PATH as JSON")
 
@@ -302,14 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
                            parents=[cache_p])
     run_p.add_argument("app", help="application name (see: list)")
     run_p.add_argument("--policy", choices=_POLICIES, default="harmonia")
-    run_p.add_argument("--trace", metavar="PATH", default=None,
+    run_p.add_argument("--trace", metavar="PATH", type=_output_path,
+                       default=None,
                        help="append a JSONL telemetry trace of the policy "
                             "run to PATH")
-    run_p.add_argument("--metrics-out", metavar="PATH", default=None,
+    run_p.add_argument("--metrics-out", metavar="PATH", type=_output_path,
+                       default=None,
                        help="write the run's metrics registry to PATH "
                             "as JSON")
     run_p.add_argument("--profile", action="store_true",
-                       help="print the policy run's span profile")
+                       help="print the run's span profile")
     run_p.set_defaults(func=_deferred("cmd_run"))
 
     report_p = sub.add_parser(
@@ -386,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     repro_p.add_argument("--no-incremental", action="store_true",
                          help="ignore the result manifest and recompute "
                               "every experiment node")
-    repro_p.add_argument("--profile-json", metavar="PATH", default=None,
+    repro_p.add_argument("--profile-json", metavar="PATH", type=_output_path,
+                         default=None,
                          help="write each node's status and wall time to "
                               "PATH as JSON")
     repro_p.set_defaults(func=cmd_reproduce)

@@ -57,6 +57,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one application under one policy."""
     from repro.runtime.session import BatchSessionRunner
+    from repro.telemetry.handle import NULL_TELEMETRY
     from repro.units import hz_to_mhz
     from repro.workloads.registry import application_names
 
@@ -67,22 +68,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     app = context.application(args.app)
 
-    telemetry = None
     sink = None
+    telemetry = NULL_TELEMETRY
     if args.trace or args.metrics_out or args.profile:
         from repro.telemetry import JsonlSink, Telemetry
-        telemetry = Telemetry()
         if args.trace:
             sink = JsonlSink(args.trace)
-            telemetry.add_sink(sink)
-    attach_store(args, telemetry=telemetry)
+        telemetry = Telemetry(sink=sink)
+    attach_store(args)
 
-    policy = _build_policy(context, args.policy, telemetry=telemetry)
-    baseline = context.baseline_policy()
-    # The baseline comparator runs un-instrumented so the trace holds
-    # only the policy under study.
-    base_run = BatchSessionRunner(context.platform).run(app, baseline)
-    run = BatchSessionRunner(context.platform, telemetry).run(app, policy)
+    # One root span over the whole run: the training's and the baseline's
+    # store loads record under it too. The baseline comparator's runner
+    # gets no handle, so the event trace holds only the policy under
+    # study.
+    with telemetry.span("run", application=app.name, policy=args.policy):
+        policy = _build_policy(context, args.policy, telemetry=telemetry)
+        baseline = context.baseline_policy()
+        base_run = BatchSessionRunner(context.platform).run(app, baseline)
+        run = BatchSessionRunner(context.platform, telemetry).run(app, policy)
 
     rows = []
     for label, r in (("baseline", base_run), (args.policy, run)):
@@ -105,7 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for f_mem, frac in sorted(run.trace.f_mem_residency().fractions.items()):
         print(f"  {hz_to_mhz(f_mem):6.0f} MHz  {frac:6.1%}")
 
-    if telemetry is not None:
+    if telemetry.enabled:
         if sink is not None:
             sink.close()
             print(f"\ntelemetry trace: {sink.count} events written to "
@@ -118,7 +121,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"metrics written to {args.metrics_out}")
         if args.profile:
             from repro.telemetry.spantrace import format_span_report
-            print("\nspan profile of the policy run:")
+            print("\nspan profile of the run:")
             print(format_span_report(telemetry.spans.records()))
     return 0
 
@@ -193,11 +196,10 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     """Repeated-trial Monte Carlo bands for one policy vs the baseline."""
     from repro.analysis.evaluation import EvaluationHarness
-    from repro.telemetry.handle import coalesce
     from repro.workloads.registry import application_names
 
     telemetry = span_telemetry(args)
-    attach_store(args, telemetry=telemetry)
+    attach_store(args)
     context = ExperimentContext()
     if args.apps:
         unknown = [a for a in args.apps if a not in application_names()]
@@ -211,8 +213,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 
     # One root span over the whole run: training, the reference
     # sessions and every rollout (with its noise gather) nest under it.
-    with coalesce(telemetry).span("montecarlo", policy=args.policy,
-                                  seeds=args.seeds):
+    with telemetry.span("montecarlo", policy=args.policy, seeds=args.seeds):
         harness = EvaluationHarness(context.platform,
                                     context.baseline_policy())
         # ``seeds`` stays a keyword argument: the repository benchmark
@@ -252,7 +253,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
               f"{summary.noise_std_fraction:.0%} time noise "
               f"(mean ± 95% CI, seed-paired)",
     ))
-    if telemetry is not None:
+    if telemetry.enabled:
         write_span_outputs(args, telemetry)
     return 0
 

@@ -42,11 +42,6 @@ class MonitoringBlock:
         self._keep = 1 - alpha
         self._state: Dict[str, Tuple[float, ...]] = {}
 
-    @property
-    def alpha(self) -> float:
-        """The EWMA weight in use."""
-        return self._alpha
-
     def update_vector(self, kernel_name: str,
                       counters: PerfCounters) -> Tuple[float, ...]:
         """Fold a new counter sample into the kernel's running average.
@@ -107,11 +102,6 @@ class PhaseDetector:
             raise PolicyError("threshold must be positive")
         self._threshold = threshold
         self._identity: Dict[str, tuple] = {}
-
-    @property
-    def threshold(self) -> float:
-        """Relative-change threshold."""
-        return self._threshold
 
     @staticmethod
     def identity_of(counters: PerfCounters) -> tuple:

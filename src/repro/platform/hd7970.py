@@ -39,15 +39,14 @@ from repro.platform.calibration import (PlatformCalibration, default_calibration
 from repro.platform.noise import NOISE_FLOOR, LaunchKeyedNoise
 from repro.platform.sweepcache import SweepCache, shared_cache, sweep_key
 from repro.power.board import BoardPowerModel
-from repro.telemetry.handle import coalesce
+from repro.telemetry.spans import ambient_telemetry
 
 
 class HardwarePlatform:
     """A simulated HD7970 card: performance + power + measurement."""
 
     def __init__(self, calibration: Optional[PlatformCalibration] = None,
-                 noise_std_fraction: float = 0.0, seed: int = 0,
-                 telemetry=None):
+                 noise_std_fraction: float = 0.0, seed: int = 0):
         """
         Args:
             calibration: substrate constants; defaults to
@@ -58,9 +57,10 @@ class HardwarePlatform:
                 ``(seed, spec, iteration, config)`` always yields the
                 same multiplier.
             seed: key seed for the launch-keyed noise.
-            telemetry: telemetry handle receiving the
-                ``noise_floor_clips_total`` counter (disabled null handle
-                by default).
+
+        Under a traced run, clipped noise draws feed the ambient span's
+        ``noise_floor_clips_total`` counter, and each full-grid
+        evaluation runs in a ``batch_sweep.compute`` span.
         """
         self._cal = calibration or default_calibration()
         arch = self._cal.arch
@@ -83,7 +83,6 @@ class HardwarePlatform:
             LaunchKeyedNoise(noise_std_fraction, seed, len(self._space))
             if noise_std_fraction > 0 else None
         )
-        self._telemetry = coalesce(telemetry)
         self._noise_clips = 0
         # Per-spec surface memo for the launch fast path: keyed by the
         # (cheaply hashable) KernelSpec alone, since calibration and grid
@@ -143,18 +142,10 @@ class HardwarePlatform:
         if count <= 0:
             return
         self._noise_clips += count
-        telemetry = self._telemetry
-        if not telemetry.enabled:
-            # Platforms are often built without telemetry; under a
-            # traced run the ambient span's handle still collects the
-            # clip counter.
-            from repro.telemetry.spans import ambient_telemetry
-            telemetry = ambient_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.counter(
-                "noise_floor_clips_total",
-                "noise draws clipped at the multiplier floor",
-            ).inc(count, kernel=spec.name)
+        ambient_telemetry().metrics.counter(
+            "noise_floor_clips_total",
+            "noise draws clipped at the multiplier floor",
+        ).inc(count, kernel=spec.name)
 
     def baseline_config(self) -> HardwareConfig:
         """The shipping PowerTune operating point.
@@ -454,22 +445,17 @@ class HardwarePlatform:
         def compute() -> BatchRunResult:
             # Only cache misses pay the full-grid evaluation; span it so
             # a traced run shows exactly which kernels were recomputed
-            # and where that time went, even when this platform carries
-            # no telemetry handle of its own.
-            telemetry = self._telemetry
-            if not telemetry.enabled:
-                from repro.telemetry.spans import ambient_telemetry
-                telemetry = ambient_telemetry()
-            with telemetry.span("batch_sweep.compute", kernel=spec.name):
+            # and where that time went.
+            with ambient_telemetry().span("batch_sweep.compute",
+                                          kernel=spec.name):
                 return self._run_batch_clean(spec)
 
         return cache.get_or_compute(self.sweep_cache_key(spec), compute)
 
 
-def make_hd7970_platform(noise_std_fraction: float = 0.0,
-                         seed: int = 0,
+def make_hd7970_platform(noise_std_fraction: float = 0.0, seed: int = 0,
                          memory_voltage_scaling: bool = False,
-                         telemetry=None) -> HardwarePlatform:
+                         ) -> HardwarePlatform:
     """Convenience constructor for the default-calibrated test bed.
 
     Args:
@@ -478,7 +464,6 @@ def make_hd7970_platform(noise_std_fraction: float = 0.0,
         memory_voltage_scaling: enable the Section 7.2 what-if — scale the
             memory bus voltage with its frequency (the paper's platform
             could not; enabling it makes memory-side savings larger).
-        telemetry: optional telemetry handle (noise-clip counter).
     """
     calibration = default_calibration()
     if memory_voltage_scaling:
@@ -489,7 +474,6 @@ def make_hd7970_platform(noise_std_fraction: float = 0.0,
         calibration=calibration,
         noise_std_fraction=noise_std_fraction,
         seed=seed,
-        telemetry=telemetry,
     )
 
 

@@ -58,6 +58,7 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple)
 
 from repro.gpu.config import HardwareConfig
+from repro.telemetry.spans import ambient_telemetry
 
 if TYPE_CHECKING:
     import numpy as np
@@ -464,15 +465,17 @@ class StoreStats(NamedTuple):
 
 
 class SweepStore:
-    """Content-addressed ``.npz`` records under one directory.
+    """Content-addressed records under one directory.
+
+    Each record is one raw npy container file (see the module
+    docstring). Under a traced run every operation records on the
+    ambient span's handle: the ``sweep_store.load`` /
+    ``sweep_store.save`` spans, the ``sweep_store_hits_total`` /
+    ``sweep_store_misses_total`` counters (labelled by record kind) and
+    the ``sweep_store_bytes`` counter (labelled by transfer direction).
 
     Args:
         root: the store directory (created on first use).
-        telemetry: optional telemetry handle; live operations feed the
-            ``sweep_store_hits_total`` / ``sweep_store_misses_total``
-            counters (labelled by record kind), the ``sweep_store_bytes``
-            counter (labelled by transfer direction) and the
-            ``sweep_store.load`` / ``sweep_store.save`` profile spans.
 
     Raises:
         OSError: when the directory cannot be created — the only error
@@ -480,11 +483,9 @@ class SweepStore:
             a miss or a skipped write.
     """
 
-    def __init__(self, root, telemetry=None):
+    def __init__(self, root):
         self._root = Path(root)
         self._root.mkdir(parents=True, exist_ok=True)
-        from repro.telemetry.handle import coalesce
-        self._telemetry = coalesce(telemetry)
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -496,20 +497,6 @@ class SweepStore:
     def root(self) -> Path:
         """The store directory."""
         return self._root
-
-    def _tel(self):
-        """The handle to record into: own if live, else the ambient one.
-
-        A store constructed without telemetry still participates in a
-        traced run (``reproduce --trace``): operations issued under an
-        open span fall back to that span's handle, so store spans and
-        counters land in the run's tree instead of vanishing.
-        """
-        telemetry = self._telemetry
-        if telemetry.enabled:
-            return telemetry
-        from repro.telemetry.spans import ambient_telemetry
-        return ambient_telemetry()
 
     def stats(self) -> StoreStats:
         """Cumulative hit/miss/byte counts since construction."""
@@ -544,7 +531,7 @@ class SweepStore:
         record_meta["schema"] = STORE_SCHEMA_VERSION
         record_meta["kind"] = kind
         record_meta["digest"] = digest
-        telemetry = self._tel()
+        telemetry = ambient_telemetry()
         tmp = None
         try:
             with telemetry.span("sweep_store.save", kind=kind):
@@ -594,7 +581,7 @@ class SweepStore:
         value = None
         invalid = False
         size = 0
-        telemetry = self._tel()
+        telemetry = ambient_telemetry()
         try:
             with telemetry.span("sweep_store.load", kind=kind):
                 size = os.stat(path).st_size

@@ -37,6 +37,7 @@ from typing import (
 from repro.analysis.report import format_table
 from repro.errors import AnalysisError
 from repro.platform.store import RESULT_KIND, SweepStore, content_digest
+from repro.telemetry.spans import ambient_telemetry
 
 #: Bump whenever node payloads/formatting or the manifest record layout
 #: change globally; every manifest entry then reads as a miss and is
@@ -134,13 +135,12 @@ class ResultManifest:
     addressed by the chained node key from :func:`node_keys`. The
     manifest inherits every store property: atomic publication,
     self-validation (corrupt records demote to misses), cross-process
-    sharing, and invalidation by value.
+    sharing, and invalidation by value. Under a traced run each lookup
+    feeds the ambient span's ``pipeline_manifest_total`` counter.
     """
 
-    def __init__(self, store: SweepStore, telemetry=None):
-        from repro.telemetry.handle import coalesce
+    def __init__(self, store: SweepStore):
         self._store = store
-        self._telemetry = coalesce(telemetry)
 
     @property
     def store(self) -> SweepStore:
@@ -153,7 +153,7 @@ class ResultManifest:
         # the text in an array member) raises KeyError: an invalid miss.
         text = self._store.load_record(
             RESULT_KIND, key, decode=lambda _arrays, meta: meta["report"])
-        self._telemetry.metrics.counter(
+        ambient_telemetry().metrics.counter(
             "pipeline_manifest_total", "result manifest lookups",
         ).inc(status="miss" if text is None else "hit")
         return text
@@ -223,22 +223,20 @@ class ExperimentPipeline:
             running, and fresh results are written back.
         fingerprint: environment fingerprint folded into every node key
             (see :func:`repro.experiments.registry.reproduce_fingerprint`).
-        telemetry: optional telemetry handle; nodes run under
-            ``pipeline.<node>`` profile spans and the manifest feeds the
-            ``pipeline_manifest_total`` counter.
+
+    Under a traced run each node runs in a ``pipeline.<node>`` span on
+    the ambient span's handle.
     """
 
     def __init__(self, specs: Sequence[Any], context, *,
                  manifest: Optional[ResultManifest] = None,
-                 fingerprint: str = "", telemetry=None):
-        from repro.telemetry.handle import coalesce
+                 fingerprint: str = ""):
         self._specs = list(specs)
         self._order = topological_order(self._specs)
         self._by_name = {spec.name: spec for spec in self._specs}
         self._context = context
         self._manifest = manifest
         self._keys = node_keys(self._specs, fingerprint)
-        self._telemetry = coalesce(telemetry)
         self._results: Dict[str, Any] = {}
 
     def digest(self, name: str) -> str:
@@ -324,7 +322,8 @@ class ExperimentPipeline:
     def _run_node(self, spec) -> Tuple[Any, Optional[str], float]:
         t0 = time.perf_counter()
         # Store loads and batch sweeps below attach to the node span.
-        with self._telemetry.span(f"pipeline.{spec.name}", node=spec.name):
+        with ambient_telemetry().span(f"pipeline.{spec.name}",
+                                      node=spec.name):
             deps = {dep: self._results[dep] for dep in spec.deps}
             payload = spec.runner(self._context, deps)
             text = (spec.formatter(payload)

@@ -30,9 +30,12 @@ the policies themselves.
 handle, the engine emits each lane's ``KernelLaunch`` event and launch
 metrics after the tick's observe stage, in session order, so a one-lane
 traced run writes exactly the oracle's event stream; decision events come
-from each policy's own ``observe``. A policy instance drives at most one
-lane of an application — shared mutable history has no lockstep meaning —
-and a second lane raises :class:`~repro.errors.AnalysisError`.
+from each policy's own ``observe``. That handle selects the launch event
+stream only: the ``controller.session`` and ``controller.step`` spans go
+to the ambient span's handle, like every other span of the run. A policy
+instance drives at most one lane of an application — shared mutable
+history has no lockstep meaning — and a second lane raises
+:class:`~repro.errors.AnalysisError`.
 """
 
 from __future__ import annotations
@@ -84,9 +87,9 @@ class BatchSessionRunner:
     Args:
         platform: default test bed for lanes that don't carry their own.
         telemetry: telemetry handle receiving every lane's
-            ``KernelLaunch`` events, the launch metrics and the
-            controller spans; without one, the spans go to the ambient
-            handle (see :func:`~repro.telemetry.spans.ambient_telemetry`).
+            ``KernelLaunch`` events and the launch metrics. The
+            controller spans go to the ambient handle (see
+            :func:`~repro.telemetry.spans.ambient_telemetry`).
     """
 
     def __init__(self, platform: HardwarePlatform, telemetry=None):
@@ -139,8 +142,7 @@ class BatchSessionRunner:
                 grouped[key] = []
                 order.append(spec.application)
             grouped[key].append(position)
-        tel = self._telemetry
-        spans = tel if tel.enabled else ambient_telemetry()
+        spans = ambient_telemetry()
         for application in order:
             positions = grouped[id(application)]
             with spans.span("controller.session",

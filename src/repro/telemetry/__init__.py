@@ -1,6 +1,6 @@
 """Structured telemetry for the Harmonia runtime.
 
-Five pieces, composable through one injectable handle:
+Five pieces, composable through one :class:`Telemetry` handle:
 
 * :mod:`repro.telemetry.events` — typed controller-decision events
   (``KernelLaunch``, ``PhaseChange``, ``CGJump``, ``FGStep``, ...) with a
@@ -15,18 +15,22 @@ Five pieces, composable through one injectable handle:
   (Perfetto-loadable) and the self-vs-total critical-path report of
   recorded spans (``repro run --profile`` prints that report).
 
-Instrumented components accept a :class:`Telemetry` handle and default to
-:data:`NULL_TELEMETRY`, whose operations are no-ops — with telemetry
-disabled, control decisions and experiment outputs are bit-identical to
-an uninstrumented build.
+Event streams go through an injected handle: the policies take one for
+their decision events, the runners one for their ``KernelLaunch``
+events. Spans and infrastructure counters go through the ambient span
+(:func:`ambient_telemetry`): the store, the manifest, the pipeline and
+the platform record on the handle of the span that encloses the call.
+Either way the default is :data:`NULL_TELEMETRY`, whose operations are
+no-ops — with telemetry disabled, control decisions and experiment
+outputs are bit-identical to an uninstrumented build.
 """
 
 import importlib
 
 #: Public name -> defining submodule, imported when the name is first
-#: read: the store and the pipeline import :mod:`repro.telemetry.handle`
-#: and :mod:`repro.telemetry.spans` alone, without the event export path
-#: or the span-trace analysis.
+#: read: the store and the pipeline import :mod:`repro.telemetry.spans`
+#: alone (with :mod:`repro.telemetry.handle` for the null handle),
+#: without the event export path or the span-trace analysis.
 _EXPORTS = {
     "SCHEMA_VERSION": "events",
     "EVENT_TYPES": "events",

@@ -1,17 +1,33 @@
-"""The injectable telemetry handle and its null-object default.
+"""The telemetry handle and its null-object default.
 
-Instrumented components (the controller blocks, the session engine, the
-CLI) accept an optional handle and fall back to :data:`NULL_TELEMETRY`.
-The null object reports ``enabled = False`` — hot paths guard event
-construction behind that flag — and serves no-op metrics and span
-stand-ins, so a component can also call straight through without
-branching. Either way, with telemetry disabled the control decisions and
-run outputs are bit-identical to an uninstrumented build.
+A run reaches its telemetry in one of two ways, by what it records:
+
+* **Event streams** go through an injected handle. The policies (the
+  Harmonia controller, its CG/FG tuners and the variants) take a
+  ``telemetry=`` handle for their decision events and controller
+  metrics, and the two runners (``BatchSessionRunner`` and the test
+  oracle ``ApplicationRunner``) take one for their ``KernelLaunch``
+  events and launch metrics, so a caller can route each stream to its
+  own sink.
+* **Spans and infrastructure counters** go through the ambient span
+  (:func:`~repro.telemetry.spans.ambient_telemetry`): the sweep store,
+  the result manifest, the pipeline, the platform, the sweep cache, the
+  session engine and the Monte Carlo engine record on the handle of the
+  span that encloses the call. A command that owns a handle opens one
+  root span on it over all of its work.
+
+Where no handle is given and no span is open (every untraced run), both
+ways reach :data:`NULL_TELEMETRY`. It reports ``enabled = False`` — hot
+paths guard event construction behind that flag — and serves no-op
+metrics and span stand-ins, so a component can also call straight
+through without branching. Either way, with telemetry disabled the
+control decisions and run outputs are bit-identical to an
+uninstrumented build.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -22,40 +38,29 @@ from repro.telemetry.spans import (
 
 if TYPE_CHECKING:
     from repro.telemetry.events import TelemetryEvent
-    from repro.telemetry.metrics import MetricsRegistry
 
 
 class Telemetry:
-    """A live telemetry handle: event sinks + metrics + spans.
+    """A live telemetry handle: an event sink, metrics and spans.
 
     Args:
-        sink: optional initial event sink (anything with ``write(event)``).
-        metrics: metrics registry to use (fresh one by default).
-        spans: span tracker to use (fresh one by default).
+        sink: optional event sink (anything with ``write(event)``).
     """
 
     enabled = True
 
-    def __init__(self, sink: Optional[Any] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 spans: Optional[SpanTracker] = None):
-        if metrics is None:
-            # Imported here: a process that only holds the null handle
-            # (every untraced run) never loads the metrics registry.
-            from repro.telemetry.metrics import MetricsRegistry
-            metrics = MetricsRegistry()
-        self.metrics = metrics
-        self.spans = spans if spans is not None else SpanTracker()
-        self._sinks: List[Any] = [sink] if sink is not None else []
-
-    def add_sink(self, sink: Any) -> None:
-        """Attach another event sink."""
-        self._sinks.append(sink)
+    def __init__(self, sink: Optional[Any] = None):
+        # Imported here: a process that only holds the null handle
+        # (every untraced run) never loads the metrics registry.
+        from repro.telemetry.metrics import MetricsRegistry
+        self.metrics = MetricsRegistry()
+        self.spans = SpanTracker()
+        self._sink = sink
 
     def emit(self, event: TelemetryEvent) -> None:
-        """Deliver one event to every sink."""
-        for sink in self._sinks:
-            sink.write(event)
+        """Deliver one event to the sink."""
+        if self._sink is not None:
+            self._sink.write(event)
 
     def span(self, name: str, **labels: Any) -> SpanHandle:
         """Context manager opening a hierarchical span.
@@ -67,11 +72,10 @@ class Telemetry:
         return SpanHandle(self, self.spans, name, labels)
 
     def close(self) -> None:
-        """Close every sink that supports closing."""
-        for sink in self._sinks:
-            close = getattr(sink, "close", None)
-            if close is not None:
-                close()
+        """Close the sink if it supports closing."""
+        close = getattr(self._sink, "close", None)
+        if close is not None:
+            close()
 
     def __enter__(self) -> "Telemetry":
         return self
@@ -111,9 +115,9 @@ class _NullRegistry:
 class NullTelemetry:
     """Disabled telemetry: every operation is a no-op.
 
-    A single shared instance (:data:`NULL_TELEMETRY`) is the default for
-    every instrumented component, keeping the uninstrumented hot path to
-    one attribute check.
+    A single shared instance (:data:`NULL_TELEMETRY`) is the default
+    handle of every policy and runner and the ambient handle outside any
+    span, keeping the uninstrumented hot path to one attribute check.
     """
 
     enabled = False
@@ -127,11 +131,6 @@ class NullTelemetry:
     def span(self, name: str, **labels: Any):
         return NULL_SPAN
 
-    def add_sink(self, sink: Any) -> None:
-        # Silent no-op: the null handle is shared process-wide and must
-        # stay inert.
-        pass
-
     def close(self) -> None:
         pass
 
@@ -142,7 +141,7 @@ class NullTelemetry:
         pass
 
 
-#: The process-wide disabled handle (default for all components).
+#: The process-wide disabled handle (the default everywhere).
 NULL_TELEMETRY = NullTelemetry()
 
 

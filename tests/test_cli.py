@@ -17,8 +17,9 @@ if str(REPO_ROOT) not in sys.path:
 
 from tools.regen_goldens import (  # noqa: E402
     ABLATION_GOLDEN_DIR, BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_ARGS,
-    MONTECARLO_GOLDEN, RUN_APPS, RUN_POLICIES, ablation_reproduce,
-    child_env, command_goldens, command_stdout, diff_text)
+    MONTECARLO_GOLDEN, RUN_APPS, RUN_POLICIES, TRACE_GOLDEN_DIR,
+    TRACE_GOLDENS, ablation_reproduce, child_env, command_goldens,
+    command_stdout, diff_text, signature_text, traced_outputs)
 
 #: (name, node): every core report node under its node name and under
 #: each of its aliases, as ``figure`` accepts them.
@@ -78,6 +79,37 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: repro {argv[0]}")
         assert f"error: argument {argv[1]}: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--trace"), ("run", "--metrics-out"),
+        ("reproduce", "--trace"), ("reproduce", "--metrics-out"),
+        ("reproduce", "--profile-json"),
+        ("montecarlo", "--trace"), ("montecarlo", "--metrics-out"),
+    ])
+    def test_output_path_in_a_missing_directory_is_a_usage_error(
+            self, command, flag, tmp_path, capsys):
+        """Rejected at parse time, before any work: exit 2 with
+        argparse's usage message, and no report or store record lands."""
+        store, reports = tmp_path / "store", tmp_path / "reports"
+        argv = [command, *(["Graph500"] if command == "run" else []),
+                "--cache-dir", str(store),
+                flag, str(tmp_path / "missing" / "out.json")]
+        if command == "reproduce":
+            argv += ["--output", str(reports)]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {command}")
+        assert f"error: argument {flag}: directory " in err
+        assert not store.exists() and not reports.exists()
+
+    def test_output_path_that_is_a_directory_is_a_usage_error(
+            self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["montecarlo", "--trace", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "is a directory" in capsys.readouterr().err
 
     def test_smallest_monte_carlo_arguments_parse(self):
         """One trial is a valid ``montecarlo``; ``evaluate --seeds 0``
@@ -431,6 +463,43 @@ class TestCommandGoldens:
                         + diff, pytrace=False)
 
 
+@pytest.fixture(scope="module")
+def traced_runs(tmp_path_factory):
+    """The trace goldens' runs, made the way ``tools/regen_goldens.py``
+    makes them: golden file name -> bytes."""
+    return traced_outputs(tmp_path_factory.mktemp("traced"))
+
+
+class TestTraceGoldens:
+    """A traced cold ``reproduce``, then a traced ``montecarlo --seeds
+    2`` and ``run Graph500 --trace`` over the store it filled, record the
+    span trees, metrics exports and event trace in
+    ``tests/golden/trace`` (regenerate with
+    ``python tools/regen_goldens.py``)."""
+
+    def test_the_directory_holds_every_golden(self):
+        assert sorted(path.name for path in TRACE_GOLDEN_DIR.iterdir()) \
+            == sorted(TRACE_GOLDENS)
+
+    @pytest.mark.parametrize("name", TRACE_GOLDENS)
+    def test_output_matches_golden(self, traced_runs, name):
+        diff = diff_text((TRACE_GOLDEN_DIR / name).read_bytes(),
+                         traced_runs[name], "golden", name)
+        if diff:
+            pytest.fail(f"traced {name} differs from its golden:\n" + diff,
+                        pytrace=False)
+
+    def test_signature_text_folds_identical_siblings(self):
+        leaf = ("sweep_store.load", (("kind", "grid"),), ())
+        fill = ("sweep_cache.fill", (), (leaf,))
+        signature = (("run", (), (fill, fill, leaf)),)
+        assert signature_text(signature) == (
+            "run\n"
+            "  sweep_cache.fill x2\n"
+            "    sweep_store.load [kind=grid]\n"
+            "  sweep_store.load [kind=grid]\n")
+
+
 #: Telemetry code that only a traced run, or a report of one, needs.
 _TRACE_ONLY = ("repro.telemetry.events", "repro.telemetry.export",
                "repro.telemetry.metrics", "repro.telemetry.report",
@@ -558,7 +627,7 @@ class TestSweepStoreFlags:
         assert main(["run", "XSBench", "--policy", "harmonia",
                      "--profile"]) == 0
         out = capsys.readouterr().out
-        profile = out[out.index("span profile of the policy run:"):]
+        profile = out[out.index("span profile of the run:"):]
         rows = [line.split()[0] for line in profile.splitlines()
                 if line.endswith("%")]
         assert "controller.session" in rows

@@ -1,6 +1,8 @@
-"""Smoke tests: every example script must run cleanly end to end."""
+"""Smoke tests: every example script, and the documented code, must run
+cleanly end to end."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+TELEMETRY_DOC = EXAMPLES_DIR.parent / "docs" / "telemetry.md"
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
@@ -27,3 +30,18 @@ def test_expected_examples_present():
     assert {"quickstart.py", "graph500_adaptation.py",
             "custom_workload.py", "design_space_exploration.py",
             "measurement_rig.py", "roofline_and_thermal.py"} <= names
+
+
+def test_telemetry_doc_quick_start_runs():
+    """The python block of ``docs/telemetry.md`` runs as written: the
+    sink holds the policy's and the runner's events, and the block's span
+    holds the controller spans."""
+    (block,) = re.findall(r"^```python\n(.*?)^```",
+                          TELEMETRY_DOC.read_text(), re.M | re.S)
+    namespace = {}
+    exec(compile(block, str(TELEMETRY_DOC), "exec"), namespace)
+    types = {type(event).__name__ for event in namespace["events"]}
+    assert {"KernelLaunch", "CGJump"} <= types
+    names = [record.name for record in namespace["spans"]]
+    assert names[-1] == "graph500"
+    assert "controller.session" in names

@@ -71,9 +71,8 @@ class TestBuildSpans:
         """A traced build shows the platform build (model-stack import
         included) nested in the training span."""
         from repro.telemetry import Telemetry
-        from repro.telemetry.spans import SpanTracker
 
-        telemetry = Telemetry(spans=SpanTracker())
+        telemetry = Telemetry()
         ctx = ExperimentContext()
         with telemetry.span("root"):
             training = ctx.training

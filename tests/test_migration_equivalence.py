@@ -17,7 +17,6 @@ from repro.experiments.oracle_gap import PerfConstrainedOracle
 from repro.experiments.characterization import _curve
 from repro.platform.hd7970 import make_hd7970_platform
 from repro.platform.store import SweepStore
-from repro.platform.sweepcache import SweepCache, shared_cache
 from repro.runtime.metrics import ed2
 from repro.workloads.registry import all_kernels, get_application
 

@@ -169,9 +169,9 @@ class TestClipAccounting:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry()
-        platform = make_hd7970_platform(noise_std_fraction=2.0, seed=1,
-                                        telemetry=telemetry)
-        platform.run_kernel_batch(SPEC)
+        platform = make_hd7970_platform(noise_std_fraction=2.0, seed=1)
+        with telemetry.span("clips"):
+            platform.run_kernel_batch(SPEC)
         counter = telemetry.metrics.counter("noise_floor_clips_total")
         assert counter.value(kernel=SPEC.name) == platform.noise_clip_count
         assert platform.noise_clip_count > 0

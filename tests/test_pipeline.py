@@ -331,13 +331,11 @@ class TestPipelineRun:
 class TestPipelineSpans:
     def run_traced(self):
         from repro.telemetry import Telemetry
-        from repro.telemetry.spans import SpanTracker
 
-        telemetry = Telemetry(spans=SpanTracker())
+        telemetry = Telemetry()
         counter = {"lock": threading.Lock()}
         pipeline = ExperimentPipeline(
-            toy_dag(counter), context=None,
-            fingerprint="fp", telemetry=telemetry,
+            toy_dag(counter), context=None, fingerprint="fp",
         )
         with telemetry.span("root"):
             pipeline.run(emit=lambda name, text, status: None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import format_table, percent
+from repro.analysis.report import format_table
 from repro.errors import AnalysisError
 
 
@@ -33,14 +33,3 @@ class TestFormatTable:
     def test_empty_headers_raise(self):
         with pytest.raises(AnalysisError):
             format_table((), [])
-
-
-class TestPercent:
-    def test_positive(self):
-        assert percent(0.123) == "+12.3%"
-
-    def test_negative(self):
-        assert percent(-0.036) == "-3.6%"
-
-    def test_digits(self):
-        assert percent(0.12345, digits=2) == "+12.35%"

@@ -11,7 +11,7 @@ from repro.analysis.roofline import (
 )
 from repro.errors import AnalysisError
 from repro.gpu.architecture import HD7970
-from repro.gpu.config import ConfigSpace, HardwareConfig
+from repro.gpu.config import ConfigSpace
 from repro.units import GHZ, MHZ
 from repro.workloads.registry import get_kernel
 

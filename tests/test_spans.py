@@ -15,7 +15,6 @@ from repro.telemetry.spans import (
     SPAN_SCHEMA_MANIFEST,
     SPAN_SCHEMA_VERSION,
     SpanRecord,
-    SpanTracker,
     ambient_telemetry,
     span_fields,
 )
@@ -30,10 +29,6 @@ from repro.telemetry.spantrace import (
 )
 
 
-def traced_telemetry() -> Telemetry:
-    return Telemetry(spans=SpanTracker())
-
-
 def record(name, span_id, parent_id, start, end, labels=()):
     """Hand-built SpanRecord for tree/signature tests."""
     return SpanRecord(name=name, span_id=span_id, parent_id=parent_id,
@@ -43,7 +38,7 @@ def record(name, span_id, parent_id, start, end, labels=()):
 
 class TestSpanRecording:
     def test_single_span_recorded_with_labels(self):
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
         with telemetry.span("work", kernel="K", attempt=2):
             pass
         (rec,) = telemetry.spans.records()
@@ -54,7 +49,7 @@ class TestSpanRecording:
         assert rec.pid == os.getpid()
 
     def test_nesting_sets_parent_ids(self):
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
         with telemetry.span("outer"):
             with telemetry.span("inner"):
                 pass
@@ -64,7 +59,7 @@ class TestSpanRecording:
         assert outer.parent_id is None
 
     def test_span_ids_unique(self):
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
         for _ in range(5):
             with telemetry.span("s"):
                 pass
@@ -77,7 +72,7 @@ class TestSpanRecording:
         assert len(NULL_TELEMETRY.spans) == 0
 
     def test_exception_still_closes_span(self):
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
         with pytest.raises(ValueError):
             with telemetry.span("doomed"):
                 raise ValueError("boom")
@@ -90,7 +85,7 @@ class TestSpanRecording:
 
 class TestContextPropagation:
     def test_ambient_telemetry_inside_span(self):
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
         assert ambient_telemetry() is not telemetry
         with telemetry.span("outer"):
             assert ambient_telemetry() is telemetry
@@ -99,7 +94,7 @@ class TestContextPropagation:
 
 class TestChromeTrace:
     def test_round_trip(self, tmp_path):
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
         with telemetry.span("outer", kernel="K"):
             with telemetry.span("inner"):
                 pass
@@ -118,7 +113,7 @@ class TestChromeTrace:
                 original.duration_s, abs=1e-5)
 
     def test_trace_is_perfetto_shaped(self, tmp_path):
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
         with telemetry.span("outer"):
             pass
         path = tmp_path / "trace.json"
@@ -208,7 +203,7 @@ class TestAggregationAndReport:
     def test_live_nesting_splits_self_time(self):
         import time
 
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
         with telemetry.span("outer"):
             with telemetry.span("inner"):
                 time.sleep(0.02)
@@ -223,7 +218,7 @@ class TestAggregationAndReport:
         root span, so its time is not taken off the caller's self time."""
         import time
 
-        telemetry = traced_telemetry()
+        telemetry = Telemetry()
 
         def worker():
             with telemetry.span("thread_work"):

@@ -418,13 +418,14 @@ class TestRobustness:
         """A well-formed raw record whose ``stack`` has the wrong row
         count is a miss in every counter: stats, bytes and telemetry."""
         telemetry = Telemetry()
-        store = SweepStore(tmp_path / "s", telemetry=telemetry)
+        store = SweepStore(tmp_path / "s")
         spec = all_kernels()[0].base
         key = _grid_key(platform, spec)
         arrays, meta = batch_to_record(platform.grid_sweep(spec))
         arrays["stack"] = arrays["stack"][:-1]
-        assert store.save_record(GRID_KIND, key, arrays, meta=meta)
-        assert store.load_batch(key) is None
+        with telemetry.span("test"):
+            assert store.save_record(GRID_KIND, key, arrays, meta=meta)
+            assert store.load_batch(key) is None
         stats = store.stats()
         assert (stats.hits, stats.misses, stats.invalid_records) == (0, 1, 1)
         assert stats.bytes_read == 0
@@ -536,12 +537,14 @@ class TestAccounting:
 
     def test_telemetry_counters_and_spans(self, tmp_path, platform):
         telemetry = Telemetry()
-        store = SweepStore(tmp_path / "s", telemetry=telemetry)
+        store = SweepStore(tmp_path / "s")
         spec = all_kernels()[0].base
         key = _grid_key(platform, spec)
-        store.load_batch(key)  # miss
-        store.save_batch(key, platform.grid_sweep(spec))
-        store.load_batch(key)  # hit
+        batch = platform.grid_sweep(spec)
+        with telemetry.span("test"):
+            store.load_batch(key)  # miss
+            store.save_batch(key, batch)
+            store.load_batch(key)  # hit
 
         metrics = telemetry.metrics
         assert metrics.counter(
@@ -555,6 +558,9 @@ class TestAccounting:
         written = metrics.counter("sweep_store_bytes", "").value(
             direction="write")
         assert read == written > 0
+        assert [record.name for record in telemetry.spans.records()] == [
+            "sweep_store.load", "sweep_store.save", "sweep_store.load",
+            "test"]
 
 
 # --- concurrency -----------------------------------------------------------------

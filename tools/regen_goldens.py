@@ -17,17 +17,25 @@ same way, then does the same for ``evaluate --seeds 4``
 oracle in one Monte Carlo rollout per application), for ``sweep`` over
 all 25 kernels in one invocation (``tests/golden/sweep/all_kernels.txt``)
 and for ``run <app> --policy P`` under each of the five policies on
-Graph500 and CoMD (``tests/golden/run/<app>_<policy>.txt``). Exit status
-is 0 whether or not anything changed; a nonzero status means a run
-failed.
+Graph500 and CoMD (``tests/golden/run/<app>_<policy>.txt``).
+
+The trace goldens in ``tests/golden/trace/`` pin what a traced run
+records. A traced cold ``reproduce`` (``--trace``, ``--metrics-out``)
+runs into a second throwaway store; over the store it filled, a traced
+``montecarlo --seeds 2`` and ``run Graph500 --trace --metrics-out``
+follow. Each span trace is kept as an indented text rendering of its
+``tree_signature`` (span names, labels and nesting; identical siblings
+folded into one line with a count), each metrics export and the JSONL
+event trace byte for byte. Exit status is 0 whether or not anything
+changed; a nonzero status means a run failed.
 
 ``tests/test_cli.py`` compares the output of every one of these
 commands with its file byte for byte, and checks that the sha256 values
 of the core reports and the montecarlo golden equal the ``reproduce`` and
 ``montecarlo_seed0_stdout`` digests in ``perfbench/digests.json`` (the
-benchmark never runs the ablations). A deliberate output change
-therefore needs both: rerun this tool, and update those digests in the
-same change.
+benchmark never runs the ablations); it compares the trace goldens the
+same way. A deliberate output change therefore needs both: rerun this
+tool, and update those digests in the same change.
 
 Run from the repository root:  python tools/regen_goldens.py
 """
@@ -36,11 +44,13 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "reproduce"
@@ -58,6 +68,11 @@ RUN_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "run"
 RUN_APPS = ("Graph500", "CoMD")
 #: every ``run --policy`` choice
 RUN_POLICIES = ("baseline", "harmonia", "cg-only", "dvfs-only", "oracle")
+TRACE_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "trace"
+#: the file names of the trace goldens
+TRACE_GOLDENS = ("reproduce_spans.txt", "reproduce_metrics.json",
+                 "montecarlo_spans.txt", "montecarlo_metrics.json",
+                 "run_graph500_events.jsonl", "run_graph500_metrics.json")
 
 
 def child_env() -> dict:
@@ -106,6 +121,54 @@ def command_stdout(store: Path, argv) -> bytes:
         env=child_env(), check=True, stdout=subprocess.PIPE).stdout
 
 
+def signature_text(signature, depth: int = 0) -> str:
+    """An indented text rendering of a span ``tree_signature``: one line
+    per span name and labels, children indented below their parent, and
+    a run of identical siblings folded into one line ending ``xN``."""
+    lines = []
+    for node, run in itertools.groupby(signature):
+        name, labels, children = node
+        count = len(list(run))
+        text = "  " * depth + name
+        if labels:
+            text += " [" + ",".join(f"{k}={v}" for k, v in labels) + "]"
+        if count > 1:
+            text += f" x{count}"
+        lines.append(text + "\n" + signature_text(children, depth + 1))
+    return "".join(lines)
+
+
+def traced_outputs(workdir: Path) -> Dict[str, bytes]:
+    """Make the trace goldens under ``workdir``: a traced cold
+    ``reproduce`` into ``workdir/store``, then a traced ``montecarlo
+    --seeds 2`` and ``run Graph500 --trace`` over the store it filled,
+    each in a fresh interpreter. Returns golden file name -> bytes."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.telemetry.spantrace import load_chrome_trace, tree_signature
+
+    workdir.mkdir(parents=True, exist_ok=True)
+    store = workdir / "store"
+    runs = (("reproduce",
+             ("reproduce", "--output", str(workdir / "reports"))),
+            ("montecarlo", ("montecarlo", "--seeds", "2")))
+    outputs = {}
+    for label, argv in runs:
+        spans, metrics = workdir / f"{label}.json", workdir / f"{label}.m"
+        command_stdout(store, (*argv, "--trace", str(spans),
+                               "--metrics-out", str(metrics)))
+        outputs[f"{label}_spans.txt"] = signature_text(
+            tree_signature(load_chrome_trace(spans))).encode("utf-8")
+        outputs[f"{label}_metrics.json"] = metrics.read_bytes()
+    events, metrics = workdir / "run.jsonl", workdir / "run.m"
+    command_stdout(store, ("run", "Graph500", "--trace", str(events),
+                           "--metrics-out", str(metrics)))
+    outputs["run_graph500_events.jsonl"] = events.read_bytes()
+    outputs["run_graph500_metrics.json"] = metrics.read_bytes()
+    return outputs
+
+
 def command_goldens():
     """``(golden file, repro arguments)`` of every command whose stdout
     has a golden, montecarlo's first."""
@@ -141,6 +204,7 @@ def main() -> int:
             out = cold_reproduce(Path(workdir))
             ablations = ablation_reproduce(store, Path(workdir) / "ablations")
             commands = [command_stdout(store, argv) for _, argv in goldens]
+            traces = traced_outputs(Path(workdir) / "trace")
         except subprocess.CalledProcessError as error:
             print(f"regen_goldens: a run failed ({error})", file=sys.stderr)
             return 1
@@ -172,18 +236,22 @@ def main() -> int:
                       if MONTECARLO_GOLDEN.exists() else b"")
     montecarlo = commands[0]
     changed_commands = []
-    for (path, argv), after in zip(goldens, commands):
+    outputs = [(path, " ".join(argv), after)
+               for (path, argv), after in zip(goldens, commands)]
+    outputs.extend((TRACE_GOLDEN_DIR / name, f"traced {name}", traces[name])
+                   for name in TRACE_GOLDENS)
+    for path, label, after in outputs:
         before = path.read_bytes() if path.exists() else b""
         if before != after:
             changed_commands.append(path)
             sys.stdout.write(diff_text(
                 before, after, str(path.relative_to(REPO_ROOT / "tests")),
-                " ".join(argv)))
+                label))
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(after)
 
     if not changed and not changed_commands:
-        print(f"regen_goldens: all {len(fresh) + len(commands)} goldens "
+        print(f"regen_goldens: all {len(fresh) + len(outputs)} goldens "
               f"unchanged")
         return 0
     # The benchmark digests the core reports and montecarlo's stdout only.
