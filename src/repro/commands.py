@@ -202,12 +202,15 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     attach_store(args)
     context = ExperimentContext()
     if args.apps:
-        unknown = [a for a in args.apps if a not in application_names()]
+        # An application named twice is rolled out, printed and counted
+        # in the geomean once.
+        names = list(dict.fromkeys(args.apps))
+        unknown = [a for a in names if a not in application_names()]
         if unknown:
             print(f"unknown application(s) {', '.join(map(repr, unknown))}; "
                   f"try: python -m repro list", file=sys.stderr)
             return 2
-        apps = [context.application(name) for name in args.apps]
+        apps = [context.application(name) for name in names]
     else:
         apps = context.applications
 

@@ -17,8 +17,8 @@ vector. The same launch therefore always sees the same multiplier — under
 any execution order, interleaving, thread count, or batch/scalar split —
 and scalar and batched noise are bitwise identical by construction.
 
-A stream costs only numpy's ``normal`` draws and their clamp, not the
-construction of numpy objects. :func:`spec_entropy` hashes a spec once
+A stream costs little beyond numpy's standard normal draws: no numpy
+object is constructed for it. :func:`spec_entropy` hashes a spec once
 per spec instance and caches the value on the frozen spec. Each model
 owns one ``Philox``/``Generator`` pair and re-keys it for every stream
 with the key that ``Philox(SeedSequence([seed, iteration,
@@ -27,8 +27,10 @@ buffer: the exact state of a newly seeded generator. One stream's key
 comes from numpy's own ``SeedSequence.generate_state``; the Monte Carlo
 engine keys a rollout's streams a chunk at a time with :func:`fill_memos`,
 whose :func:`seed_sequence_keys` reimplements that hash vectorized over
-streams. Either way every draw equals the plain derivation bit for bit
-(``tests/test_noise_rng.py``).
+streams. A chunk builds each ``(spec, iteration)`` pair's key words once
+for all seeds, and each model scales, flags and clamps its chunk's
+draws as one block. Either way every draw equals the plain derivation
+bit for bit (``tests/test_noise_rng.py``).
 
 Multipliers are clamped at :data:`NOISE_FLOOR`: a Gaussian draw can push
 ``1 + draw`` arbitrarily close to (or below) zero, and a non-positive
@@ -110,10 +112,36 @@ def _words(value: int) -> bytes:
                           "little")
 
 
-def _stream_words(seed_words: bytes, iteration: int, entropy: int) -> bytes:
+def _pair_words(iteration: int, entropy: int) -> bytes:
+    """The words of ``iteration`` and a spec key ``entropy``: the tail
+    that every seed's stream of one ``(spec, iteration)`` shares."""
+    return _words(iteration) + _words(entropy)
+
+
+def _stream_words(seed_words: bytes, pair_words: bytes) -> bytes:
     """The entropy words that ``SeedSequence([seed, iteration, entropy])``
-    builds from its int list (``seed_words`` being ``_words(seed)``)."""
-    return seed_words + _words(iteration) + _words(entropy)
+    builds from its int list (``seed_words`` being ``_words(seed)`` and
+    ``pair_words`` ``_pair_words(iteration, entropy)``)."""
+    return seed_words + pair_words
+
+
+def _key_int(value: object, name: str) -> int:
+    """``value`` as the non-negative int it keys: ``bool`` and numpy
+    integers key the stream of their integer value, as in
+    ``SeedSequence``.
+
+    Raises:
+        TypeError: if ``value`` is not an integer.
+        ValueError: if ``value`` is negative.
+    """
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name} must be an integer, got {value!r}") from None
+    if index < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return index
 
 
 def _pool_keys(columns: List[np.ndarray]) -> np.ndarray:
@@ -180,7 +208,9 @@ def seed_sequence_keys(words: np.ndarray, counts: Sequence[int]) -> np.ndarray:
     counts = np.asarray(counts)
     starts = np.cumsum(counts) - counts
     keys = np.empty((len(counts), 2), dtype=np.uint64)
-    for count in np.unique(counts):
+    # The distinct counts in plain Python: np.unique imports numpy.ma on
+    # first use (~20 ms, ~1 MiB), and nothing else in `montecarlo` does.
+    for count in set(counts.tolist()):
         rows = np.flatnonzero(counts == count)
         first = starts[rows]
         keys[rows] = _pool_keys([words[first + i] for i in range(count)])
@@ -212,17 +242,13 @@ class LaunchKeyedNoise:
             raise ValueError("std_fraction must be positive and finite")
         if grid_size <= 0:
             raise ValueError("grid_size must be positive")
-        try:
-            seed_value = operator.index(seed)
-        except TypeError:
-            raise TypeError(
-                f"seed must be an integer, got {seed!r}") from None
-        if seed_value < 0:
-            raise ValueError(f"seed must be non-negative, got {seed!r}")
         self._std = std_fraction
         self._seed = seed
-        self._seed_words = _words(seed_value)
+        self._seed_words = _words(_key_int(seed, "seed"))
         self._grid_size = grid_size
+        # The clip flags of every stream that did not clip.
+        self._no_clips = np.zeros(grid_size, dtype=bool)
+        self._no_clips.setflags(write=False)
         self._memo: "OrderedDict[Tuple[KernelSpec, int], _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         # The one generator every stream of this model draws from: each
@@ -251,10 +277,14 @@ class LaunchKeyedNoise:
         ``Philox(SeedSequence(...))`` starts in: that key, a zero
         counter and an empty buffer (``buffer_pos`` 4 of 4). The
         standard normals of each stream fill one row of a block that is
-        then scaled and shifted at once: ``normal(0.0, std)`` returns
-        ``0.0 + std * z``, and ``1.0 + (0.0 + x)`` equals ``1.0 + x``
-        for every ``x``, so each row is bitwise the plain ``1.0 +
-        normal(0.0, std, grid_size)``.
+        then scaled, shifted, flagged and clamped at once: ``normal(0.0,
+        std)`` returns ``0.0 + std * z``, and ``1.0 + (0.0 + x)`` equals
+        ``1.0 + x`` for every ``x``, so each row is bitwise the plain
+        ``1.0 + normal(0.0, std, grid_size)``.
+
+        Each stream gets a copy of its row, not a view: a view would pin
+        the whole block for as long as the memo holds any of its rows.
+        Streams that did not clip share one all-False ``clipped``.
         """
         raw = np.empty((len(keys), self._grid_size))
         state = self._fresh_state
@@ -264,13 +294,17 @@ class LaunchKeyedNoise:
             self._generator.standard_normal(out=row)
         raw *= self._std
         raw += 1.0
+        clipped = raw < NOISE_FLOOR
+        np.maximum(NOISE_FLOOR, raw, out=raw)
+        flags = [self._no_clips] * len(raw)
+        for i in np.flatnonzero(clipped.any(axis=1)).tolist():
+            flags[i] = clipped[i].copy()
+            flags[i].setflags(write=False)
         entries = []
-        for row in raw:
-            multipliers = np.maximum(NOISE_FLOOR, row)
-            clipped = row < NOISE_FLOOR
+        for row, row_flags in zip(raw, flags):
+            multipliers = row.copy()
             multipliers.setflags(write=False)
-            clipped.setflags(write=False)
-            entries.append((multipliers, clipped))
+            entries.append((multipliers, row_flags))
         return entries
 
     def _store(self, pairs: Sequence[Tuple[KernelSpec, int]],
@@ -282,19 +316,21 @@ class LaunchKeyedNoise:
         Room is made first, so the memo never holds more than
         :data:`MEMO_SIZE` entries: the oldest entries go, except those
         under ``keep``. An entry that another thread has published
-        meanwhile stays (both are the same pure values).
+        meanwhile is replaced by an equal one (both are the same pure
+        values).
         """
         memo = self._memo
         excess = len(memo) + len(pairs) - MEMO_SIZE
-        if excess > 0:
+        if excess >= len(memo):     # every entry goes (a full chunk)
+            memo.clear()
+        elif excess > 0:
             for pair in keep:
                 if pair in memo:
                     memo.move_to_end(pair)
-            for _ in range(min(excess, len(memo))):
+            for _ in range(excess):
                 memo.popitem(last=False)
         entries = self._draw(keys)
-        for pair, entry in zip(pairs, entries):
-            memo.setdefault(pair, entry)
+        memo.update(zip(pairs, entries))
         return entries
 
     def multipliers_for(self, spec: KernelSpec,
@@ -307,11 +343,11 @@ class LaunchKeyedNoise:
             :data:`NOISE_FLOOR` clamp.
 
         Raises:
+            TypeError: if ``iteration`` is not an integer.
             ValueError: if ``iteration`` is negative (the key must be a
                 valid ``SeedSequence`` entropy word).
         """
-        if iteration < 0:
-            raise ValueError(f"iteration must be non-negative, got {iteration}")
+        iteration = _key_int(iteration, "iteration")
         key = (spec, iteration)
         # Lock-free fast path: ``dict.get`` is atomic under the GIL and
         # entries are immutable once published. Served entries skip the
@@ -327,8 +363,8 @@ class LaunchKeyedNoise:
                 return entry
             # One stream: numpy's own scalar key hash beats the
             # vectorized one's fixed cost of ~200 numpy calls.
-            words = _stream_words(self._seed_words, iteration,
-                                  spec_entropy(spec))
+            words = _stream_words(self._seed_words,
+                                  _pair_words(iteration, spec_entropy(spec)))
             sequence = np.random.SeedSequence(
                 np.frombuffer(words, dtype="<u4"))
             (entry,) = self._store(
@@ -359,26 +395,27 @@ def fill_memos(models: Sequence[LaunchKeyedNoise],
     chunks of at most that many.
 
     Raises:
+        TypeError: if an iteration is not an integer.
         ValueError: if ``pairs`` holds more than :data:`MEMO_SIZE`
             distinct pairs, or a negative iteration.
     """
-    pairs = list(dict.fromkeys(pairs))
+    pairs = list(dict.fromkeys((spec, _key_int(iteration, "iteration"))
+                               for spec, iteration in pairs))
     if len(pairs) > MEMO_SIZE:
         raise ValueError(f"{len(pairs)} pairs do not fit one memo of "
                          f"{MEMO_SIZE}; fill them in chunks")
-    for _, iteration in pairs:
-        if iteration < 0:
-            raise ValueError(
-                f"iteration must be non-negative, got {iteration}")
-    misses: List[List[Tuple[KernelSpec, int]]] = []
+    # A pair's words are the same in every model's stream of it.
+    pair_words = [_pair_words(iteration, spec_entropy(spec))
+                  for spec, iteration in pairs]
+    misses: List[List[int]] = []    # per model: indices of the pairs it lacks
     flat = bytearray()      # every missing stream's words, back to back
     lengths: List[int] = []
     for model in models:
-        missing = [pair for pair in pairs if pair not in model._memo]
+        memo, seed_words = model._memo, model._seed_words
+        missing = [i for i, pair in enumerate(pairs) if pair not in memo]
         misses.append(missing)
-        for spec, iteration in missing:
-            row = _stream_words(model._seed_words, iteration,
-                                spec_entropy(spec))
+        for i in missing:
+            row = _stream_words(seed_words, pair_words[i])
             flat += row
             lengths.append(len(row) // 4)
     if not lengths:
@@ -387,6 +424,10 @@ def fill_memos(models: Sequence[LaunchKeyedNoise],
     start = 0
     for model, missing in zip(models, misses):
         stop = start + len(missing)
+        # Only a memo that holds some of the chunk already has entries
+        # that the eviction must spare.
+        keep = pairs if len(missing) < len(pairs) else ()
         with model._lock:
-            model._store(missing, keys[start:stop], keep=pairs)
+            model._store([pairs[i] for i in missing], keys[start:stop],
+                         keep=keep)
         start = stop

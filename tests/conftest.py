@@ -78,17 +78,18 @@ def fresh_platform():
 
 @pytest.fixture
 def derived_streams(monkeypatch):
-    """``(seed words, iteration, spec key)`` of every noise stream derived
-    while the test runs: the bulk fill and a lone memo miss both build
-    each stream's entropy words exactly once."""
+    """``(seed words, pair words)`` of every noise stream derived while
+    the test runs: the bulk fill and a lone memo miss both join each
+    stream's seed words to its ``(spec, iteration)`` words exactly once
+    (the fill builds a pair's words once for all seeds)."""
     from repro.platform import noise
 
     derived = []
     stream_words = noise._stream_words
 
-    def counting_words(seed_words, iteration, entropy):
-        derived.append((seed_words, iteration, entropy))
-        return stream_words(seed_words, iteration, entropy)
+    def counting_words(seed_words, pair_words):
+        derived.append((seed_words, pair_words))
+        return stream_words(seed_words, pair_words)
 
     monkeypatch.setattr(noise, "_stream_words", counting_words)
     return derived

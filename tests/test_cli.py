@@ -553,6 +553,16 @@ class TestMontecarloTrace:
         assert children == ["controller.session", "montecarlo.noise"]
         assert "sweep_cache_hits_total" in json.loads(metrics.read_text())
 
+    def test_repeated_application_counts_once(self, capsys):
+        """An application named twice is rolled out, printed and
+        weighted in the geomean once."""
+        assert main(["montecarlo", "--seeds", "2",
+                     "Sort", "Sort", "CoMD"]) == 0
+        repeated = capsys.readouterr().out
+        assert main(["montecarlo", "--seeds", "2", "Sort", "CoMD"]) == 0
+        assert repeated == capsys.readouterr().out
+        assert repeated.count("Sort") == 1
+
 
 class TestSweepStoreFlags:
     """--cache-dir / --no-cache and the telemetry-report --metrics line."""

@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import pickle
+import subprocess
 import sys
+import textwrap
 import threading
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +29,8 @@ from repro.errors import AnalysisError
 from repro.platform import noise
 from repro.platform.hd7970 import make_hd7970_platform
 from repro.platform.noise import (
-    NOISE_FLOOR, LaunchKeyedNoise, _stream_words, _words, fill_memos,
-    seed_sequence_keys, spec_entropy)
+    NOISE_FLOOR, LaunchKeyedNoise, _pair_words, _stream_words, _words,
+    fill_memos, seed_sequence_keys, spec_entropy)
 from repro.platform.sweepcache import SweepCache
 from repro.workloads.registry import all_kernels, get_application
 
@@ -221,8 +226,8 @@ leading_zero_entropies = st.builds(lambda high, shift: high << (32 * shift),
                                    st.integers(1, 3))
 #: the entropy words of one stream, as ``LaunchKeyedNoise`` builds them
 stream_rows = st.builds(
-    lambda seed, iteration, entropy: _stream_words(_words(seed), iteration,
-                                                   entropy),
+    lambda seed, iteration, entropy: _stream_words(
+        _words(seed), _pair_words(iteration, entropy)),
     key_ints, key_ints, st.one_of(key_ints, leading_zero_entropies))
 #: arbitrary entropy of 1-9 words, zero words included
 word_rows = st.lists(
@@ -247,6 +252,27 @@ def kernel_specs(draw):
         "launch_overhead": st.floats(0.0, 1e-3),
     }))
     return dataclasses.replace(base, **changes)
+
+
+#: the memo size of the fill fuzz: small enough that fills evict
+FUZZ_MEMO = 4
+
+
+@st.composite
+def fill_scenarios(draw):
+    """Distinct seeds, a pool of ``(spec, iteration)`` pairs and the steps
+    run over them: fills of a chunk of pool pairs (repeats allowed, at
+    most :data:`FUZZ_MEMO` distinct) and lone misses of one model."""
+    seeds = draw(st.lists(key_ints, min_size=1, max_size=4, unique=True))
+    pool = draw(st.lists(st.tuples(kernel_specs(), key_ints),
+                         min_size=1, max_size=6))
+    pair = st.integers(0, len(pool) - 1)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("fill"),
+                  st.lists(pair, min_size=1, max_size=FUZZ_MEMO)),
+        st.tuples(st.just("miss"), st.integers(0, len(seeds) - 1), pair),
+    ), min_size=1, max_size=6))
+    return seeds, pool, steps
 
 
 class TestDifferentialDerivation:
@@ -283,8 +309,9 @@ class TestDifferentialDerivation:
         "seed,iteration", [(0, 0), (2**32 - 1, 2**32), (2**64 + 3, 7)])
     def test_word_rule_matches_numpy_int_coercion(self, seed, iteration,
                                                   entropy):
-        key = np.frombuffer(_stream_words(_words(seed), iteration, entropy),
-                            dtype="<u4")
+        key = np.frombuffer(
+            _stream_words(_words(seed), _pair_words(iteration, entropy)),
+            dtype="<u4")
         assert key.dtype == np.uint32
         pool = np.random.SeedSequence(key).pool
         expected = np.random.SeedSequence([seed, iteration, entropy]).pool
@@ -327,6 +354,43 @@ class TestDifferentialDerivation:
                 assert multipliers.tobytes() == expected.tobytes()
                 assert clipped.tobytes() == expected_clipped.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=fill_scenarios(),
+           std=st.one_of(st.just(0.05), st.floats(1.0, 3.0)),
+           grid_size=st.sampled_from((1, 7, 448)))
+    def test_fills_and_misses_match_the_plain_derivation(
+            self, scenario, std, grid_size):
+        """Fills of chunks that the memos partly hold already (the
+        ``keep`` path) and lone misses, interleaved under a memo small
+        enough to evict, at a noise heavy enough to clip: after every
+        step each memo entry is the plain stream byte for byte, and a
+        fill leaves every pair of its chunk memoized."""
+        seeds, pool, steps = scenario
+        models = [LaunchKeyedNoise(std, seed, grid_size) for seed in seeds]
+        references = {}
+        with mock.patch.object(noise, "MEMO_SIZE", FUZZ_MEMO):
+            for step in steps:
+                if step[0] == "fill":
+                    chunk = [pool[i] for i in step[1]]
+                    fill_memos(models, chunk)
+                    for model in models:
+                        assert set(chunk) <= set(model._memo)
+                else:
+                    spec, iteration = pool[step[2]]
+                    models[step[1]].multipliers_for(spec, iteration)
+                for model in models:
+                    assert len(model._memo) <= FUZZ_MEMO
+                    for (spec, iteration), (multipliers, clipped) in \
+                            model._memo.items():
+                        key = (model.seed, spec, iteration)
+                        if key not in references:
+                            references[key] = reference_multipliers(
+                                *key, std, grid_size)
+                        expected, expected_clipped = references[key]
+                        assert multipliers.tobytes() == expected.tobytes()
+                        assert clipped.tobytes() == \
+                            expected_clipped.tobytes()
+
 
 class TestBulkDerivation:
     def test_rollout_pair_derives_each_stream_once(self, monkeypatch,
@@ -362,7 +426,7 @@ class TestBulkDerivation:
         streams = Counter((seed, spec, iteration) for seed in seeds
                           for spec, iteration in groups)
         assert Counter(derived_streams) == Counter(
-            (_words(seed), iteration, spec_entropy(spec))
+            (_words(seed), _words(iteration) + _words(spec_entropy(spec)))
             for seed, spec, iteration in streams)
         assert Counter(lookups) == streams
         assert max(memo_sizes) <= noise.MEMO_SIZE
@@ -384,6 +448,52 @@ class TestBulkDerivation:
             expected, _ = reference_multipliers(3, spec, iteration, 0.05, 10)
             assert multipliers.tobytes() == expected.tobytes()
         assert derived_streams == []
+
+    def test_entries_own_their_data(self):
+        """Each stream gets a read-only copy of its row of the fill's
+        block, not a view that would keep the whole block alive as long
+        as the memo holds any row of it; streams that did not clip share
+        one read-only all-False ``clipped``."""
+        light = [LaunchKeyedNoise(0.05, seed, 448) for seed in (0, 1)]
+        heavy = LaunchKeyedNoise(3.0, 2, 448)
+        fill_memos([*light, heavy], [(SPEC, 0), (OTHER, 1)])
+        filled = [entry for model in (*light, heavy)
+                  for entry in model._memo.values()]
+        missed = [model.multipliers_for(SPEC, 2) for model in (*light, heavy)]
+        assert len(filled) == 6
+        for multipliers, clipped in filled + missed:
+            assert multipliers.base is None
+            assert not multipliers.flags.writeable
+            assert clipped.base is None
+            assert not clipped.flags.writeable
+        for model in light:
+            for _, clipped in model._memo.values():
+                assert not clipped.any()
+        for _, clipped in heavy._memo.values():
+            assert clipped.any()
+
+    def test_fill_does_not_load_numpy_ma(self):
+        # Nothing else in `montecarlo` imports numpy.ma, so the fill must
+        # not either (np.unique would): its first load costs ~20 ms and
+        # ~1 MiB. Seeds of one and two words make two row lengths.
+        script = textwrap.dedent("""
+            import sys
+            from repro.platform.noise import LaunchKeyedNoise, fill_memos
+            from repro.workloads.registry import all_kernels
+
+            specs = [kernel.base for kernel in all_kernels()[:3]]
+            models = [LaunchKeyedNoise(0.05, seed, 448)
+                      for seed in (0, 1, 2**32)]
+            fill_memos(models, [(spec, i) for spec in specs
+                                for i in range(2)])
+            assert all(len(model._memo) == 6 for model in models)
+            print("numpy.ma" in sys.modules)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        child = subprocess.run([sys.executable, "-c", script], env=env,
+                               check=True, stdout=subprocess.PIPE, text=True)
+        assert child.stdout.strip() == "False"
 
     def test_fill_rejects_more_pairs_than_one_memo_holds(self, monkeypatch):
         monkeypatch.setattr(noise, "MEMO_SIZE", 2)
@@ -452,6 +562,47 @@ class TestSeedValidation:
         same, _ = LaunchKeyedNoise(0.05, equivalent, 10).multipliers_for(
             SPEC, 2)
         assert draws.tobytes() == same.tobytes()
+
+
+class TestIterationValidation:
+    @pytest.mark.parametrize("iteration,equivalent",
+                             [(np.int64(2), 2), (np.uint8(7), 7), (True, 1)])
+    def test_integer_like_iterations_key_their_value(self, iteration,
+                                                     equivalent):
+        """Both entry points coerce an iteration as ``SeedSequence``
+        coerces an int of its entropy list, and memoize it under the
+        int."""
+        expected, _ = reference_multipliers(3, SPEC, iteration, 0.05, 10)
+        same, _ = reference_multipliers(3, SPEC, equivalent, 0.05, 10)
+        assert expected.tobytes() == same.tobytes()
+        lone = LaunchKeyedNoise(0.05, 3, 10)
+        multipliers, _ = lone.multipliers_for(SPEC, iteration)
+        assert multipliers.tobytes() == expected.tobytes()
+        filled = LaunchKeyedNoise(0.05, 3, 10)
+        fill_memos([filled], [(SPEC, iteration)])
+        for model in (lone, filled):
+            ((spec, key),) = model._memo
+            assert type(key) is int and key == equivalent
+            multipliers, _ = model._memo[SPEC, equivalent]
+            assert multipliers.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("iteration", [2.0, "2", None])
+    def test_non_integer_iteration_rejected(self, iteration):
+        model = LaunchKeyedNoise(0.05, seed=3, grid_size=10)
+        model.multipliers_for(SPEC, 2)      # a memoized 2 serves no 2.0
+        with pytest.raises(TypeError):
+            model.multipliers_for(SPEC, iteration)
+        with pytest.raises(TypeError):
+            fill_memos([model], [(SPEC, iteration)])
+        assert list(model._memo) == [(SPEC, 2)]
+
+    def test_negative_numpy_iteration_rejected(self):
+        model = LaunchKeyedNoise(0.05, seed=3, grid_size=10)
+        with pytest.raises(ValueError):
+            model.multipliers_for(SPEC, np.int64(-1))
+        with pytest.raises(ValueError):
+            fill_memos([model], [(SPEC, np.int64(-1))])
+        assert not model._memo
 
 
 class TestSpecEntropyCache:
