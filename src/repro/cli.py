@@ -116,7 +116,7 @@ def span_telemetry(args: argparse.Namespace):
 
 def write_span_outputs(args: argparse.Namespace, telemetry) -> None:
     """Write the ``--trace`` Chrome span trace and the ``--metrics-out``
-    metrics registry (sweep-cache counters included) of a finished run."""
+    metrics registry (:func:`write_metrics`) of a finished run."""
     if args.trace:
         from repro.telemetry.spantrace import write_chrome_trace
         written = write_chrome_trace(args.trace, telemetry.spans.records())
@@ -124,6 +124,12 @@ def write_span_outputs(args: argparse.Namespace, telemetry) -> None:
               f"(open in Perfetto / chrome://tracing, or summarize "
               f"with: python -m repro telemetry-report "
               f"--spans {args.trace})")
+    write_metrics(args, telemetry)
+
+
+def write_metrics(args: argparse.Namespace, telemetry) -> None:
+    """Write the ``--metrics-out`` metrics registry of a finished run,
+    sweep-cache counters included (nothing without the flag)."""
     if args.metrics_out:
         from repro.platform.sweepcache import shared_cache
         shared_cache().publish(telemetry)

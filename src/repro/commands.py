@@ -14,7 +14,8 @@ import argparse
 import sys
 
 from repro.analysis.report import format_table
-from repro.cli import attach_store, span_telemetry, write_span_outputs
+from repro.cli import (attach_store, span_telemetry, write_metrics,
+                       write_span_outputs)
 from repro.experiments.context import ExperimentContext
 
 
@@ -114,11 +115,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"\ntelemetry trace: {sink.count} events written to "
                   f"{sink.path}\n(summarize with: python -m repro "
                   f"telemetry-report {sink.path})")
-        if args.metrics_out:
-            from repro.platform.sweepcache import shared_cache
-            shared_cache().publish(telemetry)
-            telemetry.metrics.write_json(args.metrics_out)
-            print(f"metrics written to {args.metrics_out}")
+        write_metrics(args, telemetry)
         if args.profile:
             from repro.telemetry.spantrace import format_span_report
             print("\nspan profile of the run:")

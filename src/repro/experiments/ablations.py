@@ -4,23 +4,27 @@ The paper fixes several controller constants empirically (Section 5.2:
 the HIGH/MED/LOW bin edges and per-bin tunable values; the FG dithering
 bound) and relies on properties it does not isolate (the performance-
 feedback guard, counter smoothing, predictor provenance, measurement
-noise). Each ablation here re-runs the full 14-application evaluation with
-one knob moved and reports the headline triplet (ED² gain, performance
-delta, power saving), so the contribution of each design choice is
-measurable.
+noise). Each ablation here runs the full 14-application evaluation with
+one knob moved per variant and reports each variant's headline triplet
+(ED² gain, performance delta, power saving), so the contribution of each
+design choice is measurable. A study's variants are Harmonia policies
+named by their row label, evaluated in one harness call, so the baseline
+runs once per application, not once per variant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
 
 if TYPE_CHECKING:
     from repro.core.harmonia import HarmoniaPolicy
+    from repro.core.policy import PowerPolicy
     from repro.platform.hd7970 import HardwarePlatform
+    from repro.workloads.application import Application
 
 
 @dataclass(frozen=True)
@@ -52,30 +56,43 @@ class AblationResult:
         return max(self.rows, key=lambda r: r.ed2)
 
 
-def _headline(context: ExperimentContext,
-              make_policy: Callable[[], HarmoniaPolicy],
-              platform: HardwarePlatform = None) -> Tuple[float, float, float]:
+def _rows(platform: HardwarePlatform, applications: Sequence[Application],
+          policies: Sequence[PowerPolicy]) -> Tuple[AblationRow, ...]:
+    """Evaluate ``policies`` against the baseline in one harness call (the
+    baseline runs once per application), one row per policy, named by
+    the policy."""
     from repro.analysis.evaluation import EvaluationHarness
     from repro.core.baseline import BaselinePolicy
 
-    platform = platform or context.platform
     harness = EvaluationHarness(platform, BaselinePolicy(platform.config_space))
-    summary = harness.evaluate(context.applications, [make_policy()])
-    name = make_policy().name
-    return (
-        summary.geomean_ed2(name),
-        summary.geomean_performance(name),
-        summary.geomean_power(name),
+    summary = harness.evaluate(applications, policies)
+    return tuple(
+        AblationRow(
+            variant=policy.name,
+            ed2=summary.geomean_ed2(policy.name),
+            performance=summary.geomean_performance(policy.name),
+            power=summary.geomean_power(policy.name),
+        )
+        for policy in policies
     )
 
 
-def _policy(context: ExperimentContext, **kwargs) -> HarmoniaPolicy:
+def _study(context: ExperimentContext, study: str,
+           policies: Sequence[PowerPolicy]) -> AblationResult:
+    """One study: every variant on the context's platform and roster."""
+    return AblationResult(study=study, rows=_rows(
+        context.platform, context.applications, policies))
+
+
+def _policy(context: ExperimentContext, label: str,
+            **kwargs) -> HarmoniaPolicy:
+    """Harmonia on the context's predictors, reported as ``label``."""
     from repro.core.harmonia import HarmoniaPolicy
 
     training = context.training
     return HarmoniaPolicy(
         context.platform.config_space, training.compute, training.bandwidth,
-        **kwargs,
+        policy_name=label, **kwargs,
     )
 
 
@@ -86,66 +103,47 @@ def ablate_bin_edges(context: ExperimentContext) -> AblationResult:
     """Sensitivity-bin edges (paper: <30% / 30-70% / >70%)."""
     from repro.sensitivity.binning import SensitivityBins
 
-    rows = []
+    policies = []
     for low, high in ((0.20, 0.60), (0.30, 0.70), (0.40, 0.80), (0.30, 0.90)):
-        bins = SensitivityBins(low_edge=low, high_edge=high)
-        ed2, perf, power = _headline(
-            context, lambda b=bins: _policy(context, bins=b)
-        )
         label = f"edges {low:.0%}/{high:.0%}"
         if (low, high) == (0.30, 0.70):
             label += " (paper)"
-        rows.append(AblationRow(variant=label, ed2=ed2, performance=perf,
-                                power=power))
-    return AblationResult(study="sensitivity bin edges", rows=tuple(rows))
+        policies.append(_policy(
+            context, label,
+            bins=SensitivityBins(low_edge=low, high_edge=high)))
+    return _study(context, "sensitivity bin edges", policies)
 
 
 def ablate_fg_tolerance(context: ExperimentContext) -> AblationResult:
     """The FG performance-feedback tolerance (default 1%)."""
-    rows = []
+    policies = []
     for tolerance in (0.002, 0.01, 0.03, 0.10):
-        ed2, perf, power = _headline(
-            context, lambda t=tolerance: _policy(context, tolerance=t)
-        )
         label = f"tolerance {tolerance:.1%}"
         if tolerance == 0.01:
             label += " (default)"
-        rows.append(AblationRow(variant=label, ed2=ed2, performance=perf,
-                                power=power))
-    return AblationResult(study="FG feedback tolerance", rows=tuple(rows))
+        policies.append(_policy(context, label, tolerance=tolerance))
+    return _study(context, "FG feedback tolerance", policies)
 
 
 def ablate_max_dithering(context: ExperimentContext) -> AblationResult:
     """The FG dithering bound before convergence (Algorithm 1)."""
-    rows = []
+    policies = []
     for bound in (2, 4, 8, 16):
-        ed2, perf, power = _headline(
-            context, lambda b=bound: _policy(context, max_dithering=b)
-        )
         label = f"max dithering {bound}"
         if bound == 8:
             label += " (default)"
-        rows.append(AblationRow(variant=label, ed2=ed2, performance=perf,
-                                power=power))
-    return AblationResult(study="FG dithering bound", rows=tuple(rows))
+        policies.append(_policy(context, label, max_dithering=bound))
+    return _study(context, "FG dithering bound", policies)
 
 
 def ablate_fg_disabled(context: ExperimentContext) -> AblationResult:
     """CG-only vs FG+CG vs FG-heavy (no CG jumps beyond the first)."""
-    variants = (
-        ("CG only", dict(enable_fg=False)),
-        ("FG+CG (Harmonia)", dict()),
-        ("FG impatient (patience 1)", dict(fg_patience=1)),
-        ("FG patient (patience 4)", dict(fg_patience=4)),
-    )
-    rows = []
-    for label, kwargs in variants:
-        ed2, perf, power = _headline(
-            context, lambda k=kwargs: _policy(context, **k)
-        )
-        rows.append(AblationRow(variant=label, ed2=ed2, performance=perf,
-                                power=power))
-    return AblationResult(study="CG/FG composition", rows=tuple(rows))
+    return _study(context, "CG/FG composition", [
+        _policy(context, "CG only", enable_fg=False),
+        _policy(context, "FG+CG (Harmonia)"),
+        _policy(context, "FG impatient (patience 1)", fg_patience=1),
+        _policy(context, "FG patient (patience 4)", fg_patience=4),
+    ])
 
 
 def ablate_predictor_source(context: ExperimentContext) -> AblationResult:
@@ -160,21 +158,12 @@ def ablate_predictor_source(context: ExperimentContext) -> AblationResult:
     from repro.sensitivity.predictor import (
         PAPER_BANDWIDTH_PREDICTOR, PAPER_COMPUTE_PREDICTOR)
 
-    training = context.training
-    space = context.platform.config_space
-    variants = (
-        ("refit on this substrate",
-         lambda: HarmoniaPolicy(space, training.compute, training.bandwidth)),
-        ("paper Table 3 verbatim",
-         lambda: HarmoniaPolicy(space, PAPER_COMPUTE_PREDICTOR,
-                                PAPER_BANDWIDTH_PREDICTOR)),
-    )
-    rows = []
-    for label, factory in variants:
-        ed2, perf, power = _headline(context, factory)
-        rows.append(AblationRow(variant=label, ed2=ed2, performance=perf,
-                                power=power))
-    return AblationResult(study="predictor provenance", rows=tuple(rows))
+    return _study(context, "predictor provenance", [
+        _policy(context, "refit on this substrate"),
+        HarmoniaPolicy(context.platform.config_space,
+                       PAPER_COMPUTE_PREDICTOR, PAPER_BANDWIDTH_PREDICTOR,
+                       policy_name="paper Table 3 verbatim"),
+    ])
 
 
 def ablate_measurement_noise(context: ExperimentContext) -> AblationResult:
@@ -182,36 +171,26 @@ def ablate_measurement_noise(context: ExperimentContext) -> AblationResult:
 
     The paper averages repeated runs to remove variance (Section 6); the
     online controller still sees noisy per-launch feedback. This study
-    runs the whole evaluation on noisy platforms.
+    runs the whole evaluation on noisy platforms, one per variant, each
+    with predictors trained on it.
     """
-    from repro.analysis.evaluation import EvaluationHarness
-    from repro.core.baseline import BaselinePolicy
     from repro.core.harmonia import HarmoniaPolicy
     from repro.platform.hd7970 import make_hd7970_platform
     from repro.sensitivity.predictor import train_predictors
     from repro.workloads.registry import all_applications
 
-    rows = []
+    rows: List[AblationRow] = []
     for noise in (0.0, 0.005, 0.02, 0.05):
         platform = make_hd7970_platform(noise_std_fraction=noise, seed=17)
         applications = all_applications()
         training = train_predictors(platform, applications)
-        harness = EvaluationHarness(
-            platform, BaselinePolicy(platform.config_space)
-        )
-        policy = HarmoniaPolicy(
-            platform.config_space, training.compute, training.bandwidth
-        )
-        summary = harness.evaluate(applications, [policy])
         label = f"noise {noise:.1%}"
         if noise == 0.0:
             label += " (default)"
-        rows.append(AblationRow(
-            variant=label,
-            ed2=summary.geomean_ed2("harmonia"),
-            performance=summary.geomean_performance("harmonia"),
-            power=summary.geomean_power("harmonia"),
-        ))
+        rows.extend(_rows(platform, applications, [HarmoniaPolicy(
+            platform.config_space, training.compute, training.bandwidth,
+            policy_name=label,
+        )]))
     return AblationResult(study="measurement noise", rows=tuple(rows))
 
 

@@ -91,11 +91,6 @@ class ConfigSpace:
     # --- basic accessors ----------------------------------------------------
 
     @property
-    def arch(self) -> GpuArchitecture:
-        """The underlying architecture description."""
-        return self._arch
-
-    @property
     def cu_counts(self) -> Tuple[int, ...]:
         """Supported active-CU counts, ascending."""
         return self._cu_counts

@@ -79,8 +79,8 @@ def _frozen(values: List[float]) -> np.ndarray:
 
 
 #: ``id(configs) -> ConfigGrid``; each grid holds its tuple, so the id
-#: stays taken while the entry lives. Surfaces reuse a few tuples (the
-#: platform grid and the store's decoded grid), so the memo stays tiny.
+#: stays taken while the entry lives. Computed and store-loaded surfaces
+#: share their architecture's one configs tuple, so the memo stays tiny.
 _GRIDS: Dict[int, ConfigGrid] = {}
 
 

@@ -75,11 +75,6 @@ class PerformanceModel:
         self._controller = controller
         self._clock_domains = clock_domains
 
-    @property
-    def arch(self) -> GpuArchitecture:
-        """The modelled architecture."""
-        return self._arch
-
     # --- pieces -----------------------------------------------------------------
 
     def _wavefront_count(self, spec: KernelSpec) -> int:

@@ -37,7 +37,8 @@ from repro.perf.model import PerformanceModel
 from repro.perf.result import KernelRunResult
 from repro.platform.calibration import (PlatformCalibration, default_calibration, pitcairn_calibration)
 from repro.platform.noise import NOISE_FLOOR, LaunchKeyedNoise
-from repro.platform.sweepcache import SweepCache, shared_cache, sweep_key
+from repro.platform.sweepcache import (SweepCache, grid_space, shared_cache,
+                                       sweep_key)
 from repro.power.board import BoardPowerModel
 from repro.telemetry.spans import ambient_telemetry
 
@@ -64,7 +65,7 @@ class HardwarePlatform:
         """
         self._cal = calibration or default_calibration()
         arch = self._cal.arch
-        self._space = ConfigSpace(arch)
+        self._space = grid_space(arch)
         controller = MemoryControllerModel(arch=arch, timing=self._cal.gddr5_timing)
         self._perf = PerformanceModel(
             arch=arch,
@@ -103,7 +104,9 @@ class HardwarePlatform:
 
     @property
     def config_space(self) -> ConfigSpace:
-        """The ~450-point hardware configuration grid."""
+        """The ~450-point hardware configuration grid, shared by every
+        platform of this architecture
+        (:func:`~repro.platform.sweepcache.grid_space`)."""
         return self._space
 
     @property

@@ -27,6 +27,17 @@ build under the same ``.npz`` filename) reads as an invalid record and
 is recomputed and rewritten. Only the grid codec and the ``.npy``
 members import numpy: a record without array members (a result-manifest
 entry keeps its text in the header) reads and writes without it.
+
+A grid record (schema 2) keeps only what its key cannot rebuild: one
+``(12, n)`` float64 ``stack`` of the per-config surfaces and one
+``uint8`` ``limit_codes`` array of indices into
+:data:`~repro.perf.batch.BANDWIDTH_LIMITS`. It stores no configs: the
+key names the grid, and a load takes that grid's shared ``configs``
+tuple (:func:`~repro.platform.sweepcache.grid_configs`), so a loaded
+surface holds the same tuple as a computed one. A record whose width is
+not the grid's size, or whose limit code is out of range, is an invalid
+miss.
+
 Properties:
 
 * **atomic** — writes go to a unique tempfile in the store directory and
@@ -57,17 +68,19 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, NamedTuple, Optional, Tuple)
 
-from repro.gpu.config import HardwareConfig
 from repro.telemetry.spans import ambient_telemetry
 
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.gpu.config import HardwareConfig
     from repro.perf.batch import BatchRunResult
 
 #: Bump whenever the record layout changes; older records then read as
-#: misses and are transparently recomputed and rewritten.
-STORE_SCHEMA_VERSION = 1
+#: misses and are transparently recomputed and rewritten. The CI store
+#: cache key (``sweep-store-v2-`` in ``.github/workflows/ci.yml``)
+#: carries the same number.
+STORE_SCHEMA_VERSION = 2
 
 #: Record kind of full-grid :class:`BatchRunResult` surfaces.
 GRID_KIND = "grid"
@@ -98,12 +111,14 @@ _RAW_MAGIC = b"\x93RPROSTORE\x01\n"
 #: all the name must provide — atomicity comes from :func:`os.replace`.
 _TMP_SEQ = itertools.count()
 
-#: Row order of the stacked per-config float64 surfaces in a grid record.
+#: Row order of the stacked per-config float64 surfaces in a grid
+#: record. The record holds no configs: its key names the grid, and the
+#: columns are in that grid's order.
 _GRID_ARRAYS = (
     "time", "compute_time", "memory_time", "overlap_residue",
     "achieved_bandwidth", "gpu_power", "memory_power",
     "valu_busy", "mem_unit_busy", "mem_unit_stalled",
-    "write_unit_stalled", "ic_activity", "cfg_f_cu", "cfg_f_mem",
+    "write_unit_stalled", "ic_activity",
 )
 
 #: Config-invariant scalars kept in the JSON metadata via ``float.hex``.
@@ -243,14 +258,15 @@ def batch_to_record(
     Only the independent surfaces are stored; derived quantities
     (``card_power``, ``energy``, ``ed``/``ed2``) are recomputed by the
     :class:`BatchRunResult` constructor on load with the same float
-    operations, so the round trip is bitwise identical.
+    operations, so the round trip is bitwise identical. The configs are
+    not stored: the record's key names its grid (see
+    :func:`batch_from_record`).
     """
     import numpy as np
 
-    from repro.perf.batch import config_grid
+    from repro.perf.batch import BANDWIDTH_LIMITS
 
     counters = batch.counters
-    grid = config_grid(batch.configs)
     columns = {
         "time": batch.time,
         "compute_time": batch.compute_time,
@@ -264,17 +280,16 @@ def batch_to_record(
         "mem_unit_stalled": counters.mem_unit_stalled,
         "write_unit_stalled": counters.write_unit_stalled,
         "ic_activity": counters.ic_activity,
-        "cfg_f_cu": grid.f_cu,
-        "cfg_f_mem": grid.f_mem,
     }
-    # One stacked 2D array instead of 14 npz members: each member costs
-    # a zip entry plus a header parse on load, and record loads are the
+    # One stacked 2D array instead of a member per surface: each member
+    # costs a header write and parse, and record loads are the
     # warm-start hot path. np.stack copies values verbatim, so the
     # round trip stays bitwise.
     arrays: Dict[str, np.ndarray] = {
         "stack": np.stack([columns[name] for name in _GRID_ARRAYS]),
-        "cfg_n_cu": grid.n_cu.astype(np.int64),
-        "bandwidth_limit": np.array(batch.bandwidth_limit, dtype=str),
+        "limit_codes": np.fromiter(
+            map(BANDWIDTH_LIMITS.index, batch.bandwidth_limit),
+            dtype=np.uint8, count=len(batch.bandwidth_limit)),
     }
     occupancy = batch.occupancy
     meta: Dict[str, Any] = {
@@ -297,36 +312,22 @@ def batch_to_record(
     return arrays, meta
 
 
-#: Reconstructed config tuples, keyed by the raw bytes of the config
-#: columns. Every grid record of one platform shares the same ~450-point
-#: grid, so one reconstruction serves all of a process's record loads.
-_CONFIGS_MEMO: Dict[Tuple[bytes, bytes, bytes], Tuple[HardwareConfig, ...]] = {}
-
-
-def _configs_from_arrays(
-    n_cu: np.ndarray, f_cu: np.ndarray, f_mem: np.ndarray
-) -> Tuple[HardwareConfig, ...]:
-    memo_key = (n_cu.tobytes(), f_cu.tobytes(), f_mem.tobytes())
-    configs = _CONFIGS_MEMO.get(memo_key)
-    if configs is None:
-        configs = tuple(
-            HardwareConfig(n_cu=int(n), f_cu=float(f), f_mem=float(m))
-            for n, f, m in zip(n_cu, f_cu, f_mem)
-        )
-        if len(_CONFIGS_MEMO) >= 64:
-            _CONFIGS_MEMO.clear()
-        _CONFIGS_MEMO[memo_key] = configs
-    return configs
-
-
 def batch_from_record(
-    arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
+    arrays: Dict[str, np.ndarray], meta: Dict[str, Any],
+    configs: Tuple[HardwareConfig, ...],
 ) -> BatchRunResult:
     """Rebuild a :class:`BatchRunResult` from a loaded record.
 
+    Args:
+        arrays, meta: the record, as :func:`batch_to_record` wrote it.
+        configs: the grid the record's key names, in surface order; the
+            surface holds this very tuple.
+
     Raises:
-        Exception: any malformation (missing arrays, length mismatches,
-            bad scalar encodings) — the store turns it into a miss.
+        Exception: any malformation (missing arrays, a width other than
+            ``len(configs)``, a limit code outside
+            :data:`~repro.perf.batch.BANDWIDTH_LIMITS`, bad scalar
+            encodings) — the store turns it into a miss.
     """
     import numpy as np
 
@@ -335,13 +336,12 @@ def batch_from_record(
                                   BatchModelOutput, BatchRunResult)
 
     stack = arrays["stack"]
-    if (stack.ndim != 2 or stack.shape[0] != len(_GRID_ARRAYS)
-            or stack.dtype != np.float64):
-        raise ValueError("malformed grid stack")
-    n = int(stack.shape[1])
+    codes = arrays["limit_codes"]
+    n = len(configs)
+    if (stack.shape != (len(_GRID_ARRAYS), n) or stack.dtype != np.float64
+            or codes.shape != (n,) or codes.dtype != np.uint8):
+        raise ValueError("record is not a surface over its key's grid")
     columns = dict(zip(_GRID_ARRAYS, stack))
-    if arrays["cfg_n_cu"].shape != (n,) or arrays["bandwidth_limit"].shape != (n,):
-        raise ValueError("malformed grid record")
 
     scalars = {
         name: float.fromhex(meta["scalars"][name]) for name in _GRID_SCALARS
@@ -373,15 +373,11 @@ def batch_from_record(
         time=columns["time"],
         achieved_bandwidth=columns["achieved_bandwidth"],
         occupancy=occupancy,
-        # The shared name objects, as a computed surface holds them; an
-        # unknown name is a malformed record.
-        bandwidth_limit=tuple(map(
-            dict(zip(BANDWIDTH_LIMITS, BANDWIDTH_LIMITS)).__getitem__,
-            arrays["bandwidth_limit"].tolist())),
+        # The shared name objects, as a computed surface holds them; a
+        # code past the tuple raises, so the record is a miss.
+        bandwidth_limit=tuple(map(BANDWIDTH_LIMITS.__getitem__,
+                                  codes.tolist())),
         counters=counters,
-    )
-    configs = _configs_from_arrays(
-        arrays["cfg_n_cu"], columns["cfg_f_cu"], columns["cfg_f_mem"]
     )
     return BatchRunResult(
         kernel_name=str(meta["kernel_name"]),
@@ -630,6 +626,12 @@ class SweepStore:
         return self.save_record(GRID_KIND, key, arrays, meta=meta)
 
     def load_batch(self, key: Any) -> Optional[BatchRunResult]:
-        """Load one grid surface, or None on any kind of miss — a record
-        that reads but does not decode into a grid is an invalid miss."""
-        return self.load_record(GRID_KIND, key, decode=batch_from_record)
+        """Load one grid surface over the grid ``key`` names
+        (:func:`~repro.platform.sweepcache.grid_configs`), or None on any
+        kind of miss — a record that reads but does not decode into that
+        grid is an invalid miss."""
+        from repro.platform.sweepcache import grid_configs
+
+        return self.load_record(
+            GRID_KIND, key, decode=lambda arrays, meta: batch_from_record(
+                arrays, meta, grid_configs(key)))

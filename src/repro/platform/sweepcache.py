@@ -53,30 +53,48 @@ from repro.platform.store import keep_encoding
 
 if TYPE_CHECKING:
     from repro.gpu.architecture import GpuArchitecture
+    from repro.gpu.config import HardwareConfig
     from repro.perf.batch import BatchRunResult
     from repro.perf.kernelspec import KernelSpec
     from repro.platform.calibration import PlatformCalibration
 
 
-#: ``id(arch) -> (arch, axes)``: each architecture's grid-axis tuple,
-#: built once, so every sweep key of that architecture holds the same
-#: tuple and the store's encoding memo serves its text. Identity keys it
-#: for the same reason as the memo (equal values can encode differently);
-#: holding the architecture keeps its id from being reused.
-_GRID_AXES: Dict[int, Tuple["GpuArchitecture", tuple]] = {}
+#: ``id(arch) -> (arch, space, axes)``: each architecture's one
+#: :class:`ConfigSpace` and grid-axis tuple, built once. Every platform
+#: of that architecture takes this space, and the store decodes grid
+#: records against its ``configs``, so computed and loaded surfaces hold
+#: one tuple. Every sweep key holds the same axis tuple, so the store's
+#: encoding memo serves its text. Identity keys it for the same reason
+#: as that memo (equal values can encode differently); holding the
+#: architecture keeps its id from being reused.
+_GRID_SPACES: Dict[int, Tuple["GpuArchitecture", ConfigSpace, tuple]] = {}
 
 
-def _grid_axes(arch: "GpuArchitecture") -> tuple:
-    """``(cu_counts, compute_freqs, mem_freqs)`` of ``arch``'s grid."""
-    entry = _GRID_AXES.get(id(arch))
+def _grid_entry(
+        arch: "GpuArchitecture") -> Tuple["GpuArchitecture", ConfigSpace, tuple]:
+    """``(arch, space, (cu_counts, compute_freqs, mem_freqs))``."""
+    entry = _GRID_SPACES.get(id(arch))
     if entry is None:
         space = ConfigSpace(arch)
         axes = keep_encoding((space.cu_counts, space.compute_frequencies,
                               space.memory_frequencies))
-        if len(_GRID_AXES) >= 64:
-            _GRID_AXES.clear()
-        entry = _GRID_AXES[id(arch)] = (arch, axes)
-    return entry[1]
+        if len(_GRID_SPACES) >= 64:
+            _GRID_SPACES.clear()
+        entry = _GRID_SPACES[id(arch)] = (arch, space, axes)
+    return entry
+
+
+def grid_space(arch: "GpuArchitecture") -> ConfigSpace:
+    """The one configuration grid of ``arch`` that platforms and store
+    loads share."""
+    return _grid_entry(arch)[1]
+
+
+def grid_configs(key: Hashable) -> Tuple["HardwareConfig", ...]:
+    """The configurations of the grid a :func:`sweep_key` names, in
+    surface order: its architecture's shared ``configs`` tuple."""
+    calibration, _, _ = key
+    return grid_space(calibration.arch).configs
 
 
 def sweep_key(calibration: "PlatformCalibration",
@@ -88,7 +106,7 @@ def sweep_key(calibration: "PlatformCalibration",
     The one spelling of the key, shared by both cache tiers and the
     ``reproduce`` fingerprint.
     """
-    return (calibration, spec, _grid_axes(calibration.arch))
+    return (calibration, spec, _grid_entry(calibration.arch)[2])
 
 
 class TierStats(NamedTuple):

@@ -142,11 +142,6 @@ class ResultManifest:
     def __init__(self, store: SweepStore):
         self._store = store
 
-    @property
-    def store(self) -> SweepStore:
-        """The backing content-addressed store."""
-        return self._store
-
     def load(self, key: Tuple) -> Optional[str]:
         """The stored report text for ``key``, or None on any miss."""
         # A record without a header ``report`` (the version-1 layout kept

@@ -96,11 +96,6 @@ class BatchSessionRunner:
         self._platform = platform
         self._telemetry = coalesce(telemetry)
 
-    @property
-    def platform(self) -> HardwarePlatform:
-        """The default test bed."""
-        return self._platform
-
     def run(self, application: Application,
             policy: PowerPolicy) -> RunResult:
         """Run a single session (one-lane convenience wrapper)."""

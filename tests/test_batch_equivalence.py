@@ -265,6 +265,7 @@ class TestGeneratedKernels:
                 assert _same_bits(batch.other_power, loaded.other_power)
                 assert loaded.kernel_name == batch.kernel_name
                 assert loaded.configs == batch.configs
+                assert loaded.configs is platform.config_space.configs, name
                 assert loaded.occupancy == batch.occupancy
                 assert loaded.bandwidth_limit == batch.bandwidth_limit
                 assert _only_shared_limit_names(loaded), name

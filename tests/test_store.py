@@ -217,7 +217,7 @@ class TestEncodingMemo:
         # Every grid key of one architecture holds the same axis tuple,
         # and the memo serves its text: a second kernel's key encodes
         # the tuple with one call instead of walking its 23 numbers.
-        monkeypatch.setattr(sweepcache_module, "_GRID_AXES", {})
+        monkeypatch.setattr(sweepcache_module, "_GRID_SPACES", {})
         platform = make_hd7970_platform()
         first, second = (platform.sweep_cache_key(kernel.base)
                          for kernel in all_kernels()[:2])
@@ -281,7 +281,8 @@ class TestResolveStoreDir:
 class TestRoundTrip:
     def test_record_round_trip_is_bitwise(self, platform):
         batch = platform.grid_sweep(all_kernels()[0].base)
-        rebuilt = batch_from_record(*batch_to_record(batch))
+        rebuilt = batch_from_record(*batch_to_record(batch),
+                                    platform.config_space.configs)
         _assert_batches_bitwise_equal(batch, rebuilt)
 
     def test_store_round_trip_is_bitwise(self, store, platform):
@@ -413,16 +414,29 @@ class TestRobustness:
         assert stats.hits == 0
         assert stats.invalid_records == 1
 
+    @pytest.mark.parametrize("breakage", [
+        "short_stack", "narrow_grid", "limit_code_out_of_range"])
     def test_undecodable_grid_is_accounted_once_as_a_miss(self, tmp_path,
-                                                          platform):
-        """A well-formed raw record whose ``stack`` has the wrong row
-        count is a miss in every counter: stats, bytes and telemetry."""
+                                                          platform,
+                                                          breakage):
+        """A well-formed raw record that is not a surface over its key's
+        grid — a ``stack`` with the wrong row count, a width other than
+        the grid's size, a limit code past ``BANDWIDTH_LIMITS`` — is a
+        miss in every counter: stats, bytes and telemetry."""
+        from repro.perf.batch import BANDWIDTH_LIMITS
+
         telemetry = Telemetry()
         store = SweepStore(tmp_path / "s")
         spec = all_kernels()[0].base
         key = _grid_key(platform, spec)
         arrays, meta = batch_to_record(platform.grid_sweep(spec))
-        arrays["stack"] = arrays["stack"][:-1]
+        if breakage == "short_stack":
+            arrays["stack"] = arrays["stack"][:-1]
+        elif breakage == "narrow_grid":
+            arrays["stack"] = arrays["stack"][:, :-1]
+            arrays["limit_codes"] = arrays["limit_codes"][:-1]
+        else:
+            arrays["limit_codes"][7] = len(BANDWIDTH_LIMITS)
         with telemetry.span("test"):
             assert store.save_record(GRID_KIND, key, arrays, meta=meta)
             assert store.load_batch(key) is None
@@ -461,6 +475,46 @@ class TestRobustness:
         assert (stats.hits, stats.invalid_records) == (0, 1)
         assert path.read_bytes().startswith(store_module._RAW_MAGIC)
         _assert_batches_bitwise_equal(batch, store.load_batch(key))
+
+    def test_schema_1_grid_record_is_invalid_miss_and_rewritten(
+            self, tmp_path, fresh_platform):
+        """A grid record in the schema-1 layout (a 14-row stack ending in
+        the ``f_cu``/``f_mem`` columns, ``cfg_n_cu`` and the limits as
+        ``<U10`` names) misses as invalid, is recomputed bitwise, and the
+        write-through replaces it with a schema-2 record."""
+        from repro.perf.batch import config_grid
+
+        spec = all_kernels()[1].base
+        store = SweepStore(tmp_path / "s")
+        key = _grid_key(fresh_platform, spec)
+        batch = fresh_platform.grid_sweep(spec)
+        path = store.path_for(GRID_KIND, key)
+        arrays, meta = batch_to_record(batch)
+        grid = config_grid(batch.configs)
+        arrays = {
+            "stack": np.vstack([arrays["stack"], grid.f_cu, grid.f_mem]),
+            "cfg_n_cu": grid.n_cu.astype(np.int64),
+            "bandwidth_limit": np.array(batch.bandwidth_limit, dtype=str),
+        }
+        meta.update(schema=1, kind=GRID_KIND,
+                    digest=path.stem.split("-", 1)[1])
+        with open(path, "wb") as fh:
+            store_module._write_raw_record(fh, meta, arrays)
+        assert store_module._read_record(path)[1]["schema"] == 1
+
+        cache = SweepCache(store=store)
+        again = fresh_platform.grid_sweep(spec, cache=cache)
+        _assert_batches_bitwise_equal(batch, again)
+        stats = store.stats()
+        assert (stats.hits, stats.invalid_records) == (0, 1)
+        rewritten, rewritten_meta = store_module._read_record(path)
+        assert rewritten_meta["schema"] == 2
+        assert sorted(rewritten) == ["limit_codes", "stack"]
+        assert rewritten["stack"].shape == (12, len(batch.configs))
+        assert rewritten["limit_codes"].dtype == np.uint8
+        loaded = store.load_batch(key)
+        _assert_batches_bitwise_equal(batch, loaded)
+        assert loaded.configs is fresh_platform.config_space.configs
 
 
 # --- generic array records -------------------------------------------------------
