@@ -26,8 +26,8 @@ Results land in machine-readable JSON (``BENCH_warmstart.json``)::
 
 Exits non-zero when the warm speedup falls below ``--min-speedup``
 (default 5x), when any report differs, or when any round trip diverges.
-CI restores the store directory with ``actions/cache``, so even the
-"cold" CI run usually warm-starts from a previous build's surfaces.
+CI restores the store directory with ``actions/cache`` from an earlier
+run of the same source, so even the "cold" CI run can warm-start.
 """
 
 from __future__ import annotations

@@ -84,8 +84,7 @@ def _run_reports(args: argparse.Namespace,
     stored, the others serve. The manifest is off under ``--no-cache``
     and ``--no-incremental``.
     """
-    from repro.experiments.registry import (
-        reproduce_fingerprint, reproduce_specs)
+    from repro.experiments.registry import reproduce_specs
     from repro.runtime.pipeline import ExperimentPipeline, ResultManifest
 
     store = attach_store(args)
@@ -97,9 +96,7 @@ def _run_reports(args: argparse.Namespace,
                  include_ablations=getattr(args, "ablations", False))
              if reports is None or not spec.is_report
              or spec.name in reports]
-    pipeline = ExperimentPipeline(
-        specs, context, manifest=manifest,
-        fingerprint=reproduce_fingerprint(context))
+    pipeline = ExperimentPipeline(specs, context, manifest=manifest)
     return pipeline.run(emit), context, store
 
 
@@ -273,6 +270,17 @@ def _output_path(text: str) -> str:
     return text
 
 
+def _output_dir(text: str) -> str:
+    """An argparse type: a directory to write into, made if missing, so
+    no existing file may stand on its path."""
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} is not a directory")
+    return text
+
+
 def _noise_fraction(text: str) -> float:
     """An argparse type: a finite, positive noise fraction."""
     try:
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce", help="regenerate every table/figure report",
         parents=[cache_p, span_p],
     )
-    repro_p.add_argument("--output", default="reports",
+    repro_p.add_argument("--output", type=_output_dir, default="reports",
                          help="output directory (default: ./reports)")
     repro_p.add_argument("--ablations", action="store_true",
                          help="also run the six ablation studies")

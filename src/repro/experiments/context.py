@@ -6,15 +6,14 @@ is not free; every experiment that needs them shares one cached instance.
 
 Everything is built on first use, and the model stack is imported there
 too: a ``reproduce`` run whose reports all come from the result manifest
-reads only :attr:`ExperimentContext.calibration` and
-:attr:`ExperimentContext.applications`, and never loads the platform,
-the policies or numpy.
+reads nothing from its context, and never loads the platform, the
+workloads, the policies or numpy.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:
     from repro.analysis.evaluation import EvaluationSummary
@@ -22,16 +21,9 @@ if TYPE_CHECKING:
     from repro.core.harmonia import HarmoniaPolicy
     from repro.core.oracle import OraclePolicy
     from repro.core.variants import ComputeDvfsOnlyPolicy
-    from repro.platform.calibration import PlatformCalibration
     from repro.platform.hd7970 import HardwarePlatform
     from repro.sensitivity.predictor import TrainingReport
     from repro.workloads.application import Application
-
-#: The Figures 10-13 candidate policies, in presentation order. The
-#: shared evaluation matrix runs them plus ``dvfs-only`` (Section 7.2).
-#: Defined here, beside the matrix, because the ``evaluation`` pipeline
-#: node folds them into its manifest key.
-EVALUATION_POLICIES: Tuple[str, ...] = ("cg-only", "harmonia", "oracle")
 
 
 class ExperimentContext:
@@ -71,14 +63,6 @@ class ExperimentContext:
                         self._platform = make_hd7970_platform()
                 platform = self._platform
         return platform
-
-    @property
-    def calibration(self) -> PlatformCalibration:
-        """The test bed's calibration; reading it builds no platform."""
-        if self._platform is not None:
-            return self._platform.calibration
-        from repro.platform.calibration import default_calibration
-        return default_calibration()
 
     @property
     def applications(self) -> List[Application]:

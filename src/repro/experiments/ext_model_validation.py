@@ -120,8 +120,8 @@ def _load_event_times(store, calibration, spec,
     cache: keyed by calibration, spec and the exact config sample, a warm
     process loads the surface bitwise instead of re-simulating 27
     configurations per kernel.
-    Malformed foreign records that pass the schema check count as misses
-    (the caller recomputes and overwrites). The surface stays a numpy
+    A record at the key's address whose surface is malformed counts as a
+    miss (the caller recomputes and overwrites). The surface stays a numpy
     array end-to-end — the deviation and correlation rows consume it
     without a list round-trip.
     """

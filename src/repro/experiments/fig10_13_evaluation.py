@@ -22,13 +22,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from repro.analysis.report import format_table
-from repro.experiments.context import EVALUATION_POLICIES, ExperimentContext
+from repro.experiments.context import ExperimentContext
 
 if TYPE_CHECKING:
     from repro.analysis.evaluation import EvaluationSummary, MonteCarloSummary
 
-#: Candidate policies in presentation order.
-POLICIES: Tuple[str, ...] = EVALUATION_POLICIES
+#: Candidate policies in presentation order. The shared evaluation
+#: matrix runs them plus ``dvfs-only`` (Section 7.2).
+POLICIES: Tuple[str, ...] = ("cg-only", "harmonia", "oracle")
 
 #: Paper headline anchors, used by the report footers and the tests.
 PAPER_ANCHORS: Mapping[str, float] = {

@@ -10,10 +10,12 @@ registry of :class:`ExperimentSpec` nodes, each declaring
   ``format_report`` functions, adapted to a uniform signature),
 * its **dependencies** — Figures 10-13 are four views of one shared
   ``evaluation`` node; the evaluation and the ablations both hang off
-  the shared ``training`` node,
-* its **declared inputs and version**, folded into the node's
-  content-addressed manifest key (bump ``version`` after changing a
-  formatter or runner so stale manifest entries stop being served).
+  the shared ``training`` node.
+
+A node's result-manifest key is its name. The store folds the digest of
+the package source into every record address, so editing a runner, a
+formatter or anything they call makes the next run compute the node
+again.
 
 The registry is data, not behavior: scheduling lives in
 :mod:`repro.runtime.pipeline`, and ``tools/check_experiment_registry.py``
@@ -32,10 +34,9 @@ report from the result manifest never loads the experiment code at
 all. The old dynamic-import problem was *stringly structure* (deps and
 ordering hidden in a module list), not the deferred imports; the specs
 keep the structure static while the code loads lazily. No experiment
-module is imported with the registry: the evaluation node's policy
-list is :data:`~repro.experiments.context.EVALUATION_POLICIES`, and the
-six ablation nodes register on first use (:func:`_register_ablations`),
-from the study list in :mod:`~repro.experiments.ablations`.
+module is imported with the registry: the six ablation nodes register
+on first use (:func:`_register_ablations`), from the study list in
+:mod:`~repro.experiments.ablations`.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import AnalysisError
-from repro.experiments.context import EVALUATION_POLICIES, ExperimentContext
-from repro.platform.store import content_digest
+from repro.experiments.context import ExperimentContext
 
 #: Node groups: ``core`` report nodes always run under ``reproduce``,
 #: ``ablations`` only with ``--ablations``, ``internal`` nodes carry a
@@ -71,11 +71,6 @@ class ExperimentSpec:
         deps: names of nodes whose payloads this node consumes (or whose
             side effects — e.g. the trained predictors cached on the
             context — it relies on).
-        inputs: declared calibration/kernel/flag inputs, folded verbatim
-            into the node's manifest key; values must be canonically
-            encodable (str/int/float/bool/tuples/frozen dataclasses).
-        version: per-node schema version; bump to invalidate persisted
-            manifest entries after changing the node's code.
         group: ``core`` | ``ablations`` | ``internal``.
         aliases: the node's other names on the command line
             (``figure fig10``); unique across every name and alias.
@@ -86,8 +81,6 @@ class ExperimentSpec:
     runner: Callable[[ExperimentContext, Mapping[str, Any]], Any]
     formatter: Optional[Callable[[Any], str]] = None
     deps: Tuple[str, ...] = ()
-    inputs: Tuple[Any, ...] = ()
-    version: int = 1
     group: str = "core"
     aliases: Tuple[str, ...] = ()
 
@@ -166,33 +159,6 @@ def reproduce_specs(include_ablations: bool = False) -> Tuple[ExperimentSpec, ..
     return tuple(s for s in _REGISTRY.values() if s.group in groups)
 
 
-def reproduce_fingerprint(context: ExperimentContext) -> str:
-    """Digest of everything outside the specs that shapes report bytes.
-
-    Covers the platform calibration, every kernel spec and the sweep
-    grid axes (all via :func:`~repro.platform.sweepcache.sweep_key`, the
-    same by-value key the persistent store addresses surfaces with) plus
-    the application roster. Any calibration constant, kernel
-    characteristic, grid axis or roster change lands a different
-    fingerprint, so every manifest entry keyed under the old one is
-    simply never addressed again — invalidation by value, exactly like
-    the sweep store itself. It reads the context's calibration, not its
-    platform, so computing it builds no model.
-    """
-    from repro.platform.sweepcache import sweep_key
-    from repro.workloads.registry import all_kernels
-
-    calibration = context.calibration
-    surfaces = tuple(
-        sweep_key(calibration, kernel.base) for kernel in all_kernels()
-    )
-    roster = tuple(
-        (app.name, app.suite, app.iterations, app.kernel_names())
-        for app in context.applications
-    )
-    return content_digest((surfaces, roster))
-
-
 # --- adapters ---------------------------------------------------------------------
 
 
@@ -216,8 +182,7 @@ def _mod(name: str):
 
 
 def _simple(name: str, module: str, aliases: Tuple[str, ...] = (),
-            deps: Tuple[str, ...] = (), inputs: Tuple[Any, ...] = (),
-            version: int = 1) -> ExperimentSpec:
+            deps: Tuple[str, ...] = ()) -> ExperimentSpec:
     """A spec around a module's plain ``run`` / ``format_report`` pair."""
     return ExperimentSpec(
         name=name,
@@ -225,8 +190,6 @@ def _simple(name: str, module: str, aliases: Tuple[str, ...] = (),
         runner=lambda context, _deps: _mod(module).run(context),
         formatter=lambda result: _mod(module).format_report(result),
         deps=deps,
-        inputs=inputs,
-        version=version,
         aliases=aliases,
     )
 
@@ -241,7 +204,6 @@ register(ExperimentSpec(
     module="context",
     runner=lambda context, _deps: context.training,
     deps=(),
-    inputs=("section4-predictor-training",),
     group="internal",
 ))
 register(ExperimentSpec(
@@ -249,7 +211,6 @@ register(ExperimentSpec(
     module="fig10_13_evaluation",
     runner=lambda context, _deps: _mod("fig10_13_evaluation").run(context),
     deps=("training",),
-    inputs=("figs10-13-policy-matrix",) + EVALUATION_POLICIES,
     group="internal",
 ))
 
@@ -261,7 +222,6 @@ register(ExperimentSpec(
         "fig04_fig05_power_ranges").run_fig04(context),
     formatter=lambda result: _mod(
         "fig04_fig05_power_ranges").format_report(result, "70%"),
-    inputs=("compute-power-range", "70%"),
     aliases=("fig04",),
 ))
 register(ExperimentSpec(
@@ -271,7 +231,6 @@ register(ExperimentSpec(
         "fig04_fig05_power_ranges").run_fig05(context),
     formatter=lambda result: _mod(
         "fig04_fig05_power_ranges").format_report(result, "10%"),
-    inputs=("memory-power-range", "10%"),
     aliases=("fig05",),
 ))
 for _fig in ("fig10_ed2", "fig11_energy", "fig12_power",
@@ -284,11 +243,9 @@ for _fig in ("fig10_ed2", "fig11_energy", "fig12_power",
         formatter=lambda result, _f=f"format_{_figure}": getattr(
             _mod("fig10_13_evaluation"), _f)(result),
         deps=("evaluation",),
-        inputs=(_figure,),
         aliases=(_figure,),
     ))
-register(_simple("fig01_power_breakdown", "fig01_power_breakdown", ("fig01",),
-                 inputs=("XSBench.CalculateXS", "baseline-config")))
+register(_simple("fig01_power_breakdown", "fig01_power_breakdown", ("fig01",)))
 register(_simple("table1_dvfs", "table1_dvfs", ("table1",)))
 register(_simple("fig03_balance_points", "fig03_balance", ("fig03",)))
 register(_simple("fig06_metric_tradeoffs", "fig06_metric_tradeoffs",
@@ -310,10 +267,8 @@ register(_simple("ext_memory_voltage", "ext_memory_voltage",
                  ("ext-voltage",), deps=("evaluation",)))
 register(_simple("ext_thermal_capping", "ext_thermal_capping",
                  ("ext-thermal",), deps=("training",)))
-# version 2: event-driven surfaces come from the batched lockstep engine
-# (bitwise-identical to v1's scalar fan-out, but the producer changed).
 register(_simple("ext_model_validation", "ext_model_validation",
-                 ("ext-validation",), version=2))
+                 ("ext-validation",)))
 register(_simple("ext_phase_memory", "ext_phase_memory", ("ext-recall",),
                  deps=("training",)))
 register(_simple("ext_power_capping", "ext_power_capping", ("ext-capping",),
@@ -340,6 +295,5 @@ def _register_ablations() -> None:
             runner=lambda context, _deps, _s=study: _s(context),
             formatter=ablations.format_report,
             deps=("training",),
-            inputs=(study_name,),
             group="ablations",
         ))

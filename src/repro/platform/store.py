@@ -6,31 +6,33 @@ whole-grid surfaces *within* one process; this store amortizes them
 CI shard warm-start from the surfaces the previous invocation computed.
 
 Keys are **content-addressed**: a record's filename is the SHA-256 digest
-of a canonical serialization of its key — the frozen
+of a canonical serialization of the :func:`build_digest` of the code, the
+record kind and its key — for a grid surface the frozen
 :class:`~repro.platform.calibration.PlatformCalibration`, the frozen
 :class:`~repro.perf.kernelspec.KernelSpec`, and the grid axes, walked
 field by field with floats rendered via :meth:`float.hex` so the encoding
 is exact and stable across processes (Python's builtin ``hash()`` is
 salted per process and useless here). Changing *any* calibration
-constant, kernel characteristic, or grid axis changes the digest, so
-invalidation is by value: stale records are simply never addressed again.
+constant, kernel characteristic, or grid axis changes the digest, and so
+does changing *any* source file of the package or the numpy release:
+invalidation is by value, and a record that other code wrote is never
+addressed again.
 
 Records are single files holding the surface arrays plus one JSON
-metadata header carrying the schema version, the digest (self-check),
-and the config-invariant scalars encoded with ``float.hex`` for bitwise
+metadata header carrying the kind and digest (self-check) and the
+config-invariant scalars encoded with ``float.hex`` for bitwise
 round-trips. Records are a **raw npy container** (a magic prefix, the
 JSON header, then length-prefixed named ``.npy`` members back to back)
 — the zip machinery of ``np.savez`` costs more than the payload for the
 small records a cold ``reproduce`` writes by the hundreds. A file
-without the magic (such as an ``.npz`` zip archive written by an older
-build under the same ``.npz`` filename) reads as an invalid record and
-is recomputed and rewritten. Only the grid codec and the ``.npy``
-members import numpy: a record without array members (a result-manifest
-entry keeps its text in the header) reads and writes without it.
+without the magic reads as an invalid record and is recomputed and
+rewritten. Only the grid codec and the ``.npy`` members import numpy: a
+record without array members (a result-manifest entry keeps its text in
+the header) reads and writes without it.
 
-A grid record (schema 2) keeps only what its key cannot rebuild: one
-``(12, n)`` float64 ``stack`` of the per-config surfaces and one
-``uint8`` ``limit_codes`` array of indices into
+A grid record keeps only what its key cannot rebuild: one ``(12, n)``
+float64 ``stack`` of the per-config surfaces and one ``uint8``
+``limit_codes`` array of indices into
 :data:`~repro.perf.batch.BANDWIDTH_LIMITS`. It stores no configs: the
 key names the grid, and a load takes that grid's shared ``configs``
 tuple (:func:`~repro.platform.sweepcache.grid_configs`), so a loaded
@@ -45,12 +47,13 @@ Properties:
   one store (CI shards, two CLI runs) never observe a torn record; racing
   writers of the same key each publish a complete record and the last
   one wins (contents are deterministic, so the duplicates are identical);
-* **self-validating** — corrupted, truncated or foreign-schema records
-  are treated as misses: the caller recomputes and rewrites, the store
-  never raises out of a read;
+* **self-validating** — corrupted, truncated or mismatched records are
+  treated as misses: the caller recomputes and rewrites, the store never
+  raises out of a read;
 * **deterministic only** — exclusively noise-free surfaces are persisted
   (the cache-then-perturb contract keeps noise keyed on read).
 
+Records of other builds stay on disk, unaddressed; nothing prunes them.
 Only the store *layout* is defined here; the two-tier lookup policy lives
 in :class:`~repro.platform.sweepcache.SweepCache`.
 """
@@ -58,7 +61,9 @@ in :class:`~repro.platform.sweepcache.SweepCache`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -75,12 +80,6 @@ if TYPE_CHECKING:
 
     from repro.gpu.config import HardwareConfig
     from repro.perf.batch import BatchRunResult
-
-#: Bump whenever the record layout changes; older records then read as
-#: misses and are transparently recomputed and rewritten. The CI store
-#: cache key (``sweep-store-v2-`` in ``.github/workflows/ci.yml``)
-#: carries the same number.
-STORE_SCHEMA_VERSION = 2
 
 #: Record kind of full-grid :class:`BatchRunResult` surfaces.
 GRID_KIND = "grid"
@@ -147,9 +146,9 @@ def resolve_store_dir(override: Optional[str] = None) -> Path:
 #: far and each tuple passed to :func:`keep_encoding`. Identity keys it
 #: because equal values can encode differently (``1 == 1.0``); holding
 #: the value keeps its id from being reused. Key dataclasses hold only
-#: immutable fields, so the text never goes stale. The ``reproduce``
-#: fingerprint repeats one calibration object and one grid-axis tuple in
-#: all 25 kernel keys, and a cold run's record keys a handful more.
+#: immutable fields, so the text never goes stale. A cold ``reproduce``
+#: repeats one calibration object and one grid-axis tuple in the keys of
+#: all 25 kernels.
 _ENCODED: Dict[int, Tuple[Any, str]] = {}
 
 #: Entries kept before :data:`_ENCODED` starts over; a cold
@@ -224,15 +223,15 @@ def keep_encoding(value: tuple) -> tuple:
     return value
 
 
-#: Digests of recently fingerprinted (hashable) keys. Encoding a key
-#: walks the whole calibration dataclass; a ``reproduce`` run addresses
-#: a hundred-plus records under a handful of calibrations, so the memo
+#: Digests of recently digested (hashable) keys. Encoding a key walks
+#: the whole calibration dataclass; a ``reproduce`` run addresses a
+#: hundred-plus records under a handful of calibrations, so the memo
 #: turns all but the first walk per key into a dict hit.
 _DIGEST_MEMO: Dict[Any, str] = {}
 
 
 def content_digest(key: Any) -> str:
-    """Hex SHA-256 fingerprint of a key's canonical serialization."""
+    """Hex SHA-256 of a key's canonical serialization."""
     try:
         cached = _DIGEST_MEMO.get(key)
     except TypeError:  # unhashable key (e.g. contains a list): no memo
@@ -245,6 +244,38 @@ def content_digest(key: Any) -> str:
             _DIGEST_MEMO.clear()
         _DIGEST_MEMO[key] = cached
     return cached
+
+
+@functools.lru_cache(maxsize=None)
+def build_digest() -> str:
+    """Hex SHA-256 of the code that computes every record.
+
+    It covers the relative path and bytes of every ``.py`` file of the
+    ``repro`` package, in sorted order, plus the bytes of numpy's
+    ``version.py`` (the noisy reports follow numpy's normal stream). The
+    store folds it into every record address, so any edit to the
+    package, a docstring included, and any other numpy release address
+    a fresh set of records. Computed once per process, on the first
+    store address; finding numpy with :func:`importlib.util.find_spec`
+    does not import it.
+    """
+    package = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sources = {}
+    for directory, _, files in os.walk(package):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                sources[os.path.relpath(path, package)] = path
+    numpy = importlib.util.find_spec("numpy")
+    sources["<numpy>/version.py"] = os.path.join(
+        numpy.submodule_search_locations[0], "version.py")
+    digest = hashlib.sha256()
+    for name in sorted(sources):
+        with open(sources[name], "rb") as fh:
+            data = fh.read()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 # --- BatchRunResult <-> record ---------------------------------------------------
@@ -507,7 +538,13 @@ class SweepStore:
 
     def path_for(self, kind: str, key: Any) -> Path:
         """The record file a (kind, key) pair addresses."""
-        return self._root / f"{kind}-{content_digest((kind, key))}.npz"
+        return self._address(kind, key)[1]
+
+    def _address(self, kind: str, key: Any) -> Tuple[str, Path]:
+        """``(digest, path)`` of the record a (kind, key) pair addresses
+        under this build (:func:`build_digest`)."""
+        digest = content_digest((build_digest(), kind, key))
+        return digest, self._root / f"{kind}-{digest}.npz"
 
     # --- generic records ---------------------------------------------------------
 
@@ -521,10 +558,8 @@ class SweepStore:
         Write failures (full/read-only disk) are swallowed: the store is
         an accelerator, never a correctness dependency.
         """
-        digest = content_digest((kind, key))
-        final = self._root / f"{kind}-{digest}.npz"
+        digest, final = self._address(kind, key)
         record_meta = dict(meta or ())
-        record_meta["schema"] = STORE_SCHEMA_VERSION
         record_meta["kind"] = kind
         record_meta["digest"] = digest
         telemetry = ambient_telemetry()
@@ -559,9 +594,9 @@ class SweepStore:
                                                Dict[str, Any]], Any]] = None):
         """Load one record, or None on a miss.
 
-        Missing files, torn/corrupted/truncated records, foreign schema
-        versions and digest mismatches all count as misses — the caller
-        recomputes and rewrites.
+        Missing files, torn/corrupted/truncated records and kind or
+        digest mismatches all count as misses — the caller recomputes
+        and rewrites.
 
         Args:
             kind: the record kind.
@@ -572,8 +607,7 @@ class SweepStore:
                 record that reads but does not decode is never counted
                 as a hit. Without it the load returns ``(arrays, meta)``.
         """
-        digest = content_digest((kind, key))
-        path = self._root / f"{kind}-{digest}.npz"
+        digest, path = self._address(kind, key)
         value = None
         invalid = False
         size = 0
@@ -582,10 +616,8 @@ class SweepStore:
             with telemetry.span("sweep_store.load", kind=kind):
                 size = os.stat(path).st_size
                 arrays, meta = _read_record(path)
-                if (meta.get("schema") != STORE_SCHEMA_VERSION
-                        or meta.get("kind") != kind
-                        or meta.get("digest") != digest):
-                    raise ValueError("foreign or mismatched record")
+                if meta.get("kind") != kind or meta.get("digest") != digest:
+                    raise ValueError("mismatched record")
                 value = ((arrays, meta) if decode is None
                          else decode(arrays, meta))
         except FileNotFoundError:

@@ -25,8 +25,10 @@ store before computing, and a computed surface is written through, so a
 second *process* (another CLI invocation, a CI shard) warm-starts from the
 first one's surfaces. The store is attached via :meth:`attach_store`
 (the CLI does this from ``--cache-dir`` / ``$REPRO_CACHE_DIR``) and the
-same value-keying applies: the store digests the full key content, so no
-stale record is ever addressed.
+same value-keying applies: the store digests the full key content
+together with the digest of the package source
+(:func:`~repro.platform.store.build_digest`), so a record that other
+inputs or other code computed is never addressed.
 
 Only **deterministic** surfaces are cached, in either tier. Noisy
 platforms still use the cache:
@@ -48,12 +50,11 @@ from collections import OrderedDict
 from typing import (TYPE_CHECKING, Callable, Dict, Hashable, NamedTuple,
                     Optional, Tuple)
 
-from repro.gpu.config import ConfigSpace
 from repro.platform.store import keep_encoding
 
 if TYPE_CHECKING:
     from repro.gpu.architecture import GpuArchitecture
-    from repro.gpu.config import HardwareConfig
+    from repro.gpu.config import ConfigSpace, HardwareConfig
     from repro.perf.batch import BatchRunResult
     from repro.perf.kernelspec import KernelSpec
     from repro.platform.calibration import PlatformCalibration
@@ -75,6 +76,8 @@ def _grid_entry(
     """``(arch, space, (cu_counts, compute_freqs, mem_freqs))``."""
     entry = _GRID_SPACES.get(id(arch))
     if entry is None:
+        from repro.gpu.config import ConfigSpace
+
         space = ConfigSpace(arch)
         axes = keep_encoding((space.cu_counts, space.compute_frequencies,
                               space.memory_frequencies))
@@ -103,8 +106,7 @@ def sweep_key(calibration: "PlatformCalibration",
     ``(calibration, spec, (cu_counts, compute_freqs, mem_freqs))``, with
     the grid axes derived from ``calibration.arch``.
 
-    The one spelling of the key, shared by both cache tiers and the
-    ``reproduce`` fingerprint.
+    The one spelling of the key, shared by both cache tiers.
     """
     return (calibration, spec, _grid_entry(calibration.arch)[2])
 

@@ -10,14 +10,13 @@ ablation hang off one predictor-training run). The scheduler here
   the needed ones one after another on the calling thread, in that
   order — the hot layers (controller stepping, the event simulator)
   hold the GIL, so worker threads could not overlap them;
-* serves unchanged nodes from a **result manifest** layered on the
+* serves stored nodes from a **result manifest** layered on the
   persistent content-addressed sweep store: a node's report text is
-  keyed by the SHA-256 of (result schema version, environment
-  fingerprint — calibration, kernel specs, grid axes, application
-  roster — the spec's declared inputs and version, and the digests of
-  its dependencies), so a warm rerun with unchanged inputs skips every
-  node and any input change invalidates exactly the affected subgraph,
-  by value, with no invalidation protocol;
+  keyed by its name, and the store folds the digest of the package
+  source into every address
+  (:func:`~repro.platform.store.build_digest`), so a warm rerun of the
+  same code skips every node and any code change runs them all again,
+  with no invalidation protocol;
 * records **per-node wall times** and telemetry spans for the final
   summary; nodes run one after another, so a run's wall time is the sum
   of its nodes' walls.
@@ -36,15 +35,12 @@ from typing import (
 
 from repro.analysis.report import format_table
 from repro.errors import AnalysisError
-from repro.platform.store import RESULT_KIND, SweepStore, content_digest
+from repro.platform.store import RESULT_KIND, SweepStore
 from repro.telemetry.spans import ambient_telemetry
 
-#: Bump whenever node payloads/formatting or the manifest record layout
-#: change globally; every manifest entry then reads as a miss and is
-#: transparently recomputed. Per-node changes should bump the spec's
-#: ``version`` instead. Version 2 moved the report text from an array
-#: member into the record's JSON header.
-RESULT_SCHEMA_VERSION = 2
+#: Layout number of the ``--profile-json`` document
+#: (:meth:`PipelineResult.to_dict`); 3 dropped each node's ``digest``.
+PROFILE_SCHEMA = 3
 
 #: Node outcome states reported by :class:`NodeTiming`.
 STATUS_RAN = "ran"
@@ -104,60 +100,38 @@ def topological_order(specs: Sequence[Any]) -> List[str]:
     return order
 
 
-def node_keys(specs: Sequence[Any], fingerprint: str) -> Dict[str, Tuple]:
-    """Content-addressable manifest key per node, dependency-chained.
-
-    A node's key folds in the digests of its dependencies' keys, so
-    invalidating any upstream node (new inputs, bumped version, changed
-    fingerprint) transitively invalidates everything built on it.
-    """
-    by_name = {spec.name: spec for spec in specs}
-    keys: Dict[str, Tuple] = {}
-    for name in topological_order(specs):
-        spec = by_name[name]
-        dep_digests = tuple(
-            content_digest(keys[dep]) for dep in spec.deps
-        )
-        keys[name] = (
-            RESULT_SCHEMA_VERSION, fingerprint, spec.name, spec.version,
-            tuple(spec.inputs), dep_digests,
-        )
-    return keys
-
-
 class ResultManifest:
     """Formatted-report records in the content-addressed sweep store.
 
     Each entry is one tiny ``result-<sha256>.npz`` record with no array
     members: the node's exact report text is the ``report`` field of the
-    record's JSON header (``RESULT_SCHEMA_VERSION`` 2), so serving a
-    report needs neither numpy nor the ``.npy`` reader. Entries are
-    addressed by the chained node key from :func:`node_keys`. The
-    manifest inherits every store property: atomic publication,
-    self-validation (corrupt records demote to misses), cross-process
-    sharing, and invalidation by value. Under a traced run each lookup
-    feeds the ambient span's ``pipeline_manifest_total`` counter.
+    record's JSON header, so serving a report needs neither numpy nor
+    the ``.npy`` reader. Entries are keyed by node name; the store's
+    address folds in the build digest, so an entry is only ever served
+    to the code that wrote it. The manifest inherits every store
+    property: atomic publication, self-validation (corrupt records
+    demote to misses) and cross-process sharing. Under a traced run each
+    lookup feeds the ambient span's ``pipeline_manifest_total`` counter.
     """
 
     def __init__(self, store: SweepStore):
         self._store = store
 
-    def load(self, key: Tuple) -> Optional[str]:
-        """The stored report text for ``key``, or None on any miss."""
-        # A record without a header ``report`` (the version-1 layout kept
-        # the text in an array member) raises KeyError: an invalid miss.
+    def load(self, name: str) -> Optional[str]:
+        """The stored report text of node ``name``, or None on any miss."""
+        # A record without a header ``report`` raises KeyError: an
+        # invalid miss.
         text = self._store.load_record(
-            RESULT_KIND, key, decode=lambda _arrays, meta: meta["report"])
+            RESULT_KIND, name, decode=lambda _arrays, meta: meta["report"])
         ambient_telemetry().metrics.counter(
             "pipeline_manifest_total", "result manifest lookups",
         ).inc(status="miss" if text is None else "hit")
         return text
 
-    def save(self, key: Tuple, name: str, text: str) -> bool:
+    def save(self, name: str, text: str) -> bool:
         """Persist one node's report text; False when the write failed."""
         return self._store.save_record(
-            RESULT_KIND, key, {}, meta={"node": name, "report": text},
-        )
+            RESULT_KIND, name, {}, meta={"report": text})
 
 
 @dataclass(frozen=True)
@@ -167,7 +141,6 @@ class NodeTiming:
     name: str
     status: str  # STATUS_RAN | STATUS_MANIFEST | STATUS_PRUNED
     wall_s: float
-    digest: str
 
 
 @dataclass(frozen=True)
@@ -190,14 +163,13 @@ class PipelineResult:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready profile (the CI artifact payload)."""
         return {
-            "schema": RESULT_SCHEMA_VERSION,
+            "schema": PROFILE_SCHEMA,
             "wall_s": self.wall_s,
             "nodes": [
                 {
                     "node": t.name,
                     "status": t.status,
                     "wall_s": t.wall_s,
-                    "digest": t.digest,
                 }
                 for t in self.timings
             ],
@@ -214,29 +186,21 @@ class ExperimentPipeline:
         context: the shared :class:`ExperimentContext` handed to every
             runner.
         manifest: optional :class:`ResultManifest`; when given, report
-            nodes whose keys are already stored are served without
-            running, and fresh results are written back.
-        fingerprint: environment fingerprint folded into every node key
-            (see :func:`repro.experiments.registry.reproduce_fingerprint`).
+            nodes already stored are served without running, and fresh
+            results are written back.
 
     Under a traced run each node runs in a ``pipeline.<node>`` span on
     the ambient span's handle.
     """
 
     def __init__(self, specs: Sequence[Any], context, *,
-                 manifest: Optional[ResultManifest] = None,
-                 fingerprint: str = ""):
+                 manifest: Optional[ResultManifest] = None):
         self._specs = list(specs)
         self._order = topological_order(self._specs)
         self._by_name = {spec.name: spec for spec in self._specs}
         self._context = context
         self._manifest = manifest
-        self._keys = node_keys(self._specs, fingerprint)
         self._results: Dict[str, Any] = {}
-
-    def digest(self, name: str) -> str:
-        """The manifest digest addressing one node's result."""
-        return content_digest(self._keys[name])
 
     # --- execution -------------------------------------------------------------
 
@@ -273,8 +237,7 @@ class ExperimentPipeline:
 
         timings = tuple(
             NodeTiming(name=spec.name, status=status[spec.name],
-                       wall_s=wall[spec.name],
-                       digest=self.digest(spec.name))
+                       wall_s=wall[spec.name])
             for spec in self._specs
         )
         return PipelineResult(
@@ -292,7 +255,7 @@ class ExperimentPipeline:
             if not spec.is_report:
                 continue
             t0 = time.perf_counter()
-            text = self._manifest.load(self._keys[spec.name])
+            text = self._manifest.load(spec.name)
             if text is None:
                 continue
             served.add(spec.name)
@@ -349,7 +312,7 @@ class ExperimentPipeline:
             if spec.is_report:
                 reports[name] = text
                 if self._manifest is not None:
-                    self._manifest.save(self._keys[name], name, text)
+                    self._manifest.save(name, text)
                 if emit is not None:
                     emit(name, text, STATUS_RAN)
 

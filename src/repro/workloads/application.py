@@ -45,10 +45,6 @@ class Application:
         if len(set(names)) != len(names):
             raise WorkloadError(f"application {self.name!r} has duplicate kernel names")
 
-    def kernel_names(self) -> Tuple[str, ...]:
-        """Qualified names of all kernels, in launch order."""
-        return tuple(k.name for k in self.kernels)
-
     def launches(self) -> Iterator[Tuple[int, WorkloadKernel, KernelSpec]]:
         """Iterate every launch of a full run.
 

@@ -104,6 +104,35 @@ class TestParser:
         assert f"error: argument {flag}: directory " in err
         assert not store.exists() and not reports.exists()
 
+    @pytest.mark.parametrize("inside", [False, True],
+                             ids=["file", "under-a-file"])
+    def test_reproduce_output_on_a_file_is_a_usage_error(
+            self, inside, tmp_path, capsys):
+        """``reproduce --output`` naming an existing file, or a path
+        under one, exits 2 with the usage message before any work, not
+        with a ``FileExistsError`` traceback."""
+        taken = tmp_path / "taken.txt"
+        taken.write_text("not a directory\n")
+        store = tmp_path / "store"
+        output = taken / "reports" if inside else taken
+        with pytest.raises(SystemExit) as exited:
+            main(["reproduce", "--cache-dir", str(store),
+                  "--output", str(output)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro reproduce")
+        assert (f"error: argument --output: {taken} is not a directory"
+                in err)
+        assert not store.exists()
+        assert taken.read_text() == "not a directory\n"
+
+    def test_reproduce_output_may_name_a_missing_directory(self, tmp_path):
+        """``reproduce`` makes its output directory, parents included."""
+        output = tmp_path / "new" / "reports"
+        args = build_parser().parse_args(["reproduce", "--output",
+                                          str(output)])
+        assert args.output == str(output)
+
     def test_output_path_that_is_a_directory_is_a_usage_error(
             self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exited:
@@ -246,7 +275,7 @@ def warm_run(filled_store, tmp_path_factory):
 
 def _forbidden_on_warm_path(name: str) -> bool:
     """Whether a manifest-served run must not have loaded ``name``."""
-    if name in ("repro.perf.model", "repro.perf.batch",
+    if name in ("repro.units", "repro.platform.calibration",
                 "repro.platform.hd7970", "repro.analysis.evaluation",
                 "repro.runtime.session", "repro.runtime.simulator",
                 "repro.runtime.montecarlo", "repro.runtime.parallel",
@@ -258,14 +287,16 @@ def _forbidden_on_warm_path(name: str) -> bool:
                             "repro.experiments.registry")
     return any(name == package or name.startswith(package + ".")
                for package in ("numpy", "repro.core", "repro.sensitivity",
-                               "concurrent.futures"))
+                               "repro.workloads", "repro.gpu", "repro.perf",
+                               "repro.memory", "concurrent.futures"))
 
 
 class TestWarmReproduceImports:
     """A run whose reports all come from the result manifest loads only
-    the CLI, the registry, the fingerprinted dataclasses, the store and
-    the pipeline: no numpy and no model, policy or experiment code, and
-    neither the other commands nor the trace reports."""
+    the CLI, the registry, the store and the pipeline: no numpy, no
+    workload, machine, calibration or model description, no policy or
+    experiment code, and neither the other commands nor the trace
+    reports."""
 
     def test_every_report_is_served_and_nothing_runs(self, warm_run):
         _, profile, _ = warm_run

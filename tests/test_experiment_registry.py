@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments import registry
-from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import ExperimentSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -142,23 +141,6 @@ class TestRegistryContents:
             ExperimentSpec(name="x", module="toy",
                            runner=lambda c, d: None, formatter=str,
                            group="internal")
-
-
-class TestFingerprint:
-    def test_deterministic_across_contexts(self):
-        a = registry.reproduce_fingerprint(ExperimentContext())
-        b = registry.reproduce_fingerprint(ExperimentContext())
-        assert a == b
-        assert len(a) == 64  # sha256 hex
-
-    def test_follows_the_context_platform_calibration(self):
-        from repro.platform.hd7970 import (
-            make_hd7970_platform, make_pitcairn_platform)
-        unbuilt = registry.reproduce_fingerprint(ExperimentContext())
-        given = ExperimentContext(platform=make_hd7970_platform())
-        assert registry.reproduce_fingerprint(given) == unbuilt
-        other = ExperimentContext(platform=make_pitcairn_platform())
-        assert registry.reproduce_fingerprint(other) != unbuilt
 
 
 class TestRegistryLint:

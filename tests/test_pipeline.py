@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.experiments.registry import ExperimentSpec
-from repro.platform.store import RESULT_KIND, SweepStore, content_digest
+from repro.platform.store import RESULT_KIND, SweepStore
 from repro.runtime.pipeline import (
     STATUS_MANIFEST,
     STATUS_PRUNED,
@@ -16,12 +16,11 @@ from repro.runtime.pipeline import (
     ExperimentPipeline,
     ResultManifest,
     format_profile,
-    node_keys,
     topological_order,
 )
 
 
-def spec(name, deps=(), runner=None, internal=False, version=1, inputs=()):
+def spec(name, deps=(), runner=None, internal=False):
     """A toy pipeline node; report nodes render ``<name>=<payload>``."""
     if runner is None:
         runner = lambda context, deps_, _n=name: _n.upper()
@@ -31,8 +30,6 @@ def spec(name, deps=(), runner=None, internal=False, version=1, inputs=()):
         runner=runner,
         formatter=None if internal else (lambda p, _n=name: f"{_n}={p}"),
         deps=tuple(deps),
-        inputs=tuple(inputs),
-        version=version,
         group="internal" if internal else "core",
     )
 
@@ -83,54 +80,20 @@ class TestTopologicalOrder:
         assert "free" not in message
 
 
-class TestNodeKeys:
-    def make(self, version=1, inputs=("x",), fingerprint="fp"):
-        specs = [
-            spec("base", internal=True),
-            spec("mid", deps=("base",), version=version, inputs=inputs),
-            spec("leaf", deps=("mid",)),
-            spec("other"),
-        ]
-        return node_keys(specs, fingerprint)
-
-    def test_version_bump_invalidates_node_and_dependents(self):
-        old, new = self.make(version=1), self.make(version=2)
-        assert old["mid"] != new["mid"]
-        assert old["leaf"] != new["leaf"]  # chained through dep digests
-        assert old["base"] == new["base"]
-        assert old["other"] == new["other"]
-
-    def test_inputs_change_invalidates_node_and_dependents(self):
-        old, new = self.make(inputs=("x",)), self.make(inputs=("y",))
-        assert old["mid"] != new["mid"]
-        assert old["leaf"] != new["leaf"]
-        assert old["other"] == new["other"]
-
-    def test_fingerprint_change_invalidates_everything(self):
-        old, new = self.make(fingerprint="fp"), self.make(fingerprint="fp2")
-        assert all(old[name] != new[name] for name in old)
-
-    def test_keys_are_digestible(self):
-        keys = self.make()
-        digests = {content_digest(key) for key in keys.values()}
-        assert len(digests) == len(keys)
-
-
 class TestResultManifest:
     def test_round_trips_exact_text(self, tmp_path):
         manifest = ResultManifest(SweepStore(tmp_path / "s"))
-        key = (1, "fp", "node", 1, (), ())
         text = "line one\n  μ-indented line two\n\ttabbed\n"
-        assert manifest.load(key) is None
-        assert manifest.save(key, "node", text)
-        assert manifest.load(key) == text
+        assert manifest.load("node") is None
+        assert manifest.save("node", text)
+        assert manifest.load("node") == text
 
     def test_distinct_keys_distinct_entries(self, tmp_path):
         manifest = ResultManifest(SweepStore(tmp_path / "s"))
-        manifest.save((1,), "a", "A")
-        manifest.save((2,), "b", "B")
-        assert manifest.load((1,)) == "A"
-        assert manifest.load((2,)) == "B"
+        manifest.save("a", "A")
+        manifest.save("b", "B")
+        assert manifest.load("a") == "A"
+        assert manifest.load("b") == "B"
 
     @pytest.mark.parametrize("text", [
         "ED² gain — Harmonia vs baseline",
@@ -142,11 +105,10 @@ class TestResultManifest:
     def test_round_trips_awkward_text(self, tmp_path, text):
         store = SweepStore(tmp_path / "s")
         manifest = ResultManifest(store)
-        key = (2, "fp", "node", 1, (), ())
-        assert manifest.save(key, "node", text)
-        assert manifest.load(key) == text
+        assert manifest.save("node", text)
+        assert manifest.load("node") == text
         # The text lives in the JSON header; the record has no members.
-        arrays, meta = store.load_record(RESULT_KIND, key)
+        arrays, meta = store.load_record(RESULT_KIND, "node")
         assert arrays == {}
         assert meta["report"] == text
 
@@ -156,20 +118,19 @@ class TestResultManifest:
         store = SweepStore(tmp_path / "s")
         manifest = ResultManifest(store)
         specs = [spec("only")]
-        key = node_keys(specs, "fp")["only"]
-        # The version-1 layout: the text as an array member, no header.
-        assert store.save_record(RESULT_KIND, key,
-                                 {"report": np.array("only=ONLY")},
-                                 meta={"node": "only"})
-        assert manifest.load(key) is None
+        # A record at the node's address without a header ``report``:
+        # the text as an array member.
+        assert store.save_record(RESULT_KIND, "only",
+                                 {"report": np.array("only=ONLY")})
+        assert manifest.load("only") is None
         assert store.stats().invalid_records == 1
 
         def run():
-            return ExperimentPipeline(specs, context=None, manifest=manifest,
-                                      fingerprint="fp").run()
+            return ExperimentPipeline(specs, context=None,
+                                      manifest=manifest).run()
 
         assert run().ran() == ("only",)  # the miss re-runs the node...
-        _, meta = store.load_record(RESULT_KIND, key)
+        _, meta = store.load_record(RESULT_KIND, "only")
         assert meta["report"] == "only=ONLY"  # ...and rewrites the record
         rerun = run()
         assert rerun.served() == ("only",)
@@ -210,9 +171,7 @@ EXPECTED_REPORTS = {
 class TestPipelineRun:
     def run_pipeline(self, specs, manifest=None):
         emitted = []
-        pipeline = ExperimentPipeline(
-            specs, context=None, manifest=manifest, fingerprint="fp",
-        )
+        pipeline = ExperimentPipeline(specs, context=None, manifest=manifest)
         result = pipeline.run(
             emit=lambda name, text, status: emitted.append((name, status)))
         return result, emitted
@@ -258,23 +217,6 @@ class TestPipelineRun:
             name for name in topological_order(toy_dag(counter))
             if name in EXPECTED_REPORTS]
         assert all(s == STATUS_MANIFEST for _, s in warm_emits)
-
-    def test_partial_invalidation_reruns_exact_subgraph(self, tmp_path):
-        manifest = ResultManifest(SweepStore(tmp_path / "s"))
-        counter = {"lock": threading.Lock()}
-        self.run_pipeline(toy_dag(counter), manifest=manifest)
-
-        # Bump mid1's version: mid1 and leaf (chained) must re-run, which
-        # drags the pruned-last-time internal base back in; mid2 and free
-        # stay served.
-        bumped = toy_dag(counter)
-        bumped[1] = spec(
-            "mid1", deps=("base",), version=2,
-            runner=bumped[1].runner)
-        result, _ = self.run_pipeline(bumped, manifest=manifest)
-        assert set(result.served()) == {"mid2", "free"}
-        assert set(result.ran()) == {"base", "mid1", "leaf"}
-        assert dict(result.reports) == EXPECTED_REPORTS
 
     def test_no_manifest_recomputes(self, tmp_path):
         counter = {"lock": threading.Lock()}
@@ -334,9 +276,7 @@ class TestPipelineSpans:
 
         telemetry = Telemetry()
         counter = {"lock": threading.Lock()}
-        pipeline = ExperimentPipeline(
-            toy_dag(counter), context=None, fingerprint="fp",
-        )
+        pipeline = ExperimentPipeline(toy_dag(counter), context=None)
         with telemetry.span("root"):
             pipeline.run(emit=lambda name, text, status: None)
         return telemetry

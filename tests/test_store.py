@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import repro.platform.store as store_module
 import repro.platform.sweepcache as sweepcache_module
-from repro.experiments.context import ExperimentContext
 from repro.platform.hd7970 import make_hd7970_platform, make_pitcairn_platform
 from repro.platform.store import (
     EVENTSIM_KIND,
@@ -28,6 +27,7 @@ from repro.platform.store import (
     SweepStore,
     batch_from_record,
     batch_to_record,
+    build_digest,
     canonical_encode,
     content_digest,
     resolve_store_dir,
@@ -139,11 +139,10 @@ def _plain_digest(key) -> str:
 
 def _cold_run_keys():
     """``(kind, key)`` of every record family a cold ``reproduce``
-    addresses, plus the key the ``reproduce`` fingerprint digests."""
+    addresses."""
     from repro.experiments import registry
     from repro.experiments.ext_model_validation import _sample_configs
     from repro.platform.store import EVENTSIM_KIND, RESULT_KIND
-    from repro.runtime.pipeline import node_keys
 
     platforms = (make_hd7970_platform(),
                  make_hd7970_platform(memory_voltage_scaling=True),
@@ -155,24 +154,10 @@ def _cold_run_keys():
     configs = tuple(_sample_configs(plain.config_space))
     keys += [(EVENTSIM_KIND, (plain.calibration, spec, configs))
              for spec in specs]
-
-    digested = []
-
-    def spy(key):
-        digested.append(key)
-        return content_digest(key)
-
-    original = registry.content_digest
-    registry.content_digest = spy
-    try:
-        fingerprint = registry.reproduce_fingerprint(ExperimentContext())
-    finally:
-        registry.content_digest = original
-    (fingerprint_key,) = digested
-    nodes = node_keys(registry.reproduce_specs(include_ablations=True),
-                      fingerprint)
-    keys += [(RESULT_KIND, key) for key in nodes.values()]
-    return keys, fingerprint_key, fingerprint
+    keys += [(RESULT_KIND, spec.name)
+             for spec in registry.reproduce_specs(include_ablations=True)
+             if spec.is_report]
+    return keys
 
 
 class TestEncodingMemo:
@@ -184,33 +169,31 @@ class TestEncodingMemo:
         monkeypatch.setattr(store_module, "_ENCODED", {})
         monkeypatch.setattr(store_module, "_DIGEST_MEMO", {})
 
-    def _check(self, keys, fingerprint_key, fingerprint):
-        assert content_digest(fingerprint_key) == fingerprint
-        assert fingerprint == _plain_digest(fingerprint_key)
+    def _check(self, keys):
         for kind, key in keys:
             assert content_digest((kind, key)) == _plain_digest((kind, key))
             assert canonical_encode(key) == _plain_encode(key)
 
     def test_cold_run_keys_match_the_plain_encoder(self, empty_memos,
                                                    tmp_path):
-        keys, fingerprint_key, fingerprint = _cold_run_keys()
+        keys = _cold_run_keys()
         kinds = {kind for kind, _ in keys}
         assert kinds == {GRID_KIND, "eventsim", "result"}
         assert len({key[0] for kind, key in keys if kind == GRID_KIND}) == 3
-        self._check(keys, fingerprint_key, fingerprint)
+        self._check(keys)
         # Served from the encoding memo alone.
         store_module._DIGEST_MEMO.clear()
-        self._check(keys, fingerprint_key, fingerprint)
+        self._check(keys)
         assert store_module._ENCODED
         # Cleared and refilled.
         store_module._ENCODED.clear()
         store_module._DIGEST_MEMO.clear()
-        self._check(keys, fingerprint_key, fingerprint)
-        # Record names follow the plain digest too.
+        self._check(keys)
+        # Record names follow the plain digest of the build and the key.
         store = SweepStore(tmp_path / "store")
         for kind, key in keys:
-            assert (store.path_for(kind, key).name
-                    == f"{kind}-{_plain_digest((kind, key))}.npz")
+            assert (store.path_for(kind, key).name == "{}-{}.npz".format(
+                kind, _plain_digest((build_digest(), kind, key))))
 
     def test_reused_grid_key_axes_are_walked_once(self, empty_memos,
                                                   monkeypatch):
@@ -367,15 +350,26 @@ class TestRobustness:
         assert store.load_batch(key) is None
         assert store.stats().invalid_records == 1
 
-    def test_foreign_schema_is_miss(self, store, platform, monkeypatch):
+    def test_record_of_another_build_is_never_addressed(
+            self, store, platform, monkeypatch):
+        """A record that other code wrote sits at another address: the
+        lookup is a plain miss that never reads it, and the record stays
+        on disk for the build that wrote it."""
         spec = all_kernels()[0].base
         key = _grid_key(platform, spec)
         batch = platform.grid_sweep(spec)
-        monkeypatch.setattr(store_module, "STORE_SCHEMA_VERSION", 999)
-        store.save_batch(key, batch)
+        monkeypatch.setattr(store_module, "build_digest", lambda: "0" * 64)
+        assert store.save_batch(key, batch)
+        other = store.path_for(GRID_KIND, key)
         monkeypatch.undo()
+        assert store.path_for(GRID_KIND, key) != other
         assert store.load_batch(key) is None
-        assert store.stats().invalid_records == 1
+        stats = store.stats()
+        assert (stats.misses, stats.invalid_records, stats.bytes_read) == (
+            1, 0, 0)
+        assert other.exists()
+        monkeypatch.setattr(store_module, "build_digest", lambda: "0" * 64)
+        _assert_batches_bitwise_equal(batch, store.load_batch(key))
 
     def test_wrong_kind_record_is_miss(self, store, platform):
         """A record copied under another kind's address fails the
@@ -462,8 +456,7 @@ class TestRobustness:
         batch = fresh_platform.grid_sweep(spec)
         path = store.path_for(GRID_KIND, key)
         arrays, meta = batch_to_record(batch)
-        meta.update(schema=store_module.STORE_SCHEMA_VERSION,
-                    kind=GRID_KIND, digest=path.stem.split("-", 1)[1])
+        meta.update(kind=GRID_KIND, digest=path.stem.split("-", 1)[1])
         with open(path, "wb") as fh:
             np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
         assert path.read_bytes()[:4] == b"PK\x03\x04"
@@ -476,42 +469,35 @@ class TestRobustness:
         assert path.read_bytes().startswith(store_module._RAW_MAGIC)
         _assert_batches_bitwise_equal(batch, store.load_batch(key))
 
-    def test_schema_1_grid_record_is_invalid_miss_and_rewritten(
+    def test_store_filled_before_the_build_digest_is_never_read(
             self, tmp_path, fresh_platform):
-        """A grid record in the schema-1 layout (a 14-row stack ending in
-        the ``f_cu``/``f_mem`` columns, ``cfg_n_cu`` and the limits as
-        ``<U10`` names) misses as invalid, is recomputed bitwise, and the
-        write-through replaces it with a schema-2 record."""
-        from repro.perf.batch import config_grid
-
+        """A grid record at the address older builds used (the digest of
+        ``(kind, key)`` alone) is never read: the lookup misses without
+        touching it, the surface is recomputed bitwise and written to
+        this build's address, and the old record stays as it was."""
         spec = all_kernels()[1].base
         store = SweepStore(tmp_path / "s")
         key = _grid_key(fresh_platform, spec)
         batch = fresh_platform.grid_sweep(spec)
-        path = store.path_for(GRID_KIND, key)
         arrays, meta = batch_to_record(batch)
-        grid = config_grid(batch.configs)
-        arrays = {
-            "stack": np.vstack([arrays["stack"], grid.f_cu, grid.f_mem]),
-            "cfg_n_cu": grid.n_cu.astype(np.int64),
-            "bandwidth_limit": np.array(batch.bandwidth_limit, dtype=str),
-        }
-        meta.update(schema=1, kind=GRID_KIND,
-                    digest=path.stem.split("-", 1)[1])
-        with open(path, "wb") as fh:
+        old_digest = content_digest((GRID_KIND, key))
+        old = store.root / f"{GRID_KIND}-{old_digest}.npz"
+        meta.update(schema=2, kind=GRID_KIND, digest=old_digest)
+        with open(old, "wb") as fh:
             store_module._write_raw_record(fh, meta, arrays)
-        assert store_module._read_record(path)[1]["schema"] == 1
+        old_bytes = old.read_bytes()
 
         cache = SweepCache(store=store)
         again = fresh_platform.grid_sweep(spec, cache=cache)
         _assert_batches_bitwise_equal(batch, again)
         stats = store.stats()
-        assert (stats.hits, stats.invalid_records) == (0, 1)
+        assert (stats.hits, stats.misses, stats.invalid_records) == (0, 1, 0)
+        assert old.read_bytes() == old_bytes
+        path = store.path_for(GRID_KIND, key)
+        assert path != old
         rewritten, rewritten_meta = store_module._read_record(path)
-        assert rewritten_meta["schema"] == 2
+        assert "schema" not in rewritten_meta
         assert sorted(rewritten) == ["limit_codes", "stack"]
-        assert rewritten["stack"].shape == (12, len(batch.configs))
-        assert rewritten["limit_codes"].dtype == np.uint8
         loaded = store.load_batch(key)
         _assert_batches_bitwise_equal(batch, loaded)
         assert loaded.configs is fresh_platform.config_space.configs
@@ -532,10 +518,10 @@ _RECORD_ARRAYS = st.dictionaries(
 )
 
 #: JSON-stable metadata: what ``json.loads(json.dumps(m)) == m`` keeps,
-#: minus the three keys the store writes itself.
+#: minus the two keys the store writes itself.
 _RECORD_META = st.dictionaries(
     st.text(max_size=8).filter(
-        lambda name: name not in ("schema", "kind", "digest")),
+        lambda name: name not in ("kind", "digest")),
     st.recursive(
         st.none() | st.booleans() | st.integers()
         | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
@@ -564,7 +550,7 @@ class TestGenericRecords:
             assert loaded[name].shape == array.shape
             assert loaded[name].tobytes() == array.tobytes()
         kept = {name: value for name, value in loaded_meta.items()
-                if name not in ("schema", "kind", "digest")}
+                if name not in ("kind", "digest")}
         assert (json.dumps(kept, sort_keys=True)
                 == json.dumps(meta, sort_keys=True))
 

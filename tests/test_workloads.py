@@ -151,7 +151,7 @@ class TestApplication:
         launches = list(app.launches())
         assert len(launches) == app.total_launches()
         first_iteration = [k.name for _, k, _ in launches[:3]]
-        assert first_iteration == list(app.kernel_names())
+        assert first_iteration == [k.name for k in app.kernels]
 
     def test_rejects_empty_kernel_list(self):
         with pytest.raises(WorkloadError):
