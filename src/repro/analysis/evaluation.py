@@ -9,21 +9,18 @@ geometric means ("Geomean 2 ... excludes those two stress benchmarks").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import AnalysisError, map_items
 from repro.core.policy import PowerPolicy
 from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.metrics import RunMetrics, geomean, improvement
-from repro.runtime.montecarlo import (
-    MetricBand,
-    MonteCarloComparison,
-    MonteCarloEngine,
-    geomean_band,
-)
 from repro.runtime.simulator import RunResult
 from repro.workloads.application import Application
 from repro.workloads.registry import STRESS_BENCHMARKS
+
+if TYPE_CHECKING:
+    from repro.runtime.montecarlo import MetricBand, MonteCarloComparison
 
 
 @dataclass(frozen=True)
@@ -153,6 +150,8 @@ class MonteCarloSummary:
         banded across seeds, so the CI reflects what repeated measurement
         campaigns of the whole suite would report.
         """
+        from repro.runtime.montecarlo import geomean_band
+
         rows = self.for_policy(policy)
         if exclude_stress:
             rows = tuple(r for r in rows
@@ -249,6 +248,11 @@ class EvaluationHarness:
             seeds: trial platform seeds — an int N means ``range(N)``.
             noise_std_fraction: per-trial execution-time noise fraction.
         """
+        # Loaded here, not with the module: the plain evaluation that a
+        # ``reproduce`` run makes rolls out no Monte Carlo trial.
+        from repro.runtime.montecarlo import (MonteCarloComparison,
+                                              MonteCarloEngine)
+
         if not applications:
             raise AnalysisError("no applications to evaluate")
         engine = MonteCarloEngine(self._platform, noise_std_fraction, seeds)

@@ -42,9 +42,8 @@ on first use (:func:`_register_ablations`), from the study list in
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import AnalysisError
 from repro.experiments.context import ExperimentContext
@@ -55,9 +54,26 @@ from repro.experiments.context import ExperimentContext
 GROUPS = ("core", "ablations", "internal")
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class _SpecFields(NamedTuple):
+    """The fields of :class:`ExperimentSpec`, in declaration order."""
+
+    name: str
+    module: str
+    runner: Callable[[ExperimentContext, Mapping[str, Any]], Any]
+    formatter: Optional[Callable[[Any], str]] = None
+    deps: Tuple[str, ...] = ()
+    group: str = "core"
+    aliases: Tuple[str, ...] = ()
+
+
+class ExperimentSpec(_SpecFields):
     """One experiment pipeline node.
+
+    An immutable named tuple rather than a frozen dataclass: every report
+    command builds the registry at start-up, and a dataclass compiles its
+    generated methods when its class is created. Construction validates
+    the group and the formatter, and so do :meth:`_make` and therefore
+    ``_replace``.
 
     Attributes:
         name: unique node name; for report nodes this is also the report
@@ -74,26 +90,32 @@ class ExperimentSpec:
         group: ``core`` | ``ablations`` | ``internal``.
         aliases: the node's other names on the command line
             (``figure fig10``); unique across every name and alias.
+
+    Raises:
+        AnalysisError: on an unknown group, or when a formatter is given
+            to an internal node or missing from a report node.
     """
 
-    name: str
-    module: str
-    runner: Callable[[ExperimentContext, Mapping[str, Any]], Any]
-    formatter: Optional[Callable[[Any], str]] = None
-    deps: Tuple[str, ...] = ()
-    group: str = "core"
-    aliases: Tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.group not in GROUPS:
+    def __new__(cls, *args, **kwargs) -> "ExperimentSpec":
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.group not in GROUPS:
             raise AnalysisError(
-                f"experiment {self.name!r}: unknown group {self.group!r}"
+                f"experiment {spec.name!r}: unknown group {spec.group!r}"
             )
-        if (self.formatter is None) != (self.group == "internal"):
+        if (spec.formatter is None) != (spec.group == "internal"):
             raise AnalysisError(
-                f"experiment {self.name!r}: internal nodes and only internal "
+                f"experiment {spec.name!r}: internal nodes and only internal "
                 f"nodes run without a formatter"
             )
+        return spec
+
+    @classmethod
+    def _make(cls, iterable) -> "ExperimentSpec":
+        # The inherited ``_make`` (which ``_replace`` calls) builds the
+        # tuple directly and would skip the checks in ``__new__``.
+        return cls(*iterable)
 
     @property
     def is_report(self) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
-from typing import Hashable, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -36,11 +36,13 @@ from repro.perf.kernelspec import KernelSpec
 from repro.perf.model import PerformanceModel
 from repro.perf.result import KernelRunResult
 from repro.platform.calibration import (PlatformCalibration, default_calibration, pitcairn_calibration)
-from repro.platform.noise import NOISE_FLOOR, LaunchKeyedNoise
 from repro.platform.sweepcache import (SweepCache, grid_space, shared_cache,
                                        sweep_key)
 from repro.power.board import BoardPowerModel
 from repro.telemetry.spans import ambient_telemetry
+
+if TYPE_CHECKING:
+    from repro.platform.noise import LaunchKeyedNoise
 
 
 class HardwarePlatform:
@@ -80,10 +82,12 @@ class HardwarePlatform:
         if not (noise_std_fraction >= 0 and math.isfinite(noise_std_fraction)):
             raise ValueError("noise_std_fraction must be finite and >= 0")
         self._noise = noise_std_fraction
-        self._noise_model: Optional[LaunchKeyedNoise] = (
-            LaunchKeyedNoise(noise_std_fraction, seed, len(self._space))
-            if noise_std_fraction > 0 else None
-        )
+        self._noise_model: Optional[LaunchKeyedNoise] = None
+        if noise_std_fraction > 0:
+            # Only a noisy platform loads the noise model's module.
+            from repro.platform.noise import LaunchKeyedNoise
+            self._noise_model = LaunchKeyedNoise(
+                noise_std_fraction, seed, len(self._space))
         self._noise_clips = 0
         # Per-spec surface memo for the launch fast path: keyed by the
         # (cheaply hashable) KernelSpec alone, since calibration and grid
@@ -121,7 +125,8 @@ class HardwarePlatform:
 
     @property
     def noise_clip_count(self) -> int:
-        """Launches whose noise draw hit the :data:`NOISE_FLOOR` clamp.
+        """Launches whose noise draw hit the
+        :data:`~repro.platform.noise.NOISE_FLOOR` clamp.
 
         The clamp (``max(0.05, 1 + draw)``) keeps launch times positive
         under heavy noise but truncates the fast tail of the distribution;

@@ -60,7 +60,6 @@ in :class:`~repro.platform.sweepcache.SweepCache`.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import importlib.util
@@ -162,9 +161,12 @@ def canonical_encode(value: Any) -> str:
     Frozen dataclasses render as ``ClassName(field=..., ...)`` in field
     declaration order; floats render via :meth:`float.hex` (every bit
     pattern gets a distinct, platform-independent spelling — ``repr``
-    round-trips too, but hex makes the exactness explicit); tuples/lists
-    recurse. ``hash()`` is deliberately avoided: it is salted per process
-    for strings and would not address the same record twice.
+    round-trips too, but hex makes the exactness explicit); plain tuples
+    and lists recurse. A tuple or list subclass (a named tuple, say) has
+    no canonical form: rendered by its items it would lose its class
+    name, and two record types with equal fields would share an address.
+    ``hash()`` is deliberately avoided: it is salted per process for
+    strings and would not address the same record twice.
 
     The text of a frozen dataclass, and of a tuple passed to
     :func:`keep_encoding`, is kept for the life of the process
@@ -175,10 +177,14 @@ def canonical_encode(value: Any) -> str:
         TypeError: for values that have no canonical form (the key would
             silently collide otherwise).
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    # ``dataclasses.is_dataclass`` for an instance, without importing
+    # the module on the paths that encode no dataclass.
+    if hasattr(type(value), "__dataclass_fields__"):
         entry = _ENCODED.get(id(value))
         if entry is not None:
             return entry[1]
+        import dataclasses
+
         fields = ", ".join(
             f"{f.name}={canonical_encode(getattr(value, f.name))}"
             for f in dataclasses.fields(value)
@@ -197,7 +203,7 @@ def canonical_encode(value: Any) -> str:
         return repr(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, (tuple, list)):
+    if type(value) is tuple or type(value) is list:
         entry = _ENCODED.get(id(value))
         if entry is not None:
             return entry[1]
@@ -293,6 +299,8 @@ def batch_to_record(
     not stored: the record's key names its grid (see
     :func:`batch_from_record`).
     """
+    import dataclasses
+
     import numpy as np
 
     from repro.perf.batch import BANDWIDTH_LIMITS

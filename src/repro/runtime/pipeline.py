@@ -29,9 +29,8 @@ the exact formatted text.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple)
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple)
 
 from repro.analysis.report import format_table
 from repro.errors import AnalysisError
@@ -134,8 +133,7 @@ class ResultManifest:
             RESULT_KIND, name, {}, meta={"report": text})
 
 
-@dataclass(frozen=True)
-class NodeTiming:
+class NodeTiming(NamedTuple):
     """One node's outcome in a pipeline run."""
 
     name: str
@@ -143,8 +141,7 @@ class NodeTiming:
     wall_s: float
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Everything one pipeline run produced."""
 
     reports: Mapping[str, str]  # report node name -> exact report text

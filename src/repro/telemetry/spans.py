@@ -26,16 +26,15 @@ import os
 import threading
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 #: Version of the span wire schema (Chrome trace ``args`` payload).
 SPAN_SCHEMA_VERSION = 1
 
 #: Append-only history of the span fields per schema version. The lint
 #: (``tools/check_event_schema.py``) compares the current version's entry
-#: against the live dataclass, so a field change without a version bump
-#: fails CI.
+#: against the live :class:`SpanRecord` fields, so a field change without
+#: a version bump fails CI.
 SPAN_SCHEMA_MANIFEST: Dict[int, Tuple[str, ...]] = {
     1: (
         "end_s",
@@ -49,8 +48,7 @@ SPAN_SCHEMA_MANIFEST: Dict[int, Tuple[str, ...]] = {
     ),
 }
 
-@dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """One completed span.
 
     Timestamps are seconds relative to the owning tracker's epoch (a
@@ -78,7 +76,7 @@ class SpanRecord:
 
 def span_fields() -> Tuple[str, ...]:
     """The current :class:`SpanRecord` field names, sorted."""
-    return tuple(sorted(field.name for field in fields(SpanRecord)))
+    return tuple(sorted(SpanRecord._fields))
 
 
 def freeze_labels(labels: Mapping[str, Any]) -> Tuple[Tuple[str, str], ...]:
@@ -119,8 +117,7 @@ class SpanTracker:
             return len(self._records)
 
 
-@dataclass(frozen=True)
-class SpanContext:
+class SpanContext(NamedTuple):
     """The ambient "current span" seen by code below an open span."""
 
     telemetry: Any

@@ -274,13 +274,17 @@ def warm_run(filled_store, tmp_path_factory):
 
 
 def _forbidden_on_warm_path(name: str) -> bool:
-    """Whether a manifest-served run must not have loaded ``name``."""
+    """Whether a manifest-served run must not have loaded ``name``.
+
+    ``dataclasses`` (and the ``inspect`` it imports) is on the list
+    because the start-up records are named tuples: a frozen dataclass
+    compiles its generated methods when its class is created."""
     if name in ("repro.units", "repro.platform.calibration",
                 "repro.platform.hd7970", "repro.analysis.evaluation",
                 "repro.runtime.session", "repro.runtime.simulator",
                 "repro.runtime.montecarlo", "repro.runtime.parallel",
                 "repro.commands", "repro.telemetry.report",
-                "repro.telemetry.spantrace"):
+                "repro.telemetry.spantrace", "dataclasses", "inspect"):
         return True
     if name.startswith("repro.experiments."):
         return name not in ("repro.experiments.context",
@@ -540,13 +544,19 @@ _TRACE_ONLY = ("repro.telemetry.events", "repro.telemetry.export",
 class TestUntracedRunsLoadNoTraceCode:
     """Without ``--trace`` or ``--metrics-out`` a run holds the null
     handle, and the runtime builds events only under an enabled one: no
-    event, export, metrics, trace-report or span-trace code loads."""
+    event, export, metrics, trace-report or span-trace code loads. A
+    cold ``reproduce`` rolls out no Monte Carlo trial and builds no noisy
+    platform, so it loads neither of their modules either."""
 
     def test_cold_reproduce(self, filled_store):
         _, _, modules = filled_store
         assert "repro.runtime.session" in modules  # controllers ran
         assert "repro.core.harmonia" in modules
+        assert "repro.analysis.evaluation" in modules
         assert [name for name in _TRACE_ONLY if name in modules] == []
+        assert [name for name in ("repro.runtime.montecarlo",
+                                  "repro.platform.noise")
+                if name in modules] == []
 
     def test_montecarlo(self, filled_store):
         store, _, _ = filled_store

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +142,65 @@ class TestRegistryContents:
                            group="internal")
 
 
+class TestSpecContract:
+    """``ExperimentSpec`` is an immutable named tuple whose checks run on
+    every construction path."""
+
+    @staticmethod
+    def runner(context, deps):
+        return None
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = ExperimentSpec(
+            name="toy", module="toy", runner=self.runner, formatter=str,
+            deps=("training",), group="core", aliases=("toy-a",))
+        by_position = ExperimentSpec("toy", "toy", self.runner, str,
+                                     ("training",), "core", ("toy-a",))
+        assert by_keyword == by_position
+        assert by_keyword._fields == ("name", "module", "runner",
+                                      "formatter", "deps", "group",
+                                      "aliases")
+        assert (by_keyword.name, by_keyword.deps, by_keyword.aliases) == (
+            "toy", ("training",), ("toy-a",))
+        assert by_keyword.is_report
+        defaults = ExperimentSpec("toy", "toy", self.runner, str)
+        assert (defaults.deps, defaults.group, defaults.aliases) == (
+            (), "core", ())
+
+    def test_assignment_raises(self):
+        spec = registry.get_spec("fig10_ed2")
+        with pytest.raises(AttributeError):
+            spec.name = "other"
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        assert spec.name == "fig10_ed2"
+
+    def test_unknown_group_raises(self):
+        with pytest.raises(AnalysisError, match="unknown group"):
+            ExperimentSpec(name="x", module="toy", runner=self.runner,
+                           formatter=str, group="extras")
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"group": "extras"}, "unknown group"),
+        ({"formatter": None}, "formatter"),
+        ({"group": "internal"}, "formatter"),
+    ])
+    def test_copies_validate(self, changes, match):
+        spec = ExperimentSpec(name="toy", module="toy", runner=self.runner,
+                              formatter=str)
+        with pytest.raises(AnalysisError, match=match):
+            spec._replace(**changes)
+        with pytest.raises(AnalysisError, match=match):
+            ExperimentSpec._make({**spec._asdict(), **changes}.values())
+
+    def test_copy_keeps_the_type(self):
+        spec = registry.get_spec("fig10_ed2")
+        copy = spec._replace(aliases=())
+        assert type(copy) is ExperimentSpec
+        assert copy.is_report and copy.aliases == ()
+        assert copy._replace(aliases=spec.aliases) == spec
+
+
 class TestRegistryLint:
     def run_lint(self):
         return subprocess.run(
@@ -189,7 +247,7 @@ class TestRegistryLint:
         assert "'toy'" in error and "context.harmonia_policy" in error
         assert "'training'" in error
         # Depending on the evaluation reaches training transitively.
-        chained = [dataclasses.replace(toy, deps=("evaluation",)),
+        chained = [toy._replace(deps=("evaluation",)),
                    registry.get_spec("evaluation"),
                    registry.get_spec("training")]
         assert lint.undeclared_stages(chained, sources) == []

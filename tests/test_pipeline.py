@@ -10,10 +10,13 @@ from repro.errors import AnalysisError
 from repro.experiments.registry import ExperimentSpec
 from repro.platform.store import RESULT_KIND, SweepStore
 from repro.runtime.pipeline import (
+    PROFILE_SCHEMA,
     STATUS_MANIFEST,
     STATUS_PRUNED,
     STATUS_RAN,
     ExperimentPipeline,
+    NodeTiming,
+    PipelineResult,
     ResultManifest,
     format_profile,
     topological_order,
@@ -268,6 +271,57 @@ class TestPipelineRun:
             spec.name for spec in specs)
         assert [node["node"] for node in result.to_dict()["nodes"]] == [
             spec.name for spec in specs]
+
+
+class TestResultContract:
+    """``NodeTiming`` and ``PipelineResult`` are immutable named tuples
+    with the fields, accessors and profile layout readers rely on."""
+
+    TIMINGS = (
+        NodeTiming(name="base", status=STATUS_PRUNED, wall_s=0.0),
+        NodeTiming("leaf", STATUS_MANIFEST, 0.25),
+        NodeTiming(name="free", status=STATUS_RAN, wall_s=1.5),
+    )
+
+    def result(self):
+        return PipelineResult(reports={"leaf": "leaf=1", "free": "free=2"},
+                              timings=self.TIMINGS, wall_s=2.0)
+
+    def test_keyword_and_positional_construction_agree(self):
+        assert NodeTiming("n", STATUS_RAN, 0.5) == NodeTiming(
+            name="n", status=STATUS_RAN, wall_s=0.5)
+        assert NodeTiming._fields == ("name", "status", "wall_s")
+        reports = {"leaf": "leaf=1"}
+        assert PipelineResult(reports, self.TIMINGS, 2.0) == PipelineResult(
+            reports=reports, timings=self.TIMINGS, wall_s=2.0)
+        assert PipelineResult._fields == ("reports", "timings", "wall_s")
+
+    def test_assignment_raises(self):
+        timing, result = self.TIMINGS[1], self.result()
+        with pytest.raises(AttributeError):
+            timing.wall_s = 0.0
+        with pytest.raises(AttributeError):
+            result.wall_s = 0.0
+        with pytest.raises(AttributeError):
+            result.extra = 1
+        assert (timing.wall_s, result.wall_s) == (0.25, 2.0)
+
+    def test_ran_and_served(self):
+        result = self.result()
+        assert result.ran() == ("free",)
+        assert result.served() == ("leaf",)
+
+    def test_to_dict_keeps_the_profile_layout(self):
+        assert PROFILE_SCHEMA == 3
+        assert self.result().to_dict() == {
+            "schema": 3,
+            "wall_s": 2.0,
+            "nodes": [
+                {"node": "base", "status": "pruned", "wall_s": 0.0},
+                {"node": "leaf", "status": "manifest", "wall_s": 0.25},
+                {"node": "free", "status": "ran", "wall_s": 1.5},
+            ],
+        }
 
 
 class TestPipelineSpans:

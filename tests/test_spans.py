@@ -14,7 +14,9 @@ from repro.telemetry.handle import NULL_TELEMETRY
 from repro.telemetry.spans import (
     SPAN_SCHEMA_MANIFEST,
     SPAN_SCHEMA_VERSION,
+    SpanContext,
     SpanRecord,
+    SpanTracker,
     ambient_telemetry,
     span_fields,
 )
@@ -79,8 +81,41 @@ class TestSpanRecording:
         (rec,) = telemetry.spans.records()
         assert rec.name == "doomed"
 
-    def test_schema_manifest_matches_dataclass(self):
+    def test_schema_manifest_matches_the_record_fields(self):
         assert SPAN_SCHEMA_MANIFEST[SPAN_SCHEMA_VERSION] == span_fields()
+        assert span_fields() == tuple(sorted(SpanRecord._fields))
+
+
+class TestSpanTypesContract:
+    """``SpanRecord`` and ``SpanContext`` are immutable named tuples with
+    the fields and accessors the trace code reads."""
+
+    def test_record_keyword_and_positional_construction_agree(self):
+        by_keyword = record("work", 2, 1, 0.5, 2.0, labels=(("k", "v"),))
+        by_position = SpanRecord("work", 2, 1, 0.5, 2.0, 1, 1, (("k", "v"),))
+        assert by_keyword == by_position
+        assert SpanRecord._fields == ("name", "span_id", "parent_id",
+                                      "start_s", "end_s", "pid", "tid",
+                                      "labels")
+        assert by_keyword.duration_s == 1.5
+        assert by_keyword.label_dict() == {"k": "v"}
+
+    def test_context_keyword_and_positional_construction_agree(self):
+        tracker = SpanTracker()
+        assert SpanContext(NULL_TELEMETRY, tracker, 3) == SpanContext(
+            telemetry=NULL_TELEMETRY, tracker=tracker, span_id=3)
+        assert SpanContext._fields == ("telemetry", "tracker", "span_id")
+
+    def test_assignment_raises(self):
+        rec = record("work", 2, 1, 0.5, 2.0)
+        context = SpanContext(NULL_TELEMETRY, SpanTracker(), None)
+        with pytest.raises(AttributeError):
+            rec.end_s = 9.0
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        with pytest.raises(AttributeError):
+            context.span_id = 4
+        assert (rec.end_s, context.span_id) == (2.0, None)
 
 
 class TestContextPropagation:

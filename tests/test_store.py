@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -74,6 +75,24 @@ class TestCanonicalEncoding:
             canonical_encode({1, 2})
         with pytest.raises(TypeError):
             canonical_encode(object())
+
+    def test_tuple_and_list_subclasses_raise(self):
+        """Rendered by its items, a named tuple would lose its class name:
+        two record types with equal fields would share an address."""
+
+        class Cell(NamedTuple):
+            x: int
+
+        class Items(list):
+            pass
+
+        with pytest.raises(TypeError, match="Cell"):
+            canonical_encode(Cell(1))
+        with pytest.raises(TypeError, match="Cell"):
+            content_digest(("key", (Cell(1),)))
+        with pytest.raises(TypeError, match="Items"):
+            canonical_encode(Items([1]))
+        assert canonical_encode((1, [2.0])) == "(1, (0x1.0000000000000p+1))"
 
     def test_calibration_change_changes_digest(self):
         spec = all_kernels()[0].base
