@@ -12,10 +12,11 @@ application set under a Harmonia policy:
   and the run ends in ``finish_run`` exactly as in
   ``ApplicationRunner.run``, so the two differ only by the telemetry
   check;
-* **runner**: ``ApplicationRunner.run`` with its default null handle;
-* **active**: ``ApplicationRunner.run`` with a live handle — event sink,
-  metrics registry and span tracker all recording, each application run
-  wrapped in a span.
+* **runner**: ``ApplicationRunner.run`` outside any span, where the
+  runner and the policy find the null handle;
+* **active**: ``ApplicationRunner.run`` inside a live handle's span and
+  ``record_events`` scope — event sink, metrics registry and span
+  tracker all recording, the policy's decision events included.
 
 and asserts the null runner stays within 2% of bare
 (min-of-rounds timing with the loops alternating round by round, so host
@@ -47,7 +48,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.core.policy import LaunchContext
 from repro.runtime.simulator import ApplicationRunner, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
-from repro.telemetry import InMemorySink, Telemetry
+from repro.telemetry import InMemorySink, Telemetry, ambient_telemetry
 
 #: Maximum tolerated slowdown of the null-telemetry runner path.
 OVERHEAD_BOUND = 1.02
@@ -98,7 +99,7 @@ def test_null_telemetry_overhead(ctx, emit):
     applications = ctx.applications
     policy = ctx.harmonia_policy()
     runner = ApplicationRunner(platform)
-    assert not runner.telemetry.enabled
+    assert not ambient_telemetry().enabled
 
     def bare(application, policy):
         _bare_run(platform, application, policy)
@@ -141,10 +142,10 @@ def test_active_telemetry_overhead(ctx, emit):
     def active(application, policy):
         # Fresh handle per run: unbounded event/span accumulation over
         # ROUNDS sweeps would measure list growth, not telemetry cost.
-        telemetry = Telemetry(sink=InMemorySink())
-        runner = ApplicationRunner(platform, telemetry=telemetry)
-        with telemetry.span("bench.run", application=application.name):
-            runner.run(application, policy)
+        telemetry = Telemetry()
+        with telemetry.span("bench.run", application=application.name), \
+                telemetry.record_events(InMemorySink()):
+            ApplicationRunner(platform).run(application, policy)
 
     bare(applications[0], policy)
     active(applications[0], policy)
@@ -194,10 +195,10 @@ def main(argv=None) -> int:
         null_runner.run(application, policy)
 
     def active(application, policy):
-        telemetry = Telemetry(sink=InMemorySink())
-        runner = ApplicationRunner(platform, telemetry=telemetry)
-        with telemetry.span("bench.run", application=application.name):
-            runner.run(application, policy)
+        telemetry = Telemetry()
+        with telemetry.span("bench.run", application=application.name), \
+                telemetry.record_events(InMemorySink()):
+            ApplicationRunner(platform).run(application, policy)
 
     bare(applications[0], policy)
     null_instrumented(applications[0], policy)

@@ -15,9 +15,9 @@ overhead ratios. The baseline is the **median of a trailing window** of
 prior entries on the same ledger, so one lucky (or unlucky) run cannot
 move the bar, and the very first entry simply seeds the history.
 
-Consumers: ``python -m repro bench-report`` renders trends and gate
-status; ``tools/bench_gate.py`` is the CI face (``ingest`` + ``check``,
-exit 1 on regression).
+``tools/bench_gate.py`` is its one entry point: ``ingest`` appends
+runs, ``check`` prints the trend report and gates the latest entries
+(exit 1 on a regression or a vanished gated metric).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import os
 import platform as platform_module
 import re
-import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -400,13 +399,3 @@ def format_trend_report(entries: Sequence[LedgerEntry],
                          f"({result.detail})")
     return "\n".join(lines)
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
-    """Tiny debug entry point: print the trend report."""
-    path = argv[0] if argv else default_ledger_path()
-    print(format_trend_report(read_entries(path)))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main(sys.argv[1:]))

@@ -421,23 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "PATH as JSON")
     repro_p.set_defaults(func=cmd_reproduce)
 
-    bench_p = sub.add_parser(
-        "bench-report",
-        help="benchmark trend ledger: history, baselines and gate status",
-    )
-    bench_p.add_argument("--ledger", metavar="PATH", default=None,
-                         help="ledger JSONL file (default: "
-                              "benchmarks/ledger.jsonl)")
-    bench_p.add_argument("--bench", action="append", default=None,
-                         metavar="NAME",
-                         help="restrict to one benchmark (repeatable)")
-    bench_p.add_argument("--window", type=int, default=5, metavar="N",
-                         help="baseline window: median of up to N prior "
-                              "entries (default: 5)")
-    bench_p.add_argument("--check", action="store_true",
-                         help="exit 1 when any gate reports a regression")
-    bench_p.set_defaults(func=_deferred("cmd_bench_report"))
-
     return parser
 
 

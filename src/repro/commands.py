@@ -1,11 +1,10 @@
 """The CLI subcommands that do not print paper reports.
 
-``list``, ``run``, ``sweep``, ``montecarlo``, ``telemetry-report`` and
-``bench-report`` live here, apart from :mod:`repro.cli`:
-:func:`repro.cli.main` imports this module only when it dispatches one
-of them, so ``reproduce``, ``figure`` and ``evaluate`` against a warm
-result manifest never compile it. Each command imports the rest of what
-it needs itself.
+``list``, ``run``, ``sweep``, ``montecarlo`` and ``telemetry-report``
+live here, apart from :mod:`repro.cli`: :func:`repro.cli.main` imports
+this module only when it dispatches one of them, so ``reproduce``,
+``figure`` and ``evaluate`` against a warm result manifest never compile
+it. Each command imports the rest of what it needs itself.
 """
 
 from __future__ import annotations
@@ -19,21 +18,15 @@ from repro.cli import (attach_store, span_telemetry, write_metrics,
 from repro.experiments.context import ExperimentContext
 
 
-def _build_policy(context: ExperimentContext, name: str, telemetry=None):
-    if name in ("baseline", "oracle"):
-        # These comparators take no decisions worth tracing; runner-level
-        # KernelLaunch events still cover them.
-        factories = {
-            "baseline": context.baseline_policy,
-            "oracle": context.oracle_policy,
-        }
-        return factories[name]()
+def _build_policy(context: ExperimentContext, name: str):
     factories = {
+        "baseline": context.baseline_policy,
+        "oracle": context.oracle_policy,
         "harmonia": context.harmonia_policy,
         "cg-only": context.cg_only_policy,
         "dvfs-only": context.dvfs_only_policy,
     }
-    return factories[name](telemetry=telemetry)
+    return factories[name]()
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -75,18 +68,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.telemetry import JsonlSink, Telemetry
         if args.trace:
             sink = JsonlSink(args.trace)
-        telemetry = Telemetry(sink=sink)
+        telemetry = Telemetry()
     attach_store(args)
 
     # One root span over the whole run: the training's and the baseline's
-    # store loads record under it too. The baseline comparator's runner
-    # gets no handle, so the event trace holds only the policy under
-    # study.
+    # store loads record under it too. Only the policy's own session runs
+    # inside the event scope, so the event trace and the controller
+    # metrics hold only the policy under study.
     with telemetry.span("run", application=app.name, policy=args.policy):
-        policy = _build_policy(context, args.policy, telemetry=telemetry)
-        baseline = context.baseline_policy()
-        base_run = BatchSessionRunner(context.platform).run(app, baseline)
-        run = BatchSessionRunner(context.platform, telemetry).run(app, policy)
+        policy = _build_policy(context, args.policy)
+        runner = BatchSessionRunner(context.platform)
+        base_run = runner.run(app, context.baseline_policy())
+        with telemetry.record_events(sink):
+            run = runner.run(app, policy)
 
     rows = []
     for label, r in (("baseline", base_run), (args.policy, run)):
@@ -295,54 +289,4 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             title=f"{spec.name}: metric-optimal configurations over "
                   f"{len(sweep)} grid points",
         ))
-    return 0
-
-
-def _load_ledger_module():
-    """Import :mod:`benchmarks.ledger`, tolerating a src-only sys.path.
-
-    The ledger lives beside the benchmarks (it is their data model, not
-    runtime code); when ``repro`` was imported from ``src`` alone, the
-    repository root is appended so the module resolves in a dev checkout.
-    """
-    try:
-        from benchmarks import ledger
-        return ledger
-    except ImportError:
-        import pathlib
-        repo_root = pathlib.Path(__file__).resolve().parents[2]
-        if not (repo_root / "benchmarks" / "ledger.py").exists():
-            raise
-        sys.path.insert(0, str(repo_root))
-        from benchmarks import ledger
-        return ledger
-
-
-def cmd_bench_report(args: argparse.Namespace) -> int:
-    """Report benchmark trends and regression-gate status from the ledger."""
-    try:
-        ledger = _load_ledger_module()
-    except ImportError as error:
-        print(f"bench ledger unavailable: {error}", file=sys.stderr)
-        return 2
-
-    path = args.ledger if args.ledger else ledger.default_ledger_path()
-    entries = ledger.read_entries(path)
-    if not entries:
-        print(f"ledger {path} holds no entries; ingest BENCH_*.json runs "
-              f"with: python tools/bench_gate.py ingest BENCH_foo.json",
-              file=sys.stderr)
-        return 2
-    if args.bench:
-        entries = [entry for entry in entries if entry.bench in args.bench]
-        if not entries:
-            print(f"ledger {path} holds no entries for {args.bench}",
-                  file=sys.stderr)
-            return 2
-    print(ledger.format_trend_report(entries, window=args.window))
-    if args.check:
-        results = ledger.evaluate_all_gates(entries, window=args.window)
-        if any(result.status == ledger.STATUS_REGRESSION
-               for result in results):
-            return 1
     return 0

@@ -21,7 +21,6 @@ from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.perf.counters import PerfCounters
 from repro.sensitivity.binning import Bin, SensitivityBins
 from repro.sensitivity.predictor import SensitivityPredictor
-from repro.telemetry.handle import coalesce
 
 #: Names of the three hardware tunables.
 TUNABLES: Tuple[str, ...] = ("n_cu", "f_cu", "f_mem")
@@ -63,8 +62,6 @@ class CoarseGrainTuner:
         bins: binning thresholds and per-bin range targets.
         tunables: which tunables the CG block may move (the compute-DVFS-
             only variant restricts this to ``{"f_cu"}``).
-        telemetry: telemetry handle counting CG targets (disabled null
-            handle by default).
     """
 
     def __init__(
@@ -75,9 +72,7 @@ class CoarseGrainTuner:
         bins: Optional[SensitivityBins] = None,
         tunables: FrozenSet[str] = frozenset(TUNABLES),
         bin_targets: Optional[Mapping[str, Mapping[Bin, float]]] = None,
-        telemetry=None,
     ):
-        self._telemetry = coalesce(telemetry)
         unknown = tunables - set(TUNABLES)
         if unknown:
             raise ValueError(f"unknown tunables: {sorted(unknown)}")
@@ -122,10 +117,6 @@ class CoarseGrainTuner:
         fixed per-bin range fraction. Tunables outside this tuner's
         jurisdiction keep their current values.
         """
-        if self._telemetry.enabled:
-            self._telemetry.metrics.counter(
-                "cg_targets_total", "SetCU_Freq_MemBW target computations",
-            ).inc()
         jumped = self._space.fraction_to_grid(
             frac_cu=self._targets["n_cu"][snapshot.compute_bin],
             frac_f_cu=self._targets["f_cu"][snapshot.compute_bin],

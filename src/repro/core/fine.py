@@ -50,7 +50,6 @@ from repro.errors import PolicyError
 from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.perf.result import KernelRunResult
 from repro.sensitivity.binning import Bin
-from repro.telemetry.handle import coalesce
 
 #: FG probing priority among equal bins: memory bus, CU count, frequency.
 _TIEBREAK_ORDER: Tuple[str, ...] = ("f_mem", "n_cu", "f_cu")
@@ -141,8 +140,6 @@ class FineGrainTuner:
         max_dithering: reverts tolerated before converging to the best
             state seen (the paper's ``dithering > max`` check).
         tolerance: relative feedback change treated as "stayed the same".
-        telemetry: telemetry handle counting propose decisions (disabled
-            null handle by default).
     """
 
     def __init__(
@@ -151,7 +148,6 @@ class FineGrainTuner:
         tunables: Tuple[str, ...] = ("n_cu", "f_cu", "f_mem"),
         max_dithering: int = 3,
         tolerance: float = 0.01,
-        telemetry=None,
     ):
         if max_dithering < 1:
             raise PolicyError("max_dithering must be >= 1")
@@ -161,7 +157,6 @@ class FineGrainTuner:
         self._tunables = tuple(tunables)
         self._max_dithering = max_dithering
         self._tolerance = tolerance
-        self._telemetry = coalesce(telemetry)
         # Pure memo: probe order is a function of the bin assignment only
         # (at most |Bin|^len(tunables) entries for a fixed tuner).
         self._probe_memo: Dict[Tuple[Bin, ...], Tuple[str, ...]] = {}
@@ -218,11 +213,6 @@ class FineGrainTuner:
         Returns:
             The configuration for the next launch.
         """
-        tel = self._telemetry
-        if tel.enabled:
-            tel.metrics.counter(
-                "fg_proposals_total", "fine-grain propose() decisions",
-            ).inc()
         self._space.validate(current)
         self._update_best(state, current, feedback)
 

@@ -41,7 +41,8 @@ from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.perf.result import KernelRunResult
 from repro.sensitivity.binning import Bin, SensitivityBins
 from repro.sensitivity.predictor import SensitivityPredictor
-from repro.telemetry.handle import coalesce
+from repro.telemetry.handle import NULL_TELEMETRY
+from repro.telemetry.spans import ambient_telemetry
 
 
 @dataclass
@@ -106,9 +107,12 @@ class HarmoniaPolicy(HistoryMixin):
             scratch (Section 5.1's per-kernel history, generalized to
             phases).
         policy_name: report name override.
-        telemetry: telemetry handle receiving decision events and
-            metrics (disabled null handle by default; with it disabled
-            the policy's decisions are bit-identical).
+
+    A session that starts inside the run handle's
+    :meth:`~repro.telemetry.handle.Telemetry.record_events` scope
+    records the policy's decision events and controller counters there
+    (:meth:`reset` looks the handle up); the decisions are bit-identical
+    either way.
     """
 
     def __init__(
@@ -126,25 +130,22 @@ class HarmoniaPolicy(HistoryMixin):
         fg_patience: int = 3,
         enable_phase_memory: bool = True,
         policy_name: Optional[str] = None,
-        telemetry=None,
     ):
         super().__init__()
         self._space = space
-        self._telemetry = coalesce(telemetry)
+        self._telemetry = NULL_TELEMETRY
         self._cg = CoarseGrainTuner(
             space=space,
             compute_predictor=compute_predictor,
             bandwidth_predictor=bandwidth_predictor,
             bins=bins,
             tunables=frozenset(tunables),
-            telemetry=self._telemetry,
         )
         self._fg = FineGrainTuner(
             space=space,
             tunables=tunables,
             max_dithering=max_dithering,
             tolerance=tolerance,
-            telemetry=self._telemetry,
         )
         self._monitor = MonitoringBlock(alpha=monitor_alpha)
         self._phases = PhaseDetector(threshold=phase_threshold)
@@ -179,13 +180,12 @@ class HarmoniaPolicy(HistoryMixin):
         """The per-phase configuration memory (None when disabled)."""
         return self._phase_memory
 
-    @property
-    def telemetry(self):
-        """The telemetry handle in use (the null handle when disabled)."""
-        return self._telemetry
-
     def reset(self) -> None:
-        """Forget all per-kernel state (between applications)."""
+        """Forget all per-kernel state (between applications) and look
+        up the handle this session records its decisions on."""
+        telemetry = ambient_telemetry()
+        self._telemetry = (telemetry if telemetry.records_events
+                           else NULL_TELEMETRY)
         self.clear_history()
         self._control.clear()
         self._monitor.reset()
@@ -331,6 +331,10 @@ class HarmoniaPolicy(HistoryMixin):
                 source = "cg"
                 if tel.enabled:
                     from repro.telemetry.events import CGJump
+                    tel.metrics.counter(
+                        "cg_targets_total",
+                        "SetCU_Freq_MemBW target computations",
+                    ).inc()
                     tel.emit(CGJump(
                         kernel=context.kernel_name,
                         iteration=context.iteration,
@@ -433,6 +437,9 @@ class HarmoniaPolicy(HistoryMixin):
 
         tel = self._telemetry
         kernel = context.kernel_name
+        tel.metrics.counter(
+            "fg_proposals_total", "fine-grain propose() decisions",
+        ).inc()
         tel.metrics.counter(
             "fg_actions_total", "fine-grain engagements",
         ).inc(kernel=kernel)

@@ -24,7 +24,6 @@ def make_cg_only_policy(
     compute_predictor: SensitivityPredictor,
     bandwidth_predictor: SensitivityPredictor,
     bins: Optional[SensitivityBins] = None,
-    telemetry=None,
 ) -> HarmoniaPolicy:
     """Harmonia with the FG loop disabled (the "CG" bars)."""
     return HarmoniaPolicy(
@@ -34,7 +33,6 @@ def make_cg_only_policy(
         bins=bins,
         enable_fg=False,
         policy_name="cg-only",
-        telemetry=telemetry,
     )
 
 
@@ -52,7 +50,6 @@ class ComputeDvfsOnlyPolicy(HarmoniaPolicy):
         compute_predictor: SensitivityPredictor,
         bandwidth_predictor: SensitivityPredictor,
         bins: Optional[SensitivityBins] = None,
-        telemetry=None,
     ):
         super().__init__(
             space=space,
@@ -62,5 +59,4 @@ class ComputeDvfsOnlyPolicy(HarmoniaPolicy):
             enable_fg=True,
             tunables=("f_cu",),
             policy_name="dvfs-only",
-            telemetry=telemetry,
         )

@@ -108,31 +108,28 @@ class ExperimentContext:
         from repro.core.baseline import BaselinePolicy
         return BaselinePolicy(self.platform.config_space)
 
-    def harmonia_policy(self, telemetry=None) -> HarmoniaPolicy:
+    def harmonia_policy(self) -> HarmoniaPolicy:
         """A fresh Harmonia (FG+CG) policy with trained predictors."""
         from repro.core.harmonia import HarmoniaPolicy
         training = self.training
         return HarmoniaPolicy(
             self.platform.config_space, training.compute, training.bandwidth,
-            telemetry=telemetry,
         )
 
-    def cg_only_policy(self, telemetry=None) -> HarmoniaPolicy:
+    def cg_only_policy(self) -> HarmoniaPolicy:
         """A fresh CG-only policy."""
         from repro.core.variants import make_cg_only_policy
         training = self.training
         return make_cg_only_policy(
             self.platform.config_space, training.compute, training.bandwidth,
-            telemetry=telemetry,
         )
 
-    def dvfs_only_policy(self, telemetry=None) -> ComputeDvfsOnlyPolicy:
+    def dvfs_only_policy(self) -> ComputeDvfsOnlyPolicy:
         """A fresh compute-DVFS-only policy (Section 7.2)."""
         from repro.core.variants import ComputeDvfsOnlyPolicy
         training = self.training
         return ComputeDvfsOnlyPolicy(
             self.platform.config_space, training.compute, training.bandwidth,
-            telemetry=telemetry,
         )
 
     def oracle_policy(self) -> OraclePolicy:

@@ -229,27 +229,14 @@ def keep_encoding(value: tuple) -> tuple:
     return value
 
 
-#: Digests of recently digested (hashable) keys. Encoding a key walks
-#: the whole calibration dataclass; a ``reproduce`` run addresses a
-#: hundred-plus records under a handful of calibrations, so the memo
-#: turns all but the first walk per key into a dict hit.
-_DIGEST_MEMO: Dict[Any, str] = {}
-
-
 def content_digest(key: Any) -> str:
-    """Hex SHA-256 of a key's canonical serialization."""
-    try:
-        cached = _DIGEST_MEMO.get(key)
-    except TypeError:  # unhashable key (e.g. contains a list): no memo
-        return hashlib.sha256(
-            canonical_encode(key).encode("utf-8")).hexdigest()
-    if cached is None:
-        cached = hashlib.sha256(
-            canonical_encode(key).encode("utf-8")).hexdigest()
-        if len(_DIGEST_MEMO) >= 4096:
-            _DIGEST_MEMO.clear()
-        _DIGEST_MEMO[key] = cached
-    return cached
+    """Hex SHA-256 of a key's canonical serialization.
+
+    Not memoized by key: keys that compare equal can encode differently
+    (``1 == 1.0 == True``). The calibration, spec and grid-axis text that
+    many keys share comes from :data:`_ENCODED`, by identity.
+    """
+    return hashlib.sha256(canonical_encode(key).encode("utf-8")).hexdigest()
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,16 +26,17 @@ differential-testing oracle. Production groups hold one to five lanes
 (one per policy of an evaluation cell), too few to amortize vectorizing
 the policies themselves.
 
-**No fallbacks.** Every run steps here, traced or not. Given a telemetry
-handle, the engine emits each lane's ``KernelLaunch`` event and launch
-metrics after the tick's observe stage, in session order, so a one-lane
-traced run writes exactly the oracle's event stream; decision events come
-from each policy's own ``observe``. That handle selects the launch event
-stream only: the ``controller.session`` and ``controller.step`` spans go
-to the ambient span's handle, like every other span of the run. A policy
-instance drives at most one lane of an application — shared mutable
-history has no lockstep meaning — and a second lane raises
-:class:`~repro.errors.AnalysisError`.
+**No fallbacks.** Every run steps here, traced or not. The engine looks
+up the ambient handle (:func:`~repro.telemetry.spans.ambient_telemetry`)
+once per call and records its ``controller.session`` and
+``controller.step`` spans there. When the call starts inside that
+handle's ``record_events`` scope, the engine also emits each lane's
+``KernelLaunch`` event and launch metrics after the tick's observe
+stage, in session order, so a one-lane traced run writes exactly the
+oracle's event stream; decision events come from each policy's own
+``observe``. A policy instance drives at most one lane of an
+application — shared mutable history has no lockstep meaning — and a
+second lane raises :class:`~repro.errors.AnalysisError`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.errors import AnalysisError
 from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.simulator import RunResult, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
-from repro.telemetry.handle import coalesce
 from repro.telemetry.spans import ambient_telemetry
 from repro.workloads.application import Application
 
@@ -86,15 +86,10 @@ class BatchSessionRunner:
 
     Args:
         platform: default test bed for lanes that don't carry their own.
-        telemetry: telemetry handle receiving every lane's
-            ``KernelLaunch`` events and the launch metrics. The
-            controller spans go to the ambient handle (see
-            :func:`~repro.telemetry.spans.ambient_telemetry`).
     """
 
-    def __init__(self, platform: HardwarePlatform, telemetry=None):
+    def __init__(self, platform: HardwarePlatform):
         self._platform = platform
-        self._telemetry = coalesce(telemetry)
 
     def run(self, application: Application,
             policy: PowerPolicy) -> RunResult:
@@ -137,14 +132,15 @@ class BatchSessionRunner:
                 grouped[key] = []
                 order.append(spec.application)
             grouped[key].append(position)
-        spans = ambient_telemetry()
+        telemetry = ambient_telemetry()
         for application in order:
             positions = grouped[id(application)]
-            with spans.span("controller.session",
-                            application=application.name,
-                            lanes=len(positions)):
+            with telemetry.span("controller.session",
+                                application=application.name,
+                                lanes=len(positions)):
                 outcomes = self._run_application(
-                    application, [sessions[p] for p in positions], spans
+                    application, [sessions[p] for p in positions],
+                    telemetry,
                 )
             for position, outcome in zip(positions, outcomes):
                 results[position] = outcome
@@ -154,18 +150,18 @@ class BatchSessionRunner:
 
     def _run_application(self, application: Application,
                          specs: Sequence[SessionSpec],
-                         spans) -> List[RunResult]:
+                         telemetry) -> List[RunResult]:
         lanes = []
         for spec in specs:
             spec.policy.reset()
             lanes.append(_Lane(spec.policy, spec.platform or self._platform))
 
-        with spans.span("controller.step"):
-            self._step_lockstep(application.launches(), lanes)
+        with telemetry.span("controller.step"):
+            self._step_lockstep(application.launches(), lanes, telemetry)
         return [finish_run(application, lane.policy, lane.trace)
                 for lane in lanes]
 
-    def _step_lockstep(self, steps, lanes: List[_Lane]) -> None:
+    def _step_lockstep(self, steps, lanes: List[_Lane], tel) -> None:
         # Platform clusters: one surface lookup (and, when noisy, one
         # keyed draw stream) serves every lane on the same platform.
         clusters: Dict[int, Tuple[HardwarePlatform, List[_Lane]]] = {}
@@ -174,8 +170,8 @@ class BatchSessionRunner:
                                         (lane.platform, []))
             entry[1].append(lane)
         cluster_list = list(clusters.values())
-        tel = self._telemetry
-        if tel.enabled:
+        record = tel.records_events
+        if record:
             from repro.telemetry.events import KernelLaunch
             launches_total = tel.metrics.counter(
                 "kernel_launches_total", "kernel launches executed",
@@ -214,7 +210,7 @@ class BatchSessionRunner:
             # Observe: each lane's own policy, in session order.
             for lane in lanes:
                 lane.policy.observe(context, lane.result)
-            if tel.enabled:
+            if record:
                 # The oracle's per-launch emission, lane by lane in
                 # session order, after every lane's decision events.
                 for lane in lanes:

@@ -18,7 +18,7 @@ from repro.core.policy import LaunchContext, PowerPolicy
 from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.metrics import RunMetrics, metrics_from_launches
 from repro.runtime.trace import LaunchRecord, RunTrace
-from repro.telemetry.handle import coalesce
+from repro.telemetry.spans import ambient_telemetry
 from repro.workloads.application import Application
 
 if TYPE_CHECKING:
@@ -69,25 +69,20 @@ class ApplicationRunner:
     metrics; this class stays as the differential oracle the tests
     compare it with.
 
+    A run that starts inside the ambient handle's ``record_events``
+    scope emits its ``KernelLaunch`` events and launch metrics there.
+
     Args:
         platform: the test bed to drive.
-        telemetry: telemetry handle receiving per-launch events and the
-            launch metrics (disabled null handle by default).
     """
 
-    def __init__(self, platform: HardwarePlatform, telemetry=None):
+    def __init__(self, platform: HardwarePlatform):
         self._platform = platform
-        self._telemetry = coalesce(telemetry)
 
     @property
     def platform(self) -> HardwarePlatform:
         """The test bed being driven."""
         return self._platform
-
-    @property
-    def telemetry(self):
-        """The telemetry handle in use (the null handle when disabled)."""
-        return self._telemetry
 
     def run(self, application: Application,
             policy: PowerPolicy) -> RunResult:
@@ -95,8 +90,9 @@ class ApplicationRunner:
         (each application run starts fresh, as in the paper's
         per-application measurements)."""
         policy.reset()
-        tel = self._telemetry
-        if tel.enabled:
+        tel = ambient_telemetry()
+        record = tel.records_events
+        if record:
             from repro.telemetry.events import KernelLaunch
             launches_total = tel.metrics.counter(
                 "kernel_launches_total", "kernel launches executed",
@@ -116,7 +112,7 @@ class ApplicationRunner:
             trace.append(LaunchRecord(
                 iteration=iteration, kernel_name=kernel.name, result=result
             ))
-            if tel.enabled:
+            if record:
                 launches_total.inc(kernel=kernel.name, policy=policy.name)
                 launch_time.observe(result.time, kernel=kernel.name)
                 tel.emit(KernelLaunch(

@@ -15,14 +15,15 @@ Five pieces, composable through one :class:`Telemetry` handle:
   (Perfetto-loadable) and the self-vs-total critical-path report of
   recorded spans (``repro run --profile`` prints that report).
 
-Event streams go through an injected handle: the policies take one for
-their decision events, the runners one for their ``KernelLaunch``
-events. Spans and infrastructure counters go through the ambient span
+Every component reaches its handle through the ambient span
 (:func:`ambient_telemetry`): the store, the manifest, the pipeline and
-the platform record on the handle of the span that encloses the call.
-Either way the default is :data:`NULL_TELEMETRY`, whose operations are
-no-ops — with telemetry disabled, control decisions and experiment
-outputs are bit-identical to an uninstrumented build.
+the platform record spans and counters on the handle of the span that
+encloses the call, and controller sessions that start inside the
+handle's :meth:`Telemetry.record_events` scope record their decision
+and ``KernelLaunch`` events there too. Outside any span the handle is
+:data:`NULL_TELEMETRY`, whose operations are no-ops — with telemetry
+disabled, control decisions and experiment outputs are bit-identical to
+an uninstrumented build.
 """
 
 import importlib
@@ -51,7 +52,6 @@ _EXPORTS = {
     "Telemetry": "handle",
     "NullTelemetry": "handle",
     "NULL_TELEMETRY": "handle",
-    "coalesce": "handle",
     "MetricsRegistry": "metrics",
     "Counter": "metrics",
     "Histogram": "metrics",

@@ -1,39 +1,40 @@
 """The telemetry handle and its null-object default.
 
-A run reaches its telemetry in one of two ways, by what it records:
+Every component reaches its telemetry one way: through the ambient span
+(:func:`~repro.telemetry.spans.ambient_telemetry`), the handle of the
+span that encloses the call. A command that owns a handle opens one root
+span on it over all of its work, and the sweep store, the result
+manifest, the pipeline, the platform, the sweep cache, the session
+engine and the Monte Carlo engine record their spans and infrastructure
+counters there.
 
-* **Event streams** go through an injected handle. The policies (the
-  Harmonia controller, its CG/FG tuners and the variants) take a
-  ``telemetry=`` handle for their decision events and controller
-  metrics, and the two runners (``BatchSessionRunner`` and the test
-  oracle ``ApplicationRunner``) take one for their ``KernelLaunch``
-  events and launch metrics, so a caller can route each stream to its
-  own sink.
-* **Spans and infrastructure counters** go through the ambient span
-  (:func:`~repro.telemetry.spans.ambient_telemetry`): the sweep store,
-  the result manifest, the pipeline, the platform, the sweep cache, the
-  session engine and the Monte Carlo engine record on the handle of the
-  span that encloses the call. A command that owns a handle opens one
-  root span on it over all of its work.
+Event streams are narrower: a handle records them only inside its
+:meth:`Telemetry.record_events` scope. A controller session that starts
+inside the scope records the policy's decision events and controller
+counters and the runner's ``KernelLaunch`` events and launch metrics; a
+session that starts outside it records none of them, even under a live
+span. Policies look the handle up in ``reset()`` and runners once per
+session, so the scope is read at session start and never per launch.
 
-Where no handle is given and no span is open (every untraced run), both
-ways reach :data:`NULL_TELEMETRY`. It reports ``enabled = False`` — hot
-paths guard event construction behind that flag — and serves no-op
-metrics and span stand-ins, so a component can also call straight
-through without branching. Either way, with telemetry disabled the
-control decisions and run outputs are bit-identical to an
-uninstrumented build.
+Outside any span (every untraced run) the ambient handle is
+:data:`NULL_TELEMETRY`. It reports ``enabled = False`` — hot paths guard
+event construction behind that flag — and serves no-op metrics, span
+stand-ins and event scopes, so a component can also call straight
+through without branching. With telemetry disabled the control decisions
+and run outputs are bit-identical to an uninstrumented build.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+import contextlib
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.telemetry.spans import (
     NULL_SPAN,
     NULL_SPAN_TRACKER,
     SpanHandle,
     SpanTracker,
+    ambient_telemetry,
 )
 
 if TYPE_CHECKING:
@@ -41,24 +42,22 @@ if TYPE_CHECKING:
 
 
 class Telemetry:
-    """A live telemetry handle: an event sink, metrics and spans.
-
-    Args:
-        sink: optional event sink (anything with ``write(event)``).
-    """
+    """A live telemetry handle: metrics, spans and an event scope."""
 
     enabled = True
 
-    def __init__(self, sink: Optional[Any] = None):
+    def __init__(self):
         # Imported here: a process that only holds the null handle
         # (every untraced run) never loads the metrics registry.
         from repro.telemetry.metrics import MetricsRegistry
         self.metrics = MetricsRegistry()
         self.spans = SpanTracker()
-        self._sink = sink
+        #: True inside :meth:`record_events`.
+        self.records_events = False
+        self._sink: Optional[Any] = None
 
     def emit(self, event: TelemetryEvent) -> None:
-        """Deliver one event to the sink."""
+        """Deliver one event to the event scope's sink, if it has one."""
         if self._sink is not None:
             self._sink.write(event)
 
@@ -71,17 +70,31 @@ class Telemetry:
         """
         return SpanHandle(self, self.spans, name, labels)
 
-    def close(self) -> None:
-        """Close the sink if it supports closing."""
-        close = getattr(self._sink, "close", None)
-        if close is not None:
-            close()
+    @contextlib.contextmanager
+    def record_events(self, sink: Optional[Any] = None) -> Iterator[None]:
+        """Scope in which controller sessions record their event streams.
 
-    def __enter__(self) -> "Telemetry":
-        return self
+        Sessions that start inside it record decision events, controller
+        counters, ``KernelLaunch`` events and launch metrics on this
+        handle; the events go to ``sink`` (anything with
+        ``write(event)``) when one is given. Sessions find the handle
+        through the ambient span, so open the scope inside a span of
+        this handle.
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        Raises:
+            TelemetryError: outside a span of this handle, where no
+                session could see the scope.
+        """
+        if ambient_telemetry() is not self:
+            from repro.errors import TelemetryError
+            raise TelemetryError(
+                "record_events needs an open span of this handle")
+        outer = self.records_events, self._sink
+        self.records_events, self._sink = True, sink
+        try:
+            yield
+        finally:
+            self.records_events, self._sink = outer
 
 
 class _NullMetric:
@@ -115,36 +128,24 @@ class _NullRegistry:
 class NullTelemetry:
     """Disabled telemetry: every operation is a no-op.
 
-    A single shared instance (:data:`NULL_TELEMETRY`) is the default
-    handle of every policy and runner and the ambient handle outside any
-    span, keeping the uninstrumented hot path to one attribute check.
+    A single shared instance (:data:`NULL_TELEMETRY`) is the ambient
+    handle outside any span and the handle every policy and runner holds
+    outside an event scope, keeping the uninstrumented hot path to one
+    attribute check.
     """
 
     enabled = False
+    records_events = False
 
     metrics = _NullRegistry()
     spans = NULL_SPAN_TRACKER
 
-    def emit(self, event: Any) -> None:
-        pass
-
     def span(self, name: str, **labels: Any):
         return NULL_SPAN
 
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullTelemetry":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
+    def record_events(self, sink: Optional[Any] = None):
+        return NULL_SPAN
 
 
 #: The process-wide disabled handle (the default everywhere).
 NULL_TELEMETRY = NullTelemetry()
-
-
-def coalesce(telemetry: Optional[Any]) -> Any:
-    """``telemetry`` if given, else the shared null handle."""
-    return telemetry if telemetry is not None else NULL_TELEMETRY

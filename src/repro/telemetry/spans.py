@@ -133,9 +133,10 @@ _CURRENT_SPAN: ContextVar[Optional[SpanContext]] = ContextVar(
 def ambient_telemetry() -> Any:
     """The telemetry handle of the enclosing span, or the null handle.
 
-    Lets deep components (the platform's batch-sweep compute, the sweep
-    cache) emit spans during a traced run without every constructor in
-    between growing a ``telemetry`` parameter.
+    The one way any component reaches a handle: no constructor takes
+    one. Spans and counters record on it; controller sessions also emit
+    their events there when they start inside its ``record_events``
+    scope.
     """
     context = _CURRENT_SPAN.get()
     if context is not None:
@@ -211,8 +212,8 @@ class _NullSpan:
         pass
 
 
-#: The span :class:`~repro.telemetry.handle.NullTelemetry` hands out
-#: (allocation-free disabled path).
+#: The span and event scope :class:`~repro.telemetry.handle.NullTelemetry`
+#: hands out (allocation-free disabled path).
 NULL_SPAN = _NullSpan()
 
 

@@ -698,19 +698,8 @@ class TestSweepStoreFlags:
         assert len(events) == get_application("XSBench").total_launches()
 
 
-def _ledger_module():
-    import sys
-    from pathlib import Path
-
-    repo_root = Path(__file__).resolve().parent.parent
-    if str(repo_root) not in sys.path:
-        sys.path.insert(0, str(repo_root))
-    from benchmarks import ledger
-    return ledger
-
-
 class TestObservabilityCli:
-    """Traced reproduce, span/metrics reports, and bench-report."""
+    """Traced reproduce and the span/metrics reports."""
 
     @pytest.fixture(autouse=True)
     def _detach_after(self):
@@ -783,27 +772,3 @@ class TestObservabilityCli:
         assert main(["telemetry-report",
                      "--spans", str(tmp_path / "gone.json")]) == 2
         assert "no such span trace" in capsys.readouterr().err
-
-    def test_bench_report_on_committed_ledger(self, capsys):
-        assert main(["bench-report"]) == 0
-        out = capsys.readouterr().out
-        assert "run(s)" in out
-        assert "[gated]" in out
-
-    def test_bench_report_empty_ledger_exits_2(self, tmp_path, capsys):
-        assert main(["bench-report",
-                     "--ledger", str(tmp_path / "none.jsonl")]) == 2
-        assert "no entries" in capsys.readouterr().err
-
-    def test_bench_report_check_gates_regressions(self, tmp_path, capsys):
-        ledger = _ledger_module()
-        path = tmp_path / "ledger.jsonl"
-        for speedup in (30.0, 31.0, 29.5, 3.0):  # last run: 10x slower
-            ledger.append_entry(path, ledger.LedgerEntry(
-                bench="pipeline", recorded_at="2026-08-01T00:00:00+00:00",
-                metrics={"warm_speedup": speedup}))
-        assert main(["bench-report", "--ledger", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["bench-report", "--ledger", str(path),
-                     "--check"]) == 1
-        assert "regression" in capsys.readouterr().out

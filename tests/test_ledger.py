@@ -186,6 +186,10 @@ class TestBenchGateCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "seeded" in out and "OK" in out
+        # The trend report comes first, above the gate lines.
+        report = out.index("bench ledger: 1 entries across 1 benchmark(s)")
+        assert report < out.index("  warm_speedup") < out.index(
+            "[gated]") < out.index("bench_gate: pipeline.warm_speedup")
 
     def test_check_fails_on_injected_slowdown(self, tmp_path, capsys):
         """End-to-end acceptance: the CI gate exits 1 on a regression."""

@@ -18,7 +18,7 @@ from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
 from repro.runtime.session import BatchSessionRunner, SessionSpec
 from repro.runtime.simulator import ApplicationRunner
 from repro.sensitivity.binning import SensitivityBins
-from repro.telemetry.export import InMemorySink, JsonlSink
+from repro.telemetry.export import JsonlSink
 from repro.telemetry.handle import Telemetry
 
 
@@ -49,15 +49,9 @@ POLICY_BUILDERS = (
     ("variant", _variant_policy),
 )
 
-#: The policies ``repro run`` offers, built on a telemetry handle where
-#: the policy takes one.
-TRACED_BUILDERS = (
-    ("baseline", lambda ctx, tel: ctx.baseline_policy()),
-    ("cg-only", lambda ctx, tel: ctx.cg_only_policy(telemetry=tel)),
-    ("harmonia", lambda ctx, tel: ctx.harmonia_policy(telemetry=tel)),
-    ("dvfs-only", lambda ctx, tel: ctx.dvfs_only_policy(telemetry=tel)),
-    ("oracle", lambda ctx, tel: ctx.oracle_policy()),
-)
+#: The policies ``repro run`` offers.
+TRACED_BUILDERS = tuple((name, build) for name, build in POLICY_BUILDERS
+                        if name != "variant")
 
 #: Phase-rich, iteration-heavy and stress workloads — the schedules that
 #: exercise phase restarts, FG convergence and CG jumps hardest.
@@ -235,9 +229,8 @@ class TestLaneComposition:
 
 
 class TestScalarFallbacks:
-    """Lane shapes that take no scalar fallback: a traced runner and a
-    traced policy stay on the engine; a shared policy instance is
-    refused."""
+    """Lane shapes that take no scalar fallback: a traced session stays
+    on the engine; a shared policy instance is refused."""
 
     def test_duplicate_policy_instance_rejected(self, context):
         [app] = _apps(context, ("Sort",))
@@ -261,15 +254,16 @@ class TestScalarFallbacks:
             other, context.harmonia_policy()), second)
 
     def test_telemetry_enabled_runner_goes_scalar(self, context):
-        """A traced runner steps the lanes itself and stays exact."""
+        """A traced session steps the lanes itself and stays exact."""
         [app] = _apps(context, ("Sort",))
         scalar = ApplicationRunner(context.platform).run(
             app, context.harmonia_policy())
-        [batched] = BatchSessionRunner(
-            context.platform, Telemetry()
-        ).run_sessions(
-            [SessionSpec(application=app, policy=context.harmonia_policy())]
-        )
+        telemetry = Telemetry()
+        with telemetry.span("traced"), telemetry.record_events():
+            [batched] = BatchSessionRunner(context.platform).run_sessions(
+                [SessionSpec(application=app,
+                             policy=context.harmonia_policy())]
+            )
         _assert_runs_equal(scalar, batched)
 
     def test_telemetry_enabled_policy_goes_generic(self, context):
@@ -277,29 +271,29 @@ class TestScalarFallbacks:
         untraced one and stays exact."""
         [app] = _apps(context, ("Graph500",))
         telemetry = Telemetry()
-        policy = context.harmonia_policy(telemetry=telemetry)
-        scalar = ApplicationRunner(context.platform).run(
-            app, context.harmonia_policy(telemetry=Telemetry()))
-        [batched] = BatchSessionRunner(context.platform).run_sessions(
-            [SessionSpec(application=app, policy=policy)]
-        )
+        with telemetry.span("oracle"), telemetry.record_events():
+            scalar = ApplicationRunner(context.platform).run(
+                app, context.harmonia_policy())
+        telemetry = Telemetry()
+        with telemetry.span("engine"), telemetry.record_events():
+            [batched] = BatchSessionRunner(context.platform).run_sessions(
+                [SessionSpec(application=app,
+                             policy=context.harmonia_policy())]
+            )
         _assert_runs_equal(scalar, batched)
 
 
 def _traced_run(runner_type, context, app, build, path):
-    """One run whose runner and policy share a handle with a JSONL sink,
-    the way ``repro run --trace`` wires them: (trace bytes, metrics
-    snapshot, result)."""
+    """One session inside a handle's event scope with a JSONL sink, the
+    way ``repro run --trace`` records the policy's session: (trace
+    bytes, metrics snapshot, result)."""
+    policy = build(context)
     sink = JsonlSink(path)
-    telemetry = Telemetry(sink=sink)
-    result = runner_type(context.platform, telemetry).run(
-        app, build(context, telemetry))
+    telemetry = Telemetry()
+    with telemetry.span("run"), telemetry.record_events(sink):
+        result = runner_type(context.platform).run(app, policy)
     sink.close()
     return path.read_bytes(), telemetry.metrics.as_dict(), result
-
-
-def _records(sink: InMemorySink):
-    return [event.to_record() for event in sink.events]
 
 
 class TestTracedEquivalence:
@@ -320,32 +314,32 @@ class TestTracedEquivalence:
             assert engine[1] == oracle[1]
             _assert_runs_equal(oracle[2], engine[2])
 
-    def test_multi_lane_streams_match_oracle_lanes(self, context):
-        """Per-policy handles carry each lane's decision stream; the
-        runner's handle carries every lane's launches, tick by tick."""
-        platform = context.platform
-        for app in _apps(context, ("Graph500", "Sort")):
-            runner_sink = InMemorySink()
-            lane_sinks = [InMemorySink() for _ in TRACED_BUILDERS]
-            BatchSessionRunner(
-                platform, Telemetry(sink=runner_sink)
-            ).run_sessions([
-                SessionSpec(application=app,
-                            policy=build(context, Telemetry(sink=sink)))
-                for (_, build), sink in zip(TRACED_BUILDERS, lane_sinks)
-            ])
-            oracle_launches = []
-            for (_, build), lane_sink in zip(TRACED_BUILDERS, lane_sinks):
-                launches, decisions = InMemorySink(), InMemorySink()
-                ApplicationRunner(platform, Telemetry(sink=launches)).run(
-                    app, build(context, Telemetry(sink=decisions)))
-                assert _records(lane_sink) == _records(decisions)
-                oracle_launches.append(_records(launches))
-            interleaved = [record for tick in zip(*oracle_launches)
-                           for record in tick]
-            assert len(interleaved) == \
-                app.total_launches() * len(TRACED_BUILDERS)
-            assert _records(runner_sink) == interleaved
+    @pytest.mark.parametrize(
+        "build", [b for _, b in TRACED_BUILDERS],
+        ids=[name for name, _ in TRACED_BUILDERS])
+    def test_policy_built_outside_the_scope_records_inside_it(
+            self, context, build, tmp_path):
+        """The ``repro run`` shape: the policy is built and a baseline
+        session runs under the root span but outside the event scope;
+        the same policy instance runs once there too, then inside the
+        scope, and the file and metrics hold exactly the oracle's."""
+        [app] = _apps(context, ("Graph500",))
+        oracle = _traced_run(ApplicationRunner, context, app, build,
+                             tmp_path / "oracle.jsonl")
+        path = tmp_path / "run.jsonl"
+        sink = JsonlSink(path)
+        telemetry = Telemetry()
+        with telemetry.span("run"):
+            policy = build(context)
+            runner = BatchSessionRunner(context.platform)
+            runner.run(app, context.baseline_policy())
+            runner.run(app, policy)
+            with telemetry.record_events(sink):
+                result = runner.run(app, policy)
+        sink.close()
+        assert path.read_bytes() == oracle[0]
+        assert telemetry.metrics.as_dict() == oracle[1]
+        _assert_runs_equal(oracle[2], result)
 
 
 class TestHarnessParity:

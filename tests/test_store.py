@@ -94,6 +94,25 @@ class TestCanonicalEncoding:
             canonical_encode(Items([1]))
         assert canonical_encode((1, [2.0])) == "(1, (0x1.0000000000000p+1))"
 
+    def test_equal_keys_that_encode_differently_get_their_own_digests(self):
+        """``1 == 1.0 == True``, yet each encodes its own way, so each
+        key gets the digest of its own text, whichever came first."""
+        keys = (("grid", 1), ("grid", 1.0), ("grid", True))
+        for _ in range(2):
+            assert [content_digest(key) for key in keys] == [
+                _plain_digest(key) for key in keys]
+        assert len({content_digest(key) for key in keys}) == 3
+
+    def test_named_tuple_equal_to_a_digested_tuple_still_raises(self):
+        class Cell(NamedTuple):
+            kind: str
+            x: int
+
+        content_digest(("cell", 1))
+        assert Cell("cell", 1) == ("cell", 1)
+        with pytest.raises(TypeError, match="Cell"):
+            content_digest(Cell("cell", 1))
+
     def test_calibration_change_changes_digest(self):
         spec = all_kernels()[0].base
         plain = make_hd7970_platform()
@@ -186,7 +205,6 @@ class TestEncodingMemo:
     @pytest.fixture()
     def empty_memos(self, monkeypatch):
         monkeypatch.setattr(store_module, "_ENCODED", {})
-        monkeypatch.setattr(store_module, "_DIGEST_MEMO", {})
 
     def _check(self, keys):
         for kind, key in keys:
@@ -200,13 +218,11 @@ class TestEncodingMemo:
         assert kinds == {GRID_KIND, "eventsim", "result"}
         assert len({key[0] for kind, key in keys if kind == GRID_KIND}) == 3
         self._check(keys)
-        # Served from the encoding memo alone.
-        store_module._DIGEST_MEMO.clear()
+        # Served from the encoding memo.
         self._check(keys)
         assert store_module._ENCODED
         # Cleared and refilled.
         store_module._ENCODED.clear()
-        store_module._DIGEST_MEMO.clear()
         self._check(keys)
         # Record names follow the plain digest of the build and the key.
         store = SweepStore(tmp_path / "store")

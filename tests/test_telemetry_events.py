@@ -193,11 +193,12 @@ class TestReplay:
         from repro.telemetry.handle import Telemetry
 
         sink = InMemorySink()
-        telemetry = Telemetry(sink=sink)
-        result = BatchSessionRunner(context.platform, telemetry).run(
-            context.application("Graph500"),
-            context.harmonia_policy(telemetry=telemetry),
-        )
+        telemetry = Telemetry()
+        with telemetry.span("run"), telemetry.record_events(sink):
+            result = BatchSessionRunner(context.platform).run(
+                context.application("Graph500"),
+                context.harmonia_policy(),
+            )
         replayed = replay_trace(sink.events)
         assert replayed.f_mem_residency() == result.trace.f_mem_residency()
         assert replayed.f_cu_residency() == result.trace.f_cu_residency()

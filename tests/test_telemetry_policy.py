@@ -3,7 +3,8 @@
 A scripted two-phase kernel (compute-heavy opening, memory-heavy tail)
 drives a fresh Harmonia policy through the full CG -> FG sequence twice;
 the emitted event stream must tell that story in order, and the disabled
-path must reproduce the exact same run.
+path must reproduce the exact same run. Sessions record their events
+only inside the run handle's ``record_events`` scope.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.harmonia import ControllerStats
+from repro.errors import TelemetryError
+from repro.runtime.session import BatchSessionRunner
 from repro.runtime.simulator import ApplicationRunner
 from repro.perf.kernelspec import KernelSpec
 from repro.telemetry.events import (
@@ -24,6 +27,7 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.export import InMemorySink
 from repro.telemetry.handle import NULL_TELEMETRY, Telemetry
+from repro.telemetry.spans import ambient_telemetry
 from repro.workloads.application import Application
 from repro.workloads.kernel import TableSchedule, WorkloadKernel
 
@@ -68,10 +72,11 @@ def _two_phase_application() -> Application:
 def scripted_run(context):
     """One instrumented run of the two-phase kernel under Harmonia."""
     sink = InMemorySink()
-    telemetry = Telemetry(sink=sink)
-    policy = context.harmonia_policy(telemetry=telemetry)
-    runner = ApplicationRunner(context.platform, telemetry=telemetry)
-    result = runner.run(_two_phase_application(), policy)
+    telemetry = Telemetry()
+    policy = context.harmonia_policy()
+    runner = ApplicationRunner(context.platform)
+    with telemetry.span("scripted"), telemetry.record_events(sink):
+        result = runner.run(_two_phase_application(), policy)
     return policy, result, sink.events
 
 
@@ -170,7 +175,7 @@ class TestDisabledPathIdentity:
     def test_disabled_run_is_bit_identical(self, context, scripted_run):
         _, instrumented, _ = scripted_run
         policy = context.harmonia_policy()
-        assert policy.telemetry is NULL_TELEMETRY
+        assert ambient_telemetry() is NULL_TELEMETRY
         runner = ApplicationRunner(context.platform)
         plain = runner.run(_two_phase_application(), policy)
         assert plain.metrics == instrumented.metrics
@@ -181,18 +186,73 @@ class TestDisabledPathIdentity:
 
     def test_null_telemetry_serves_noop_instruments(self):
         NULL_TELEMETRY.metrics.counter("anything_total").inc(kernel="K")
-        NULL_TELEMETRY.emit(object())
         with NULL_TELEMETRY.span("section", kernel="K"):
+            pass
+        with NULL_TELEMETRY.record_events(InMemorySink()):
             pass
         assert NULL_TELEMETRY.enabled is False
 
     def test_runner_metrics_track_launches(self, context):
         telemetry = Telemetry()
-        policy = context.harmonia_policy(telemetry=telemetry)
-        runner = ApplicationRunner(context.platform, telemetry=telemetry)
-        runner.run(_two_phase_application(), policy)
+        policy = context.harmonia_policy()
+        runner = ApplicationRunner(context.platform)
+        with telemetry.span("scripted"), telemetry.record_events():
+            runner.run(_two_phase_application(), policy)
         launches = telemetry.metrics.counter("kernel_launches_total")
         assert launches.value(kernel="Scripted.TwoPhase",
                               policy="harmonia") == ITERATIONS
         histogram = telemetry.metrics.histogram("launch_time_seconds")
         assert histogram.count(kernel="Scripted.TwoPhase") == ITERATIONS
+
+
+#: Every metric a session records only inside the event scope: the
+#: policy's controller counters and the runner's launch metrics.
+_EVENT_STREAM_METRICS = frozenset({
+    "phase_changes_total", "phase_recalls_total", "cg_actions_total",
+    "cg_targets_total", "config_changes_total", "fg_actions_total",
+    "fg_proposals_total", "fg_dither_events_total", "fg_converged_total",
+    "fg_steps_total", "kernel_launches_total", "launch_time_seconds",
+})
+
+
+class TestEventScope:
+    def test_live_span_outside_the_scope_records_no_events(self, context):
+        """The traced ``reproduce``/``montecarlo`` shape: sessions under a
+        live span record spans, but no event and no event metric."""
+        telemetry = Telemetry()
+        emitted = []
+        telemetry.emit = emitted.append
+        with telemetry.span("traced"):
+            BatchSessionRunner(context.platform).run(
+                _two_phase_application(), context.harmonia_policy())
+        assert emitted == []
+        assert not _EVENT_STREAM_METRICS & set(telemetry.metrics.instruments())
+        assert "controller.step" in {
+            record.name for record in telemetry.spans.records()}
+
+    def test_the_scope_turns_them_on(self, context):
+        telemetry = Telemetry()
+        with telemetry.span("traced"), telemetry.record_events():
+            BatchSessionRunner(context.platform).run(
+                _two_phase_application(), context.harmonia_policy())
+        # The scripted run neither recalls a phase nor converges.
+        recorded = _EVENT_STREAM_METRICS & set(telemetry.metrics.instruments())
+        assert recorded == _EVENT_STREAM_METRICS - {"phase_recalls_total",
+                                                    "fg_converged_total"}
+
+    def test_scope_ends_with_its_block(self):
+        telemetry = Telemetry()
+        with telemetry.span("run"):
+            with telemetry.record_events(InMemorySink()):
+                assert telemetry.records_events
+            assert not telemetry.records_events
+
+    def test_scope_needs_an_open_span_of_its_handle(self):
+        telemetry = Telemetry()
+        with pytest.raises(TelemetryError, match="open span"):
+            with telemetry.record_events():
+                pass
+        with Telemetry().span("other"), pytest.raises(TelemetryError):
+            with telemetry.record_events():
+                pass
+        assert not telemetry.records_events

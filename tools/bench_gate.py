@@ -10,8 +10,10 @@ Two subcommands::
 name derived from the filename, overridable with ``--bench`` when
 ingesting a single file). ``check`` evaluates the per-benchmark gate
 rules (:data:`benchmarks.ledger.DEFAULT_GATES`) against the latest entry
-of each benchmark, printing one line per gate; any ``regression`` result
-exits 1, which is the CI failure.
+of each benchmark: it prints the ledger's trend report, then one line
+per gate; a ``regression`` result, or a gated metric missing from the
+latest run, exits 1, which is the CI failure. This script is the
+ledger's one entry point.
 
 The ledger file defaults to ``benchmarks/ledger.jsonl``; CI persists it
 across runs (actions/cache), so the baseline window survives between
@@ -58,6 +60,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0
     if args.bench:
         entries = [entry for entry in entries if entry.bench in args.bench]
+    print(ledger.format_trend_report(entries, window=args.window))
+    print()
     results = ledger.evaluate_all_gates(entries, window=args.window)
     if not results:
         print("bench_gate: no gated benchmarks in the ledger")

@@ -96,8 +96,6 @@ LEGS: Tuple[Tuple[str, ...], ...] = (
      "--spans", "{tmp}/reproduce.json",
      "--metrics", "{tmp}/reproduce-metrics.json"),
     ("telemetry-report", "--metrics", "{tmp}/run-metrics.json"),
-    ("bench-report",),
-    ("bench-report", "--bench", "montecarlo", "--window", "3"),
 )
 
 #: Subcommands that take ``--cache-dir``/``--no-cache``.
