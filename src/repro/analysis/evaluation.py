@@ -8,8 +8,8 @@ geometric means ("Geomean 2 ... excludes those two stress benchmarks").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Sequence, Tuple)
 
 from repro.errors import AnalysisError, map_items
 from repro.core.policy import PowerPolicy
@@ -23,8 +23,7 @@ if TYPE_CHECKING:
     from repro.runtime.montecarlo import MetricBand, MonteCarloComparison
 
 
-@dataclass(frozen=True)
-class ApplicationComparison:
+class ApplicationComparison(NamedTuple):
     """One application's outcome under one policy, vs. the baseline."""
 
     application: str
@@ -53,8 +52,7 @@ class ApplicationComparison:
         return self.baseline.time / self.candidate.time - 1.0
 
 
-@dataclass(frozen=True)
-class EvaluationSummary:
+class EvaluationSummary(NamedTuple):
     """All policies x all applications, with the paper's two geomeans."""
 
     comparisons: Tuple[ApplicationComparison, ...]
@@ -113,8 +111,7 @@ class EvaluationSummary:
         return self._geomean_of(policy, "performance_delta", exclude_stress)
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(NamedTuple):
     """All policies x all applications under repeated-trial noise.
 
     The Monte Carlo analogue of :class:`EvaluationSummary`: every cell is

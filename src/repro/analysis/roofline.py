@@ -22,7 +22,7 @@ This module makes that framing computable:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import AnalysisError
 from repro.gpu.architecture import GpuArchitecture
@@ -38,8 +38,7 @@ class Regime(enum.Enum):
     BALANCED = "balanced"
 
 
-@dataclass(frozen=True)
-class RooflinePoint:
+class RooflinePoint(NamedTuple):
     """One kernel's position under one configuration's roofline."""
 
     kernel: str

@@ -9,8 +9,7 @@ memory (Figure 4), power vs. memory configuration at fixed compute
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.gpu.config import HardwareConfig
@@ -20,8 +19,7 @@ from repro.platform.hd7970 import HardwarePlatform
 from repro.runtime.metrics import ed, ed2
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One configuration's outcome in a sweep."""
 
     config: HardwareConfig

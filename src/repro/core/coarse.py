@@ -14,8 +14,7 @@ to the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.perf.counters import PerfCounters
@@ -37,8 +36,7 @@ DEFAULT_BIN_TARGETS: Mapping[str, Mapping[Bin, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class SensitivitySnapshot:
+class SensitivitySnapshot(NamedTuple):
     """One monitoring sample's predicted sensitivities and bins."""
 
     compute: float

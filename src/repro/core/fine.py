@@ -43,7 +43,6 @@ frequencies rather than the full range of compute frequencies"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Set, Tuple
 
 from repro.errors import PolicyError
@@ -61,40 +60,45 @@ CG_VALIDATION = "__cg__"
 
 def utilization_rate(result: KernelRunResult) -> float:
     """The FG feedback signal: ALU-issue rate (see module docstring)."""
-    return (
-        result.counters.valu_busy / 100.0
-        * result.config.n_cu
-        * result.config.f_cu
-    )
+    config = result.config
+    return result.counters.valu_busy / 100.0 * config.n_cu * config.f_cu
 
 
-@dataclass
 class _Step:
     """An in-flight FG move awaiting its feedback."""
 
-    tunable: str
-    direction: int
-    before_config: HardwareConfig
-    before_feedback: float
-    tried_opposite: bool
+    __slots__ = ("tunable", "direction", "before_config", "before_feedback",
+                 "tried_opposite")
+
+    def __init__(self, tunable: str, direction: int,
+                 before_config: HardwareConfig, before_feedback: float,
+                 tried_opposite: bool):
+        self.tunable = tunable
+        self.direction = direction
+        self.before_config = before_config
+        self.before_feedback = before_feedback
+        self.tried_opposite = tried_opposite
 
 
-@dataclass
 class FineGrainState:
     """Per-kernel FG tuner state."""
 
-    #: tunables frozen at their local optimum until the phase changes
-    frozen: Set[str] = field(default_factory=set)
-    #: the move awaiting feedback, if any
-    inflight: Optional[_Step] = None
-    #: a queued opposite-direction retry (tunable, direction)
-    pending: Optional[Tuple[str, int]] = None
-    #: oscillation counter
-    dithering: int = 0
-    #: best (feedback, config) seen since the last restart
-    best: Optional[Tuple[float, HardwareConfig]] = None
-    #: converged: hold the best state until the phase changes
-    converged: bool = False
+    __slots__ = ("frozen", "inflight", "pending", "dithering", "best",
+                 "converged")
+
+    def __init__(self) -> None:
+        #: tunables frozen at their local optimum until the phase changes
+        self.frozen: Set[str] = set()
+        #: the move awaiting feedback, if any
+        self.inflight: Optional[_Step] = None
+        #: a queued opposite-direction retry (tunable, direction)
+        self.pending: Optional[Tuple[str, int]] = None
+        #: oscillation counter
+        self.dithering = 0
+        #: best (feedback, config) seen since the last restart
+        self.best: Optional[Tuple[float, HardwareConfig]] = None
+        #: converged: hold the best state until the phase changes
+        self.converged = False
 
     def restart(self) -> None:
         """Re-arm the tuner after a workload phase change."""

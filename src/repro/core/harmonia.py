@@ -30,8 +30,7 @@ application. This state is the initial state for the subsequent iteration"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.coarse import CoarseGrainTuner, SensitivitySnapshot, TUNABLES
 from repro.core.fine import FineGrainState, FineGrainTuner, utilization_rate
@@ -45,28 +44,31 @@ from repro.telemetry.handle import NULL_TELEMETRY
 from repro.telemetry.spans import ambient_telemetry
 
 
-@dataclass
 class _KernelControlState:
     """Controller state for one kernel beyond the generic history."""
 
-    fg: FineGrainState = field(default_factory=FineGrainState)
-    last_snapshot: Optional[SensitivitySnapshot] = None
-    #: count of CG jumps taken (for the Figure 18 CG/FG attribution)
-    cg_actions: int = 0
-    #: count of FG steps taken
-    fg_actions: int = 0
-    #: count of detected workload phase changes
-    phase_changes: int = 0
-    #: observations since the current phase started
-    phase_age: int = 0
-    #: count of phase-memory recalls (recurring phases restored directly)
-    phase_recalls: int = 0
-    #: identity of the phase currently executing (for exit snapshots)
-    last_identity: Optional[Tuple] = None
+    __slots__ = ("fg", "last_snapshot", "cg_actions", "fg_actions",
+                 "phase_changes", "phase_age", "phase_recalls",
+                 "last_identity")
+
+    def __init__(self) -> None:
+        self.fg = FineGrainState()
+        self.last_snapshot: Optional[SensitivitySnapshot] = None
+        #: count of CG jumps taken (for the Figure 18 CG/FG attribution)
+        self.cg_actions = 0
+        #: count of FG steps taken
+        self.fg_actions = 0
+        #: count of detected workload phase changes
+        self.phase_changes = 0
+        #: observations since the current phase started
+        self.phase_age = 0
+        #: count of phase-memory recalls (recurring phases restored directly)
+        self.phase_recalls = 0
+        #: identity of the phase currently executing (for exit snapshots)
+        self.last_identity: Optional[Tuple] = None
 
 
-@dataclass(frozen=True)
-class ControllerStats:
+class ControllerStats(NamedTuple):
     """Read-only snapshot of one kernel's controller counters.
 
     The public face of the per-kernel control state: the Figure 18
@@ -134,6 +136,7 @@ class HarmoniaPolicy(HistoryMixin):
         super().__init__()
         self._space = space
         self._telemetry = NULL_TELEMETRY
+        self._counters: Dict[str, Any] = {}
         self._cg = CoarseGrainTuner(
             space=space,
             compute_predictor=compute_predictor,
@@ -186,12 +189,22 @@ class HarmoniaPolicy(HistoryMixin):
         telemetry = ambient_telemetry()
         self._telemetry = (telemetry if telemetry.records_events
                            else NULL_TELEMETRY)
+        self._counters = {}
         self.clear_history()
         self._control.clear()
         self._monitor.reset()
         self._phases.reset()
         if self._phase_memory is not None:
             self._phase_memory.reset()
+
+    def _counter(self, name: str, help: str):
+        """This session's counter ``name``, fetched from the handle's
+        registry once: on first use, so an unused one stays unregistered."""
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self._telemetry.metrics.counter(
+                name, help)
+        return counter
 
     def control_state(self, kernel_name: str) -> _KernelControlState:
         """The (auto-created) controller state of one kernel."""
@@ -238,8 +251,10 @@ class HarmoniaPolicy(HistoryMixin):
         session engine (:mod:`repro.runtime.session`) and the scalar
         oracle both step every lane through this one method.
         """
-        history = self.history_for(context.kernel_name)
-        control = self.control_state(context.kernel_name)
+        kernel_name = context.kernel_name
+        counters = result.counters
+        history = self.history_for(kernel_name)
+        control = self.control_state(kernel_name)
         requested = history.current_config
         history.record(result)
 
@@ -249,21 +264,18 @@ class HarmoniaPolicy(HistoryMixin):
             # feedback is not attributable to any FG move, so drop the
             # in-flight step and hold our own decision.
             control.fg.abort_inflight()
-            self._phases.phase_changed(context.kernel_name, result.counters)
-            self._monitor.update_vector(context.kernel_name, result.counters)
+            self._phases.phase_changed(kernel_name, counters)
+            self._monitor.update_vector(kernel_name, counters)
             return
 
-        phase_changed = self._phases.phase_changed(
-            context.kernel_name, result.counters
-        )
+        phase_changed = self._phases.phase_changed(kernel_name, counters)
         if phase_changed:
             # New workload phase: restart the feature average.
-            self._monitor.reset_kernel(context.kernel_name)
-        features = self._monitor.update_vector(context.kernel_name,
-                                               result.counters)
+            self._monitor.reset_kernel(kernel_name)
+        features = self._monitor.update_vector(kernel_name, counters)
         snapshot = self._cg.snapshot_from_vector(features)
         # phase_changed has just stored this launch's identity vector.
-        identity = self._phases.current_identity(context.kernel_name)
+        identity = self._phases.current_identity(kernel_name)
         self._apply_observation(
             context, result, history, control,
             phase_changed=phase_changed,
@@ -289,6 +301,7 @@ class HarmoniaPolicy(HistoryMixin):
         and control state in place. Kept apart from :meth:`observe`'s
         numeric stage so the decision rules read as one unit.
         """
+        config = result.config
         if phase_changed:
             # New workload phase: restart the FG state.
             control.phase_changes += 1
@@ -305,7 +318,7 @@ class HarmoniaPolicy(HistoryMixin):
                 identity=tuple(identity),
                 phase_index=control.phase_changes,
             ))
-            tel.metrics.counter(
+            self._counter(
                 "phase_changes_total",
                 "workload phase changes declared by the phase detector",
             ).inc(kernel=context.kernel_name)
@@ -322,16 +335,16 @@ class HarmoniaPolicy(HistoryMixin):
                 next_config = recalled
                 source = "recall"
                 if tel.enabled:
-                    tel.metrics.counter(
+                    self._counter(
                         "phase_recalls_total",
                         "recurring phases restored from phase memory",
                     ).inc(kernel=context.kernel_name)
             else:
-                next_config = self._cg_jump(control, snapshot, result.config)
+                next_config = self._cg_jump(control, snapshot, config)
                 source = "cg"
                 if tel.enabled:
                     from repro.telemetry.events import CGJump
-                    tel.metrics.counter(
+                    self._counter(
                         "cg_targets_total",
                         "SetCU_Freq_MemBW target computations",
                     ).inc()
@@ -339,23 +352,23 @@ class HarmoniaPolicy(HistoryMixin):
                         kernel=context.kernel_name,
                         iteration=context.iteration,
                         time_s=result.time,
-                        old_config=result.config,
+                        old_config=config,
                         new_config=next_config,
                         compute_bin=snapshot.compute_bin.value,
                         bandwidth_bin=snapshot.bandwidth_bin.value,
                         compute_sensitivity=snapshot.compute,
                         bandwidth_sensitivity=snapshot.bandwidth,
                     ))
-                    tel.metrics.counter(
+                    self._counter(
                         "cg_actions_total", "coarse-grain jumps taken",
                     ).inc(kernel=context.kernel_name)
-            if self._enable_fg and next_config != result.config:
+            if self._enable_fg and next_config != config:
                 # Arm the FG loop to validate the jump (or the recall)
                 # against the pre-jump utilization rate (Section 7.3,
                 # insight 4) — both feedbacks are measured on the new
                 # phase, so the comparison is meaningful.
                 control.fg.prime_cg_validation(
-                    before_config=result.config,
+                    before_config=config,
                     before_feedback=feedback,
                 )
             control.last_identity = identity
@@ -376,7 +389,7 @@ class HarmoniaPolicy(HistoryMixin):
             pre_converged = control.fg.converged
             pre_dithering = control.fg.dithering
             next_config = self._fg.propose(
-                control.fg, result.config, feedback, tunable_bins
+                control.fg, config, feedback, tunable_bins
             )
             source = "fg"
             if tel.enabled:
@@ -385,23 +398,23 @@ class HarmoniaPolicy(HistoryMixin):
                     pre_converged, pre_dithering, next_config,
                 )
         else:
-            next_config = result.config
+            next_config = config
 
-        history.previous_config = result.config
-        history.config_changed_last = next_config != result.config
+        history.previous_config = config
+        history.config_changed_last = next_config != config
         history.current_config = next_config
         control.last_snapshot = snapshot
-        if tel.enabled and source is not None and next_config != result.config:
+        if tel.enabled and source is not None and next_config != config:
             from repro.telemetry.events import ConfigApplied
             tel.emit(ConfigApplied(
                 kernel=context.kernel_name,
                 iteration=context.iteration,
                 time_s=result.time,
-                old_config=result.config,
+                old_config=config,
                 new_config=next_config,
                 source=source,
             ))
-            tel.metrics.counter(
+            self._counter(
                 "config_changes_total",
                 "configuration changes applied, by deciding block",
             ).inc(kernel=context.kernel_name, source=source)
@@ -437,10 +450,10 @@ class HarmoniaPolicy(HistoryMixin):
 
         tel = self._telemetry
         kernel = context.kernel_name
-        tel.metrics.counter(
+        self._counter(
             "fg_proposals_total", "fine-grain propose() decisions",
         ).inc()
-        tel.metrics.counter(
+        self._counter(
             "fg_actions_total", "fine-grain engagements",
         ).inc(kernel=kernel)
         reverted = control.fg.dithering > pre_dithering
@@ -453,7 +466,7 @@ class HarmoniaPolicy(HistoryMixin):
                 old_config=result.config,
                 new_config=next_config,
             ))
-            tel.metrics.counter(
+            self._counter(
                 "fg_dither_events_total", "fine-grain reverts (dithering)",
             ).inc(kernel=kernel)
         if control.fg.converged and not pre_converged:
@@ -463,7 +476,7 @@ class HarmoniaPolicy(HistoryMixin):
                 time_s=result.time,
                 config=next_config,
             ))
-            tel.metrics.counter(
+            self._counter(
                 "fg_converged_total", "fine-grain convergence events",
             ).inc(kernel=kernel)
         elif not reverted and next_config != result.config:
@@ -479,7 +492,7 @@ class HarmoniaPolicy(HistoryMixin):
                 compute_bin=snapshot.compute_bin.value,
                 bandwidth_bin=snapshot.bandwidth_bin.value,
             ))
-            tel.metrics.counter(
+            self._counter(
                 "fg_steps_total", "fine-grain grid steps taken",
             ).inc(kernel=kernel)
 

@@ -16,16 +16,15 @@ across its iterations — that recurrence is what Harmonia exploits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import (
+    Dict, List, NamedTuple, Optional, Protocol, runtime_checkable)
 
 from repro.gpu.config import HardwareConfig
 from repro.perf.kernelspec import KernelSpec
 from repro.perf.result import KernelRunResult
 
 
-@dataclass(frozen=True)
-class LaunchContext:
+class LaunchContext(NamedTuple):
     """What a policy knows about an upcoming launch.
 
     The ``spec`` field exists for the oracle (which by definition may
@@ -60,18 +59,21 @@ class PowerPolicy(Protocol):
         ...
 
 
-@dataclass
 class KernelHistory:
     """Per-kernel state a controller accumulates across iterations."""
 
-    #: results observed so far, in iteration order
-    results: List[KernelRunResult] = field(default_factory=list)
-    #: configuration the controller currently assigns to this kernel
-    current_config: Optional[HardwareConfig] = None
-    #: configuration used before the most recent change (for reverts)
-    previous_config: Optional[HardwareConfig] = None
-    #: whether the controller changed the config before the last launch
-    config_changed_last: bool = False
+    __slots__ = ("results", "current_config", "previous_config",
+                 "config_changed_last")
+
+    def __init__(self) -> None:
+        #: results observed so far, in iteration order
+        self.results: List[KernelRunResult] = []
+        #: configuration the controller currently assigns to this kernel
+        self.current_config: Optional[HardwareConfig] = None
+        #: configuration used before the most recent change (for reverts)
+        self.previous_config: Optional[HardwareConfig] = None
+        #: whether the controller changed the config before the last launch
+        self.config_changed_last = False
 
     @property
     def last_result(self) -> Optional[KernelRunResult]:

@@ -14,8 +14,7 @@ runs once per application, not once per variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -27,8 +26,7 @@ if TYPE_CHECKING:
     from repro.workloads.application import Application
 
 
-@dataclass(frozen=True)
-class AblationRow:
+class AblationRow(NamedTuple):
     """Headline triplet for one variant."""
 
     variant: str
@@ -37,8 +35,7 @@ class AblationRow:
     power: float
 
 
-@dataclass(frozen=True)
-class AblationResult:
+class AblationResult(NamedTuple):
     """One ablation study: a set of variants around the default."""
 
     study: str

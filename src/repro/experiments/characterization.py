@@ -15,8 +15,7 @@ at maximum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -25,8 +24,7 @@ from repro.units import hz_to_mhz
 from repro.workloads.registry import all_kernels
 
 
-@dataclass(frozen=True)
-class ScalingCurve:
+class ScalingCurve(NamedTuple):
     """Normalized performance along one tunable (others at maximum)."""
 
     tunable: str
@@ -38,8 +36,7 @@ class ScalingCurve:
         return self.points[-1][1] / self.points[0][1]
 
 
-@dataclass(frozen=True)
-class KernelCharacterization:
+class KernelCharacterization(NamedTuple):
     """One kernel's full Section 4.1 record."""
 
     kernel: str
@@ -50,8 +47,7 @@ class KernelCharacterization:
     curves: Mapping[str, ScalingCurve]
 
 
-@dataclass(frozen=True)
-class CharacterizationResult:
+class CharacterizationResult(NamedTuple):
     """The whole suite's characterization."""
 
     rows: Tuple[KernelCharacterization, ...]

@@ -16,8 +16,7 @@ Figures 10-13 evaluation; only the scaled half runs here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.evaluation import EvaluationHarness
 from repro.analysis.report import format_table
@@ -28,8 +27,7 @@ from repro.platform.hd7970 import make_hd7970_platform
 from repro.sensitivity.predictor import train_predictors
 
 
-@dataclass(frozen=True)
-class VoltageScalingRow:
+class VoltageScalingRow(NamedTuple):
     """One application under fixed vs. scaled memory bus voltage."""
 
     application: str
@@ -39,8 +37,7 @@ class VoltageScalingRow:
     power_scaled: float
 
 
-@dataclass(frozen=True)
-class VoltageScalingResult:
+class VoltageScalingResult(NamedTuple):
     """The fixed-vs-scaled comparison across all applications."""
 
     rows: Tuple[VoltageScalingRow, ...]

@@ -19,8 +19,7 @@ scalar simulator, which stays in the tree as the test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -36,8 +35,7 @@ from repro.units import MHZ
 from repro.workloads.registry import all_kernels
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(NamedTuple):
     """One kernel's analytical-vs-event-driven agreement."""
 
     kernel: str
@@ -46,8 +44,7 @@ class ValidationRow:
     rank_correlation: float
 
 
-@dataclass(frozen=True)
-class ModelValidationResult:
+class ModelValidationResult(NamedTuple):
     """Agreement across all kernels."""
 
     rows: Tuple[ValidationRow, ...]

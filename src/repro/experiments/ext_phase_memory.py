@@ -22,7 +22,7 @@ it would grow on platforms where CG mispredicts more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
@@ -38,8 +38,7 @@ TRAVERSALS = 2
 LAUNCHES_PER_LEVEL = 6
 
 
-@dataclass(frozen=True)
-class PhaseMemoryResult:
+class PhaseMemoryResult(NamedTuple):
     """Recall-on vs recall-off on the multi-traversal Graph500."""
 
     ed2_without: float

@@ -16,7 +16,7 @@ the *methodology* is what ports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.analysis.evaluation import EvaluationHarness
 from repro.analysis.report import format_table
@@ -28,8 +28,7 @@ from repro.sensitivity.predictor import train_predictors
 from repro.workloads.registry import all_applications
 
 
-@dataclass(frozen=True)
-class PortabilityResult:
+class PortabilityResult(NamedTuple):
     """HD7970 vs Pitcairn headline comparison."""
 
     hd7970_ed2: float

@@ -17,8 +17,7 @@ resource the kernel does not need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.core.capping import PowerCapPolicy
@@ -31,8 +30,7 @@ CAPPING_APPS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CappingRow:
+class CappingRow(NamedTuple):
     """One application at matched power budgets."""
 
     application: str
@@ -48,8 +46,7 @@ class CappingRow:
         return self.harmonia_perf - self.capper_perf
 
 
-@dataclass(frozen=True)
-class PowerCappingResult:
+class PowerCappingResult(NamedTuple):
     """The equal-power comparison across the subset."""
 
     rows: Tuple[CappingRow, ...]

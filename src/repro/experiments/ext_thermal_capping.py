@@ -21,8 +21,7 @@ thermal governor (one compute-DVFS step down per missing headroom band):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.core.baseline import BaselinePolicy
@@ -49,8 +48,7 @@ CONSTRAINED_ENCLOSURE = ThermalModel(
 )
 
 
-@dataclass(frozen=True)
-class ThermalRow:
+class ThermalRow(NamedTuple):
     """One application under the constrained envelope."""
 
     application: str
@@ -67,8 +65,7 @@ class ThermalRow:
         return self.baseline_time / self.harmonia_time - 1.0
 
 
-@dataclass(frozen=True)
-class ThermalCappingResult:
+class ThermalCappingResult(NamedTuple):
     """The constrained-envelope comparison."""
 
     sustainable_power: float

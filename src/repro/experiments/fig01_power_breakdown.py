@@ -10,15 +10,14 @@ power decomposition of Equation 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
 from repro.workloads.registry import get_kernel
 
 
-@dataclass(frozen=True)
-class PowerBreakdownResult:
+class PowerBreakdownResult(NamedTuple):
     """Card power decomposition for a memory-intensive workload (W)."""
 
     workload: str

@@ -17,8 +17,7 @@ configuration, everything normalized to the minimum hardware configuration
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from repro.analysis.balance import knee_of_curve
 from repro.analysis.report import format_table
@@ -35,8 +34,7 @@ FIGURE3_KERNELS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BalanceCurve:
+class BalanceCurve(NamedTuple):
     """One fixed-memory-configuration performance curve."""
 
     f_mem: float
@@ -48,8 +46,7 @@ class BalanceCurve:
     knee_performance: float
 
 
-@dataclass(frozen=True)
-class BalanceResult:
+class BalanceResult(NamedTuple):
     """Figure 3 for one workload."""
 
     workload: str

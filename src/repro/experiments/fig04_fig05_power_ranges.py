@@ -10,8 +10,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.analysis.sweep import ConfigSweep
@@ -20,8 +19,7 @@ from repro.units import hz_to_mhz
 from repro.workloads.registry import get_kernel
 
 
-@dataclass(frozen=True)
-class PowerRangeResult:
+class PowerRangeResult(NamedTuple):
     """Card power across one knob family at a fixed other knob."""
 
     figure: str

@@ -15,8 +15,7 @@ normalized to the best-performing configuration. Anchors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.analysis.sweep import ConfigSweep, SweepPoint
@@ -30,8 +29,7 @@ FIGURE6_KERNELS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class OptimumRow:
+class OptimumRow(NamedTuple):
     """One optimization target's outcome, normalized to best-performing."""
 
     target: str
@@ -42,8 +40,7 @@ class OptimumRow:
     ed: float
 
 
-@dataclass(frozen=True)
-class MetricTradeoffResult:
+class MetricTradeoffResult(NamedTuple):
     """Figure 6 for one workload."""
 
     workload: str

@@ -9,8 +9,7 @@ strongly bandwidth sensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -25,8 +24,7 @@ FIGURE7_KERNELS: Tuple[Tuple[str, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class OccupancyRow:
+class OccupancyRow(NamedTuple):
     """One kernel's occupancy and bandwidth sensitivity."""
 
     kernel: str
@@ -37,8 +35,7 @@ class OccupancyRow:
     bandwidth_sensitivity: float
 
 
-@dataclass(frozen=True)
-class OccupancyResultPair:
+class OccupancyResultPair(NamedTuple):
     """Figure 7's two bars."""
 
     rows: Tuple[OccupancyRow, OccupancyRow]

@@ -9,8 +9,7 @@ it strongly compute-frequency sensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -24,8 +23,7 @@ FIGURE8_KERNELS: Tuple[Tuple[str, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
+class DivergenceRow(NamedTuple):
     """One kernel's divergence vs compute-frequency sensitivity."""
 
     kernel: str
@@ -36,8 +34,7 @@ class DivergenceRow:
     frequency_sensitivity: float
 
 
-@dataclass(frozen=True)
-class DivergenceResultPair:
+class DivergenceResultPair(NamedTuple):
     """Figure 8's two bar groups."""
 
     rows: Tuple[DivergenceRow, DivergenceRow]

@@ -11,8 +11,7 @@ the DRAM is reduced".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -21,8 +20,7 @@ from repro.units import hz_to_mhz
 from repro.workloads.registry import get_kernel
 
 
-@dataclass(frozen=True)
-class ClockDomainResult:
+class ClockDomainResult(NamedTuple):
     """Figure 9's two columns plus the low-clock bandwidth throttling."""
 
     kernel: str

@@ -18,8 +18,7 @@ oracle over all fourteen applications. Paper anchors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -47,8 +46,7 @@ PAPER_ANCHORS: Mapping[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     """The full Figures 10-13 data."""
 
     summary: EvaluationSummary

@@ -14,8 +14,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -25,8 +24,7 @@ from repro.units import hz_to_mhz
 KERNEL = "Graph500.BottomStepUp"
 
 
-@dataclass(frozen=True)
-class PhaseRow:
+class PhaseRow(NamedTuple):
     """One Figure 14 iteration of BottomStepUp."""
 
     iteration: int
@@ -36,8 +34,7 @@ class PhaseRow:
     time: float
 
 
-@dataclass(frozen=True)
-class Graph500Result:
+class Graph500Result(NamedTuple):
     """Figures 14-16 data from one Harmonia run of Graph500."""
 
     phases: Tuple[PhaseRow, ...]

@@ -10,8 +10,7 @@ ours can do).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -22,8 +21,7 @@ FIGURE17_APPS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class PowerSharingRow:
+class PowerSharingRow(NamedTuple):
     """One application's GPU/memory power split, baseline vs Harmonia."""
 
     application: str
@@ -43,8 +41,7 @@ class PowerSharingRow:
         return self.baseline_memory - self.harmonia_memory
 
 
-@dataclass(frozen=True)
-class PowerSharingResult:
+class PowerSharingResult(NamedTuple):
     """Figure 17 across the application subset."""
 
     rows: Tuple[PowerSharingRow, ...]

@@ -10,8 +10,7 @@ iterations) CG does all the work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -22,8 +21,7 @@ FIGURE18_APPS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ContributionRow:
+class ContributionRow(NamedTuple):
     """One application's CG/FG decomposition."""
 
     application: str
@@ -36,8 +34,7 @@ class ContributionRow:
         return self.ed2_harmonia - self.ed2_cg
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """FG convergence of one kernel under Harmonia."""
 
     kernel: str
@@ -46,8 +43,7 @@ class ConvergenceRow:
     fg_actions: int = 0
 
 
-@dataclass(frozen=True)
-class CgFgResult:
+class CgFgResult(NamedTuple):
     """Figure 18 decomposition plus convergence measurements."""
 
     contributions: Tuple[ContributionRow, ...]

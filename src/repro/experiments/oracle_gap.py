@@ -21,8 +21,7 @@ The decomposition per application:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -80,8 +79,7 @@ class PerfConstrainedOracle(HistoryMixin):
         self.history_for(context.kernel_name).record(result)
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     """One application's gap decomposition (ED² improvements)."""
 
     application: str
@@ -100,8 +98,7 @@ class GapRow:
         return self.perf_oracle - self.harmonia
 
 
-@dataclass(frozen=True)
-class OracleGapResult:
+class OracleGapResult(NamedTuple):
     """The decomposition across all applications."""
 
     rows: Tuple[GapRow, ...]

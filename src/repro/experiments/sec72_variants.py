@@ -11,15 +11,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
 
 
-@dataclass(frozen=True)
-class VariantsResult:
+class VariantsResult(NamedTuple):
     """DVFS-only vs Harmonia geomeans plus predictor errors."""
 
     dvfs_only_ed2: float

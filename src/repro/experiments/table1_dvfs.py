@@ -7,8 +7,7 @@ library's DVFS table and the interpolated voltage curve against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -23,8 +22,7 @@ PAPER_TABLE1: Tuple[Tuple[str, float, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DvfsTableResult:
+class DvfsTableResult(NamedTuple):
     """Library DVFS states next to the paper's Table 1."""
 
     rows: Tuple[Tuple[str, float, float, float, float], ...]

@@ -14,8 +14,7 @@ magnitudes are the reproducible quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -34,8 +33,7 @@ PAPER_BANDWIDTH_ERROR = 0.0303
 PAPER_COMPUTE_ERROR = 0.0571
 
 
-@dataclass(frozen=True)
-class ModelComparisonResult:
+class ModelComparisonResult(NamedTuple):
     """Refit Table 3 next to the published one."""
 
     training: TrainingReport

@@ -18,15 +18,20 @@ compute frequency is low".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CalibrationError
 from repro.gpu.architecture import GpuArchitecture
 from repro.units import MHZ
 
 
-@dataclass(frozen=True)
-class ClockDomainModel:
+class _ClockDomainFields(NamedTuple):
+    """The fields of :class:`ClockDomainModel`, in declaration order."""
+
+    crossing_bytes_per_cycle: float
+
+
+class ClockDomainModel(_ClockDomainFields):
     """Bandwidth limit imposed by the L2 -> MC clock-domain crossing.
 
     Attributes:
@@ -35,11 +40,13 @@ class ClockDomainModel:
             memory-controller ports.
     """
 
-    crossing_bytes_per_cycle: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.crossing_bytes_per_cycle <= 0:
+    def __new__(cls, *args, **kwargs) -> "ClockDomainModel":
+        model = super().__new__(cls, *args, **kwargs)
+        if model.crossing_bytes_per_cycle <= 0:
             raise CalibrationError("crossing width must be positive")
+        return model
 
     def crossing_bandwidth(self, f_cu: float) -> float:
         """Maximum L2-miss byte rate (B/s) at compute frequency ``f_cu``."""

@@ -18,15 +18,14 @@ wave limit by dividing across the CU's SIMDs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.errors import KernelSpecError
 from repro.gpu.architecture import GpuArchitecture
 
 
-@dataclass(frozen=True)
-class OccupancyLimits:
+class OccupancyLimits(NamedTuple):
     """Per-limiter maximum waves per SIMD (before taking the minimum)."""
 
     architectural: int
@@ -48,8 +47,7 @@ class OccupancyLimits:
         return min(pairs, key=lambda kv: kv[1])[0]
 
 
-@dataclass(frozen=True)
-class OccupancyResult:
+class OccupancyResult(NamedTuple):
     """Computed occupancy for one kernel on one architecture."""
 
     waves_per_simd: int

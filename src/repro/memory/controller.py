@@ -22,8 +22,7 @@ attribute which limit binds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from repro.gpu.architecture import GpuArchitecture
 from repro.memory.gddr5 import Gddr5Timing
 
 
-@dataclass(frozen=True)
-class BandwidthBreakdown:
+class BandwidthBreakdown(NamedTuple):
     """Achievable-bandwidth limits (B/s) and the binding limit."""
 
     peak: float
@@ -51,8 +49,7 @@ class BandwidthBreakdown:
         return "efficiency" if self.efficiency_limited <= self.mlp_limited else "mlp"
 
 
-@dataclass(frozen=True)
-class MemoryControllerModel:
+class MemoryControllerModel(NamedTuple):
     """Bandwidth model for one GPU's memory subsystem.
 
     Attributes:

@@ -20,15 +20,14 @@ Figure 5 ~10% board-power swing are reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import CalibrationError
 
 
-@dataclass(frozen=True)
-class MemoryPowerBreakdown:
+class MemoryPowerBreakdown(NamedTuple):
     """Per-component memory power (W) at one operating point."""
 
     background: float
@@ -49,8 +48,32 @@ class MemoryPowerBreakdown:
         )
 
 
-@dataclass(frozen=True)
-class MemoryPowerModel:
+class _MemoryPowerFields(NamedTuple):
+    """The fields of :class:`MemoryPowerModel`, in declaration order."""
+
+    f_mem_max: float
+    background_idle: float
+    background_slope: float
+    pll_phy_idle: float
+    pll_phy_slope: float
+    activate_energy: float
+    read_write_energy_per_byte: float
+    read_write_low_freq_penalty: float
+    termination_energy_per_byte: float
+    burst_bytes: int
+    #: bus voltage at the maximum frequency (V); used only when voltage
+    #: scaling is enabled
+    bus_voltage_max: float = 1.6
+    #: bus voltage at the minimum usable frequency (V)
+    bus_voltage_min: float = 1.35
+    #: enable memory bus voltage scaling — the paper's platform (and the
+    #: default model) cannot do this; Section 7.2 flags it as the obvious
+    #: extension ("far more power savings ... if voltage scaling is
+    #: applied while lowering bus speeds")
+    voltage_scaling: bool = False
+
+
+class MemoryPowerModel(_MemoryPowerFields):
     """Parametric GDDR5 + PHY power model.
 
     All ``*_idle``/``*_slope`` pairs express a component as
@@ -75,33 +98,15 @@ class MemoryPowerModel:
         burst_bytes: bytes per DRAM access (for the activate-rate term).
     """
 
-    f_mem_max: float
-    background_idle: float
-    background_slope: float
-    pll_phy_idle: float
-    pll_phy_slope: float
-    activate_energy: float
-    read_write_energy_per_byte: float
-    read_write_low_freq_penalty: float
-    termination_energy_per_byte: float
-    burst_bytes: int
-    #: bus voltage at the maximum frequency (V); used only when voltage
-    #: scaling is enabled
-    bus_voltage_max: float = 1.6
-    #: bus voltage at the minimum usable frequency (V)
-    bus_voltage_min: float = 1.35
-    #: enable memory bus voltage scaling — the paper's platform (and the
-    #: default model) cannot do this; Section 7.2 flags it as the obvious
-    #: extension ("far more power savings ... if voltage scaling is
-    #: applied while lowering bus speeds")
-    voltage_scaling: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bus_voltage_max <= 0 or self.bus_voltage_min <= 0:
+    def __new__(cls, *args, **kwargs) -> "MemoryPowerModel":
+        model = super().__new__(cls, *args, **kwargs)
+        if model.bus_voltage_max <= 0 or model.bus_voltage_min <= 0:
             raise CalibrationError("bus voltages must be positive")
-        if self.bus_voltage_min > self.bus_voltage_max:
+        if model.bus_voltage_min > model.bus_voltage_max:
             raise CalibrationError("bus_voltage_min must not exceed max")
-        if self.f_mem_max <= 0:
+        if model.f_mem_max <= 0:
             raise CalibrationError("f_mem_max must be positive")
         for name in (
             "background_idle",
@@ -112,12 +117,13 @@ class MemoryPowerModel:
             "read_write_energy_per_byte",
             "termination_energy_per_byte",
         ):
-            if getattr(self, name) < 0:
+            if getattr(model, name) < 0:
                 raise CalibrationError(f"{name} must be non-negative")
-        if not 0 <= self.read_write_low_freq_penalty < 1:
+        if not 0 <= model.read_write_low_freq_penalty < 1:
             raise CalibrationError("read_write_low_freq_penalty must be in [0, 1)")
-        if self.burst_bytes <= 0:
+        if model.burst_bytes <= 0:
             raise CalibrationError("burst_bytes must be positive")
+        return model
 
     def breakdown(self, f_mem: float, achieved_bandwidth: float) -> MemoryPowerBreakdown:
         """Memory power breakdown at bus frequency ``f_mem`` (Hz) while the

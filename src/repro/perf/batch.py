@@ -29,8 +29,7 @@ equivalence tests pin this down to a 1e-12 relative tolerance.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -96,8 +95,7 @@ def config_grid(configs: Tuple[HardwareConfig, ...]) -> ConfigGrid:
     return grid
 
 
-@dataclass(frozen=True)
-class BatchCounters:
+class BatchCounters(NamedTuple):
     """Performance counters over the configuration axis.
 
     Configuration-dependent counters are arrays; configuration-invariant
@@ -145,8 +143,7 @@ class BatchCounters:
         )
 
 
-@dataclass(frozen=True)
-class BatchModelOutput:
+class BatchModelOutput(NamedTuple):
     """Raw performance-model outputs for a batch of configurations."""
 
     #: per-configuration compute-pipeline time (s)

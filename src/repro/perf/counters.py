@@ -15,8 +15,7 @@ All percentage counters are in [0, 100].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 #: The feature vocabulary of the sensitivity models (Table 2 plus
 #: Equation 3), in :meth:`PerfCounters.feature_vector` order.
@@ -33,13 +32,8 @@ FEATURE_NAMES: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class PerfCounters:
-    """One kernel launch's performance-counter sample.
-
-    Attributes mirror Table 2 plus the raw instruction counters used in
-    Figure 14 (VALUInsts / VFetchInsts / VWriteInsts).
-    """
+class _CounterFields(NamedTuple):
+    """The fields of :class:`PerfCounters`, in declaration order."""
 
     #: % of active vector ALU threads in a wave (branch divergence proxy)
     valu_utilization: float
@@ -64,18 +58,30 @@ class PerfCounters:
     #: total vector write instructions executed (millions)
     vwrite_insts_millions: float
 
-    def __post_init__(self) -> None:
+
+class PerfCounters(_CounterFields):
+    """One kernel launch's performance-counter sample.
+
+    Attributes mirror Table 2 plus the raw instruction counters used in
+    Figure 14 (VALUInsts / VFetchInsts / VWriteInsts).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "PerfCounters":
+        counters = super().__new__(cls, *args, **kwargs)
         for name in ("valu_utilization", "valu_busy", "mem_unit_busy",
                      "mem_unit_stalled", "write_unit_stalled"):
-            value = getattr(self, name)
+            value = getattr(counters, name)
             if not 0.0 <= value <= 100.0 + 1e-9:
                 raise ValueError(f"counter {name}={value} outside [0, 100]")
-        if not 0.0 <= self.ic_activity <= 1.0 + 1e-9:
-            raise ValueError(f"ic_activity={self.ic_activity} outside [0, 1]")
+        if not 0.0 <= counters.ic_activity <= 1.0 + 1e-9:
+            raise ValueError(f"ic_activity={counters.ic_activity} outside [0, 1]")
         for name in ("norm_vgpr", "norm_sgpr"):
-            value = getattr(self, name)
+            value = getattr(counters, name)
             if not 0.0 <= value <= 1.0 + 1e-9:
                 raise ValueError(f"counter {name}={value} outside [0, 1]")
+        return counters
 
     def compute_to_memory_intensity(self) -> float:
         """C-to-M Intensity per Equation 3, normalized to 100.
@@ -97,24 +103,9 @@ class PerfCounters:
         "normalize all counter values to a percentage of its maximum"
         treatment of Section 4.2 (expressed as fractions of 1 or 100).
 
-        Computed once per (frozen) instance: a surface serves one
-        counters object for every relaunch at a configuration.
+        The first eight fields are the first eight features, in order.
         """
-        cached = self.__dict__.get("_features")
-        if cached is None:
-            cached = (
-                self.valu_utilization,
-                self.valu_busy,
-                self.mem_unit_busy,
-                self.mem_unit_stalled,
-                self.write_unit_stalled,
-                self.ic_activity,
-                self.norm_vgpr,
-                self.norm_sgpr,
-                self.compute_to_memory_intensity(),
-            )
-            object.__setattr__(self, "_features", cached)
-        return cached
+        return self[:8] + (self.compute_to_memory_intensity(),)
 
     def as_feature_dict(self) -> dict:
         """:meth:`feature_vector` keyed by :data:`FEATURE_NAMES` (the

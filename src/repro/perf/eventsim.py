@@ -30,8 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, NamedTuple, Optional
 
 from repro.errors import AnalysisError
 from repro.gpu.architecture import GpuArchitecture
@@ -42,8 +41,7 @@ from repro.memory.controller import MemoryControllerModel
 from repro.perf.kernelspec import KernelSpec
 
 
-@dataclass(frozen=True)
-class EventSimResult:
+class EventSimResult(NamedTuple):
     """Outcome of one event-driven kernel execution."""
 
     #: simulated execution time (s)
@@ -75,8 +73,7 @@ class _Wave:
         self.done_at: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class _LaneParams:
+class _LaneParams(NamedTuple):
     """Everything the event loop needs, derived once per (spec, config).
 
     The batched engine (:mod:`repro.perf.eventsim_batch`) runs many

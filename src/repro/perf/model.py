@@ -28,8 +28,7 @@ over the 450-point configuration space match:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +45,7 @@ from repro.perf.kernelspec import KernelSpec
 from repro.perf.result import TimeBreakdown
 
 
-@dataclass(frozen=True)
-class ModelOutput:
+class ModelOutput(NamedTuple):
     """Raw model outputs before power is attached."""
 
     breakdown: TimeBreakdown

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.gpu.config import HardwareConfig
 from repro.perf.counters import PerfCounters
 
 
-@dataclass(frozen=True)
-class TimeBreakdown:
+class TimeBreakdown(NamedTuple):
     """Where a kernel launch's time went (seconds)."""
 
     #: pure compute-pipeline time
@@ -37,8 +35,7 @@ class TimeBreakdown:
         return self.compute >= self.memory
 
 
-@dataclass(frozen=True)
-class PowerSample:
+class PowerSample(NamedTuple):
     """Average power (W) of one kernel launch, per Section 6's breakdown."""
 
     #: GPU chip power (compute + integrated MC), ``GPUPwr``
@@ -54,8 +51,7 @@ class PowerSample:
         return self.gpu + self.memory + self.other
 
 
-@dataclass(frozen=True)
-class KernelRunResult:
+class KernelRunResult(NamedTuple):
     """Everything observed from one kernel launch at one configuration."""
 
     kernel_name: str

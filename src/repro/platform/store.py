@@ -286,8 +286,6 @@ def batch_to_record(
     not stored: the record's key names its grid (see
     :func:`batch_from_record`).
     """
-    import dataclasses
-
     import numpy as np
 
     from repro.perf.batch import BANDWIDTH_LIMITS
@@ -332,7 +330,7 @@ def batch_to_record(
         },
         "occupancy": {
             "waves_per_simd": occupancy.waves_per_simd,
-            "limits": dataclasses.asdict(occupancy.limits),
+            "limits": occupancy.limits._asdict(),
         },
     }
     return arrays, meta

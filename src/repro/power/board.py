@@ -12,8 +12,7 @@ measurement on the paper's rig would recover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -26,8 +25,15 @@ from repro.perf.result import PowerSample
 from repro.power.gpu_power import GpuPowerModel
 
 
-@dataclass(frozen=True)
-class BoardPowerModel:
+class _BoardPowerFields(NamedTuple):
+    """The fields of :class:`BoardPowerModel`, in declaration order."""
+
+    gpu: GpuPowerModel
+    memory: MemoryPowerModel
+    other_power: float
+
+
+class BoardPowerModel(_BoardPowerFields):
     """Full-card power model.
 
     Attributes:
@@ -37,13 +43,13 @@ class BoardPowerModel:
             RPM, voltage regulators, discrete components (Section 6).
     """
 
-    gpu: GpuPowerModel
-    memory: MemoryPowerModel
-    other_power: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.other_power < 0:
+    def __new__(cls, *args, **kwargs) -> "BoardPowerModel":
+        model = super().__new__(cls, *args, **kwargs)
+        if model.other_power < 0:
             raise CalibrationError("other_power must be non-negative")
+        return model
 
     def sample(
         self,

@@ -14,16 +14,21 @@ same way the paper's rig would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CalibrationError
 
 
-@dataclass(frozen=True)
-class DaqTrace:
+class _DaqTraceFields(NamedTuple):
+    """The fields of :class:`DaqTrace`, in declaration order."""
+
+    sample_period: float
+    samples: Tuple[float, ...]
+
+
+class DaqTrace(_DaqTraceFields):
     """A sampled power trace.
 
     Attributes:
@@ -31,12 +36,13 @@ class DaqTrace:
         samples: power readings (W), one per sample instant.
     """
 
-    sample_period: float
-    samples: Tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sample_period <= 0:
+    def __new__(cls, *args, **kwargs) -> "DaqTrace":
+        trace = super().__new__(cls, *args, **kwargs)
+        if trace.sample_period <= 0:
             raise CalibrationError("sample_period must be positive")
+        return trace
 
     @property
     def duration(self) -> float:

@@ -19,7 +19,7 @@ varying compute frequency, voltage is also scaled as noted in Table 1").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,19 @@ from repro.errors import CalibrationError
 from repro.gpu.dvfs import GpuDvfsTable
 
 
-@dataclass(frozen=True)
-class GpuPowerModel:
+class _GpuPowerFields(NamedTuple):
+    """The fields of :class:`GpuPowerModel`, in declaration order."""
+
+    dvfs: GpuDvfsTable
+    cu_capacitance: float
+    cu_leakage_nominal: float
+    uncore_capacitance: float
+    uncore_leakage_nominal: float
+    v_nominal: float
+    min_activity: float = 0.08
+
+
+class GpuPowerModel(_GpuPowerFields):
     """Parametric GPU chip power model.
 
     Attributes:
@@ -42,23 +53,19 @@ class GpuPowerModel:
             and scheduler switching never go to zero).
     """
 
-    dvfs: GpuDvfsTable
-    cu_capacitance: float
-    cu_leakage_nominal: float
-    uncore_capacitance: float
-    uncore_leakage_nominal: float
-    v_nominal: float
-    min_activity: float = 0.08
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "GpuPowerModel":
+        model = super().__new__(cls, *args, **kwargs)
         for name in ("cu_capacitance", "cu_leakage_nominal",
                      "uncore_capacitance", "uncore_leakage_nominal"):
-            if getattr(self, name) <= 0:
+            if getattr(model, name) <= 0:
                 raise CalibrationError(f"{name} must be positive")
-        if self.v_nominal <= 0:
+        if model.v_nominal <= 0:
             raise CalibrationError("v_nominal must be positive")
-        if not 0 <= self.min_activity <= 1:
+        if not 0 <= model.min_activity <= 1:
             raise CalibrationError("min_activity must be in [0, 1]")
+        return model
 
     def _leakage(self, nominal_watts: float, voltage: float) -> float:
         """Leakage scales roughly quadratically with supply voltage."""

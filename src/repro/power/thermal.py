@@ -20,15 +20,23 @@ scenarios:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CalibrationError, PolicyError
 from repro.gpu.config import ConfigSpace, HardwareConfig
 from repro.perf.result import KernelRunResult
 
 
-@dataclass(frozen=True)
-class ThermalModel:
+class _ThermalFields(NamedTuple):
+    """The fields of :class:`ThermalModel`, in declaration order."""
+
+    resistance: float
+    capacitance: float
+    ambient: float = 35.0
+    t_max: float = 95.0
+
+
+class ThermalModel(_ThermalFields):
     """First-order thermal RC network from die to ambient.
 
     Attributes:
@@ -38,18 +46,17 @@ class ThermalModel:
         t_max: junction temperature limit (°C).
     """
 
-    resistance: float
-    capacitance: float
-    ambient: float = 35.0
-    t_max: float = 95.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.resistance <= 0:
+    def __new__(cls, *args, **kwargs) -> "ThermalModel":
+        model = super().__new__(cls, *args, **kwargs)
+        if model.resistance <= 0:
             raise CalibrationError("thermal resistance must be positive")
-        if self.capacitance <= 0:
+        if model.capacitance <= 0:
             raise CalibrationError("thermal capacitance must be positive")
-        if self.t_max <= self.ambient:
+        if model.t_max <= model.ambient:
             raise CalibrationError("t_max must exceed ambient")
+        return model
 
     @property
     def time_constant(self) -> float:

@@ -9,8 +9,7 @@ manager. Averages across applications are **geometric means** (Section 7).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import AnalysisError
 
@@ -54,8 +53,7 @@ def improvement(baseline: float, candidate: float) -> float:
     return (baseline - candidate) / baseline
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     """Aggregate metrics of one application run."""
 
     #: total execution time (s) — D in the paper's metrics

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,8 +51,7 @@ from repro.workloads.application import Application
 _Z95 = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class MetricBand:
+class MetricBand(NamedTuple):
     """Mean / spread / 95% confidence band of one metric over trials."""
 
     #: sample mean over trials
@@ -85,8 +83,7 @@ def band(samples: np.ndarray) -> MetricBand:
                       ci_high=mean + half, n=int(samples.size))
 
 
-@dataclass(frozen=True)
-class MonteCarloRun:
+class MonteCarloRun(NamedTuple):
     """One (application, policy) pair's repeated-trial outcome.
 
     Per-trial sample vectors are kept (`*_samples`, indexed by seed
@@ -128,8 +125,7 @@ class MonteCarloRun:
         return band(1.0 / self.time_samples)
 
 
-@dataclass(frozen=True)
-class MonteCarloComparison:
+class MonteCarloComparison(NamedTuple):
     """Candidate vs baseline, paired by trial seed."""
 
     application: str

@@ -41,8 +41,7 @@ second lane raises :class:`~repro.errors.AnalysisError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.policy import LaunchContext, PowerPolicy
 from repro.errors import AnalysisError
@@ -53,8 +52,7 @@ from repro.telemetry.spans import ambient_telemetry
 from repro.workloads.application import Application
 
 
-@dataclass(frozen=True)
-class SessionSpec:
+class SessionSpec(NamedTuple):
     """One lane: an application run under a policy on a platform.
 
     Attributes:

@@ -11,8 +11,7 @@ next iteration", Section 5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Tuple
 
 from repro.core.policy import LaunchContext, PowerPolicy
 from repro.platform.hd7970 import HardwarePlatform
@@ -25,8 +24,7 @@ if TYPE_CHECKING:
     from repro.core.harmonia import ControllerStats
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of one application run under one policy.
 
     ``controller_stats`` pairs each kernel with the policy's counters at

@@ -8,16 +8,14 @@ of run time did each tunable spend at each value?
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from repro.errors import AnalysisError
 from repro.gpu.config import HardwareConfig
 from repro.perf.result import KernelRunResult
 
 
-@dataclass(frozen=True)
-class LaunchRecord:
+class LaunchRecord(NamedTuple):
     """One kernel launch inside a run."""
 
     iteration: int
@@ -40,8 +38,7 @@ class LaunchRecord:
         return self.result.power
 
 
-@dataclass(frozen=True)
-class ResidencyTable:
+class ResidencyTable(NamedTuple):
     """Time-weighted residency of one tunable across a run.
 
     Attributes:

@@ -13,7 +13,7 @@ minimum, MED to mid-range, HIGH is left at maximum.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import PolicyError
 
@@ -26,8 +26,17 @@ class Bin(enum.Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True)
-class SensitivityBins:
+class _BinsFields(NamedTuple):
+    """The fields of :class:`SensitivityBins`, in declaration order."""
+
+    low_edge: float = 0.30
+    high_edge: float = 0.70
+    low_target: float = 0.0
+    med_target: float = 0.5
+    high_target: float = 1.0
+
+
+class SensitivityBins(_BinsFields):
     """Binning thresholds and the per-bin tunable-range targets.
 
     Attributes:
@@ -38,18 +47,16 @@ class SensitivityBins:
         high_target: fraction of the tunable's range set for a HIGH bin.
     """
 
-    low_edge: float = 0.30
-    high_edge: float = 0.70
-    low_target: float = 0.0
-    med_target: float = 0.5
-    high_target: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.low_edge <= self.high_edge:
+    def __new__(cls, *args, **kwargs) -> "SensitivityBins":
+        bins = super().__new__(cls, *args, **kwargs)
+        if not 0 <= bins.low_edge <= bins.high_edge:
             raise PolicyError("bin edges must satisfy 0 <= low <= high")
         for name in ("low_target", "med_target", "high_target"):
-            if not 0 <= getattr(self, name) <= 1:
+            if not 0 <= getattr(bins, name) <= 1:
                 raise PolicyError(f"{name} must be in [0, 1]")
+        return bins
 
     def classify(self, sensitivity: float) -> Bin:
         """Bin a sensitivity value.

@@ -17,8 +17,7 @@ configurations, average them, and attach measured sensitivities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +30,8 @@ from repro.workloads.application import Application
 from repro.workloads.kernel import WorkloadKernel
 
 
-@dataclass(frozen=True)
-class SensitivityDataset:
-    """Per-kernel averaged features with measured sensitivity targets."""
+class _DatasetFields(NamedTuple):
+    """The fields of :class:`SensitivityDataset`, in declaration order."""
 
     #: one feature mapping per training kernel (config-averaged counters)
     rows: Tuple[Mapping[str, float], ...]
@@ -44,14 +42,27 @@ class SensitivityDataset:
     #: kernel (or kernel-phase) name per row
     kernel_names: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        if not (len(self.compute_targets) == len(self.bandwidth_targets)
-                == len(self.kernel_names) == n):
+
+class SensitivityDataset(_DatasetFields):
+    """Per-kernel averaged features with measured sensitivity targets."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SensitivityDataset":
+        dataset = super().__new__(cls, *args, **kwargs)
+        n = len(dataset.rows)
+        if not (len(dataset.compute_targets) == len(dataset.bandwidth_targets)
+                == len(dataset.kernel_names) == n):
             raise AnalysisError("dataset columns have mismatched lengths")
+        return dataset
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    @classmethod
+    def _make(cls, iterable) -> "SensitivityDataset":
+        # The inherited one checks ``len``, which counts rows here.
+        return cls(*iterable)
 
 
 def _distinct_specs(applications: Sequence[Application]) -> List[KernelSpec]:

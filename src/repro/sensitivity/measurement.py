@@ -20,7 +20,7 @@ shrinks (the BPT cache-thrashing case) yields a negative value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import AnalysisError
 from repro.gpu.config import HardwareConfig
@@ -28,8 +28,7 @@ from repro.perf.kernelspec import KernelSpec
 from repro.platform.hd7970 import HardwarePlatform
 
 
-@dataclass(frozen=True)
-class SensitivityMeasurement:
+class SensitivityMeasurement(NamedTuple):
     """Measured sensitivities of one kernel."""
 
     kernel_name: str

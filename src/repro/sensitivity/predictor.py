@@ -14,8 +14,7 @@ every kernel boundary. Two provenances are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, NamedTuple, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.perf.counters import FEATURE_NAMES, PerfCounters
@@ -41,23 +40,30 @@ COMPUTE_FEATURES: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SensitivityPredictor:
+class _PredictorFields(NamedTuple):
+    """The fields of :class:`SensitivityPredictor`, in declaration order."""
+
+    model: LinearModel
+    #: which sensitivity this predicts ("compute" or "bandwidth")
+    kind: str
+
+
+class SensitivityPredictor(_PredictorFields):
     """A linear sensitivity model over performance-counter features.
+
+    The one record with an instance dict (no ``__slots__``): it keeps its
+    model's terms over the feature vector, resolved once, since Harmonia
+    predicts twice per launch. The fields stay read-only.
 
     Raises:
         AnalysisError: on construction, if the model names a feature
             outside :data:`~repro.perf.counters.FEATURE_NAMES`.
     """
 
-    model: LinearModel
-    #: which sensitivity this predicts ("compute" or "bandwidth")
-    kind: str
-
-    def __post_init__(self) -> None:
-        # The model's (feature position, coefficient) terms over the
-        # counter feature vector, resolved once.
-        object.__setattr__(self, "_terms", self.model.terms(FEATURE_NAMES))
+    def __new__(cls, *args, **kwargs) -> "SensitivityPredictor":
+        predictor = super().__new__(cls, *args, **kwargs)
+        predictor._terms = predictor.model.terms(FEATURE_NAMES)
+        return predictor
 
     def predict(self, counters: PerfCounters) -> float:
         """Predicted sensitivity for a counter sample, clamped to [0, 1].
@@ -124,8 +130,7 @@ PAPER_COMPUTE_PREDICTOR = SensitivityPredictor(
 )
 
 
-@dataclass(frozen=True)
-class TrainingReport:
+class TrainingReport(NamedTuple):
     """Everything the Section 4 pipeline produced."""
 
     dataset: SensitivityDataset

@@ -9,8 +9,7 @@ correlation between predictions and measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +35,7 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-@dataclass(frozen=True)
-class LinearModel:
+class LinearModel(NamedTuple):
     """A fitted linear model ``y = intercept + sum(coef[f] * x[f])``.
 
     Attributes:

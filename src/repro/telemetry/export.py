@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, List, NamedTuple, Union
 
 from repro.errors import TelemetryError
 from repro.gpu.config import HardwareConfig
@@ -125,15 +124,13 @@ def load_events(path) -> List[TelemetryEvent]:
     return [event_from_record(record) for record in load_records(path)]
 
 
-@dataclass(frozen=True)
-class _ReplayPower:
+class _ReplayPower(NamedTuple):
     """Replayed power sample (only card power survives serialization)."""
 
     card: float
 
 
-@dataclass(frozen=True)
-class ReplayRecord:
+class ReplayRecord(NamedTuple):
     """One replayed launch — duck-types ``LaunchRecord`` for analysis."""
 
     iteration: int

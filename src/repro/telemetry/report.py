@@ -13,8 +13,8 @@ its cache line with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple)
 
 from repro.analysis.report import format_table
 from repro.errors import TelemetryError
@@ -26,23 +26,21 @@ if TYPE_CHECKING:
     from repro.telemetry.export import ReplayTrace
 
 
-@dataclass
 class KernelActionMix:
     """Per-kernel controller-action tallies (the Figure 18 split)."""
 
-    kernel: str
-    launches: int = 0
-    time_s: float = 0.0
-    phase_changes: int = 0
-    cg_jumps: int = 0
-    fg_steps: int = 0
-    fg_reverts: int = 0
-    fg_converged: int = 0
-    recalls: int = 0
+    __slots__ = ("kernel", "launches", "time_s", "phase_changes",
+                 "cg_jumps", "fg_steps", "fg_reverts", "fg_converged",
+                 "recalls")
+
+    def __init__(self, kernel: str):
+        self.kernel = kernel
+        self.time_s = 0.0
+        self.launches = self.phase_changes = self.cg_jumps = 0
+        self.fg_steps = self.fg_reverts = self.fg_converged = self.recalls = 0
 
 
-@dataclass(frozen=True)
-class TraceSummary:
+class TraceSummary(NamedTuple):
     """Everything the telemetry report renders."""
 
     events: int

@@ -129,6 +129,9 @@ _CURRENT_SPAN: ContextVar[Optional[SpanContext]] = ContextVar(
     "repro_current_span", default=None
 )
 
+#: The null handle, bound on first use (its module imports this one).
+_NULL_TELEMETRY: Any = None
+
 
 def ambient_telemetry() -> Any:
     """The telemetry handle of the enclosing span, or the null handle.
@@ -138,11 +141,13 @@ def ambient_telemetry() -> Any:
     their events there when they start inside its ``record_events``
     scope.
     """
+    global _NULL_TELEMETRY
     context = _CURRENT_SPAN.get()
     if context is not None:
         return context.telemetry
-    from repro.telemetry.handle import NULL_TELEMETRY
-    return NULL_TELEMETRY
+    if _NULL_TELEMETRY is None:
+        from repro.telemetry.handle import NULL_TELEMETRY as _NULL_TELEMETRY
+    return _NULL_TELEMETRY
 
 
 class SpanHandle:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, NamedTuple, Sequence
 
 from repro.errors import TelemetryError
 from repro.telemetry.spans import (
@@ -126,12 +125,14 @@ def load_chrome_trace(path) -> List[SpanRecord]:
 # Tree building, canonical signatures, aggregation, reporting
 
 
-@dataclass
 class SpanNode:
     """One span plus its resolved children (a span-tree vertex)."""
 
-    record: SpanRecord
-    children: List["SpanNode"]
+    __slots__ = ("record", "children")
+
+    def __init__(self, record: SpanRecord, children: List["SpanNode"]):
+        self.record = record
+        self.children = children
 
 
 def span_tree(records: Sequence[SpanRecord]) -> List[SpanNode]:
@@ -176,8 +177,7 @@ def tree_signature(records: Sequence[SpanRecord]):
                         for root in span_tree(records)))
 
 
-@dataclass(frozen=True)
-class SpanAggregate:
+class SpanAggregate(NamedTuple):
     """Accumulated totals of one span name."""
 
     name: str

@@ -10,16 +10,23 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 from repro.errors import WorkloadError
 from repro.perf.kernelspec import KernelSpec
 from repro.workloads.kernel import WorkloadKernel
 
 
-@dataclass(frozen=True)
-class Application:
+class _ApplicationFields(NamedTuple):
+    """The fields of :class:`Application`, in declaration order."""
+
+    name: str
+    suite: str
+    kernels: Tuple[WorkloadKernel, ...]
+    iterations: int
+
+
+class Application(_ApplicationFields):
     """One benchmark application.
 
     Attributes:
@@ -31,19 +38,18 @@ class Application:
             runs only 2, Section 7.2; Graph500's figure shows 8).
     """
 
-    name: str
-    suite: str
-    kernels: Tuple[WorkloadKernel, ...]
-    iterations: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.kernels:
-            raise WorkloadError(f"application {self.name!r} has no kernels")
-        if self.iterations < 1:
-            raise WorkloadError(f"application {self.name!r} needs >= 1 iteration")
-        names = [k.name for k in self.kernels]
+    def __new__(cls, *args, **kwargs) -> "Application":
+        app = super().__new__(cls, *args, **kwargs)
+        if not app.kernels:
+            raise WorkloadError(f"application {app.name!r} has no kernels")
+        if app.iterations < 1:
+            raise WorkloadError(f"application {app.name!r} needs >= 1 iteration")
+        names = [k.name for k in app.kernels]
         if len(set(names)) != len(names):
-            raise WorkloadError(f"application {self.name!r} has duplicate kernel names")
+            raise WorkloadError(f"application {app.name!r} has duplicate kernel names")
+        return app
 
     def launches(self) -> Iterator[Tuple[int, WorkloadKernel, KernelSpec]]:
         """Iterate every launch of a full run.

@@ -14,8 +14,8 @@ that derives the spec actually launched at a given iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Dict, Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple)
 
 from repro.errors import WorkloadError
 from repro.perf.kernelspec import KernelSpec
@@ -29,9 +29,22 @@ class PhaseSchedule(Protocol):
         ...
 
 
-@dataclass(frozen=True)
 class ConstantSchedule:
-    """No phase behaviour: every iteration launches the base spec."""
+    """No phase behaviour: every iteration launches the base spec.
+
+    Not a named tuple, which with no fields is falsy and equals ``()``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ConstantSchedule
+
+    def __hash__(self) -> int:
+        return hash(ConstantSchedule)
+
+    def __repr__(self) -> str:
+        return "ConstantSchedule()"
 
     def spec_for_iteration(self, base: KernelSpec, iteration: int) -> KernelSpec:
         if iteration < 0:
@@ -39,8 +52,14 @@ class ConstantSchedule:
         return base
 
 
-@dataclass(frozen=True)
-class TableSchedule:
+class _TableScheduleFields(NamedTuple):
+    """The fields of :class:`TableSchedule`, in declaration order."""
+
+    rows: Tuple[Mapping, ...]
+    wrap: bool = True
+
+
+class TableSchedule(_TableScheduleFields):
     """Per-iteration field overrides from an explicit table.
 
     Attributes:
@@ -49,12 +68,13 @@ class TableSchedule:
             False they clamp to the last row.
     """
 
-    rows: Tuple[Mapping, ...]
-    wrap: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.rows:
+    def __new__(cls, *args, **kwargs) -> "TableSchedule":
+        schedule = super().__new__(cls, *args, **kwargs)
+        if not schedule.rows:
             raise WorkloadError("TableSchedule needs at least one row")
+        return schedule
 
     def spec_for_iteration(self, base: KernelSpec, iteration: int) -> KernelSpec:
         if iteration < 0:
@@ -66,8 +86,13 @@ class TableSchedule:
         return base.evolve(**dict(row))
 
 
-@dataclass(frozen=True)
-class CyclicSchedule:
+class _CyclicScheduleFields(NamedTuple):
+    """The fields of :class:`CyclicSchedule`, in declaration order."""
+
+    work_factors: Tuple[float, ...]
+
+
+class CyclicSchedule(_CyclicScheduleFields):
     """Multiplicative scaling of work per iteration, cycling a pattern.
 
     Useful for frontier-style workloads: ``work_factors = (0.2, 1.0, 3.0,
@@ -75,13 +100,15 @@ class CyclicSchedule:
     ``total_workitems`` (rounded to at least one workgroup).
     """
 
-    work_factors: Tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.work_factors:
+    def __new__(cls, *args, **kwargs) -> "CyclicSchedule":
+        schedule = super().__new__(cls, *args, **kwargs)
+        if not schedule.work_factors:
             raise WorkloadError("CyclicSchedule needs at least one factor")
-        if any(f <= 0 for f in self.work_factors):
+        if any(f <= 0 for f in schedule.work_factors):
             raise WorkloadError("work factors must be positive")
+        return schedule
 
     def spec_for_iteration(self, base: KernelSpec, iteration: int) -> KernelSpec:
         if iteration < 0:
@@ -91,12 +118,11 @@ class CyclicSchedule:
         return base.evolve(total_workitems=items)
 
 
-@dataclass(frozen=True)
-class WorkloadKernel:
+class WorkloadKernel(NamedTuple):
     """A named kernel inside an application, with phase behaviour."""
 
     base: KernelSpec
-    schedule: PhaseSchedule = field(default_factory=ConstantSchedule)
+    schedule: PhaseSchedule = ConstantSchedule()
 
     @property
     def name(self) -> str:

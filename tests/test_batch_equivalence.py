@@ -11,7 +11,6 @@ noisy scalar agree bitwise too.
 
 from __future__ import annotations
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -147,9 +146,8 @@ def test_noisy_launch_matches_run_kernel(kernel):
             for config in _sample_configs(scalar.config_space):
                 got = launched.launch(spec, config, iteration=iteration)
                 want = scalar.run_kernel(spec, config, iteration=iteration)
-                for field in dataclasses.fields(want):
-                    assert (getattr(got, field.name)
-                            == getattr(want, field.name)), field.name
+                for name in want._fields:
+                    assert getattr(got, name) == getattr(want, name), name
                 assert launched.noise_clip_count == scalar.noise_clip_count
         clips += scalar.noise_clip_count
     assert clips > 0

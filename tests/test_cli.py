@@ -15,6 +15,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from tests.test_records import STORE_KEY_TYPES  # noqa: E402
 from tools.regen_goldens import (  # noqa: E402
     ABLATION_GOLDEN_DIR, BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_ARGS,
     MONTECARLO_GOLDEN, RUN_APPS, RUN_POLICIES, TRACE_GOLDEN_DIR,
@@ -218,44 +219,60 @@ class TestReproduce:
         assert "geomean" in fig10
 
 
-#: Runs ``repro.cli.main`` on its arguments, then prints the loaded
-#: module names as the last line of stdout.
+#: Runs ``repro.cli.main`` on its arguments, then prints the dataclasses
+#: it created and the loaded module names as the last two lines of
+#: stdout. Only a first argument ``--record-dataclasses`` wraps
+#: ``dataclasses._process_class``, which every class creation calls, and
+#: so loads ``dataclasses``.
 _MODULES_CHILD = """
 import json, sys
+created = []
+if sys.argv[1:2] == ["--record-dataclasses"]:
+    del sys.argv[1]
+    import dataclasses
+    process_class = dataclasses._process_class
+    def record(cls, *args):
+        created.append(cls.__module__ + "." + cls.__qualname__)
+        return process_class(cls, *args)
+    dataclasses._process_class = record
 from repro.cli import main
 code = main(sys.argv[1:])
+print(json.dumps(created))
 print(json.dumps(sorted(sys.modules)))
 sys.exit(code)
 """
 
 
-def _run_child(*argv: str):
+def _run_child(*argv: str, record_dataclasses: bool = False):
     """``repro.cli.main(argv)`` in a fresh interpreter: (its stdout,
-    the modules it loaded)."""
+    the modules it loaded, the dataclasses it created when
+    ``record_dataclasses``)."""
+    flag = ["--record-dataclasses"] if record_dataclasses else []
     child = subprocess.run(
-        [sys.executable, "-c", _MODULES_CHILD, *argv],
+        [sys.executable, "-c", _MODULES_CHILD, *flag, *argv],
         env=child_env(), check=True, stdout=subprocess.PIPE, text=True)
-    *out, last = child.stdout.splitlines(keepends=True)
-    return "".join(out), json.loads(last)
+    *out, created, modules = child.stdout.splitlines(keepends=True)
+    return "".join(out), json.loads(modules), json.loads(created)
 
 
 @pytest.fixture(scope="module")
 def filled_store(tmp_path_factory):
     """One cold, untraced ``reproduce`` in a fresh interpreter, with the
     arguments ``tools/regen_goldens.py`` gives it: (store, reports,
-    modules)."""
+    modules, the dataclasses it created)."""
     root = tmp_path_factory.mktemp("reproduce-cold")
     store, reports = root / "store", root / "reports"
-    _, modules = _run_child("reproduce", "--cache-dir", str(store),
-                            "--output", str(reports))
-    return store, reports, modules
+    _, modules, created = _run_child(
+        "reproduce", "--cache-dir", str(store), "--output", str(reports),
+        record_dataclasses=True)
+    return store, reports, modules, created
 
 
 @pytest.fixture(scope="module")
 def ablation_reports(filled_store, tmp_path_factory):
     """The ablation goldens' run against the filled store, made the way
     ``tools/regen_goldens.py`` makes it: the reports directory."""
-    store, _, _ = filled_store
+    store, *_ = filled_store
     out = tmp_path_factory.mktemp("reproduce-ablations") / "reports"
     return ablation_reproduce(store, out)
 
@@ -264,10 +281,10 @@ def ablation_reports(filled_store, tmp_path_factory):
 def warm_run(filled_store, tmp_path_factory):
     """A plain ``reproduce`` against the filled store, in a child that
     reports its loaded modules: (reports, profile, modules)."""
-    store, _, _ = filled_store
+    store, *_ = filled_store
     root = tmp_path_factory.mktemp("reproduce-warm")
     reports, profile = root / "reports", root / "profile.json"
-    _, modules = _run_child(
+    _, modules, _ = _run_child(
         "reproduce", "--jobs", "1", "--cache-dir", str(store),
         "--output", str(reports), "--profile-json", str(profile))
     return reports, json.loads(profile.read_text()), modules
@@ -341,7 +358,7 @@ class TestFigureAndEvaluate:
                              ids=[name for name, _ in REPORT_NAMES])
     def test_figure_prints_the_golden(self, filled_store, capsys, name,
                                       node):
-        store, _, _ = filled_store
+        store, *_ = filled_store
         assert main(["figure", name, "--cache-dir", str(store)]) == 0
         assert capsys.readouterr().out == _golden(node)
 
@@ -354,8 +371,8 @@ class TestFigureAndEvaluate:
         """Against a store that ``reproduce`` filled, the reports come
         from the manifest: no node runs, so no numpy and no model code
         loads. ``evaluate`` prints its reports one blank line apart."""
-        store, _, _ = filled_store
-        out, modules = _run_child(*argv, "--cache-dir", str(store))
+        store, *_ = filled_store
+        out, modules, _ = _run_child(*argv, "--cache-dir", str(store))
         assert out == "\n".join(_golden(node) for node in nodes)
         assert [name for name in modules
                 if _forbidden_on_warm_path(name)] == []
@@ -392,7 +409,7 @@ class TestGoldenReports:
     (regenerate with ``python tools/regen_goldens.py``)."""
 
     def test_cold_reports_match_goldens(self, filled_store):
-        _, reports, _ = filled_store
+        _, reports, *_ = filled_store
         mismatches = _golden_mismatches(reports, "cold")
         if mismatches:
             pytest.fail("cold reproduce differs from the goldens:\n"
@@ -450,7 +467,7 @@ class TestMontecarloGolden:
     byte (regenerate with ``python tools/regen_goldens.py``)."""
 
     def test_stdout_matches_golden(self, filled_store):
-        store, _, _ = filled_store
+        store, *_ = filled_store
         stdout = subprocess.run(
             [sys.executable, "-m", "repro", *MONTECARLO_ARGS, "--jobs", "1",
              "--cache-dir", str(store)],
@@ -490,7 +507,7 @@ class TestCommandGoldens:
     @pytest.mark.parametrize("golden,argv", COMMAND_GOLDENS,
                              ids=[path.stem for path, _ in COMMAND_GOLDENS])
     def test_stdout_matches_golden(self, filled_store, golden, argv):
-        store, _, _ = filled_store
+        store, *_ = filled_store
         diff = diff_text(golden.read_bytes(), command_stdout(store, argv),
                          "golden", " ".join(argv[:4]))
         if diff:
@@ -546,10 +563,12 @@ class TestUntracedRunsLoadNoTraceCode:
     handle, and the runtime builds events only under an enabled one: no
     event, export, metrics, trace-report or span-trace code loads. A
     cold ``reproduce`` rolls out no Monte Carlo trial and builds no noisy
-    platform, so it loads neither of their modules either."""
+    platform, so it loads neither of their modules either. Neither run
+    creates a dataclass, whose generated methods compile each time its
+    class is created, other than the store-key types."""
 
     def test_cold_reproduce(self, filled_store):
-        _, _, modules = filled_store
+        _, _, modules, created = filled_store
         assert "repro.runtime.session" in modules  # controllers ran
         assert "repro.core.harmonia" in modules
         assert "repro.analysis.evaluation" in modules
@@ -557,13 +576,16 @@ class TestUntracedRunsLoadNoTraceCode:
         assert [name for name in ("repro.runtime.montecarlo",
                                   "repro.platform.noise")
                 if name in modules] == []
+        assert created and set(created) <= STORE_KEY_TYPES
 
     def test_montecarlo(self, filled_store):
-        store, _, _ = filled_store
-        _, modules = _run_child("montecarlo", "--seeds", "2",
-                                "--cache-dir", str(store))
+        store, *_ = filled_store
+        _, modules, created = _run_child(
+            "montecarlo", "--seeds", "2", "--cache-dir", str(store),
+            record_dataclasses=True)
         assert "repro.runtime.montecarlo" in modules
         assert [name for name in _TRACE_ONLY if name in modules] == []
+        assert created and set(created) <= STORE_KEY_TYPES
 
 
 class TestMontecarloTrace:

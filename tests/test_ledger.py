@@ -186,10 +186,13 @@ class TestBenchGateCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "seeded" in out and "OK" in out
-        # The trend report comes first, above the gate lines.
+        # The trend report gives each gate's verdict once, under its
+        # benchmark.
         report = out.index("bench ledger: 1 entries across 1 benchmark(s)")
         assert report < out.index("  warm_speedup") < out.index(
-            "[gated]") < out.index("bench_gate: pipeline.warm_speedup")
+            "[gated]") < out.index("  gate warm_speedup: seeded")
+        assert out.count("warm_speedup: seeded") == 1
+        assert "bench_gate: pipeline.warm_speedup" not in out
 
     def test_check_fails_on_injected_slowdown(self, tmp_path, capsys):
         """End-to-end acceptance: the CI gate exits 1 on a regression."""

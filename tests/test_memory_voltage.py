@@ -49,10 +49,10 @@ class TestBusVoltage:
         assert volts == sorted(volts)
 
     def test_invalid_voltage_range_rejected(self):
+        fields = {**fixed_model()._asdict(), "bus_voltage_min": 2.0,
+                  "bus_voltage_max": 1.6}
         with pytest.raises(CalibrationError):
-            dataclasses.replace(
-                fixed_model(), bus_voltage_min=2.0, bus_voltage_max=1.6
-            )
+            MemoryPowerModel(**fields)
 
 
 class TestPowerEffect:

@@ -119,6 +119,12 @@ class TestSpanTypesContract:
 
 
 class TestContextPropagation:
+    def test_outside_any_span_is_the_null_handle(self):
+        assert ambient_telemetry() is NULL_TELEMETRY
+        with Telemetry().span("outer"):
+            pass
+        assert ambient_telemetry() is NULL_TELEMETRY
+
     def test_ambient_telemetry_inside_span(self):
         telemetry = Telemetry()
         assert ambient_telemetry() is not telemetry

@@ -10,10 +10,11 @@ Two subcommands::
 name derived from the filename, overridable with ``--bench`` when
 ingesting a single file). ``check`` evaluates the per-benchmark gate
 rules (:data:`benchmarks.ledger.DEFAULT_GATES`) against the latest entry
-of each benchmark: it prints the ledger's trend report, then one line
-per gate; a ``regression`` result, or a gated metric missing from the
-latest run, exits 1, which is the CI failure. This script is the
-ledger's one entry point.
+of each benchmark: it prints the ledger's trend report, whose
+``gate <metric>:`` lines give each gate's verdict under its benchmark;
+a ``regression`` result, or a gated metric missing from the latest run,
+exits 1, which is the CI failure. This script is the ledger's one entry
+point.
 
 The ledger file defaults to ``benchmarks/ledger.jsonl``; CI persists it
 across runs (actions/cache), so the baseline window survives between
@@ -66,16 +67,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     if not results:
         print("bench_gate: no gated benchmarks in the ledger")
         return 0
-    failures = 0
-    for result in results:
-        print(f"bench_gate: {result.bench}.{result.metric}: "
-              f"{result.status} ({result.detail})")
-        # A gated metric that vanished from the latest run would
-        # otherwise silently disable its gate — fail on it like a
-        # regression.
-        if result.status in (ledger.STATUS_REGRESSION,
-                             ledger.STATUS_MISSING):
-            failures += 1
+    # The report above printed every verdict. A gated metric that
+    # vanished from the latest run would otherwise silently disable its
+    # gate — fail on it like a regression.
+    failures = sum(result.status in (ledger.STATUS_REGRESSION,
+                                     ledger.STATUS_MISSING)
+                   for result in results)
     if failures:
         print(f"bench_gate: {failures} gate(s) failed", file=sys.stderr)
         return 1
