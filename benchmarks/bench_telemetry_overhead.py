@@ -15,8 +15,9 @@ application set under a Harmonia policy:
 * **runner**: ``ApplicationRunner.run`` outside any span, where the
   runner and the policy find the null handle;
 * **active**: ``ApplicationRunner.run`` inside a live handle's span and
-  ``record_events`` scope — event sink, metrics registry and span
-  tracker all recording, the policy's decision events included.
+  ``record_events`` scope — events (kept as instants on the span
+  tracker), metrics registry and spans all recording, the policy's
+  decision events included.
 
 and asserts the null runner stays within 2% of bare
 (min-of-rounds timing with the loops alternating round by round, so host
@@ -48,7 +49,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.core.policy import LaunchContext
 from repro.runtime.simulator import ApplicationRunner, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
-from repro.telemetry import InMemorySink, Telemetry, ambient_telemetry
+from repro.telemetry import Telemetry, ambient_telemetry
 
 #: Maximum tolerated slowdown of the null-telemetry runner path.
 OVERHEAD_BOUND = 1.02
@@ -144,7 +145,7 @@ def test_active_telemetry_overhead(ctx, emit):
         # ROUNDS sweeps would measure list growth, not telemetry cost.
         telemetry = Telemetry()
         with telemetry.span("bench.run", application=application.name), \
-                telemetry.record_events(InMemorySink()):
+                telemetry.record_events():
             ApplicationRunner(platform).run(application, policy)
 
     bare(applications[0], policy)
@@ -197,7 +198,7 @@ def main(argv=None) -> int:
     def active(application, policy):
         telemetry = Telemetry()
         with telemetry.span("bench.run", application=application.name), \
-                telemetry.record_events(InMemorySink()):
+                telemetry.record_events():
             ApplicationRunner(platform).run(application, policy)
 
     bare(applications[0], policy)

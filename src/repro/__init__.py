@@ -75,9 +75,7 @@ _EXPORTS = {
     "train_predictors": "repro.sensitivity.predictor",
     "Telemetry": "repro.telemetry.handle",
     "NULL_TELEMETRY": "repro.telemetry.handle",
-    "JsonlSink": "repro.telemetry.export",
     "MetricsRegistry": "repro.telemetry.metrics",
-    "replay_trace": "repro.telemetry.export",
     "Application": "repro.workloads.application",
     "all_applications": "repro.workloads.registry",
     "application_names": "repro.workloads.registry",

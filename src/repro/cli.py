@@ -101,10 +101,12 @@ def _run_reports(args: argparse.Namespace,
 
 
 def span_telemetry(args: argparse.Namespace):
-    """A live telemetry handle when ``--trace`` or ``--metrics-out`` was
-    given, else the null handle. The command opens its root span on it,
-    and everything below records there through the ambient span."""
-    if not (args.trace or args.metrics_out):
+    """A live telemetry handle when ``--trace``, ``--metrics-out`` or
+    ``run --profile`` was given, else the null handle. The command opens
+    its root span on it, and everything below records there through the
+    ambient span."""
+    if not (args.trace or args.metrics_out
+            or getattr(args, "profile", False)):
         from repro.telemetry.handle import NULL_TELEMETRY
         return NULL_TELEMETRY
     from repro.telemetry import Telemetry
@@ -112,21 +114,18 @@ def span_telemetry(args: argparse.Namespace):
 
 
 def write_span_outputs(args: argparse.Namespace, telemetry) -> None:
-    """Write the ``--trace`` Chrome span trace and the ``--metrics-out``
-    metrics registry (:func:`write_metrics`) of a finished run."""
+    """Write the ``--trace`` file (the run's spans and event instants)
+    and the ``--metrics-out`` metrics registry, sweep-cache counters
+    included, of a finished run."""
     if args.trace:
         from repro.telemetry.spantrace import write_chrome_trace
-        written = write_chrome_trace(args.trace, telemetry.spans.records())
-        print(f"\nspan trace: {written} spans written to {args.trace}\n"
+        instants = telemetry.spans.instants()
+        written = write_chrome_trace(args.trace, telemetry.spans.records(),
+                                     instants)
+        print(f"\nspan trace: {written} spans, {len(instants)} events "
+              f"written to {args.trace}\n"
               f"(open in Perfetto / chrome://tracing, or summarize "
-              f"with: python -m repro telemetry-report "
-              f"--spans {args.trace})")
-    write_metrics(args, telemetry)
-
-
-def write_metrics(args: argparse.Namespace, telemetry) -> None:
-    """Write the ``--metrics-out`` metrics registry of a finished run,
-    sweep-cache counters included (nothing without the flag)."""
+              f"with: python -m repro telemetry-report {args.trace})")
     if args.metrics_out:
         from repro.platform.sweepcache import shared_cache
         shared_cache().publish(telemetry)
@@ -311,12 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable the persistent sweep store (the "
                               "in-process cache stays active)")
 
-    # Shared by the subcommands whose --trace is a Chrome span trace.
+    # Shared by the subcommands that write a trace of their run.
     span_p = argparse.ArgumentParser(add_help=False)
     span_p.add_argument("--trace", metavar="PATH", type=_output_path,
                         default=None,
-                        help="write a Chrome trace-event JSON of the run's "
-                             "span tree to PATH (open in Perfetto)")
+                        help="write the run's span tree and controller "
+                             "events to PATH as Chrome trace-event JSON, "
+                             "replacing any file there (open in Perfetto)")
     span_p.add_argument("--metrics-out", metavar="PATH", type=_output_path,
                         default=None,
                         help="write the run's metrics registry (sweep-cache "
@@ -326,33 +326,22 @@ def build_parser() -> argparse.ArgumentParser:
         .set_defaults(func=_deferred("cmd_list"))
 
     run_p = sub.add_parser("run", help="run one application under a policy",
-                           parents=[cache_p])
+                           parents=[cache_p, span_p])
     run_p.add_argument("app", help="application name (see: list)")
     run_p.add_argument("--policy", choices=_POLICIES, default="harmonia")
-    run_p.add_argument("--trace", metavar="PATH", type=_output_path,
-                       default=None,
-                       help="append a JSONL telemetry trace of the policy "
-                            "run to PATH")
-    run_p.add_argument("--metrics-out", metavar="PATH", type=_output_path,
-                       default=None,
-                       help="write the run's metrics registry to PATH "
-                            "as JSON")
     run_p.add_argument("--profile", action="store_true",
                        help="print the run's span profile")
     run_p.set_defaults(func=_deferred("cmd_run"))
 
     report_p = sub.add_parser(
         "telemetry-report",
-        help="summarize a JSONL telemetry trace (action mix, phases, "
-             "residency, top kernels), a Chrome span trace, or a "
-             "metrics export",
+        help="summarize a --trace file (action mix, phases, residency and "
+             "top kernels when it holds controller events, then the span "
+             "table and critical path) or a metrics export",
     )
     report_p.add_argument("trace", nargs="?", default=None,
-                          help="path to a --trace JSONL event file")
-    report_p.add_argument("--spans", metavar="PATH", default=None,
-                          help="self-vs-total and critical-path report of "
-                               "a Chrome span trace (reproduce or "
-                               "montecarlo --trace)")
+                          help="path to a --trace file of run, reproduce "
+                               "or montecarlo")
     report_p.add_argument("--metrics", metavar="PATH", default=None,
                           help="summarize sweep-cache effectiveness from a "
                                "--metrics-out JSON export")

@@ -13,8 +13,7 @@ import argparse
 import sys
 
 from repro.analysis.report import format_table
-from repro.cli import (attach_store, span_telemetry, write_metrics,
-                       write_span_outputs)
+from repro.cli import attach_store, span_telemetry, write_span_outputs
 from repro.experiments.context import ExperimentContext
 
 
@@ -51,7 +50,6 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one application under one policy."""
     from repro.runtime.session import BatchSessionRunner
-    from repro.telemetry.handle import NULL_TELEMETRY
     from repro.units import hz_to_mhz
     from repro.workloads.registry import application_names
 
@@ -62,24 +60,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     app = context.application(args.app)
 
-    sink = None
-    telemetry = NULL_TELEMETRY
-    if args.trace or args.metrics_out or args.profile:
-        from repro.telemetry import JsonlSink, Telemetry
-        if args.trace:
-            sink = JsonlSink(args.trace)
-        telemetry = Telemetry()
+    telemetry = span_telemetry(args)
     attach_store(args)
 
-    # One root span over the whole run: the training's and the baseline's
-    # store loads record under it too. Only the policy's own session runs
-    # inside the event scope, so the event trace and the controller
-    # metrics hold only the policy under study.
+    # One root span over the whole run: the policy build (with the
+    # training it triggers) and the baseline's store loads record under
+    # it too. Only the policy's own session runs inside the event scope,
+    # so the trace's instants and the controller metrics hold only the
+    # policy under study.
     with telemetry.span("run", application=app.name, policy=args.policy):
-        policy = _build_policy(context, args.policy)
+        with telemetry.span("context.policy", policy=args.policy):
+            policy = _build_policy(context, args.policy)
         runner = BatchSessionRunner(context.platform)
         base_run = runner.run(app, context.baseline_policy())
-        with telemetry.record_events(sink):
+        with telemetry.record_events():
             run = runner.run(app, policy)
 
     rows = []
@@ -104,12 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  {hz_to_mhz(f_mem):6.0f} MHz  {frac:6.1%}")
 
     if telemetry.enabled:
-        if sink is not None:
-            sink.close()
-            print(f"\ntelemetry trace: {sink.count} events written to "
-                  f"{sink.path}\n(summarize with: python -m repro "
-                  f"telemetry-report {sink.path})")
-        write_metrics(args, telemetry)
+        write_span_outputs(args, telemetry)
         if args.profile:
             from repro.telemetry.spantrace import format_span_report
             print("\nspan profile of the run:")
@@ -118,53 +107,37 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_telemetry_report(args: argparse.Namespace) -> int:
-    """Summarize a JSONL event trace, a span trace, or a metrics export."""
+    """Summarize a ``--trace`` file, a metrics export, or both."""
     from repro.errors import TelemetryError
-    from repro.telemetry.report import (
-        cache_effectiveness_from_metrics, check_metrics_export,
-        eventsim_engine_from_metrics, format_report, summarize)
 
-    if not (args.trace or args.spans or args.metrics):
-        print("telemetry-report needs a trace file, --spans, or --metrics",
+    if not (args.trace or args.metrics):
+        print("telemetry-report needs a trace file or --metrics",
               file=sys.stderr)
         return 2
 
-    first = True
     if args.trace:
-        from repro.telemetry.export import load_events
-        try:
-            events = load_events(args.trace)
-        except FileNotFoundError:
-            print(f"no such trace file: {args.trace}", file=sys.stderr)
-            return 2
-        except TelemetryError as error:
-            print(f"unreadable trace {args.trace}: {error}", file=sys.stderr)
-            return 2
-        if not events:
-            print(f"trace {args.trace} holds no events", file=sys.stderr)
-            return 2
-        print(format_report(summarize(events)))
-        first = False
-
-    if args.spans:
+        from repro.telemetry.report import format_report, summarize
         from repro.telemetry.spantrace import (
             format_span_report, load_chrome_trace)
         try:
-            records = load_chrome_trace(args.spans)
+            trace = load_chrome_trace(args.trace)
         except FileNotFoundError:
-            print(f"no such span trace: {args.spans}", file=sys.stderr)
+            print(f"no such trace file: {args.trace}", file=sys.stderr)
             return 2
-        except TelemetryError as error:
-            print(f"unreadable span trace {args.spans}: {error}",
-                  file=sys.stderr)
+        except (OSError, TelemetryError) as error:
+            print(f"unreadable trace {args.trace}: {error}", file=sys.stderr)
             return 2
-        if not first:
+        if trace.events:
+            print(format_report(summarize(trace.events)))
             print()
-        print(format_span_report(records))
-        first = False
+        print(format_span_report(trace.spans))
 
     if args.metrics:
         import json
+
+        from repro.telemetry.report import (
+            cache_effectiveness_from_metrics, check_metrics_export,
+            eventsim_engine_from_metrics)
         try:
             with open(args.metrics) as handle:
                 metrics = json.load(handle)
@@ -174,7 +147,7 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         line = cache_effectiveness_from_metrics(metrics)
-        if not first:
+        if args.trace:
             print()
         print(line if line is not None
               else "sweep cache: no series in the metrics export")

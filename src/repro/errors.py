@@ -59,8 +59,9 @@ class TelemetryError(ReproError):
     """The telemetry subsystem was misused or fed an unreadable trace.
 
     Examples: registering one metric name as two different instrument
-    types, loading a JSONL trace written under a different schema
-    version, or a record naming an unknown event type.
+    types, or loading a trace file that is not trace-event JSON, whose
+    instants were written under a different event schema version, or
+    whose instant names an unknown event type.
     """
 
 

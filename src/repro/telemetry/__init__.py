@@ -7,13 +7,16 @@ Five pieces, composable through one :class:`Telemetry` handle:
   versioned JSON wire schema,
 * :mod:`repro.telemetry.metrics` — a labelled counter/histogram registry
   (``cg_actions_total{kernel=...}``, ``launch_time_seconds``),
-* :mod:`repro.telemetry.export` — append-only JSONL sink, loader, and a
-  replay view compatible with :class:`~repro.runtime.trace.RunTrace`,
 * :mod:`repro.telemetry.spans` — hierarchical spans with ambient context
-  propagation — the one timing system,
-* :mod:`repro.telemetry.spantrace` — Chrome trace-event export and import
-  (Perfetto-loadable) and the self-vs-total critical-path report of
-  recorded spans (``repro run --profile`` prints that report).
+  propagation — the one timing system — and the events recorded as
+  instants on the same clock,
+* :mod:`repro.telemetry.spantrace` — one Chrome trace-event file per run
+  (Perfetto-loadable): spans, then the events as instants, written and
+  read back, plus the self-vs-total critical-path report of recorded
+  spans (``repro run --profile`` prints that report),
+* :mod:`repro.telemetry.report` — the ``telemetry-report`` views of a
+  trace's events (action mix, phases, and residency through a
+  :class:`~repro.runtime.trace.RunTrace`-compatible replay).
 
 Every component reaches its handle through the ambient span
 (:func:`ambient_telemetry`): the store, the manifest, the pipeline and
@@ -31,7 +34,7 @@ import importlib
 #: Public name -> defining submodule, imported when the name is first
 #: read: the store and the pipeline import :mod:`repro.telemetry.spans`
 #: alone (with :mod:`repro.telemetry.handle` for the null handle),
-#: without the event export path or the span-trace analysis.
+#: without the event schema or the trace file code.
 _EXPORTS = {
     "SCHEMA_VERSION": "events",
     "EVENT_TYPES": "events",
@@ -44,11 +47,7 @@ _EXPORTS = {
     "FGConverged": "events",
     "ConfigApplied": "events",
     "event_from_record": "events",
-    "JsonlSink": "export",
-    "InMemorySink": "export",
-    "ReplayTrace": "export",
-    "replay_trace": "export",
-    "load_events": "export",
+    "ReplayTrace": "report",
     "Telemetry": "handle",
     "NullTelemetry": "handle",
     "NULL_TELEMETRY": "handle",

@@ -11,10 +11,12 @@ counters there.
 Event streams are narrower: a handle records them only inside its
 :meth:`Telemetry.record_events` scope. A controller session that starts
 inside the scope records the policy's decision events and controller
-counters and the runner's ``KernelLaunch`` events and launch metrics; a
-session that starts outside it records none of them, even under a live
-span. Policies look the handle up in ``reset()`` and runners once per
-session, so the scope is read at session start and never per launch.
+counters and the runner's ``KernelLaunch`` events and launch metrics
+(each event an instant on the handle's span tracker, inside the
+session's spans); a session that starts outside it records none of
+them, even under a live span. Policies look the handle up in
+``reset()`` and runners once per session, so the scope is read at
+session start and never per launch.
 
 Outside any span (every untraced run) the ambient handle is
 :data:`NULL_TELEMETRY`. It reports ``enabled = False`` — hot paths guard
@@ -27,7 +29,7 @@ and run outputs are bit-identical to an uninstrumented build.
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -54,12 +56,10 @@ class Telemetry:
         self.spans = SpanTracker()
         #: True inside :meth:`record_events`.
         self.records_events = False
-        self._sink: Optional[Any] = None
 
     def emit(self, event: TelemetryEvent) -> None:
-        """Deliver one event to the event scope's sink, if it has one."""
-        if self._sink is not None:
-            self._sink.write(event)
+        """Record one event as an instant on the span tracker."""
+        self.spans.mark(event)
 
     def span(self, name: str, **labels: Any) -> SpanHandle:
         """Context manager opening a hierarchical span.
@@ -71,15 +71,14 @@ class Telemetry:
         return SpanHandle(self, self.spans, name, labels)
 
     @contextlib.contextmanager
-    def record_events(self, sink: Optional[Any] = None) -> Iterator[None]:
+    def record_events(self) -> Iterator[None]:
         """Scope in which controller sessions record their event streams.
 
         Sessions that start inside it record decision events, controller
         counters, ``KernelLaunch`` events and launch metrics on this
-        handle; the events go to ``sink`` (anything with
-        ``write(event)``) when one is given. Sessions find the handle
-        through the ambient span, so open the scope inside a span of
-        this handle.
+        handle; the events are the instants of ``self.spans``. Sessions
+        find the handle through the ambient span, so open the scope
+        inside a span of this handle.
 
         Raises:
             TelemetryError: outside a span of this handle, where no
@@ -89,12 +88,12 @@ class Telemetry:
             from repro.errors import TelemetryError
             raise TelemetryError(
                 "record_events needs an open span of this handle")
-        outer = self.records_events, self._sink
-        self.records_events, self._sink = True, sink
+        outer = self.records_events
+        self.records_events = True
         try:
             yield
         finally:
-            self.records_events, self._sink = outer
+            self.records_events = outer
 
 
 class _NullMetric:
@@ -143,7 +142,7 @@ class NullTelemetry:
     def span(self, name: str, **labels: Any):
         return NULL_SPAN
 
-    def record_events(self, sink: Optional[Any] = None):
+    def record_events(self):
         return NULL_SPAN
 
 

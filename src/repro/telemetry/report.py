@@ -1,29 +1,74 @@
 """Trace summarization: the ``repro telemetry-report`` backend.
 
-Turns a loaded event stream into the views the paper's evaluation builds
-by hand: the Figure 18 CG/FG action mix per kernel, the phase-change
-timeline, the Figure 15/16 residency tables (via the replayed trace) and
-the top kernels by run time. It also renders the one-line cache and
-engine summaries of a ``--metrics-out`` export. The event and replay
-modules load inside :func:`summarize`, so a metrics-only report costs no
-event-schema import. ``reproduce`` loads none of this module: it prints
-its cache line with
+Turns the typed events of a trace file (its instants, see
+:func:`~repro.telemetry.spantrace.load_chrome_trace`) into the views the
+paper's evaluation builds by hand: the Figure 18 CG/FG action mix per
+kernel, the phase-change timeline, the Figure 15/16 residency tables
+(via :class:`ReplayTrace`) and the top kernels by run time. It also
+renders the one-line cache and engine summaries of a ``--metrics-out``
+export. The event schema loads inside :func:`summarize`, so a
+metrics-only report costs no event-schema import. ``reproduce`` loads
+none of this module: it prints its cache line with
 :func:`~repro.platform.sweepcache.format_cache_effectiveness`.
 """
 
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple)
+    TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+    Tuple)
 
 from repro.analysis.report import format_table
 from repro.errors import TelemetryError
 from repro.platform.sweepcache import format_cache_effectiveness
+from repro.runtime.trace import RunTrace
 from repro.units import hz_to_mhz
 
 if TYPE_CHECKING:
+    from repro.gpu.config import HardwareConfig
     from repro.telemetry.events import TelemetryEvent
-    from repro.telemetry.export import ReplayTrace
+
+
+class _ReplayPower(NamedTuple):
+    """Replayed power sample (only card power survives serialization)."""
+
+    card: float
+
+
+class ReplayRecord(NamedTuple):
+    """One replayed launch — duck-types ``LaunchRecord`` for analysis."""
+
+    iteration: int
+    kernel_name: str
+    config: HardwareConfig
+    time: float
+    power: _ReplayPower
+
+
+class ReplayTrace(RunTrace):
+    """A ``RunTrace`` rebuilt from serialized ``KernelLaunch`` events.
+
+    Inherits all residency/time accounting unchanged; only record
+    construction differs (replayed records carry the serialized subset
+    of a launch result, not full counters).
+    """
+
+    @classmethod
+    def from_events(cls, events: Iterable[TelemetryEvent]) -> "ReplayTrace":
+        """Build a trace view from the ``KernelLaunch`` events in order."""
+        from repro.telemetry.events import KernelLaunch
+
+        trace = cls()
+        for event in events:
+            if isinstance(event, KernelLaunch):
+                trace.append(ReplayRecord(
+                    iteration=event.iteration,
+                    kernel_name=event.kernel,
+                    config=event.config,
+                    time=event.time_s,
+                    power=_ReplayPower(card=event.power_w),
+                ))
+        return trace
 
 
 class KernelActionMix:
@@ -71,7 +116,6 @@ def summarize(events: Sequence[TelemetryEvent]) -> TraceSummary:
     from repro.telemetry.events import (
         CGJump, ConfigApplied, FGConverged, FGRevert, FGStep, KernelLaunch,
         PhaseChange)
-    from repro.telemetry.export import ReplayTrace
 
     mix: Dict[str, KernelActionMix] = {}
     timeline: List[Tuple[int, str, int]] = []

@@ -4,7 +4,10 @@ A span is one timed region of the run — a pipeline node, a sweep-store
 load, a batch-sweep compute, a Monte Carlo rollout — carrying a unique
 id, its parent's id, the recording process/thread, and free-form labels.
 Spans land in one :class:`SpanTracker`, so the whole ``reproduce`` run
-renders as a single tree.
+renders as a single tree. The tracker also keeps the run's instants:
+each controller decision and kernel launch a session records (see
+:meth:`~repro.telemetry.handle.Telemetry.record_events`), stamped by the
+same clock, so it sits inside the spans that were open when it happened.
 
 Context propagation is ambient: entering a span (via
 :meth:`~repro.telemetry.handle.Telemetry.span`) installs a
@@ -14,8 +17,8 @@ components that were never handed a telemetry object, via
 :func:`ambient_telemetry` — attach as children. A span opened on
 another thread sees no ambient parent and becomes a root.
 
-This module only records spans. Writing and reading them as a Chrome
-trace, and the span-tree analysis and text report, live in
+This module only records spans and instants. Writing and reading them
+as a Chrome trace, and the span-tree analysis and text report, live in
 :mod:`repro.telemetry.spantrace`, which an untraced run never loads.
 """
 
@@ -84,8 +87,22 @@ def freeze_labels(labels: Mapping[str, Any]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((key, str(value)) for key, value in labels.items()))
 
 
+class InstantRecord(NamedTuple):
+    """One event recorded at a point in time: a controller decision or a
+    kernel launch (a :class:`~repro.telemetry.events.TelemetryEvent`).
+
+    ``ts_s`` is seconds relative to the owning tracker's epoch, the
+    clock of :class:`SpanRecord`.
+    """
+
+    event: Any
+    ts_s: float
+    pid: int
+    tid: int
+
+
 class SpanTracker:
-    """Collects completed spans and allocates their ids.
+    """Collects completed spans and instants, and allocates span ids.
 
     Timestamps count from the tracker's ``epoch``, the
     ``time.perf_counter`` reading at construction.
@@ -96,6 +113,7 @@ class SpanTracker:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._records: List[SpanRecord] = []
+        self._instants: List[InstantRecord] = []
 
     def allocate_id(self) -> int:
         """A new span id, unique within this tracker."""
@@ -111,6 +129,18 @@ class SpanTracker:
         """All completed spans, in completion order."""
         with self._lock:
             return list(self._records)
+
+    def mark(self, event: Any) -> None:
+        """Record ``event`` as an instant at the current time."""
+        instant = InstantRecord(event, time.perf_counter() - self.epoch,
+                                os.getpid(), threading.get_ident())
+        with self._lock:
+            self._instants.append(instant)
+
+    def instants(self) -> List[InstantRecord]:
+        """All recorded instants, in recording order."""
+        with self._lock:
+            return list(self._instants)
 
     def __len__(self) -> int:
         with self._lock:

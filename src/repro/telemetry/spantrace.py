@@ -1,8 +1,10 @@
-"""Span traces on disk, and the analysis of recorded spans.
+"""Trace files on disk, and the analysis of recorded spans.
 
-:mod:`repro.telemetry.spans` records spans; this module writes them out
-and reads them back as Chrome trace-event JSON (``ph: "X"`` complete
-events, microsecond timestamps — load the file in Perfetto or
+:mod:`repro.telemetry.spans` records spans and instants; this module
+writes them out and reads them back as one Chrome trace-event JSON file
+per run (``ph: "X"`` complete events for the spans, then ``ph: "i"``
+instant events for the controller's decision and launch events,
+microsecond timestamps — load the file in Perfetto or
 ``chrome://tracing``), rebuilds the span tree, and renders the
 self-vs-total text report with the heaviest span chain as a critical
 path. Only ``--trace``, ``run --profile`` and ``telemetry-report``
@@ -13,19 +15,25 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Sequence
 
 from repro.errors import TelemetryError
 from repro.telemetry.spans import (
-    SPAN_SCHEMA_VERSION, SpanRecord, freeze_labels)
+    SPAN_SCHEMA_VERSION, InstantRecord, SpanRecord, freeze_labels)
+
+if TYPE_CHECKING:
+    from repro.telemetry.events import TelemetryEvent
 
 
 # ---------------------------------------------------------------------------
 # Chrome trace-event export / import
 
 
-def chrome_trace_events(records: Sequence[SpanRecord]) -> List[dict]:
-    """The records as Chrome trace-event dicts (``ph: "X"``, µs units)."""
+def chrome_trace_events(records: Sequence[SpanRecord],
+                        instants: Sequence[InstantRecord]) -> List[dict]:
+    """The records as Chrome trace-event dicts (``ph: "X"``, µs units),
+    then the instants (``ph: "i"``, named by event type, the event's
+    wire record as ``args``), each in recording order."""
     events: List[dict] = []
     for pid in sorted({record.pid for record in records}):
         events.append({
@@ -52,11 +60,23 @@ def chrome_trace_events(records: Sequence[SpanRecord]) -> List[dict]:
             "tid": record.tid,
             "args": args,
         })
+    for instant in instants:
+        events.append({
+            "name": instant.event.event_type,
+            "cat": "event",
+            "ph": "i",
+            "ts": instant.ts_s * 1e6,
+            "pid": instant.pid,
+            "tid": instant.tid,
+            "args": instant.event.to_record(),
+        })
     return events
 
 
-def write_chrome_trace(path, records: Sequence[SpanRecord]) -> int:
-    """Write records as one Chrome trace-event JSON file.
+def write_chrome_trace(path, records: Sequence[SpanRecord],
+                       instants: Sequence[InstantRecord] = ()) -> int:
+    """Write spans and instants as one Chrome trace-event JSON file,
+    replacing any file at ``path``.
 
     The file is a single ``{"traceEvents": [...]}`` object, loadable in
     Perfetto (ui.perfetto.dev) or ``chrome://tracing``. Flushed and
@@ -64,10 +84,11 @@ def write_chrome_trace(path, records: Sequence[SpanRecord]) -> int:
     torn trace.
 
     Returns:
-        The number of span events written (metadata events excluded).
+        The number of span events written (metadata and instant events
+        excluded).
     """
     payload = {
-        "traceEvents": chrome_trace_events(records),
+        "traceEvents": chrome_trace_events(records, instants),
         "displayTimeUnit": "ms",
         "otherData": {"span_schema": SPAN_SCHEMA_VERSION},
     }
@@ -79,24 +100,40 @@ def write_chrome_trace(path, records: Sequence[SpanRecord]) -> int:
     return len(records)
 
 
-def load_chrome_trace(path) -> List[SpanRecord]:
-    """Rebuild :class:`SpanRecord` rows from a Chrome trace JSON file.
+class ChromeTrace(NamedTuple):
+    """What a trace file holds: its spans, and the typed controller
+    events of its instants in file order."""
+
+    spans: List[SpanRecord]
+    events: List[TelemetryEvent]
+
+
+def load_chrome_trace(path) -> ChromeTrace:
+    """Rebuild the :class:`SpanRecord` rows and the typed events of a
+    Chrome trace JSON file.
 
     Raises:
-        TelemetryError: when the file is not a trace-event JSON object
-            or a span event misses its id payload.
+        TelemetryError: when the file is not a trace-event JSON object,
+            a span event misses its id payload, or an instant's ``args``
+            is not an event record of the current schema.
     """
+    from repro.telemetry.events import event_from_record
+
     with open(path) as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as error:
+        except ValueError as error:
             raise TelemetryError(
                 f"{path}: not valid Chrome trace JSON ({error})"
             ) from None
     if not isinstance(payload, dict) or "traceEvents" not in payload:
         raise TelemetryError(f"{path}: missing traceEvents array")
     records: List[SpanRecord] = []
+    events: List[TelemetryEvent] = []
     for event in payload["traceEvents"]:
+        if event.get("ph") == "i" and event.get("cat") == "event":
+            events.append(event_from_record(event.get("args") or {}))
+            continue
         if event.get("ph") != "X" or event.get("cat") != "span":
             continue
         args = dict(event.get("args") or {})
@@ -118,7 +155,7 @@ def load_chrome_trace(path) -> List[SpanRecord]:
             tid=int(event.get("tid", 0)),
             labels=freeze_labels(args),
         ))
-    return records
+    return ChromeTrace(records, events)
 
 
 # ---------------------------------------------------------------------------

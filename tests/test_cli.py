@@ -141,6 +141,23 @@ class TestParser:
         assert exited.value.code == 2
         assert "is a directory" in capsys.readouterr().err
 
+    def test_trace_flags_only_where_a_run_is_traced(self, capsys):
+        """``run``, ``reproduce`` and ``montecarlo`` take ``--trace`` and
+        ``--metrics-out``; ``figure``, ``evaluate`` and ``sweep`` take
+        neither."""
+        parser = build_parser()
+        for argv in (["run", "CoMD"], ["reproduce"], ["montecarlo"]):
+            args = parser.parse_args([*argv, "--trace", "t.json",
+                                      "--metrics-out", "m.json"])
+            assert (args.trace, args.metrics_out) == ("t.json", "m.json")
+        for argv in (["figure", "fig10"], ["evaluate"],
+                     ["sweep", "SRAD.Prepare"]):
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args([*argv, "--trace", "t.json"])
+            assert exited.value.code == 2
+            assert "unrecognized arguments: --trace" in (
+                capsys.readouterr().err)
+
     def test_smallest_monte_carlo_arguments_parse(self):
         """One trial is a valid ``montecarlo``; ``evaluate --seeds 0``
         still means no confidence-band tables."""
@@ -525,8 +542,8 @@ def traced_runs(tmp_path_factory):
 class TestTraceGoldens:
     """A traced cold ``reproduce``, then a traced ``montecarlo --seeds
     2`` and ``run Graph500 --trace`` over the store it filled, record the
-    span trees, metrics exports and event trace in
-    ``tests/golden/trace`` (regenerate with
+    span trees, metrics exports and the ``run`` trace's event instants
+    in ``tests/golden/trace`` (regenerate with
     ``python tools/regen_goldens.py``)."""
 
     def test_the_directory_holds_every_golden(self):
@@ -553,15 +570,14 @@ class TestTraceGoldens:
 
 
 #: Telemetry code that only a traced run, or a report of one, needs.
-_TRACE_ONLY = ("repro.telemetry.events", "repro.telemetry.export",
-               "repro.telemetry.metrics", "repro.telemetry.report",
-               "repro.telemetry.spantrace")
+_TRACE_ONLY = ("repro.telemetry.events", "repro.telemetry.metrics",
+               "repro.telemetry.report", "repro.telemetry.spantrace")
 
 
 class TestUntracedRunsLoadNoTraceCode:
     """Without ``--trace`` or ``--metrics-out`` a run holds the null
     handle, and the runtime builds events only under an enabled one: no
-    event, export, metrics, trace-report or span-trace code loads. A
+    event, metrics, trace-report or trace-file code loads. A
     cold ``reproduce`` rolls out no Monte Carlo trial and builds no noisy
     platform, so it loads neither of their modules either. Neither run
     creates a dataclass, whose generated methods compile each time its
@@ -602,7 +618,8 @@ class TestMontecarloTrace:
         assert "Monte Carlo trials" in untraced
         assert traced.startswith(untraced)
 
-        records = load_chrome_trace(trace)
+        records, events = load_chrome_trace(trace)
+        assert events == []  # no session runs inside an event scope
         assert [r.name for r in records if r.parent_id is None] == [
             "montecarlo"]
         # One rollout per application, over the baseline and the
@@ -675,7 +692,7 @@ class TestSweepStoreFlags:
         assert after.hits == before.hits + 1
 
     def test_telemetry_report_metrics_line(self, tmp_path, capsys):
-        trace = tmp_path / "run.jsonl"
+        trace = tmp_path / "run.json"
         metrics = tmp_path / "metrics.json"
         assert main(["run", "XSBench", "--policy", "cg-only",
                      "--trace", str(trace),
@@ -688,7 +705,7 @@ class TestSweepStoreFlags:
         assert "served without recompute" in out
 
     def test_telemetry_report_metrics_unreadable(self, tmp_path, capsys):
-        trace = tmp_path / "run.jsonl"
+        trace = tmp_path / "run.json"
         assert main(["run", "XSBench", "--policy", "cg-only",
                      "--trace", str(trace)]) == 0
         capsys.readouterr()
@@ -708,14 +725,14 @@ class TestSweepStoreFlags:
 
     def test_run_trace_holds_one_launch_event_per_launch(self, tmp_path,
                                                          capsys):
-        from repro.telemetry.export import load_events
         from repro.telemetry.events import KernelLaunch
+        from repro.telemetry.spantrace import load_chrome_trace
         from repro.workloads.registry import get_application
 
-        trace = tmp_path / "t.jsonl"
+        trace = tmp_path / "t.json"
         assert main(["run", "XSBench", "--policy", "baseline",
                      "--trace", str(trace)]) == 0
-        events = load_events(trace)
+        events = load_chrome_trace(trace).events
         assert all(isinstance(event, KernelLaunch) for event in events)
         assert len(events) == get_application("XSBench").total_launches()
 
@@ -740,16 +757,18 @@ class TestObservabilityCli:
         assert "span trace:" in out and "metrics written to" in out
 
         from repro.telemetry.spantrace import load_chrome_trace, span_tree
-        records = load_chrome_trace(trace)
+        records = load_chrome_trace(trace).spans
         (root,) = span_tree(records)  # a single tree covers the whole run
         assert root.record.name == "reproduce"
         names = {r.name for r in records}
         assert any(name.startswith("pipeline.") for name in names)
 
-        # Spans double as the span report.
+        # Spans double as the span report; the file holds no controller
+        # events, so the report has no event sections.
         capsys.readouterr()
-        assert main(["telemetry-report", "--spans", str(trace)]) == 0
+        assert main(["telemetry-report", str(trace)]) == 0
         report = capsys.readouterr().out
+        assert report.startswith("spans: ")
         assert "critical path" in report.lower()
         assert "reproduce" in report
         # The cold run simulated all 25 x 27 event-driven lanes.
@@ -790,7 +809,49 @@ class TestObservabilityCli:
         assert stop.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_telemetry_report_spans_missing_file(self, tmp_path, capsys):
-        assert main(["telemetry-report",
-                     "--spans", str(tmp_path / "gone.json")]) == 2
-        assert "no such span trace" in capsys.readouterr().err
+    def test_telemetry_report_unreadable_trace(self, tmp_path, capsys):
+        """A missing or non-JSON trace exits 2 with one stderr line."""
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("not json\n")
+        for path, message in ((tmp_path / "gone.json", "no such trace file"),
+                              (garbage, "unreadable trace")):
+            assert main(["telemetry-report", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(message)
+            assert captured.err.count("\n") == 1
+
+    def test_telemetry_report_spans_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["telemetry-report", "--spans", str(tmp_path / "t.json")])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --spans" in capsys.readouterr().err
+
+    def test_run_writes_one_trace_file_per_run(self, tmp_path, capsys):
+        """A second ``run --trace`` replaces the first run's file: the
+        report reads one run's events, and every event sits inside the
+        policy session's ``controller.session`` span."""
+        trace = tmp_path / "t.json"
+        argv = ["run", "Graph500", "--cache-dir", str(tmp_path / "store"),
+                "--trace", str(trace)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["telemetry-report", str(trace)]) == 0
+        report = capsys.readouterr().out
+        assert report.startswith("telemetry trace: 64 events, 24 launches, "
+                                 "63.23 ms total run time\n")
+        assert "\n\nspans: " in report
+
+        events = json.loads(trace.read_text())["traceEvents"]
+        instants = [e for e in events if e["ph"] == "i"]
+        session = max((e for e in events
+                       if e["name"] == "controller.session"),
+                      key=lambda e: e["ts"])
+        assert len(instants) == 64
+        for instant in instants:
+            assert instant["args"]["type"] == instant["name"]
+            assert (instant["pid"], instant["tid"]) == (session["pid"],
+                                                        session["tid"])
+            assert (session["ts"] <= instant["ts"]
+                    <= session["ts"] + session["dur"])

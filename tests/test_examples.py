@@ -34,8 +34,8 @@ def test_expected_examples_present():
 
 def test_telemetry_doc_quick_start_runs():
     """The python block of ``docs/telemetry.md`` runs as written: the
-    sink holds the policy's and the runner's events, and the block's span
-    holds the controller spans."""
+    handle's instants hold the policy's and the runner's events, and the
+    block's span holds the controller spans."""
     (block,) = re.findall(r"^```python\n(.*?)^```",
                           TELEMETRY_DOC.read_text(), re.M | re.S)
     namespace = {}

@@ -32,7 +32,7 @@ def report_bytes(directory):
 def controller_sessions_by_node(trace):
     """Pipeline node span name -> lane counts of the controller sessions
     a Chrome span trace records under that node."""
-    records = load_chrome_trace(trace)
+    records = load_chrome_trace(trace).spans
     by_id = {record.span_id: record for record in records}
     sessions = {}
     for record in records:
@@ -87,7 +87,7 @@ class TestReproduceByteIdentity:
 
         # The training node's time is its platform-build and training
         # spans, not unexplained self time.
-        records = load_chrome_trace(trace)
+        records = load_chrome_trace(trace).spans
         spans = aggregate_spans(records)
         training = spans["pipeline.training"]
         assert training.self_s < 0.1 * training.total_s

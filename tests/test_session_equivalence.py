@@ -18,7 +18,6 @@ from repro.platform.hd7970 import HardwarePlatform, make_hd7970_platform
 from repro.runtime.session import BatchSessionRunner, SessionSpec
 from repro.runtime.simulator import ApplicationRunner
 from repro.sensitivity.binning import SensitivityBins
-from repro.telemetry.export import JsonlSink
 from repro.telemetry.handle import Telemetry
 
 
@@ -283,17 +282,21 @@ class TestScalarFallbacks:
         _assert_runs_equal(scalar, batched)
 
 
-def _traced_run(runner_type, context, app, build, path):
-    """One session inside a handle's event scope with a JSONL sink, the
-    way ``repro run --trace`` records the policy's session: (trace
-    bytes, metrics snapshot, result)."""
+def _wire_records(telemetry):
+    """The handle's instants as the ``args`` a trace file holds."""
+    return [instant.event.to_record()
+            for instant in telemetry.spans.instants()]
+
+
+def _traced_run(runner_type, context, app, build):
+    """One session inside a handle's event scope, the way ``repro run
+    --trace`` records the policy's session: (the instants' wire
+    records, metrics snapshot, result)."""
     policy = build(context)
-    sink = JsonlSink(path)
     telemetry = Telemetry()
-    with telemetry.span("run"), telemetry.record_events(sink):
+    with telemetry.span("run"), telemetry.record_events():
         result = runner_type(context.platform).run(app, policy)
-    sink.close()
-    return path.read_bytes(), telemetry.metrics.as_dict(), result
+    return _wire_records(telemetry), telemetry.metrics.as_dict(), result
 
 
 class TestTracedEquivalence:
@@ -302,13 +305,10 @@ class TestTracedEquivalence:
     @pytest.mark.parametrize(
         "build", [b for _, b in TRACED_BUILDERS],
         ids=[name for name, _ in TRACED_BUILDERS])
-    def test_one_lane_trace_and_metrics_match_oracle(self, context, build,
-                                                     tmp_path):
+    def test_one_lane_trace_and_metrics_match_oracle(self, context, build):
         for app in _apps(context):
-            oracle = _traced_run(ApplicationRunner, context, app, build,
-                                 tmp_path / f"{app.name}.oracle.jsonl")
-            engine = _traced_run(BatchSessionRunner, context, app, build,
-                                 tmp_path / f"{app.name}.engine.jsonl")
+            oracle = _traced_run(ApplicationRunner, context, app, build)
+            engine = _traced_run(BatchSessionRunner, context, app, build)
             assert oracle[0]  # every run emits its launches
             assert engine[0] == oracle[0]
             assert engine[1] == oracle[1]
@@ -318,26 +318,22 @@ class TestTracedEquivalence:
         "build", [b for _, b in TRACED_BUILDERS],
         ids=[name for name, _ in TRACED_BUILDERS])
     def test_policy_built_outside_the_scope_records_inside_it(
-            self, context, build, tmp_path):
+            self, context, build):
         """The ``repro run`` shape: the policy is built and a baseline
         session runs under the root span but outside the event scope;
         the same policy instance runs once there too, then inside the
-        scope, and the file and metrics hold exactly the oracle's."""
+        scope, and the instants and metrics hold exactly the oracle's."""
         [app] = _apps(context, ("Graph500",))
-        oracle = _traced_run(ApplicationRunner, context, app, build,
-                             tmp_path / "oracle.jsonl")
-        path = tmp_path / "run.jsonl"
-        sink = JsonlSink(path)
+        oracle = _traced_run(ApplicationRunner, context, app, build)
         telemetry = Telemetry()
         with telemetry.span("run"):
             policy = build(context)
             runner = BatchSessionRunner(context.platform)
             runner.run(app, context.baseline_policy())
             runner.run(app, policy)
-            with telemetry.record_events(sink):
+            with telemetry.record_events():
                 result = runner.run(app, policy)
-        sink.close()
-        assert path.read_bytes() == oracle[0]
+        assert _wire_records(telemetry) == oracle[0]
         assert telemetry.metrics.as_dict() == oracle[1]
         _assert_runs_equal(oracle[2], result)
 

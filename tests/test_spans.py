@@ -142,7 +142,8 @@ class TestChromeTrace:
         path = tmp_path / "trace.json"
         count = write_chrome_trace(path, telemetry.spans.records())
         assert count == 2
-        loaded = load_chrome_trace(path)
+        loaded, events = load_chrome_trace(path)
+        assert events == []
         assert tree_signature(loaded) == tree_signature(
             telemetry.spans.records())
         for original, roundtripped in zip(

@@ -1,4 +1,5 @@
-"""Event serialization round-trips, the JSONL sink, and trace replay."""
+"""Event serialization round-trips, events as trace-file instants, and
+trace replay."""
 
 from __future__ import annotations
 
@@ -23,13 +24,9 @@ from repro.telemetry.events import (
     config_to_record,
     event_from_record,
 )
-from repro.telemetry.export import (
-    InMemorySink,
-    JsonlSink,
-    ReplayTrace,
-    load_events,
-    replay_trace,
-)
+from repro.telemetry.handle import Telemetry
+from repro.telemetry.report import ReplayTrace
+from repro.telemetry.spantrace import load_chrome_trace, write_chrome_trace
 from repro.units import MHZ
 
 CFG_A = HardwareConfig(n_cu=32, f_cu=1000 * MHZ, f_mem=1375 * MHZ)
@@ -116,65 +113,54 @@ class TestSchemaManifest:
         assert {type(e).__name__ for e in SAMPLE_EVENTS} == set(EVENT_TYPES)
 
 
-class TestJsonlSink:
-    def test_write_and_load(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlSink(path) as sink:
-            for event in SAMPLE_EVENTS:
-                sink.write(event)
-            assert sink.count == len(SAMPLE_EVENTS)
-        assert load_events(path) == list(SAMPLE_EVENTS)
+def _write_events(path, events):
+    """A trace file holding ``events`` as the instants of one span."""
+    telemetry = Telemetry()
+    with telemetry.span("run"):
+        for event in events:
+            telemetry.emit(event)
+    write_chrome_trace(path, telemetry.spans.records(),
+                       telemetry.spans.instants())
 
-    def test_appends_across_sinks(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlSink(path) as sink:
-            sink.write(SAMPLE_EVENTS[0])
-        with JsonlSink(path) as sink:
-            sink.write(SAMPLE_EVENTS[1])
-        assert len(load_events(path)) == 2
 
-    def test_write_after_close_raises(self, tmp_path):
-        sink = JsonlSink(tmp_path / "trace.jsonl")
-        sink.close()
-        sink.close()  # idempotent
-        with pytest.raises(TelemetryError, match="closed"):
-            sink.write(SAMPLE_EVENTS[0])
+class TestTraceFileInstants:
+    def test_events_round_trip_as_instants(self, tmp_path):
+        path = tmp_path / "trace.json"
+        _write_events(path, SAMPLE_EVENTS)
+        trace = load_chrome_trace(path)
+        assert trace.events == list(SAMPLE_EVENTS)
+        assert [span.name for span in trace.spans] == ["run"]
 
-    def test_malformed_line_raises_with_location(self, tmp_path):
-        # Mid-file garbage is corruption (only a *final* truncated line
-        # is tolerated as a crashed writer's footprint).
-        path = tmp_path / "bad.jsonl"
-        first = json.dumps(SAMPLE_EVENTS[0].to_record())
-        path.write_text(first + "\nnot json\n" + first + "\n")
-        with pytest.raises(TelemetryError, match="bad.jsonl:2"):
-            load_events(path)
+    def test_instants_carry_the_wire_record_inside_their_span(
+            self, tmp_path):
+        path = tmp_path / "trace.json"
+        _write_events(path, SAMPLE_EVENTS)
+        events = json.loads(path.read_text())["traceEvents"]
+        (span,) = [e for e in events if e["ph"] == "X"]
+        instants = [e for e in events if e["ph"] == "i"]
+        assert [e["args"] for e in instants] == [
+            event.to_record() for event in SAMPLE_EVENTS]
+        assert [e["name"] for e in instants] == [
+            event.event_type for event in SAMPLE_EVENTS]
+        for instant in instants:
+            assert (instant["pid"], instant["tid"]) == (span["pid"],
+                                                        span["tid"])
+            assert span["ts"] <= instant["ts"] <= span["ts"] + span["dur"]
 
-    def test_truncated_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlSink(path) as sink:
-            for event in SAMPLE_EVENTS:
-                sink.write(event)
-        with open(path, "a") as handle:
-            handle.write('{"v": 1, "type": "KernelLau')  # crashed writer
-        assert load_events(path) == list(SAMPLE_EVENTS)
-
-    def test_close_makes_the_file_durable(self, tmp_path):
-        # fsync-on-close: every written event is on disk afterwards,
-        # readable by an independent open.
-        path = tmp_path / "trace.jsonl"
-        sink = JsonlSink(path)
-        for event in SAMPLE_EVENTS:
-            sink.write(event)
-        sink.close()
-        with open(path) as handle:
-            lines = [line for line in handle if line.strip()]
-        assert len(lines) == len(SAMPLE_EVENTS)
+    def test_malformed_instant_raises(self, tmp_path):
+        path = tmp_path / "trace.json"
+        record = SAMPLE_EVENTS[0].to_record()
+        del record["power_w"]
+        path.write_text(json.dumps({"traceEvents": [
+            {"name": "KernelLaunch", "cat": "event", "ph": "i", "ts": 0,
+             "pid": 1, "tid": 1, "args": record}]}))
+        with pytest.raises(TelemetryError, match="missing field"):
+            load_chrome_trace(path)
 
 
 class TestReplay:
     def test_replay_keeps_only_launches(self):
-        trace = replay_trace(SAMPLE_EVENTS)
-        assert isinstance(trace, ReplayTrace)
+        trace = ReplayTrace.from_events(SAMPLE_EVENTS)
         assert len(trace.records) == 1
         record = trace.records[0]
         assert record.kernel_name == "App.K"
@@ -182,24 +168,22 @@ class TestReplay:
         assert record.power.card == 180.0
 
     def test_replay_from_path(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with JsonlSink(path) as sink:
-            for event in SAMPLE_EVENTS:
-                sink.write(event)
-        assert replay_trace(str(path)).total_time() == pytest.approx(1.5e-3)
+        path = tmp_path / "trace.json"
+        _write_events(path, SAMPLE_EVENTS)
+        replayed = ReplayTrace.from_events(load_chrome_trace(path).events)
+        assert replayed.total_time() == pytest.approx(1.5e-3)
 
     def test_replay_residency_matches_live_trace(self, context):
         from repro.runtime.session import BatchSessionRunner
-        from repro.telemetry.handle import Telemetry
 
-        sink = InMemorySink()
         telemetry = Telemetry()
-        with telemetry.span("run"), telemetry.record_events(sink):
+        with telemetry.span("run"), telemetry.record_events():
             result = BatchSessionRunner(context.platform).run(
                 context.application("Graph500"),
                 context.harmonia_policy(),
             )
-        replayed = replay_trace(sink.events)
+        replayed = ReplayTrace.from_events(
+            instant.event for instant in telemetry.spans.instants())
         assert replayed.f_mem_residency() == result.trace.f_mem_residency()
         assert replayed.f_cu_residency() == result.trace.f_cu_residency()
         assert replayed.cu_residency() == result.trace.cu_residency()

@@ -25,7 +25,6 @@ from repro.telemetry.events import (
     KernelLaunch,
     PhaseChange,
 )
-from repro.telemetry.export import InMemorySink
 from repro.telemetry.handle import NULL_TELEMETRY, Telemetry
 from repro.telemetry.spans import ambient_telemetry
 from repro.workloads.application import Application
@@ -71,13 +70,13 @@ def _two_phase_application() -> Application:
 @pytest.fixture(scope="module")
 def scripted_run(context):
     """One instrumented run of the two-phase kernel under Harmonia."""
-    sink = InMemorySink()
     telemetry = Telemetry()
     policy = context.harmonia_policy()
     runner = ApplicationRunner(context.platform)
-    with telemetry.span("scripted"), telemetry.record_events(sink):
+    with telemetry.span("scripted"), telemetry.record_events():
         result = runner.run(_two_phase_application(), policy)
-    return policy, result, sink.events
+    return policy, result, [instant.event
+                            for instant in telemetry.spans.instants()]
 
 
 class TestEventStream:
@@ -188,7 +187,7 @@ class TestDisabledPathIdentity:
         NULL_TELEMETRY.metrics.counter("anything_total").inc(kernel="K")
         with NULL_TELEMETRY.span("section", kernel="K"):
             pass
-        with NULL_TELEMETRY.record_events(InMemorySink()):
+        with NULL_TELEMETRY.record_events():
             pass
         assert NULL_TELEMETRY.enabled is False
 
@@ -220,12 +219,10 @@ class TestEventScope:
         """The traced ``reproduce``/``montecarlo`` shape: sessions under a
         live span record spans, but no event and no event metric."""
         telemetry = Telemetry()
-        emitted = []
-        telemetry.emit = emitted.append
         with telemetry.span("traced"):
             BatchSessionRunner(context.platform).run(
                 _two_phase_application(), context.harmonia_policy())
-        assert emitted == []
+        assert telemetry.spans.instants() == []
         assert not _EVENT_STREAM_METRICS & set(telemetry.metrics.instruments())
         assert "controller.step" in {
             record.name for record in telemetry.spans.records()}
@@ -243,7 +240,7 @@ class TestEventScope:
     def test_scope_ends_with_its_block(self):
         telemetry = Telemetry()
         with telemetry.span("run"):
-            with telemetry.record_events(InMemorySink()):
+            with telemetry.record_events():
                 assert telemetry.records_events
             assert not telemetry.records_events
 

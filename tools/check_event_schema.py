@@ -1,6 +1,10 @@
 #!/usr/bin/env python
 """Lint the telemetry event schema against its manifest and docs.
 
+The events are the instants of a ``--trace`` file: each instant's
+``args`` is one event's wire record (``to_record()``), so this schema is
+the format of those args, next to the span schema of the same file.
+
 Fails (exit 1) when:
 
 * the current ``SCHEMA_VERSION`` has no entry in ``SCHEMA_MANIFEST``;

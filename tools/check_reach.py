@@ -54,8 +54,8 @@ TAGS = {
     "oracle": "scalar reference the differential tests compare against",
     "perfbench": "wrapped by name in perfbench/layers.py",
     "bench": "called by a script or benchmark under benchmarks/",
-    "protocol": "part of an interface: a dunder, a sink or context-"
-                "manager method, or an abstract or null-object method",
+    "protocol": "part of an interface: a dunder, a context-manager "
+                "method, or an abstract or null-object method",
     "test-accessor": "read-back accessor the tests inspect results with",
     "public": "public API kept on purpose",
 }
@@ -66,7 +66,7 @@ TAGS = {
 #: cold legs come first, so the later legs find a filled store.
 LEGS: Tuple[Tuple[str, ...], ...] = (
     ("list",),
-    ("run", "Graph500", "--trace", "{tmp}/run.jsonl",
+    ("run", "Graph500", "--trace", "{tmp}/run.json",
      "--metrics-out", "{tmp}/run-metrics.json", "--profile"),
     ("run", "CoMD", "--policy", "baseline", "--no-cache"),
     ("run", "CoMD", "--policy", "oracle", "--no-cache"),
@@ -92,8 +92,9 @@ LEGS: Tuple[Tuple[str, ...], ...] = (
      "--metrics-out", "{tmp}/montecarlo-metrics.json"),
     ("run", "Graph500", "--policy", "baseline"),
     ("sweep", "Sort.BottomScan"),
-    ("telemetry-report", "{tmp}/run.jsonl",
-     "--spans", "{tmp}/reproduce.json",
+    ("telemetry-report", "{tmp}/run.json",
+     "--metrics", "{tmp}/run-metrics.json"),
+    ("telemetry-report", "{tmp}/reproduce.json",
      "--metrics", "{tmp}/reproduce-metrics.json"),
     ("telemetry-report", "--metrics", "{tmp}/run-metrics.json"),
 )

@@ -25,9 +25,11 @@ runs into a second throwaway store; over the store it filled, a traced
 ``montecarlo --seeds 2`` and ``run Graph500 --trace --metrics-out``
 follow. Each span trace is kept as an indented text rendering of its
 ``tree_signature`` (span names, labels and nesting; identical siblings
-folded into one line with a count), each metrics export and the JSONL
-event trace byte for byte. Exit status is 0 whether or not anything
-changed; a nonzero status means a run failed.
+folded into one line with a count), each metrics export byte for byte,
+and the controller events of the ``run`` trace as one
+``json.dumps(args, sort_keys=True)`` line per instant, in file order.
+Exit status is 0 whether or not anything changed; a nonzero status
+means a run failed.
 
 ``tests/test_cli.py`` compares the output of every one of these
 commands with its file byte for byte, and checks that the sha256 values
@@ -45,6 +47,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -72,7 +75,8 @@ TRACE_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "trace"
 #: the file names of the trace goldens
 TRACE_GOLDENS = ("reproduce_spans.txt", "reproduce_metrics.json",
                  "montecarlo_spans.txt", "montecarlo_metrics.json",
-                 "run_graph500_events.jsonl", "run_graph500_metrics.json")
+                 "run_graph500_spans.txt", "run_graph500_events.jsonl",
+                 "run_graph500_metrics.json")
 
 
 def child_env() -> dict:
@@ -138,6 +142,15 @@ def signature_text(signature, depth: int = 0) -> str:
     return "".join(lines)
 
 
+def instant_lines(trace: Path) -> bytes:
+    """The ``args`` of every instant event of a ``--trace`` file, one
+    ``json.dumps(args, sort_keys=True)`` line each, in file order."""
+    events = json.loads(trace.read_text())["traceEvents"]
+    return "".join(json.dumps(event["args"], sort_keys=True) + "\n"
+                   for event in events
+                   if event["ph"] == "i").encode("utf-8")
+
+
 def traced_outputs(workdir: Path) -> Dict[str, bytes]:
     """Make the trace goldens under ``workdir``: a traced cold
     ``reproduce`` into ``workdir/store``, then a traced ``montecarlo
@@ -152,20 +165,18 @@ def traced_outputs(workdir: Path) -> Dict[str, bytes]:
     store = workdir / "store"
     runs = (("reproduce",
              ("reproduce", "--output", str(workdir / "reports"))),
-            ("montecarlo", ("montecarlo", "--seeds", "2")))
+            ("montecarlo", ("montecarlo", "--seeds", "2")),
+            ("run_graph500", ("run", "Graph500")))
     outputs = {}
     for label, argv in runs:
-        spans, metrics = workdir / f"{label}.json", workdir / f"{label}.m"
-        command_stdout(store, (*argv, "--trace", str(spans),
+        trace, metrics = workdir / f"{label}.json", workdir / f"{label}.m"
+        command_stdout(store, (*argv, "--trace", str(trace),
                                "--metrics-out", str(metrics)))
-        outputs[f"{label}_spans.txt"] = signature_text(
-            tree_signature(load_chrome_trace(spans))).encode("utf-8")
+        outputs[f"{label}_spans.txt"] = signature_text(tree_signature(
+            load_chrome_trace(trace).spans)).encode("utf-8")
         outputs[f"{label}_metrics.json"] = metrics.read_bytes()
-    events, metrics = workdir / "run.jsonl", workdir / "run.m"
-    command_stdout(store, ("run", "Graph500", "--trace", str(events),
-                           "--metrics-out", str(metrics)))
-    outputs["run_graph500_events.jsonl"] = events.read_bytes()
-    outputs["run_graph500_metrics.json"] = metrics.read_bytes()
+    outputs["run_graph500_events.jsonl"] = instant_lines(
+        workdir / "run_graph500.json")
     return outputs
 
 
