@@ -19,7 +19,7 @@ application set under a Harmonia policy:
   tracker), metrics registry and spans all recording, the policy's
   decision events included.
 
-and asserts the null runner stays within 2% of bare
+and exits 1 unless the null runner stays within 2% of bare
 (min-of-rounds timing with the loops alternating round by round, so host
 speed drift hits them alike, re-measured a few times to ride out
 scheduler noise) and the fully active runner within a generous 10x.
@@ -29,7 +29,7 @@ the test oracle, not the batched session engine that production runs
 step through; moving it onto the engine is left to the single benchmark
 harness planned in ROADMAP.md.
 
-Run standalone to write the trend-ledger input
+Run it to write the trend-ledger input
 (``BENCH_telemetry.json``, metric names matching
 ``benchmarks.ledger.DEFAULT_GATES["telemetry"]``)::
 
@@ -49,7 +49,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.core.policy import LaunchContext
 from repro.runtime.simulator import ApplicationRunner, finish_run
 from repro.runtime.trace import LaunchRecord, RunTrace
-from repro.telemetry import Telemetry, ambient_telemetry
+from repro.telemetry import Telemetry
 
 #: Maximum tolerated slowdown of the null-telemetry runner path.
 OVERHEAD_BOUND = 1.02
@@ -95,83 +95,8 @@ def _time_sweeps(runs, applications, policy) -> list:
     return best
 
 
-def test_null_telemetry_overhead(ctx, emit):
-    platform = ctx.platform
-    applications = ctx.applications
-    policy = ctx.harmonia_policy()
-    runner = ApplicationRunner(platform)
-    assert not ambient_telemetry().enabled
-
-    def bare(application, policy):
-        _bare_run(platform, application, policy)
-
-    def instrumented(application, policy):
-        runner.run(application, policy)
-
-    # Warm every cache (predictor training, platform state) before timing.
-    bare(applications[0], policy)
-    instrumented(applications[0], policy)
-
-    ratio = float("inf")
-    for attempt in range(ATTEMPTS):
-        bare_s, runner_s = _time_sweeps((bare, instrumented), applications,
-                                        policy)
-        ratio = min(ratio, runner_s / bare_s)
-        if ratio <= OVERHEAD_BOUND:
-            break
-
-    emit("telemetry_overhead", "\n".join([
-        "Null-telemetry overhead on the runner loop (all 14 applications)",
-        f"bare loop:      {bare_s * 1e3:8.2f} ms",
-        f"ApplicationRunner: {runner_s * 1e3:8.2f} ms",
-        f"best ratio:     {ratio:8.4f}  (bound {OVERHEAD_BOUND:.2f})",
-    ]))
-    assert ratio <= OVERHEAD_BOUND, (
-        f"null-telemetry runner path is {(ratio - 1):.1%} slower than the "
-        f"bare loop (bound {OVERHEAD_BOUND - 1:.0%})"
-    )
-
-
-def test_active_telemetry_overhead(ctx, emit):
-    platform = ctx.platform
-    applications = ctx.applications
-    policy = ctx.harmonia_policy()
-
-    def bare(application, policy):
-        _bare_run(platform, application, policy)
-
-    def active(application, policy):
-        # Fresh handle per run: unbounded event/span accumulation over
-        # ROUNDS sweeps would measure list growth, not telemetry cost.
-        telemetry = Telemetry()
-        with telemetry.span("bench.run", application=application.name), \
-                telemetry.record_events():
-            ApplicationRunner(platform).run(application, policy)
-
-    bare(applications[0], policy)
-    active(applications[0], policy)
-
-    ratio = float("inf")
-    for attempt in range(ATTEMPTS):
-        bare_s, active_s = _time_sweeps((bare, active), applications, policy)
-        ratio = min(ratio, active_s / bare_s)
-        if ratio <= ACTIVE_BOUND / 2:
-            break
-
-    emit("telemetry_overhead_active", "\n".join([
-        "Active-telemetry overhead (events + metrics + spans)",
-        f"bare loop:      {bare_s * 1e3:8.2f} ms",
-        f"active runner:  {active_s * 1e3:8.2f} ms",
-        f"best ratio:     {ratio:8.4f}  (bound {ACTIVE_BOUND:.2f})",
-    ]))
-    assert ratio <= ACTIVE_BOUND, (
-        f"active-telemetry runner path is {ratio:.2f}x the bare loop "
-        f"(bound {ACTIVE_BOUND:.0f}x)"
-    )
-
-
 def main(argv=None) -> int:
-    """Standalone entry: measure both ratios, write the ledger input."""
+    """Measure both ratios, write the ledger input."""
     import argparse
     import json
 

@@ -1,7 +1,7 @@
-"""Plain-text table emitters for report and benchmark output.
+"""Plain-text table emitters for the experiment reports.
 
-The benchmark harness prints the same rows/series the paper reports;
-these helpers keep that output consistent and machine-checkable.
+Every report prints the same rows/series the paper reports; these
+helpers keep that output consistent and machine-checkable.
 """
 
 from __future__ import annotations

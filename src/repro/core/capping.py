@@ -61,11 +61,6 @@ class PowerCapPolicy(HistoryMixin):
         return "power-cap"
 
     @property
-    def budget(self) -> float:
-        """The enforced budget (W)."""
-        return self._budget
-
-    @property
     def power_estimate(self) -> Optional[float]:
         """Current EWMA card-power estimate (W)."""
         return self._power_estimate

@@ -41,17 +41,6 @@ class AblationResult(NamedTuple):
     study: str
     rows: Tuple[AblationRow, ...]
 
-    def row(self, variant: str) -> AblationRow:
-        """Look up one variant's row."""
-        for row in self.rows:
-            if row.variant == variant:
-                return row
-        raise KeyError(variant)
-
-    def best_ed2_variant(self) -> AblationRow:
-        """The variant with the highest ED² gain."""
-        return max(self.rows, key=lambda r: r.ed2)
-
 
 def _rows(platform: HardwarePlatform, applications: Sequence[Application],
           policies: Sequence[PowerPolicy]) -> Tuple[AblationRow, ...]:
@@ -191,7 +180,7 @@ def ablate_measurement_noise(context: ExperimentContext) -> AblationResult:
     return AblationResult(study="measurement noise", rows=tuple(rows))
 
 
-#: All studies, for the benchmark harness.
+#: All studies, one ``reproduce --ablations`` report node each.
 ALL_STUDIES: Tuple[Tuple[str, Callable[..., AblationResult]], ...] = (
     ("bin_edges", ablate_bin_edges),
     ("fg_tolerance", ablate_fg_tolerance),

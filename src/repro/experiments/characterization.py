@@ -15,7 +15,7 @@ at maximum).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, NamedTuple, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 from repro.analysis.report import format_table
 from repro.experiments.context import ExperimentContext
@@ -51,21 +51,6 @@ class CharacterizationResult(NamedTuple):
     """The whole suite's characterization."""
 
     rows: Tuple[KernelCharacterization, ...]
-
-    def kernel(self, name: str) -> KernelCharacterization:
-        """One kernel's record."""
-        for row in self.rows:
-            if row.kernel == name:
-                return row
-        raise KeyError(name)
-
-    def most_bandwidth_sensitive(self) -> KernelCharacterization:
-        """The kernel with the highest measured bandwidth sensitivity."""
-        return max(self.rows, key=lambda r: r.bandwidth_sensitivity)
-
-    def least_bandwidth_sensitive(self) -> KernelCharacterization:
-        """The kernel with the lowest measured bandwidth sensitivity."""
-        return min(self.rows, key=lambda r: r.bandwidth_sensitivity)
 
 
 def _curve(platform, spec, tunable: str) -> ScalingCurve:

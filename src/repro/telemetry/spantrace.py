@@ -108,14 +108,26 @@ class ChromeTrace(NamedTuple):
     events: List[TelemetryEvent]
 
 
+def _span_number(path, event: dict, fields: dict, key: str) -> float:
+    """``fields[key]`` of a span event, which must be a number."""
+    value = fields.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TelemetryError(
+            f"{path}: span event {event.get('name')!r} has no numeric {key}"
+        )
+    return value
+
+
 def load_chrome_trace(path) -> ChromeTrace:
     """Rebuild the :class:`SpanRecord` rows and the typed events of a
     Chrome trace JSON file.
 
     Raises:
-        TelemetryError: when the file is not a trace-event JSON object,
-            a span event misses its id payload, or an instant's ``args``
-            is not an event record of the current schema.
+        TelemetryError: when the file is not a JSON object holding a
+            ``traceEvents`` array of objects with object ``args``, a
+            span event misses a numeric ``ts``, ``dur`` or ``span_id``,
+            or an instant's ``args`` is not an event record of the
+            current schema.
     """
     from repro.telemetry.events import event_from_record
 
@@ -126,31 +138,37 @@ def load_chrome_trace(path) -> ChromeTrace:
             raise TelemetryError(
                 f"{path}: not valid Chrome trace JSON ({error})"
             ) from None
-    if not isinstance(payload, dict) or "traceEvents" not in payload:
+    if not isinstance(payload, dict) or not isinstance(
+            payload.get("traceEvents"), list):
         raise TelemetryError(f"{path}: missing traceEvents array")
     records: List[SpanRecord] = []
     events: List[TelemetryEvent] = []
     for event in payload["traceEvents"]:
+        if not isinstance(event, dict):
+            raise TelemetryError(
+                f"{path}: trace event {event!r} is not an object")
+        args = event.get("args") or {}
+        if not isinstance(args, dict):
+            raise TelemetryError(
+                f"{path}: trace event {event.get('name')!r} has non-object "
+                f"args")
         if event.get("ph") == "i" and event.get("cat") == "event":
-            events.append(event_from_record(event.get("args") or {}))
+            events.append(event_from_record(args))
             continue
         if event.get("ph") != "X" or event.get("cat") != "span":
             continue
-        args = dict(event.get("args") or {})
-        if "span_id" not in args:
-            raise TelemetryError(
-                f"{path}: span event {event.get('name')!r} has no span_id"
-            )
-        span_id = int(args.pop("span_id"))
+        args = dict(args)
+        span_id = int(_span_number(path, event, args, "span_id"))
+        args.pop("span_id")
         parent_raw = args.pop("parent_id", None)
         args.pop("schema", None)
-        start_s = float(event["ts"]) / 1e6
+        start_s = _span_number(path, event, event, "ts") / 1e6
         records.append(SpanRecord(
             name=str(event["name"]),
             span_id=span_id,
             parent_id=None if parent_raw is None else int(parent_raw),
             start_s=start_s,
-            end_s=start_s + float(event.get("dur", 0.0)) / 1e6,
+            end_s=start_s + _span_number(path, event, event, "dur") / 1e6,
             pid=int(event.get("pid", 0)),
             tid=int(event.get("tid", 0)),
             labels=freeze_labels(args),

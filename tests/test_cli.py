@@ -17,7 +17,7 @@ if str(REPO_ROOT) not in sys.path:
 
 from tests.test_records import STORE_KEY_TYPES  # noqa: E402
 from tools.regen_goldens import (  # noqa: E402
-    ABLATION_GOLDEN_DIR, BENCH_REPORT_DIR, GOLDEN_DIR, MONTECARLO_ARGS,
+    ABLATION_GOLDEN_DIR, GOLDEN_DIR, MONTECARLO_ARGS,
     MONTECARLO_GOLDEN, RUN_APPS, RUN_POLICIES, TRACE_GOLDEN_DIR,
     TRACE_GOLDENS, ablation_reproduce, child_env, command_goldens,
     command_stdout, diff_text, signature_text, traced_outputs)
@@ -448,22 +448,6 @@ class TestGoldenReports:
             pytest.fail("manifest-served reproduce differs from the "
                         "goldens:\n" + mismatches, pytrace=False)
 
-    def test_benchmark_report_copies_match_goldens(self):
-        """``benchmarks/reports`` holds a second copy of most reports;
-        each one with a golden twin must equal it."""
-        twins = {}
-        for directory in (GOLDEN_DIR, ABLATION_GOLDEN_DIR):
-            twins.update((path.name, path)
-                         for path in directory.glob("*.txt")
-                         if (BENCH_REPORT_DIR / path.name).exists())
-        assert len(twins) == 32
-        stale = sorted(name for name, golden in twins.items()
-                       if (BENCH_REPORT_DIR / name).read_bytes()
-                       != golden.read_bytes())
-        assert stale == [], (
-            f"benchmarks/reports differs from tests/golden on {stale}; "
-            f"rerun python tools/regen_goldens.py")
-
     def test_goldens_match_the_benchmark_digests(self):
         digests = json.loads(
             (REPO_ROOT / "perfbench" / "digests.json").read_text())
@@ -810,11 +794,20 @@ class TestObservabilityCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_telemetry_report_unreadable_trace(self, tmp_path, capsys):
-        """A missing or non-JSON trace exits 2 with one stderr line."""
-        garbage = tmp_path / "garbage.json"
-        garbage.write_text("not json\n")
-        for path, message in ((tmp_path / "gone.json", "no such trace file"),
-                              (garbage, "unreadable trace")):
+        """A missing, non-JSON or malformed trace exits 2 with one stderr
+        line."""
+        cases = [(tmp_path / "gone.json", "no such trace file")]
+        for index, text in enumerate((
+                "not json",
+                '{"traceEvents": [1]}',
+                '{"traceEvents": 5}',
+                '{"traceEvents": [{"ph": "X", "cat": "span", "name": "x", '
+                '"dur": 1, "args": {"span_id": 1}}]}',
+                '{"traceEvents": [{"ph": "i", "cat": "event", "args": [1]}]}')):
+            path = tmp_path / f"garbage{index}.json"
+            path.write_text(text + "\n")
+            cases.append((path, "unreadable trace"))
+        for path, message in cases:
             assert main(["telemetry-report", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""

@@ -7,6 +7,8 @@ the paper makes and exercises the module's report formatting.
 import pytest
 
 from repro.experiments import (
+    ablations,
+    characterization,
     fig01_power_breakdown,
     fig03_balance,
     fig04_fig05_power_ranges,
@@ -181,6 +183,26 @@ class TestFigure9:
         assert low_clock[2] == "crossing"
 
 
+class TestCharacterization:
+    @pytest.fixture(scope="class")
+    def result(self, context):
+        return characterization.run(context)
+
+    def test_every_kernel_characterized(self, result):
+        assert len(result.rows) == 25
+
+    def test_stress_benchmarks_bracket_bandwidth_sensitivity(self, result):
+        sensitivities = [r.bandwidth_sensitivity for r in result.rows]
+        assert max(sensitivities) > 0.9
+        assert min(sensitivities) < 0.1
+
+    def test_maxflops_scales_with_compute_only(self, result):
+        by_kernel = {r.kernel: r for r in result.rows}
+        curves = by_kernel["MaxFlops.MaxFlops"].curves
+        assert curves["n_cu"].scaling_ratio() > 6.0
+        assert curves["f_mem"].scaling_ratio() < 1.05
+
+
 class TestTables2And3:
     def test_correlations_strong(self, context):
         result = table2_table3_models.run(context)
@@ -201,16 +223,22 @@ class TestFigures14To16:
         return fig14_16_graph500.run(context)
 
     def test_instruction_totals_swing(self, graph500):
-        # Figure 14: raw instruction totals vary significantly.
+        # Figure 14: raw instruction totals vary significantly over the
+        # eight BottomStepUp iterations.
         assert graph500.instruction_swing() > 3.0
+        assert len(graph500.phases) == 8
 
     def test_compute_frequency_pinned_at_boost(self, graph500):
         # Figure 16: high divergence keeps CUFreq at 1 GHz.
         assert graph500.dominant_f_cu() == pytest.approx(1e9)
+        assert graph500.f_cu_residency.fraction_at(1e9) > 0.7
 
     def test_memory_bus_dithers(self, graph500):
         # Figures 15/16: the memory bus visits multiple frequencies.
         assert graph500.mem_frequencies_visited() >= 2
+        fractions = graph500.mem_residency.fractions
+        assert all(0.0 < f <= 1.0 for f in fractions.values())
+        assert abs(sum(fractions.values()) - 1.0) < 1e-9
 
     def test_cu_residency_dominated_by_32(self, graph500):
         assert graph500.cu_residency.dominant_value() == 32
@@ -281,3 +309,91 @@ class TestFigure10To13Module:
         result = fig10_13_evaluation.run(context)
         values = result.per_app("harmonia", "ed2_improvement")
         assert set(values) == set(result.applications)
+
+
+class TestAblationBinEdges:
+    @pytest.fixture(scope="class")
+    def result(self, context):
+        return ablations.ablate_bin_edges(context)
+
+    def test_paper_edges_near_best(self, result):
+        # The paper's empirically fixed edges sit at (or within a point
+        # of) the best variant; pushing the HIGH edge to 90% collapses ED².
+        by_variant = {r.variant: r for r in result.rows}
+        paper = by_variant["edges 30%/70% (paper)"]
+        assert paper.ed2 >= max(r.ed2 for r in result.rows) - 0.01
+        assert by_variant["edges 30%/90%"].ed2 < paper.ed2 - 0.05
+
+
+class TestAblationFgTolerance:
+    @pytest.fixture(scope="class")
+    def result(self, context):
+        return ablations.ablate_fg_tolerance(context)
+
+    def test_tolerance_trades_performance_for_power(self, result):
+        # Loosening the guard trades performance for power; tightening
+        # it protects performance but forfeits savings.
+        by_variant = {r.variant: r for r in result.rows}
+        default = by_variant["tolerance 1.0% (default)"]
+        loose = by_variant["tolerance 10.0%"]
+        tight = by_variant["tolerance 0.2%"]
+        assert loose.performance < default.performance
+        assert loose.power > default.power
+        assert tight.performance > default.performance
+        assert tight.ed2 < default.ed2
+
+
+class TestAblationMaxDithering:
+    @pytest.fixture(scope="class")
+    def result(self, context):
+        return ablations.ablate_max_dithering(context)
+
+    def test_insensitive_to_the_bound(self, result):
+        # Per-tunable freezing does the real oscillation control.
+        values = [r.ed2 for r in result.rows]
+        assert max(values) - min(values) < 0.02
+
+
+class TestAblationCgFgComposition:
+    @pytest.fixture(scope="class")
+    def result(self, context):
+        return ablations.ablate_fg_disabled(context)
+
+    def test_both_levels_are_necessary(self, result):
+        # Section 7.1: FG provides the bulk of the protection and a
+        # large share of the gain.
+        by_variant = {r.variant: r for r in result.rows}
+        cg_only = by_variant["CG only"]
+        harmonia = by_variant["FG+CG (Harmonia)"]
+        assert harmonia.ed2 > cg_only.ed2 + 0.05
+        assert harmonia.performance > cg_only.performance
+
+
+class TestAblationPredictorSource:
+    @pytest.fixture(scope="class")
+    def result(self, context):
+        return ablations.ablate_predictor_source(context)
+
+    def test_refit_beats_published_weights(self, result):
+        # The published weights encode the authors' silicon: verbatim
+        # reuse misranks sensitivities. Retraining is what ports.
+        by_variant = {r.variant: r for r in result.rows}
+        refit = by_variant["refit on this substrate"]
+        verbatim = by_variant["paper Table 3 verbatim"]
+        assert refit.ed2 > verbatim.ed2 + 0.10
+        assert refit.performance > verbatim.performance
+
+
+class TestAblationMeasurementNoise:
+    @pytest.fixture(scope="class")
+    def result(self, context):
+        return ablations.ablate_measurement_noise(context)
+
+    def test_degrades_gracefully(self, result):
+        # 5% run-to-run noise costs at most a couple of ED² points and
+        # under a point of performance.
+        by_variant = {r.variant: r for r in result.rows}
+        clean = by_variant["noise 0.0% (default)"]
+        noisy = by_variant["noise 5.0%"]
+        assert noisy.ed2 > clean.ed2 - 0.03
+        assert noisy.performance > clean.performance - 0.01

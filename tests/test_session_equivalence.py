@@ -11,6 +11,7 @@ exactly — no tolerances.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.harmonia import HarmoniaPolicy
 from repro.errors import AnalysisError
@@ -19,6 +20,10 @@ from repro.runtime.session import BatchSessionRunner, SessionSpec
 from repro.runtime.simulator import ApplicationRunner
 from repro.sensitivity.binning import SensitivityBins
 from repro.telemetry.handle import Telemetry
+from repro.workloads.application import Application
+from repro.workloads.kernel import (
+    ConstantSchedule, CyclicSchedule, TableSchedule, WorkloadKernel)
+from tests.kernel_strategies import LAUNCH_SIZES, fuzz_specs
 
 
 def _variant_policy(context) -> HarmoniaPolicy:
@@ -225,6 +230,63 @@ class TestLaneComposition:
             [SessionSpec(application=app, policy=context.harmonia_policy())]
         )
         _assert_runs_equal(scalar, batched)
+
+
+#: One iteration's overrides in a generated table schedule: the fields
+#: Graph500's BFS levels move (launch size, work, divergence, L2 hits).
+_TABLE_ROWS = st.fixed_dictionaries({}, optional={
+    "total_workitems": st.sampled_from(LAUNCH_SIZES),
+    "valu_insts_per_item": st.integers(1, 400).map(float),
+    "branch_divergence": st.floats(0.0, 0.9),
+    "l2_hit_rate": st.floats(0.0, 0.95),
+})
+
+_SCHEDULES = st.one_of(
+    st.just(ConstantSchedule()),
+    st.builds(TableSchedule,
+              rows=st.lists(_TABLE_ROWS, min_size=1, max_size=4).map(tuple),
+              wrap=st.booleans()),
+    st.builds(CyclicSchedule,
+              work_factors=st.lists(st.floats(0.1, 4.0), min_size=1,
+                                    max_size=4).map(tuple)),
+)
+
+
+@st.composite
+def _applications(draw):
+    """One to three generated kernels, renamed apart, each under a
+    constant, table or cyclic schedule, over one to six iterations."""
+    kernels = tuple(
+        WorkloadKernel(base=draw(fuzz_specs()).evolve(name=f"Fuzz.K{index}"),
+                       schedule=draw(_SCHEDULES))
+        for index in range(draw(st.integers(1, 3))))
+    return Application(name="Fuzz", suite="fuzz", kernels=kernels,
+                       iterations=draw(st.integers(1, 6)))
+
+
+class TestGeneratedSessions:
+    """Generated applications, lane sets and orders and noise seeds:
+    every lane of one ``run_sessions`` call against its own scalar run."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(app=_applications(),
+           lanes=st.lists(st.sampled_from(POLICY_BUILDERS), min_size=1,
+                          max_size=4, unique_by=lambda lane: lane[0]),
+           noise_seed=st.none() | st.integers(0, 2**31 - 1))
+    def test_lanes_match_scalar(self, context, app, lanes, noise_seed):
+        platform = (context.platform if noise_seed is None else
+                    make_hd7970_platform(noise_std_fraction=0.05,
+                                         seed=noise_seed))
+        policies = [build(context) for _, build in lanes]
+        outcomes = BatchSessionRunner(platform).run_sessions([
+            SessionSpec(application=app, policy=policy)
+            for policy in policies
+        ])
+        for (_, build), policy, outcome in zip(lanes, policies, outcomes):
+            scalar_policy = build(context)
+            _assert_runs_equal(
+                ApplicationRunner(platform).run(app, scalar_policy), outcome)
+            _assert_policy_state_equal(app, scalar_policy, policy)
 
 
 class TestScalarFallbacks:

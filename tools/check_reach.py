@@ -52,8 +52,8 @@ ALLOWLIST = Path(__file__).resolve().parent / "reach_allowlist.txt"
 #: allowlist tag -> why an uncalled definition with that tag stays
 TAGS = {
     "oracle": "scalar reference the differential tests compare against",
-    "perfbench": "wrapped by name in perfbench/layers.py",
-    "bench": "called by a script or benchmark under benchmarks/",
+    "perfbench": "wrapped or read by name in perfbench/layers.py",
+    "bench": "called by a script under benchmarks/",
     "protocol": "part of an interface: a dunder, a context-manager "
                 "method, or an abstract or null-object method",
     "test-accessor": "read-back accessor the tests inspect results with",

@@ -7,9 +7,7 @@ Against the store that run filled it runs ``reproduce --ablations``,
 which serves those 26 and computes the six ablation reports, and
 rewrites ``tests/golden/ablations/`` with them. It prints a unified diff
 of every report that changed, plus the sha256 of each changed core
-report. It also rewrites the second copy of each of the 32 reports
-under ``benchmarks/reports/``, so the two cannot drift. Against the same
-store it then runs
+report. Against the same store it then runs
 ``python -m repro montecarlo --seeds 32`` and rewrites
 ``tests/golden/montecarlo/harmonia_seeds32.txt`` with its stdout the
 same way, then does the same for ``evaluate --seeds 4``
@@ -37,7 +35,11 @@ of the core reports and the montecarlo golden equal the ``reproduce`` and
 ``montecarlo_seed0_stdout`` digests in ``perfbench/digests.json`` (the
 benchmark never runs the ablations); it compares the trace goldens the
 same way. A deliberate output change therefore needs both: rerun this
-tool, and update those digests in the same change.
+tool, and update those digests in the same change. The goldens pin
+bytes, not the paper's claims: those live in the tier-1 shape checks
+(``tests/test_integration_*.py``), which run every report's experiment
+in process, the ablations included, and fail when a regenerated report
+no longer shows the paper's shape.
 
 Run from the repository root:  python tools/regen_goldens.py
 """
@@ -58,7 +60,6 @@ from typing import Dict
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "reproduce"
 ABLATION_GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "ablations"
-BENCH_REPORT_DIR = REPO_ROOT / "benchmarks" / "reports"
 MONTECARLO_GOLDEN = (REPO_ROOT / "tests" / "golden" / "montecarlo"
                      / "harmonia_seeds32.txt")
 #: the montecarlo run of the golden; perfbench's seed-0 command, which
@@ -241,7 +242,6 @@ def main() -> int:
         (golden_dir(name) / name).unlink()
     for name, data in fresh.items():
         (golden_dir(name) / name).write_bytes(data)
-        (BENCH_REPORT_DIR / name).write_bytes(data)
 
     old_montecarlo = (MONTECARLO_GOLDEN.read_bytes()
                       if MONTECARLO_GOLDEN.exists() else b"")
