@@ -1,50 +1,63 @@
-"""Append-only benchmark trend ledger with regression gates.
+"""Append-only trend ledger of perfbench rows, with regression gates.
 
-Every committed ``BENCH_*.json`` is a single snapshot that each bench
-run overwrites — fine for "what is the speedup now", useless for "did
-PR N make it worse". The ledger keeps the history: one JSONL line per
-ingested bench run, carrying the benchmark name, an ISO-8601 timestamp,
-an **environment fingerprint** (Python/numpy versions, platform, core
-count — so a slowdown explained by a machine change is visible as such)
-and every top-level numeric scalar of the bench JSON.
+``perfbench/run.py --trace 0`` ends its stdout with two JSON lines: the
+run's facts (``workload``, ``seed``, host versions, ``code.src_lines``)
+and its result (``correct``, ``attempted``, ``failed`` and the
+end-to-end ``metrics``, each a ``{"value", "unit"}`` pair). One saved
+stdout becomes one ledger row: a JSONL line with the workload, an
+ISO-8601 timestamp, the result's verdict and invocation counts, every
+metric value plus ``code.src_lines``, and the host facts, so that a
+slowdown a machine change explains shows as such.
 
-Gates turn the history into a CI signal: each benchmark has rules
-(:data:`DEFAULT_GATES`) naming the metrics that must not regress —
-warm-start and pipeline warm speedups, sweep throughput, telemetry
-overhead ratios. The baseline is the **median of a trailing window** of
-prior entries on the same ledger, so one lucky (or unlucky) run cannot
-move the bar, and the very first entry simply seeds the history.
+Gates turn the history into a CI signal. For the latest row of each
+workload, the :data:`GATED` metrics are compared with the **median of
+up to** :data:`WINDOW` **prior correct rows** of that workload, in the
+``better`` direction and within the fractional ``bound`` that
+BENCHMARK.json declares for the metric, so each bound lives in one
+place. The other metrics are trended, not gated: between two runs of
+the same source ``setup_s`` read 28% apart against its 25% bound, while
+``wall_s`` moved 0.7% and ``peak_rss_mb`` 0.04%. A latest row that
+failed perfbench's output checks (``correct: false``) or lacks a gated
+metric fails its gates; a workload's first row seeds its history.
 
-``tools/bench_gate.py`` is its one entry point: ``ingest`` appends
-runs, ``check`` prints the trend report and gates the latest entries
-(exit 1 on a regression or a vanished gated metric).
+``tools/bench_gate.py`` is the one entry point: ``ingest`` appends
+saved runs, ``check`` prints the trend report and gates the latest rows.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform as platform_module
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from statistics import median
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Version stamped into every ledger line.
-LEDGER_SCHEMA_VERSION = 1
+#: Version stamped into every ledger line (1 held ``BENCH_*.json``
+#: scalars; 2 holds perfbench rows).
+LEDGER_SCHEMA_VERSION = 2
+
+#: The end-to-end metrics the gates act on; every other one is trended.
+GATED = ("wall_s", "peak_rss_mb")
+
+#: Prior rows whose median is a gate's baseline, and rows a trend shows.
+WINDOW = 5
+
+#: Host facts of perfbench's facts line kept with each row.
+ENV_FACTS = ("seed", "nproc", "python", "numpy")
 
 #: Gate outcome states.
 STATUS_OK = "ok"
 STATUS_SEEDED = "seeded"
 STATUS_REGRESSION = "regression"
 STATUS_MISSING = "missing"
+STATUS_INCORRECT = "incorrect"
+
+#: The states that fail ``check``.
+FAILING = (STATUS_REGRESSION, STATUS_MISSING, STATUS_INCORRECT)
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: ``BENCH_<name>.json`` → benchmark name.
-_BENCH_FILE_RE = re.compile(r"^BENCH_(?P<name>[A-Za-z0-9_.-]+)\.json$")
 
 
 def default_ledger_path() -> Path:
@@ -52,48 +65,29 @@ def default_ledger_path() -> Path:
     return _REPO_ROOT / "benchmarks" / "ledger.jsonl"
 
 
-def env_fingerprint() -> Dict[str, Any]:
-    """The environment facts recorded with every entry.
-
-    Enough to tell "the code got slower" apart from "the machine
-    changed": interpreter and numpy versions, OS/arch, core count.
-    """
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is a hard dep here
-        numpy_version = None
-    return {
-        "python": platform_module.python_version(),
-        "platform": platform_module.platform(),
-        "machine": platform_module.machine(),
-        "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
-    }
+def metric_bounds() -> Dict[str, Tuple[str, float]]:
+    """``{metric: (better, bound)}`` of BENCHMARK.json's end-to-end
+    metrics: ``better`` is ``"lower"`` or ``"higher"``, ``bound`` the
+    tolerated fractional slide."""
+    spec = json.loads((_REPO_ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: (metric["better"], float(metric["bound"]))
+            for metric in spec["end_to_end"]}
 
 
-def extract_metrics(data: Mapping[str, Any]) -> Dict[str, float]:
-    """The top-level numeric scalars of one bench JSON payload.
-
-    Nested tables (per-kernel rows, node breakdowns) are trend noise at
-    ledger granularity; the headline scalars are what gates act on.
-    """
-    metrics: Dict[str, float] = {}
-    for key, value in data.items():
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            metrics[key] = float(value)
-    return metrics
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    """One ingested benchmark run."""
+    """One perfbench run of one workload."""
 
-    bench: str
+    workload: str
     recorded_at: str
+    correct: bool
     metrics: Dict[str, float]
+    attempted: int = 0
+    failed: int = 0
     env: Dict[str, Any] = field(default_factory=dict)
     source: str = ""
     schema: int = LEDGER_SCHEMA_VERSION
@@ -102,8 +96,11 @@ class LedgerEntry:
         """The JSONL wire form."""
         return {
             "schema": self.schema,
-            "bench": self.bench,
+            "workload": self.workload,
             "recorded_at": self.recorded_at,
+            "correct": self.correct,
+            "attempted": self.attempted,
+            "failed": self.failed,
             "metrics": self.metrics,
             "env": self.env,
             "source": self.source,
@@ -113,14 +110,71 @@ class LedgerEntry:
     def from_record(cls, record: Mapping[str, Any]) -> "LedgerEntry":
         """Rebuild an entry from its JSONL form."""
         return cls(
-            bench=str(record["bench"]),
+            workload=str(record["workload"]),
             recorded_at=str(record.get("recorded_at", "")),
+            correct=record["correct"] is True,
             metrics={str(k): float(v)
-                     for k, v in dict(record.get("metrics", {})).items()},
+                     for k, v in dict(record["metrics"]).items()},
+            attempted=int(record.get("attempted", 0)),
+            failed=int(record.get("failed", 0)),
             env=dict(record.get("env", {})),
             source=str(record.get("source", "")),
             schema=int(record.get("schema", LEDGER_SCHEMA_VERSION)),
         )
+
+
+def _json_object(line: str) -> Optional[Dict[str, Any]]:
+    try:
+        value = json.loads(line)
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def entry_from_stdout(text: str, source: str = "",
+                      recorded_at: Optional[str] = None) -> LedgerEntry:
+    """The ledger row of one saved ``perfbench/run.py --trace 0`` stdout.
+
+    Reads its last two lines, the facts and the result object; a metric
+    the result line does not hold is left out of the row (``check``
+    then fails its gate).
+
+    Raises:
+        ValueError: when the text does not end in perfbench's facts and
+            result lines, or a metric or count is not a number.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    facts = _json_object(lines[-2]) if len(lines) >= 2 else None
+    result = _json_object(lines[-1]) if lines else None
+    if (facts is None or result is None
+            or not isinstance(facts.get("workload"), str)
+            or not isinstance(result.get("correct"), bool)
+            or not isinstance(result.get("metrics"), dict)):
+        raise ValueError(f"{source}: does not end in perfbench's facts "
+                         f"and result lines")
+    metrics: Dict[str, float] = {}
+    for name, metric in result["metrics"].items():
+        value = metric.get("value") if isinstance(metric, dict) else None
+        if not _is_number(value):
+            raise ValueError(f"{source}: metric {name!r} has no numeric "
+                             f"value")
+        metrics[name] = float(value)
+    counts = [result.get(key, 0) for key in ("attempted", "failed")]
+    if not all(_is_number(count) for count in counts):
+        raise ValueError(f"{source}: attempted/failed are not numbers")
+    if _is_number(facts.get("code.src_lines")):
+        metrics["code.src_lines"] = float(facts["code.src_lines"])
+    return LedgerEntry(
+        workload=facts["workload"],
+        recorded_at=(recorded_at if recorded_at
+                     else datetime.now(timezone.utc).isoformat()),
+        correct=result["correct"],
+        metrics=metrics,
+        attempted=int(counts[0]),
+        failed=int(counts[1]),
+        env={key: facts[key] for key in ENV_FACTS if key in facts},
+        source=source,
+    )
 
 
 def append_entry(path, entry: LedgerEntry) -> None:
@@ -133,11 +187,31 @@ def append_entry(path, entry: LedgerEntry) -> None:
         os.fsync(handle.fileno())
 
 
+def ingest_file(ledger_path, stdout_path,
+                recorded_at: Optional[str] = None) -> LedgerEntry:
+    """Append the row of one saved perfbench stdout and return it.
+
+    Raises:
+        ValueError: when the file is unreadable or not perfbench output
+            (see :func:`entry_from_stdout`).
+    """
+    stdout_path = Path(stdout_path)
+    try:
+        text = stdout_path.read_text()
+    except (OSError, UnicodeDecodeError) as error:
+        raise ValueError(f"unreadable perfbench output {stdout_path}: "
+                         f"{error}") from None
+    entry = entry_from_stdout(text, source=stdout_path.name,
+                              recorded_at=recorded_at)
+    append_entry(ledger_path, entry)
+    return entry
+
+
 def read_entries(path) -> List[LedgerEntry]:
     """All ledger entries in append order.
 
-    Mirrors the trace loader's crash tolerance: a truncated **final**
-    line is dropped silently, malformed JSON earlier raises.
+    A truncated **final** line (a crashed writer) is dropped silently;
+    malformed JSON earlier, or a line that is no ledger row, raises.
     """
     path = Path(path)
     if not path.exists():
@@ -149,60 +223,20 @@ def read_entries(path) -> List[LedgerEntry]:
     entries: List[LedgerEntry] = []
     for position, (line_number, line) in enumerate(lines):
         try:
-            entries.append(LedgerEntry.from_record(json.loads(line)))
+            record = json.loads(line)
         except json.JSONDecodeError as error:
             if position == len(lines) - 1:
                 break  # truncated tail of a crashed writer
             raise ValueError(
                 f"{path}:{line_number}: not valid JSON ({error})"
             ) from None
+        try:
+            entries.append(LedgerEntry.from_record(record))
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(
+                f"{path}:{line_number}: not a ledger row ({error!r})"
+            ) from None
     return entries
-
-
-def bench_name_for(path) -> str:
-    """The benchmark name a ``BENCH_<name>.json`` path implies."""
-    match = _BENCH_FILE_RE.match(Path(path).name)
-    if match:
-        return match.group("name")
-    return Path(path).stem
-
-
-def ingest_file(ledger_path, bench_json_path, bench: Optional[str] = None,
-                recorded_at: Optional[str] = None) -> LedgerEntry:
-    """Ingest one bench JSON into the ledger and return the new entry.
-
-    Args:
-        ledger_path: the ledger JSONL to append to.
-        bench_json_path: a ``BENCH_*.json`` produced by a bench run.
-        bench: benchmark name override (default: derived from the
-            filename).
-        recorded_at: ISO timestamp override (default: now, UTC).
-
-    Raises:
-        ValueError: when the bench JSON is unreadable or holds no
-            numeric scalars (nothing to trend).
-    """
-    bench_json_path = Path(bench_json_path)
-    try:
-        with open(bench_json_path) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise ValueError(f"unreadable bench JSON {bench_json_path}: {error}")
-    if not isinstance(data, dict):
-        raise ValueError(f"{bench_json_path}: expected a JSON object")
-    metrics = extract_metrics(data)
-    if not metrics:
-        raise ValueError(f"{bench_json_path}: no numeric scalars to ledger")
-    entry = LedgerEntry(
-        bench=bench if bench else bench_name_for(bench_json_path),
-        recorded_at=(recorded_at if recorded_at
-                     else datetime.now(timezone.utc).isoformat()),
-        metrics=metrics,
-        env=env_fingerprint(),
-        source=str(bench_json_path.name),
-    )
-    append_entry(ledger_path, entry)
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -210,192 +244,91 @@ def ingest_file(ledger_path, bench_json_path, bench: Optional[str] = None,
 
 
 @dataclass(frozen=True)
-class GateRule:
-    """One regression rule over one ledger metric.
-
-    Args:
-        metric: the metric key inside ``LedgerEntry.metrics``.
-        higher_is_better: direction of goodness (speedups: True,
-            overhead ratios: False).
-        max_regression: tolerated fractional slide versus the baseline
-            (0.15 = fail when more than 15% worse than the median of
-            the prior window).
-        min_value: absolute floor — fail below it regardless of history.
-        max_value: absolute ceiling — fail above it regardless of
-            history (the telemetry null-overhead bound).
-    """
-
-    metric: str
-    higher_is_better: bool = True
-    max_regression: float = 0.15
-    min_value: Optional[float] = None
-    max_value: Optional[float] = None
-
-
-#: Default per-benchmark gate rules, keyed by ledger bench name.
-DEFAULT_GATES: Dict[str, List[GateRule]] = {
-    "pipeline": [
-        GateRule("warm_speedup", higher_is_better=True, max_regression=0.30),
-    ],
-    "warmstart": [
-        GateRule("warm_speedup", higher_is_better=True, max_regression=0.30),
-    ],
-    "sweep": [
-        GateRule("geomean_batch_speedup", higher_is_better=True,
-                 max_regression=0.25),
-    ],
-    "montecarlo": [
-        GateRule("geomean_noisy_batch_speedup", higher_is_better=True,
-                 max_regression=0.25),
-    ],
-    "eventsim": [
-        # The batched lockstep engine's contract: at least 10x over the
-        # scalar event loop on fleet-class lane counts, bitwise-identical.
-        # The validation-node grid is floored lower — at 675 lanes the
-        # per-iteration dispatch cost is a constant ~half of every step.
-        GateRule("geomean_fleet_speedup", higher_is_better=True,
-                 max_regression=0.25, min_value=10.0),
-        GateRule("node_speedup", higher_is_better=True,
-                 max_regression=0.25, min_value=5.0),
-    ],
-    "telemetry": [
-        # The hard contract: telemetry off must stay within 2% of an
-        # uninstrumented run, whatever the history says.
-        GateRule("null_overhead_ratio", higher_is_better=False,
-                 max_regression=0.10, max_value=1.02),
-        GateRule("active_overhead_ratio", higher_is_better=False,
-                 max_regression=0.50, max_value=10.0),
-    ],
-}
-
-
-@dataclass(frozen=True)
 class GateResult:
-    """Outcome of one gate rule on the latest entry of one benchmark."""
+    """Outcome of one gated metric on the latest row of one workload."""
 
-    bench: str
+    workload: str
     metric: str
     status: str
-    current: Optional[float]
     baseline: Optional[float]
     detail: str
 
 
-def _entries_for(entries: Sequence[LedgerEntry],
-                 bench: str) -> List[LedgerEntry]:
-    return [entry for entry in entries if entry.bench == bench]
-
-
-def evaluate_gates(entries: Sequence[LedgerEntry], bench: str,
-                   window: int = 5,
-                   gates: Optional[Mapping[str, List[GateRule]]] = None,
+def evaluate_gates(entries: Sequence[LedgerEntry], workload: str,
+                   bounds: Optional[Mapping[str, Tuple[str, float]]] = None,
                    ) -> List[GateResult]:
-    """Run ``bench``'s gate rules against its latest ledger entry.
+    """Gate each :data:`GATED` metric of ``workload``'s latest row.
 
-    The baseline for the relative rule is the **median** of up to
-    ``window`` entries immediately preceding the latest one. With no
-    prior history the relative rule passes as ``seeded`` (absolute
-    floors/ceilings still apply).
+    The baseline is the **median** of the metric over up to
+    :data:`WINDOW` correct rows before the latest one; ``bounds``
+    defaults to :func:`metric_bounds`.
     """
-    rules = (gates if gates is not None else DEFAULT_GATES).get(bench, [])
-    history = _entries_for(entries, bench)
-    results: List[GateResult] = []
-    if not history:
-        return [GateResult(bench, rule.metric, STATUS_MISSING, None, None,
-                           "no ledger entries")
-                for rule in rules]
+    bounds = metric_bounds() if bounds is None else bounds
+    history = [entry for entry in entries if entry.workload == workload]
     latest = history[-1]
-    prior = history[:-1][-window:] if len(history) > 1 else []
-    for rule in rules:
-        current = latest.metrics.get(rule.metric)
-        if current is None:
-            results.append(GateResult(
-                bench, rule.metric, STATUS_MISSING, None, None,
-                f"latest {bench} entry has no {rule.metric!r}"))
-            continue
-        prior_values = [entry.metrics[rule.metric] for entry in prior
-                        if rule.metric in entry.metrics]
-        baseline = median(prior_values) if prior_values else None
-
-        if rule.min_value is not None and current < rule.min_value:
-            results.append(GateResult(
-                bench, rule.metric, STATUS_REGRESSION, current, baseline,
-                f"{current:.4g} below absolute floor {rule.min_value:.4g}"))
-            continue
-        if rule.max_value is not None and current > rule.max_value:
-            results.append(GateResult(
-                bench, rule.metric, STATUS_REGRESSION, current, baseline,
-                f"{current:.4g} above absolute ceiling "
-                f"{rule.max_value:.4g}"))
-            continue
-        if baseline is None:
-            results.append(GateResult(
-                bench, rule.metric, STATUS_SEEDED, current, None,
-                "first entry; history seeded"))
-            continue
-        if rule.higher_is_better:
-            limit = baseline * (1.0 - rule.max_regression)
-            regressed = current < limit
-            direction = "below"
+    results: List[GateResult] = []
+    for metric in GATED:
+        better, bound = bounds[metric]
+        current = latest.metrics.get(metric)
+        values = [entry.metrics[metric] for entry in history[:-1]
+                  if entry.correct and metric in entry.metrics][-WINDOW:]
+        baseline = median(values) if values else None
+        if not latest.correct:
+            status, detail = STATUS_INCORRECT, (
+                f"latest row failed perfbench's checks ({latest.failed} "
+                f"of {latest.attempted} invocations)")
+        elif current is None:
+            status, detail = STATUS_MISSING, f"latest row has no {metric!r}"
+        elif baseline is None:
+            status, detail = STATUS_SEEDED, "first row; history seeded"
+        elif (current > baseline * (1.0 + bound) if better == "lower"
+              else current < baseline * (1.0 - bound)):
+            status, detail = STATUS_REGRESSION, (
+                f"{current:.4g} is {'above' if better == 'lower' else 'below'}"
+                f" the {bound:.0%} band around baseline {baseline:.4g} "
+                f"(median of {len(values)} prior)")
         else:
-            limit = baseline * (1.0 + rule.max_regression)
-            regressed = current > limit
-            direction = "above"
-        if regressed:
-            results.append(GateResult(
-                bench, rule.metric, STATUS_REGRESSION, current, baseline,
-                f"{current:.4g} is {direction} the {rule.max_regression:.0%} "
-                f"band around baseline {baseline:.4g} "
-                f"(median of {len(prior_values)} prior)"))
-        else:
-            results.append(GateResult(
-                bench, rule.metric, STATUS_OK, current, baseline,
-                f"within {rule.max_regression:.0%} of baseline "
-                f"{baseline:.4g}"))
+            status, detail = STATUS_OK, (
+                f"within {bound:.0%} of baseline {baseline:.4g}")
+        results.append(GateResult(workload, metric, status, baseline,
+                                  detail))
     return results
 
 
-def evaluate_all_gates(entries: Sequence[LedgerEntry], window: int = 5,
-                       gates: Optional[Mapping[str, List[GateRule]]] = None,
-                       ) -> List[GateResult]:
-    """Gate results for every benchmark present in the ledger."""
-    gate_map = gates if gates is not None else DEFAULT_GATES
-    benches = sorted({entry.bench for entry in entries})
+def evaluate_all_gates(entries: Sequence[LedgerEntry]) -> List[GateResult]:
+    """Gate results for every workload in the ledger."""
+    bounds = metric_bounds()
     results: List[GateResult] = []
-    for bench in benches:
-        if bench in gate_map:
-            results.extend(evaluate_gates(entries, bench, window=window,
-                                          gates=gate_map))
+    for workload in sorted({entry.workload for entry in entries}):
+        results.extend(evaluate_gates(entries, workload, bounds=bounds))
     return results
 
 
 def format_trend_report(entries: Sequence[LedgerEntry],
-                        window: int = 5) -> str:
-    """Human-readable trend + gate report over the whole ledger."""
-    if not entries:
-        return "bench ledger: empty"
-    benches = sorted({entry.bench for entry in entries})
+                        results: Sequence[GateResult]) -> str:
+    """Each workload's rows, recent metric values and gate verdicts."""
+    workloads = sorted({entry.workload for entry in entries})
     lines: List[str] = [
-        f"bench ledger: {len(entries)} entries across "
-        f"{len(benches)} benchmark(s)"
+        f"bench ledger: {len(entries)} rows across "
+        f"{len(workloads)} workload(s)"
     ]
-    for bench in benches:
-        history = _entries_for(entries, bench)
+    for workload in workloads:
+        history = [entry for entry in entries if entry.workload == workload]
         latest = history[-1]
         stamp = latest.recorded_at.split("T")[0] or "?"
         lines.append("")
-        lines.append(f"{bench}: {len(history)} run(s), latest {stamp} "
+        lines.append(f"{workload}: {len(history)} run(s), latest {stamp} "
                      f"(python {latest.env.get('python', '?')}, "
-                     f"{latest.env.get('cpu_count', '?')} cores)")
-        gated = {rule.metric for rule in DEFAULT_GATES.get(bench, [])}
+                     f"{latest.env.get('nproc', '?')} cpu)")
         for metric in sorted(latest.metrics):
-            trail = [entry.metrics[metric] for entry in history[-(window + 1):]
+            trail = [entry.metrics[metric]
+                     for entry in history[-(WINDOW + 1):]
                      if metric in entry.metrics]
-            trend = " -> ".join(f"{value:.4g}" for value in trail)
-            marker = " [gated]" if metric in gated else ""
+            trend = " -> ".join(f"{value:.6g}" for value in trail)
+            marker = " [gated]" if metric in GATED else ""
             lines.append(f"  {metric:<32s} {trend}{marker}")
-        for result in evaluate_gates(entries, bench, window=window):
-            lines.append(f"  gate {result.metric}: {result.status} "
-                         f"({result.detail})")
+        for result in results:
+            if result.workload == workload:
+                lines.append(f"  gate {result.metric}: {result.status} "
+                             f"({result.detail})")
     return "\n".join(lines)
-

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
-from typing import TYPE_CHECKING, Hashable, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Optional
 
 import numpy as np
 
@@ -213,50 +213,10 @@ class HardwarePlatform:
 
     # --- batched entry ----------------------------------------------------------
 
-    def run_kernel_batch(
-        self,
-        spec: KernelSpec,
-        configs: Optional[Sequence[HardwareConfig]] = None,
-        iteration: int = 0,
-    ) -> BatchRunResult:
-        """Launch ``spec`` at many configurations in one vectorized pass.
-
-        Equivalent to calling :meth:`run_kernel` once per configuration,
-        but evaluated as NumPy array expressions over the configuration
-        axis — one model evaluation for the whole grid instead of ~450
-        Python round trips. On a noisy platform the deterministic surface
-        is evaluated once and the launch-keyed noise is applied as one
-        vectorized draw over the configuration axis; each element is
-        bitwise identical to the corresponding scalar launch.
-
-        Args:
-            spec: the kernel to evaluate.
-            configs: configurations to evaluate, in order; defaults to the
-                platform's full configuration grid.
-            iteration: the application iteration keying the noise draws
-                (ignored on a noise-free platform).
-
-        Raises:
-            ConfigurationError: if a configuration is off the platform grid.
-        """
-        batch = self._run_batch_clean(spec, configs)
-        if self._noise > 0:
-            batch = self._perturb(batch, spec, iteration)
-        return batch
-
-    def _run_batch_clean(
-        self,
-        spec: KernelSpec,
-        configs: Optional[Sequence[HardwareConfig]] = None,
-    ) -> BatchRunResult:
-        """The deterministic (noise-free) batch surface."""
-        if configs is None:
-            configs = self._space.configs
-        else:
-            configs = tuple(configs)
-            for config in configs:
-                self._space.validate(config)
-
+    def _run_batch_clean(self, spec: KernelSpec) -> BatchRunResult:
+        """The deterministic (noise-free) full-grid surface: every
+        :meth:`run_kernel` of the grid as one vectorized evaluation."""
+        configs = self._space.configs
         model = self._perf.run_batch(spec, configs)
         grid = config_grid(configs)
         gpu_watts, mem_watts = self._board.sample_batch(
@@ -277,16 +237,12 @@ class HardwarePlatform:
 
     def _perturb(self, batch: BatchRunResult, spec: KernelSpec,
                  iteration: int) -> BatchRunResult:
-        """Apply the launch-keyed noise to a clean batch surface."""
+        """Apply the launch-keyed noise to a clean full-grid surface."""
         multipliers, clipped = self._noise_model.multipliers_for(
             spec, iteration
         )
-        positions = config_grid(self._space.configs).index
-        indices = np.array(
-            [positions[c] for c in batch.configs], dtype=np.intp
-        )
-        self._record_clips(spec, int(np.count_nonzero(clipped[indices])))
-        return batch.with_time_multipliers(multipliers[indices])
+        self._record_clips(spec, int(np.count_nonzero(clipped)))
+        return batch.with_time_multipliers(multipliers)
 
     def launch(self, spec: KernelSpec, config: HardwareConfig,
                iteration: int = 0) -> KernelRunResult:

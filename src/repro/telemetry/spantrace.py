@@ -108,12 +108,22 @@ class ChromeTrace(NamedTuple):
     events: List[TelemetryEvent]
 
 
-def _span_number(path, event: dict, fields: dict, key: str) -> float:
-    """``fields[key]`` of a span event, which must be a number."""
-    value = fields.get(key)
+def _span_number(path, event: dict, key: str) -> float:
+    """A span event's ``ts`` or ``dur``, which must be a number."""
+    value = event.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TelemetryError(
-            f"{path}: span event {event.get('name')!r} has no numeric {key}"
+            f"{path}: span event {event['name']!r} has no numeric {key}"
+        )
+    return value
+
+
+def _span_integer(path, event: dict, key: str, value) -> int:
+    """A span event's ``span_id``, ``parent_id``, ``pid`` or ``tid``,
+    which must be an integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TelemetryError(
+            f"{path}: span event {event['name']!r} has a non-integer {key}"
         )
     return value
 
@@ -125,9 +135,10 @@ def load_chrome_trace(path) -> ChromeTrace:
     Raises:
         TelemetryError: when the file is not a JSON object holding a
             ``traceEvents`` array of objects with object ``args``, a
-            span event misses a numeric ``ts``, ``dur`` or ``span_id``,
-            or an instant's ``args`` is not an event record of the
-            current schema.
+            span event misses a string ``name``, a numeric ``ts`` or
+            ``dur`` or an integer ``span_id``, has a ``parent_id``,
+            ``pid`` or ``tid`` that is not an integer, or an instant's
+            ``args`` is not an event record of the current schema.
     """
     from repro.telemetry.events import event_from_record
 
@@ -157,20 +168,24 @@ def load_chrome_trace(path) -> ChromeTrace:
             continue
         if event.get("ph") != "X" or event.get("cat") != "span":
             continue
+        if not isinstance(event.get("name"), str):
+            raise TelemetryError(
+                f"{path}: span event without a string name")
         args = dict(args)
-        span_id = int(_span_number(path, event, args, "span_id"))
-        args.pop("span_id")
+        span_id = _span_integer(path, event, "span_id",
+                                args.pop("span_id", None))
         parent_raw = args.pop("parent_id", None)
         args.pop("schema", None)
-        start_s = _span_number(path, event, event, "ts") / 1e6
+        start_s = _span_number(path, event, "ts") / 1e6
         records.append(SpanRecord(
-            name=str(event["name"]),
+            name=event["name"],
             span_id=span_id,
-            parent_id=None if parent_raw is None else int(parent_raw),
+            parent_id=(None if parent_raw is None else
+                       _span_integer(path, event, "parent_id", parent_raw)),
             start_s=start_s,
-            end_s=start_s + _span_number(path, event, event, "dur") / 1e6,
-            pid=int(event.get("pid", 0)),
-            tid=int(event.get("tid", 0)),
+            end_s=start_s + _span_number(path, event, "dur") / 1e6,
+            pid=_span_integer(path, event, "pid", event.get("pid", 0)),
+            tid=_span_integer(path, event, "tid", event.get("tid", 0)),
             labels=freeze_labels(args),
         ))
     return ChromeTrace(records, events)

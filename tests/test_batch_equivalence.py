@@ -1,6 +1,6 @@
 """Batch sweep engine vs the scalar path: element-exact equivalence.
 
-The vectorized batch path (``run_kernel_batch``) mirrors the scalar
+The vectorized full-grid surface (``grid_sweep``) mirrors the scalar
 arithmetic operation for operation, so its results must match per-launch
 evaluation exactly — not merely approximately — for every registered
 kernel on both calibrations. These tests pin that contract, plus the
@@ -23,7 +23,8 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.perf.batch import BANDWIDTH_LIMITS
 from repro.platform.hd7970 import make_hd7970_platform, make_pitcairn_platform
 from repro.platform.store import SweepStore
-from repro.workloads.registry import all_kernels
+from repro.platform.sweepcache import SweepCache
+from repro.workloads.registry import all_kernels, get_kernel
 from tests.kernel_strategies import fuzz_specs
 
 #: Acceptance tolerance on time/energy/power. The implementation is
@@ -34,6 +35,11 @@ REL_TOL = 1e-9
 #: hit the multiplier floor on every kernel, so clip accounting is
 #: exercised and not just the multiplier.
 CLIPPING_NOISE = 0.6
+
+#: Kernels of the noisy full-grid comparison: the compute and memory
+#: stress kernels and three of the applications' kernels.
+NOISY_KERNELS = ("MaxFlops.MaxFlops", "DeviceMemory.DeviceMemory",
+                 "Sort.BottomScan", "CoMD.AdvanceVelocity", "BPT.FindRange")
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -52,8 +58,8 @@ def test_batch_matches_scalar_everywhere(any_platform, kernel):
     """Every kernel, every grid config, both calibrations: batch == scalar."""
     spec = kernel.base
     configs = tuple(any_platform.config_space)
-    batch = any_platform.run_kernel_batch(spec, configs)
-    assert len(batch) == len(configs)
+    batch = any_platform.grid_sweep(spec, cache=SweepCache())
+    assert batch.configs == configs
 
     for i, config in enumerate(configs):
         scalar = any_platform.run_kernel(spec, config)
@@ -79,7 +85,7 @@ def test_batch_matches_scalar_everywhere(any_platform, kernel):
 def test_batch_metric_surfaces_are_consistent(fresh_platform):
     """Derived arrays (ed, ed2, performance) agree with per-point math."""
     spec = all_kernels()[0].base
-    batch = fresh_platform.run_kernel_batch(spec)
+    batch = fresh_platform.grid_sweep(spec, cache=SweepCache())
     np.testing.assert_array_equal(batch.ed, batch.energy * batch.time)
     np.testing.assert_array_equal(
         batch.ed2, batch.energy * batch.time * batch.time
@@ -88,45 +94,52 @@ def test_batch_metric_surfaces_are_consistent(fresh_platform):
 
 
 def test_batch_subset_and_lookup(fresh_platform):
-    """Explicit config subsets evaluate in order and index correctly."""
+    """An explicit config subset evaluates in order; point lookups index
+    the full-grid surface."""
     spec = all_kernels()[0].base
-    configs = tuple(fresh_platform.config_space)[::37]
-    batch = fresh_platform.run_kernel_batch(spec, configs)
-    assert batch.configs == configs
-    probe = configs[len(configs) // 2]
-    assert batch.time_at(probe) == float(batch.time[batch.index_of(probe)])
-    off_grid = fresh_platform.config_space.max_config()
-    if off_grid not in configs:
-        with pytest.raises(AnalysisError):
-            batch.index_of(off_grid)
+    batch = fresh_platform.grid_sweep(spec, cache=SweepCache())
+    configs = batch.configs[::37]
+    subset = fresh_platform.performance_model.run_batch(spec, configs)
+    np.testing.assert_array_equal(subset.time, batch.time[::37])
+    assert subset.bandwidth_limit == batch.bandwidth_limit[::37]
+    for probe in configs:
+        assert batch.time_at(probe) == float(batch.time[batch.index_of(probe)])
 
 
 def test_batch_validates_configs(fresh_platform):
-    """Off-grid configurations are rejected like the scalar path."""
+    """An off-grid configuration is rejected by the scalar path and is
+    on no batch surface."""
     spec = all_kernels()[0].base
     bad = fresh_platform.config_space.max_config().replace(f_mem=123e6)
     with pytest.raises(ConfigurationError):
-        fresh_platform.run_kernel_batch(spec, [bad])
+        fresh_platform.run_kernel(spec, bad)
+    batch = fresh_platform.grid_sweep(spec, cache=SweepCache())
+    with pytest.raises(AnalysisError):
+        batch.index_of(bad)
+    with pytest.raises(AnalysisError):
+        batch.time_at(bad)
 
 
 def test_empty_batch_rejected(fresh_platform):
     spec = all_kernels()[0].base
     with pytest.raises(AnalysisError):
-        fresh_platform.run_kernel_batch(spec, [])
+        fresh_platform.performance_model.run_batch(spec, [])
 
 
 def test_noisy_batch_matches_scalar_bitwise():
-    """Launch-keyed noise: noisy batch == noisy scalar, bit for bit."""
+    """Launch-keyed noise: noisy batch == noisy scalar, bit for bit, at
+    every grid config."""
     noisy = make_hd7970_platform(noise_std_fraction=0.05, seed=7)
     assert not noisy.is_deterministic
-    spec = all_kernels()[0].base
-    configs = tuple(noisy.config_space)[::17]
-    for iteration in (0, 3):
-        batch = noisy.run_kernel_batch(spec, configs, iteration=iteration)
-        for i, config in enumerate(configs):
-            scalar = noisy.run_kernel(spec, config, iteration=iteration)
-            assert scalar.time == float(batch.time[i])
-            assert scalar.energy == float(batch.energy[i])
+    for name in NOISY_KERNELS:
+        spec = get_kernel(name).base
+        for iteration in (0, 3):
+            batch = noisy.grid_sweep(spec, cache=SweepCache(),
+                                     iteration=iteration)
+            for i, config in enumerate(noisy.config_space):
+                scalar = noisy.run_kernel(spec, config, iteration=iteration)
+                assert scalar.time == float(batch.time[i]), name
+                assert scalar.energy == float(batch.energy[i]), name
 
 
 @pytest.mark.parametrize("kernel", all_kernels(), ids=lambda k: k.base.name)
@@ -177,9 +190,9 @@ def test_noisy_batch_is_iteration_keyed():
     """Different iterations draw different multipliers; same repeats."""
     noisy = make_hd7970_platform(noise_std_fraction=0.05, seed=7)
     spec = all_kernels()[0].base
-    first = noisy.run_kernel_batch(spec, iteration=0)
-    again = noisy.run_kernel_batch(spec, iteration=0)
-    other = noisy.run_kernel_batch(spec, iteration=1)
+    first = noisy.grid_sweep(spec, cache=SweepCache(), iteration=0)
+    again = noisy.grid_sweep(spec, cache=SweepCache(), iteration=0)
+    other = noisy.grid_sweep(spec, cache=SweepCache(), iteration=1)
     np.testing.assert_array_equal(first.time, again.time)
     assert np.any(first.time != other.time)
 
@@ -213,7 +226,7 @@ class TestGeneratedKernels:
     @given(spec=fuzz_specs())
     def test_full_grid_matches_scalar(self, spec):
         for name, platform in _FUZZ_PLATFORMS.items():
-            batch = platform.run_kernel_batch(spec)
+            batch = platform.grid_sweep(spec, cache=SweepCache())
             assert _only_shared_limit_names(batch), name
             for i, config in enumerate(platform.config_space):
                 scalar = platform.run_kernel(spec, config)
@@ -239,7 +252,7 @@ class TestGeneratedKernels:
         with tempfile.TemporaryDirectory() as root:
             store = SweepStore(Path(root))
             for name, platform in _FUZZ_PLATFORMS.items():
-                batch = platform.run_kernel_batch(spec)
+                batch = platform.grid_sweep(spec, cache=SweepCache())
                 key = platform.sweep_cache_key(spec)
                 assert store.save_batch(key, batch), name
                 loaded = store.load_batch(key)

@@ -803,7 +803,11 @@ class TestObservabilityCli:
                 '{"traceEvents": 5}',
                 '{"traceEvents": [{"ph": "X", "cat": "span", "name": "x", '
                 '"dur": 1, "args": {"span_id": 1}}]}',
-                '{"traceEvents": [{"ph": "i", "cat": "event", "args": [1]}]}')):
+                '{"traceEvents": [{"ph": "i", "cat": "event", "args": [1]}]}',
+                '{"traceEvents": [{"ph": "X", "cat": "span", "ts": 0, '
+                '"dur": 1, "args": {"span_id": 1}}]}',
+                '{"traceEvents": [{"ph": "X", "cat": "span", "name": "x", '
+                '"ts": 0, "dur": 1, "pid": "a", "args": {"span_id": 1}}]}')):
             path = tmp_path / f"garbage{index}.json"
             path.write_text(text + "\n")
             cases.append((path, "unreadable trace"))

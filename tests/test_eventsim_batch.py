@@ -4,7 +4,8 @@ The batched engine's contract is *bitwise* equivalence — every
 :class:`~repro.perf.eventsim.EventSimResult` field must equal the scalar
 simulator's exactly (``==``, not approx), for every lane shape the scalar
 loop can encounter. The suite sweeps the full workload registry over both
-calibrations and the validation experiment's 3x3x3 config sample, probes
+calibrations and the validation experiment's 3x3x3 config sample, and
+over every 16th hd7970 grid config (a fleet-class grid), probes
 the structural edge lanes individually (compute-only kernels with
 ``bytes_per_segment == 0``, wave-population cap hit vs not, single-wave
 launches, occupancy-limited residency, a raised wave cap), and fuzzes
@@ -54,6 +55,12 @@ def _sample(space):
     return _sample_configs(space)
 
 
+def _fleet(space):
+    """Every 16th config of the full grid: a fleet-characterization
+    shape, 700 lanes over the registry."""
+    return list(space)[::16]
+
+
 def assert_bitwise_equal(batched_result, scalar_result, label):
     """All four result fields must match exactly — no tolerance."""
     assert batched_result.time == scalar_result.time, label
@@ -65,16 +72,18 @@ def assert_bitwise_equal(batched_result, scalar_result, label):
 
 
 class TestFullRegistryDifferential:
-    """Every kernel x every sampled config, on both calibrations."""
+    """Every kernel x every sampled config, on both calibrations, and
+    x a strided fleet-class grid on the hd7970."""
 
-    @pytest.mark.parametrize("make_calibration", [
-        pytest.param(default_calibration, id="hd7970"),
-        pytest.param(pitcairn_calibration, id="pitcairn"),
+    @pytest.mark.parametrize("make_calibration, pick", [
+        pytest.param(default_calibration, _sample, id="hd7970"),
+        pytest.param(pitcairn_calibration, _sample, id="pitcairn"),
+        pytest.param(default_calibration, _fleet, id="hd7970-fleet"),
     ])
-    def test_all_kernels_all_sampled_configs(self, make_calibration):
+    def test_all_kernels_all_sampled_configs(self, make_calibration, pick):
         calibration = make_calibration()
         scalar, batched = _models(calibration)
-        configs = _sample(ConfigSpace(calibration.arch))
+        configs = pick(ConfigSpace(calibration.arch))
         specs = [kernel.base for kernel in all_kernels()]
 
         rows = batched.run_batch(specs, configs)

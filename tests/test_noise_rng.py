@@ -116,9 +116,9 @@ class TestExecutionOrderInvariance:
         config = scalar_first.baseline_config()
 
         t_scalar = scalar_first.run_kernel(SPEC, config).time
-        b_after = scalar_first.run_kernel_batch(SPEC)
+        b_after = scalar_first.grid_sweep(SPEC, cache=SweepCache())
 
-        b_first = batch_first.run_kernel_batch(SPEC)
+        b_first = batch_first.grid_sweep(SPEC, cache=SweepCache())
         t_after = batch_first.run_kernel(SPEC, config).time
 
         assert t_scalar == t_after
@@ -164,10 +164,9 @@ class TestClipAccounting:
     def test_scalar_and_batch_count_the_same_clips(self):
         scalar = make_hd7970_platform(noise_std_fraction=2.0, seed=1)
         batch = make_hd7970_platform(noise_std_fraction=2.0, seed=1)
-        configs = tuple(scalar.config_space)
-        for config in configs:
+        for config in scalar.config_space:
             scalar.run_kernel(SPEC, config)
-        batch.run_kernel_batch(SPEC, configs)
+        batch.grid_sweep(SPEC, cache=SweepCache())
         assert scalar.noise_clip_count == batch.noise_clip_count > 0
 
     def test_clips_feed_the_telemetry_counter(self):
@@ -176,7 +175,7 @@ class TestClipAccounting:
         telemetry = Telemetry()
         platform = make_hd7970_platform(noise_std_fraction=2.0, seed=1)
         with telemetry.span("clips"):
-            platform.run_kernel_batch(SPEC)
+            platform.grid_sweep(SPEC, cache=SweepCache())
         counter = telemetry.metrics.counter("noise_floor_clips_total")
         assert counter.value(kernel=SPEC.name) == platform.noise_clip_count
         assert platform.noise_clip_count > 0
@@ -184,7 +183,7 @@ class TestClipAccounting:
     def test_clean_platform_never_clips(self):
         platform = make_hd7970_platform()
         platform.run_kernel(SPEC, platform.baseline_config())
-        platform.run_kernel_batch(SPEC)
+        platform.grid_sweep(SPEC, cache=SweepCache())
         assert platform.noise_clip_count == 0
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.gpu.config import HardwareConfig
 from repro.perf.kernelspec import KernelSpec
 from repro.platform.hd7970 import HardwarePlatform
+from repro.platform.sweepcache import SweepCache
 from repro.units import GHZ, MHZ
 from tests.kernel_strategies import CALIBRATIONS, fuzz_specs
 
@@ -237,7 +238,7 @@ class TestPhysicalDirections:
     @example(spec=memory_bound_spec())
     def test_directions_on_every_grid_line(self, spec):
         for name, platform in _DIRECTION_PLATFORMS.items():
-            batch = platform.run_kernel_batch(spec)
+            batch = platform.grid_sweep(spec, cache=SweepCache())
             time = _grid_cube(batch, batch.time)
             for knob, axis in (("f_cu", 1), ("f_mem", 2)):
                 before, after = _steps(time, axis)

@@ -181,6 +181,11 @@ class TestChromeTrace:
              "pid": 1, "tid": 1, "args": {}}]}))
         with pytest.raises(TelemetryError, match="span_id"):
             load_chrome_trace(bad)
+        bad.write_text(json.dumps({"traceEvents": [
+            {"ph": "X", "cat": "span", "name": "x", "ts": 0, "dur": 1,
+             "pid": 1, "tid": 1, "args": {"span_id": 1.5}}]}))
+        with pytest.raises(TelemetryError, match="non-integer span_id"):
+            load_chrome_trace(bad)
 
 
 class TestTreesAndSignatures:

@@ -304,7 +304,7 @@ class TestRoundTrip:
         _assert_batches_bitwise_equal(batch, rebuilt)
 
     def test_store_round_trip_is_bitwise(self, store, platform):
-        for kernel in all_kernels()[:4]:
+        for kernel in all_kernels():
             batch = platform.grid_sweep(kernel.base)
             key = _grid_key(platform, kernel.base)
             assert store.save_batch(key, batch)
@@ -335,6 +335,8 @@ class TestRoundTrip:
 
 def _assert_batches_bitwise_equal(a, b):
     assert a.kernel_name == b.kernel_name
+    assert a.configs == b.configs
+    assert a.bandwidth_limit == b.bandwidth_limit
     np.testing.assert_array_equal(a.time, b.time)
     np.testing.assert_array_equal(a.compute_time, b.compute_time)
     np.testing.assert_array_equal(a.memory_time, b.memory_time)

@@ -53,7 +53,6 @@ ALLOWLIST = Path(__file__).resolve().parent / "reach_allowlist.txt"
 TAGS = {
     "oracle": "scalar reference the differential tests compare against",
     "perfbench": "wrapped or read by name in perfbench/layers.py",
-    "bench": "called by a script under benchmarks/",
     "protocol": "part of an interface: a dunder, a context-manager "
                 "method, or an abstract or null-object method",
     "test-accessor": "read-back accessor the tests inspect results with",
